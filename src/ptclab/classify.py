@@ -1,14 +1,26 @@
 """Discrete-symmetry classification by constant-intertwiner nullspaces.
 
-A discrete operator is a substitution map (space flip, time flip, mass flip,
-optional complex conjugation) times an unknown constant matrix q.  Demanding
-the stated (anti)commutation sign with every generator G turns into the
-linear condition
+A discrete operator is a substitution map R (space flip, time flip, mass
+flip, optional complex conjugation) times an unknown constant matrix q.
+Demanding the stated (anti)commutation sign with every generator G turns into
+the linear condition
 
-    q * apply_flags(G) = sign(G) * G * q
+    q * (R G R^-1) = sign(G) * G * q
 
-per derivative multi-index and per sample point.  Stacking all conditions
-gives one homogeneous system on the d^2 entries of q; the symmetry holds iff
+per derivative multi-index and per sample point.  All variables are real and
+the energy E is even, so the coefficient of R G R^-1 at a point x is read off
+the coefficient of G at the reflected point eta.x: it is
+[conj] coeff(eta.x) * eta_p^|alpha|.  Each generator is therefore evaluated
+once per reflection signature (eta_p, eta_t, eta_m), shared by every
+operator classified on the same sample set.
+
+Stacking all conditions gives one homogeneous system A on the d^2 entries
+of q.  It is never formed.  Its rows are linear in the coefficient pairs, so
+A^H A depends only on their Gram matrix over the samples, and each
+multi-index's samples compress to as many rows as that Gram matrix has
+numerical rank.  The rank decision is an SVD of the d^2 x d^2 QR factor R of
+the rows of the compressed samples: R^H R = A^H A, so R has the singular
+values and right singular vectors of A.  The symmetry holds iff
 the nullspace contains an invertible element.  Rank decisions use a singular
 value threshold with a guard band: anything ambiguous is flagged instead of
 silently classified.
@@ -28,11 +40,12 @@ import numpy as np
 
 from .clifford import cached_spin
 from .generators import GENERATOR_CLASS, GeneratorSet, RepId, build_generators
-from .operators import FlagTransform, apply_flags, eval_operator
+from .operators import FlagTransform, eval_operator, index_order
 from .sampling import (
     DEFAULT_RANK_TOL,
     DEFAULT_SEED,
     DEFAULT_TOL,
+    check_settings,
     env_arrays,
     sample_points,
 )
@@ -41,6 +54,9 @@ SIGN_CLASSES = ("P0", "Pa", "Jab", "J0a")
 RANK_GUARD = 10.0
 DET_TOL = 1e-6
 RANDOM_CANDIDATES = 64
+# weight a block's compressed samples may drop, relative to the block's norm:
+# a few rounding errors of its coefficients, far below any rank threshold
+COMPRESSION_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -106,37 +122,111 @@ def momentum_action(op: DiscreteOpSpec) -> FlagTransform:
 # ---------------------------------------------------------------------------
 # constraint assembly
 
+IDENTITY_REFLECTION = (1, 1, 1)
 
-def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, points) -> list:
-    """Per (generator, multi-index): (flagged coeffs, coeffs, sign) over samples."""
+
+class _SampleSet(list):
+    """Sample points that keep each generator set's coefficients at their
+    reflected copies, so every operator classified on them shares one
+    evaluation per reflection signature (eta_p, eta_t, eta_m)."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        if not self:
+            raise ValueError("classification needs at least one sample point")
+        self.env = env_arrays(self)
+        self._coeffs = {}  # (generator set, signature) -> name -> alpha -> (n, d, d)
+
+    @classmethod
+    def of(cls, points) -> "_SampleSet":
+        return points if isinstance(points, cls) else cls(points)
+
+    def reflected(self, g: GeneratorSet, eta: tuple) -> dict:
+        key = (g, eta)
+        if key not in self._coeffs:
+            eta_p, eta_t, eta_m = eta
+            env = dict(
+                self.env,
+                p1=eta_p * self.env["p1"],
+                p2=eta_p * self.env["p2"],
+                p3=eta_p * self.env["p3"],
+                t=eta_t * self.env["t"],
+                m=eta_m * self.env["m"],
+            )
+            self._coeffs[key] = {
+                name: eval_operator(gen, env, derivatives=False).coeffs
+                for name, gen in g.items()
+            }
+        return self._coeffs[key]
+
+
+def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, samples: _SampleSet) -> list:
+    """Per (generator, multi-index): (flagged coeffs, coeffs, sign) over samples,
+    the flagged ones read off the reflected-point evaluations."""
     flags = momentum_action(op)
-    env = env_arrays(points)
-    n = len(points)
-    zeros = np.zeros((n, g.dim, g.dim), dtype=complex)
+    plain = samples.reflected(g, IDENTITY_REFLECTION)
+    flipped = samples.reflected(g, (flags.eta_p, flags.eta_t, flags.eta_m))
     blocks = []
-    for name, gen in g.items():
+    for name in g.ops:
         sign = op.generator_sign(name)
-        flagged = apply_flags(gen, flags)
-        ev = eval_operator(gen, env, derivatives=False)
-        ev_f = eval_operator(flagged, env, derivatives=False)
-        for alpha in sorted(set(ev.coeffs) | set(ev_f.coeffs)):
-            a = ev_f.coeffs.get(alpha, zeros)
-            b = ev.coeffs.get(alpha, zeros)
+        for alpha, b in sorted(plain[name].items()):
+            a = flipped[name][alpha]
+            if flags.conj:
+                a = a.conj()
+            if flags.eta_p == -1 and index_order(alpha) % 2 == 1:
+                a = -a
             blocks.append((a, b, sign))
     return blocks
 
 
-def build_constraints(g: GeneratorSet, op: DiscreteOpSpec, points) -> np.ndarray:
-    """Stacked linear system on the d^2 entries of q (row-major vectorization)."""
+def _compressed_samples(blocks) -> np.ndarray:
+    """Rows z = (vec A, sign vec B) whose Gram matrix is, up to a dropped
+    weight below COMPRESSION_TOL, that of every block's samples.
+
+    Each block's samples are rotated onto the eigenvectors of x x^H, which
+    gathers their weight in as many rows as the block has numerical rank
+    (1 for a block that is the same at every sample: the sample times
+    sqrt(n)); the lightest rows, of total norm below COMPRESSION_TOL |x|, are
+    dropped.  All-zero samples are dropped first.
+    """
+    out = []
+    for a, b, sign in blocks:
+        x = np.concatenate([a.reshape(len(a), -1), sign * b.reshape(len(b), -1)], axis=1)
+        x = x[x.any(axis=1)]
+        if len(x) > 1:
+            _, u = np.linalg.eigh(x @ x.conj().T)
+            z = u.conj().T @ x
+            weight = np.cumsum(np.sum(np.abs(z) ** 2, axis=1))
+            x = z[weight > (COMPRESSION_TOL * np.linalg.norm(x)) ** 2]
+        out.append(x)
+    return np.concatenate(out)
+
+
+def build_constraints(g: GeneratorSet, op: DiscreteOpSpec, points, *, _blocks=None) -> np.ndarray:
+    """Triangular factor R (d^2 x d^2) of the stacked linear system A on the
+    d^2 entries of q (row-major vectorization), with R^H R = A^H A.
+
+    R has the singular values and right singular vectors of A.  A's rows at
+    one sample are linear in that sample's (A, sign B), so A^H A depends only
+    on the Gram matrix of those pairs, and the compressed samples stand in
+    for all of them.  The weight they drop moves no singular value of A by
+    more than sqrt(2) * COMPRESSION_TOL times the norm of all the pairs.
+    """
+    blocks = _blocks
+    if blocks is None:
+        blocks = _constraint_blocks(g, op, _SampleSet.of(points))
     d = g.dim
+    z = _compressed_samples(blocks)
+    a = z[:, : d * d].reshape(-1, d, d)
+    b = z[:, d * d :].reshape(-1, d, d)
+    # vec(q A) = (I kron A^T) vec(q); vec(B q) = (B kron I) vec(q)
     eye = np.eye(d)
-    rows = []
-    for a, b, sign in _constraint_blocks(g, op, points):
-        # vec(q A) = (I kron A^T) vec(q); vec(B q) = (B kron I) vec(q)
-        left = np.einsum("ij,nlk->nikjl", eye, a).reshape(-1, d * d)
-        right = np.einsum("nij,kl->nikjl", b, eye).reshape(-1, d * d)
-        rows.append(left - sign * right)
-    return np.concatenate(rows, axis=0)
+    rows = np.einsum("ij,nlk->nikjl", eye, a) - np.einsum("nij,kl->nikjl", b, eye)
+    rows = rows.reshape(-1, d * d)
+    r = np.linalg.qr(rows[rows.any(axis=1)], mode="r")
+    if r.shape[0] < d * d:
+        r = np.concatenate([r, np.zeros((d * d - r.shape[0], d * d))])
+    return r
 
 
 def _witness_residual(q: np.ndarray, blocks) -> float:
@@ -322,16 +412,16 @@ def classify(
     det_tol: float = DET_TOL,
 ) -> ClassificationResult:
     """Decide invariance of a generator set under one discrete operator."""
+    check_settings(seed=seed, tol=tol, rank_tol=rank_tol)
     if isinstance(op, str):
         op = get_op(op)
     if points is None:
         points = sample_points(seed=seed)
+    samples = _SampleSet.of(points)
     d = g.dim
-    blocks = _constraint_blocks(g, op, points)
-    matrix = build_constraints(g, op, points)
-    if matrix.shape[0] < matrix.shape[1]:
-        raise ValueError("constraint system needs at least one sample point")
-    _, singular, vh = np.linalg.svd(matrix, full_matrices=False)
+    blocks = _constraint_blocks(g, op, samples)
+    factor = build_constraints(g, op, samples, _blocks=blocks)
+    _, singular, vh = np.linalg.svd(factor, full_matrices=False)
 
     sigma_max = float(singular[0])
     threshold = rank_tol * sigma_max
@@ -443,12 +533,14 @@ def full_table(
     seed: int = DEFAULT_SEED,
 ) -> ClassificationTable:
     """Classify all nine discrete operators against one representation."""
+    check_settings(seed=seed, tol=tol, rank_tol=rank_tol)
     g = rep if isinstance(rep, GeneratorSet) else build_generators(rep)
     if points is None:
         points = sample_points(seed=seed)
+    samples = _SampleSet.of(points)
     rows = {}
     for name in OP_ORDER:
-        result = classify(g, get_op(name), points, rank_tol, tol, seed)
+        result = classify(g, get_op(name), samples, rank_tol, tol, seed)
         rows[name] = TableRow(result, paper_expectation(g.rep.kind, name))
     return ClassificationTable(g.rep.kind, rows)
 
@@ -482,11 +574,12 @@ def intertwining_check(
         raise ValueError("intertwining relations concern the canonical 8-dim set")
     if points is None:
         points = sample_points(seed=seed)
+    samples = _SampleSet.of(points)
     spin = cached_spin(8)
     witnesses = {}
     missing = []
     for name in ("P1", "M", "T1"):
-        result = classify(g, get_op(name), points, seed=seed, tol=tol)
+        result = classify(g, get_op(name), samples, seed=seed, tol=tol)
         if result.witness is None:
             missing.append(f"{name}: no invertible witness ({result.nullspace_dim=})")
         witnesses[name] = result.witness

@@ -42,6 +42,7 @@ from .sampling import (
     DEFAULT_RANK_TOL,
     DEFAULT_SEED,
     DEFAULT_TOL,
+    check_settings,
     env_arrays,
     sample_points,
 )
@@ -139,9 +140,15 @@ def _build_parser() -> _Parser:
 
 
 def _config(args) -> RunConfig:
+    """Settings from the flags and PTCLAB_SEED; ValueError names a bad one."""
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+        raw = os.environ.get(SEED_ENV_VAR)
+        try:
+            seed = DEFAULT_SEED if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    check_settings(seed=seed, samples=args.samples, tol=args.tol, rank_tol=args.rank_tol)
     return RunConfig(seed, args.samples, args.tol, args.rank_tol, args.json)
 
 
@@ -423,7 +430,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    config = _config(args)
+    try:
+        config = _config(args)
+    except ValueError as exc:
+        print(f"ptclab: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     if args.command == "selftest":
         return cmd_selftest(config)

@@ -367,11 +367,6 @@ def sqrt(arg) -> Expr:
     return Sqrt(arg)
 
 
-def differentiate(expr: Expr, var: str) -> Expr:
-    """Exact symbolic derivative with the energy chain rule."""
-    return expr.diff(var)
-
-
 ZERO = Const(0)
 ONE = Const(1)
 I_UNIT = Const(1j)

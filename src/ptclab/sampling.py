@@ -57,6 +57,7 @@ def sample_points(
     points are generic.  Pass masses=(0.0,) for massless sampling; the
     momentum guard keeps |p| bounded away from zero there as well.
     """
+    check_settings(seed=seed, samples=count)
     rng = np.random.default_rng(seed)
     points = []
     while len(points) < count:
@@ -68,6 +69,28 @@ def sample_points(
         t = times[(i // len(masses)) % len(times)]
         points.append(Point(float(p[0]), float(p[1]), float(p[2]), float(m), float(t)))
     return points
+
+
+def check_settings(seed=None, samples=None, tol=None, rank_tol=None):
+    """Raise ValueError for a setting outside its range; None skips a check.
+
+    The seed is a non-negative integer (what numpy's generators accept),
+    there is at least one sample, tol is finite and positive, and rank_tol is
+    a finite fraction of the largest singular value, strictly inside (0, 1).
+    """
+    for name, value in (("seed", seed), ("samples", samples)):
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if rank_tol is not None and not (math.isfinite(rank_tol) and 0 < rank_tol < 1):
+        raise ValueError(f"rank_tol must be finite and in (0, 1), got {rank_tol!r}")
 
 
 def env_arrays(points) -> dict:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ptclab.cli import main
 
 
@@ -141,3 +143,33 @@ def test_seed_env_override(capsys, monkeypatch):
     assert code == 0
     assert payload["config"]["seed"] == 12345
     assert payload["verdict"] == "invariant"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--samples", "0"), "samples"),
+        (("--samples", "-2"), "samples"),
+        (("--tol", "0"), "tol"),
+        (("--tol", "nan"), "tol"),
+        (("--tol", "-1e-9"), "tol"),
+        (("--rank-tol", "0"), "rank_tol"),
+        (("--rank-tol", "nan"), "rank_tol"),
+        (("--rank-tol", "inf"), "rank_tol"),
+        (("--rank-tol", "1"), "rank_tol"),
+        (("--seed", "-1"), "seed"),
+    ],
+)
+def test_invalid_setting_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "classify", "--rep", "rep1", "--op", "C", *argv)
+    assert code == 64
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PTCLAB_SEED", "abc")
+    code, out, err = run(capsys, "classify", "--rep", "rep1", "--op", "C")
+    assert code == 64
+    assert out == ""
+    assert "PTCLAB_SEED" in err
