@@ -16,7 +16,6 @@ from .classify import (
     ClassificationTable,
     DiscreteOpSpec,
     build_constraints,
-    classify,
     compose_ops,
     full_table,
     get_op,
@@ -85,7 +84,6 @@ __all__ = [
     "casimir_spectrum",
     "charge_check",
     "check_algebra",
-    "classify",
     "commutant_scan",
     "compose",
     "compose_ops",

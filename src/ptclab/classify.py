@@ -25,6 +25,13 @@ the nullspace contains an invertible element.  Rank decisions use a singular
 value threshold with a guard band: anything ambiguous is flagged instead of
 silently classified.
 
+Witnesses are built in closed form.  If q0 is one invertible element of the
+nullspace N, then N = C q0, where C is the commutant of the generators'
+coefficients, closed under adjoints.  So the unitary polar factor of a
+random element of N is again in N, its square w lies in C and commutes with
+it, and q = w^(-1/2) q0 is a unitary element of N with q^2 = 1.  The
+witness reported is q / |q|, so its involution scale is 1/d.
+
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
 is why q may be taken momentum independent in the first place.
@@ -34,7 +41,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -53,7 +59,6 @@ from .sampling import (
 SIGN_CLASSES = ("P0", "Pa", "Jab", "J0a")
 RANK_GUARD = 10.0
 DET_TOL = 1e-6
-RANDOM_CANDIDATES = 64
 # weight a block's compressed samples may drop, relative to the block's norm:
 # a few rounding errors of its coefficients, far below any rank threshold
 COMPRESSION_TOL = 1e-14
@@ -255,129 +260,45 @@ def _involution_scale(q: np.ndarray, tol: float):
     return None
 
 
-def _traceless_vec(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    return (mat - np.trace(mat) / d * np.eye(d)).ravel()
+def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
+    """w^(-1/2) of a unitary w, by eigendecomposition.
 
-
-def _scalar_square_roots(qi: np.ndarray, qj: np.ndarray) -> list:
-    """Candidate w so that (qi + w qj)^2 is a multiple of the identity."""
-    v0 = _traceless_vec(qi @ qi)
-    v1 = _traceless_vec(qi @ qj + qj @ qi)
-    v2 = _traceless_vec(qj @ qj)
-    weights = np.abs(v0) + np.abs(v1) + np.abs(v2)
-    roots = []
-    for idx in np.argsort(weights)[::-1][:6]:
-        c2, c1, c0 = v2[idx], v1[idx], v0[idx]
-        if abs(c2) < 1e-13 and abs(c1) < 1e-13:
-            continue
-        if abs(c2) < 1e-13:
-            roots.append(-c0 / c1)
-        else:
-            roots.extend(np.roots([c2, c1, c0]))
-    # deterministic order regardless of which coordinate produced a root
-    roots.sort(key=lambda w: (round(abs(w), 9), round(np.angle(w), 9)))
-    return roots
-
-
-def _inverse_sqrt_scale(q: np.ndarray):
-    """For a linear operator, rescale q by f(q^2)^(-1/2) inside the commutant."""
-    square = q @ q
-    values, vectors = np.linalg.eig(square)
-    if np.min(np.abs(values)) < 1e-12:
-        return None
-    try:
-        inv_vectors = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError:
-        return None
-    z = vectors @ np.diag(values ** -0.5) @ inv_vectors
-    return z @ q
-
-
-def _polish_scalar_square(basis, rng, attempts: int = 8):
-    """Least-squares search of the nullspace for an element squaring to a scalar.
-
-    Used for nullspaces of dimension > 2 where the pairwise quadratic solve
-    cannot reach every direction; every result is validated by the caller.
+    The square root's branch cut is turned to the middle of the widest gap
+    in w's spectrum, so no cluster of nearly equal eigenvalues straddles it.
     """
-    from scipy.optimize import least_squares
-
-    k = len(basis)
-    d = basis[0].shape[0]
-    eye = np.eye(d)
-
-    def residual(x):
-        coeff = x[:k] + 1j * x[k:]
-        q = sum(c * b for c, b in zip(coeff, basis))
-        square = q @ q
-        lam = np.trace(square) / d
-        dev = (square - lam * eye).ravel()
-        return np.concatenate([dev.real, dev.imag, [np.linalg.norm(q) - 1.0]])
-
-    for _ in range(attempts):
-        x0 = rng.standard_normal(2 * k)
-        try:
-            sol = least_squares(residual, x0, method="lm", max_nfev=400)
-        except Exception:
-            continue
-        coeff = sol.x[:k] + 1j * sol.x[k:]
-        yield sum(c * b for c, b in zip(coeff, basis))
+    values, vectors = np.linalg.eig(w)
+    angles = np.sort(np.angle(values))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    widest = np.argmax(gaps)
+    turn = np.exp(1j * (angles[widest] + gaps[widest] / 2 - np.pi))
+    roots = (values / turn) ** -0.5 / np.sqrt(turn)
+    return vectors @ (roots[:, None] * np.linalg.inv(vectors))
 
 
-def _select_witness(basis, blocks, op, rng, tol, det_tol):
-    """Pick an invertible nullspace element, preferring one squaring to a scalar."""
+def _select_witness(basis, blocks, rng, tol, det_tol):
+    """(witness, residual, involution scale) from the nullspace basis, or
+    (None, None, None) when no invertible element turns up.
 
-    def candidates():
-        ordered = sorted(basis, key=lambda q: -abs(np.linalg.det(q)))
-        yield from ordered
-        k = len(basis)
-        for _ in range(RANDOM_CANDIDATES):
-            coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            yield sum(c * q for c, q in zip(coeff, basis))
-
-    best_invertible = None
-    for raw in candidates():
-        q = _normalized(raw)
-        if abs(np.linalg.det(q)) <= det_tol:
-            continue
-        if best_invertible is None:
-            best_invertible = q
+    One random element of the nullspace N is drawn.  Its polar factor q0 is
+    unitary and still in N, w = q0^2 is a unitary element of the commutant
+    that commutes with q0, and q = w^(-1/2) q0 is a unitary element of N with
+    q^2 = 1.  If q fails validation, the random element is reported without
+    an involution scale.
+    """
+    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    raw = sum(c * b for c, b in zip(coeff, basis))
+    u, _, vh = np.linalg.svd(raw)
+    q0 = u @ vh
+    q = _normalized(_inverse_sqrt(q0 @ q0) @ q0)
+    if abs(np.linalg.det(q)) > det_tol:
+        residual = _witness_residual(q, blocks)
         lam = _involution_scale(q, tol)
-        if lam is not None:
-            return q, lam
-
-    if best_invertible is None:
-        return None, None
-
-    def _accept(candidate):
-        if candidate is None:
-            return None
-        q = _normalized(candidate)
-        if abs(np.linalg.det(q)) <= det_tol:
-            return None
-        if _witness_residual(q, blocks) >= tol:
-            return None
-        lam = _involution_scale(q, tol)
-        return (q, lam) if lam is not None else None
-
-    if not op.conj:
-        accepted = _accept(_inverse_sqrt_scale(best_invertible))
-        if accepted:
-            return accepted
-
-    for i, j in combinations(range(len(basis)), 2):
-        for w in _scalar_square_roots(basis[i], basis[j]):
-            accepted = _accept(basis[i] + w * basis[j])
-            if accepted:
-                return accepted
-
-    if len(basis) > 2:
-        for candidate in _polish_scalar_square(basis, rng):
-            accepted = _accept(candidate)
-            if accepted:
-                return accepted
-
-    return best_invertible, None
+        if residual < tol and lam is not None:
+            return q, residual, lam
+    raw = _normalized(raw)
+    if abs(np.linalg.det(raw)) > det_tol:
+        return raw, _witness_residual(raw, blocks), None
+    return None, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +367,12 @@ def classify(
     rng = np.random.default_rng(
         [seed, _stable_token(g.rep.kind), _stable_token(op.name)]
     )
-    witness, scale = _select_witness(basis, blocks, op, rng, tol, det_tol)
+    witness, residual, scale = _select_witness(basis, blocks, rng, tol, det_tol)
     if witness is None:
         return ClassificationResult(
             g.rep.kind, op.name, False, False, nullspace_dim, None, None, None,
             smallest, sigma_max,
         )
-    residual = _witness_residual(witness, blocks)
     return ClassificationResult(
         g.rep.kind, op.name, True, False, nullspace_dim, witness, residual, scale,
         smallest, sigma_max,

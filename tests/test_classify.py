@@ -1,15 +1,24 @@
 import importlib
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptclab
 from ptclab.classify import (
     OP_ORDER,
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
     _compressed_samples,
     _constraint_blocks,
+    _inverse_sqrt,
     _SampleSet,
+    _select_witness,
+    _witness_residual,
     build_constraints,
     classify,
     compose_ops,
@@ -139,7 +148,6 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
 
 
 def test_full_table_evaluates_each_generator_once_per_reflection(monkeypatch, points):
-    # the package re-exports the function classify under the submodule's name
     classify_module = importlib.import_module("ptclab.classify")
     calls = {}
     original = classify_module.eval_operator
@@ -278,6 +286,87 @@ def test_witness_contract(rep1, rep2, rep3, points):
             assert lam is not None and abs(lam) > 0
             square = result.witness @ result.witness
             assert np.max(np.abs(square - lam * np.eye(g.dim))) < 1e-9
+
+
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_witnesses_hold_on_held_out_points(kind, points, points_alt):
+    """Every witness found on one sample set satisfies the constraints rebuilt
+    on a disjoint one, and is unitary up to scale: d q q^H = 1."""
+    g = build_generators(RepId(kind))
+    held_out = _SampleSet(points_alt)
+    table = full_table(g, points)
+    invariant = [name for name, row in table.rows.items() if row.result.invariant]
+    assert invariant
+    eye = np.eye(g.dim)
+    for name in invariant:
+        q = table.rows[name].result.witness
+        blocks = _constraint_blocks(g, get_op(name), held_out)
+        assert _witness_residual(q, blocks) < 1e-9, (kind, name)
+        assert np.max(np.abs(g.dim * q @ q.conj().T - eye)) <= 1e-12, (kind, name)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_inverse_sqrt_keeps_a_cluster_at_minus_one_on_one_branch(seed):
+    """q0 = i X for a random Hermitian unitary X squares to -1 up to rounding,
+    which scatters w's eigenvalues on both sides of -1.  Unless the branch
+    cut is turned away, w^(-1/2) splits them and (w^(-1/2) q0)^2 is not 1."""
+    rng = np.random.default_rng(seed)
+    d = 8
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    q0 = 1j * u @ np.diag([1.0] * 4 + [-1.0] * 4) @ u.conj().T
+    q = _inverse_sqrt(q0 @ q0) @ q0
+    assert np.max(np.abs(q @ q - np.eye(d))) < 1e-12
+
+
+def test_singular_nullspace_gives_no_witness():
+    """q a = b q holds only for multiples of E_11: the polar factor leaves
+    the nullspace and the nullspace element itself is singular."""
+    a, b = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
+    basis = [np.diag([1.0, 0.0])]
+    blocks = [(a[None], b[None], 1)]
+    rng = np.random.default_rng(0)
+    assert _select_witness(basis, blocks, rng, 1e-9, 1e-6) == (None, None, None)
+
+
+def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
+    """q J = J q and q y = (J y J^-1) q hold only for multiples of the Jordan
+    block J, whose commutant holds no adjoints.  The polar factor of J leaves
+    the nullspace, so J itself is reported without an involution scale."""
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    y = np.diag([1.0, 2.0])
+    blocks = [
+        (jordan[None], jordan[None], 1),
+        (y[None], (jordan @ y @ np.linalg.inv(jordan))[None], 1),
+    ]
+    basis = [jordan / np.linalg.norm(jordan)]
+    q, residual, scale = _select_witness(basis, blocks, np.random.default_rng(0), 1e-9, 1e-6)
+    assert scale is None and residual < 1e-9
+    assert np.allclose(q / q[0, 0], jordan)
+
+
+def test_classification_does_not_import_scipy():
+    """Witnesses are closed-form linear algebra: classifying every
+    representation imports no part of scipy."""
+    code = (
+        "import sys\n"
+        "from ptclab.classify import full_table, intertwining_check\n"
+        "from ptclab.generators import REP_KINDS, RepId\n"
+        "for kind in REP_KINDS:\n"
+        "    full_table(RepId(kind))\n"
+        "intertwining_check()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ptclab.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_classify_submodule_is_not_shadowed():
+    import ptclab.classify as module
+
+    assert isinstance(module, types.ModuleType)
 
 
 def test_verdicts_stable_across_sample_sets(points, points_alt):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ptclab
 from ptclab.cli import main
+
+SRC = str(Path(ptclab.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -100,6 +107,17 @@ def test_table_json_round_trip_and_determinism(capsys):
     payload = json.loads(out_a)
     assert json.loads(json.dumps(payload)) == payload
     assert payload["schema"] == 1
+
+
+def test_table_json_identical_across_hash_seeds():
+    """Fresh processes that differ only in PYTHONHASHSEED (and so in memory
+    layout) print the same bytes."""
+    argv = [sys.executable, "-m", "ptclab.cli", "table", "--rep", "all", "--seed", "5", "--json"]
+    outputs = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(hash_seed))
+        outputs.add(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+    assert len(outputs) == 1
 
 
 def test_massless_command(capsys):
