@@ -45,19 +45,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import cached_spin
-from .generators import GENERATOR_CLASS, GeneratorSet, RepId, build_generators
+from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, eval_operator, index_order
 from .sampling import (
     DEFAULT_RANK_TOL,
     DEFAULT_SEED,
     DEFAULT_TOL,
+    RANK_GUARD,
     check_settings,
     env_arrays,
     sample_points,
 )
 
 SIGN_CLASSES = ("P0", "Pa", "Jab", "J0a")
-RANK_GUARD = 10.0
 DET_TOL = 1e-6
 # weight a block's compressed samples may drop, relative to the block's norm:
 # a few rounding errors of its coefficients, far below any rank threshold
@@ -75,11 +75,8 @@ class DiscreteOpSpec:
     conj: bool = False
     signs: tuple = (1, 1, 1, 1)  # ordered as SIGN_CLASSES
 
-    def sign(self, generator_class: str) -> int:
-        return self.signs[SIGN_CLASSES.index(generator_class)]
-
     def generator_sign(self, generator_name: str) -> int:
-        return self.sign(GENERATOR_CLASS[generator_name])
+        return self.signs[SIGN_CLASSES.index(GENERATOR_CLASS[generator_name])]
 
 
 def compose_ops(a: DiscreteOpSpec, b: DiscreteOpSpec, name: str = None) -> DiscreteOpSpec:
@@ -275,7 +272,7 @@ def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
     return vectors @ (roots[:, None] * np.linalg.inv(vectors))
 
 
-def _select_witness(basis, blocks, rng, tol, det_tol):
+def _select_witness(basis, blocks, rng, tol):
     """(witness, residual, involution scale) from the nullspace basis, or
     (None, None, None) when no invertible element turns up.
 
@@ -290,13 +287,13 @@ def _select_witness(basis, blocks, rng, tol, det_tol):
     u, _, vh = np.linalg.svd(raw)
     q0 = u @ vh
     q = _normalized(_inverse_sqrt(q0 @ q0) @ q0)
-    if abs(np.linalg.det(q)) > det_tol:
+    if abs(np.linalg.det(q)) > DET_TOL:
         residual = _witness_residual(q, blocks)
         lam = _involution_scale(q, tol)
         if residual < tol and lam is not None:
             return q, residual, lam
     raw = _normalized(raw)
-    if abs(np.linalg.det(raw)) > det_tol:
+    if abs(np.linalg.det(raw)) > DET_TOL:
         return raw, _witness_residual(raw, blocks), None
     return None, None, None
 
@@ -318,6 +315,12 @@ class ClassificationResult:
     smallest_singular_value: float
     largest_singular_value: float
 
+    @property
+    def verdict(self) -> str:
+        if self.indeterminate:
+            return "indeterminate"
+        return "invariant" if self.invariant else "noninvariant"
+
 
 def _stable_token(text: str) -> int:
     return zlib.crc32(text.encode())
@@ -330,7 +333,6 @@ def classify(
     rank_tol: float = DEFAULT_RANK_TOL,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-    det_tol: float = DET_TOL,
 ) -> ClassificationResult:
     """Decide invariance of a generator set under one discrete operator."""
     check_settings(seed=seed, tol=tol, rank_tol=rank_tol)
@@ -367,7 +369,7 @@ def classify(
     rng = np.random.default_rng(
         [seed, _stable_token(g.rep.kind), _stable_token(op.name)]
     )
-    witness, residual, scale = _select_witness(basis, blocks, rng, tol, det_tol)
+    witness, residual, scale = _select_witness(basis, blocks, rng, tol)
     if witness is None:
         return ClassificationResult(
             g.rep.kind, op.name, False, False, nullspace_dim, None, None, None,
@@ -417,9 +419,7 @@ class TableRow:
 
     @property
     def verdict(self) -> str:
-        if self.result.indeterminate:
-            return "indeterminate"
-        return "invariant" if self.result.invariant else "noninvariant"
+        return self.result.verdict
 
     @property
     def matches(self):
@@ -481,17 +481,13 @@ class IntertwiningReport:
 
 
 def intertwining_check(
-    g: GeneratorSet = None,
     points=None,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> IntertwiningReport:
-    """The parity and mass-flip witnesses swap the two su(2) actions; the
-    linear time-flip witness centralizes them."""
-    if g is None:
-        g = build_generators(RepId("canonical8"))
-    if g.rep.kind != "canonical8":
-        raise ValueError("intertwining relations concern the canonical 8-dim set")
+    """The parity and mass-flip witnesses of the canonical 8-dim set swap the
+    two su(2) actions; the linear time-flip witness centralizes them."""
+    g = build_generators("canonical8")
     if points is None:
         points = sample_points(seed=seed)
     samples = _SampleSet.of(points)

@@ -20,7 +20,7 @@ import numpy as np
 from .classify import OP_ORDER, classify, full_table, get_op
 from .clifford import build_basis, cached_basis
 from .generators import (
-    RepId,
+    REP_KINDS,
     build_generators,
     canonical_transform,
     charge_check,
@@ -53,7 +53,6 @@ EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 
-REP_CHOICES = ("dirac8", "canonical8", "rep1", "rep2", "rep3")
 SEED_ENV_VAR = "PTCLAB_SEED"
 
 
@@ -65,8 +64,8 @@ class RunConfig:
     rank_tol: float = DEFAULT_RANK_TOL
     json_output: bool = False
 
-    def points(self, **kwargs):
-        return sample_points(count=self.sample_count, seed=self.seed, **kwargs)
+    def points(self):
+        return sample_points(count=self.sample_count, seed=self.seed)
 
     def as_dict(self) -> dict:
         return {
@@ -110,7 +109,7 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("selftest", help="basis invariants, unitarity, diagonalization, charge"))
 
     p = sub.add_parser("algebra", help="bracket closure against the fitted structure constants")
-    p.add_argument("--rep", required=True, choices=REP_CHOICES)
+    p.add_argument("--rep", required=True, choices=REP_KINDS)
     p.add_argument(
         "--dump-generators",
         type=int,
@@ -121,12 +120,12 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("classify", help="one (representation, operator) verdict")
-    p.add_argument("--rep", required=True, choices=REP_CHOICES)
+    p.add_argument("--rep", required=True, choices=REP_KINDS)
     p.add_argument("--op", required=True, choices=OP_ORDER)
     common(p)
 
     p = sub.add_parser("table", help="full discrete-symmetry table")
-    p.add_argument("--rep", required=True, choices=REP_CHOICES + ("all",))
+    p.add_argument("--rep", required=True, choices=REP_KINDS + ("all",))
     common(p)
 
     p = sub.add_parser("massless", help="m = 0 helicity decomposition and checks")
@@ -237,7 +236,7 @@ def _generators_json(g, point) -> dict:
 
 
 def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
-    g = build_generators(RepId(rep))
+    g = build_generators(rep)
     points = config.points()
     if dump_sample is not None and not 0 <= dump_sample < len(points):
         print(
@@ -272,9 +271,7 @@ def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
 
 def _result_json(result) -> dict:
     return {
-        "verdict": "indeterminate"
-        if result.indeterminate
-        else ("invariant" if result.invariant else "noninvariant"),
+        "verdict": result.verdict,
         "nullspace_dim": result.nullspace_dim,
         "residual": result.residual,
         "witness": None if result.witness is None else cmat(result.witness),
@@ -286,7 +283,7 @@ def _result_json(result) -> dict:
 
 
 def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
-    g = build_generators(RepId(rep))
+    g = build_generators(rep)
     result = classify(
         g, get_op(op), config.points(), rank_tol=config.rank_tol,
         tol=config.tol, seed=config.seed,
@@ -302,12 +299,7 @@ def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
         payload.update(_result_json(result))
         _emit(payload)
     else:
-        verdict = (
-            "indeterminate"
-            if result.indeterminate
-            else ("invariant" if result.invariant else "noninvariant")
-        )
-        print(f"{rep} under {op}: {verdict}")
+        print(f"{rep} under {op}: {result.verdict}")
         print(f"  nullspace dimension {result.nullspace_dim}")
         if result.invariant:
             print(f"  witness residual {result.residual:.3e}")
@@ -322,7 +314,7 @@ def cmd_table(config: RunConfig, rep: str) -> int:
     reps = ["rep1", "rep2", "rep3", "canonical8"] if rep == "all" else [rep]
     tables = {
         kind: full_table(
-            RepId(kind), config.points(), rank_tol=config.rank_tol,
+            kind, config.points(), rank_tol=config.rank_tol,
             tol=config.tol, seed=config.seed,
         )
         for kind in reps
@@ -371,7 +363,7 @@ def cmd_table(config: RunConfig, rep: str) -> int:
 def cmd_massless(config: RunConfig) -> int:
     labels = massless_decompose()
     pair_count = massless_pair_count()
-    g = build_generators(RepId("canonical8"))
+    g = build_generators("canonical8")
     report = helicity_check(
         g, sample_points(count=config.sample_count, seed=config.seed, masses=(0.0,)),
         tol=config.tol,

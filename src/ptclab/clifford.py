@@ -22,11 +22,12 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .sampling import sample_points
+
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULI = (I2, SX, SY, SZ)
 
 # metric for indices 0..4: {gamma_mu, gamma_nu} = 2 g_mu_nu
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0, -1.0])
@@ -35,6 +36,11 @@ EPSILON = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     EPSILON[_i, _j, _k] = 1.0
     EPSILON[_j, _i, _k] = -1.0
+
+# distance an eigenvalue may sit from its snapped s(s+1) value
+CASIMIR_TOL = 1e-9
+# commutator norm below which a bilinear counts as commuting with Gamma0 E
+COMMUTANT_TOL = 1e-12
 
 
 def kron(*mats) -> np.ndarray:
@@ -174,26 +180,26 @@ def cached_spin(dim: int) -> SpinGenerators:
     return spin_tensor(cached_basis(dim))
 
 
-def _snap_casimir(value: float, tol: float) -> float:
+def _snap_casimir(value: float) -> float:
     """Snap an eigenvalue to the nearest s(s+1) with s a half-integer >= 0."""
     s = 0.5 * (-1.0 + np.sqrt(max(1.0 + 4.0 * value, 0.0)))
     s0 = round(2.0 * s) / 2.0
     snapped = s0 * (s0 + 1.0)
-    if abs(value - snapped) > tol:
+    if abs(value - snapped) > CASIMIR_TOL:
         raise AssertionError(
-            f"eigenvalue {value} is not within {tol} of an s(s+1) value"
+            f"eigenvalue {value} is not within {CASIMIR_TOL} of an s(s+1) value"
         )
     return snapped
 
 
-def casimir_spectrum(gens: SpinGenerators, tol: float = 1e-9) -> dict:
+def casimir_spectrum(gens: SpinGenerators) -> dict:
     """Eigenvalue histograms of S^2 and T^2, snapped to s(s+1) values."""
     out = {}
     for name, mat in (("s_squared", gens.s_squared), ("t_squared", gens.t_squared)):
         values = np.linalg.eigvalsh(mat)
         hist: dict = {}
         for v in values:
-            key = _snap_casimir(float(v), tol)
+            key = _snap_casimir(float(v))
             hist[key] = hist.get(key, 0) + 1
         out[name] = hist
     return out
@@ -226,7 +232,7 @@ class CommutantScan:
     max_residual: float
 
 
-def commutant_scan(basis: CliffordBasis, points=None, tol: float = 1e-12) -> CommutantScan:
+def commutant_scan(basis: CliffordBasis, points=None) -> CommutantScan:
     """Scan the bilinears of the six-element anticommuting set against Gamma0*E.
 
     Element 0 is Gamma0 itself, 1..4 are the spatial gammas (as hermitian
@@ -237,8 +243,6 @@ def commutant_scan(basis: CliffordBasis, points=None, tol: float = 1e-12) -> Com
     if basis.dim != 8:
         raise ValueError("the commutant scan is defined for the dim-8 basis")
     if points is None:
-        from .sampling import sample_points
-
         points = sample_points(count=5)
     elems = basis.anticommuting_set()
     n = len(elems)
@@ -251,7 +255,7 @@ def commutant_scan(basis: CliffordBasis, points=None, tol: float = 1e-12) -> Com
             for pt in points:
                 h = basis.gamma0 * pt.energy
                 residual = max(residual, float(np.max(np.abs(bil @ h - h @ bil))))
-            if residual < tol:
+            if residual < COMMUTANT_TOL:
                 members.append((a, b))
                 worst = max(worst, residual)
     return CommutantScan(n * (n - 1) // 2, len(members), tuple(members), worst)

@@ -374,4 +374,3 @@ E = Energy()
 P1, P2, P3 = Var("p1"), Var("p2"), Var("p3")
 MASS = Var("m")
 TIME = Var("t")
-MOMENTA = (P1, P2, P3)

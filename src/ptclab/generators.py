@@ -31,14 +31,17 @@ from .operators import (
     eval_operator,
     identity_matrix,
     mat_add,
-    mat_eval,
     mat_map,
+    mat_mul,
     mat_scale,
     max_coeff_residual,
 )
 from .sampling import DEFAULT_TOL, env_arrays, sample_points
 
 REP_KINDS = ("dirac8", "canonical8", "rep1", "rep2", "rep3")
+# the spinless orbital realization that fixes the structure constants; not one
+# of the wave equations classified
+SCALAR_KIND = "scalar"
 GENERATOR_NAMES = ("P0", "P1", "P2", "P3", "J12", "J13", "J23", "J01", "J02", "J03")
 GENERATOR_CLASS = {
     "P0": "P0",
@@ -60,23 +63,28 @@ class RepId:
     energy_sign: int = 1
 
     def __post_init__(self):
-        if self.kind not in REP_KINDS:
+        if self.kind not in REP_KINDS + (SCALAR_KIND,):
             raise ValueError(f"unknown representation {self.kind!r}")
         if self.energy_sign not in (1, -1):
             raise ValueError("energy sign must be +1 or -1")
-        if self.kind in ("dirac8", "canonical8") and self.energy_sign != 1:
+        if self.kind not in ("rep1", "rep2", "rep3") and self.energy_sign != 1:
             raise ValueError(f"{self.kind} does not carry an energy-sign flag")
 
     @property
     def dim(self) -> int:
+        if self.kind == SCALAR_KIND:
+            return 1
         return 8 if self.kind in ("dirac8", "canonical8") else 4
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
     rep: RepId
-    dim: int
     ops: dict  # name -> MomentumOperator, keys in GENERATOR_NAMES order
+
+    @property
+    def dim(self) -> int:
+        return self.rep.dim
 
     def __getitem__(self, name: str) -> MomentumOperator:
         return self.ops[name]
@@ -170,7 +178,7 @@ def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
             ops[f"P{a}"] = MomentumOperator.momentum(a, dim)
         for name in ("J12", "J13", "J23", "J01", "J02", "J03"):
             ops[name] = compose(u_dag, compose(canonical[name], u))
-        return GeneratorSet(rep, dim, ops)
+        return GeneratorSet(rep, ops)
 
     spin = cached_spin(dim)
     gamma0 = cached_basis(dim).gamma0
@@ -199,7 +207,7 @@ def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
             mass_part = mat_scale(const_matrix(spin.entry(a, 4)), MASS)
         spin_mat = _spin_term_matrix(spin.entry, a, mass_part)
         if kind != "rep3":
-            spin_mat = _left_mul(gamma0, spin_mat)
+            spin_mat = mat_mul(const_matrix(gamma0), spin_mat)
         if energy_sign == -1:
             # the boost spin prefactor is the sign-carrying H/E, so the
             # negative-energy sets scale it too (otherwise they do not close)
@@ -207,13 +215,7 @@ def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
         ops[f"J0{a}"] = _boost_orbital(a, ham) - MomentumOperator.from_matrix(spin_mat)
 
     ordered = {name: ops[name] for name in GENERATOR_NAMES}
-    return GeneratorSet(rep, dim, ordered)
-
-
-def _left_mul(const_mat: np.ndarray, expr_mat: np.ndarray) -> np.ndarray:
-    from .operators import mat_mul
-
-    return mat_mul(const_matrix(const_mat), expr_mat)
+    return GeneratorSet(rep, ordered)
 
 
 def build_generators(rep) -> GeneratorSet:
@@ -229,7 +231,8 @@ def build_generators(rep) -> GeneratorSet:
 @lru_cache(maxsize=None)
 def scalar_generator_set() -> GeneratorSet:
     """The one-dimensional orbital realization used to fix all sign conventions."""
-    dim = 1
+    rep = RepId(SCALAR_KIND)
+    dim = rep.dim
     ham = MomentumOperator.scalar(ENERGY, dim)
     ops = {"P0": ham}
     for a in range(1, 4):
@@ -237,9 +240,8 @@ def scalar_generator_set() -> GeneratorSet:
     ops.update(_rotations(dim, lambda a, b: np.zeros((1, 1))))
     for a in range(1, 4):
         ops[f"J0{a}"] = _boost_orbital(a, ham)
-    rep = RepId("rep3")  # placeholder identity; the scalar set carries no spin
     ordered = {name: ops[name] for name in GENERATOR_NAMES}
-    return GeneratorSet(rep, dim, ordered)
+    return GeneratorSet(rep, ordered)
 
 
 def _snap_gaussian(value: complex, tol: float = 1e-6) -> complex:
@@ -256,38 +258,24 @@ def structure_constants() -> dict:
     Returns a dict keyed by (i, j) with i < j over GENERATOR_NAMES indices,
     holding the snapped coefficient vector of length ten.
     """
-    g = scalar_generator_set()
-    points = sample_points(count=24, seed=0x51AB)
-    env = env_arrays(points)
-
-    from .operators import bracket
-
+    env = env_arrays(sample_points(count=24, seed=0x51AB))
     names = list(GENERATOR_NAMES)
+    evaluated = [eval_operator(op, env) for op in scalar_generator_set().ops.values()]
+    generators = [ev.coeffs for ev in evaluated]
     brackets = {}
-    alphas = set()
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
-            br = bracket(g[names[i]], g[names[j]])
-            brackets[(i, j)] = br
-            alphas.update(br.terms)
-    for name in names:
-        alphas.update(g[name].terms)
-    alphas = sorted(alphas)
+            brackets[(i, j)] = bracket_eval(evaluated[i], evaluated[j])
+    alphas = sorted({a for coeffs in generators + list(brackets.values()) for a in coeffs})
+    zero = np.zeros(len(env["E"]))
 
-    memo = {}
-    columns = []
-    for name in names:
-        col = np.concatenate(
-            [mat_eval(g[name].term(a), env, memo).ravel() for a in alphas]
-        )
-        columns.append(col)
-    basis_matrix = np.stack(columns, axis=1)
+    def stacked(coeffs):
+        return np.concatenate([coeffs[a].ravel() if a in coeffs else zero for a in alphas])
 
+    basis_matrix = np.stack([stacked(coeffs) for coeffs in generators], axis=1)
     constants = {}
     for (i, j), br in brackets.items():
-        rhs = np.concatenate(
-            [mat_eval(br.term(a), env, memo).ravel() for a in alphas]
-        )
+        rhs = stacked(br)
         coeffs, *_ = np.linalg.lstsq(basis_matrix, rhs, rcond=None)
         residual = float(np.max(np.abs(basis_matrix @ coeffs - rhs)))
         if residual > 1e-9:
@@ -349,16 +337,13 @@ class SubspaceReport:
     complete: bool
 
 
-def subspace_decomposition(g: GeneratorSet = None, points=None, tol: float = DEFAULT_TOL) -> SubspaceReport:
+def subspace_decomposition(points=None, tol: float = DEFAULT_TOL) -> SubspaceReport:
     """Rank-2 projectors labelled by energy sign and by which Casimir is excited.
 
     Each projector is the product of a spectral projector of Gamma0 with one
     of S^2 or T^2, and must commute with all ten canonical generators.
     """
-    if g is None:
-        g = build_generators(RepId("canonical8"))
-    if g.rep.kind != "canonical8":
-        raise ValueError("subspace decomposition applies to the canonical 8-dim set")
+    g = build_generators("canonical8")
     if points is None:
         points = sample_points()
     basis = cached_basis(8)
@@ -401,12 +386,10 @@ class ChargeReport:
     per_generator: dict
 
 
-def charge_check(g: GeneratorSet = None, points=None, tol: float = 1e-10) -> ChargeReport:
-    """Does gamma0 commute with all ten positive-Hamiltonian generators?"""
-    if g is None:
-        g = build_generators(RepId("rep3"))
-    if g.rep.kind != "rep3":
-        raise ValueError("the charge remark concerns the positive-Hamiltonian set")
+def charge_check(points=None, tol: float = 1e-10) -> ChargeReport:
+    """Does gamma0 commute with all ten generators of the positive-Hamiltonian
+    set rep3?"""
+    g = build_generators("rep3")
     if points is None:
         points = sample_points()
     q = cached_basis(4).gamma0

@@ -20,6 +20,7 @@ from .expr import E as ENERGY, Var
 from .operators import (
     MomentumOperator,
     bracket_eval,
+    const_matrix,
     eval_operator,
     mat_add,
     mat_map,
@@ -175,16 +176,10 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
     triple = spin.S if which == "s" else spin.T
     acc = None
     for a, mat in enumerate(triple, start=1):
-        term = mat_scale(_const_obj(mat), Var(f"p{a}"))
+        term = mat_scale(const_matrix(mat), Var(f"p{a}"))
         acc = term if acc is None else mat_add(acc, term)
     acc = mat_map(acc, lambda e: e / ENERGY)
     return MomentumOperator.from_matrix(acc)
-
-
-def _const_obj(mat):
-    from .operators import const_matrix
-
-    return const_matrix(mat)
 
 
 def helicity_check(genset, points=None, tol: float = 1e-9) -> HelicityReport:
@@ -207,7 +202,7 @@ def helicity_check(genset, points=None, tol: float = 1e-9) -> HelicityReport:
         per[name] = (rs, rt)
         worst = max(worst, rs, rt)
 
-    eig_residual = _helicity_eigen_residual(env)
+    eig_residual = _helicity_eigen_residual(hs.coeffs[(0, 0, 0)])
     ok = worst < tol and eig_residual < tol
     return HelicityReport(ok, worst, per, eig_residual)
 
@@ -217,13 +212,13 @@ def _bracket_norm(h, ev) -> float:
     return max(float(np.max(np.abs(mat))) for mat in res.values())
 
 
-def _helicity_eigen_residual(env) -> float:
-    """Eigenvalues of S.p/E restricted to the S^2 = 3/4 subspace must be +-1/2."""
+def _helicity_eigen_residual(hmat) -> float:
+    """Eigenvalues of S.p/E (its coefficients at each sample) restricted to
+    the S^2 = 3/4 subspace must be +-1/2."""
     spin = cached_spin(8)
     proj = spectral_projector(spin.s_squared, 0.75)
     values, vectors = np.linalg.eigh(proj)
     basis = vectors[:, values > 0.5]
-    hmat = eval_operator(helicity_operator("s"), env).coeffs[(0, 0, 0)]
     worst = 0.0
     for k in range(hmat.shape[0]):
         block = basis.conj().T @ hmat[k] @ basis

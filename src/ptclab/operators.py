@@ -3,8 +3,8 @@
 An operator is a finite sum of terms (matrix of scalar expressions) times a
 partial-derivative multi-index in (p1, p2, p3).  Composition applies the full
 Leibniz rule, so derivative terms acting on the right factor's coefficients
-generate the expected lower-order pieces; commutators and anticommutators are
-built on top of that.
+generate the expected lower-order pieces; commutators are built on top of
+that.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -179,18 +179,6 @@ class FlagTransform:
     eta_m: int = 1
     conj: bool = False
 
-    def compose(self, other: "FlagTransform") -> "FlagTransform":
-        return FlagTransform(
-            self.eta_p * other.eta_p,
-            self.eta_t * other.eta_t,
-            self.eta_m * other.eta_m,
-            self.conj ^ other.conj,
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        return self.eta_p == self.eta_t == self.eta_m == 1 and not self.conj
-
     def var_signs(self) -> dict:
         signs = {}
         if self.eta_p == -1:
@@ -200,9 +188,6 @@ class FlagTransform:
         if self.eta_m == -1:
             signs["m"] = -1
         return signs
-
-
-IDENTITY_FLAGS = FlagTransform()
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +328,17 @@ def compose(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
     return MomentumOperator(a.dim, raw)
 
 
-def bracket(a: MomentumOperator, b: MomentumOperator, kind: str = "commutator") -> MomentumOperator:
-    """AB -+ BA; cancellation of the top-order pieces is detected numerically."""
+def bracket(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
+    """AB - BA; cancellation of the top-order pieces is detected numerically.
+
+    The numeric bracket_eval is what the package computes with; this symbolic
+    form is the reference the tests hold it to.
+    """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if kind == "commutator":
-        sign = -1
-    elif kind == "anticommutator":
-        sign = 1
-    else:
-        raise ValueError("kind must be 'commutator' or 'anticommutator'")
     raw = _compose_raw(a, b)
     for alpha, mat in _compose_raw(b, a).items():
-        scaled = mat_scale(mat, sign)
+        scaled = mat_scale(mat, -1)
         raw[alpha] = mat_add(raw[alpha], scaled) if alpha in raw else scaled
     raw = _prune(a.dim, raw)
     _check_order(raw)
@@ -458,14 +441,11 @@ def compose_eval(a: EvaluatedOperator, b: EvaluatedOperator) -> dict:
     return out
 
 
-def bracket_eval(a: EvaluatedOperator, b: EvaluatedOperator, kind: str = "commutator") -> dict:
-    sign = -1 if kind == "commutator" else 1
+def bracket_eval(a: EvaluatedOperator, b: EvaluatedOperator) -> dict:
+    """Numeric commutator AB - BA, per multi-index, of order <= 1 inputs."""
     out = compose_eval(a, b)
     for alpha, mat in compose_eval(b, a).items():
-        if alpha in out:
-            out[alpha] = out[alpha] + sign * mat
-        else:
-            out[alpha] = sign * mat
+        out[alpha] = out[alpha] - mat if alpha in out else -mat
     return out
 
 

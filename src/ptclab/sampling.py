@@ -17,6 +17,12 @@ DEFAULT_SEED = 0x5EED
 DEFAULT_COUNT = 20
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
+# a singular value within this factor of the rank threshold is indeterminate
+RANK_GUARD = 10.0
+# below this the guard band's lower edge sinks under rounding noise, and a
+# nullspace's singular values would pass silently as nonzero
+MIN_RANK_TOL = RANK_GUARD * np.finfo(float).eps
+MOMENTUM_RANGE = 2.0
 MIN_COMPONENT = 1e-3
 
 
@@ -48,12 +54,10 @@ def sample_points(
     seed: int = DEFAULT_SEED,
     masses: tuple = (1.0, 1.7),
     times: tuple = (0.0, 0.6),
-    momentum_range: float = 2.0,
-    min_component: float = MIN_COMPONENT,
 ) -> list:
     """Draw `count` reproducible sample points.
 
-    Components with |p_a| < min_component are rejected and redrawn, so all
+    Components with |p_a| < MIN_COMPONENT are rejected and redrawn, so all
     points are generic.  Pass masses=(0.0,) for massless sampling; the
     momentum guard keeps |p| bounded away from zero there as well.
     """
@@ -61,8 +65,8 @@ def sample_points(
     rng = np.random.default_rng(seed)
     points = []
     while len(points) < count:
-        p = rng.uniform(-momentum_range, momentum_range, size=3)
-        if np.any(np.abs(p) < min_component):
+        p = rng.uniform(-MOMENTUM_RANGE, MOMENTUM_RANGE, size=3)
+        if np.any(np.abs(p) < MIN_COMPONENT):
             continue
         i = len(points)
         m = masses[i % len(masses)]
@@ -76,7 +80,7 @@ def check_settings(seed=None, samples=None, tol=None, rank_tol=None):
 
     The seed is a non-negative integer (what numpy's generators accept),
     there is at least one sample, tol is finite and positive, and rank_tol is
-    a finite fraction of the largest singular value, strictly inside (0, 1).
+    a fraction of the largest singular value in [MIN_RANK_TOL, 1).
     """
     for name, value in (("seed", seed), ("samples", samples)):
         if value is None:
@@ -89,8 +93,10 @@ def check_settings(seed=None, samples=None, tol=None, rank_tol=None):
         raise ValueError(f"samples must be at least 1, got {samples}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if rank_tol is not None and not (math.isfinite(rank_tol) and 0 < rank_tol < 1):
-        raise ValueError(f"rank_tol must be finite and in (0, 1), got {rank_tol!r}")
+    if rank_tol is not None and not MIN_RANK_TOL <= rank_tol < 1:
+        raise ValueError(
+            f"rank_tol must be in [{MIN_RANK_TOL:.3g}, 1), got {rank_tol!r}"
+        )
 
 
 def env_arrays(points) -> dict:

@@ -29,7 +29,7 @@ from ptclab.classify import (
 )
 from ptclab.clifford import cached_spin, spectral_projector
 from ptclab.generators import REP_KINDS, RepId, build_generators
-from ptclab.operators import MomentumOperator, apply_flags, equal_at, eval_operator
+from ptclab.operators import FlagTransform, MomentumOperator, apply_flags, equal_at, eval_operator
 from ptclab.sampling import DEFAULT_RANK_TOL, DEFAULT_SEED, env_arrays, sample_points
 
 
@@ -64,7 +64,7 @@ def test_parity_time_composite():
 
 def test_self_composition_is_trivial():
     op = compose_ops(get_op("P1"), get_op("P1"))
-    assert momentum_action(op).is_identity
+    assert momentum_action(op) == FlagTransform()
     assert op.signs == (1, 1, 1, 1)
 
 
@@ -219,6 +219,8 @@ def test_single_sample_is_enough(rep1, points):
         {"seed": -1},
         {"seed": 1.5},
         {"seed": "7"},
+        {"rank_tol": 1e-300},
+        {"rank_tol": 1e-18},
     ],
 )
 def test_invalid_settings_raise(rep1, points, kwargs):
@@ -325,7 +327,7 @@ def test_singular_nullspace_gives_no_witness():
     basis = [np.diag([1.0, 0.0])]
     blocks = [(a[None], b[None], 1)]
     rng = np.random.default_rng(0)
-    assert _select_witness(basis, blocks, rng, 1e-9, 1e-6) == (None, None, None)
+    assert _select_witness(basis, blocks, rng, 1e-9) == (None, None, None)
 
 
 def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
@@ -339,21 +341,26 @@ def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
         (y[None], (jordan @ y @ np.linalg.inv(jordan))[None], 1),
     ]
     basis = [jordan / np.linalg.norm(jordan)]
-    q, residual, scale = _select_witness(basis, blocks, np.random.default_rng(0), 1e-9, 1e-6)
+    q, residual, scale = _select_witness(basis, blocks, np.random.default_rng(0), 1e-9)
     assert scale is None and residual < 1e-9
     assert np.allclose(q / q[0, 0], jordan)
 
 
 def test_classification_does_not_import_scipy():
     """Witnesses are closed-form linear algebra: classifying every
-    representation imports no part of scipy."""
+    representation, and the selftest, algebra and massless commands, import
+    no part of scipy."""
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from ptclab.classify import full_table, intertwining_check\n"
+        "from ptclab.cli import main\n"
         "from ptclab.generators import REP_KINDS, RepId\n"
         "for kind in REP_KINDS:\n"
         "    full_table(RepId(kind))\n"
         "intertwining_check()\n"
+        "for argv in (['selftest'], ['algebra', '--rep', 'dirac8'], ['massless']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ptclab.__file__).resolve().parents[1]))
@@ -387,8 +394,8 @@ def test_indeterminate_flagged_not_misclassified(rep1, points):
 # intertwining relations of the eight-component witnesses
 
 
-def test_intertwining_relations(canonical8, points):
-    report = intertwining_check(canonical8, points)
+def test_intertwining_relations(points):
+    report = intertwining_check(points)
     assert not report.missing
     assert report.ok
     assert set(report.residuals) == {"P1_swap", "M_swap", "T1_commute"}

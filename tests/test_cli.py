@@ -176,6 +176,8 @@ def test_seed_env_override(capsys, monkeypatch):
         (("--rank-tol", "inf"), "rank_tol"),
         (("--rank-tol", "1"), "rank_tol"),
         (("--seed", "-1"), "seed"),
+        (("--rank-tol", "1e-300"), "rank_tol"),
+        (("--rank-tol", "1e-18"), "rank_tol"),
     ],
 )
 def test_invalid_setting_is_usage_error(capsys, argv, message):

@@ -267,8 +267,8 @@ def test_generators_self_adjoint(canonical8, rep3, points):
 # subspaces and the charge remark
 
 
-def test_subspace_decomposition(canonical8, points):
-    report = subspace_decomposition(canonical8, points)
+def test_subspace_decomposition(points):
+    report = subspace_decomposition(points)
     assert report.complete
     assert report.commutation_residual < 1e-9
     labels = [label for _, label in report.blocks]
@@ -285,8 +285,8 @@ def test_subspace_decomposition(canonical8, points):
     assert np.max(np.abs(total - np.eye(8))) < 1e-12
 
 
-def test_charge_commutes_with_positive_set(rep3, points):
-    report = charge_check(rep3, points)
+def test_charge_commutes_with_positive_set(points):
+    report = charge_check(points)
     assert report.ok
     assert report.max_residual < 1e-10
 
