@@ -480,22 +480,18 @@ class IntertwiningReport:
         return not self.missing and all(r < self.tol for r in self.residuals.values())
 
 
-def intertwining_check(
-    points=None,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> IntertwiningReport:
+def intertwining_check(points=None, tol: float = DEFAULT_TOL) -> IntertwiningReport:
     """The parity and mass-flip witnesses of the canonical 8-dim set swap the
     two su(2) actions; the linear time-flip witness centralizes them."""
     g = build_generators("canonical8")
     if points is None:
-        points = sample_points(seed=seed)
+        points = sample_points()
     samples = _SampleSet.of(points)
     spin = cached_spin(8)
     witnesses = {}
     missing = []
     for name in ("P1", "M", "T1"):
-        result = classify(g, get_op(name), samples, seed=seed, tol=tol)
+        result = classify(g, get_op(name), samples, tol=tol)
         if result.witness is None:
             missing.append(f"{name}: no invertible witness ({result.nullspace_dim=})")
         witnesses[name] = result.witness

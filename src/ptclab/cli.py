@@ -363,9 +363,8 @@ def cmd_table(config: RunConfig, rep: str) -> int:
 def cmd_massless(config: RunConfig) -> int:
     labels = massless_decompose()
     pair_count = massless_pair_count()
-    g = build_generators("canonical8")
     report = helicity_check(
-        g, sample_points(count=config.sample_count, seed=config.seed, masses=(0.0,)),
+        sample_points(count=config.sample_count, seed=config.seed, masses=(0.0,)),
         tol=config.tol,
     )
     if config.json_output:

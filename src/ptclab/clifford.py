@@ -18,7 +18,7 @@ invariants hold with zero floating error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -41,6 +41,8 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 CASIMIR_TOL = 1e-9
 # commutator norm below which a bilinear counts as commuting with Gamma0 E
 COMMUTANT_TOL = 1e-12
+# distance within which spectral_projector counts an eigenvalue as the target
+EIGENVALUE_TOL = 1e-8
 
 
 def kron(*mats) -> np.ndarray:
@@ -121,14 +123,11 @@ def _validate(basis: CliffordBasis):
 
 @dataclass(frozen=True)
 class SpinGenerators:
-    """Rotation generators S_mu_nu plus the commuting su(2) triples."""
+    """Rotation generators S_mu_nu plus the commuting su(2) triples
+    S_a = (eps_abc S_bc / 2 + S_4a) / 2 and T_a likewise with a minus sign."""
 
     dim: int
     table: dict  # (mu, nu) with mu < nu -> ndarray
-    S: tuple  # (S_1, S_2, S_3)
-    T: tuple
-    s_squared: np.ndarray
-    t_squared: np.ndarray
 
     def entry(self, mu: int, nu: int) -> np.ndarray:
         if mu == nu:
@@ -137,37 +136,42 @@ class SpinGenerators:
             return self.table[(mu, nu)]
         return -self.table[(nu, mu)]
 
+    def _triple(self, sign: int) -> tuple:
+        out = []
+        for a in range(1, 4):
+            rot = sum(
+                EPSILON[a - 1, b - 1, c - 1] * self.entry(b, c)
+                for b in range(1, 4)
+                for c in range(1, 4)
+            )
+            out.append(0.5 * (0.5 * rot + sign * self.entry(4, a)))
+        return tuple(out)
+
+    @cached_property
+    def S(self) -> tuple:
+        return self._triple(1)
+
+    @cached_property
+    def T(self) -> tuple:
+        return self._triple(-1)
+
+    @cached_property
+    def s_squared(self) -> np.ndarray:
+        return sum(s @ s for s in self.S)
+
+    @cached_property
+    def t_squared(self) -> np.ndarray:
+        return sum(t @ t for t in self.T)
+
 
 def spin_tensor(basis: CliffordBasis) -> SpinGenerators:
-    """S_mu_nu = i/4 [gamma_mu, gamma_nu] over indices 0..4, with the split
-    S_a = (eps_abc S_bc / 2 + S_4a) / 2 and T_a likewise with a minus sign."""
+    """S_mu_nu = i/4 [gamma_mu, gamma_nu] over indices 0..4."""
     table = {}
     for mu in range(5):
         for nu in range(mu + 1, 5):
             gm, gn = basis.gamma(mu), basis.gamma(nu)
             table[(mu, nu)] = 0.25j * (gm @ gn - gn @ gm)
-
-    zero = np.zeros((basis.dim, basis.dim), dtype=complex)
-
-    def entry(mu, nu):
-        if mu == nu:
-            return zero
-        if mu < nu:
-            return table[(mu, nu)]
-        return -table[(nu, mu)]
-
-    S, T = [], []
-    for a in range(1, 4):
-        rot = sum(
-            EPSILON[a - 1, b - 1, c - 1] * entry(b, c)
-            for b in range(1, 4)
-            for c in range(1, 4)
-        )
-        S.append(0.5 * (0.5 * rot + entry(4, a)))
-        T.append(0.5 * (0.5 * rot - entry(4, a)))
-    s_sq = sum(s @ s for s in S)
-    t_sq = sum(t @ t for t in T)
-    return SpinGenerators(basis.dim, table, tuple(S), tuple(T), s_sq, t_sq)
+    return SpinGenerators(basis.dim, table)
 
 
 @lru_cache(maxsize=None)
@@ -205,17 +209,17 @@ def casimir_spectrum(gens: SpinGenerators) -> dict:
     return out
 
 
-def spectral_projector(matrix: np.ndarray, eigenvalue: float, tol: float = 1e-8) -> np.ndarray:
+def spectral_projector(matrix: np.ndarray, eigenvalue: float) -> np.ndarray:
     """Orthogonal projector onto the eigenspace of a hermitian matrix."""
     matrix = np.asarray(matrix, dtype=complex)
     if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
         raise ValueError("spectral_projector expects a hermitian matrix")
     values, vectors = np.linalg.eigh(matrix)
-    mask = np.abs(values - eigenvalue) <= tol
+    mask = np.abs(values - eigenvalue) <= EIGENVALUE_TOL
     if not np.any(mask):
         nearest = values[np.argmin(np.abs(values - eigenvalue))]
         raise ValueError(
-            f"{eigenvalue} is not an eigenvalue within tol={tol}; "
+            f"{eigenvalue} is not an eigenvalue within {EIGENVALUE_TOL}; "
             f"nearest is {nearest}"
         )
     sel = vectors[:, mask]

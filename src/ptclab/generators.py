@@ -2,10 +2,18 @@
 
 Five realizations of the ten translation/rotation/boost generators are built:
 the eight-component Dirac-type set, its canonical (diagonal-Hamiltonian)
-form, and the three inequivalent four-component sets.  The canonical form is
-constructed directly; the Dirac-type rotations and boosts are obtained by
-conjugating the canonical ones with the inverse of the diagonalizing unitary,
-which is how the two pictures are related in the first place.
+form, and the three inequivalent four-component sets.  Every set, and the
+spinless orbital set below, comes out of one assembly from its Hamiltonian H,
+its spin matrices S_ab and an optional boost-spin term B_a:
+
+    P0 = H,  P_a = p_a,  J_ab = x_a p_b - x_b p_a + S_ab,
+    J_0a = t p_a - {x_a, H}/2 - B_a.
+
+The Dirac-type set takes H8 = Gamma0 Gamma_k p_k and no B_a: its spin part
+sits inside the anticommutator.  The canonical and four-component sets take
+a diagonal H and B_a = (S_ab p_b + mass part) / E.  That the Dirac-type set is
+the canonical one conjugated by the diagonalizing unitary is a checked
+property, not the construction.
 
 Structure constants are never copied in by hand: they are fitted once, by
 least squares over samples, from the spinless orbital realization (identity
@@ -19,17 +27,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import EPSILON, cached_basis, cached_spin, spectral_projector
-from .expr import E as ENERGY, MASS, TIME, Var, add, div, mul, sqrt
+from .clifford import cached_basis, cached_spin, spectral_projector
+from .expr import E as ENERGY, MASS, P1, P2, P3, TIME, Var, add, div, mul, sqrt
 from .labels import CANONICAL8_CONTENT, HALF
 from .operators import (
     MomentumOperator,
-    adjoint,
     bracket_eval,
     compose,
     const_matrix,
     eval_operator,
     identity_matrix,
+    linear_combination,
     mat_add,
     mat_map,
     mat_mul,
@@ -42,6 +50,10 @@ REP_KINDS = ("dirac8", "canonical8", "rep1", "rep2", "rep3")
 # the spinless orbital realization that fixes the structure constants; not one
 # of the wave equations classified
 SCALAR_KIND = "scalar"
+# p1, p2, p3 and the mass as the fourth momentum component
+_MOMENTA4 = (P1, P2, P3, MASS)
+# distance a fitted structure constant may sit from its Gaussian integer
+GAUSSIAN_SNAP_TOL = 1e-6
 GENERATOR_NAMES = ("P0", "P1", "P2", "P3", "J12", "J13", "J23", "J01", "J02", "J03")
 GENERATOR_CLASS = {
     "P0": "P0",
@@ -93,60 +105,43 @@ class GeneratorSet:
         return self.ops.items()
 
 
-def _spin_term_matrix(entry, a: int, mass_part) -> np.ndarray:
-    """(sum_b S_ab p_b + mass_part) / E as an Expr matrix."""
-    acc = None
-    for b in range(1, 4):
-        if b == a:
-            continue
-        term = mat_scale(const_matrix(entry(a, b)), Var(f"p{b}"))
-        acc = term if acc is None else mat_add(acc, term)
-    acc = mat_add(acc, mass_part)
-    return mat_map(acc, lambda e: div(e, ENERGY))
-
-
-def _boost_orbital(a: int, ham: MomentumOperator) -> MomentumOperator:
-    dim = ham.dim
-    xa = MomentumOperator.position(a, dim)
-    tpa = MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), dim)
-    sym = (compose(xa, ham) + compose(ham, xa)).scale(0.5)
-    return tpa - sym
-
-
-def _rotations(dim: int, spin_entry) -> dict:
-    out = {}
+def _assemble(rep: RepId, ham: MomentumOperator, spin_entry, boost_spin=None) -> GeneratorSet:
+    """P0 = ham, P_a = p_a, J_ab = x_a p_b - x_b p_a + S_ab and
+    J_0a = t p_a - {x_a, ham}/2 - boost_spin[a-1] (no spin term when None)."""
+    dim = rep.dim
+    ops = {"P0": ham}
+    for a in range(1, 4):
+        ops[f"P{a}"] = MomentumOperator.momentum(a, dim)
     for (a, b) in ((1, 2), (1, 3), (2, 3)):
         xa, xb = MomentumOperator.position(a, dim), MomentumOperator.position(b, dim)
         pa, pb = MomentumOperator.momentum(a, dim), MomentumOperator.momentum(b, dim)
         orbital = compose(xa, pb) - compose(xb, pa)
-        out[f"J{a}{b}"] = orbital + MomentumOperator.from_matrix(
+        ops[f"J{a}{b}"] = orbital + MomentumOperator.from_matrix(
             const_matrix(spin_entry(a, b))
         )
-    return out
+    for a in range(1, 4):
+        xa = MomentumOperator.position(a, dim)
+        tpa = MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), dim)
+        boost = tpa - (compose(xa, ham) + compose(ham, xa)).scale(0.5)
+        if boost_spin is not None:
+            boost = boost - MomentumOperator.from_matrix(boost_spin[a - 1])
+        ops[f"J0{a}"] = boost
+    return GeneratorSet(rep, ops)
 
 
 def dirac_hamiltonian8() -> MomentumOperator:
     """Gamma0 Gamma_k p_k with the fourth momentum component playing the mass."""
     basis = cached_basis(8)
-    acc = None
-    for k in range(1, 5):
-        coeff = basis.gamma0 @ basis.gamma(k)
-        factor = Var(f"p{k}") if k < 4 else MASS
-        term = mat_scale(const_matrix(coeff), factor)
-        acc = term if acc is None else mat_add(acc, term)
-    return MomentumOperator.from_matrix(acc)
+    coeffs = [basis.gamma0 @ basis.gamma(k) for k in range(1, 5)]
+    return MomentumOperator.from_matrix(linear_combination(zip(coeffs, _MOMENTA4)))
 
 
 @lru_cache(maxsize=None)
 def canonical_transform() -> MomentumOperator:
     """The unitary (1 + Gamma0 H8 / E) / sqrt(2) that diagonalizes H8."""
     basis = cached_basis(8)
-    acc = None
-    for k in range(1, 5):
-        factor = Var(f"p{k}") if k < 4 else MASS
-        term = mat_scale(const_matrix(basis.gamma(k)), factor)
-        acc = term if acc is None else mat_add(acc, term)
-    over_e = mat_map(acc, lambda e: div(e, ENERGY))
+    coeffs = [basis.gamma(k) for k in range(1, 5)]
+    over_e = mat_map(linear_combination(zip(coeffs, _MOMENTA4)), lambda e: div(e, ENERGY))
     mat = mat_scale(mat_add(identity_matrix(8), over_e), 2 ** -0.5)
     return MomentumOperator.from_matrix(mat)
 
@@ -155,67 +150,43 @@ def canonical_transform() -> MomentumOperator:
 def fs_transform() -> MomentumOperator:
     """The unitary connector (m + E + gamma4 gamma_a p_a) / sqrt(2E(E+m))."""
     basis = cached_basis(4)
-    num = mat_scale(identity_matrix(4), add(MASS, ENERGY))
-    for a in range(1, 4):
-        coeff = basis.gamma(4) @ basis.gamma(a)
-        num = mat_add(num, mat_scale(const_matrix(coeff), Var(f"p{a}")))
+    terms = [(np.eye(4), add(MASS, ENERGY))] + [
+        (basis.gamma(4) @ basis.gamma(a), Var(f"p{a}")) for a in range(1, 4)
+    ]
     denom = sqrt(mul(2, mul(ENERGY, add(ENERGY, MASS))))
+    num = linear_combination(terms)
     return MomentumOperator.from_matrix(mat_map(num, lambda e: div(e, denom)))
 
 
 @lru_cache(maxsize=None)
 def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
     rep = RepId(kind, energy_sign)
-    dim = rep.dim
-    ops: dict = {}
-
+    spin = cached_spin(rep.dim)
     if kind == "dirac8":
-        canonical = build_generators(RepId("canonical8"))
-        u = canonical_transform()
-        u_dag = adjoint(u)
-        ops["P0"] = dirac_hamiltonian8()
-        for a in range(1, 4):
-            ops[f"P{a}"] = MomentumOperator.momentum(a, dim)
-        for name in ("J12", "J13", "J23", "J01", "J02", "J03"):
-            ops[name] = compose(u_dag, compose(canonical[name], u))
-        return GeneratorSet(rep, ops)
-
-    spin = cached_spin(dim)
-    gamma0 = cached_basis(dim).gamma0
-
-    if kind in ("canonical8", "rep1", "rep2"):
+        # the spin part of the boost sits inside the anticommutator {x_a, H8}
+        return _assemble(rep, dirac_hamiltonian8(), spin.entry)
+    gamma0 = cached_basis(rep.dim).gamma0
+    if kind == "rep3":  # positive multiple of the identity
+        ham = MomentumOperator.scalar(mul(energy_sign, ENERGY), rep.dim)
+    else:
         ham = MomentumOperator.from_matrix(
             mat_scale(const_matrix(energy_sign * gamma0), ENERGY)
         )
-    else:  # rep3: positive multiple of the identity
-        ham = MomentumOperator.scalar(mul(energy_sign, ENERGY), dim)
-
-    ops["P0"] = ham
+    # boost spin (sum_b S_ab p_b + mass part) / E, times Gamma0 except on rep3
+    boost_spin = []
     for a in range(1, 4):
-        ops[f"P{a}"] = MomentumOperator.momentum(a, dim)
-    ops.update(_rotations(dim, spin.entry))
-
-    for a in range(1, 4):
-        if kind == "rep2":
-            rot = 0.5 * sum(
-                EPSILON[a - 1, b - 1, c - 1] * spin.entry(b, c)
-                for b in range(1, 4)
-                for c in range(1, 4)
-            )
-            mass_part = mat_scale(const_matrix(rot), MASS)
-        else:
-            mass_part = mat_scale(const_matrix(spin.entry(a, 4)), MASS)
-        spin_mat = _spin_term_matrix(spin.entry, a, mass_part)
+        mass_part = spin.S[a - 1] + spin.T[a - 1] if kind == "rep2" else spin.entry(a, 4)
+        terms = [(spin.entry(a, b), Var(f"p{b}")) for b in range(1, 4) if b != a]
+        mat = linear_combination(terms + [(mass_part, MASS)])
+        mat = mat_map(mat, lambda e: div(e, ENERGY))
         if kind != "rep3":
-            spin_mat = mat_mul(const_matrix(gamma0), spin_mat)
+            mat = mat_mul(const_matrix(gamma0), mat)
         if energy_sign == -1:
             # the boost spin prefactor is the sign-carrying H/E, so the
             # negative-energy sets scale it too (otherwise they do not close)
-            spin_mat = mat_scale(spin_mat, -1)
-        ops[f"J0{a}"] = _boost_orbital(a, ham) - MomentumOperator.from_matrix(spin_mat)
-
-    ordered = {name: ops[name] for name in GENERATOR_NAMES}
-    return GeneratorSet(rep, ordered)
+            mat = mat_scale(mat, -1)
+        boost_spin.append(mat)
+    return _assemble(rep, ham, spin.entry, boost_spin)
 
 
 def build_generators(rep) -> GeneratorSet:
@@ -231,22 +202,16 @@ def build_generators(rep) -> GeneratorSet:
 @lru_cache(maxsize=None)
 def scalar_generator_set() -> GeneratorSet:
     """The one-dimensional orbital realization used to fix all sign conventions."""
-    rep = RepId(SCALAR_KIND)
-    dim = rep.dim
-    ham = MomentumOperator.scalar(ENERGY, dim)
-    ops = {"P0": ham}
-    for a in range(1, 4):
-        ops[f"P{a}"] = MomentumOperator.momentum(a, dim)
-    ops.update(_rotations(dim, lambda a, b: np.zeros((1, 1))))
-    for a in range(1, 4):
-        ops[f"J0{a}"] = _boost_orbital(a, ham)
-    ordered = {name: ops[name] for name in GENERATOR_NAMES}
-    return GeneratorSet(rep, ordered)
+    return _assemble(
+        RepId(SCALAR_KIND),
+        MomentumOperator.scalar(ENERGY, 1),
+        lambda a, b: np.zeros((1, 1)),
+    )
 
 
-def _snap_gaussian(value: complex, tol: float = 1e-6) -> complex:
+def _snap_gaussian(value: complex) -> complex:
     snapped = complex(round(value.real), round(value.imag))
-    if abs(value - snapped) > tol:
+    if abs(value - snapped) > GAUSSIAN_SNAP_TOL:
         raise AssertionError(f"structure constant {value} is not a Gaussian integer")
     return snapped
 

@@ -16,15 +16,13 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import cached_spin, spectral_projector
-from .expr import E as ENERGY, Var
+from .expr import E as ENERGY, P1, P2, P3
 from .operators import (
     MomentumOperator,
     bracket_eval,
-    const_matrix,
     eval_operator,
-    mat_add,
+    linear_combination,
     mat_map,
-    mat_scale,
 )
 from .sampling import env_arrays, sample_points
 
@@ -174,20 +172,21 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
     """S_a p_a / E (or T_a p_a / E) on the eight-dimensional space."""
     spin = cached_spin(8)
     triple = spin.S if which == "s" else spin.T
-    acc = None
-    for a, mat in enumerate(triple, start=1):
-        term = mat_scale(const_matrix(mat), Var(f"p{a}"))
-        acc = term if acc is None else mat_add(acc, term)
-    acc = mat_map(acc, lambda e: e / ENERGY)
-    return MomentumOperator.from_matrix(acc)
+    acc = linear_combination(zip(triple, (P1, P2, P3)))
+    return MomentumOperator.from_matrix(mat_map(acc, lambda e: e / ENERGY))
 
 
-def helicity_check(genset, points=None, tol: float = 1e-9) -> HelicityReport:
-    """Check that both helicity operators commute with all ten generators.
+def helicity_check(points=None, tol: float = 1e-9) -> HelicityReport:
+    """Check that both helicity operators commute with all ten canonical
+    eight-component generators.
 
     The generators keep their symbolic mass dependence; evaluating at
     massless sample points realizes the m = 0 generator set (E = |p|).
     """
+    # imported here because generators imports this module for its labels
+    from .generators import build_generators
+
+    genset = build_generators("canonical8")
     if points is None:
         points = sample_points(masses=(0.0,))
     env = env_arrays(points)

@@ -125,6 +125,16 @@ def mat_mul(a, b):
     return out
 
 
+def linear_combination(terms) -> np.ndarray:
+    """Sum_k const(M_k) * x_k over (constant matrix M_k, scalar x_k) pairs,
+    accumulated left to right."""
+    acc = None
+    for mat, factor in terms:
+        term = mat_scale(const_matrix(mat), factor)
+        acc = term if acc is None else mat_add(acc, term)
+    return acc
+
+
 def mat_diff(a, var: str):
     d = a.shape[0]
     out = np.empty_like(a)

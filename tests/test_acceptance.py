@@ -222,8 +222,7 @@ def test_criterion_10_charge_commutes():
 def test_criterion_11_massless_helicity():
     points = sample_points(seed=DEFAULT_SEED, masses=(0.0,))
     assert all(pt.p1 ** 2 + pt.p2 ** 2 + pt.p3 ** 2 > 1e-6 for pt in points)
-    g8 = build_generators(RepId("canonical8"))
-    report = helicity_check(g8, points, tol=1e-9)
+    report = helicity_check(points, tol=1e-9)
     assert report.ok and report.max_residual < 1e-9
     labels = massless_decompose()
     assert len(labels) == 8

@@ -113,7 +113,7 @@ def test_spectral_projector_casimir_block():
 def test_spectral_projector_rejects_missing_eigenvalue():
     spin = cached_spin(8)
     with pytest.raises(ValueError, match="nearest"):
-        spectral_projector(spin.s_squared, 0.5, tol=1e-8)
+        spectral_projector(spin.s_squared, 0.5)
 
 
 def test_commutant_scan_counts():

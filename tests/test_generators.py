@@ -201,11 +201,16 @@ def test_generators_have_order_at_most_one():
 # cross-checks between the Dirac-type and canonical pictures
 
 
-def test_dirac_p0_matches_conjugated_canonical(canonical8, points):
+def test_dirac_p0_matches_conjugated_canonical(dirac8, canonical8, points, points_alt):
+    """dirac8 is built from H8 directly, not by conjugation: U^dagger G U of
+    every canonical generator must reproduce it on two disjoint sample sets."""
     u = canonical_transform()
-    conj_p0 = compose(adjoint(u), compose(canonical8["P0"], u))
-    ok, resid = equal_at(conj_p0, dirac_hamiltonian8(), points)
-    assert ok, resid
+    u_dag = adjoint(u)
+    for name in GENERATOR_NAMES:
+        conjugated = compose(u_dag, compose(canonical8[name], u))
+        for pts in (points, points_alt):
+            ok, resid = equal_at(conjugated, dirac8[name], pts)
+            assert ok, (name, resid)
 
 
 def test_dirac_rotations_equal_canonical(dirac8, canonical8, points):

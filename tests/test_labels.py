@@ -129,15 +129,15 @@ def test_massless_label_validation():
         MasslessLabel(1)
 
 
-def test_helicity_operators_commute_at_zero_mass(canonical8, massless_points):
-    report = helicity_check(canonical8, massless_points)
+def test_helicity_operators_commute_at_zero_mass(massless_points):
+    report = helicity_check(massless_points)
     assert report.ok
     assert report.max_residual < 1e-9
     assert report.eigenvalue_residual < 1e-9
 
 
-def test_helicity_commutators_fail_at_finite_mass(canonical8):
-    report = helicity_check(canonical8, sample_points(masses=(1.0,)))
+def test_helicity_commutators_fail_at_finite_mass():
+    report = helicity_check(sample_points(masses=(1.0,)))
     assert not report.ok
     # the boosts are the offenders; translations commute regardless
     assert max(r for rs in (report.per_generator[f"J0{a}"] for a in (1, 2, 3)) for r in rs) > 1e-3
