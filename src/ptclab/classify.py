@@ -29,8 +29,10 @@ Witnesses are built in closed form.  If q0 is one invertible element of the
 nullspace N, then N = C q0, where C is the commutant of the generators'
 coefficients, closed under adjoints.  So the unitary polar factor of a
 random element of N is again in N, its square w lies in C and commutes with
-it, and q = w^(-1/2) q0 is a unitary element of N with q^2 = 1.  The
-witness reported is q / |q|, so its involution scale is 1/d.
+it, and q = w^(-1/2) q0 is a unitary element of N with q^2 = 1.  The random
+element is a Gaussian matrix projected orthogonally onto N, so the witness
+depends on N alone, not on the basis the SVD returns for it.  The witness
+reported is q / |q|, so its involution scale is 1/d.
 
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
@@ -273,17 +275,20 @@ def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
 
 
 def _select_witness(basis, blocks, rng, tol):
-    """(witness, residual, involution scale) from the nullspace basis, or
-    (None, None, None) when no invertible element turns up.
+    """(witness, residual, involution scale) from an orthonormal basis of the
+    nullspace N, or (None, None, None) when no invertible element turns up.
 
-    One random element of the nullspace N is drawn.  Its polar factor q0 is
-    unitary and still in N, w = q0^2 is a unitary element of the commutant
-    that commutes with q0, and q = w^(-1/2) q0 is a unitary element of N with
-    q^2 = 1.  If q fails validation, the random element is reported without
-    an involution scale.
+    One d x d complex Gaussian is drawn and projected orthogonally onto N, so
+    the element depends on N and not on the basis that spans it.  Its polar
+    factor q0 is unitary and still in N, w = q0^2 is a unitary element of the
+    commutant that commutes with q0, and q = w^(-1/2) q0 is a unitary element
+    of N with q^2 = 1.  If q fails validation, the projected element is
+    reported without an involution scale.
     """
-    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    raw = sum(c * b for c, b in zip(coeff, basis))
+    d = basis[0].shape[0]
+    flat = np.reshape(basis, (len(basis), d * d))
+    draw = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    raw = (flat.T @ (flat.conj() @ draw)).reshape(d, d)
     u, _, vh = np.linalg.svd(raw)
     q0 = u @ vh
     q = _normalized(_inverse_sqrt(q0 @ q0) @ q0)
@@ -322,10 +327,6 @@ class ClassificationResult:
         return "invariant" if self.invariant else "noninvariant"
 
 
-def _stable_token(text: str) -> int:
-    return zlib.crc32(text.encode())
-
-
 def classify(
     g: GeneratorSet,
     op,
@@ -352,32 +353,15 @@ def classify(
         np.any((singular > threshold / RANK_GUARD) & (singular < threshold * RANK_GUARD))
     )
     basis = [vh[i].reshape(d, d) for i, s in enumerate(singular) if s < threshold]
-    nullspace_dim = len(basis)
-    smallest = float(singular[-1])
-
-    if indeterminate:
-        return ClassificationResult(
-            g.rep.kind, op.name, False, True, nullspace_dim, None, None, None,
-            smallest, sigma_max,
+    witness = residual = scale = None
+    if basis and not indeterminate:
+        rng = np.random.default_rng(
+            [seed, zlib.crc32(g.rep.kind.encode()), zlib.crc32(op.name.encode())]
         )
-    if nullspace_dim == 0:
-        return ClassificationResult(
-            g.rep.kind, op.name, False, False, 0, None, None, None,
-            smallest, sigma_max,
-        )
-
-    rng = np.random.default_rng(
-        [seed, _stable_token(g.rep.kind), _stable_token(op.name)]
-    )
-    witness, residual, scale = _select_witness(basis, blocks, rng, tol)
-    if witness is None:
-        return ClassificationResult(
-            g.rep.kind, op.name, False, False, nullspace_dim, None, None, None,
-            smallest, sigma_max,
-        )
+        witness, residual, scale = _select_witness(basis, blocks, rng, tol)
     return ClassificationResult(
-        g.rep.kind, op.name, True, False, nullspace_dim, witness, residual, scale,
-        smallest, sigma_max,
+        g.rep.kind, op.name, witness is not None, indeterminate, len(basis),
+        witness, residual, scale, float(singular[-1]), sigma_max,
     )
 
 

@@ -3,11 +3,12 @@
 Expressions are immutable trees in the five variables p1, p2, p3, m, t, with
 a dedicated leaf for the positive energy root E = sqrt(p1^2+p2^2+p3^2+m^2).
 Keeping E atomic gives the chain rule dE/dp_a = p_a/E, dE/dm = m/E and makes
-E structurally even under sign flips of the momenta or of the mass, which is
-exactly what the momentum-space reflection machinery downstream relies on.
+E even under sign flips of the momenta or of the mass, so the classifier
+can evaluate a tree at reflected points with the energy unchanged.
 
-Evaluation accepts plain numbers or numpy arrays, so one tree walk can cover
-a whole batch of sample points.  Nodes are shared aggressively, never
+A node does two things: `diff` returns its exact derivative as a new tree,
+and `eval` evaluates it on plain numbers or numpy arrays, so one tree walk
+covers a whole batch of sample points.  Nodes are shared aggressively, never
 mutated, and evaluation memoises on node identity.
 """
 
@@ -25,13 +26,6 @@ class Expr:
     __slots__ = ()
 
     def diff(self, var: str) -> "Expr":
-        raise NotImplementedError
-
-    def conjugated(self) -> "Expr":
-        raise NotImplementedError
-
-    def mapped(self, var_signs: dict, conj: bool) -> "Expr":
-        """Substitute var -> sign * var and optionally conjugate constants."""
         raise NotImplementedError
 
     def _eval(self, env, memo):
@@ -94,14 +88,6 @@ class Const(Expr):
     def diff(self, var):
         return ZERO
 
-    def conjugated(self):
-        if self.value.imag == 0.0:
-            return self
-        return Const(self.value.conjugate())
-
-    def mapped(self, var_signs, conj):
-        return self.conjugated() if conj else self
-
     def _eval(self, env, memo):
         return self.value
 
@@ -120,14 +106,6 @@ class Var(Expr):
     def diff(self, var):
         return ONE if var == self.name else ZERO
 
-    def conjugated(self):
-        return self
-
-    def mapped(self, var_signs, conj):
-        if var_signs.get(self.name, 1) == -1:
-            return mul(-1, self)
-        return self
-
     def _eval(self, env, memo):
         return env[self.name]
 
@@ -144,13 +122,6 @@ class Energy(Expr):
         if var in MOMENTUM_VARS or var == "m":
             return div(Var(var), self)
         return ZERO
-
-    def conjugated(self):
-        return self
-
-    def mapped(self, var_signs, conj):
-        # even under every sign flip by construction
-        return self
 
     def _eval(self, env, memo):
         return env["E"]
@@ -169,16 +140,6 @@ class Add(Expr):
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
 
-    def conjugated(self):
-        return add(self.a.conjugated(), self.b.conjugated())
-
-    def mapped(self, var_signs, conj):
-        a = self.a.mapped(var_signs, conj)
-        b = self.b.mapped(var_signs, conj)
-        if a is self.a and b is self.b:
-            return self
-        return add(a, b)
-
     def _eval(self, env, memo):
         return self.a.eval(env, memo) + self.b.eval(env, memo)
 
@@ -195,16 +156,6 @@ class Mul(Expr):
 
     def diff(self, var):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
-
-    def conjugated(self):
-        return mul(self.a.conjugated(), self.b.conjugated())
-
-    def mapped(self, var_signs, conj):
-        a = self.a.mapped(var_signs, conj)
-        b = self.b.mapped(var_signs, conj)
-        if a is self.a and b is self.b:
-            return self
-        return mul(a, b)
 
     def _eval(self, env, memo):
         return self.a.eval(env, memo) * self.b.eval(env, memo)
@@ -224,16 +175,6 @@ class Div(Expr):
         da, db = self.a.diff(var), self.b.diff(var)
         num = add(mul(da, self.b), mul(-1, mul(self.a, db)))
         return div(num, intpow(self.b, 2))
-
-    def conjugated(self):
-        return div(self.a.conjugated(), self.b.conjugated())
-
-    def mapped(self, var_signs, conj):
-        a = self.a.mapped(var_signs, conj)
-        b = self.b.mapped(var_signs, conj)
-        if a is self.a and b is self.b:
-            return self
-        return div(a, b)
 
     def _eval(self, env, memo):
         return self.a.eval(env, memo) / self.b.eval(env, memo)
@@ -255,15 +196,6 @@ class IntPow(Expr):
         db = self.base.diff(var)
         return mul(mul(self.n, intpow(self.base, self.n - 1)), db)
 
-    def conjugated(self):
-        return intpow(self.base.conjugated(), self.n)
-
-    def mapped(self, var_signs, conj):
-        base = self.base.mapped(var_signs, conj)
-        if base is self.base:
-            return self
-        return intpow(base, self.n)
-
     def _eval(self, env, memo):
         return self.base.eval(env, memo) ** self.n
 
@@ -281,18 +213,6 @@ class Sqrt(Expr):
 
     def diff(self, var):
         return div(self.arg.diff(var), mul(2, self))
-
-    def conjugated(self):
-        arg = self.arg.conjugated()
-        if arg is self.arg:
-            return self
-        return Sqrt(arg)
-
-    def mapped(self, var_signs, conj):
-        arg = self.arg.mapped(var_signs, conj)
-        if arg is self.arg:
-            return self
-        return Sqrt(arg)
 
     def _eval(self, env, memo):
         return np.sqrt(self.arg.eval(env, memo))

@@ -7,7 +7,10 @@ spinless orbital set below, comes out of one assembly from its Hamiltonian H,
 its spin matrices S_ab and an optional boost-spin term B_a:
 
     P0 = H,  P_a = p_a,  J_ab = x_a p_b - x_b p_a + S_ab,
-    J_0a = t p_a - {x_a, H}/2 - B_a.
+    J_0a = t p_a - {x_a, H}/2 - B_a,
+
+written out in closed form, since every term has order <= 1 in d/dp (see
+`_assemble`).
 
 The Dirac-type set takes H8 = Gamma0 Gamma_k p_k and no B_a: its spin part
 sits inside the anticommutator.  The canonical and four-component sets take
@@ -31,14 +34,15 @@ from .clifford import cached_basis, cached_spin, spectral_projector
 from .expr import E as ENERGY, MASS, P1, P2, P3, TIME, Var, add, div, mul, sqrt
 from .labels import CANONICAL8_CONTENT, HALF
 from .operators import (
+    ZERO_INDEX,
     MomentumOperator,
     bracket_eval,
-    compose,
     const_matrix,
     eval_operator,
     identity_matrix,
     linear_combination,
     mat_add,
+    mat_diff,
     mat_map,
     mat_mul,
     mat_scale,
@@ -107,25 +111,38 @@ class GeneratorSet:
 
 def _assemble(rep: RepId, ham: MomentumOperator, spin_entry, boost_spin=None) -> GeneratorSet:
     """P0 = ham, P_a = p_a, J_ab = x_a p_b - x_b p_a + S_ab and
-    J_0a = t p_a - {x_a, ham}/2 - boost_spin[a-1] (no spin term when None)."""
+    J_0a = t p_a - {x_a, ham}/2 - boost_spin[a-1] (no spin term when None).
+
+    Written out in closed form: x_a = i d/dp_a and ham is a matrix H without
+    derivatives, so x_a p_b - x_b p_a = i p_b d_a - i p_a d_b and
+    {x_a, H}/2 = i H d_a + (i/2) dH/dp_a (Foldy, Phys. Rev. 102 (1956) 568):
+
+        J_ab = {d_a: i p_b, d_b: -i p_a, 1: S_ab},
+        J_0a = {1: t p_a - (i/2) dH/dp_a - boost_spin[a-1], d_a: -i H}.
+    """
     dim = rep.dim
+    h = ham.term(ZERO_INDEX)
+    one = identity_matrix(dim)
+    unit = {a: tuple(int(k == a - 1) for k in range(3)) for a in range(1, 4)}
     ops = {"P0": ham}
     for a in range(1, 4):
         ops[f"P{a}"] = MomentumOperator.momentum(a, dim)
     for (a, b) in ((1, 2), (1, 3), (2, 3)):
-        xa, xb = MomentumOperator.position(a, dim), MomentumOperator.position(b, dim)
-        pa, pb = MomentumOperator.momentum(a, dim), MomentumOperator.momentum(b, dim)
-        orbital = compose(xa, pb) - compose(xb, pa)
-        ops[f"J{a}{b}"] = orbital + MomentumOperator.from_matrix(
-            const_matrix(spin_entry(a, b))
-        )
+        ops[f"J{a}{b}"] = MomentumOperator(dim, {
+            unit[a]: mat_scale(one, mul(1j, Var(f"p{b}"))),
+            unit[b]: mat_scale(one, mul(-1j, Var(f"p{a}"))),
+            ZERO_INDEX: const_matrix(spin_entry(a, b)),
+        })
     for a in range(1, 4):
-        xa = MomentumOperator.position(a, dim)
-        tpa = MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), dim)
-        boost = tpa - (compose(xa, ham) + compose(ham, xa)).scale(0.5)
+        constant = mat_add(
+            mat_scale(one, mul(TIME, Var(f"p{a}"))),
+            mat_scale(mat_diff(h, f"p{a}"), -0.5j),
+        )
         if boost_spin is not None:
-            boost = boost - MomentumOperator.from_matrix(boost_spin[a - 1])
-        ops[f"J0{a}"] = boost
+            constant = mat_add(constant, mat_scale(boost_spin[a - 1], -1))
+        ops[f"J0{a}"] = MomentumOperator(
+            dim, {ZERO_INDEX: constant, unit[a]: mat_scale(h, -1j)}
+        )
     return GeneratorSet(rep, ops)
 
 

@@ -1,44 +1,25 @@
 """Momentum-space linear operators with matrix coefficients.
 
 An operator is a finite sum of terms (matrix of scalar expressions) times a
-partial-derivative multi-index in (p1, p2, p3).  Composition applies the full
-Leibniz rule, so derivative terms acting on the right factor's coefficients
-generate the expected lower-order pieces; commutators are built on top of
-that.
-
-Cancellations (for example the second-order pieces of a commutator of two
-first-order operators) are detected numerically: after every composition the
-coefficient matrices are probed at a fixed set of generic points and terms
-that vanish there are dropped.  The derivative order of any surviving term is
-capped at two, which is all the generator algebra ever needs.
+partial-derivative multi-index in (p1, p2, p3).  The package builds every
+generator in closed form from these terms and the matrix helpers below, and
+computes with them numerically: `eval_operator` evaluates the coefficients
+(and their p-derivatives) over a batch of sample points, and
+`bracket_eval` forms commutators of order <= 1 operators from those values.
+`FlagTransform` is the signature of a discrete substitution map.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from .expr import Const, Var, as_expr, add, mul, I_UNIT, ZERO
-from .sampling import env_arrays, sample_points
 
 Index = tuple  # (n1, n2, n3) derivative multi-index
 
 ZERO_INDEX = (0, 0, 0)
-MAX_ORDER = 2
-PRUNE_TOL = 1e-10
-
-# Generic probe points used to decide whether a coefficient matrix vanishes
-# identically.  Times are nonzero so t-dependent terms cannot hide.
-_PRUNE_ENV = env_arrays(
-    sample_points(count=5, seed=0x0ACE, masses=(1.0, 1.7), times=(0.3, 0.7))
-)
-
-
-class OperatorOrderError(ValueError):
-    """Raised when a composition leaves a genuine term of order > 2."""
 
 
 def index_add(a: Index, b: Index) -> Index:
@@ -47,18 +28,6 @@ def index_add(a: Index, b: Index) -> Index:
 
 def index_order(a: Index) -> int:
     return a[0] + a[1] + a[2]
-
-
-def _subindices(alpha: Index):
-    return product(range(alpha[0] + 1), range(alpha[1] + 1), range(alpha[2] + 1))
-
-
-def _multi_binom(alpha: Index, gamma: Index) -> int:
-    return (
-        math.comb(alpha[0], gamma[0])
-        * math.comb(alpha[1], gamma[1])
-        * math.comb(alpha[2], gamma[2])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +122,6 @@ def mat_map(a, fn):
     return out
 
 
-def mat_dagger(a):
-    d = a.shape[0]
-    out = np.empty_like(a)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = a[j, i].conjugated()
-    return out
-
-
 def mat_eval(a, env, memo=None) -> np.ndarray:
     """Evaluate an Expr matrix; returns shape (n, d, d) for array envs."""
     if memo is None:
@@ -188,16 +148,6 @@ class FlagTransform:
     eta_t: int = 1
     eta_m: int = 1
     conj: bool = False
-
-    def var_signs(self) -> dict:
-        signs = {}
-        if self.eta_p == -1:
-            signs.update({"p1": -1, "p2": -1, "p3": -1})
-        if self.eta_t == -1:
-            signs["t"] = -1
-        if self.eta_m == -1:
-            signs["m"] = -1
-        return signs
 
 
 # ---------------------------------------------------------------------------
@@ -278,130 +228,6 @@ class MomentumOperator:
     @staticmethod
     def momentum(a: int, dim: int) -> "MomentumOperator":
         return MomentumOperator.scalar(Var(f"p{a}"), dim)
-
-
-# ---------------------------------------------------------------------------
-# composition, brackets, flags
-
-
-def _prune(dim: int, raw: dict) -> dict:
-    memo = {}
-    kept = {}
-    for alpha, mat in raw.items():
-        values = mat_eval(mat, _PRUNE_ENV, memo)
-        if np.max(np.abs(values)) >= PRUNE_TOL:
-            kept[alpha] = mat
-    return kept
-
-
-def _check_order(raw: dict):
-    for alpha in raw:
-        if index_order(alpha) > MAX_ORDER:
-            raise OperatorOrderError(
-                f"term of derivative order {index_order(alpha)} survives; "
-                f"orders above {MAX_ORDER} are not supported"
-            )
-
-
-def _compose_raw(a: MomentumOperator, b: MomentumOperator) -> dict:
-    out: dict = {}
-    diff_cache: dict = {}
-    for alpha, amat in a.terms.items():
-        for beta, bmat in b.terms.items():
-            for gamma in _subindices(alpha):
-                delta = (alpha[0] - gamma[0], alpha[1] - gamma[1], alpha[2] - gamma[2])
-                key = (id(bmat), delta)
-                dmat = diff_cache.get(key)
-                if dmat is None:
-                    dmat = bmat
-                    for k, reps in enumerate(delta):
-                        for _ in range(reps):
-                            dmat = mat_diff(dmat, f"p{k + 1}")
-                    diff_cache[key] = dmat
-                coeff = _multi_binom(alpha, gamma)
-                contrib = mat_mul(amat, dmat)
-                if coeff != 1:
-                    contrib = mat_scale(contrib, coeff)
-                target = index_add(gamma, beta)
-                out[target] = (
-                    mat_add(out[target], contrib) if target in out else contrib
-                )
-    return out
-
-
-def compose(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
-    """Operator product with the full product rule."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    raw = _prune(a.dim, _compose_raw(a, b))
-    _check_order(raw)
-    return MomentumOperator(a.dim, raw)
-
-
-def bracket(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
-    """AB - BA; cancellation of the top-order pieces is detected numerically.
-
-    The numeric bracket_eval is what the package computes with; this symbolic
-    form is the reference the tests hold it to.
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    raw = _compose_raw(a, b)
-    for alpha, mat in _compose_raw(b, a).items():
-        scaled = mat_scale(mat, -1)
-        raw[alpha] = mat_add(raw[alpha], scaled) if alpha in raw else scaled
-    raw = _prune(a.dim, raw)
-    _check_order(raw)
-    return MomentumOperator(a.dim, raw)
-
-
-def apply_flags(g: MomentumOperator, f: FlagTransform) -> MomentumOperator:
-    """Conjugate by the substitution map R: returns R g R^-1.
-
-    Coefficients get their variables sign-flipped (E is structurally even),
-    each derivative picks up a factor eta_p, and for antilinear R every
-    complex constant is conjugated.
-    """
-    signs = f.var_signs()
-    terms = {}
-    for alpha, mat in g.terms.items():
-        new = mat_map(mat, lambda e: e.mapped(signs, f.conj))
-        if f.eta_p == -1 and index_order(alpha) % 2 == 1:
-            new = mat_scale(new, -1)
-        terms[alpha] = new
-    return MomentumOperator(g.dim, terms)
-
-
-def adjoint(g: MomentumOperator) -> MomentumOperator:
-    """Formal adjoint: (M d^alpha)^dagger = (-1)^|alpha| d^alpha M^dagger."""
-    raw: dict = {}
-    for alpha, mat in g.terms.items():
-        dop = MomentumOperator(g.dim, {alpha: identity_matrix(g.dim)})
-        contrib = _compose_raw(dop, MomentumOperator.from_matrix(mat_dagger(mat)))
-        sign = -1 if index_order(alpha) % 2 else 1
-        for idx, m in contrib.items():
-            scaled = mat_scale(m, sign) if sign == -1 else m
-            raw[idx] = mat_add(raw[idx], scaled) if idx in raw else scaled
-    raw = _prune(g.dim, raw)
-    _check_order(raw)
-    return MomentumOperator(g.dim, raw)
-
-
-def equal_at(a: MomentumOperator, b: MomentumOperator, points, tol: float = 1e-9):
-    """Compare coefficient matrices per multi-index at every sample point.
-
-    Returns (equal, max_residual).
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    env = env_arrays(points)
-    memo = {}
-    residual = 0.0
-    for alpha in set(a.terms) | set(b.terms):
-        va = mat_eval(a.term(alpha), env, memo)
-        vb = mat_eval(b.term(alpha), env, memo)
-        residual = max(residual, float(np.max(np.abs(va - vb))))
-    return residual < tol, residual
 
 
 # ---------------------------------------------------------------------------

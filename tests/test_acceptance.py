@@ -37,8 +37,10 @@ from ptclab.labels import (
     massless_pair_count,
     ptc_complete,
 )
-from ptclab.operators import MomentumOperator, apply_flags, equal_at, eval_operator
+from ptclab.operators import MomentumOperator, eval_operator
 from ptclab.sampling import DEFAULT_SEED, env_arrays, sample_points
+
+from oracles import apply_flags, equal_at
 
 HALF = Fraction(1, 2)
 

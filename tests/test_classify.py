@@ -29,8 +29,10 @@ from ptclab.classify import (
 )
 from ptclab.clifford import cached_spin, spectral_projector
 from ptclab.generators import REP_KINDS, RepId, build_generators
-from ptclab.operators import FlagTransform, MomentumOperator, apply_flags, equal_at, eval_operator
-from ptclab.sampling import DEFAULT_RANK_TOL, DEFAULT_SEED, env_arrays, sample_points
+from ptclab.operators import FlagTransform, MomentumOperator, eval_operator
+from ptclab.sampling import DEFAULT_RANK_TOL, DEFAULT_SEED, DEFAULT_TOL, env_arrays, sample_points
+
+from oracles import apply_flags, equal_at
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +320,38 @@ def test_inverse_sqrt_keeps_a_cluster_at_minus_one_on_one_branch(seed):
     q0 = 1j * u @ np.diag([1.0] * 4 + [-1.0] * 4) @ u.conj().T
     q = _inverse_sqrt(q0 @ q0) @ q0
     assert np.max(np.abs(q @ q - np.eye(d))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_witness_depends_only_on_the_nullspace(kind, points):
+    """Re-expressing the nullspace basis through a random unitary, with the
+    same draw, leaves every invariant cell's witness unchanged."""
+    g = build_generators(RepId(kind))
+    samples = _SampleSet(points)
+    rotations = np.random.default_rng(11)
+    d = g.dim
+    checked = 0
+    for name in OP_ORDER:
+        op = get_op(name)
+        blocks = _constraint_blocks(g, op, samples)
+        _, singular, vh = np.linalg.svd(build_constraints(g, op, samples, _blocks=blocks))
+        basis = vh[singular < DEFAULT_RANK_TOL * singular[0]]
+        k = len(basis)
+        if k == 0:
+            continue
+        u, _ = np.linalg.qr(
+            rotations.standard_normal((k, k)) + 1j * rotations.standard_normal((k, k))
+        )
+        witnesses = [
+            _select_witness(
+                list(b.reshape(k, d, d)), blocks, np.random.default_rng(5), DEFAULT_TOL
+            )[0]
+            for b in (basis, u @ basis)
+        ]
+        assert witnesses[0] is not None, (kind, name)
+        assert np.max(np.abs(witnesses[0] - witnesses[1])) <= 1e-12, (kind, name)
+        checked += 1
+    assert checked
 
 
 def test_singular_nullspace_gives_no_witness():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ptclab.expr import E, MASS, TIME, Const, Var, add, div, intpow, mul, sqrt
 from ptclab.sampling import Point
 
+from oracles import conjugated, mapped
+
 
 def ev(expr, p1=0.0, p2=0.0, p3=0.0, m=1.0, t=0.0):
     return expr.eval(Point(p1, p2, p3, m, t).env())
@@ -46,20 +48,20 @@ def test_inverse_energy_derivative_value():
 def test_energy_even_under_flips():
     point = Point(0.7, -1.1, 0.4, 1.3, 0.2).env()
     for signs in ({"p1": -1, "p2": -1, "p3": -1}, {"m": -1}):
-        assert E.mapped(signs, False).eval(point) == E.eval(point)
+        assert mapped(E, signs, False).eval(point) == E.eval(point)
 
 
 def test_mass_flip_substitutes_but_energy_untouched():
     expr = mul(MASS, div(Var("p1"), E))
     point = Point(0.5, 0.1, -0.2, 1.4, 0.0).env()
-    flipped = expr.mapped({"m": -1}, False)
+    flipped = mapped(expr, {"m": -1}, False)
     assert flipped.eval(point) == pytest.approx(-expr.eval(point), abs=1e-15)
 
 
 def test_conjugation_hits_constants_only():
     expr = mul(Const(2j), add(Var("p1"), mul(Const(1 - 1j), TIME)))
     point = Point(0.9, 0.0, 0.0, 1.0, 0.7).env()
-    assert expr.conjugated().eval(point) == np.conj(expr.eval(point))
+    assert conjugated(expr).eval(point) == np.conj(expr.eval(point))
 
 
 def test_sqrt_derivative():

@@ -6,6 +6,8 @@ from ptclab.clifford import cached_basis, cached_spin
 from ptclab.expr import E, MASS, TIME, Var, div, mul
 from ptclab.generators import (
     GENERATOR_NAMES,
+    REP_KINDS,
+    SCALAR_KIND,
     RepId,
     build_generators,
     canonical_transform,
@@ -20,17 +22,17 @@ from ptclab.generators import (
 from ptclab.labels import HALF, IrrepLabel
 from ptclab.operators import (
     MomentumOperator,
-    adjoint,
-    compose,
     const_matrix,
-    equal_at,
     eval_operator,
+    index_order,
     mat_add,
     mat_map,
     mat_mul,
     mat_scale,
 )
 from ptclab.sampling import env_arrays, sample_points
+
+from oracles import adjoint, compose, equal_at
 
 
 def _matrix_at(op, points):
@@ -183,6 +185,40 @@ def test_rep2_mass_term_differs_from_rep1(rep1, rep2, points):
     assert ok
     ok, resid = equal_at(rep1["J01"], rep2["J01"], points)
     assert not ok and resid > 1e-3
+
+
+def _first_order_part(op):
+    return MomentumOperator(op.dim, {a: m for a, m in op.terms.items() if index_order(a) == 1})
+
+
+@pytest.mark.parametrize("kind", REP_KINDS + (SCALAR_KIND,))
+def test_closed_form_matches_composed_generators(kind, points, points_alt):
+    """The closed-form rotations and boosts against the Leibniz-rule oracle:
+    J_ab - S_ab is x_a p_b - x_b p_a, and J_0a has the first-order part of
+    t p_a - (x_a P0 + P0 x_a)/2.  The spinless boosts have no spin term, so
+    there the two agree in full."""
+    g = scalar_generator_set() if kind == SCALAR_KIND else build_generators(kind)
+    dim = g.dim
+    x = {a: MomentumOperator.position(a, dim) for a in (1, 2, 3)}
+    p = {a: MomentumOperator.momentum(a, dim) for a in (1, 2, 3)}
+    for (a, b) in ((1, 2), (1, 3), (2, 3)):
+        spin = np.zeros((1, 1)) if kind == SCALAR_KIND else cached_spin(dim).entry(a, b)
+        orbital = g[f"J{a}{b}"] - MomentumOperator.from_matrix(const_matrix(spin))
+        expected = compose(x[a], p[b]) - compose(x[b], p[a])
+        for pts in (points, points_alt):
+            ok, resid = equal_at(orbital, expected, pts)
+            assert ok, (kind, a, b, resid)
+    for a in (1, 2, 3):
+        boost = g[f"J0{a}"]
+        expected = MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), dim) - (
+            compose(x[a], g["P0"]) + compose(g["P0"], x[a])
+        ).scale(0.5)
+        for pts in (points, points_alt):
+            ok, resid = equal_at(_first_order_part(boost), _first_order_part(expected), pts)
+            assert ok, (kind, a, resid)
+            if kind == SCALAR_KIND:
+                ok, resid = equal_at(boost, expected, pts)
+                assert ok, (kind, a, resid)
 
 
 def test_generators_have_order_at_most_one():

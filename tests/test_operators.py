@@ -6,18 +6,14 @@ from ptclab.generators import build_generators
 from ptclab.operators import (
     FlagTransform,
     MomentumOperator,
-    OperatorOrderError,
-    adjoint,
-    apply_flags,
-    bracket,
     bracket_eval,
-    compose,
     compose_eval,
-    equal_at,
     eval_operator,
     max_coeff_residual,
 )
 from ptclab.sampling import env_arrays
+
+from oracles import OperatorOrderError, adjoint, apply_flags, bracket, compose, equal_at
 
 
 def test_canonical_commutation(points):
