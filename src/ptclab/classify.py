@@ -164,51 +164,47 @@ class _SampleSet(list):
         return self._coeffs[key]
 
 
-def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, samples: _SampleSet) -> list:
-    """Per (generator, multi-index): (flagged coeffs, coeffs, sign) over samples,
-    the flagged ones read off the reflected-point evaluations."""
+def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, samples: _SampleSet) -> np.ndarray:
+    """The pairs (flagged coeff, sign * coeff) of every (generator, multi-index)
+    block at every sample, shape (blocks, n, 2, d, d); the flagged ones are
+    read off the reflected-point evaluations."""
     flags = momentum_action(op)
     plain = samples.reflected(g, IDENTITY_REFLECTION)
     flipped = samples.reflected(g, (flags.eta_p, flags.eta_t, flags.eta_m))
-    blocks = []
-    for name in g.ops:
-        sign = op.generator_sign(name)
-        for alpha, b in sorted(plain[name].items()):
-            a = flipped[name][alpha]
-            if flags.conj:
-                a = a.conj()
-            if flags.eta_p == -1 and index_order(alpha) % 2 == 1:
-                a = -a
-            blocks.append((a, b, sign))
-    return blocks
+    keys = [(name, alpha) for name in g.ops for alpha in sorted(plain[name])]
+    out = np.empty((len(keys), len(samples), 2, g.dim, g.dim), dtype=complex)
+    for k, (name, alpha) in enumerate(keys):
+        a = flipped[name][alpha]
+        odd = flags.eta_p == -1 and index_order(alpha) % 2 == 1
+        out[k, :, 0] = -a if odd else a
+        out[k, :, 1] = op.generator_sign(name) * plain[name][alpha]
+    if flags.conj:
+        out[:, :, 0] = out[:, :, 0].conj()
+    return out
 
 
-def _compressed_samples(blocks) -> np.ndarray:
+def _compressed_samples(blocks: np.ndarray) -> np.ndarray:
     """Rows z = (vec A, sign vec B) whose Gram matrix is, up to a dropped
     weight below COMPRESSION_TOL, that of every block's samples.
 
-    Each block's samples are rotated onto the eigenvectors of x x^H, which
-    gathers their weight in as many rows as the block has numerical rank
-    (1 for a block that is the same at every sample: the sample times
-    sqrt(n)); the lightest rows, of total norm below COMPRESSION_TOL |x|, are
-    dropped.  All-zero samples are dropped first.
+    Each block's samples are rotated onto the eigenvectors of x x^H, one
+    batched eigh over all blocks, which gathers their weight in as many rows
+    as the block has numerical rank (1 for a block that is the same at every
+    sample: the sample times sqrt(n), none for an all-zero block); the
+    lightest rows, of total norm below COMPRESSION_TOL |x|, are dropped.
     """
-    out = []
-    for a, b, sign in blocks:
-        x = np.concatenate([a.reshape(len(a), -1), sign * b.reshape(len(b), -1)], axis=1)
-        x = x[x.any(axis=1)]
-        if len(x) > 1:
-            _, u = np.linalg.eigh(x @ x.conj().T)
-            z = u.conj().T @ x
-            weight = np.cumsum(np.sum(np.abs(z) ** 2, axis=1))
-            x = z[weight > (COMPRESSION_TOL * np.linalg.norm(x)) ** 2]
-        out.append(x)
-    return np.concatenate(out)
+    x = blocks.reshape(blocks.shape[0], blocks.shape[1], -1)
+    _, u = np.linalg.eigh(x @ x.conj().transpose(0, 2, 1))
+    z = u.conj().transpose(0, 2, 1) @ x
+    weight = np.cumsum(np.sum(np.abs(z) ** 2, axis=2), axis=1)
+    cut = (COMPRESSION_TOL * np.linalg.norm(x, axis=(1, 2))) ** 2
+    return z[weight > cut[:, None]]
 
 
-def build_constraints(g: GeneratorSet, op: DiscreteOpSpec, points, *, _blocks=None) -> np.ndarray:
+def build_constraints(blocks: np.ndarray) -> np.ndarray:
     """Triangular factor R (d^2 x d^2) of the stacked linear system A on the
-    d^2 entries of q (row-major vectorization), with R^H R = A^H A.
+    d^2 entries of q (row-major vectorization), with R^H R = A^H A, from the
+    constraint blocks of `_constraint_blocks`.
 
     R has the singular values and right singular vectors of A.  A's rows at
     one sample are linear in that sample's (A, sign B), so A^H A depends only
@@ -216,10 +212,7 @@ def build_constraints(g: GeneratorSet, op: DiscreteOpSpec, points, *, _blocks=No
     for all of them.  The weight they drop moves no singular value of A by
     more than sqrt(2) * COMPRESSION_TOL times the norm of all the pairs.
     """
-    blocks = _blocks
-    if blocks is None:
-        blocks = _constraint_blocks(g, op, _SampleSet.of(points))
-    d = g.dim
+    d = blocks.shape[-1]
     z = _compressed_samples(blocks)
     a = z[:, : d * d].reshape(-1, d, d)
     b = z[:, d * d :].reshape(-1, d, d)
@@ -233,13 +226,8 @@ def build_constraints(g: GeneratorSet, op: DiscreteOpSpec, points, *, _blocks=No
     return r
 
 
-def _witness_residual(q: np.ndarray, blocks) -> float:
-    worst = 0.0
-    for a, b, sign in blocks:
-        lhs = np.einsum("ab,nbc->nac", q, a)
-        rhs = sign * np.einsum("nab,bc->nac", b, q)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+def _witness_residual(q: np.ndarray, blocks: np.ndarray) -> float:
+    return float(np.max(np.abs(q @ blocks[:, :, 0] - blocks[:, :, 1] @ q)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +332,7 @@ def classify(
     samples = _SampleSet.of(points)
     d = g.dim
     blocks = _constraint_blocks(g, op, samples)
-    factor = build_constraints(g, op, samples, _blocks=blocks)
-    _, singular, vh = np.linalg.svd(factor, full_matrices=False)
+    _, singular, vh = np.linalg.svd(build_constraints(blocks), full_matrices=False)
 
     sigma_max = float(singular[0])
     threshold = rank_tol * sigma_max

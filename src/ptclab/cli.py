@@ -256,6 +256,7 @@ def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
                 f"[{a},{b}]": r for (a, b), r in sorted(report.residuals.items())
             },
             "max_residual": report.max_residual,
+            "adjoint_residuals": dict(sorted(report.adjoint_residuals.items())),
             "pass": report.ok,
         }
         if dump_sample is not None:
@@ -265,6 +266,7 @@ def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
         print(f"bracket closure for {rep} (tol {config.tol:g})")
         for (a, b), r in sorted(report.residuals.items()):
             print(f"  [{a},{b}]  {r:.3e}")
+        print(f"max self-adjointness residual {report.max_adjoint_residual:.3e}")
         print(f"max residual {report.max_residual:.3e}  ->  {'PASS' if report.ok else 'FAIL'}")
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -312,10 +314,10 @@ def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
 
 def cmd_table(config: RunConfig, rep: str) -> int:
     reps = ["rep1", "rep2", "rep3", "canonical8"] if rep == "all" else [rep]
+    points = config.points()
     tables = {
         kind: full_table(
-            kind, config.points(), rank_tol=config.rank_tol,
-            tol=config.tol, seed=config.seed,
+            kind, points, rank_tol=config.rank_tol, tol=config.tol, seed=config.seed
         )
         for kind in reps
     }

@@ -10,7 +10,9 @@ its spin matrices S_ab and an optional boost-spin term B_a:
     J_0a = t p_a - {x_a, H}/2 - B_a,
 
 written out in closed form, since every term has order <= 1 in d/dp (see
-`_assemble`).
+`_assemble`).  Each coefficient is a `Coefficient`, constant matrices times
+scalars (H8 = sum_k (Gamma0 Gamma_k) p_k, B_a = sum_b (Gamma0 S_ab) p_b / E
++ ...), built by sums, scalar scalings and constant left factors.
 
 The Dirac-type set takes H8 = Gamma0 Gamma_k p_k and no B_a: its spin part
 sits inside the anticommutator.  The canonical and four-component sets take
@@ -20,7 +22,8 @@ property, not the construction.
 
 Structure constants are never copied in by hand: they are fitted once, by
 least squares over samples, from the spinless orbital realization (identity
-matrices, P0 = E) and then imposed on every spinor set.
+matrices, P0 = E) and then imposed on every spinor set.  `check_algebra`
+also checks that every generator is formally self-adjoint.
 """
 
 from __future__ import annotations
@@ -35,17 +38,10 @@ from .expr import E as ENERGY, MASS, P1, P2, P3, TIME, Var, add, div, mul, sqrt
 from .labels import CANONICAL8_CONTENT, HALF
 from .operators import (
     ZERO_INDEX,
+    Coefficient,
     MomentumOperator,
     bracket_eval,
-    const_matrix,
     eval_operator,
-    identity_matrix,
-    linear_combination,
-    mat_add,
-    mat_diff,
-    mat_map,
-    mat_mul,
-    mat_scale,
     max_coeff_residual,
 )
 from .sampling import DEFAULT_TOL, env_arrays, sample_points
@@ -121,28 +117,22 @@ def _assemble(rep: RepId, ham: MomentumOperator, spin_entry, boost_spin=None) ->
         J_0a = {1: t p_a - (i/2) dH/dp_a - boost_spin[a-1], d_a: -i H}.
     """
     dim = rep.dim
-    h = ham.term(ZERO_INDEX)
-    one = identity_matrix(dim)
+    h = ham.terms[ZERO_INDEX]
     unit = {a: tuple(int(k == a - 1) for k in range(3)) for a in range(1, 4)}
     ops = {"P0": ham}
     for a in range(1, 4):
         ops[f"P{a}"] = MomentumOperator.momentum(a, dim)
     for (a, b) in ((1, 2), (1, 3), (2, 3)):
         ops[f"J{a}{b}"] = MomentumOperator(dim, {
-            unit[a]: mat_scale(one, mul(1j, Var(f"p{b}"))),
-            unit[b]: mat_scale(one, mul(-1j, Var(f"p{a}"))),
-            ZERO_INDEX: const_matrix(spin_entry(a, b)),
+            unit[a]: Coefficient.scalar(mul(1j, Var(f"p{b}")), dim),
+            unit[b]: Coefficient.scalar(mul(-1j, Var(f"p{a}")), dim),
+            ZERO_INDEX: Coefficient.constant(spin_entry(a, b)),
         })
     for a in range(1, 4):
-        constant = mat_add(
-            mat_scale(one, mul(TIME, Var(f"p{a}"))),
-            mat_scale(mat_diff(h, f"p{a}"), -0.5j),
-        )
+        constant = Coefficient.scalar(mul(TIME, Var(f"p{a}")), dim) + h.diff(f"p{a}").scale(-0.5j)
         if boost_spin is not None:
-            constant = mat_add(constant, mat_scale(boost_spin[a - 1], -1))
-        ops[f"J0{a}"] = MomentumOperator(
-            dim, {ZERO_INDEX: constant, unit[a]: mat_scale(h, -1j)}
-        )
+            constant = constant + boost_spin[a - 1].scale(-1)
+        ops[f"J0{a}"] = MomentumOperator(dim, {ZERO_INDEX: constant, unit[a]: h.scale(-1j)})
     return GeneratorSet(rep, ops)
 
 
@@ -150,29 +140,27 @@ def dirac_hamiltonian8() -> MomentumOperator:
     """Gamma0 Gamma_k p_k with the fourth momentum component playing the mass."""
     basis = cached_basis(8)
     coeffs = [basis.gamma0 @ basis.gamma(k) for k in range(1, 5)]
-    return MomentumOperator.from_matrix(linear_combination(zip(coeffs, _MOMENTA4)))
+    return MomentumOperator.from_matrix(Coefficient(coeffs, _MOMENTA4))
 
 
 @lru_cache(maxsize=None)
 def canonical_transform() -> MomentumOperator:
     """The unitary (1 + Gamma0 H8 / E) / sqrt(2) that diagonalizes H8."""
     basis = cached_basis(8)
-    coeffs = [basis.gamma(k) for k in range(1, 5)]
-    over_e = mat_map(linear_combination(zip(coeffs, _MOMENTA4)), lambda e: div(e, ENERGY))
-    mat = mat_scale(mat_add(identity_matrix(8), over_e), 2 ** -0.5)
-    return MomentumOperator.from_matrix(mat)
+    over_e = Coefficient([basis.gamma(k) for k in range(1, 5)], _MOMENTA4).scale(div(1, ENERGY))
+    return MomentumOperator.from_matrix((Coefficient.scalar(1, 8) + over_e).scale(2 ** -0.5))
 
 
 @lru_cache(maxsize=None)
 def fs_transform() -> MomentumOperator:
     """The unitary connector (m + E + gamma4 gamma_a p_a) / sqrt(2E(E+m))."""
     basis = cached_basis(4)
-    terms = [(np.eye(4), add(MASS, ENERGY))] + [
-        (basis.gamma(4) @ basis.gamma(a), Var(f"p{a}")) for a in range(1, 4)
-    ]
+    num = Coefficient(
+        [np.eye(4)] + [basis.gamma(4) @ basis.gamma(a) for a in range(1, 4)],
+        [add(MASS, ENERGY), P1, P2, P3],
+    )
     denom = sqrt(mul(2, mul(ENERGY, add(ENERGY, MASS))))
-    num = linear_combination(terms)
-    return MomentumOperator.from_matrix(mat_map(num, lambda e: div(e, denom)))
+    return MomentumOperator.from_matrix(num.scale(div(1, denom)))
 
 
 @lru_cache(maxsize=None)
@@ -186,22 +174,22 @@ def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
     if kind == "rep3":  # positive multiple of the identity
         ham = MomentumOperator.scalar(mul(energy_sign, ENERGY), rep.dim)
     else:
-        ham = MomentumOperator.from_matrix(
-            mat_scale(const_matrix(energy_sign * gamma0), ENERGY)
-        )
+        ham = MomentumOperator.from_matrix(Coefficient([energy_sign * gamma0], [ENERGY]))
     # boost spin (sum_b S_ab p_b + mass part) / E, times Gamma0 except on rep3
     boost_spin = []
     for a in range(1, 4):
         mass_part = spin.S[a - 1] + spin.T[a - 1] if kind == "rep2" else spin.entry(a, 4)
-        terms = [(spin.entry(a, b), Var(f"p{b}")) for b in range(1, 4) if b != a]
-        mat = linear_combination(terms + [(mass_part, MASS)])
-        mat = mat_map(mat, lambda e: div(e, ENERGY))
+        others = [b for b in range(1, 4) if b != a]
+        mat = Coefficient(
+            [spin.entry(a, b) for b in others] + [mass_part],
+            [Var(f"p{b}") for b in others] + [MASS],
+        ).scale(div(1, ENERGY))
         if kind != "rep3":
-            mat = mat_mul(const_matrix(gamma0), mat)
+            mat = mat.lmul(gamma0)
         if energy_sign == -1:
             # the boost spin prefactor is the sign-carrying H/E, so the
             # negative-energy sets scale it too (otherwise they do not close)
-            mat = mat_scale(mat, -1)
+            mat = mat.scale(-1)
         boost_spin.append(mat)
     return _assemble(rep, ham, spin.entry, boost_spin)
 
@@ -273,6 +261,7 @@ def structure_constants() -> dict:
 class AlgebraReport:
     rep: str
     residuals: dict  # (name_i, name_j) -> float
+    adjoint_residuals: dict  # name -> distance of G from its formal adjoint
     tol: float
 
     @property
@@ -280,15 +269,38 @@ class AlgebraReport:
         return max(self.residuals.values())
 
     @property
+    def max_adjoint_residual(self) -> float:
+        return max(self.adjoint_residuals.values())
+
+    @property
     def ok(self) -> bool:
-        return self.max_residual < self.tol
+        return self.max_residual < self.tol and self.max_adjoint_residual < self.tol
 
     def failures(self) -> list:
-        return [pair for pair, r in self.residuals.items() if r >= self.tol]
+        return [pair for pair, r in self.residuals.items() if r >= self.tol] + [
+            name for name, r in self.adjoint_residuals.items() if r >= self.tol
+        ]
+
+
+def _adjoint_residual(ev) -> float:
+    """Distance of G = C_0 + sum_a C_a d_a from its formal adjoint
+    C_0^H - sum_a (d_a C_a)^H - sum_a C_a^H d_a: G is self-adjoint iff
+    C_a = -C_a^H and C_0 - C_0^H + sum_a (d_a C_a)^H = 0."""
+    worst = 0.0
+    gap = 0.0
+    for alpha, c in ev.coeffs.items():
+        c_dagger = c.conj().transpose(0, 2, 1)
+        if alpha == ZERO_INDEX:
+            gap = gap + c - c_dagger
+        else:
+            worst = max(worst, float(np.max(np.abs(c + c_dagger))))
+            gap = gap + ev.dcoeffs[(alpha.index(1), alpha)].conj().transpose(0, 2, 1)
+    return max(worst, float(np.max(np.abs(gap))))
 
 
 def check_algebra(g: GeneratorSet, points=None, tol: float = DEFAULT_TOL) -> AlgebraReport:
-    """Verify every independent bracket against the fitted structure constants."""
+    """Verify every independent bracket against the fitted structure
+    constants, and that every generator is formally self-adjoint."""
     if points is None:
         points = sample_points()
     env = env_arrays(points)
@@ -305,7 +317,8 @@ def check_algebra(g: GeneratorSet, points=None, tol: float = DEFAULT_TOL) -> Alg
             for alpha, mat in evaluated[names[k]].coeffs.items():
                 target[alpha] = target.get(alpha, 0) + c * mat
         residuals[(names[i], names[j])] = max_coeff_residual(br, target)
-    return AlgebraReport(g.rep.kind, residuals, tol)
+    adjoint = {name: _adjoint_residual(ev) for name, ev in evaluated.items()}
+    return AlgebraReport(g.rep.kind, residuals, adjoint, tol)
 
 
 # ---------------------------------------------------------------------------

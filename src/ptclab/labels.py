@@ -16,14 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import cached_spin, spectral_projector
-from .expr import E as ENERGY, P1, P2, P3
-from .operators import (
-    MomentumOperator,
-    bracket_eval,
-    eval_operator,
-    linear_combination,
-    mat_map,
-)
+from .expr import E as ENERGY, P1, P2, P3, div
+from .operators import Coefficient, MomentumOperator, bracket_eval, eval_operator
 from .sampling import env_arrays, sample_points
 
 
@@ -172,8 +166,7 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
     """S_a p_a / E (or T_a p_a / E) on the eight-dimensional space."""
     spin = cached_spin(8)
     triple = spin.S if which == "s" else spin.T
-    acc = linear_combination(zip(triple, (P1, P2, P3)))
-    return MomentumOperator.from_matrix(mat_map(acc, lambda e: e / ENERGY))
+    return MomentumOperator.from_matrix(Coefficient(triple, (P1, P2, P3)).scale(div(1, ENERGY)))
 
 
 def helicity_check(points=None, tol: float = 1e-9) -> HelicityReport:

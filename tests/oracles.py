@@ -2,9 +2,10 @@
 
 The package builds every generator in closed form and computes with it
 numerically (`eval_operator`, `bracket_eval`, reflected-point evaluation).
-This module is the independent reference for those numbers: the full
-Leibniz-rule composition, symbolic commutators, formal adjoints, the
-substitution-flag conjugation R g R^-1 and per-multi-index comparison of
+This module is the independent reference for those numbers: operator
+sums and scalings, the position operator, the full Leibniz-rule composition
+(coefficients multiplied sum by sum), symbolic commutators, formal adjoints,
+the substitution-flag conjugation R g R^-1 and per-multi-index comparison of
 operators at sample points.
 
 Cancellations (for example the second-order pieces of a commutator of two
@@ -21,20 +22,22 @@ from itertools import product
 
 import numpy as np
 
-from ptclab.expr import Add, Const, Div, Energy, IntPow, Mul, Sqrt, Var, add, div, intpow, mul
-from ptclab.operators import (
-    FlagTransform,
-    MomentumOperator,
-    identity_matrix,
-    index_add,
-    index_order,
-    mat_add,
-    mat_diff,
-    mat_eval,
-    mat_map,
-    mat_mul,
-    mat_scale,
+from ptclab.expr import (
+    I_UNIT,
+    Add,
+    Const,
+    Div,
+    Energy,
+    IntPow,
+    Mul,
+    Sqrt,
+    Var,
+    add,
+    div,
+    intpow,
+    mul,
 )
+from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
 from ptclab.sampling import env_arrays, sample_points
 
 MAX_ORDER = 2
@@ -61,6 +64,57 @@ def _multi_binom(alpha, gamma) -> int:
         * math.comb(alpha[1], gamma[1])
         * math.comb(alpha[2], gamma[2])
     )
+
+
+# ---------------------------------------------------------------------------
+# operator arithmetic
+
+
+def zero(dim: int) -> MomentumOperator:
+    return MomentumOperator(dim, {})
+
+
+def identity(dim: int) -> MomentumOperator:
+    return MomentumOperator.scalar(1, dim)
+
+
+def position(a: int, dim: int) -> MomentumOperator:
+    """x_a in momentum space: i d/dp_a with identity matrix coefficient."""
+    alpha = tuple(1 if k == a - 1 else 0 for k in range(3))
+    return MomentumOperator(dim, {alpha: Coefficient.scalar(I_UNIT, dim)})
+
+
+def order(op: MomentumOperator) -> int:
+    return max((index_order(a) for a in op.terms), default=0)
+
+
+def plus(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    terms = dict(a.terms)
+    for alpha, c in b.terms.items():
+        terms[alpha] = terms[alpha] + c if alpha in terms else c
+    return MomentumOperator(a.dim, terms)
+
+
+def scaled(op: MomentumOperator, factor) -> MomentumOperator:
+    return MomentumOperator(op.dim, {a: c.scale(factor) for a, c in op.terms.items()})
+
+
+def minus(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
+    return plus(a, scaled(b, -1))
+
+
+def coefficient_product(a: Coefficient, b: Coefficient) -> Coefficient:
+    """(sum_k A_k a_k)(sum_l B_l b_l) = sum_kl (A_k B_l)(a_k b_l), without the
+    terms whose matrix or scalar is zero."""
+    mats = np.einsum("kij,ljm->klim", a.mats, b.mats).reshape(-1, a.dim, a.dim)
+    scalars = [mul(x, y) for x in a.scalars for y in b.scalars]
+    keep = [
+        k for k, x in enumerate(scalars)
+        if mats[k].any() and not (isinstance(x, Const) and x.value == 0)
+    ]
+    return Coefficient(mats[keep], [scalars[k] for k in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +157,9 @@ def conjugated(expr):
     return mapped(expr, {}, True)
 
 
-def mat_dagger(a):
-    d = a.shape[0]
-    out = np.empty_like(a)
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = conjugated(a[j, i])
-    return out
+def dagger(c: Coefficient) -> Coefficient:
+    """Hermitian adjoint of a coefficient in real variables."""
+    return Coefficient(c.mats.conj().transpose(0, 2, 1), [conjugated(x) for x in c.scalars])
 
 
 def var_signs(f: FlagTransform) -> dict:
@@ -128,13 +178,12 @@ def var_signs(f: FlagTransform) -> dict:
 # composition, brackets, flags
 
 
-def _prune(dim: int, raw: dict) -> dict:
+def _prune(raw: dict) -> dict:
     memo = {}
     kept = {}
-    for alpha, mat in raw.items():
-        values = mat_eval(mat, _PRUNE_ENV, memo)
-        if np.max(np.abs(values)) >= PRUNE_TOL:
-            kept[alpha] = mat
+    for alpha, c in raw.items():
+        if np.max(np.abs(c.eval(_PRUNE_ENV, memo))) >= PRUNE_TOL:
+            kept[alpha] = c
     return kept
 
 
@@ -150,26 +199,24 @@ def _check_order(raw: dict):
 def _compose_raw(a: MomentumOperator, b: MomentumOperator) -> dict:
     out: dict = {}
     diff_cache: dict = {}
-    for alpha, amat in a.terms.items():
-        for beta, bmat in b.terms.items():
+    for alpha, ac in a.terms.items():
+        for beta, bc in b.terms.items():
             for gamma in _subindices(alpha):
                 delta = (alpha[0] - gamma[0], alpha[1] - gamma[1], alpha[2] - gamma[2])
-                key = (id(bmat), delta)
-                dmat = diff_cache.get(key)
-                if dmat is None:
-                    dmat = bmat
+                key = (id(bc), delta)
+                dc = diff_cache.get(key)
+                if dc is None:
+                    dc = bc
                     for k, reps in enumerate(delta):
                         for _ in range(reps):
-                            dmat = mat_diff(dmat, f"p{k + 1}")
-                    diff_cache[key] = dmat
+                            dc = dc.diff(f"p{k + 1}")
+                    diff_cache[key] = dc
                 coeff = _multi_binom(alpha, gamma)
-                contrib = mat_mul(amat, dmat)
+                contrib = coefficient_product(ac, dc)
                 if coeff != 1:
-                    contrib = mat_scale(contrib, coeff)
+                    contrib = contrib.scale(coeff)
                 target = index_add(gamma, beta)
-                out[target] = (
-                    mat_add(out[target], contrib) if target in out else contrib
-                )
+                out[target] = out[target] + contrib if target in out else contrib
     return out
 
 
@@ -177,7 +224,7 @@ def compose(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
     """Operator product with the full product rule."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    raw = _prune(a.dim, _compose_raw(a, b))
+    raw = _prune(_compose_raw(a, b))
     _check_order(raw)
     return MomentumOperator(a.dim, raw)
 
@@ -191,10 +238,10 @@ def bracket(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     raw = _compose_raw(a, b)
-    for alpha, mat in _compose_raw(b, a).items():
-        scaled = mat_scale(mat, -1)
-        raw[alpha] = mat_add(raw[alpha], scaled) if alpha in raw else scaled
-    raw = _prune(a.dim, raw)
+    for alpha, c in _compose_raw(b, a).items():
+        c = c.scale(-1)
+        raw[alpha] = raw[alpha] + c if alpha in raw else c
+    raw = _prune(raw)
     _check_order(raw)
     return MomentumOperator(a.dim, raw)
 
@@ -203,15 +250,18 @@ def apply_flags(g: MomentumOperator, f: FlagTransform) -> MomentumOperator:
     """Conjugate by the substitution map R: returns R g R^-1.
 
     Coefficients get their variables sign-flipped (E is structurally even),
-    each derivative picks up a factor eta_p, and for antilinear R every
-    complex constant is conjugated.
+    each derivative picks up a factor eta_p, and for antilinear R the
+    matrices and every complex constant are conjugated.
     """
     signs = var_signs(f)
     terms = {}
-    for alpha, mat in g.terms.items():
-        new = mat_map(mat, lambda e: mapped(e, signs, f.conj))
+    for alpha, c in g.terms.items():
+        new = Coefficient(
+            c.mats.conj() if f.conj else c.mats,
+            [mapped(x, signs, f.conj) for x in c.scalars],
+        )
         if f.eta_p == -1 and index_order(alpha) % 2 == 1:
-            new = mat_scale(new, -1)
+            new = new.scale(-1)
         terms[alpha] = new
     return MomentumOperator(g.dim, terms)
 
@@ -219,14 +269,14 @@ def apply_flags(g: MomentumOperator, f: FlagTransform) -> MomentumOperator:
 def adjoint(g: MomentumOperator) -> MomentumOperator:
     """Formal adjoint: (M d^alpha)^dagger = (-1)^|alpha| d^alpha M^dagger."""
     raw: dict = {}
-    for alpha, mat in g.terms.items():
-        dop = MomentumOperator(g.dim, {alpha: identity_matrix(g.dim)})
-        contrib = _compose_raw(dop, MomentumOperator.from_matrix(mat_dagger(mat)))
+    for alpha, c in g.terms.items():
+        dop = MomentumOperator(g.dim, {alpha: Coefficient.scalar(1, g.dim)})
+        contrib = _compose_raw(dop, MomentumOperator.from_matrix(dagger(c)))
         sign = -1 if index_order(alpha) % 2 else 1
         for idx, m in contrib.items():
-            scaled = mat_scale(m, sign) if sign == -1 else m
-            raw[idx] = mat_add(raw[idx], scaled) if idx in raw else scaled
-    raw = _prune(g.dim, raw)
+            m = m.scale(sign) if sign == -1 else m
+            raw[idx] = raw[idx] + m if idx in raw else m
+    raw = _prune(raw)
     _check_order(raw)
     return MomentumOperator(g.dim, raw)
 
@@ -242,7 +292,6 @@ def equal_at(a: MomentumOperator, b: MomentumOperator, points, tol: float = 1e-9
     memo = {}
     residual = 0.0
     for alpha in set(a.terms) | set(b.terms):
-        va = mat_eval(a.term(alpha), env, memo)
-        vb = mat_eval(b.term(alpha), env, memo)
+        va, vb = (op.terms[alpha].eval(env, memo) if alpha in op.terms else 0 for op in (a, b))
         residual = max(residual, float(np.max(np.abs(va - vb))))
     return residual < tol, residual

@@ -37,10 +37,10 @@ from ptclab.labels import (
     massless_pair_count,
     ptc_complete,
 )
-from ptclab.operators import MomentumOperator, eval_operator
+from ptclab.operators import eval_operator
 from ptclab.sampling import DEFAULT_SEED, env_arrays, sample_points
 
-from oracles import apply_flags, equal_at
+from oracles import apply_flags, equal_at, position, scaled
 
 HALF = Fraction(1, 2)
 
@@ -206,8 +206,8 @@ def test_criterion_09_position_conditions():
         flags = momentum_action(op)
         for a in (1, 2, 3):
             for dim in (4, 8):
-                x = MomentumOperator.position(a, dim)
-                ok, resid = equal_at(apply_flags(x, flags), x.scale(op.eta_x), points, tol=1e-12)
+                x = position(a, dim)
+                ok, resid = equal_at(apply_flags(x, flags), scaled(x, op.eta_x), points, tol=1e-12)
                 assert ok, (op.name, a, dim, resid)
     _passline(9, "subsidiary position-operator conditions hold identically "
                  "for all seven primitive operators (< 1e-12)")

@@ -29,10 +29,10 @@ from ptclab.classify import (
 )
 from ptclab.clifford import cached_spin, spectral_projector
 from ptclab.generators import REP_KINDS, RepId, build_generators
-from ptclab.operators import FlagTransform, MomentumOperator, eval_operator
+from ptclab.operators import FlagTransform, eval_operator
 from ptclab.sampling import DEFAULT_RANK_TOL, DEFAULT_SEED, DEFAULT_TOL, env_arrays, sample_points
 
-from oracles import apply_flags, equal_at
+from oracles import apply_flags, equal_at, position, scaled
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +77,8 @@ def test_subsidiary_position_conditions_hold_identically(points):
     for op in PRIMITIVE_OPS.values():
         f = momentum_action(op)
         for a in (1, 2, 3):
-            x = MomentumOperator.position(a, 4)
-            ok, resid = equal_at(apply_flags(x, f), x.scale(op.eta_x), points, tol=1e-12)
+            x = position(a, 4)
+            ok, resid = equal_at(apply_flags(x, f), scaled(x, op.eta_x), points, tol=1e-12)
             assert ok and resid == 0.0, (op.name, a, resid)
 
 
@@ -87,11 +87,12 @@ def test_subsidiary_position_conditions_hold_identically(points):
 
 
 def test_constraint_nullspace_dimensions(rep1, points):
-    mat = build_constraints(rep1, get_op("P1"), points)
+    samples = _SampleSet(points)
+    mat = build_constraints(_constraint_blocks(rep1, get_op("P1"), samples))
     sv = np.linalg.svd(mat, compute_uv=False)
     assert np.sum(sv < 1e-8 * sv[0]) == 0  # claim 1: no parity intertwiner
 
-    mat = build_constraints(rep1, get_op("Mx"), points)
+    mat = build_constraints(_constraint_blocks(rep1, get_op("Mx"), samples))
     sv = np.linalg.svd(mat, compute_uv=False)
     assert np.sum(sv < 1e-8 * sv[0]) >= 1
 
@@ -135,13 +136,13 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
         oracle = _oracle_blocks(g, op, samples)
         blocks = _constraint_blocks(g, op, samples)
         assert len(blocks) == len(oracle)
-        for (a, b, sign), (a0, b0, sign0) in zip(blocks, oracle):
-            assert sign == sign0
+        for block, (a0, b0, sign0) in zip(blocks, oracle):
+            a, signed_b = block[:, 0], block[:, 1]
             scale = max(1.0, float(np.max(np.abs(a0))))
             assert np.max(np.abs(a - a0)) <= 1e-14 * scale, (kind, name)
-            assert np.array_equal(b, b0)
+            assert np.array_equal(signed_b, sign0 * b0)
         dense = np.linalg.svd(_stacked_system(oracle, g.dim), compute_uv=False)
-        factor = build_constraints(g, op, samples)
+        factor = build_constraints(blocks)
         assert factor.shape == (g.dim ** 2, g.dim ** 2)
         singular = np.linalg.svd(factor, compute_uv=False)
         assert np.max(np.abs(singular - dense)) <= 1e-12 * dense[0], (kind, name)
@@ -189,7 +190,7 @@ def test_compressed_samples_keep_the_gram_matrix():
     pairs = np.concatenate(
         [np.concatenate([a.reshape(n, -1), s * b.reshape(n, -1)], axis=1) for a, b, s in blocks]
     )
-    z = _compressed_samples(blocks)
+    z = _compressed_samples(np.array([np.stack([a, s * b], axis=1) for a, b, s in blocks]))
     assert len(z) == 1 + 2 + 0 + n
     gram = pairs.conj().T @ pairs
     assert np.max(np.abs(z.conj().T @ z - gram)) <= 1e-13 * np.max(np.abs(gram))
@@ -334,7 +335,7 @@ def test_witness_depends_only_on_the_nullspace(kind, points):
     for name in OP_ORDER:
         op = get_op(name)
         blocks = _constraint_blocks(g, op, samples)
-        _, singular, vh = np.linalg.svd(build_constraints(g, op, samples, _blocks=blocks))
+        _, singular, vh = np.linalg.svd(build_constraints(blocks))
         basis = vh[singular < DEFAULT_RANK_TOL * singular[0]]
         k = len(basis)
         if k == 0:
@@ -359,7 +360,7 @@ def test_singular_nullspace_gives_no_witness():
     the nullspace and the nullspace element itself is singular."""
     a, b = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
     basis = [np.diag([1.0, 0.0])]
-    blocks = [(a[None], b[None], 1)]
+    blocks = np.array([[[a, b]]])
     rng = np.random.default_rng(0)
     assert _select_witness(basis, blocks, rng, 1e-9) == (None, None, None)
 
@@ -370,10 +371,10 @@ def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
     the nullspace, so J itself is reported without an involution scale."""
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     y = np.diag([1.0, 2.0])
-    blocks = [
-        (jordan[None], jordan[None], 1),
-        (y[None], (jordan @ y @ np.linalg.inv(jordan))[None], 1),
-    ]
+    blocks = np.array([
+        [[jordan, jordan]],
+        [[y, jordan @ y @ np.linalg.inv(jordan)]],
+    ])
     basis = [jordan / np.linalg.norm(jordan)]
     q, residual, scale = _select_witness(basis, blocks, np.random.default_rng(0), 1e-9)
     assert scale is None and residual < 1e-9

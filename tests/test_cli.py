@@ -8,6 +8,7 @@ import pytest
 
 import ptclab
 from ptclab.cli import main
+from ptclab.generators import GENERATOR_NAMES
 
 SRC = str(Path(ptclab.__file__).resolve().parents[1])
 
@@ -49,6 +50,8 @@ def test_algebra_command(capsys):
     assert payload["pass"] is True
     assert len(payload["brackets"]) == 45
     assert payload["max_residual"] < 1e-9
+    assert sorted(payload["adjoint_residuals"]) == sorted(GENERATOR_NAMES)
+    assert max(payload["adjoint_residuals"].values()) < 1e-9
 
 
 def test_algebra_generator_export(capsys):

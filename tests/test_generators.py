@@ -8,6 +8,7 @@ from ptclab.generators import (
     GENERATOR_NAMES,
     REP_KINDS,
     SCALAR_KIND,
+    GeneratorSet,
     RepId,
     build_generators,
     canonical_transform,
@@ -21,18 +22,15 @@ from ptclab.generators import (
 )
 from ptclab.labels import HALF, IrrepLabel
 from ptclab.operators import (
+    ZERO_INDEX,
+    Coefficient,
     MomentumOperator,
-    const_matrix,
     eval_operator,
     index_order,
-    mat_add,
-    mat_map,
-    mat_mul,
-    mat_scale,
 )
 from ptclab.sampling import env_arrays, sample_points
 
-from oracles import adjoint, compose, equal_at
+from oracles import adjoint, compose, equal_at, minus, order, plus, position, scaled
 
 
 def _matrix_at(op, points):
@@ -108,7 +106,7 @@ def test_connector_preserves_orbital_part(rep1, points):
     u1_dag = adjoint(u1)
     for a in (1, 2, 3):
         conjugated = compose(u1, compose(rep1[f"J0{a}"], u1_dag))
-        delta = conjugated - rep1[f"J0{a}"]
+        delta = minus(conjugated, rep1[f"J0{a}"])
         env = env_arrays(points)
         coeffs = eval_operator(delta, env, derivatives=False).coeffs
         for alpha, mat in coeffs.items():
@@ -128,7 +126,7 @@ def test_connector_difference_time_independent(rep1):
     base = sample_points(count=6, times=(0.0,))
     late = [type(p)(p.p1, p.p2, p.p3, p.m, 0.9) for p in base]
     conjugated = compose(u1, compose(rep1["J01"], u1_dag))
-    delta = conjugated - rep1["J01"]
+    delta = minus(conjugated, rep1["J01"])
     v0 = eval_operator(delta, env_arrays(base), derivatives=False).coeffs[(0, 0, 0)]
     v1 = eval_operator(delta, env_arrays(late), derivatives=False).coeffs[(0, 0, 0)]
     assert np.max(np.abs(v0 - v1)) < 1e-9
@@ -179,6 +177,23 @@ def test_negative_energy_sets_close(kind, points):
     assert report.ok, (kind, report.max_residual)
 
 
+def test_check_algebra_rejects_boosts_that_are_not_self_adjoint(canonical8, points):
+    """Without their (i/2) dH/dp_a term the canonical boosts still close: the
+    change is a conjugation by E^(1/2) when H is E times a constant matrix.
+    They are no longer self-adjoint, and check_algebra must say so."""
+    h = canonical8["P0"].terms[ZERO_INDEX]
+    ops = dict(canonical8.ops)
+    for a in (1, 2, 3):
+        boost = canonical8[f"J0{a}"]
+        constant = boost.terms[ZERO_INDEX] + h.diff(f"p{a}").scale(0.5j)
+        ops[f"J0{a}"] = MomentumOperator(boost.dim, {**boost.terms, ZERO_INDEX: constant})
+    report = check_algebra(GeneratorSet(canonical8.rep, ops), points)
+    assert report.max_residual < report.tol
+    assert not report.ok
+    assert report.failures() == ["J01", "J02", "J03"]
+    assert max(report.adjoint_residuals[n] for n in ("J01", "J02", "J03")) > 0.1
+
+
 def test_rep2_mass_term_differs_from_rep1(rep1, rep2, points):
     # same Hamiltonian, different boost spin content
     ok, _ = equal_at(rep1["P0"], rep2["P0"], points)
@@ -199,20 +214,21 @@ def test_closed_form_matches_composed_generators(kind, points, points_alt):
     there the two agree in full."""
     g = scalar_generator_set() if kind == SCALAR_KIND else build_generators(kind)
     dim = g.dim
-    x = {a: MomentumOperator.position(a, dim) for a in (1, 2, 3)}
+    x = {a: position(a, dim) for a in (1, 2, 3)}
     p = {a: MomentumOperator.momentum(a, dim) for a in (1, 2, 3)}
     for (a, b) in ((1, 2), (1, 3), (2, 3)):
         spin = np.zeros((1, 1)) if kind == SCALAR_KIND else cached_spin(dim).entry(a, b)
-        orbital = g[f"J{a}{b}"] - MomentumOperator.from_matrix(const_matrix(spin))
-        expected = compose(x[a], p[b]) - compose(x[b], p[a])
+        orbital = minus(g[f"J{a}{b}"], MomentumOperator.from_matrix(Coefficient.constant(spin)))
+        expected = minus(compose(x[a], p[b]), compose(x[b], p[a]))
         for pts in (points, points_alt):
             ok, resid = equal_at(orbital, expected, pts)
             assert ok, (kind, a, b, resid)
     for a in (1, 2, 3):
         boost = g[f"J0{a}"]
-        expected = MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), dim) - (
-            compose(x[a], g["P0"]) + compose(g["P0"], x[a])
-        ).scale(0.5)
+        expected = minus(
+            MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), dim),
+            scaled(plus(compose(x[a], g["P0"]), compose(g["P0"], x[a])), 0.5),
+        )
         for pts in (points, points_alt):
             ok, resid = equal_at(_first_order_part(boost), _first_order_part(expected), pts)
             assert ok, (kind, a, resid)
@@ -225,7 +241,7 @@ def test_generators_have_order_at_most_one():
     for kind in ("dirac8", "canonical8", "rep1", "rep2", "rep3"):
         g = build_generators(RepId(kind))
         for name, op in g.items():
-            assert op.order <= 1, (kind, name)
+            assert order(op) <= 1, (kind, name)
             if name.startswith("P") and name != "P0":
                 a = int(name[1])
                 expected = MomentumOperator.momentum(a, g.dim)
@@ -261,18 +277,18 @@ def test_rep3_boost_alternate_form(rep3, points):
     spin coefficient is read as S_0a (gamma0 gamma_k p_k)/E with p4 = m."""
     spin = cached_spin(4)
     basis = cached_basis(4)
-    h_mat = None
-    for k in range(1, 5):
-        coeff = basis.gamma0 @ basis.gamma(k)
-        factor = Var(f"p{k}") if k < 4 else MASS
-        term = mat_scale(const_matrix(coeff), factor)
-        h_mat = term if h_mat is None else mat_add(h_mat, term)
+    h_mat = Coefficient(
+        [basis.gamma0 @ basis.gamma(k) for k in range(1, 5)],
+        [Var(f"p{k}") if k < 4 else MASS for k in range(1, 5)],
+    )
     for a in (1, 2, 3):
-        alt_spin = mat_map(mat_mul(const_matrix(spin.entry(0, a)), h_mat), lambda e: div(e, E))
-        alt = (
-            MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), 4)
-            - compose(MomentumOperator.position(a, 4), MomentumOperator.scalar(E, 4))
-            + MomentumOperator.from_matrix(alt_spin)
+        alt_spin = h_mat.lmul(spin.entry(0, a)).scale(div(1, E))
+        alt = plus(
+            minus(
+                MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), 4),
+                compose(position(a, 4), MomentumOperator.scalar(E, 4)),
+            ),
+            MomentumOperator.from_matrix(alt_spin),
         )
         ok, resid = equal_at(rep3[f"J0{a}"], alt, points)
         assert ok, (a, resid)
