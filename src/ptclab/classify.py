@@ -10,20 +10,26 @@ the linear condition
 per derivative multi-index and per sample point.  All variables are real and
 the energy E is even, so the coefficient of R G R^-1 at a point x is read off
 the coefficient of G at the reflected point eta.x: it is
-[conj] coeff(eta.x) * eta_p^|alpha|.  Each generator is therefore evaluated
-once per reflection signature (eta_p, eta_t, eta_m), shared by every
-operator classified on the same sample set.
+[conj] coeff(eta.x) * eta_p^|alpha|.  The scalars of each generator's
+coefficients are therefore evaluated once per reflection signature
+(eta_p, eta_t, eta_m), shared by every operator classified on the same
+sample set.
 
 Stacking all conditions gives one homogeneous system A on the d^2 entries
-of q.  It is never formed.  Its rows are linear in the coefficient pairs, so
-A^H A depends only on their Gram matrix over the samples, and each
-multi-index's samples compress to as many rows as that Gram matrix has
-numerical rank.  The rank decision is an SVD of the d^2 x d^2 QR factor R of
-the rows of the compressed samples: R^H R = A^H A, so R has the singular
-values and right singular vectors of A.  The symmetry holds iff
-the nullspace contains an invertible element.  Rank decisions use a singular
-value threshold with a guard band: anything ambiguous is flagged instead of
-silently classified.
+of q.  It is never formed.  Every coefficient is a sum of K constant
+matrices times scalars, so a block's pairs over the n samples are an n x 2K
+scalar matrix times constant pairs; A^H A depends only on their Gram
+matrix, and the QR factor of the scalar matrix compresses the samples to at
+most 2K rows, then to the numerical rank of that Gram matrix.  The
+coefficient matrices are products of Pauli-type tensors, so each row
+touches a few entries of q, and q's entries split, once per generator set,
+into blocks that no row crosses.  The rank decision is an SVD of a
+d^2 x d^2 factor R assembled from one QR factor per block: R^H R = A^H A, so
+R has the singular values and right singular vectors of A.  The symmetry
+holds iff the nullspace contains an invertible element.  Rank decisions use
+a singular value threshold with a guard band: anything ambiguous is flagged
+instead of silently classified, and so is a nullspace whose invertible
+element misses the residual tolerance.
 
 Witnesses are built in closed form.  If q0 is one invertible element of the
 nullspace N, then N = C q0, where C is the commutant of the generators'
@@ -43,12 +49,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .clifford import cached_spin
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
-from .operators import FlagTransform, eval_operator, index_order
+from .operators import FlagTransform, eval_scalars, index_order
 from .sampling import (
     DEFAULT_RANK_TOL,
     DEFAULT_SEED,
@@ -130,8 +138,8 @@ IDENTITY_REFLECTION = (1, 1, 1)
 
 
 class _SampleSet(list):
-    """Sample points that keep each generator set's coefficients at their
-    reflected copies, so every operator classified on them shares one
+    """Sample points that keep each generator set's coefficient scalars at
+    their reflected copies, so every operator classified on them shares one
     evaluation per reflection signature (eta_p, eta_t, eta_m)."""
 
     def __init__(self, points):
@@ -139,7 +147,7 @@ class _SampleSet(list):
         if not self:
             raise ValueError("classification needs at least one sample point")
         self.env = env_arrays(self)
-        self._coeffs = {}  # (generator set, signature) -> name -> alpha -> (n, d, d)
+        self._scalars = {}  # (generator set, signature) -> name -> alpha -> (n, K)
 
     @classmethod
     def of(cls, points) -> "_SampleSet":
@@ -147,7 +155,7 @@ class _SampleSet(list):
 
     def reflected(self, g: GeneratorSet, eta: tuple) -> dict:
         key = (g, eta)
-        if key not in self._coeffs:
+        if key not in self._scalars:
             eta_p, eta_t, eta_m = eta
             env = dict(
                 self.env,
@@ -157,30 +165,112 @@ class _SampleSet(list):
                 t=eta_t * self.env["t"],
                 m=eta_m * self.env["m"],
             )
-            self._coeffs[key] = {
-                name: eval_operator(gen, env, derivatives=False).coeffs
-                for name, gen in g.items()
-            }
-        return self._coeffs[key]
+            self._scalars[key] = {name: eval_scalars(gen, env) for name, gen in g.items()}
+        return self._scalars[key]
 
 
-def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, samples: _SampleSet) -> np.ndarray:
-    """The pairs (flagged coeff, sign * coeff) of every (generator, multi-index)
-    block at every sample, shape (blocks, n, 2, d, d); the flagged ones are
-    read off the reflected-point evaluations."""
+class _ColumnBlocks(NamedTuple):
+    """A partition of q's d^2 entries (row-major) that no constraint row
+    crosses.  Blocks of equal size form one group, an int array (blocks,
+    size) of their entries; blocks are numbered group after group."""
+
+    owner: np.ndarray  # (d^2,) block number of each entry
+    local: np.ndarray  # (d^2,) position of each entry in its block
+    groups: tuple
+
+
+class _ConstraintBlocks(NamedTuple):
+    """The pairs (flagged coeff, sign * coeff) of every (generator,
+    multi-index) block at every sample s, as sum_j scalars[:, s, j] * mats[:, j]."""
+
+    scalars: np.ndarray  # (blocks, n, J)
+    mats: np.ndarray  # (blocks, J, 2, d, d)
+    columns: _ColumnBlocks
+
+
+def _kronecker_terms(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(row, entry, value) triplets of the rows of q a_n - b_n q on the d^2
+    entries of q (row-major), one per nonzero of a or b: row (n, i, k) holds
+    a_lk at q_il and -b_ij at q_jk.  Values that share a row and an entry
+    add up."""
+    d = a.shape[-1]
+    free = np.arange(d)[:, None]
+    n, l, k = np.nonzero(a)
+    left = ((n * d + free) * d + k, free * d + l, np.broadcast_to(a[n, l, k], (d, len(n))))
+    n, i, j = np.nonzero(b)
+    right = ((n * d + i) * d + free, j * d + free, np.broadcast_to(-b[n, i, j], (d, len(n))))
+    return tuple(np.concatenate([x.ravel(), y.ravel()]) for x, y in zip(left, right))
+
+
+def _column_blocks(supports: np.ndarray) -> _ColumnBlocks:
+    """The blocks of q's entries from the nonzero pattern P of every
+    coefficient, shape (coefficients, d, d).
+
+    A row of q A - B q touches the entries where its row of
+    I kron P^T + P kron I is nonzero.  Entries that share a row are linked;
+    the blocks are the classes of the transitive closure, found by passing
+    the smallest entry index along rows until no label changes.
+    """
+    d = supports.shape[-1]
+    pattern = supports.astype(int)
+    rows, entries, _ = _kronecker_terms(pattern, pattern)
+    labels = np.arange(d * d)
+    while True:
+        smallest = np.full(rows.max(initial=-1) + 1, d * d)
+        np.minimum.at(smallest, rows, labels[entries])
+        spread = labels.copy()
+        np.minimum.at(spread, entries, smallest[rows])
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    roots = np.flatnonzero(labels == np.arange(d * d))
+    classes = labels == roots[:, None]
+    sizes = classes.sum(axis=1)
+    owner = np.empty(d * d, dtype=int)
+    local = np.empty(d * d, dtype=int)
+    groups = []
+    numbered = 0
+    for size in sorted(set(sizes.tolist())):
+        members = np.nonzero(classes[sizes == size])[1].reshape(-1, size)
+        owner[members] = numbered + np.arange(len(members))[:, None]
+        local[members] = np.arange(size)
+        numbered += len(members)
+        groups.append(members)
+    return _ColumnBlocks(owner, local, tuple(groups))
+
+
+@lru_cache(maxsize=None)
+def _generator_columns(g: GeneratorSet) -> _ColumnBlocks:
+    return _column_blocks(
+        np.array([c.mats.any(axis=0) for gen in g.ops.values() for c in gen.terms.values()])
+    )
+
+
+def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, samples: _SampleSet) -> _ConstraintBlocks:
+    """Every (generator, multi-index) block in scalar form: the coefficient's
+    K scalars at the reflected points and its matrices for the flagged side,
+    its scalars at the points and sign times its matrices for the plain side,
+    zero-padded to the widest block.  The flagged scalars are read off the
+    reflected-point evaluations."""
     flags = momentum_action(op)
     plain = samples.reflected(g, IDENTITY_REFLECTION)
     flipped = samples.reflected(g, (flags.eta_p, flags.eta_t, flags.eta_m))
     keys = [(name, alpha) for name in g.ops for alpha in sorted(plain[name])]
-    out = np.empty((len(keys), len(samples), 2, g.dim, g.dim), dtype=complex)
-    for k, (name, alpha) in enumerate(keys):
-        a = flipped[name][alpha]
+    width = max(plain[name][alpha].shape[1] for name, alpha in keys)
+    scalars = np.zeros((len(keys), len(samples), 2 * width), dtype=complex)
+    mats = np.zeros((len(keys), 2 * width, 2, g.dim, g.dim), dtype=complex)
+    for c, (name, alpha) in enumerate(keys):
+        terms = g[name].terms[alpha].mats
+        end = len(terms)
         odd = flags.eta_p == -1 and index_order(alpha) % 2 == 1
-        out[k, :, 0] = -a if odd else a
-        out[k, :, 1] = op.generator_sign(name) * plain[name][alpha]
+        scalars[c, :, :end] = -flipped[name][alpha] if odd else flipped[name][alpha]
+        scalars[c, :, width : width + end] = plain[name][alpha]
+        mats[c, :end, 0] = terms
+        mats[c, width : width + end, 1] = op.generator_sign(name) * terms
     if flags.conj:
-        out[:, :, 0] = out[:, :, 0].conj()
-    return out
+        scalars[:, :, :width] = scalars[:, :, :width].conj()
+        mats[:, :width, 0] = mats[:, :width, 0].conj()
+    return _ConstraintBlocks(scalars, mats, _generator_columns(g))
 
 
 def _compressed_samples(blocks: np.ndarray) -> np.ndarray:
@@ -201,33 +291,72 @@ def _compressed_samples(blocks: np.ndarray) -> np.ndarray:
     return z[weight > cut[:, None]]
 
 
-def build_constraints(blocks: np.ndarray) -> np.ndarray:
-    """Triangular factor R (d^2 x d^2) of the stacked linear system A on the
-    d^2 entries of q (row-major vectorization), with R^H R = A^H A, from the
+def _constraint_terms(blocks: _ConstraintBlocks) -> tuple:
+    """The compressed system on the d^2 entries of q as (row, entry, value)
+    triplets; values that share a row and an entry add up.
+
+    A block's pairs are its scalar matrix C (n x J) times its constant pairs
+    V, so their Gram matrix V^H C^H C V is that of R V, with R the QR factor
+    of C: at most J rows, which `_compressed_samples` then cuts to the
+    block's numerical rank.  Each row z = (A, sign B) gives the d^2 rows of
+    q A - sign B q.
+    """
+    scalars, mats, _ = blocks
+    count, width, _, d, _ = mats.shape
+    r = np.linalg.qr(scalars, mode="r")
+    z = _compressed_samples((r @ mats.reshape(count, width, -1)).reshape(count, -1, 2, d, d))
+    return _kronecker_terms(z[:, : d * d].reshape(-1, d, d), z[:, d * d :].reshape(-1, d, d))
+
+
+def build_constraints(blocks: _ConstraintBlocks) -> np.ndarray:
+    """A d^2 x d^2 factor R of the stacked linear system A on the d^2
+    entries of q (row-major vectorization), with R^H R = A^H A, from the
     constraint blocks of `_constraint_blocks`.
 
     R has the singular values and right singular vectors of A.  A's rows at
     one sample are linear in that sample's (A, sign B), so A^H A depends only
-    on the Gram matrix of those pairs, and the compressed samples stand in
-    for all of them.  The weight they drop moves no singular value of A by
-    more than sqrt(2) * COMPRESSION_TOL times the norm of all the pairs.
+    on the Gram matrix of those pairs, and the compressed rows of
+    `_constraint_terms` stand in for all of them.  The weight they drop moves
+    no singular value of A by more than sqrt(2) * COMPRESSION_TOL times the
+    norm of all the pairs.  No row crosses a block of `blocks.columns`, so
+    A^H A is block diagonal: each block's rows are gathered into a dense
+    stack, one batched QR per block size factors them, and R holds each
+    factor on its block's columns, in as many of its block's rows as the
+    factor has.
     """
-    d = blocks.shape[-1]
-    z = _compressed_samples(blocks)
-    a = z[:, : d * d].reshape(-1, d, d)
-    b = z[:, d * d :].reshape(-1, d, d)
-    # vec(q A) = (I kron A^T) vec(q); vec(B q) = (B kron I) vec(q)
-    eye = np.eye(d)
-    rows = np.einsum("ij,nlk->nikjl", eye, a) - np.einsum("nij,kl->nikjl", b, eye)
-    rows = rows.reshape(-1, d * d)
-    r = np.linalg.qr(rows[rows.any(axis=1)], mode="r")
-    if r.shape[0] < d * d:
-        r = np.concatenate([r, np.zeros((d * d - r.shape[0], d * d))])
+    rows, entries, values = _constraint_terms(blocks)
+    owner, local, groups = blocks.columns
+    block = owner[entries]
+    home = np.full(rows.max(initial=-1) + 1, -1)  # the block of each row
+    home[rows] = block
+    used = np.flatnonzero(home >= 0)
+    # each block numbers its rows 0, 1, ... in order
+    seen = np.cumsum(home[used, None] == np.arange(owner.max() + 1), axis=0)
+    slot = np.empty_like(home)
+    slot[used] = seen[np.arange(len(used)), home[used]] - 1
+    heights = np.bincount(home[used], minlength=owner.max() + 1)
+    r = np.zeros((len(owner), len(owner)), dtype=complex)
+    first = 0
+    for members in groups:
+        count, size = members.shape
+        height = int(np.max(heights[first : first + count]))
+        stack = np.zeros((count, height, size), dtype=complex)
+        mine = (block >= first) & (block < first + count)
+        np.add.at(
+            stack, (block[mine] - first, slot[rows[mine]], local[entries[mine]]), values[mine]
+        )
+        factor = np.linalg.qr(stack, mode="r")
+        r[members[:, : factor.shape[1], None], members[:, None, :]] = factor
+        first += count
     return r
 
 
-def _witness_residual(q: np.ndarray, blocks: np.ndarray) -> float:
-    return float(np.max(np.abs(q @ blocks[:, :, 0] - blocks[:, :, 1] @ q)))
+def _witness_residual(q: np.ndarray, blocks: _ConstraintBlocks) -> float:
+    """max over blocks and samples of |q A - sign B q|, summed term by term:
+    q A - sign B q = sum_j scalars_j (q V_j0 - V_j1 q)."""
+    scalars, mats, _ = blocks
+    terms = q @ mats[:, :, 0] - mats[:, :, 1] @ q
+    return float(np.max(np.abs(scalars @ terms.reshape(*terms.shape[:2], -1))))
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +393,15 @@ def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
 
 def _select_witness(basis, blocks, rng, tol):
     """(witness, residual, involution scale) from an orthonormal basis of the
-    nullspace N, or (None, None, None) when no invertible element turns up.
+    nullspace N; (None, residual, None) when the invertible element found
+    misses tol, and (None, None, None) when no invertible element turns up.
 
     One d x d complex Gaussian is drawn and projected orthogonally onto N, so
     the element depends on N and not on the basis that spans it.  Its polar
     factor q0 is unitary and still in N, w = q0^2 is a unitary element of the
     commutant that commutes with q0, and q = w^(-1/2) q0 is a unitary element
     of N with q^2 = 1.  If q fails validation, the projected element is
-    reported without an involution scale.
+    reported without an involution scale, if its residual is below tol.
     """
     d = basis[0].shape[0]
     flat = np.reshape(basis, (len(basis), d * d))
@@ -287,7 +417,8 @@ def _select_witness(basis, blocks, rng, tol):
             return q, residual, lam
     raw = _normalized(raw)
     if abs(np.linalg.det(raw)) > DET_TOL:
-        return raw, _witness_residual(raw, blocks), None
+        residual = _witness_residual(raw, blocks)
+        return (raw if residual < tol else None), residual, None
     return None, None, None
 
 
@@ -346,6 +477,8 @@ def classify(
             [seed, zlib.crc32(g.rep.kind.encode()), zlib.crc32(op.name.encode())]
         )
         witness, residual, scale = _select_witness(basis, blocks, rng, tol)
+        # an invertible element whose residual misses tol decides nothing
+        indeterminate = witness is None and residual is not None
     return ClassificationResult(
         g.rep.kind, op.name, witness is not None, indeterminate, len(basis),
         witness, residual, scale, float(singular[-1]), sigma_max,

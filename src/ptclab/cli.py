@@ -307,6 +307,8 @@ def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
             print(f"  witness residual {result.residual:.3e}")
             if result.involution_scale is not None:
                 print(f"  witness squares to {result.involution_scale:.6g} * identity")
+        elif result.residual is not None:
+            print(f"  witness residual {result.residual:.3e} is not below tol {config.tol:g}")
         else:
             print(f"  smallest singular value {result.smallest_singular_value:.3e}")
     return EXIT_INDETERMINATE if result.indeterminate else EXIT_OK

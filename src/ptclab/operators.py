@@ -5,9 +5,10 @@ multi-indices in (p1, p2, p3).  A coefficient is a `Coefficient`: a stack of
 constant matrices M_k and a tuple of scalar expressions x_k, meaning
 sum_k M_k x_k.  The package builds every generator in closed form from sums,
 scalar scalings and constant left factors of coefficients, and computes with
-them numerically: `eval_operator` evaluates the coefficients
-(and their p-derivatives) over a batch of sample points, and
-`bracket_eval` forms commutators of order <= 1 operators from those values.
+them numerically: `eval_operator` evaluates the coefficients (and their
+p-derivatives) over a batch of sample points, `eval_scalars` only their
+scalars, and `bracket_eval` forms commutators of order <= 1 operators from
+those values.
 `FlagTransform` is the signature of a discrete substitution map.
 """
 
@@ -84,6 +85,13 @@ class Coefficient:
         terms = [(k, dx) for k, dx in terms if not (isinstance(dx, Const) and dx.value == 0)]
         return Coefficient(self.mats[[k for k, _ in terms]], [dx for _, dx in terms])
 
+    def values(self, env, memo) -> np.ndarray:
+        """The K scalars over a batch of samples, shape (n, K)."""
+        out = np.empty(np.shape(env["p1"]) + (len(self.scalars),), dtype=complex)
+        for k, x in enumerate(self.scalars):
+            out[..., k] = x.eval(env, memo)
+        return out
+
     def eval(self, env, memo=None) -> np.ndarray:
         """Shape (n, d, d) for array envs, (d, d) for scalar ones."""
         if memo is None:
@@ -156,6 +164,13 @@ def eval_operator(g: MomentumOperator, env, derivatives: bool = True) -> Evaluat
             for k in range(3):
                 dcoeffs[(k, alpha)] = c.diff(f"p{k + 1}").eval(env, memo)
     return EvaluatedOperator(g.dim, coeffs, dcoeffs)
+
+
+def eval_scalars(g: MomentumOperator, env) -> dict:
+    """Index -> the scalars of that coefficient over a batch of samples, (n, K);
+    the matrices stay in g.terms[alpha].mats."""
+    memo = {}
+    return {alpha: c.values(env, memo) for alpha, c in g.terms.items()}
 
 
 def compose_eval(a: EvaluatedOperator, b: EvaluatedOperator) -> dict:

@@ -21,7 +21,7 @@ DEFAULT_RANK_TOL = 1e-8
 RANK_GUARD = 10.0
 # below this the guard band's lower edge sinks under rounding noise, and a
 # nullspace's singular values would pass silently as nonzero
-MIN_RANK_TOL = RANK_GUARD * np.finfo(float).eps
+MIN_RANK_TOL = RANK_GUARD * float(np.finfo(float).eps)
 MOMENTUM_RANGE = 2.0
 MIN_COMPONENT = 1e-3
 
@@ -95,7 +95,7 @@ def check_settings(seed=None, samples=None, tol=None, rank_tol=None):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if rank_tol is not None and not MIN_RANK_TOL <= rank_tol < 1:
         raise ValueError(
-            f"rank_tol must be in [{MIN_RANK_TOL:.3g}, 1), got {rank_tol!r}"
+            f"rank_tol must be in [{MIN_RANK_TOL!r}, 1), got {rank_tol!r}"
         )
 
 

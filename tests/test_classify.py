@@ -13,8 +13,12 @@ from ptclab.classify import (
     OP_ORDER,
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
+    _column_blocks,
     _compressed_samples,
     _constraint_blocks,
+    _constraint_terms,
+    _ConstraintBlocks,
+    _generator_columns,
     _inverse_sqrt,
     _SampleSet,
     _select_witness,
@@ -111,6 +115,25 @@ def _oracle_blocks(g, op, points):
     return blocks
 
 
+def _pairs(blocks):
+    """The per-sample pairs (blocks, n, 2, d, d) of the scalar block form,
+    summed term by term in the order Coefficient.eval sums them."""
+    scalars, mats, _ = blocks
+    out = np.zeros(scalars.shape[:2] + mats.shape[2:], dtype=complex)
+    for j in range(scalars.shape[2]):
+        out += scalars[:, :, j, None, None, None] * mats[:, None, j]
+    return out
+
+
+def _blocks_from_pairs(pairs):
+    """The scalar block form of per-sample pairs (blocks, n, 2, d, d): one
+    scalar per sample, 1 at its own sample and 0 elsewhere."""
+    pairs = np.asarray(pairs, dtype=complex)
+    count, n = pairs.shape[:2]
+    scalars = np.broadcast_to(np.eye(n), (count, n, n))
+    return _ConstraintBlocks(scalars, pairs, _column_blocks(pairs.any(axis=(1, 2))))
+
+
 def _stacked_system(blocks, d):
     """Every row of every block at every sample, uncompressed."""
     eye = np.eye(d)
@@ -135,8 +158,9 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
         op = get_op(name)
         oracle = _oracle_blocks(g, op, samples)
         blocks = _constraint_blocks(g, op, samples)
-        assert len(blocks) == len(oracle)
-        for block, (a0, b0, sign0) in zip(blocks, oracle):
+        pairs = _pairs(blocks)
+        assert len(pairs) == len(oracle)
+        for block, (a0, b0, sign0) in zip(pairs, oracle):
             a, signed_b = block[:, 0], block[:, 1]
             scale = max(1.0, float(np.max(np.abs(a0))))
             assert np.max(np.abs(a - a0)) <= 1e-14 * scale, (kind, name)
@@ -150,16 +174,63 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
         assert table.rows[name].result.nullspace_dim == expected_dim, (kind, name)
 
 
+def test_column_blocks_of_each_set():
+    """Every coefficient is a sum of Pauli tensor products, so the entries of
+    q split into independent blocks: 16 of 4 on canonical8, 4 of 16 on
+    dirac8 and 4 of 4 on the four-component sets."""
+    expected = {
+        "dirac8": (4, 16), "canonical8": (16, 4), "rep1": (4, 4), "rep2": (4, 4), "rep3": (4, 4),
+    }
+    for kind, (count, size) in expected.items():
+        columns = _generator_columns(build_generators(RepId(kind)))
+        assert [members.shape for members in columns.groups] == [(count, size)], kind
+        members = columns.groups[0]
+        assert sorted(members.ravel().tolist()) == list(range(count * size)), kind
+        assert np.array_equal(columns.owner[members], np.arange(count)[:, None].repeat(size, 1))
+        assert np.array_equal(columns.local[members], np.arange(size)[None].repeat(count, 0))
+
+
+@pytest.mark.parametrize("count", [1, 2, 20])
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_blockwise_factor_matches_the_stacked_system(kind, count):
+    """No assembled row has nonzeros in two column blocks, and the factor
+    built block by block has the singular values and nullspace dimension of
+    the dense uncompressed system.  With 1 or 2 samples some blocks have
+    fewer rows than columns."""
+    g = build_generators(RepId(kind))
+    samples = _SampleSet(sample_points(count=count))
+    for name in OP_ORDER:
+        op = get_op(name)
+        blocks = _constraint_blocks(g, op, samples)
+        rows, entries, values = _constraint_terms(blocks)
+        nonzero = values != 0
+        rows, entries = rows[nonzero], entries[nonzero]
+        owner = blocks.columns.owner
+        home = np.full(rows.max() + 1, -1)
+        home[rows] = owner[entries]
+        assert np.array_equal(home[rows], owner[entries]), (kind, name)
+
+        dense = np.linalg.svd(
+            _stacked_system(_oracle_blocks(g, op, samples), g.dim), compute_uv=False
+        )
+        factor = build_constraints(blocks)
+        assert factor.shape == (g.dim ** 2, g.dim ** 2)
+        singular = np.linalg.svd(factor, compute_uv=False)
+        assert np.max(np.abs(singular - dense)) <= 1e-12 * dense[0], (kind, name)
+        expected_dim = int(np.sum(dense < DEFAULT_RANK_TOL * dense[0]))
+        assert classify(g, op, samples).nullspace_dim == expected_dim, (kind, name)
+
+
 def test_full_table_evaluates_each_generator_once_per_reflection(monkeypatch, points):
     classify_module = importlib.import_module("ptclab.classify")
     calls = {}
-    original = classify_module.eval_operator
+    original = classify_module.eval_scalars
 
-    def counting(op, env, derivatives=True):
+    def counting(op, env):
         calls[id(op)] = calls.get(id(op), 0) + 1
-        return original(op, env, derivatives)
+        return original(op, env)
 
-    monkeypatch.setattr(classify_module, "eval_operator", counting)
+    monkeypatch.setattr(classify_module, "eval_scalars", counting)
     g = build_generators(RepId("canonical8"))
     full_table(g, points)
     assert set(calls) == {id(gen) for gen in g.ops.values()}
@@ -306,7 +377,10 @@ def test_witnesses_hold_on_held_out_points(kind, points, points_alt):
     for name in invariant:
         q = table.rows[name].result.witness
         blocks = _constraint_blocks(g, get_op(name), held_out)
-        assert _witness_residual(q, blocks) < 1e-9, (kind, name)
+        pairs = _pairs(blocks)
+        residual = np.max(np.abs(q @ pairs[:, :, 0] - pairs[:, :, 1] @ q))
+        assert residual < 1e-9, (kind, name)
+        assert abs(_witness_residual(q, blocks) - residual) <= 1e-14, (kind, name)
         assert np.max(np.abs(g.dim * q @ q.conj().T - eye)) <= 1e-12, (kind, name)
 
 
@@ -360,9 +434,31 @@ def test_singular_nullspace_gives_no_witness():
     the nullspace and the nullspace element itself is singular."""
     a, b = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
     basis = [np.diag([1.0, 0.0])]
-    blocks = np.array([[[a, b]]])
+    blocks = _blocks_from_pairs([[[a, b]]])
     rng = np.random.default_rng(0)
     assert _select_witness(basis, blocks, rng, 1e-9) == (None, None, None)
+
+
+def test_witness_fallback_checks_the_tolerance(rep1, points):
+    """With tol below rounding, neither the constructed witness nor the
+    projected element passes: _select_witness returns no witness but the
+    residual it found, and classify reports indeterminate, not invariant."""
+    samples = _SampleSet(points)
+    blocks = _constraint_blocks(rep1, get_op("C"), samples)
+    _, singular, vh = np.linalg.svd(build_constraints(blocks))
+    basis = list(vh[singular < DEFAULT_RANK_TOL * singular[0]].reshape(-1, 4, 4))
+    assert basis
+    q, residual, scale = _select_witness(basis, blocks, np.random.default_rng(0), 1e-300)
+    assert q is None and scale is None
+    assert 0 < residual < DEFAULT_TOL
+    q, residual, _ = _select_witness(basis, blocks, np.random.default_rng(0), DEFAULT_TOL)
+    assert q is not None and residual < DEFAULT_TOL
+
+    result = classify(rep1, "C", samples, tol=1e-300)
+    assert result.indeterminate and not result.invariant
+    assert result.verdict == "indeterminate"
+    assert result.nullspace_dim >= 1 and result.witness is None
+    assert result.residual > 0
 
 
 def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
@@ -371,7 +467,7 @@ def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
     the nullspace, so J itself is reported without an involution scale."""
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     y = np.diag([1.0, 2.0])
-    blocks = np.array([
+    blocks = _blocks_from_pairs([
         [[jordan, jordan]],
         [[y, jordan @ y @ np.linalg.inv(jordan)]],
     ])
@@ -403,6 +499,24 @@ def test_classification_does_not_import_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_commands_do_not_import_numpy_ma():
+    """numpy's unique() imports numpy.ma on first use, about 18 ms and 2 MB
+    per process; a table and a classify command run without it."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from ptclab.cli import main\n"
+        "for argv in (['table', '--rep', 'dirac8'], ['classify', '--rep', 'rep1', '--op', 'C']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ptclab.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_classify_submodule_is_not_shadowed():

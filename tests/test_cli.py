@@ -84,6 +84,16 @@ def test_classify_indeterminate_exit(capsys):
     assert code == 2
 
 
+def test_classify_unreachable_tolerance_is_indeterminate(capsys):
+    """A nullspace whose invertible element misses tol is no evidence of
+    invariance: the verdict is indeterminate and the exit code 2."""
+    code, payload = run_json(capsys, "classify", "--rep", "rep1", "--op", "C", "--tol", "1e-300")
+    assert code == 2
+    assert payload["verdict"] == "indeterminate"
+    assert payload["nullspace_dim"] >= 1
+    assert payload["witness"] is None and payload["residual"] > 0
+
+
 def test_table_single_rep(capsys):
     code, payload = run_json(capsys, "table", "--rep", "rep1")
     assert code == 0
@@ -181,6 +191,7 @@ def test_seed_env_override(capsys, monkeypatch):
         (("--seed", "-1"), "seed"),
         (("--rank-tol", "1e-300"), "rank_tol"),
         (("--rank-tol", "1e-18"), "rank_tol"),
+        (("--rank-tol", "2.2e-15"), "2.220446049250313e-15"),
     ],
 )
 def test_invalid_setting_is_usage_error(capsys, argv, message):
