@@ -21,11 +21,12 @@ matrices times scalars, so a block's pairs over the n samples are an n x 2K
 scalar matrix times constant pairs; A^H A depends only on their Gram
 matrix, and the QR factor of the scalar matrix compresses the samples to at
 most 2K rows, then to the numerical rank of that Gram matrix.  The
-coefficient matrices are products of Pauli-type tensors, so each row
-touches a few entries of q, and q's entries split, once per generator set,
-into blocks that no row crosses.  The rank decision is an SVD of a
-d^2 x d^2 factor R assembled from one QR factor per block: R^H R = A^H A, so
-R has the singular values and right singular vectors of A.  The symmetry
+coefficient matrices are products of Pauli-type tensors, so every
+coefficient is block diagonal over a few classes of the d basis indices,
+and q A = B q splits into one small system per (row class, column class)
+submatrix of q.  The rank decision is an SVD of a d^2 x d^2 factor R
+assembled from one QR factor per submatrix: R^H R = A^H A, so R has the
+singular values and right singular vectors of A.  The symmetry
 holds iff the nullspace contains an invertible element.  Rank decisions use
 a singular value threshold with a guard band: anything ambiguous is flagged
 instead of silently classified, and so is a nullspace whose invertible
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -169,81 +169,24 @@ class _SampleSet(list):
         return self._scalars[key]
 
 
-class _ColumnBlocks(NamedTuple):
-    """A partition of q's d^2 entries (row-major) that no constraint row
-    crosses.  Blocks of equal size form one group, an int array (blocks,
-    size) of their entries; blocks are numbered group after group."""
-
-    owner: np.ndarray  # (d^2,) block number of each entry
-    local: np.ndarray  # (d^2,) position of each entry in its block
-    groups: tuple
-
-
 class _ConstraintBlocks(NamedTuple):
     """The pairs (flagged coeff, sign * coeff) of every (generator,
     multi-index) block at every sample s, as sum_j scalars[:, s, j] * mats[:, j]."""
 
     scalars: np.ndarray  # (blocks, n, J)
     mats: np.ndarray  # (blocks, J, 2, d, d)
-    columns: _ColumnBlocks
 
 
-def _kronecker_terms(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(row, entry, value) triplets of the rows of q a_n - b_n q on the d^2
-    entries of q (row-major), one per nonzero of a or b: row (n, i, k) holds
-    a_lk at q_il and -b_ij at q_jk.  Values that share a row and an entry
-    add up."""
-    d = a.shape[-1]
-    free = np.arange(d)[:, None]
-    n, l, k = np.nonzero(a)
-    left = ((n * d + free) * d + k, free * d + l, np.broadcast_to(a[n, l, k], (d, len(n))))
-    n, i, j = np.nonzero(b)
-    right = ((n * d + i) * d + free, j * d + free, np.broadcast_to(-b[n, i, j], (d, len(n))))
-    return tuple(np.concatenate([x.ravel(), y.ravel()]) for x, y in zip(left, right))
-
-
-def _column_blocks(supports: np.ndarray) -> _ColumnBlocks:
-    """The blocks of q's entries from the nonzero pattern P of every
-    coefficient, shape (coefficients, d, d).
-
-    A row of q A - B q touches the entries where its row of
-    I kron P^T + P kron I is nonzero.  Entries that share a row are linked;
-    the blocks are the classes of the transitive closure, found by passing
-    the smallest entry index along rows until no label changes.
-    """
-    d = supports.shape[-1]
-    pattern = supports.astype(int)
-    rows, entries, _ = _kronecker_terms(pattern, pattern)
-    labels = np.arange(d * d)
-    while True:
-        smallest = np.full(rows.max(initial=-1) + 1, d * d)
-        np.minimum.at(smallest, rows, labels[entries])
-        spread = labels.copy()
-        np.minimum.at(spread, entries, smallest[rows])
-        if np.array_equal(spread, labels):
-            break
-        labels = spread
-    roots = np.flatnonzero(labels == np.arange(d * d))
-    classes = labels == roots[:, None]
-    sizes = classes.sum(axis=1)
-    owner = np.empty(d * d, dtype=int)
-    local = np.empty(d * d, dtype=int)
-    groups = []
-    numbered = 0
-    for size in sorted(set(sizes.tolist())):
-        members = np.nonzero(classes[sizes == size])[1].reshape(-1, size)
-        owner[members] = numbered + np.arange(len(members))[:, None]
-        local[members] = np.arange(size)
-        numbered += len(members)
-        groups.append(members)
-    return _ColumnBlocks(owner, local, tuple(groups))
-
-
-@lru_cache(maxsize=None)
-def _generator_columns(g: GeneratorSet) -> _ColumnBlocks:
-    return _column_blocks(
-        np.array([c.mats.any(axis=0) for gen in g.ops.values() for c in gen.terms.values()])
-    )
+def _index_classes(support: np.ndarray) -> np.ndarray:
+    """The classes (classes, size) of basis indices that no coefficient
+    couples, from the d x d nonzero pattern of all of them: the transitive
+    closure, read off the d-th power of the symmetrized pattern plus the
+    identity.  Classes of unequal size would not stack, and raise."""
+    d = len(support)
+    reach = np.linalg.matrix_power(support | support.T | np.eye(d, dtype=bool), d)
+    # each class once, at its smallest index
+    roots = np.flatnonzero(reach.argmax(axis=1) == np.arange(d))
+    return np.stack([np.flatnonzero(reach[root]) for root in roots])
 
 
 def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, samples: _SampleSet) -> _ConstraintBlocks:
@@ -270,7 +213,7 @@ def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, samples: _SampleSet)
     if flags.conj:
         scalars[:, :, :width] = scalars[:, :, :width].conj()
         mats[:, :width, 0] = mats[:, :width, 0].conj()
-    return _ConstraintBlocks(scalars, mats, _generator_columns(g))
+    return _ConstraintBlocks(scalars, mats)
 
 
 def _compressed_samples(blocks: np.ndarray) -> np.ndarray:
@@ -291,70 +234,43 @@ def _compressed_samples(blocks: np.ndarray) -> np.ndarray:
     return z[weight > cut[:, None]]
 
 
-def _constraint_terms(blocks: _ConstraintBlocks) -> tuple:
-    """The compressed system on the d^2 entries of q as (row, entry, value)
-    triplets; values that share a row and an entry add up.
+def build_constraints(blocks: _ConstraintBlocks) -> np.ndarray:
+    """A d^2 x d^2 factor R, R^H R = A^H A, of the stacked system A on the
+    row-major entries of q, from the blocks of `_constraint_blocks`.
 
-    A block's pairs are its scalar matrix C (n x J) times its constant pairs
-    V, so their Gram matrix V^H C^H C V is that of R V, with R the QR factor
-    of C: at most J rows, which `_compressed_samples` then cuts to the
-    block's numerical rank.  Each row z = (A, sign B) gives the d^2 rows of
-    q A - sign B q.
+    A^H A depends only on the Gram matrix of the pairs (A, sign B), and each
+    block's pairs are its n x J scalar matrix C times constant pairs V, so the
+    QR factor of C and then `_compressed_samples` cut them to the block's
+    numerical rank; the dropped weight moves no singular value of A by more
+    than sqrt(2) * COMPRESSION_TOL times the norm of all the pairs.  Every
+    coefficient is block diagonal over `_index_classes`, so q A = B q splits
+    into q_xy a_y - b_x q_xy per submatrix q_xy of q (row class x, column
+    class y).  One batched QR factors all of them; R holds each factor on
+    its submatrix's columns, in as many of those rows as the factor has.
     """
-    scalars, mats, _ = blocks
+    scalars, mats = blocks
     count, width, _, d, _ = mats.shape
+    classes = _index_classes(mats.any(axis=(0, 1, 2)))
+    m, s = classes.shape
     r = np.linalg.qr(scalars, mode="r")
     z = _compressed_samples((r @ mats.reshape(count, width, -1)).reshape(count, -1, 2, d, d))
-    return _kronecker_terms(z[:, : d * d].reshape(-1, d, d), z[:, d * d :].reshape(-1, d, d))
-
-
-def build_constraints(blocks: _ConstraintBlocks) -> np.ndarray:
-    """A d^2 x d^2 factor R of the stacked linear system A on the d^2
-    entries of q (row-major vectorization), with R^H R = A^H A, from the
-    constraint blocks of `_constraint_blocks`.
-
-    R has the singular values and right singular vectors of A.  A's rows at
-    one sample are linear in that sample's (A, sign B), so A^H A depends only
-    on the Gram matrix of those pairs, and the compressed rows of
-    `_constraint_terms` stand in for all of them.  The weight they drop moves
-    no singular value of A by more than sqrt(2) * COMPRESSION_TOL times the
-    norm of all the pairs.  No row crosses a block of `blocks.columns`, so
-    A^H A is block diagonal: each block's rows are gathered into a dense
-    stack, one batched QR per block size factors them, and R holds each
-    factor on its block's columns, in as many of its block's rows as the
-    factor has.
-    """
-    rows, entries, values = _constraint_terms(blocks)
-    owner, local, groups = blocks.columns
-    block = owner[entries]
-    home = np.full(rows.max(initial=-1) + 1, -1)  # the block of each row
-    home[rows] = block
-    used = np.flatnonzero(home >= 0)
-    # each block numbers its rows 0, 1, ... in order
-    seen = np.cumsum(home[used, None] == np.arange(owner.max() + 1), axis=0)
-    slot = np.empty_like(home)
-    slot[used] = seen[np.arange(len(used)), home[used]] - 1
-    heights = np.bincount(home[used], minlength=owner.max() + 1)
-    r = np.zeros((len(owner), len(owner)), dtype=complex)
-    first = 0
-    for members in groups:
-        count, size = members.shape
-        height = int(np.max(heights[first : first + count]))
-        stack = np.zeros((count, height, size), dtype=complex)
-        mine = (block >= first) & (block < first + count)
-        np.add.at(
-            stack, (block[mine] - first, slot[rows[mine]], local[entries[mine]]), values[mine]
-        )
-        factor = np.linalg.qr(stack, mode="r")
-        r[members[:, : factor.shape[1], None], members[:, None, :]] = factor
-        first += count
-    return r
+    pairs = z.reshape(-1, 2, d, d)[:, :, classes[:, :, None], classes[:, None, :]]
+    eye = np.eye(s)
+    # row (n, i, k) of q_xy a_y - b_x q_xy on entry (j, l) of q_xy
+    left = np.einsum("ij,nylk->ynikjl", eye, pairs[:, 0])
+    right = np.einsum("nxij,kl->xnikjl", pairs[:, 1], eye)
+    systems = (left[None] - right[:, None]).reshape(m * m, -1, s * s)
+    factor = np.linalg.qr(systems, mode="r")
+    members = (classes[:, None, :, None] * d + classes[None, :, None, :]).reshape(m * m, s * s)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[members[:, : factor.shape[1], None], members[:, None, :]] = factor
+    return out
 
 
 def _witness_residual(q: np.ndarray, blocks: _ConstraintBlocks) -> float:
     """max over blocks and samples of |q A - sign B q|, summed term by term:
     q A - sign B q = sum_j scalars_j (q V_j0 - V_j1 q)."""
-    scalars, mats, _ = blocks
+    scalars, mats = blocks
     terms = q @ mats[:, :, 0] - mats[:, :, 1] @ q
     return float(np.max(np.abs(scalars @ terms.reshape(*terms.shape[:2], -1))))
 

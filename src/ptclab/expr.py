@@ -289,7 +289,6 @@ def sqrt(arg) -> Expr:
 
 ZERO = Const(0)
 ONE = Const(1)
-I_UNIT = Const(1j)
 E = Energy()
 P1, P2, P3 = Var("p1"), Var("p2"), Var("p3")
 MASS = Var("m")

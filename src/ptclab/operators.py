@@ -42,8 +42,8 @@ class Coefficient:
 
     Every generator coefficient has this form (Gamma0 Gamma_k p_k, Gamma0 E,
     the boost spin Gamma0 S_ab p_b / E, ...), so a derivative only touches the
-    K scalars and an evaluation is K memoised scalar evaluations and K
-    broadcast multiply-adds.
+    K scalars and an evaluation is K memoised scalar evaluations and one
+    contraction against the matrices.
     """
 
     __slots__ = ("mats", "scalars")
@@ -96,10 +96,7 @@ class Coefficient:
         """Shape (n, d, d) for array envs, (d, d) for scalar ones."""
         if memo is None:
             memo = {}
-        out = np.zeros(np.shape(env["p1"]) + self.mats.shape[1:], dtype=complex)
-        for mat, x in zip(self.mats, self.scalars):
-            out += np.multiply.outer(x.eval(env, memo), mat)
-        return out
+        return np.einsum("...k,kij->...ij", self.values(env, memo), self.mats)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from itertools import product
 import numpy as np
 
 from ptclab.expr import (
-    I_UNIT,
     Add,
     Const,
     Div,
@@ -42,6 +41,7 @@ from ptclab.sampling import env_arrays, sample_points
 
 MAX_ORDER = 2
 PRUNE_TOL = 1e-10
+I_UNIT = Const(1j)
 
 # Generic probe points used to decide whether a coefficient matrix vanishes
 # identically.  Times are nonzero so t-dependent terms cannot hide.

@@ -13,12 +13,10 @@ from ptclab.classify import (
     OP_ORDER,
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
-    _column_blocks,
     _compressed_samples,
     _constraint_blocks,
-    _constraint_terms,
     _ConstraintBlocks,
-    _generator_columns,
+    _index_classes,
     _inverse_sqrt,
     _SampleSet,
     _select_witness,
@@ -118,7 +116,7 @@ def _oracle_blocks(g, op, points):
 def _pairs(blocks):
     """The per-sample pairs (blocks, n, 2, d, d) of the scalar block form,
     summed term by term in the order Coefficient.eval sums them."""
-    scalars, mats, _ = blocks
+    scalars, mats = blocks
     out = np.zeros(scalars.shape[:2] + mats.shape[2:], dtype=complex)
     for j in range(scalars.shape[2]):
         out += scalars[:, :, j, None, None, None] * mats[:, None, j]
@@ -131,7 +129,7 @@ def _blocks_from_pairs(pairs):
     pairs = np.asarray(pairs, dtype=complex)
     count, n = pairs.shape[:2]
     scalars = np.broadcast_to(np.eye(n), (count, n, n))
-    return _ConstraintBlocks(scalars, pairs, _column_blocks(pairs.any(axis=(1, 2))))
+    return _ConstraintBlocks(scalars, pairs)
 
 
 def _stacked_system(blocks, d):
@@ -174,42 +172,47 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
         assert table.rows[name].result.nullspace_dim == expected_dim, (kind, name)
 
 
-def test_column_blocks_of_each_set():
-    """Every coefficient is a sum of Pauli tensor products, so the entries of
-    q split into independent blocks: 16 of 4 on canonical8, 4 of 16 on
-    dirac8 and 4 of 4 on the four-component sets."""
+def test_index_classes_of_each_set():
+    """Every coefficient is a sum of Pauli tensor products, so it is block
+    diagonal over classes of the basis indices: 4 of 2 on canonical8, 2 of 4
+    on dirac8 and 2 of 2 on the four-component sets.  Every operator's
+    constraint blocks give the same classes; classes of unequal size raise."""
     expected = {
-        "dirac8": (4, 16), "canonical8": (16, 4), "rep1": (4, 4), "rep2": (4, 4), "rep3": (4, 4),
+        "dirac8": (2, 4), "canonical8": (4, 2), "rep1": (2, 2), "rep2": (2, 2), "rep3": (2, 2),
     }
-    for kind, (count, size) in expected.items():
-        columns = _generator_columns(build_generators(RepId(kind)))
-        assert [members.shape for members in columns.groups] == [(count, size)], kind
-        members = columns.groups[0]
-        assert sorted(members.ravel().tolist()) == list(range(count * size)), kind
-        assert np.array_equal(columns.owner[members], np.arange(count)[:, None].repeat(size, 1))
-        assert np.array_equal(columns.local[members], np.arange(size)[None].repeat(count, 0))
+    samples = _SampleSet(sample_points(count=2))
+    for kind, shape in expected.items():
+        g = build_generators(RepId(kind))
+        coeffs = np.concatenate([c.mats for gen in g.ops.values() for c in gen.terms.values()])
+        classes = _index_classes(coeffs.any(axis=0))
+        assert classes.shape == shape, kind
+        assert sorted(classes.ravel().tolist()) == list(range(g.dim)), kind
+        same_class = np.zeros((g.dim, g.dim), dtype=bool)
+        for members in classes:
+            same_class[np.ix_(members, members)] = True
+        assert not np.any(coeffs[:, ~same_class]), kind
+        for name in OP_ORDER:
+            mats = _constraint_blocks(g, get_op(name), samples).mats
+            assert np.array_equal(_index_classes(mats.any(axis=(0, 1, 2))), classes), (kind, name)
+        dense = np.ones((g.dim, g.dim), dtype=bool)
+        assert _index_classes(dense).tolist() == [list(range(g.dim))], kind
+    unequal = np.eye(4, dtype=bool)
+    unequal[1, 2] = unequal[2, 3] = True
+    with pytest.raises(ValueError):
+        _index_classes(unequal)
 
 
 @pytest.mark.parametrize("count", [1, 2, 20])
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_blockwise_factor_matches_the_stacked_system(kind, count):
-    """No assembled row has nonzeros in two column blocks, and the factor
-    built block by block has the singular values and nullspace dimension of
-    the dense uncompressed system.  With 1 or 2 samples some blocks have
-    fewer rows than columns."""
+    """The factor built submatrix by submatrix of q has the singular values
+    and nullspace dimension of the dense uncompressed system.  With 1 or 2
+    samples the compressed systems are the smallest."""
     g = build_generators(RepId(kind))
     samples = _SampleSet(sample_points(count=count))
     for name in OP_ORDER:
         op = get_op(name)
         blocks = _constraint_blocks(g, op, samples)
-        rows, entries, values = _constraint_terms(blocks)
-        nonzero = values != 0
-        rows, entries = rows[nonzero], entries[nonzero]
-        owner = blocks.columns.owner
-        home = np.full(rows.max() + 1, -1)
-        home[rows] = owner[entries]
-        assert np.array_equal(home[rows], owner[entries]), (kind, name)
-
         dense = np.linalg.svd(
             _stacked_system(_oracle_blocks(g, op, samples), g.dim), compute_uv=False
         )

@@ -1,7 +1,7 @@
 import pytest
 
 from ptclab.classify import PRIMITIVE_OPS, momentum_action
-from ptclab.expr import E, I_UNIT, P1, div, mul
+from ptclab.expr import E, P1, div, mul
 from ptclab.generators import build_generators
 from ptclab.operators import (
     FlagTransform,
@@ -14,6 +14,7 @@ from ptclab.operators import (
 from ptclab.sampling import env_arrays
 
 from oracles import (
+    I_UNIT,
     OperatorOrderError,
     adjoint,
     apply_flags,
