@@ -4,6 +4,6 @@ relativistic wave equations.
 
 The API lives in the submodules: ptclab.classify, ptclab.generators,
 ptclab.operators, ptclab.clifford, ptclab.labels, ptclab.expr,
-ptclab.sampling, and the command line in ptclab.cli."""
+ptclab.sampling, ptclab.vocabulary, and the command line in ptclab.cli."""
 
 __version__ = "0.1.0"

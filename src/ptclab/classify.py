@@ -49,7 +49,6 @@ is why q may be taken momentum independent in the first place.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,14 +56,14 @@ import numpy as np
 from .clifford import cached_spin
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, eval_scalars, index_order
-from .sampling import (
+from .sampling import env_arrays, sample_points
+from .vocabulary import (
     DEFAULT_RANK_TOL,
     DEFAULT_SEED,
     DEFAULT_TOL,
+    OP_ORDER,
     RANK_GUARD,
     check_settings,
-    env_arrays,
-    sample_points,
 )
 
 SIGN_CLASSES = ("P0", "Pa", "Jab", "J0a")
@@ -74,8 +73,7 @@ DET_TOL = 1e-6
 COMPRESSION_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class DiscreteOpSpec:
+class DiscreteOpSpec(NamedTuple):
     """Flag signature plus the per-generator commute/anticommute table."""
 
     name: str
@@ -114,8 +112,6 @@ PRIMITIVE_OPS = {
 ALL_OPS = dict(PRIMITIVE_OPS)
 ALL_OPS["C"] = compose_ops(PRIMITIVE_OPS["T1"], PRIMITIVE_OPS["T2"], "C")
 ALL_OPS["P1T2"] = compose_ops(PRIMITIVE_OPS["P1"], PRIMITIVE_OPS["T2"], "P1T2")
-
-OP_ORDER = ("P1", "P2", "T1", "T2", "C", "M", "Mt", "Mx", "P1T2")
 
 
 def get_op(name: str) -> DiscreteOpSpec:
@@ -342,8 +338,7 @@ def _select_witness(basis, blocks, rng, tol):
 # classification
 
 
-@dataclass
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     rep: str
     op: str
     invariant: bool
@@ -432,8 +427,7 @@ def paper_expectation(rep_kind: str, op_name: str):
     return None
 
 
-@dataclass
-class TableRow:
+class TableRow(NamedTuple):
     result: ClassificationResult
     expectation: str | None  # None means unstated in the source claims
 
@@ -448,8 +442,7 @@ class TableRow:
         return self.verdict == self.expectation
 
 
-@dataclass
-class ClassificationTable:
+class ClassificationTable(NamedTuple):
     rep: str
     rows: dict  # op name -> TableRow
 
@@ -489,8 +482,7 @@ def full_table(
 # intertwining relations of the eight-component witnesses
 
 
-@dataclass
-class IntertwiningReport:
+class IntertwiningReport(NamedTuple):
     residuals: dict  # relation label -> float or None when not checkable
     missing: list
     tol: float

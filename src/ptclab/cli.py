@@ -1,10 +1,11 @@
-"""Batch front door: self-tests, algebra checks, classification tables and
-label-calculus queries, with deterministic text or JSON output.
+"""The `ptclab` command line: argument parsing, usage errors and output.
 
-JSON schema (version 1): complex numbers are [re, im] pairs, matrices are
-row-major nested lists of such pairs.  Identical configuration produces
-byte-identical JSON.  Exit codes: 0 pass, 1 mismatch or failure,
-2 indeterminate classification, 64 usage error.
+At import this module loads only argparse, json and `ptclab.vocabulary`,
+which holds the names and settings the parser checks.  Each command's
+handler imports the numeric layers it runs, so `ptc`, `--help` and every
+usage error finish without numpy, and `selftest`, `algebra` and `massless`
+never load the classifier.  The user-facing summary, JSON schema and exit
+codes are in DESCRIPTION, which `--help` prints.
 """
 
 from __future__ import annotations
@@ -13,39 +14,27 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
-import numpy as np
-
-from .classify import OP_ORDER, classify, full_table, get_op
-from .clifford import build_basis, cached_basis
-from .generators import (
-    REP_KINDS,
-    build_generators,
-    canonical_transform,
-    charge_check,
-    check_algebra,
-    dirac_hamiltonian8,
-    fs_transform,
-)
-from .labels import (
-    LabelParseError,
-    helicity_check,
-    massless_decompose,
-    massless_pair_count,
-    parse_labels,
-    ptc_complete,
-)
-from .operators import eval_operator
-from .sampling import (
+from .vocabulary import (
     DEFAULT_COUNT,
     DEFAULT_RANK_TOL,
     DEFAULT_SEED,
     DEFAULT_TOL,
+    OP_ORDER,
+    REP_KINDS,
     check_settings,
-    env_arrays,
-    sample_points,
 )
+
+DESCRIPTION = """\
+Batch front door: self-tests, algebra checks, classification tables and
+label-calculus queries, with deterministic text or JSON output.
+
+JSON schema (version 1): complex numbers are [re, im] pairs, matrices are
+row-major nested lists of such pairs.  Identical configuration produces
+byte-identical JSON.  Exit codes: 0 pass, 1 mismatch or failure,
+2 indeterminate classification, 64 usage error.
+"""
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -56,8 +45,7 @@ EXIT_USAGE = 64
 SEED_ENV_VAR = "PTCLAB_SEED"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int = DEFAULT_SEED
     sample_count: int = DEFAULT_COUNT
     tol: float = DEFAULT_TOL
@@ -65,6 +53,8 @@ class RunConfig:
     json_output: bool = False
 
     def points(self):
+        from .sampling import sample_points
+
         return sample_points(count=self.sample_count, seed=self.seed)
 
     def as_dict(self) -> dict:
@@ -82,7 +72,7 @@ def cnum(z) -> list:
 
 
 def cmat(matrix) -> list:
-    return [[cnum(v) for v in row] for row in np.asarray(matrix)]
+    return [[cnum(v) for v in row] for row in matrix]
 
 
 def _emit(payload: dict):
@@ -96,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="ptclab", description=__doc__)
+    parser = _Parser(prog="ptclab", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p):
@@ -156,6 +146,13 @@ def _config(args) -> RunConfig:
 
 
 def _selftest_checks(config: RunConfig) -> list:
+    import numpy as np
+
+    from .clifford import build_basis, cached_basis
+    from .generators import canonical_transform, charge_check, dirac_hamiltonian8, fs_transform
+    from .operators import eval_operator
+    from .sampling import env_arrays, sample_points
+
     checks = []
 
     def record(name, passed, residual=None):
@@ -222,6 +219,9 @@ def cmd_selftest(config: RunConfig) -> int:
 def _generators_json(g, point) -> dict:
     """Every generator's coefficient matrices, per derivative multi-index,
     evaluated at one named sample point."""
+    from .operators import eval_operator
+    from .sampling import env_arrays
+
     env = env_arrays([point])
     out = {
         "sample": {name: getattr(point, name) for name in ("p1", "p2", "p3", "m", "t")},
@@ -236,6 +236,8 @@ def _generators_json(g, point) -> dict:
 
 
 def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
+    from .generators import build_generators, check_algebra
+
     g = build_generators(rep)
     points = config.points()
     if dump_sample is not None and not 0 <= dump_sample < len(points):
@@ -285,6 +287,9 @@ def _result_json(result) -> dict:
 
 
 def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
+    from .classify import classify, get_op
+    from .generators import build_generators
+
     g = build_generators(rep)
     result = classify(
         g, get_op(op), config.points(), rank_tol=config.rank_tol,
@@ -315,6 +320,8 @@ def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
 
 
 def cmd_table(config: RunConfig, rep: str) -> int:
+    from .classify import full_table
+
     reps = ["rep1", "rep2", "rep3", "canonical8"] if rep == "all" else [rep]
     points = config.points()
     tables = {
@@ -365,6 +372,10 @@ def cmd_table(config: RunConfig, rep: str) -> int:
 
 
 def cmd_massless(config: RunConfig) -> int:
+    from .generators import helicity_check
+    from .labels import massless_decompose, massless_pair_count
+    from .sampling import sample_points
+
     labels = massless_decompose()
     pair_count = massless_pair_count()
     report = helicity_check(
@@ -399,7 +410,13 @@ def cmd_massless(config: RunConfig) -> int:
 
 
 def cmd_ptc(config: RunConfig, expression: str) -> int:
-    labels = parse_labels(expression)
+    from .labels import LabelParseError, parse_labels, ptc_complete
+
+    try:
+        labels = parse_labels(expression)
+    except LabelParseError as exc:
+        print(f"ptclab: label error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     verdict = ptc_complete(labels)
     if config.json_output:
         _emit(
@@ -442,11 +459,7 @@ def main(argv=None) -> int:
     if args.command == "massless":
         return cmd_massless(config)
     if args.command == "ptc":
-        try:
-            return cmd_ptc(config, args.labels)
-        except LabelParseError as exc:
-            print(f"ptclab: label error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        return cmd_ptc(config, args.labels)
     raise AssertionError(f"unhandled command {args.command}")
 
 

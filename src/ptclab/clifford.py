@@ -17,8 +17,8 @@ invariants hold with zero floating error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ DELTAS = (
 )
 
 
-@dataclass(frozen=True)
-class CliffordBasis:
+class CliffordBasis(NamedTuple):
     """gamma0 plus four 'spatial' gammas (index 4 pairs with the mass).
 
     For dim 8 `extra` holds the sixth mutually anticommuting element used by
@@ -121,13 +120,16 @@ def _validate(basis: CliffordBasis):
             raise AssertionError("spatial gammas must be anti-hermitian")
 
 
-@dataclass(frozen=True)
 class SpinGenerators:
     """Rotation generators S_mu_nu plus the commuting su(2) triples
-    S_a = (eps_abc S_bc / 2 + S_4a) / 2 and T_a likewise with a minus sign."""
+    S_a = (eps_abc S_bc / 2 + S_4a) / 2 and T_a likewise with a minus sign.
 
-    dim: int
-    table: dict  # (mu, nu) with mu < nu -> ndarray
+    No __slots__: the triples and Casimirs are cached_property values, kept
+    in the instance __dict__."""
+
+    def __init__(self, dim: int, table: dict):
+        self.dim = dim
+        self.table = table  # (mu, nu) with mu < nu -> ndarray
 
     def entry(self, mu: int, nu: int) -> np.ndarray:
         if mu == nu:
@@ -226,14 +228,19 @@ def spectral_projector(matrix: np.ndarray, eigenvalue: float) -> np.ndarray:
     return sel @ sel.conj().T
 
 
-@dataclass(frozen=True)
 class CommutantScan:
-    """Which antisymmetrized bilinears commute with the diagonal Hamiltonian."""
+    """Which antisymmetrized bilinears commute with the diagonal Hamiltonian.
 
-    total: int
-    count: int
-    members: tuple  # index pairs (A, B) into the anticommuting set
-    max_residual: float
+    A plain class, not a NamedTuple: the field `count` would shadow
+    tuple.count."""
+
+    __slots__ = ("total", "count", "members", "max_residual")
+
+    def __init__(self, total: int, count: int, members: tuple, max_residual: float):
+        self.total = total
+        self.count = count
+        self.members = members  # index pairs (A, B) into the anticommuting set
+        self.max_residual = max_residual
 
 
 def commutant_scan(basis: CliffordBasis, points=None) -> CommutantScan:

@@ -20,16 +20,22 @@ a diagonal H and B_a = (S_ab p_b + mass part) / E.  That the Dirac-type set is
 the canonical one conjugated by the diagonalizing unitary is a checked
 property, not the construction.
 
-Structure constants are never copied in by hand: they are fitted once, by
-least squares over samples, from the spinless orbital realization (identity
-matrices, P0 = E) and then imposed on every spinor set.  `check_algebra`
-also checks that every generator is formally self-adjoint.
+Structure constants are never copied in by hand: they are fitted once, all
+45 brackets in one least-squares solve over samples, from the spinless
+orbital realization (identity matrices, P0 = E) and then imposed on every
+spinor set.  `check_algebra` also checks that every generator is formally
+self-adjoint.
+
+Two conserved operators are checked against the sets here as well: gamma0
+commutes with every generator of rep3 (`charge_check`), and the helicity
+operators S.p/E and T.p/E commute with every canonical eight-component
+generator exactly at m = 0 (`helicity_check`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +50,9 @@ from .operators import (
     eval_operator,
     max_coeff_residual,
 )
-from .sampling import DEFAULT_TOL, env_arrays, sample_points
+from .sampling import env_arrays, sample_points
+from .vocabulary import DEFAULT_TOL, REP_KINDS
 
-REP_KINDS = ("dirac8", "canonical8", "rep1", "rep2", "rep3")
 # the spinless orbital realization that fixes the structure constants; not one
 # of the wave equations classified
 SCALAR_KIND = "scalar"
@@ -69,18 +75,17 @@ GENERATOR_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class RepId:
-    kind: str
-    energy_sign: int = 1
+class RepId(NamedTuple("RepId", [("kind", str), ("energy_sign", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in REP_KINDS + (SCALAR_KIND,):
-            raise ValueError(f"unknown representation {self.kind!r}")
-        if self.energy_sign not in (1, -1):
+    def __new__(cls, kind, energy_sign=1):
+        if kind not in REP_KINDS + (SCALAR_KIND,):
+            raise ValueError(f"unknown representation {kind!r}")
+        if energy_sign not in (1, -1):
             raise ValueError("energy sign must be +1 or -1")
-        if self.kind not in ("rep1", "rep2", "rep3") and self.energy_sign != 1:
-            raise ValueError(f"{self.kind} does not carry an energy-sign flag")
+        if kind not in ("rep1", "rep2", "rep3") and energy_sign != 1:
+            raise ValueError(f"{kind} does not carry an energy-sign flag")
+        return super().__new__(cls, kind, energy_sign)
 
     @property
     def dim(self) -> int:
@@ -89,10 +94,15 @@ class RepId:
         return 8 if self.kind in ("dirac8", "canonical8") else 4
 
 
-@dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    rep: RepId
-    ops: dict  # name -> MomentumOperator, keys in GENERATOR_NAMES order
+    """The ten generators of one representation; equal and hashed by
+    identity, so a set keys the classifier's per-sample-set caches."""
+
+    __slots__ = ("rep", "ops")
+
+    def __init__(self, rep: RepId, ops: dict):
+        self.rep = rep
+        self.ops = ops  # name -> MomentumOperator, keys in GENERATOR_NAMES order
 
     @property
     def dim(self) -> int:
@@ -221,21 +231,19 @@ def _snap_gaussian(value: complex) -> complex:
     return snapped
 
 
-@lru_cache(maxsize=None)
-def structure_constants() -> dict:
-    """Fit [G_i, G_j] = sum_k c_k G_k on the scalar orbital set.
-
-    Returns a dict keyed by (i, j) with i < j over GENERATOR_NAMES indices,
-    holding the snapped coefficient vector of length ten.
-    """
+def _structure_system():
+    """The scalar orbital fit: the independent pairs (i, j), i < j over
+    GENERATOR_NAMES indices, the matrix whose column k stacks generator k's
+    coefficients over multi-indices and samples, and the matrix whose column
+    stacks the bracket of each pair the same way."""
     env = env_arrays(sample_points(count=24, seed=0x51AB))
-    names = list(GENERATOR_NAMES)
     evaluated = [eval_operator(op, env) for op in scalar_generator_set().ops.values()]
     generators = [ev.coeffs for ev in evaluated]
-    brackets = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            brackets[(i, j)] = bracket_eval(evaluated[i], evaluated[j])
+    brackets = {
+        (i, j): bracket_eval(evaluated[i], evaluated[j])
+        for i in range(len(evaluated))
+        for j in range(i + 1, len(evaluated))
+    }
     alphas = sorted({a for coeffs in generators + list(brackets.values()) for a in coeffs})
     zero = np.zeros(len(env["E"]))
 
@@ -243,22 +251,33 @@ def structure_constants() -> dict:
         return np.concatenate([coeffs[a].ravel() if a in coeffs else zero for a in alphas])
 
     basis_matrix = np.stack([stacked(coeffs) for coeffs in generators], axis=1)
+    rhs = np.stack([stacked(br) for br in brackets.values()], axis=1)
+    return list(brackets), basis_matrix, rhs
+
+
+@lru_cache(maxsize=None)
+def structure_constants() -> dict:
+    """Fit [G_i, G_j] = sum_k c_k G_k on the scalar orbital set, all 45
+    brackets in one least-squares solve.
+
+    Returns a dict keyed by (i, j) with i < j over GENERATOR_NAMES indices,
+    holding the snapped coefficient vector of length ten.
+    """
+    pairs, basis_matrix, rhs = _structure_system()
+    fits, *_ = np.linalg.lstsq(basis_matrix, rhs, rcond=None)
+    residuals = np.max(np.abs(basis_matrix @ fits - rhs), axis=0)
     constants = {}
-    for (i, j), br in brackets.items():
-        rhs = stacked(br)
-        coeffs, *_ = np.linalg.lstsq(basis_matrix, rhs, rcond=None)
-        residual = float(np.max(np.abs(basis_matrix @ coeffs - rhs)))
+    for (i, j), coeffs, residual in zip(pairs, fits.T, residuals):
         if residual > 1e-9:
             raise AssertionError(
-                f"scalar bracket [{names[i]},{names[j]}] does not close "
-                f"(fit residual {residual})"
+                f"scalar bracket [{GENERATOR_NAMES[i]},{GENERATOR_NAMES[j]}] does not close "
+                f"(fit residual {float(residual)})"
             )
         constants[(i, j)] = tuple(_snap_gaussian(c) for c in coeffs)
     return constants
 
 
-@dataclass
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
     rep: str
     residuals: dict  # (name_i, name_j) -> float
     adjoint_residuals: dict  # name -> distance of G from its formal adjoint
@@ -325,8 +344,7 @@ def check_algebra(g: GeneratorSet, points=None, tol: float = DEFAULT_TOL) -> Alg
 # canonical subspaces and the charge remark
 
 
-@dataclass
-class SubspaceReport:
+class SubspaceReport(NamedTuple):
     blocks: list  # (projector, IrrepLabel)
     commutation_residual: float
     complete: bool
@@ -374,8 +392,7 @@ def subspace_decomposition(points=None, tol: float = DEFAULT_TOL) -> SubspaceRep
     return SubspaceReport(blocks, worst, complete)
 
 
-@dataclass
-class ChargeReport:
+class ChargeReport(NamedTuple):
     ok: bool
     max_residual: float
     per_generator: dict
@@ -398,3 +415,68 @@ def charge_check(points=None, tol: float = 1e-10) -> ChargeReport:
         per[name] = worst
     max_residual = max(per.values())
     return ChargeReport(max_residual < tol, max_residual, per)
+
+
+# ---------------------------------------------------------------------------
+# numeric helicity check on the canonical eight-component generators
+
+
+class HelicityReport(NamedTuple):
+    ok: bool
+    max_residual: float
+    per_generator: dict  # name -> (residual of [S.p/E, G], residual of [T.p/E, G])
+    eigenvalue_residual: float
+
+
+def helicity_operator(which: str = "s") -> MomentumOperator:
+    """S_a p_a / E (or T_a p_a / E) on the eight-dimensional space."""
+    spin = cached_spin(8)
+    triple = spin.S if which == "s" else spin.T
+    return MomentumOperator.from_matrix(Coefficient(triple, (P1, P2, P3)).scale(div(1, ENERGY)))
+
+
+def helicity_check(points=None, tol: float = 1e-9) -> HelicityReport:
+    """Check that both helicity operators commute with all ten canonical
+    eight-component generators.
+
+    The generators keep their symbolic mass dependence; evaluating at
+    massless sample points realizes the m = 0 generator set (E = |p|).
+    """
+    genset = build_generators("canonical8")
+    if points is None:
+        points = sample_points(masses=(0.0,))
+    env = env_arrays(points)
+    hs = eval_operator(helicity_operator("s"), env)
+    ht = eval_operator(helicity_operator("t"), env)
+    per = {}
+    worst = 0.0
+    for name, op in genset.ops.items():
+        ev = eval_operator(op, env)
+        rs = _bracket_norm(hs, ev)
+        rt = _bracket_norm(ht, ev)
+        per[name] = (rs, rt)
+        worst = max(worst, rs, rt)
+
+    eig_residual = _helicity_eigen_residual(hs.coeffs[(0, 0, 0)])
+    ok = worst < tol and eig_residual < tol
+    return HelicityReport(ok, worst, per, eig_residual)
+
+
+def _bracket_norm(h, ev) -> float:
+    res = bracket_eval(h, ev)
+    return max(float(np.max(np.abs(mat))) for mat in res.values())
+
+
+def _helicity_eigen_residual(hmat) -> float:
+    """Eigenvalues of S.p/E (its coefficients at each sample) restricted to
+    the S^2 = 3/4 subspace must be +-1/2."""
+    spin = cached_spin(8)
+    proj = spectral_projector(spin.s_squared, 0.75)
+    values, vectors = np.linalg.eigh(proj)
+    basis = vectors[:, values > 0.5]
+    worst = 0.0
+    for k in range(hmat.shape[0]):
+        block = basis.conj().T @ hmat[k] @ basis
+        eigs = np.sort(np.linalg.eigvalsh(block))
+        worst = max(worst, float(np.max(np.abs(eigs - np.array([-0.5, -0.5, 0.5, 0.5])))))
+    return worst

@@ -1,24 +1,18 @@
 """Label-level algebra of the irreducible pieces D^(sign)(s, tau).
 
-Covers the completeness rule for full P, T, C invariance, the spin content
-of a (s, tau) block, the massless helicity decomposition with its pair count,
-and the numeric check that the helicity operators are good symmetries exactly
-at m = 0.
+Pure label calculus over exact fractions: the completeness rule for full
+P, T, C invariance, the spin content of a (s, tau) block, the massless
+helicity decomposition with its pair count, and the text syntax of label
+sums.  It needs no numpy; the numeric check that the helicity operators are
+good symmetries exactly at m = 0 lives in `ptclab.generators`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-
-from .clifford import cached_spin, spectral_projector
-from .expr import E as ENERGY, P1, P2, P3, div
-from .operators import Coefficient, MomentumOperator, bracket_eval, eval_operator
-from .sampling import env_arrays, sample_points
+from typing import NamedTuple
 
 
 def half_integer(value) -> Fraction:
@@ -32,17 +26,18 @@ def _fmt_frac(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True, order=True)
-class IrrepLabel:
-    energy_sign: int
-    s: Fraction
-    tau: Fraction
+class IrrepLabel(
+    NamedTuple("IrrepLabel", [("energy_sign", int), ("s", Fraction), ("tau", Fraction)])
+):
+    """Ordered, hashable and compared as the tuple (energy_sign, s, tau), with
+    s and tau normalized to half-integer Fractions."""
 
-    def __post_init__(self):
-        if self.energy_sign not in (1, -1):
+    __slots__ = ()
+
+    def __new__(cls, energy_sign, s, tau):
+        if energy_sign not in (1, -1):
             raise ValueError("energy sign must be +1 or -1")
-        object.__setattr__(self, "s", half_integer(self.s))
-        object.__setattr__(self, "tau", half_integer(self.tau))
+        return super().__new__(cls, energy_sign, half_integer(s), half_integer(tau))
 
     @property
     def dimension(self) -> int:
@@ -53,17 +48,20 @@ class IrrepLabel:
         return f"D{sign}({_fmt_frac(self.s)},{_fmt_frac(self.tau)})"
 
 
-@dataclass(frozen=True)
-class MasslessLabel:
+class MasslessLabel(
+    NamedTuple(
+        "MasslessLabel",
+        [("energy_sign", int), ("s_helicity", Fraction | None), ("t_helicity", Fraction | None)],
+    )
+):
     """One-dimensional massless piece tagged by a single helicity eigenvalue."""
 
-    energy_sign: int
-    s_helicity: Fraction | None = None
-    t_helicity: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.s_helicity is None) == (self.t_helicity is None):
+    def __new__(cls, energy_sign, s_helicity=None, t_helicity=None):
+        if (s_helicity is None) == (t_helicity is None):
             raise ValueError("exactly one of s_helicity / t_helicity must be set")
+        return super().__new__(cls, energy_sign, s_helicity, t_helicity)
 
     def __str__(self):
         sign = "+" if self.energy_sign > 0 else "-"
@@ -148,75 +146,6 @@ def massless_decompose() -> list:
 def massless_pair_count() -> int:
     """Unordered pairs of distinct one-dimensional pieces."""
     return math.comb(len(massless_decompose()), 2)
-
-
-# ---------------------------------------------------------------------------
-# numeric helicity check on the canonical eight-component generators
-
-
-@dataclass
-class HelicityReport:
-    ok: bool
-    max_residual: float
-    per_generator: dict  # name -> (residual of [S.p/E, G], residual of [T.p/E, G])
-    eigenvalue_residual: float
-
-
-def helicity_operator(which: str = "s") -> MomentumOperator:
-    """S_a p_a / E (or T_a p_a / E) on the eight-dimensional space."""
-    spin = cached_spin(8)
-    triple = spin.S if which == "s" else spin.T
-    return MomentumOperator.from_matrix(Coefficient(triple, (P1, P2, P3)).scale(div(1, ENERGY)))
-
-
-def helicity_check(points=None, tol: float = 1e-9) -> HelicityReport:
-    """Check that both helicity operators commute with all ten canonical
-    eight-component generators.
-
-    The generators keep their symbolic mass dependence; evaluating at
-    massless sample points realizes the m = 0 generator set (E = |p|).
-    """
-    # imported here because generators imports this module for its labels
-    from .generators import build_generators
-
-    genset = build_generators("canonical8")
-    if points is None:
-        points = sample_points(masses=(0.0,))
-    env = env_arrays(points)
-    hs = eval_operator(helicity_operator("s"), env)
-    ht = eval_operator(helicity_operator("t"), env)
-    per = {}
-    worst = 0.0
-    for name, op in genset.ops.items():
-        ev = eval_operator(op, env)
-        rs = _bracket_norm(hs, ev)
-        rt = _bracket_norm(ht, ev)
-        per[name] = (rs, rt)
-        worst = max(worst, rs, rt)
-
-    eig_residual = _helicity_eigen_residual(hs.coeffs[(0, 0, 0)])
-    ok = worst < tol and eig_residual < tol
-    return HelicityReport(ok, worst, per, eig_residual)
-
-
-def _bracket_norm(h, ev) -> float:
-    res = bracket_eval(h, ev)
-    return max(float(np.max(np.abs(mat))) for mat in res.values())
-
-
-def _helicity_eigen_residual(hmat) -> float:
-    """Eigenvalues of S.p/E (its coefficients at each sample) restricted to
-    the S^2 = 3/4 subspace must be +-1/2."""
-    spin = cached_spin(8)
-    proj = spectral_projector(spin.s_squared, 0.75)
-    values, vectors = np.linalg.eigh(proj)
-    basis = vectors[:, values > 0.5]
-    worst = 0.0
-    for k in range(hmat.shape[0]):
-        block = basis.conj().T @ hmat[k] @ basis
-        eigs = np.sort(np.linalg.eigvalsh(block))
-        worst = max(worst, float(np.max(np.abs(eigs - np.array([-0.5, -0.5, 0.5, 0.5])))))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ those values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +103,7 @@ class Coefficient:
 # flag transforms (momentum-space shadow of the discrete substitutions)
 
 
-@dataclass(frozen=True)
-class FlagTransform:
+class FlagTransform(NamedTuple):
     """Signature of a substitution map: p -> eta_p p, t -> eta_t t, m -> eta_m m,
     with optional complex conjugation (antilinear case)."""
 
@@ -118,13 +117,15 @@ class FlagTransform:
 # the operator type
 
 
-@dataclass(frozen=True, eq=False)
 class MomentumOperator:
     """Sum over derivative multi-indices alpha of a Coefficient times
-    d^alpha/dp^alpha."""
+    d^alpha/dp^alpha.  Equal and hashed by identity."""
 
-    dim: int
-    terms: dict  # Index -> Coefficient
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: dict):
+        self.dim = dim
+        self.terms = terms  # Index -> Coefficient
 
     @staticmethod
     def from_matrix(coeff: Coefficient) -> "MomentumOperator":
@@ -143,8 +144,7 @@ class MomentumOperator:
 # ---------------------------------------------------------------------------
 # fast numeric evaluation of operators and their brackets
 
-@dataclass
-class EvaluatedOperator:
+class EvaluatedOperator(NamedTuple):
     """Coefficient matrices (and their p-derivatives) stacked over samples."""
 
     dim: int

@@ -9,25 +9,17 @@ golden outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_SEED = 0x5EED
-DEFAULT_COUNT = 20
-DEFAULT_TOL = 1e-9
-DEFAULT_RANK_TOL = 1e-8
-# a singular value within this factor of the rank threshold is indeterminate
-RANK_GUARD = 10.0
-# below this the guard band's lower edge sinks under rounding noise, and a
-# nullspace's singular values would pass silently as nonzero
-MIN_RANK_TOL = RANK_GUARD * float(np.finfo(float).eps)
+from .vocabulary import DEFAULT_COUNT, DEFAULT_SEED, check_settings
+
 MOMENTUM_RANGE = 2.0
 MIN_COMPONENT = 1e-3
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     p1: float
     p2: float
     p3: float
@@ -73,30 +65,6 @@ def sample_points(
         t = times[(i // len(masses)) % len(times)]
         points.append(Point(float(p[0]), float(p[1]), float(p[2]), float(m), float(t)))
     return points
-
-
-def check_settings(seed=None, samples=None, tol=None, rank_tol=None):
-    """Raise ValueError for a setting outside its range; None skips a check.
-
-    The seed is a non-negative integer (what numpy's generators accept),
-    there is at least one sample, tol is finite and positive, and rank_tol is
-    a fraction of the largest singular value in [MIN_RANK_TOL, 1).
-    """
-    for name, value in (("seed", seed), ("samples", samples)):
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if rank_tol is not None and not MIN_RANK_TOL <= rank_tol < 1:
-        raise ValueError(
-            f"rank_tol must be in [{MIN_RANK_TOL!r}, 1), got {rank_tol!r}"
-        )
 
 
 def env_arrays(points) -> dict:

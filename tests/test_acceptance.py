@@ -27,12 +27,12 @@ from ptclab.generators import (
     check_algebra,
     dirac_hamiltonian8,
     fs_transform,
+    helicity_check,
     subspace_decomposition,
 )
 from ptclab.labels import (
     FOUR_COMPONENT_CONTENTS,
     IrrepLabel,
-    helicity_check,
     massless_decompose,
     massless_pair_count,
     ptc_complete,

@@ -32,7 +32,8 @@ from ptclab.classify import (
 from ptclab.clifford import cached_spin, spectral_projector
 from ptclab.generators import REP_KINDS, RepId, build_generators
 from ptclab.operators import FlagTransform, eval_operator
-from ptclab.sampling import DEFAULT_RANK_TOL, DEFAULT_SEED, DEFAULT_TOL, env_arrays, sample_points
+from ptclab.sampling import env_arrays, sample_points
+from ptclab.vocabulary import DEFAULT_RANK_TOL, DEFAULT_SEED, DEFAULT_TOL
 
 from oracles import apply_flags, equal_at, position, scaled
 

@@ -207,3 +207,52 @@ def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
     assert code == 64
     assert out == ""
     assert "PTCLAB_SEED" in err
+
+
+# ---------------------------------------------------------------------------
+# start-up: each command loads only the layers it runs
+
+
+def _modules_after(*runs):
+    """In a fresh process, import ptclab.cli, run each (argv, exit code)
+    through main, and return the loaded numpy, ptclab and dataclasses modules."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ptclab.cli import main\n"
+        f"for argv, expected in {list(runs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == expected, argv\n"
+        "roots = ('numpy', 'ptclab', 'dataclasses')\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in roots)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(out.stdout))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["ptc", "--labels", "D+(1/2,0)+D-(1/2,0)+D+(0,1/2)+D-(0,1/2)", "--json"], 0),
+        (["--help"], 0),
+        (["table", "--rep", "bogus"], 64),
+    ],
+)
+def test_label_queries_and_usage_errors_load_no_numeric_layer(argv, expected):
+    loaded = _modules_after((argv, expected))
+    assert loaded <= {"ptclab", "ptclab.cli", "ptclab.labels", "ptclab.vocabulary"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["selftest"], ["algebra", "--rep", "rep1"], ["massless"]]
+)
+def test_commands_that_classify_nothing_skip_the_classifier(argv):
+    loaded = _modules_after((argv, 0))
+    assert "ptclab.generators" in loaded
+    assert "ptclab.classify" not in loaded
+
+
+def test_cli_import_generates_no_dataclasses():
+    assert "dataclasses" not in _modules_after()

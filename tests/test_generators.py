@@ -10,12 +10,15 @@ from ptclab.generators import (
     SCALAR_KIND,
     GeneratorSet,
     RepId,
+    _snap_gaussian,
+    _structure_system,
     build_generators,
     canonical_transform,
     charge_check,
     check_algebra,
     dirac_hamiltonian8,
     fs_transform,
+    helicity_check,
     scalar_generator_set,
     structure_constants,
     subspace_decomposition,
@@ -157,6 +160,20 @@ def test_structure_constants_known_entries():
     # boosts close on a rotation
     vec = constants[(idx["J01"], idx["J02"])]
     assert abs(vec[idx["J12"]]) == 1
+
+
+def test_structure_constants_match_the_per_bracket_fit():
+    """The one matrix-right-hand-side solve snaps to exactly what fitting each
+    bracket on its own gives, in the same pair order."""
+    pairs, basis_matrix, rhs = _structure_system()
+    per_bracket = {}
+    for k, pair in enumerate(pairs):
+        coeffs, *_ = np.linalg.lstsq(basis_matrix, rhs[:, k], rcond=None)
+        assert np.max(np.abs(basis_matrix @ coeffs - rhs[:, k])) < 1e-9
+        per_bracket[pair] = tuple(_snap_gaussian(c) for c in coeffs)
+    constants = structure_constants()
+    assert list(constants) == list(per_bracket)
+    assert constants == per_bracket
 
 
 def test_scalar_set_closes(points):
@@ -362,3 +379,19 @@ def test_charge_commutes_with_spin_term_directly(points):
         for a in (1, 2, 3):
             mat = spin.entry(0, a) @ h / pt.energy
             assert np.max(np.abs(q @ mat - mat @ q)) < 1e-12
+
+
+def test_helicity_operators_commute_at_zero_mass(massless_points):
+    report = helicity_check(massless_points)
+    assert report.ok
+    assert report.max_residual < 1e-9
+    assert report.eigenvalue_residual < 1e-9
+
+
+def test_helicity_commutators_fail_at_finite_mass():
+    report = helicity_check(sample_points(masses=(1.0,)))
+    assert not report.ok
+    # the boosts are the offenders; translations commute regardless
+    assert max(r for rs in (report.per_generator[f"J0{a}"] for a in (1, 2, 3)) for r in rs) > 1e-3
+    for a in (1, 2, 3):
+        assert max(report.per_generator[f"P{a}"]) < 1e-12

@@ -13,14 +13,12 @@ from ptclab.labels import (
     LabelParseError,
     MasslessLabel,
     conjugate_partner,
-    helicity_check,
     massless_decompose,
     massless_pair_count,
     parse_labels,
     ptc_complete,
     spin_content,
 )
-from ptclab.sampling import sample_points
 
 Q = Fraction
 
@@ -127,22 +125,6 @@ def test_massless_label_validation():
         MasslessLabel(1, s_helicity=HALF, t_helicity=HALF)
     with pytest.raises(ValueError):
         MasslessLabel(1)
-
-
-def test_helicity_operators_commute_at_zero_mass(massless_points):
-    report = helicity_check(massless_points)
-    assert report.ok
-    assert report.max_residual < 1e-9
-    assert report.eigenvalue_residual < 1e-9
-
-
-def test_helicity_commutators_fail_at_finite_mass():
-    report = helicity_check(sample_points(masses=(1.0,)))
-    assert not report.ok
-    # the boosts are the offenders; translations commute regardless
-    assert max(r for rs in (report.per_generator[f"J0{a}"] for a in (1, 2, 3)) for r in rs) > 1e-3
-    for a in (1, 2, 3):
-        assert max(report.per_generator[f"P{a}"]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
