@@ -7,30 +7,38 @@ the linear condition
 
     q * (R G R^-1) = sign(G) * G * q
 
-per derivative multi-index and per sample point.  All variables are real and
-the energy E is even, so the coefficient of R G R^-1 at a point x is read off
-the coefficient of G at the reflected point eta.x: it is
-[conj] coeff(eta.x) * eta_p^|alpha|.  The scalars of each generator's
-coefficients are therefore evaluated once per reflection signature
-(eta_p, eta_t, eta_m), shared by every operator classified on the same
-sample set.
+per derivative multi-index, for all (p, m, t).  Every coefficient scalar is
+a Laurent polynomial in (p1, p2, p3, m, t, E) (`Expr.laurent`), so each
+(generator, multi-index) block of G, times the even power E^shift that
+clears its negative powers of E and with E^2 reduced to p^2 + m^2, is
+sum_b N_b x^b over distinct monomials x^b = p^a m^beta t^gamma E^k with
+k in {0, 1} (`Coefficient.on_shell`).  1 and E are a basis over the rational
+functions in (p, m, t), so the block vanishes identically iff every N_b
+does.  All variables are real and E is even, so the same block of R G R^-1
+is sum_b eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b x^b over the
+same E^shift, and the condition holds for all (p, m, t) iff one constant
+equation holds per monomial:
 
-Stacking all conditions gives one homogeneous system A on the d^2 entries
-of q.  It is never formed.  Every coefficient is a sum of K constant
-matrices times scalars, so a block's pairs over the n samples are an n x 2K
-scalar matrix times constant pairs; A^H A depends only on their Gram
-matrix, and the QR factor of the scalar matrix compresses the samples to at
-most 2K rows, then to the numerical rank of that Gram matrix.  The
-coefficient matrices are products of Pauli-type tensors, so every
-coefficient is block diagonal over a few classes of the d basis indices,
-and q A = B q splits into one small system per (row class, column class)
-submatrix of q.  The rank decision is an SVD of a d^2 x d^2 factor R
-assembled from one QR factor per submatrix: R^H R = A^H A, so R has the
-singular values and right singular vectors of A.  The symmetry
-holds iff the nullspace contains an invertible element.  Rank decisions use
-a singular value threshold with a guard band: anything ambiguous is flagged
-instead of silently classified, and so is a nullspace whose invertible
-element misses the residual tolerance.
+    q * (eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b) = sign(G) * N_b * q.
+
+That is 34 equations on dirac8 and 40 on every other set.  The monomial
+system is built once per generator set and shared by all nine operators;
+no sample point enters the rank decision.
+
+The matrices are products of Pauli-type tensors, so every N_b is block
+diagonal over a few classes of the d basis indices, and q A = B q splits
+into one small system per (row class, column class) submatrix of q.  The
+rank decision is an SVD of a d^2 x d^2 factor R assembled from one QR
+factor per submatrix: R^H R = A^H A, so R has the singular values and
+right singular vectors of the stacked system A.  The symmetry holds iff the
+nullspace contains an invertible element.  Rank decisions use a singular
+value threshold with a guard band: anything ambiguous is flagged instead of
+silently classified, and so is a nullspace whose invertible element misses
+the residual tolerance.
+
+The sample points feed only that residual: the witness is checked on them,
+block by block, as sum_b x^b E^-shift (q F_b - sign(G) N_b q) with F_b the
+flagged matrix above, so every point is held out from the decision.
 
 Witnesses are built in closed form.  If q0 is one invertible element of the
 nullspace N, then N = C q0, where C is the commutant of the generators'
@@ -49,13 +57,15 @@ is why q may be taken momentum independent in the first place.
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .clifford import cached_spin
+from .expr import monomials
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
-from .operators import FlagTransform, eval_scalars, index_order
+from .operators import FlagTransform, index_order
 from .sampling import env_arrays, sample_points
 from .vocabulary import (
     DEFAULT_RANK_TOL,
@@ -68,9 +78,6 @@ from .vocabulary import (
 
 SIGN_CLASSES = ("P0", "Pa", "Jab", "J0a")
 DET_TOL = 1e-6
-# weight a block's compressed samples may drop, relative to the block's norm:
-# a few rounding errors of its coefficients, far below any rank threshold
-COMPRESSION_TOL = 1e-14
 
 
 class DiscreteOpSpec(NamedTuple):
@@ -130,47 +137,60 @@ def momentum_action(op: DiscreteOpSpec) -> FlagTransform:
 # ---------------------------------------------------------------------------
 # constraint assembly
 
-IDENTITY_REFLECTION = (1, 1, 1)
+
+class _MonomialSystem(NamedTuple):
+    """Every (generator, multi-index) block of a generator set in normal form
+    (`Coefficient.on_shell`): E^shift[c] times block c is
+    sum over its equations e of mats[e] x^exps[e]."""
+
+    mats: np.ndarray  # (equations, d, d)
+    exps: np.ndarray  # (equations, 6), ordered as expr.LAURENT_VARS
+    block: np.ndarray  # (equations,) the block each equation comes from
+    shift: np.ndarray  # (blocks,)
+    # (equations, 3): parities of |a| + |alpha|, gamma and beta for the
+    # monomial p^a m^beta t^gamma E^k of an equation in a block with
+    # multi-index alpha, the exponents of eta_p, eta_t and eta_m in its flag
+    odd: np.ndarray
+    sign_class: np.ndarray  # (equations,) index into SIGN_CLASSES
 
 
-class _SampleSet(list):
-    """Sample points that keep each generator set's coefficient scalars at
-    their reflected copies, so every operator classified on them shares one
-    evaluation per reflection signature (eta_p, eta_t, eta_m)."""
-
-    def __init__(self, points):
-        super().__init__(points)
-        if not self:
-            raise ValueError("classification needs at least one sample point")
-        self.env = env_arrays(self)
-        self._scalars = {}  # (generator set, signature) -> name -> alpha -> (n, K)
-
-    @classmethod
-    def of(cls, points) -> "_SampleSet":
-        return points if isinstance(points, cls) else cls(points)
-
-    def reflected(self, g: GeneratorSet, eta: tuple) -> dict:
-        key = (g, eta)
-        if key not in self._scalars:
-            eta_p, eta_t, eta_m = eta
-            env = dict(
-                self.env,
-                p1=eta_p * self.env["p1"],
-                p2=eta_p * self.env["p2"],
-                p3=eta_p * self.env["p3"],
-                t=eta_t * self.env["t"],
-                m=eta_m * self.env["m"],
-            )
-            self._scalars[key] = {name: eval_scalars(gen, env) for name, gen in g.items()}
-        return self._scalars[key]
+@lru_cache(maxsize=None)
+def _monomial_system(g: GeneratorSet) -> _MonomialSystem:
+    """The blocks of g in GENERATOR_NAMES order, multi-indices sorted within
+    a generator, monomials sorted within a block."""
+    memo = {}
+    shifts, exps, mats, labels = [], [], [], []
+    for name, gen in g.items():
+        sign_class = SIGN_CLASSES.index(GENERATOR_CLASS[name])
+        for alpha in sorted(gen.terms):
+            shift, block_exps, block_mats = gen.terms[alpha].on_shell(memo)
+            labels += [(len(shifts), index_order(alpha), sign_class)] * len(block_exps)
+            shifts.append(shift)
+            exps.append(block_exps)
+            mats.append(block_mats)
+    exps = np.concatenate(exps)
+    block, order, sign_class = np.array(labels, dtype=int).reshape(-1, 3).T
+    odd = np.stack([exps[:, :3].sum(axis=1) + order, exps[:, 4], exps[:, 3]], axis=1) % 2
+    return _MonomialSystem(np.concatenate(mats), exps, block, np.array(shifts), odd, sign_class)
 
 
-class _ConstraintBlocks(NamedTuple):
-    """The pairs (flagged coeff, sign * coeff) of every (generator,
-    multi-index) block at every sample s, as sum_j scalars[:, s, j] * mats[:, j]."""
+def _monomial_pairs(system: _MonomialSystem, op: DiscreteOpSpec) -> np.ndarray:
+    """(equations, 2, d, d): per equation, the flagged matrix
+    eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N and sign(G) N.
 
-    scalars: np.ndarray  # (blocks, n, J)
-    mats: np.ndarray  # (blocks, J, 2, d, d)
+    The coefficient of R G R^-1 at x is [conj] coeff(eta.x) eta_p^|alpha|,
+    all variables are real and E is even, so monomial by monomial it is the
+    flagged matrix times x^b, over the same E^shift as G's own block: the
+    condition q (R G R^-1) = sign(G) G q holds for all (p, m, t) iff
+    q a = b q holds for every pair (a, b)."""
+    flags = momentum_action(op)
+    flipped = np.array([flags.eta_p, flags.eta_t, flags.eta_m]) == -1
+    flag_sign = 1 - 2 * ((system.odd @ flipped) % 2)
+    flagged = system.mats.conj() if flags.conj else system.mats
+    sign = np.array(op.signs)[system.sign_class]
+    return np.stack(
+        [flag_sign[:, None, None] * flagged, sign[:, None, None] * system.mats], axis=1
+    )
 
 
 def _index_classes(support: np.ndarray) -> np.ndarray:
@@ -185,76 +205,24 @@ def _index_classes(support: np.ndarray) -> np.ndarray:
     return np.stack([np.flatnonzero(reach[root]) for root in roots])
 
 
-def _constraint_blocks(g: GeneratorSet, op: DiscreteOpSpec, samples: _SampleSet) -> _ConstraintBlocks:
-    """Every (generator, multi-index) block in scalar form: the coefficient's
-    K scalars at the reflected points and its matrices for the flagged side,
-    its scalars at the points and sign times its matrices for the plain side,
-    zero-padded to the widest block.  The flagged scalars are read off the
-    reflected-point evaluations."""
-    flags = momentum_action(op)
-    plain = samples.reflected(g, IDENTITY_REFLECTION)
-    flipped = samples.reflected(g, (flags.eta_p, flags.eta_t, flags.eta_m))
-    keys = [(name, alpha) for name in g.ops for alpha in sorted(plain[name])]
-    width = max(plain[name][alpha].shape[1] for name, alpha in keys)
-    scalars = np.zeros((len(keys), len(samples), 2 * width), dtype=complex)
-    mats = np.zeros((len(keys), 2 * width, 2, g.dim, g.dim), dtype=complex)
-    for c, (name, alpha) in enumerate(keys):
-        terms = g[name].terms[alpha].mats
-        end = len(terms)
-        odd = flags.eta_p == -1 and index_order(alpha) % 2 == 1
-        scalars[c, :, :end] = -flipped[name][alpha] if odd else flipped[name][alpha]
-        scalars[c, :, width : width + end] = plain[name][alpha]
-        mats[c, :end, 0] = terms
-        mats[c, width : width + end, 1] = op.generator_sign(name) * terms
-    if flags.conj:
-        scalars[:, :, :width] = scalars[:, :, :width].conj()
-        mats[:, :width, 0] = mats[:, :width, 0].conj()
-    return _ConstraintBlocks(scalars, mats)
+def build_constraints(pairs: np.ndarray) -> np.ndarray:
+    """A d^2 x d^2 factor R, R^H R = A^H A, of the system A: q a - b q = 0
+    for every pair (a, b) of pairs (equations, 2, d, d), on the row-major
+    entries of q.
 
-
-def _compressed_samples(blocks: np.ndarray) -> np.ndarray:
-    """Rows z = (vec A, sign vec B) whose Gram matrix is, up to a dropped
-    weight below COMPRESSION_TOL, that of every block's samples.
-
-    Each block's samples are rotated onto the eigenvectors of x x^H, one
-    batched eigh over all blocks, which gathers their weight in as many rows
-    as the block has numerical rank (1 for a block that is the same at every
-    sample: the sample times sqrt(n), none for an all-zero block); the
-    lightest rows, of total norm below COMPRESSION_TOL |x|, are dropped.
-    """
-    x = blocks.reshape(blocks.shape[0], blocks.shape[1], -1)
-    _, u = np.linalg.eigh(x @ x.conj().transpose(0, 2, 1))
-    z = u.conj().transpose(0, 2, 1) @ x
-    weight = np.cumsum(np.sum(np.abs(z) ** 2, axis=2), axis=1)
-    cut = (COMPRESSION_TOL * np.linalg.norm(x, axis=(1, 2))) ** 2
-    return z[weight > cut[:, None]]
-
-
-def build_constraints(blocks: _ConstraintBlocks) -> np.ndarray:
-    """A d^2 x d^2 factor R, R^H R = A^H A, of the stacked system A on the
-    row-major entries of q, from the blocks of `_constraint_blocks`.
-
-    A^H A depends only on the Gram matrix of the pairs (A, sign B), and each
-    block's pairs are its n x J scalar matrix C times constant pairs V, so the
-    QR factor of C and then `_compressed_samples` cut them to the block's
-    numerical rank; the dropped weight moves no singular value of A by more
-    than sqrt(2) * COMPRESSION_TOL times the norm of all the pairs.  Every
-    coefficient is block diagonal over `_index_classes`, so q A = B q splits
+    Every pair is block diagonal over `_index_classes`, so q a = b q splits
     into q_xy a_y - b_x q_xy per submatrix q_xy of q (row class x, column
     class y).  One batched QR factors all of them; R holds each factor on
     its submatrix's columns, in as many of those rows as the factor has.
     """
-    scalars, mats = blocks
-    count, width, _, d, _ = mats.shape
-    classes = _index_classes(mats.any(axis=(0, 1, 2)))
+    d = pairs.shape[-1]
+    classes = _index_classes(pairs.any(axis=(0, 1)))
     m, s = classes.shape
-    r = np.linalg.qr(scalars, mode="r")
-    z = _compressed_samples((r @ mats.reshape(count, width, -1)).reshape(count, -1, 2, d, d))
-    pairs = z.reshape(-1, 2, d, d)[:, :, classes[:, :, None], classes[:, None, :]]
+    sub = pairs[:, :, classes[:, :, None], classes[:, None, :]]
     eye = np.eye(s)
     # row (n, i, k) of q_xy a_y - b_x q_xy on entry (j, l) of q_xy
-    left = np.einsum("ij,nylk->ynikjl", eye, pairs[:, 0])
-    right = np.einsum("nxij,kl->xnikjl", pairs[:, 1], eye)
+    left = np.einsum("ij,nylk->ynikjl", eye, sub[:, 0])
+    right = np.einsum("nxij,kl->xnikjl", sub[:, 1], eye)
     systems = (left[None] - right[:, None]).reshape(m * m, -1, s * s)
     factor = np.linalg.qr(systems, mode="r")
     members = (classes[:, None, :, None] * d + classes[None, :, None, :]).reshape(m * m, s * s)
@@ -263,12 +231,52 @@ def build_constraints(blocks: _ConstraintBlocks) -> np.ndarray:
     return out
 
 
-def _witness_residual(q: np.ndarray, blocks: _ConstraintBlocks) -> float:
-    """max over blocks and samples of |q A - sign B q|, summed term by term:
-    q A - sign B q = sum_j scalars_j (q V_j0 - V_j1 q)."""
-    scalars, mats = blocks
-    terms = q @ mats[:, :, 0] - mats[:, :, 1] @ q
-    return float(np.max(np.abs(scalars @ terms.reshape(*terms.shape[:2], -1))))
+class _HeldOut(NamedTuple):
+    """The constraints at sample points: row r of weights @ (q a_e - b_e q),
+    over the equations e of pairs, is one block's q A - sign B q at one
+    sample."""
+
+    pairs: np.ndarray  # (equations, 2, d, d)
+    weights: np.ndarray  # (blocks * samples, equations), real
+
+
+class _SampleSet(list):
+    """Sample points that keep, per generator set, the weights that sum its
+    monomial equations into each block at each point, x^b / E^shift, shared
+    by every operator classified on them."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        if not self:
+            raise ValueError("classification needs at least one sample point")
+        self.env = env_arrays(self)
+        self._weights = {}  # generator set -> (blocks * n, equations)
+
+    @classmethod
+    def of(cls, points) -> "_SampleSet":
+        return points if isinstance(points, cls) else cls(points)
+
+    def weights(self, g: GeneratorSet) -> np.ndarray:
+        if g not in self._weights:
+            system = _monomial_system(g)
+            shift = system.shift[system.block]
+            values = monomials(system.exps, self.env) * self.env["E"][:, None] ** -shift
+            out = np.zeros((len(system.shift), len(self), len(system.block)))
+            out[system.block, :, np.arange(len(system.block))] = values.T
+            self._weights[g] = out.reshape(-1, len(system.block))
+        return self._weights[g]
+
+
+def _witness_residual(q: np.ndarray, held_out: _HeldOut) -> float:
+    """max over blocks and samples of |q A - sign B q|: the products q a_e
+    and b_e q as two stacked GEMMs, summed into the blocks by one more."""
+    pairs, weights = held_out
+    count, _, d, _ = pairs.shape
+    qa = (q @ pairs[:, 0].transpose(1, 0, 2).reshape(d, count * d)).reshape(d, count, d)
+    bq = pairs[:, 1].reshape(count * d, d) @ q
+    terms = np.ascontiguousarray(qa.transpose(1, 0, 2)) - bq.reshape(count, d, d)
+    sums = weights @ terms.reshape(count, d * d).view(float)
+    return float(np.max(np.abs(sums.view(complex)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +311,7 @@ def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
     return vectors @ (roots[:, None] * np.linalg.inv(vectors))
 
 
-def _select_witness(basis, blocks, rng, tol):
+def _select_witness(basis, held_out, rng, tol):
     """(witness, residual, involution scale) from an orthonormal basis of the
     nullspace N; (None, residual, None) when the invertible element found
     misses tol, and (None, None, None) when no invertible element turns up.
@@ -313,7 +321,8 @@ def _select_witness(basis, blocks, rng, tol):
     factor q0 is unitary and still in N, w = q0^2 is a unitary element of the
     commutant that commutes with q0, and q = w^(-1/2) q0 is a unitary element
     of N with q^2 = 1.  If q fails validation, the projected element is
-    reported without an involution scale, if its residual is below tol.
+    reported without an involution scale, if its residual on held_out is
+    below tol.
     """
     d = basis[0].shape[0]
     flat = np.reshape(basis, (len(basis), d * d))
@@ -323,13 +332,13 @@ def _select_witness(basis, blocks, rng, tol):
     q0 = u @ vh
     q = _normalized(_inverse_sqrt(q0 @ q0) @ q0)
     if abs(np.linalg.det(q)) > DET_TOL:
-        residual = _witness_residual(q, blocks)
+        residual = _witness_residual(q, held_out)
         lam = _involution_scale(q, tol)
         if residual < tol and lam is not None:
             return q, residual, lam
     raw = _normalized(raw)
     if abs(np.linalg.det(raw)) > DET_TOL:
-        residual = _witness_residual(raw, blocks)
+        residual = _witness_residual(raw, held_out)
         return (raw if residual < tol else None), residual, None
     return None, None, None
 
@@ -373,8 +382,8 @@ def classify(
         points = sample_points(seed=seed)
     samples = _SampleSet.of(points)
     d = g.dim
-    blocks = _constraint_blocks(g, op, samples)
-    _, singular, vh = np.linalg.svd(build_constraints(blocks), full_matrices=False)
+    pairs = _monomial_pairs(_monomial_system(g), op)
+    _, singular, vh = np.linalg.svd(build_constraints(pairs), full_matrices=False)
 
     sigma_max = float(singular[0])
     threshold = rank_tol * sigma_max
@@ -387,7 +396,8 @@ def classify(
         rng = np.random.default_rng(
             [seed, zlib.crc32(g.rep.kind.encode()), zlib.crc32(op.name.encode())]
         )
-        witness, residual, scale = _select_witness(basis, blocks, rng, tol)
+        held_out = _HeldOut(pairs, samples.weights(g))
+        witness, residual, scale = _select_witness(basis, held_out, rng, tol)
         # an invertible element whose residual misses tol decides nothing
         indeterminate = witness is None and residual is not None
     return ClassificationResult(

@@ -91,7 +91,11 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=DEFAULT_COUNT)
+        p.add_argument(
+            "--samples", type=int, default=DEFAULT_COUNT,
+            help="sample points; classify and table check only the witness residual "
+            "on them, their rank decision uses none",
+        )
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
         p.add_argument("--json", action="store_true")

@@ -6,10 +6,11 @@ constant matrices M_k and a tuple of scalar expressions x_k, meaning
 sum_k M_k x_k.  The package builds every generator in closed form from sums,
 scalar scalings and constant left factors of coefficients, and computes with
 them numerically: `eval_operator` evaluates the coefficients (and their
-p-derivatives) over a batch of sample points, `eval_scalars` only their
-scalars, and `bracket_eval` forms commutators of order <= 1 operators from
-those values.
-`FlagTransform` is the signature of a discrete substitution map.
+p-derivatives) over a batch of sample points, and `bracket_eval` forms
+commutators of order <= 1 operators from those values.  `Coefficient.on_shell`
+expands a coefficient into constant matrices times distinct monomials, in
+the normal form in which it vanishes on the mass shell iff every matrix is
+zero.  `FlagTransform` is the signature of a discrete substitution map.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import ONE, Const, Var, as_expr, mul
+from .expr import LAURENT_VARS, ONE, Const, Var, as_expr, mul, on_shell
 
 Index = tuple  # (n1, n2, n3) derivative multi-index
 
@@ -98,6 +99,27 @@ class Coefficient:
             memo = {}
         return np.einsum("...k,kij->...ij", self.values(env, memo), self.mats)
 
+    def on_shell(self, memo=None):
+        """(shift, exps, mats): E^shift times this coefficient is
+        sum_b mats[b] x^b on the mass shell, over distinct monomials x^b with
+        exponent rows exps (B, 6), ordered as LAURENT_VARS and sorted, in which
+        E appears to the power 0 or 1.  shift is the smallest even power of E
+        that clears the scalars' negative powers of E (`expr.on_shell`), and
+        zero matrices are dropped, so the coefficient vanishes identically on
+        the mass shell iff B = 0.  `memo` is shared with `Expr.laurent`."""
+        polys = [x.laurent(memo) for x in self.scalars]
+        energy = LAURENT_VARS.index("E")
+        lowest = min((exps[energy] for poly in polys for exps in poly), default=0)
+        shift = max(0, -2 * (lowest // 2))
+        sums = {}
+        for mat, poly in zip(self.mats, polys):
+            for exps, c in on_shell(poly, shift).items():
+                sums[exps] = sums[exps] + c * mat if exps in sums else c * mat
+        keys = sorted(k for k, mat in sums.items() if mat.any())
+        exps = np.array(keys, dtype=int).reshape(-1, len(LAURENT_VARS))
+        mats = np.array([sums[k] for k in keys], dtype=complex).reshape(-1, self.dim, self.dim)
+        return shift, exps, mats
+
 
 # ---------------------------------------------------------------------------
 # flag transforms (momentum-space shadow of the discrete substitutions)
@@ -161,13 +183,6 @@ def eval_operator(g: MomentumOperator, env, derivatives: bool = True) -> Evaluat
             for k in range(3):
                 dcoeffs[(k, alpha)] = c.diff(f"p{k + 1}").eval(env, memo)
     return EvaluatedOperator(g.dim, coeffs, dcoeffs)
-
-
-def eval_scalars(g: MomentumOperator, env) -> dict:
-    """Index -> the scalars of that coefficient over a batch of samples, (n, K);
-    the matrices stay in g.terms[alpha].mats."""
-    memo = {}
-    return {alpha: c.values(env, memo) for alpha, c in g.terms.items()}
 
 
 def compose_eval(a: EvaluatedOperator, b: EvaluatedOperator) -> dict:

@@ -1,7 +1,7 @@
 """Symbolic operator algebra that the tests hold the numeric path to.
 
 The package builds every generator in closed form and computes with it
-numerically (`eval_operator`, `bracket_eval`, reflected-point evaluation).
+numerically (`eval_operator`, `bracket_eval`, the monomial constraint system).
 This module is the independent reference for those numbers: operator
 sums and scalings, the position operator, the full Leibniz-rule composition
 (coefficients multiplied sum by sum), symbolic commutators, formal adjoints,

@@ -1,4 +1,4 @@
-import importlib
+import math
 import os
 import subprocess
 import sys
@@ -13,11 +13,11 @@ from ptclab.classify import (
     OP_ORDER,
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
-    _compressed_samples,
-    _constraint_blocks,
-    _ConstraintBlocks,
+    _HeldOut,
     _index_classes,
     _inverse_sqrt,
+    _monomial_pairs,
+    _monomial_system,
     _SampleSet,
     _select_witness,
     _witness_residual,
@@ -29,13 +29,23 @@ from ptclab.classify import (
     intertwining_check,
     momentum_action,
 )
-from ptclab.clifford import cached_spin, spectral_projector
-from ptclab.generators import REP_KINDS, RepId, build_generators
-from ptclab.operators import FlagTransform, eval_operator
+from ptclab.clifford import cached_basis, cached_spin, spectral_projector
+from ptclab.expr import LAURENT_VARS
+from ptclab.generators import REP_KINDS, GeneratorSet, RepId, build_generators
+from ptclab.operators import (
+    ZERO_INDEX,
+    Coefficient,
+    FlagTransform,
+    MomentumOperator,
+    eval_operator,
+)
 from ptclab.sampling import env_arrays, sample_points
 from ptclab.vocabulary import DEFAULT_RANK_TOL, DEFAULT_SEED, DEFAULT_TOL
 
 from oracles import apply_flags, equal_at, position, scaled
+
+# the five representations and the negative-energy four-component sets
+SETS = [(kind, 1) for kind in REP_KINDS] + [(kind, -1) for kind in ("rep1", "rep2", "rep3")]
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +99,26 @@ def test_subsidiary_position_conditions_hold_identically(points):
 # constraint systems
 
 
-def test_constraint_nullspace_dimensions(rep1, points):
-    samples = _SampleSet(points)
-    mat = build_constraints(_constraint_blocks(rep1, get_op("P1"), samples))
-    sv = np.linalg.svd(mat, compute_uv=False)
+def _pairs_of(g, name):
+    return _monomial_pairs(_monomial_system(g), get_op(name))
+
+
+def test_constraint_nullspace_dimensions(rep1):
+    sv = np.linalg.svd(build_constraints(_pairs_of(rep1, "P1")), compute_uv=False)
     assert np.sum(sv < 1e-8 * sv[0]) == 0  # claim 1: no parity intertwiner
 
-    mat = build_constraints(_constraint_blocks(rep1, get_op("Mx"), samples))
-    sv = np.linalg.svd(mat, compute_uv=False)
+    sv = np.linalg.svd(build_constraints(_pairs_of(rep1, "Mx")), compute_uv=False)
     assert np.sum(sv < 1e-8 * sv[0]) >= 1
+
+
+def test_monomial_equation_counts():
+    """One equation per distinct monomial of every block in normal form: 34
+    on dirac8 and 40 on every other set, summed over 19 blocks."""
+    for kind, sign in SETS:
+        system = _monomial_system(build_generators(RepId(kind, sign)))
+        assert len(system.mats) == (34 if kind == "dirac8" else 40), (kind, sign)
+        assert len(system.shift) == 19, (kind, sign)
+        assert all(m.any() for m in system.mats), (kind, sign)
 
 
 def _oracle_blocks(g, op, points):
@@ -114,27 +135,29 @@ def _oracle_blocks(g, op, points):
     return blocks
 
 
-def _pairs(blocks):
-    """The per-sample pairs (blocks, n, 2, d, d) of the scalar block form,
-    summed term by term in the order Coefficient.eval sums them."""
-    scalars, mats = blocks
-    out = np.zeros(scalars.shape[:2] + mats.shape[2:], dtype=complex)
-    for j in range(scalars.shape[2]):
-        out += scalars[:, :, j, None, None, None] * mats[:, None, j]
+def _evaluated_pairs(system, pairs, points):
+    """The monomial pairs summed into each block at each sample point,
+    (blocks, n, 2, d, d): sum over the block's equations of x^b / E^shift
+    times the pair, with every power taken here, not by the package."""
+    env = env_arrays(points)
+    variables = np.stack([env[name] for name in LAURENT_VARS], axis=1)
+    out = np.zeros((len(system.shift), len(points)) + pairs.shape[1:], dtype=complex)
+    for e, (c, exps) in enumerate(zip(system.block, system.exps)):
+        for i, x in enumerate(variables):
+            weight = math.prod(float(v) ** int(k) for v, k in zip(x, exps))
+            out[c, i] += weight / float(x[-1]) ** int(system.shift[c]) * pairs[e]
     return out
 
 
-def _blocks_from_pairs(pairs):
-    """The scalar block form of per-sample pairs (blocks, n, 2, d, d): one
-    scalar per sample, 1 at its own sample and 0 elsewhere."""
+def _held_out_from_pairs(pairs):
+    """The residual input of constant pairs (equations, 2, d, d): every
+    equation is its own block at one sample."""
     pairs = np.asarray(pairs, dtype=complex)
-    count, n = pairs.shape[:2]
-    scalars = np.broadcast_to(np.eye(n), (count, n, n))
-    return _ConstraintBlocks(scalars, pairs)
+    return _HeldOut(pairs, np.eye(len(pairs)))
 
 
 def _stacked_system(blocks, d):
-    """Every row of every block at every sample, uncompressed."""
+    """Every row of every block at every sample, as one dense matrix."""
     eye = np.eye(d)
     rows = []
     for a, b, sign in blocks:
@@ -147,41 +170,31 @@ def _stacked_system(blocks, d):
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, DEFAULT_SEED + 1])
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_reflected_path_matches_flag_oracle(kind, seed):
-    """Reflected-point blocks, R-factor singular values and nullspace
-    dimensions agree with the apply_flags path and a dense SVD of the full
-    stacked system."""
+    """The monomial pairs, with each flag applied as a sign per monomial and
+    evaluated at the samples, equal the apply_flags blocks: the flagged side
+    within 1e-14 relative, the plain side sign(G) times the coefficient."""
     g = build_generators(RepId(kind))
-    samples = _SampleSet(sample_points(seed=seed))
-    table = full_table(g, samples, seed=seed)
+    system = _monomial_system(g)
+    points = sample_points(seed=seed)
     for name in OP_ORDER:
         op = get_op(name)
-        oracle = _oracle_blocks(g, op, samples)
-        blocks = _constraint_blocks(g, op, samples)
-        pairs = _pairs(blocks)
-        assert len(pairs) == len(oracle)
-        for block, (a0, b0, sign0) in zip(pairs, oracle):
-            a, signed_b = block[:, 0], block[:, 1]
-            scale = max(1.0, float(np.max(np.abs(a0))))
-            assert np.max(np.abs(a - a0)) <= 1e-14 * scale, (kind, name)
-            assert np.array_equal(signed_b, sign0 * b0)
-        dense = np.linalg.svd(_stacked_system(oracle, g.dim), compute_uv=False)
-        factor = build_constraints(blocks)
-        assert factor.shape == (g.dim ** 2, g.dim ** 2)
-        singular = np.linalg.svd(factor, compute_uv=False)
-        assert np.max(np.abs(singular - dense)) <= 1e-12 * dense[0], (kind, name)
-        expected_dim = int(np.sum(dense < DEFAULT_RANK_TOL * dense[0]))
-        assert table.rows[name].result.nullspace_dim == expected_dim, (kind, name)
+        oracle = _oracle_blocks(g, op, points)
+        evaluated = _evaluated_pairs(system, _monomial_pairs(system, op), points)
+        assert len(evaluated) == len(oracle)
+        for block, (a0, b0, sign0) in zip(evaluated, oracle):
+            scale = max(1.0, float(np.max(np.abs(a0))), float(np.max(np.abs(b0))))
+            assert np.max(np.abs(block[:, 0] - a0)) <= 1e-14 * scale, (kind, name)
+            assert np.max(np.abs(block[:, 1] - sign0 * b0)) <= 1e-14 * scale, (kind, name)
 
 
 def test_index_classes_of_each_set():
     """Every coefficient is a sum of Pauli tensor products, so it is block
     diagonal over classes of the basis indices: 4 of 2 on canonical8, 2 of 4
     on dirac8 and 2 of 2 on the four-component sets.  Every operator's
-    constraint blocks give the same classes; classes of unequal size raise."""
+    monomial pairs give the same classes; classes of unequal size raise."""
     expected = {
         "dirac8": (2, 4), "canonical8": (4, 2), "rep1": (2, 2), "rep2": (2, 2), "rep3": (2, 2),
     }
-    samples = _SampleSet(sample_points(count=2))
     for kind, shape in expected.items():
         g = build_generators(RepId(kind))
         coeffs = np.concatenate([c.mats for gen in g.ops.values() for c in gen.terms.values()])
@@ -193,8 +206,8 @@ def test_index_classes_of_each_set():
             same_class[np.ix_(members, members)] = True
         assert not np.any(coeffs[:, ~same_class]), kind
         for name in OP_ORDER:
-            mats = _constraint_blocks(g, get_op(name), samples).mats
-            assert np.array_equal(_index_classes(mats.any(axis=(0, 1, 2))), classes), (kind, name)
+            support = _pairs_of(g, name).any(axis=(0, 1))
+            assert np.array_equal(_index_classes(support), classes), (kind, name)
         dense = np.ones((g.dim, g.dim), dtype=bool)
         assert _index_classes(dense).tolist() == [list(range(g.dim))], kind
     unequal = np.eye(4, dtype=bool)
@@ -207,81 +220,86 @@ def test_index_classes_of_each_set():
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_blockwise_factor_matches_the_stacked_system(kind, count):
     """The factor built submatrix by submatrix of q has the singular values
-    and nullspace dimension of the dense uncompressed system.  With 1 or 2
-    samples the compressed systems are the smallest."""
+    of the dense stacked monomial system, and its nullity is that of the
+    dense system sampled at 20 points.  Fewer samples impose fewer
+    conditions, so the sampled nullity at 1 or 2 points can only be larger;
+    the factor uses no samples."""
     g = build_generators(RepId(kind))
-    samples = _SampleSet(sample_points(count=count))
+    points = sample_points(count=count)
     for name in OP_ORDER:
         op = get_op(name)
-        blocks = _constraint_blocks(g, op, samples)
-        dense = np.linalg.svd(
-            _stacked_system(_oracle_blocks(g, op, samples), g.dim), compute_uv=False
-        )
-        factor = build_constraints(blocks)
+        pairs = _pairs_of(g, name)
+        stacked = _stacked_system([(a[None], b[None], 1) for a, b in pairs], g.dim)
+        exact = np.linalg.svd(stacked, compute_uv=False)
+        factor = build_constraints(pairs)
         assert factor.shape == (g.dim ** 2, g.dim ** 2)
         singular = np.linalg.svd(factor, compute_uv=False)
-        assert np.max(np.abs(singular - dense)) <= 1e-12 * dense[0], (kind, name)
-        expected_dim = int(np.sum(dense < DEFAULT_RANK_TOL * dense[0]))
-        assert classify(g, op, samples).nullspace_dim == expected_dim, (kind, name)
+        assert np.max(np.abs(singular - exact)) <= 1e-12 * exact[0], (kind, name)
+        nullity = int(np.sum(singular < DEFAULT_RANK_TOL * singular[0]))
+        sampled = np.linalg.svd(
+            _stacked_system(_oracle_blocks(g, op, points), g.dim), compute_uv=False
+        )
+        sampled_nullity = int(np.sum(sampled < DEFAULT_RANK_TOL * sampled[0]))
+        if count == 20:
+            assert nullity == sampled_nullity, (kind, name)
+        else:
+            assert nullity <= sampled_nullity, (kind, name)
+        assert classify(g, op, points).nullspace_dim == nullity, (kind, name)
 
 
-def test_full_table_evaluates_each_generator_once_per_reflection(monkeypatch, points):
-    classify_module = importlib.import_module("ptclab.classify")
-    calls = {}
-    original = classify_module.eval_scalars
+def test_full_table_builds_each_monomial_system_once(monkeypatch, points):
+    """Each coefficient of a generator set is put in normal form once, on the
+    first cell classified, and the tables after it reuse the system."""
+    calls = []
+    original = Coefficient.on_shell
 
-    def counting(op, env):
-        calls[id(op)] = calls.get(id(op), 0) + 1
-        return original(op, env)
+    def counting(self, memo=None):
+        calls.append(id(self))
+        return original(self, memo)
 
-    monkeypatch.setattr(classify_module, "eval_scalars", counting)
-    g = build_generators(RepId("canonical8"))
+    monkeypatch.setattr(Coefficient, "on_shell", counting)
+    base = build_generators(RepId("canonical8"))
+    g = GeneratorSet(base.rep, dict(base.ops))  # not yet cached
     full_table(g, points)
-    assert set(calls) == {id(gen) for gen in g.ops.values()}
-    assert max(calls.values()) <= 7
-
-
-def test_compressed_samples_keep_the_gram_matrix():
-    """A block that is the same at every sample becomes one row, a block of
-    rank two two rows and an all-zero block none; a block of full rank keeps
-    its n rows even when most of its weight lies in two directions.  The
-    Gram matrix of the (A, sign B) pairs is unchanged."""
-    rng = np.random.default_rng(3)
-    n, d = 6, 2
-
-    def mats(k):
-        return rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
-
-    constant = np.repeat(mats(1), n, axis=0)
-    weights = rng.standard_normal((n, 2))
-    low_rank = np.einsum("sk,kij->sij", weights, mats(2))
-    zero = np.zeros((n, d, d), dtype=complex)
-    blocks = [
-        (constant, 3 * constant, 1),
-        (low_rank, 2 * low_rank, -1),
-        (zero, zero, 1),
-        (low_rank + 1e-9 * mats(n), low_rank, 1),
-    ]
-    pairs = np.concatenate(
-        [np.concatenate([a.reshape(n, -1), s * b.reshape(n, -1)], axis=1) for a, b, s in blocks]
-    )
-    z = _compressed_samples(np.array([np.stack([a, s * b], axis=1) for a, b, s in blocks]))
-    assert len(z) == 1 + 2 + 0 + n
-    gram = pairs.conj().T @ pairs
-    assert np.max(np.abs(z.conj().T @ z - gram)) <= 1e-13 * np.max(np.abs(gram))
+    full_table(g, points[:3])
+    coefficients = [id(c) for gen in g.ops.values() for c in gen.terms.values()]
+    assert sorted(calls) == sorted(coefficients)
 
 
 def test_single_sample_is_enough(rep1, points):
-    """The compressed system of one sample can have fewer than d^2 rows; the
-    factor is padded so the missing directions count as nullspace."""
+    """The rank decision uses no samples: one sample point gives the
+    verdicts, nullspace dimensions and singular values of twenty."""
     one = points[:1]
     for name in OP_ORDER:
-        op = get_op(name)
-        dense = np.linalg.svd(
-            _stacked_system(_oracle_blocks(rep1, op, one), rep1.dim), compute_uv=False
-        )
-        result = classify(rep1, op, one)
-        assert result.nullspace_dim == int(np.sum(dense < DEFAULT_RANK_TOL * dense[0]))
+        a, b = classify(rep1, name, one), classify(rep1, name, points)
+        assert (a.verdict, a.nullspace_dim) == (b.verdict, b.nullspace_dim), name
+        assert a.smallest_singular_value == b.smallest_singular_value, name
+
+
+def test_mutated_boost_coefficient_changes_the_verdicts(rep1, points):
+    """Left-multiplying any one matrix of rep1's J01 zero-index coefficient
+    by gamma0 breaks exactly the C and Mt invariances: both cells turn
+    noninvariant, with the smallest singular value far above the threshold,
+    and every other verdict stays.  (Flipping the sign of one matrix moves
+    no verdict: each monomial equation is homogeneous in its matrix.)"""
+    base = full_table(rep1, points).verdicts()
+    gamma0 = cached_basis(4).gamma0
+    coeff = rep1["J01"].terms[ZERO_INDEX]
+    for k in range(len(coeff.mats)):
+        mats = coeff.mats.copy()
+        mats[k] = gamma0 @ mats[k]
+        terms = dict(rep1["J01"].terms)
+        terms[ZERO_INDEX] = Coefficient(mats, coeff.scalars)
+        ops = dict(rep1.ops)
+        ops["J01"] = MomentumOperator(rep1.dim, terms)
+        table = full_table(GeneratorSet(rep1.rep, ops), points)
+        changed = {name for name, verdict in table.verdicts().items() if verdict != base[name]}
+        assert changed == {"C", "Mt"}, k
+        for name in changed:
+            result = table.rows[name].result
+            assert result.verdict == "noninvariant", (k, name)
+            threshold = DEFAULT_RANK_TOL * result.largest_singular_value
+            assert result.smallest_singular_value > 1e6 * threshold, (k, name)
 
 
 @pytest.mark.parametrize(
@@ -370,8 +388,9 @@ def test_witness_contract(rep1, rep2, rep3, points):
 
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_witnesses_hold_on_held_out_points(kind, points, points_alt):
-    """Every witness found on one sample set satisfies the constraints rebuilt
-    on a disjoint one, and is unitary up to scale: d q q^H = 1."""
+    """Every witness found with one sample set satisfies the apply_flags
+    constraints evaluated on a disjoint one, and is unitary up to scale:
+    d q q^H = 1.  The package's own residual on those points agrees."""
     g = build_generators(RepId(kind))
     held_out = _SampleSet(points_alt)
     table = full_table(g, points)
@@ -380,11 +399,13 @@ def test_witnesses_hold_on_held_out_points(kind, points, points_alt):
     eye = np.eye(g.dim)
     for name in invariant:
         q = table.rows[name].result.witness
-        blocks = _constraint_blocks(g, get_op(name), held_out)
-        pairs = _pairs(blocks)
-        residual = np.max(np.abs(q @ pairs[:, :, 0] - pairs[:, :, 1] @ q))
+        residual = max(
+            float(np.max(np.abs(q @ a - sign * b @ q)))
+            for a, b, sign in _oracle_blocks(g, get_op(name), points_alt)
+        )
         assert residual < 1e-9, (kind, name)
-        assert abs(_witness_residual(q, blocks) - residual) <= 1e-14, (kind, name)
+        package = _witness_residual(q, _HeldOut(_pairs_of(g, name), held_out.weights(g)))
+        assert abs(package - residual) <= 1e-14, (kind, name)
         assert np.max(np.abs(g.dim * q @ q.conj().T - eye)) <= 1e-12, (kind, name)
 
 
@@ -406,14 +427,13 @@ def test_witness_depends_only_on_the_nullspace(kind, points):
     """Re-expressing the nullspace basis through a random unitary, with the
     same draw, leaves every invariant cell's witness unchanged."""
     g = build_generators(RepId(kind))
-    samples = _SampleSet(points)
+    weights = _SampleSet(points).weights(g)
     rotations = np.random.default_rng(11)
     d = g.dim
     checked = 0
     for name in OP_ORDER:
-        op = get_op(name)
-        blocks = _constraint_blocks(g, op, samples)
-        _, singular, vh = np.linalg.svd(build_constraints(blocks))
+        pairs = _pairs_of(g, name)
+        _, singular, vh = np.linalg.svd(build_constraints(pairs))
         basis = vh[singular < DEFAULT_RANK_TOL * singular[0]]
         k = len(basis)
         if k == 0:
@@ -423,7 +443,8 @@ def test_witness_depends_only_on_the_nullspace(kind, points):
         )
         witnesses = [
             _select_witness(
-                list(b.reshape(k, d, d)), blocks, np.random.default_rng(5), DEFAULT_TOL
+                list(b.reshape(k, d, d)), _HeldOut(pairs, weights),
+                np.random.default_rng(5), DEFAULT_TOL,
             )[0]
             for b in (basis, u @ basis)
         ]
@@ -438,27 +459,30 @@ def test_singular_nullspace_gives_no_witness():
     the nullspace and the nullspace element itself is singular."""
     a, b = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
     basis = [np.diag([1.0, 0.0])]
-    blocks = _blocks_from_pairs([[[a, b]]])
+    held_out = _held_out_from_pairs([[a, b]])
     rng = np.random.default_rng(0)
-    assert _select_witness(basis, blocks, rng, 1e-9) == (None, None, None)
+    assert _select_witness(basis, held_out, rng, 1e-9) == (None, None, None)
 
 
-def test_witness_fallback_checks_the_tolerance(rep1, points):
+def test_witness_fallback_checks_the_tolerance(canonical8, points):
     """With tol below rounding, neither the constructed witness nor the
     projected element passes: _select_witness returns no witness but the
-    residual it found, and classify reports indeterminate, not invariant."""
+    residual it found, and classify reports indeterminate, not invariant.
+    canonical8 under C has a nonzero residual at the default points, where
+    a witness with exact entries could reach zero."""
     samples = _SampleSet(points)
-    blocks = _constraint_blocks(rep1, get_op("C"), samples)
-    _, singular, vh = np.linalg.svd(build_constraints(blocks))
-    basis = list(vh[singular < DEFAULT_RANK_TOL * singular[0]].reshape(-1, 4, 4))
+    pairs = _pairs_of(canonical8, "C")
+    held_out = _HeldOut(pairs, samples.weights(canonical8))
+    _, singular, vh = np.linalg.svd(build_constraints(pairs))
+    basis = list(vh[singular < DEFAULT_RANK_TOL * singular[0]].reshape(-1, 8, 8))
     assert basis
-    q, residual, scale = _select_witness(basis, blocks, np.random.default_rng(0), 1e-300)
+    q, residual, scale = _select_witness(basis, held_out, np.random.default_rng(0), 1e-300)
     assert q is None and scale is None
     assert 0 < residual < DEFAULT_TOL
-    q, residual, _ = _select_witness(basis, blocks, np.random.default_rng(0), DEFAULT_TOL)
+    q, residual, _ = _select_witness(basis, held_out, np.random.default_rng(0), DEFAULT_TOL)
     assert q is not None and residual < DEFAULT_TOL
 
-    result = classify(rep1, "C", samples, tol=1e-300)
+    result = classify(canonical8, "C", samples, tol=1e-300)
     assert result.indeterminate and not result.invariant
     assert result.verdict == "indeterminate"
     assert result.nullspace_dim >= 1 and result.witness is None
@@ -471,12 +495,12 @@ def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
     the nullspace, so J itself is reported without an involution scale."""
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     y = np.diag([1.0, 2.0])
-    blocks = _blocks_from_pairs([
-        [[jordan, jordan]],
-        [[y, jordan @ y @ np.linalg.inv(jordan)]],
+    held_out = _held_out_from_pairs([
+        [jordan, jordan],
+        [y, jordan @ y @ np.linalg.inv(jordan)],
     ])
     basis = [jordan / np.linalg.norm(jordan)]
-    q, residual, scale = _select_witness(basis, blocks, np.random.default_rng(0), 1e-9)
+    q, residual, scale = _select_witness(basis, held_out, np.random.default_rng(0), 1e-9)
     assert scale is None and residual < 1e-9
     assert np.allclose(q / q[0, 0], jordan)
 

@@ -86,8 +86,11 @@ def test_classify_indeterminate_exit(capsys):
 
 def test_classify_unreachable_tolerance_is_indeterminate(capsys):
     """A nullspace whose invertible element misses tol is no evidence of
-    invariance: the verdict is indeterminate and the exit code 2."""
-    code, payload = run_json(capsys, "classify", "--rep", "rep1", "--op", "C", "--tol", "1e-300")
+    invariance: the verdict is indeterminate and the exit code 2.  The cell
+    has a nonzero residual; a witness with exact entries can reach zero."""
+    code, payload = run_json(
+        capsys, "classify", "--rep", "canonical8", "--op", "C", "--tol", "1e-300"
+    )
     assert code == 2
     assert payload["verdict"] == "indeterminate"
     assert payload["nullspace_dim"] >= 1
