@@ -7,17 +7,18 @@ the linear condition
 
     q * (R G R^-1) = sign(G) * G * q
 
-per derivative multi-index, for all (p, m, t).  Every coefficient scalar is
-a Laurent polynomial in (p1, p2, p3, m, t, E) (`Expr.laurent`), so each
-(generator, multi-index) block of G, times the even power E^shift that
-clears its negative powers of E and with E^2 reduced to p^2 + m^2, is
-sum_b N_b x^b over distinct monomials x^b = p^a m^beta t^gamma E^k with
-k in {0, 1} (`Coefficient.on_shell`).  1 and E are a basis over the rational
-functions in (p, m, t), so the block vanishes identically iff every N_b
-does.  All variables are real and E is even, so the same block of R G R^-1
-is sum_b eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b x^b over the
-same E^shift, and the condition holds for all (p, m, t) iff one constant
-equation holds per monomial:
+per derivative multi-index, for all (p, m, t).  Every coefficient is a
+Laurent polynomial in (p1, p2, p3, m, t, E) with constant matrices for
+coefficients (`operators.Coefficient`), so each (generator, multi-index)
+block of G, times the even power E^shift that clears its negative powers of
+E and with E^2 reduced to p^2 + m^2, is sum_b N_b x^b over distinct
+monomials x^b = p^a m^beta t^gamma E^k with k in {0, 1}
+(`Coefficient.on_shell`).  1 and E are a basis over the rational functions
+in (p, m, t), so the block vanishes identically iff every N_b does.  All
+variables are real and E is even, so the same block of R G R^-1 is
+sum_b eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b x^b
+(`expr.flag_signs`) over the same E^shift, and the condition holds for all
+(p, m, t) iff one constant equation holds per monomial:
 
     q * (eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b) = sign(G) * N_b * q.
 
@@ -63,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import cached_spin
-from .expr import monomials
+from .expr import flag_signs, monomials
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, index_order
 from .sampling import env_arrays, sample_points
@@ -77,7 +78,8 @@ from .vocabulary import (
 )
 
 SIGN_CLASSES = ("P0", "Pa", "Jab", "J0a")
-DET_TOL = 1e-6
+# sigma_min / sigma_max above which a nullspace element counts as invertible
+INVERTIBLE_TOL = 1e-6
 
 
 class DiscreteOpSpec(NamedTuple):
@@ -144,13 +146,10 @@ class _MonomialSystem(NamedTuple):
     sum over its equations e of mats[e] x^exps[e]."""
 
     mats: np.ndarray  # (equations, d, d)
-    exps: np.ndarray  # (equations, 6), ordered as expr.LAURENT_VARS
+    exps: np.ndarray  # (equations, 7), ordered as expr.LAURENT_VARS
     block: np.ndarray  # (equations,) the block each equation comes from
     shift: np.ndarray  # (blocks,)
-    # (equations, 3): parities of |a| + |alpha|, gamma and beta for the
-    # monomial p^a m^beta t^gamma E^k of an equation in a block with
-    # multi-index alpha, the exponents of eta_p, eta_t and eta_m in its flag
-    odd: np.ndarray
+    order: np.ndarray  # (equations,) |alpha| of the block's multi-index
     sign_class: np.ndarray  # (equations,) index into SIGN_CLASSES
 
 
@@ -158,20 +157,19 @@ class _MonomialSystem(NamedTuple):
 def _monomial_system(g: GeneratorSet) -> _MonomialSystem:
     """The blocks of g in GENERATOR_NAMES order, multi-indices sorted within
     a generator, monomials sorted within a block."""
-    memo = {}
     shifts, exps, mats, labels = [], [], [], []
     for name, gen in g.items():
         sign_class = SIGN_CLASSES.index(GENERATOR_CLASS[name])
         for alpha in sorted(gen.terms):
-            shift, block_exps, block_mats = gen.terms[alpha].on_shell(memo)
-            labels += [(len(shifts), index_order(alpha), sign_class)] * len(block_exps)
+            shift, form = gen.terms[alpha].on_shell()
+            labels += [(len(shifts), index_order(alpha), sign_class)] * len(form.exps)
             shifts.append(shift)
-            exps.append(block_exps)
-            mats.append(block_mats)
-    exps = np.concatenate(exps)
+            exps.append(form.exps)
+            mats.append(form.mats)
     block, order, sign_class = np.array(labels, dtype=int).reshape(-1, 3).T
-    odd = np.stack([exps[:, :3].sum(axis=1) + order, exps[:, 4], exps[:, 3]], axis=1) % 2
-    return _MonomialSystem(np.concatenate(mats), exps, block, np.array(shifts), odd, sign_class)
+    return _MonomialSystem(
+        np.concatenate(mats), np.concatenate(exps), block, np.array(shifts), order, sign_class
+    )
 
 
 def _monomial_pairs(system: _MonomialSystem, op: DiscreteOpSpec) -> np.ndarray:
@@ -184,8 +182,7 @@ def _monomial_pairs(system: _MonomialSystem, op: DiscreteOpSpec) -> np.ndarray:
     condition q (R G R^-1) = sign(G) G q holds for all (p, m, t) iff
     q a = b q holds for every pair (a, b)."""
     flags = momentum_action(op)
-    flipped = np.array([flags.eta_p, flags.eta_t, flags.eta_m]) == -1
-    flag_sign = 1 - 2 * ((system.odd @ flipped) % 2)
+    flag_sign = flag_signs(system.exps, flags) * flags.eta_p ** system.order
     flagged = system.mats.conj() if flags.conj else system.mats
     sign = np.array(op.signs)[system.sign_class]
     return np.stack(
@@ -320,24 +317,24 @@ def _select_witness(basis, held_out, rng, tol):
     the element depends on N and not on the basis that spans it.  Its polar
     factor q0 is unitary and still in N, w = q0^2 is a unitary element of the
     commutant that commutes with q0, and q = w^(-1/2) q0 is a unitary element
-    of N with q^2 = 1.  If q fails validation, the projected element is
-    reported without an involution scale, if its residual on held_out is
-    below tol.
+    of N with q^2 = 1, so it is always invertible.  If q fails validation,
+    the projected element is reported without an involution scale, if it is
+    invertible (sigma_min / sigma_max above INVERTIBLE_TOL) and its residual
+    on held_out is below tol.
     """
     d = basis[0].shape[0]
     flat = np.reshape(basis, (len(basis), d * d))
     draw = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
     raw = (flat.T @ (flat.conj() @ draw)).reshape(d, d)
-    u, _, vh = np.linalg.svd(raw)
+    u, singular, vh = np.linalg.svd(raw)
     q0 = u @ vh
     q = _normalized(_inverse_sqrt(q0 @ q0) @ q0)
-    if abs(np.linalg.det(q)) > DET_TOL:
-        residual = _witness_residual(q, held_out)
-        lam = _involution_scale(q, tol)
-        if residual < tol and lam is not None:
-            return q, residual, lam
-    raw = _normalized(raw)
-    if abs(np.linalg.det(raw)) > DET_TOL:
+    residual = _witness_residual(q, held_out)
+    lam = _involution_scale(q, tol)
+    if residual < tol and lam is not None:
+        return q, residual, lam
+    if singular[-1] > INVERTIBLE_TOL * singular[0]:
+        raw = _normalized(raw)
         residual = _witness_residual(raw, held_out)
         return (raw if residual < tol else None), residual, None
     return None, None, None

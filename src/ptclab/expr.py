@@ -1,428 +1,310 @@
-"""Symbolic scalars over momentum, mass, time and the on-shell energy.
+"""Laurent polynomials in momentum, mass, time, the energy and the connector norm.
 
-Expressions are immutable trees in the five variables p1, p2, p3, m, t, with
-a dedicated leaf for the positive energy root E = sqrt(p1^2+p2^2+p3^2+m^2).
-Keeping E atomic gives the chain rule dE/dp_a = p_a/E, dE/dm = m/E and makes
-E even under sign flips of the momenta or of the mass, so a reflection
-acts on a monomial p^a m^beta t^gamma E^k as a sign alone.
+An `Expr` is a finite sum  sum_k c_k x^(e_k)  of monomials
 
-A node does three things: `diff` returns its exact derivative as a new tree,
-`eval` evaluates it on plain numbers or numpy arrays, so one tree walk
-covers a whole batch of sample points, and `laurent` expands it into a
-Laurent polynomial in p1, p2, p3, m, t and E.  Nodes are shared
-aggressively, never mutated, and evaluation and expansion memoise on node
-identity.
+    x^e = p1^e1 p2^e2 p3^e3 m^e4 t^e5 E^e6 W^e7,
 
-A Laurent polynomial is a dict from exponent tuples, ordered as
-LAURENT_VARS, to nonzero complex coefficients, with E an independent
-variable.  `on_shell` puts one in the normal form in which it vanishes on
-the mass shell E^2 = p1^2 + p2^2 + p3^2 + m^2 iff every coefficient is zero,
-and `monomials` evaluates exponent tuples over a batch of sample points.
+held as K integer exponent rows `exps` (K, 7), ordered as LAURENT_VARS, and
+K coefficients `coeffs`.  A coefficient is a complex number for a scalar and
+a constant d x d matrix for an operator coefficient (`operators.Coefficient`,
+a subclass), so sums, products, derivatives, evaluation, reflection signs and
+the mass-shell normal form have one implementation for both.  Equal rows are
+merged and zero coefficients dropped.
+
+E = sqrt(p1^2 + p2^2 + p3^2 + m^2) and W = sqrt(2E(E + m)) are atoms.  The
+chain rule with
+
+    dE/dp_a = p_a E^-1,                    dE/dm = m E^-1,
+    dW/dp_a = (2 p_a + m p_a E^-1) W^-1,   dW/dm = (2m + E + m^2 E^-1) W^-1
+
+keeps every derivative a Laurent polynomial.  All variables are real, E is
+even under p -> -p and under m -> -m, and W is even under p -> -p, so a
+reflection acts on a monomial as a sign (`flag_signs`) and complex
+conjugation acts on the coefficients alone.  W only normalises the
+canonical-form connector; the generators never contain it.
+
+`Expr.on_shell` puts an expression in the normal form in which it vanishes on
+the mass shell E^2 = p1^2 + p2^2 + p3^2 + m^2 iff it has no rows, and
+`monomials` evaluates exponent rows over a batch of sample points.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
 VARIABLES = ("p1", "p2", "p3", "m", "t")
 MOMENTUM_VARS = ("p1", "p2", "p3")
-LAURENT_VARS = VARIABLES + ("E",)
-_ENERGY_AXIS = LAURENT_VARS.index("E")
-# E^2 on the mass shell: p1^2 + p2^2 + p3^2 + m^2
-_SHELL_VARS = tuple(LAURENT_VARS.index(name) for name in MOMENTUM_VARS + ("m",))
+LAURENT_VARS = VARIABLES + ("E", "W")
+_AXIS = {name: k for k, name in enumerate(LAURENT_VARS)}
+# the terms of E^2 on the mass shell: p1^2 + p2^2 + p3^2 + m^2
+_SHELL_AXES = tuple(_AXIS[name] for name in MOMENTUM_VARS + ("m",))
+
+
+class FlagTransform(NamedTuple):
+    """Signature of a substitution map: p -> eta_p p, t -> eta_t t, m -> eta_m m,
+    with optional complex conjugation (antilinear case)."""
+
+    eta_p: int = 1
+    eta_t: int = 1
+    eta_m: int = 1
+    conj: bool = False
+
+
+def _row(**powers) -> np.ndarray:
+    """The exponent row of the monomial prod_v v^powers[v]."""
+    out = np.zeros(len(LAURENT_VARS), dtype=int)
+    for name, k in powers.items():
+        out[_AXIS[name]] = k
+    return out
+
+
+def _chain_rule(var: str):
+    """(axes, factors, deltas), one entry per term of the chain rule
+    d x^e / dvar = sum_j factors[j] e[axes[j]] x^(e + deltas[j]), from the
+    e_u x^(e - u) du/dvar of every atom u that depends on var."""
+    terms = [(_AXIS[var], 1, _row(**{var: -1}))]
+    if var != "t":
+        terms.append((_AXIS["E"], 1, _row(**{var: 1}, E=-2)))
+        w = _AXIS["W"]
+        if var == "m":
+            terms += [(w, 2, _row(m=1, W=-2)), (w, 1, _row(E=1, W=-2)),
+                      (w, 1, _row(m=2, E=-1, W=-2))]
+        else:
+            terms += [(w, 2, _row(**{var: 1}, W=-2)), (w, 1, _row(**{var: 1}, m=1, E=-1, W=-2))]
+    axes, factors, deltas = zip(*terms)
+    return np.array(axes), np.array(factors), np.array(deltas)
+
+
+_CHAIN = {var: _chain_rule(var) for var in VARIABLES}
+
+
+def _merged(exps, coeffs):
+    """exps and coeffs with equal rows summed and zero coefficients dropped."""
+    exps = np.asarray(exps, dtype=int).reshape(-1, len(LAURENT_VARS))
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if len(coeffs) != len(exps):
+        raise ValueError("expected one coefficient per exponent row")
+    rows = list(map(tuple, exps.tolist()))
+    index = dict.fromkeys(rows)
+    if len(index) < len(rows):
+        index = {row: k for k, row in enumerate(index)}
+        sums = np.zeros((len(index),) + coeffs.shape[1:], dtype=complex)
+        np.add.at(sums, [index[row] for row in rows], coeffs)
+        exps, coeffs = np.array(list(index), dtype=int), sums
+    keep = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:])).any(axis=1)
+    if not keep.all():
+        exps, coeffs = exps[keep], coeffs[keep]
+    return exps, coeffs
 
 
 class Expr:
-    """Base class for scalar expression nodes."""
-
-    __slots__ = ()
-
-    def diff(self, var: str) -> "Expr":
-        raise NotImplementedError
-
-    def _eval(self, env, memo):
-        raise NotImplementedError
-
-    def _laurent(self, memo) -> dict:
-        raise NotImplementedError
-
-    def laurent(self, memo=None) -> dict:
-        """This expression as a Laurent polynomial in LAURENT_VARS, E^2 not
-        reduced.  Raises ValueError for a square root or a division by a
-        non-monomial.  Memoised on node identity, like `eval`; the two need
-        separate memos."""
-        if memo is None:
-            memo = {}
-        try:
-            return memo[self]
-        except KeyError:
-            pass
-        value = self._laurent(memo)
-        memo[self] = value
-        return value
-
-    def eval(self, env, memo=None):
-        """Evaluate with an environment of numbers or numpy arrays.
-
-        `env` must provide p1, p2, p3, m, t and the precomputed energy E.
-        The memo is keyed by node identity; keying on the node itself (not
-        its id) keeps every memoised node alive for the memo's lifetime.
-        """
-        if memo is None:
-            memo = {}
-        try:
-            return memo[self]
-        except KeyError:
-            pass
-        value = self._eval(env, memo)
-        memo[self] = value
-        return value
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, mul(-1, other))
-
-    def __rsub__(self, other):
-        return add(other, mul(-1, self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(-1, self)
-
-    def __pow__(self, n):
-        return intpow(self, n)
-
-
-class Const(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = complex(value)
-
-    def diff(self, var):
-        return ZERO
-
-    def _eval(self, env, memo):
-        return self.value
-
-    def _laurent(self, memo):
-        return {_exponent(): self.value} if self.value != 0 else {}
-
-    def __repr__(self):
-        return repr(self.value)
-
-
-class Var(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if name not in VARIABLES:
-            raise ValueError(f"unknown variable {name!r}, expected one of {VARIABLES}")
-        self.name = name
-
-    def diff(self, var):
-        return ONE if var == self.name else ZERO
-
-    def _eval(self, env, memo):
-        return env[self.name]
-
-    def _laurent(self, memo):
-        return {_exponent(self.name): 1 + 0j}
-
-    def __repr__(self):
-        return self.name
-
-
-class Energy(Expr):
-    """The positive root E = sqrt(p.p + m^2), even in p and in m."""
-
-    __slots__ = ()
-
-    def diff(self, var):
-        if var in MOMENTUM_VARS or var == "m":
-            return div(Var(var), self)
-        return ZERO
-
-    def _eval(self, env, memo):
-        return env["E"]
-
-    def _laurent(self, memo):
-        return {_exponent("E"): 1 + 0j}
-
-    def __repr__(self):
-        return "E"
-
-
-class Add(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def diff(self, var):
-        return add(self.a.diff(var), self.b.diff(var))
-
-    def _eval(self, env, memo):
-        return self.a.eval(env, memo) + self.b.eval(env, memo)
-
-    def _laurent(self, memo):
-        return _merge(chain(self.a.laurent(memo).items(), self.b.laurent(memo).items()))
-
-    def __repr__(self):
-        return f"({self.a!r} + {self.b!r})"
-
-
-class Mul(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def diff(self, var):
-        return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
-
-    def _eval(self, env, memo):
-        return self.a.eval(env, memo) * self.b.eval(env, memo)
-
-    def _laurent(self, memo):
-        return _times(self.a.laurent(memo), self.b.laurent(memo))
-
-    def __repr__(self):
-        return f"({self.a!r} * {self.b!r})"
-
-
-class Div(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-    def diff(self, var):
-        da, db = self.a.diff(var), self.b.diff(var)
-        num = add(mul(da, self.b), mul(-1, mul(self.a, db)))
-        return div(num, intpow(self.b, 2))
-
-    def _eval(self, env, memo):
-        return self.a.eval(env, memo) / self.b.eval(env, memo)
-
-    def _laurent(self, memo):
-        return _times(self.a.laurent(memo), _inverse(self.b.laurent(memo)))
-
-    def __repr__(self):
-        return f"({self.a!r} / {self.b!r})"
-
-
-class IntPow(Expr):
-    __slots__ = ("base", "n")
-
-    def __init__(self, base, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        self.base = base
-        self.n = n
-
-    def diff(self, var):
-        db = self.base.diff(var)
-        return mul(mul(self.n, intpow(self.base, self.n - 1)), db)
-
-    def _eval(self, env, memo):
-        return self.base.eval(env, memo) ** self.n
-
-    def _laurent(self, memo):
-        base = self.base.laurent(memo)
-        if self.n < 0:
-            base = _inverse(base)
-        out = {_exponent(): 1 + 0j}
-        for _ in range(abs(self.n)):
-            out = _times(out, base)
+    """sum_k coeffs[k] x^exps[k]; immutable."""
+
+    __slots__ = ("exps", "coeffs")
+
+    def __init__(self, exps, coeffs):
+        self.exps, self.coeffs = _merged(exps, coeffs)
+
+    @classmethod
+    def from_rows(cls, exps, coeffs):
+        """An expression of this class from its exponent rows and coefficients."""
+        return cls._new(*_merged(exps, coeffs))
+
+    @classmethod
+    def _new(cls, exps, coeffs):
+        """From rows that are already distinct, with nonzero coefficients."""
+        out = cls.__new__(cls)
+        out.exps, out.coeffs = exps, coeffs
         return out
 
+    # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other):
+        other = other if isinstance(other, Expr) else Expr(_row(), [other])
+        return self.from_rows(
+            np.concatenate([self.exps, other.exps]), np.concatenate([self.coeffs, other.coeffs])
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Expr):
+            if other == 0:
+                return self._new(self.exps[:0], self.coeffs[:0])
+            return self._new(self.exps, self.coeffs * other)
+        a, b = self.coeffs, other.coeffs
+        if a.ndim > 1 and b.ndim > 1:
+            raise TypeError("a product takes at least one scalar expression")
+        # outer product of the rows, a scalar factor broadcast over a matrix one
+        ndim = max(a.ndim, b.ndim)
+        a = a.reshape(a.shape[:1] + (1,) + a.shape[1:] + (1,) * (ndim - a.ndim))
+        b = b.reshape((1,) + b.shape + (1,) * (ndim - b.ndim))
+        product = a * b
+        exps = (self.exps[:, None] + other.exps[None]).reshape(-1, len(LAURENT_VARS))
+        product = product.reshape((-1,) + product.shape[2:])
+        cls = type(self) if self.coeffs.ndim >= other.coeffs.ndim else type(other)
+        if len(self.exps) == 1 or len(other.exps) == 1:
+            # a monomial factor keeps the rows distinct and nonzero
+            return cls._new(exps, product)
+        return cls.from_rows(exps, product)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError("exponent must be an integer")
+        if n < 0:
+            if len(self.exps) != 1:
+                raise ValueError(f"only a monomial has a negative power, not {self!r}")
+            return self._new(self.exps * n, self.coeffs ** n)
+        out = ONE
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __truediv__(self, other):
+        if not isinstance(other, Expr):
+            return self * (1 / other)
+        return self * other ** -1
+
+    def __rtruediv__(self, other):
+        return other * self ** -1
+
+    # -- calculus and evaluation -------------------------------------------
+
+    def diff(self, var: str):
+        """d/dvar by the chain rule over the atoms, var one of VARIABLES."""
+        if var not in _CHAIN:
+            raise ValueError(f"unknown variable {var!r}, expected one of {VARIABLES}")
+        axes, factors, deltas = _CHAIN[var]
+        weights = self.exps[:, axes] * factors
+        row, term = np.nonzero(weights)
+        tail = (1,) * (self.coeffs.ndim - 1)
+        return self.from_rows(
+            self.exps[row] + deltas[term],
+            weights[row, term].reshape((-1,) + tail) * self.coeffs[row],
+        )
+
+    def eval(self, env) -> np.ndarray:
+        """The value over an environment of numbers or arrays holding every
+        name in LAURENT_VARS: shape env-shape + coefficient shape."""
+        return evaluate([self], env)[0]
+
+    def on_shell(self):
+        """(shift, form): E^shift times this expression equals `form` on the
+        mass shell.  shift is the smallest even power of E that clears its
+        negative powers of E, and form, of this class, has E^2 replaced by
+        p1^2 + p2^2 + p3^2 + m^2, so that every power of E left is 0 or 1,
+        and its rows sorted.
+
+        1 and E are a basis of the rational functions in (p, m, t) extended
+        by E, because p1^2 + p2^2 + p3^2 + m^2 is not a square: the
+        expression vanishes on the mass shell iff form has no rows.  Raises
+        ValueError on a power of W, which is not a Laurent polynomial there.
+        """
+        if self.exps[:, _AXIS["W"]].any():
+            raise ValueError("W = sqrt(2E(E + m)) has no Laurent normal form on the mass shell")
+        energy = self.exps[:, _AXIS["E"]]
+        shift = max(0, -2 * (int(energy.min(initial=0)) // 2))
+        half, odd = np.divmod(energy + shift, 2)
+        tail = (1,) * (self.coeffs.ndim - 1)
+        exps, coeffs = [self.exps[:0]], [self.coeffs[:0]]
+        for h in sorted(set(half.tolist())):
+            rows = half == h
+            base = self.exps[rows]
+            base[:, _AXIS["E"]] = odd[rows]
+            deltas, weights = _shell_power(h)
+            exps.append((base[:, None] + deltas).reshape(-1, len(LAURENT_VARS)))
+            terms = weights.reshape((1, -1) + tail) * self.coeffs[rows][:, None]
+            coeffs.append(terms.reshape((-1,) + self.coeffs.shape[1:]))
+        form = self.from_rows(np.concatenate(exps), np.concatenate(coeffs))
+        order = np.lexsort(form.exps.T[::-1])
+        return shift, self._new(form.exps[order], form.coeffs[order])
+
     def __repr__(self):
-        return f"({self.base!r} ** {self.n})"
+        """The monomials, each with its coefficient when that is a number."""
+        terms = []
+        for row, c in zip(self.exps.tolist(), self.coeffs):
+            mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(LAURENT_VARS, row) if k)
+            terms.append(f"{complex(c)!r}*{mono or 1}" if c.ndim == 0 else mono or "1")
+        return f"{type(self).__name__}({' + '.join(terms) or '0'})"
 
 
-class Sqrt(Expr):
-    """Square root of a subexpression (used by the canonical-form connector)."""
-
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        self.arg = arg
-
-    def diff(self, var):
-        return div(self.arg.diff(var), mul(2, self))
-
-    def _eval(self, env, memo):
-        return np.sqrt(self.arg.eval(env, memo))
-
-    def _laurent(self, memo):
-        raise ValueError(f"sqrt({self.arg!r}) is not a Laurent polynomial")
-
-    def __repr__(self):
-        return f"sqrt({self.arg!r})"
+@lru_cache(maxsize=None)
+def _shell_power(half: int):
+    """The exponent rows and integer weights of (p1^2 + p2^2 + p3^2 + m^2)^half,
+    by the multinomial theorem."""
+    deltas, weights = [], []
+    for chosen in combinations_with_replacement(_SHELL_AXES, half):
+        delta = np.zeros(len(LAURENT_VARS), dtype=int)
+        weight = math.factorial(half)
+        for axis, j in Counter(chosen).items():
+            delta[axis] = 2 * j
+            weight //= math.factorial(j)
+        deltas.append(delta)
+        weights.append(weight)
+    return np.array(deltas), np.array(weights)
 
 
-# ---------------------------------------------------------------------------
-# Laurent polynomials
-
-
-def _exponent(name=None) -> tuple:
-    """The exponent tuple of one variable, or of the constant 1 for None."""
-    return tuple(int(v == name) for v in LAURENT_VARS)
-
-
-def _merge(terms) -> dict:
-    """Sum (exponents, coefficient) terms into a Laurent polynomial."""
-    out = {}
-    for exps, c in terms:
-        out[exps] = out.get(exps, 0) + c
-    return {exps: c for exps, c in out.items() if c != 0}
-
-
-def _times(a: dict, b: dict) -> dict:
-    return _merge(
-        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-        for ea, ca in a.items()
-        for eb, cb in b.items()
-    )
-
-
-def _inverse(poly: dict) -> dict:
-    if len(poly) != 1:
-        raise ValueError(f"division by a non-monomial {poly!r}")
-    ((exps, c),) = poly.items()
-    return {tuple(-x for x in exps): 1 / c}
-
-
-def on_shell(poly: dict, shift: int) -> dict:
-    """E^shift * poly with E^2 replaced by p1^2 + p2^2 + p3^2 + m^2, so that
-    every power of E left is 0 or 1.  shift must clear every negative power
-    of E.
-
-    1 and E are a basis of the rational functions in (p, m, t) extended by
-    E, because p1^2 + p2^2 + p3^2 + m^2 is not a square: the result vanishes
-    on the mass shell iff it is the zero polynomial.
-    """
-    terms = []
-    for exps, c in poly.items():
-        half, odd = divmod(exps[_ENERGY_AXIS] + shift, 2)
-        if half < 0:
-            raise ValueError(f"E^{shift} does not clear {poly!r}")
-        # (p1^2 + p2^2 + p3^2 + m^2)^half by the multinomial theorem
-        for chosen in combinations_with_replacement(_SHELL_VARS, half):
-            out = list(exps)
-            out[_ENERGY_AXIS] = odd
-            weight = math.factorial(half)
-            for axis, j in Counter(chosen).items():
-                out[axis] += 2 * j
-                weight //= math.factorial(j)
-            terms.append((tuple(out), weight * c))
-    return _merge(terms)
+def flag_signs(exps, flags: FlagTransform) -> np.ndarray:
+    """eta_p^(e1+e2+e3) eta_t^e5 eta_m^e4 per exponent row: the sign the
+    substitution `flags` gives each monomial, since E is even under every
+    flip and W under p -> -p.  Raises ValueError on a power of W under
+    m -> -m, which takes W to sqrt(2E(E - m))."""
+    exps = np.asarray(exps)
+    odd = np.zeros(len(exps), dtype=int)
+    if flags.eta_p == -1:
+        odd += exps[:, :3].sum(axis=1)
+    if flags.eta_t == -1:
+        odd += exps[:, _AXIS["t"]]
+    if flags.eta_m == -1:
+        if exps[:, _AXIS["W"]].any():
+            raise ValueError("W = sqrt(2E(E + m)) is not even under m -> -m")
+        odd += exps[:, _AXIS["m"]]
+    return 1 - 2 * (odd % 2)
 
 
 def monomials(exps, env) -> np.ndarray:
-    """The monomials with exponent rows exps (B, 6), ordered as LAURENT_VARS,
-    over a batch of samples: shape (n, B)."""
-    values = np.stack([env[name] for name in LAURENT_VARS], axis=-1)
+    """The monomials with exponent rows exps (B, 7), ordered as LAURENT_VARS,
+    over a batch of samples: shape env-shape + (B,)."""
+    values = np.stack([np.asarray(env[name], dtype=float) for name in LAURENT_VARS], axis=-1)
     return np.prod(values[..., None, :] ** np.asarray(exps), axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# construction
+def evaluate(exprs, env) -> list:
+    """Every expression's value over env (`Expr.eval`), from one evaluation
+    of all their monomials together."""
+    values = monomials(np.concatenate([x.exps for x in exprs] + [ONE.exps[:0]]), env)
+    out = []
+    start = 0
+    for x in exprs:
+        stop = start + len(x.exps)
+        coeffs = x.coeffs.reshape(stop - start, math.prod(x.coeffs.shape[1:]))
+        value = values[..., start:stop] @ coeffs
+        out.append(value.reshape(values.shape[:-1] + x.coeffs.shape[1:]))
+        start = stop
+    return out
 
 
-def as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Const(x)
-
-
-def add(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and a.value == 0:
-        return b
-    if isinstance(b, Const) and b.value == 0:
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
-
-
-def mul(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const):
-        if a.value == 0:
-            return ZERO
-        if a.value == 1:
-            return b
-        if isinstance(b, Const):
-            return Const(a.value * b.value)
-    if isinstance(b, Const):
-        if b.value == 0:
-            return ZERO
-        if b.value == 1:
-            return a
-    return Mul(a, b)
-
-
-def div(a, b) -> Expr:
-    a, b = as_expr(a), as_expr(b)
-    if isinstance(a, Const) and a.value == 0:
-        return ZERO
-    if isinstance(b, Const):
-        if b.value == 0:
-            raise ZeroDivisionError("division by constant zero")
-        if b.value == 1:
-            return a
-        if isinstance(a, Const):
-            return Const(a.value / b.value)
-    return Div(a, b)
-
-
-def intpow(base, n: int) -> Expr:
-    base = as_expr(base)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return base
-    if isinstance(base, Const):
-        return Const(base.value ** n)
-    return IntPow(base, n)
-
-
-def sqrt(arg) -> Expr:
-    arg = as_expr(arg)
-    if isinstance(arg, Const):
-        return Const(complex(np.sqrt(arg.value)))
-    return Sqrt(arg)
-
-
-ZERO = Const(0)
-ONE = Const(1)
-E = Energy()
-P1, P2, P3 = Var("p1"), Var("p2"), Var("p3")
-MASS = Var("m")
-TIME = Var("t")
+ONE = Expr(_row(), [1])
+P1, P2, P3 = (Expr(_row(**{name: 1}), [1]) for name in MOMENTUM_VARS)
+MOMENTA = (P1, P2, P3)
+MASS = Expr(_row(m=1), [1])
+TIME = Expr(_row(t=1), [1])
+E = Expr(_row(E=1), [1])
+W = Expr(_row(W=1), [1])

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import cached_basis, cached_spin, spectral_projector
-from .expr import E as ENERGY, MASS, P1, P2, P3, TIME, Var, add, div, mul, sqrt
+from .expr import E as ENERGY, MASS, MOMENTA, TIME, W
 from .labels import CANONICAL8_CONTENT, HALF
 from .operators import (
     ZERO_INDEX,
@@ -57,7 +57,7 @@ from .vocabulary import DEFAULT_TOL, REP_KINDS
 # of the wave equations classified
 SCALAR_KIND = "scalar"
 # p1, p2, p3 and the mass as the fourth momentum component
-_MOMENTA4 = (P1, P2, P3, MASS)
+_MOMENTA4 = MOMENTA + (MASS,)
 # distance a fitted structure constant may sit from its Gaussian integer
 GAUSSIAN_SNAP_TOL = 1e-6
 GENERATOR_NAMES = ("P0", "P1", "P2", "P3", "J12", "J13", "J23", "J01", "J02", "J03")
@@ -134,12 +134,12 @@ def _assemble(rep: RepId, ham: MomentumOperator, spin_entry, boost_spin=None) ->
         ops[f"P{a}"] = MomentumOperator.momentum(a, dim)
     for (a, b) in ((1, 2), (1, 3), (2, 3)):
         ops[f"J{a}{b}"] = MomentumOperator(dim, {
-            unit[a]: Coefficient.scalar(mul(1j, Var(f"p{b}")), dim),
-            unit[b]: Coefficient.scalar(mul(-1j, Var(f"p{a}")), dim),
+            unit[a]: Coefficient.scalar(1j * MOMENTA[b - 1], dim),
+            unit[b]: Coefficient.scalar(-1j * MOMENTA[a - 1], dim),
             ZERO_INDEX: Coefficient.constant(spin_entry(a, b)),
         })
     for a in range(1, 4):
-        constant = Coefficient.scalar(mul(TIME, Var(f"p{a}")), dim) + h.diff(f"p{a}").scale(-0.5j)
+        constant = Coefficient.scalar(TIME * MOMENTA[a - 1], dim) + h.diff(f"p{a}").scale(-0.5j)
         if boost_spin is not None:
             constant = constant + boost_spin[a - 1].scale(-1)
         ops[f"J0{a}"] = MomentumOperator(dim, {ZERO_INDEX: constant, unit[a]: h.scale(-1j)})
@@ -157,20 +157,20 @@ def dirac_hamiltonian8() -> MomentumOperator:
 def canonical_transform() -> MomentumOperator:
     """The unitary (1 + Gamma0 H8 / E) / sqrt(2) that diagonalizes H8."""
     basis = cached_basis(8)
-    over_e = Coefficient([basis.gamma(k) for k in range(1, 5)], _MOMENTA4).scale(div(1, ENERGY))
+    over_e = Coefficient([basis.gamma(k) for k in range(1, 5)], _MOMENTA4).scale(1 / ENERGY)
     return MomentumOperator.from_matrix((Coefficient.scalar(1, 8) + over_e).scale(2 ** -0.5))
 
 
 @lru_cache(maxsize=None)
 def fs_transform() -> MomentumOperator:
-    """The unitary connector (m + E + gamma4 gamma_a p_a) / sqrt(2E(E+m))."""
+    """The unitary connector (m + E + gamma4 gamma_a p_a) W^-1, with the atom
+    W = sqrt(2E(E+m)) of `expr` as its normalisation."""
     basis = cached_basis(4)
     num = Coefficient(
         [np.eye(4)] + [basis.gamma(4) @ basis.gamma(a) for a in range(1, 4)],
-        [add(MASS, ENERGY), P1, P2, P3],
+        [MASS + ENERGY, *MOMENTA],
     )
-    denom = sqrt(mul(2, mul(ENERGY, add(ENERGY, MASS))))
-    return MomentumOperator.from_matrix(num.scale(div(1, denom)))
+    return MomentumOperator.from_matrix(num.scale(W ** -1))
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +182,7 @@ def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
         return _assemble(rep, dirac_hamiltonian8(), spin.entry)
     gamma0 = cached_basis(rep.dim).gamma0
     if kind == "rep3":  # positive multiple of the identity
-        ham = MomentumOperator.scalar(mul(energy_sign, ENERGY), rep.dim)
+        ham = MomentumOperator.scalar(energy_sign * ENERGY, rep.dim)
     else:
         ham = MomentumOperator.from_matrix(Coefficient([energy_sign * gamma0], [ENERGY]))
     # boost spin (sum_b S_ab p_b + mass part) / E, times Gamma0 except on rep3
@@ -192,8 +192,8 @@ def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
         others = [b for b in range(1, 4) if b != a]
         mat = Coefficient(
             [spin.entry(a, b) for b in others] + [mass_part],
-            [Var(f"p{b}") for b in others] + [MASS],
-        ).scale(div(1, ENERGY))
+            [MOMENTA[b - 1] for b in others] + [MASS],
+        ).scale(1 / ENERGY)
         if kind != "rep3":
             mat = mat.lmul(gamma0)
         if energy_sign == -1:
@@ -432,7 +432,7 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
     """S_a p_a / E (or T_a p_a / E) on the eight-dimensional space."""
     spin = cached_spin(8)
     triple = spin.S if which == "s" else spin.T
-    return MomentumOperator.from_matrix(Coefficient(triple, (P1, P2, P3)).scale(div(1, ENERGY)))
+    return MomentumOperator.from_matrix(Coefficient(triple, MOMENTA).scale(1 / ENERGY))
 
 
 def helicity_check(points=None, tol: float = 1e-9) -> HelicityReport:

@@ -1,16 +1,16 @@
 """Momentum-space linear operators with matrix coefficients.
 
 An operator is a finite sum of coefficients times partial-derivative
-multi-indices in (p1, p2, p3).  A coefficient is a `Coefficient`: a stack of
-constant matrices M_k and a tuple of scalar expressions x_k, meaning
-sum_k M_k x_k.  The package builds every generator in closed form from sums,
-scalar scalings and constant left factors of coefficients, and computes with
-them numerically: `eval_operator` evaluates the coefficients (and their
-p-derivatives) over a batch of sample points, and `bracket_eval` forms
-commutators of order <= 1 operators from those values.  `Coefficient.on_shell`
-expands a coefficient into constant matrices times distinct monomials, in
-the normal form in which it vanishes on the mass shell iff every matrix is
-zero.  `FlagTransform` is the signature of a discrete substitution map.
+multi-indices in (p1, p2, p3).  A coefficient is a `Coefficient`: a Laurent
+polynomial of `expr` whose coefficients are constant matrices, sum_b M_b x^b
+over distinct monomials x^b, so it shares the scalars' sums, products,
+derivatives, evaluation and mass-shell normal form (`Expr.on_shell`).  The
+package builds every generator in closed form from sums, scalar scalings and
+constant left factors of coefficients, and computes with them numerically:
+`eval_operator` evaluates the coefficients and their p-derivatives over a
+batch of sample points, and `bracket_eval` forms commutators of order <= 1
+operators from those values.  `FlagTransform` is the signature of a discrete
+substitution map.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import LAURENT_VARS, ONE, Const, Var, as_expr, mul, on_shell
+from .expr import MOMENTA, MOMENTUM_VARS, ONE, Expr, evaluate
+from .expr import FlagTransform  # the substitution signature, part of this module's API
 
 Index = tuple  # (n1, n2, n3) derivative multi-index
 
@@ -38,22 +39,28 @@ def index_order(a: Index) -> int:
 # coefficients
 
 
-class Coefficient:
-    """sum_k M_k x_k: constant d x d matrices M_k times scalar expressions x_k.
+class Coefficient(Expr):
+    """sum_b M_b x^b: constant d x d matrices `mats` (K, d, d), one per
+    distinct monomial row of `exps` (K, 7).
 
     Every generator coefficient has this form (Gamma0 Gamma_k p_k, Gamma0 E,
-    the boost spin Gamma0 S_ab p_b / E, ...), so a derivative only touches the
-    K scalars and an evaluation is K memoised scalar evaluations and one
+    the boost spin Gamma0 S_ab p_b / E, ...), so a derivative only moves
+    exponent rows and an evaluation is one batch of monomials and one
     contraction against the matrices.
     """
 
-    __slots__ = ("mats", "scalars")
+    __slots__ = ()
 
     def __init__(self, mats, scalars):
-        self.mats = np.asarray(mats, dtype=complex)  # (K, d, d)
-        self.scalars = tuple(as_expr(x) for x in scalars)
-        if self.mats.ndim != 3 or self.mats.shape[0] != len(self.scalars):
+        """sum_k mats[k] scalars[k], for scalar expressions or numbers."""
+        mats = np.asarray(mats, dtype=complex)
+        scalars = [x if isinstance(x, Expr) else x * ONE for x in scalars]
+        if mats.ndim != 3 or len(mats) != len(scalars):
             raise ValueError("expected one d x d matrix per scalar")
+        super().__init__(
+            np.concatenate([x.exps for x in scalars]),
+            np.concatenate([x.coeffs[:, None, None] * mat for x, mat in zip(scalars, mats)]),
+        )
 
     @staticmethod
     def constant(mat) -> "Coefficient":
@@ -61,78 +68,25 @@ class Coefficient:
 
     @staticmethod
     def scalar(expr, dim: int) -> "Coefficient":
-        """expr times the identity."""
-        return Coefficient([np.eye(dim)], [expr])
+        """expr times the identity: its rows, each with a nonzero matrix."""
+        expr = expr if isinstance(expr, Expr) else expr * ONE
+        return Coefficient._new(expr.exps, expr.coeffs[:, None, None] * np.eye(dim))
+
+    @property
+    def mats(self) -> np.ndarray:
+        return self.coeffs
 
     @property
     def dim(self) -> int:
-        return self.mats.shape[-1]
-
-    def __add__(self, other: "Coefficient") -> "Coefficient":
-        return Coefficient(
-            np.concatenate([self.mats, other.mats]), self.scalars + other.scalars
-        )
+        return self.coeffs.shape[-1]
 
     def scale(self, factor) -> "Coefficient":
-        return Coefficient(self.mats, [mul(factor, x) for x in self.scalars])
+        """factor times self, for a scalar expression or a number."""
+        return self * factor
 
     def lmul(self, mat) -> "Coefficient":
         """mat @ self for a constant matrix mat."""
-        return Coefficient(mat @ self.mats, self.scalars)
-
-    def diff(self, var: str) -> "Coefficient":
-        """d/dvar, without the terms whose scalar derivative is the constant 0."""
-        terms = [(k, x.diff(var)) for k, x in enumerate(self.scalars)]
-        terms = [(k, dx) for k, dx in terms if not (isinstance(dx, Const) and dx.value == 0)]
-        return Coefficient(self.mats[[k for k, _ in terms]], [dx for _, dx in terms])
-
-    def values(self, env, memo) -> np.ndarray:
-        """The K scalars over a batch of samples, shape (n, K)."""
-        out = np.empty(np.shape(env["p1"]) + (len(self.scalars),), dtype=complex)
-        for k, x in enumerate(self.scalars):
-            out[..., k] = x.eval(env, memo)
-        return out
-
-    def eval(self, env, memo=None) -> np.ndarray:
-        """Shape (n, d, d) for array envs, (d, d) for scalar ones."""
-        if memo is None:
-            memo = {}
-        return np.einsum("...k,kij->...ij", self.values(env, memo), self.mats)
-
-    def on_shell(self, memo=None):
-        """(shift, exps, mats): E^shift times this coefficient is
-        sum_b mats[b] x^b on the mass shell, over distinct monomials x^b with
-        exponent rows exps (B, 6), ordered as LAURENT_VARS and sorted, in which
-        E appears to the power 0 or 1.  shift is the smallest even power of E
-        that clears the scalars' negative powers of E (`expr.on_shell`), and
-        zero matrices are dropped, so the coefficient vanishes identically on
-        the mass shell iff B = 0.  `memo` is shared with `Expr.laurent`."""
-        polys = [x.laurent(memo) for x in self.scalars]
-        energy = LAURENT_VARS.index("E")
-        lowest = min((exps[energy] for poly in polys for exps in poly), default=0)
-        shift = max(0, -2 * (lowest // 2))
-        sums = {}
-        for mat, poly in zip(self.mats, polys):
-            for exps, c in on_shell(poly, shift).items():
-                sums[exps] = sums[exps] + c * mat if exps in sums else c * mat
-        keys = sorted(k for k, mat in sums.items() if mat.any())
-        exps = np.array(keys, dtype=int).reshape(-1, len(LAURENT_VARS))
-        mats = np.array([sums[k] for k in keys], dtype=complex).reshape(-1, self.dim, self.dim)
-        return shift, exps, mats
-
-
-# ---------------------------------------------------------------------------
-# flag transforms (momentum-space shadow of the discrete substitutions)
-
-
-class FlagTransform(NamedTuple):
-    """Signature of a substitution map: p -> eta_p p, t -> eta_t t, m -> eta_m m,
-    with optional complex conjugation (antilinear case)."""
-
-    eta_p: int = 1
-    eta_t: int = 1
-    eta_m: int = 1
-    conj: bool = False
+        return self.from_rows(self.exps, mat @ self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +114,7 @@ class MomentumOperator:
 
     @staticmethod
     def momentum(a: int, dim: int) -> "MomentumOperator":
-        return MomentumOperator.scalar(Var(f"p{a}"), dim)
+        return MomentumOperator.scalar(MOMENTA[a - 1], dim)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +129,17 @@ class EvaluatedOperator(NamedTuple):
 
 
 def eval_operator(g: MomentumOperator, env, derivatives: bool = True) -> EvaluatedOperator:
-    memo = {}
-    coeffs = {alpha: c.eval(env, memo) for alpha, c in g.terms.items()}
-    dcoeffs = {}
+    """g's coefficients and, with derivatives, their p-derivatives over env,
+    from one evaluation of all their monomials."""
+    keys = list(g.terms)
+    exprs = list(g.terms.values())
     if derivatives:
         for alpha, c in g.terms.items():
-            for k in range(3):
-                dcoeffs[(k, alpha)] = c.diff(f"p{k + 1}").eval(env, memo)
-    return EvaluatedOperator(g.dim, coeffs, dcoeffs)
+            keys += [(k, alpha) for k in range(3)]
+            exprs += [c.diff(var) for var in MOMENTUM_VARS]
+    values = dict(zip(keys, evaluate(exprs, env)))
+    coeffs = {alpha: values.pop(alpha) for alpha in g.terms}
+    return EvaluatedOperator(g.dim, coeffs, values)
 
 
 def compose_eval(a: EvaluatedOperator, b: EvaluatedOperator) -> dict:

@@ -30,16 +30,6 @@ class Point(NamedTuple):
     def energy(self) -> float:
         return math.sqrt(self.p1 ** 2 + self.p2 ** 2 + self.p3 ** 2 + self.m ** 2)
 
-    def env(self) -> dict:
-        return {
-            "p1": self.p1,
-            "p2": self.p2,
-            "p3": self.p3,
-            "m": self.m,
-            "t": self.t,
-            "E": self.energy,
-        }
-
 
 def sample_points(
     count: int = DEFAULT_COUNT,
@@ -68,10 +58,12 @@ def sample_points(
 
 
 def env_arrays(points) -> dict:
-    """Stack points into a vectorized evaluation environment."""
+    """Stack points into a vectorized evaluation environment: p1, p2, p3, m,
+    t, the energy E and the connector norm W = sqrt(2E(E+m))."""
     arr = {
         name: np.array([getattr(pt, name) for pt in points], dtype=float)
         for name in ("p1", "p2", "p3", "m", "t")
     }
     arr["E"] = np.sqrt(arr["p1"] ** 2 + arr["p2"] ** 2 + arr["p3"] ** 2 + arr["m"] ** 2)
+    arr["W"] = np.sqrt(2 * arr["E"] * (arr["E"] + arr["m"]))
     return arr

@@ -22,26 +22,13 @@ from itertools import product
 
 import numpy as np
 
-from ptclab.expr import (
-    Add,
-    Const,
-    Div,
-    Energy,
-    IntPow,
-    Mul,
-    Sqrt,
-    Var,
-    add,
-    div,
-    intpow,
-    mul,
-)
+from ptclab.expr import LAURENT_VARS, ONE
 from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
 from ptclab.sampling import env_arrays, sample_points
 
 MAX_ORDER = 2
 PRUNE_TOL = 1e-10
-I_UNIT = Const(1j)
+I_UNIT = 1j * ONE
 
 # Generic probe points used to decide whether a coefficient matrix vanishes
 # identically.  Times are nonzero so t-dependent terms cannot hide.
@@ -106,72 +93,39 @@ def minus(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
 
 
 def coefficient_product(a: Coefficient, b: Coefficient) -> Coefficient:
-    """(sum_k A_k a_k)(sum_l B_l b_l) = sum_kl (A_k B_l)(a_k b_l), without the
-    terms whose matrix or scalar is zero."""
+    """(sum_k A_k x^a_k)(sum_l B_l x^b_l) = sum_kl (A_k B_l) x^(a_k + b_l): the
+    outer sum of the exponent rows, with equal monomials merged."""
+    exps = (a.exps[:, None] + b.exps[None]).reshape(-1, a.exps.shape[1])
     mats = np.einsum("kij,ljm->klim", a.mats, b.mats).reshape(-1, a.dim, a.dim)
-    scalars = [mul(x, y) for x in a.scalars for y in b.scalars]
-    keep = [
-        k for k, x in enumerate(scalars)
-        if mats[k].any() and not (isinstance(x, Const) and x.value == 0)
-    ]
-    return Coefficient(mats[keep], [scalars[k] for k in keep])
+    return Coefficient.from_rows(exps, mats)
 
 
 # ---------------------------------------------------------------------------
-# substitution and conjugation of scalar expressions
-
-_BINARY = {Add: add, Mul: mul, Div: div}
+# substitution and conjugation of expressions
 
 
-def mapped(expr, signs: dict, conj: bool):
-    """Substitute var -> sign * var and, if conj, conjugate every constant.
-
-    All variables are real and E is even under every sign flip, so this is
-    the substituted (and for conj the complex-conjugated) expression.
-    Unchanged subtrees are returned as they are.
-    """
-    if isinstance(expr, Const):
-        if conj and expr.value.imag != 0.0:
-            return Const(expr.value.conjugate())
-        return expr
-    if isinstance(expr, Var):
-        return mul(-1, expr) if signs.get(expr.name, 1) == -1 else expr
-    if isinstance(expr, Energy):
-        return expr
-    if type(expr) in _BINARY:
-        a, b = mapped(expr.a, signs, conj), mapped(expr.b, signs, conj)
-        if a is expr.a and b is expr.b:
-            return expr
-        return _BINARY[type(expr)](a, b)
-    if isinstance(expr, IntPow):
-        base = mapped(expr.base, signs, conj)
-        return expr if base is expr.base else intpow(base, expr.n)
-    if isinstance(expr, Sqrt):
-        arg = mapped(expr.arg, signs, conj)
-        return expr if arg is expr.arg else Sqrt(arg)
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
+def mapped(expr, f: FlagTransform):
+    """Substitute p -> eta_p p, t -> eta_t t, m -> eta_m m and, if f.conj,
+    conjugate.  All variables are real, E is even under every flip and W
+    under p -> -p, so monomial x^e gains prod_v sign(v)^e_v: computed here
+    variable by variable, not by the package's `flag_signs`."""
+    if f.eta_m == -1 and expr.exps[:, LAURENT_VARS.index("W")].any():
+        raise ValueError("W is not even under m -> -m")
+    per_var = {"p1": f.eta_p, "p2": f.eta_p, "p3": f.eta_p, "m": f.eta_m, "t": f.eta_t}
+    base = np.array([per_var.get(name, 1) for name in LAURENT_VARS])
+    coeffs = expr.coeffs.conj() if f.conj else expr.coeffs
+    signs = np.prod(base ** np.abs(expr.exps), axis=1)
+    return type(expr).from_rows(expr.exps, signs.reshape((-1,) + (1,) * (coeffs.ndim - 1)) * coeffs)
 
 
 def conjugated(expr):
     """Complex conjugate of an expression in real variables."""
-    return mapped(expr, {}, True)
+    return mapped(expr, FlagTransform(conj=True))
 
 
 def dagger(c: Coefficient) -> Coefficient:
     """Hermitian adjoint of a coefficient in real variables."""
-    return Coefficient(c.mats.conj().transpose(0, 2, 1), [conjugated(x) for x in c.scalars])
-
-
-def var_signs(f: FlagTransform) -> dict:
-    """The variable sign flips of a substitution map, for `mapped`."""
-    signs = {}
-    if f.eta_p == -1:
-        signs.update({"p1": -1, "p2": -1, "p3": -1})
-    if f.eta_t == -1:
-        signs["t"] = -1
-    if f.eta_m == -1:
-        signs["m"] = -1
-    return signs
+    return Coefficient.from_rows(c.exps, c.mats.conj().transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +133,9 @@ def var_signs(f: FlagTransform) -> dict:
 
 
 def _prune(raw: dict) -> dict:
-    memo = {}
     kept = {}
     for alpha, c in raw.items():
-        if np.max(np.abs(c.eval(_PRUNE_ENV, memo))) >= PRUNE_TOL:
+        if np.max(np.abs(c.eval(_PRUNE_ENV))) >= PRUNE_TOL:
             kept[alpha] = c
     return kept
 
@@ -249,17 +202,13 @@ def bracket(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
 def apply_flags(g: MomentumOperator, f: FlagTransform) -> MomentumOperator:
     """Conjugate by the substitution map R: returns R g R^-1.
 
-    Coefficients get their variables sign-flipped (E is structurally even),
-    each derivative picks up a factor eta_p, and for antilinear R the
-    matrices and every complex constant are conjugated.
+    Coefficients get their variables sign-flipped (`mapped`), each
+    derivative picks up a factor eta_p, and for antilinear R the matrices
+    are conjugated.
     """
-    signs = var_signs(f)
     terms = {}
     for alpha, c in g.terms.items():
-        new = Coefficient(
-            c.mats.conj() if f.conj else c.mats,
-            [mapped(x, signs, f.conj) for x in c.scalars],
-        )
+        new = mapped(c, f)
         if f.eta_p == -1 and index_order(alpha) % 2 == 1:
             new = new.scale(-1)
         terms[alpha] = new
@@ -289,9 +238,8 @@ def equal_at(a: MomentumOperator, b: MomentumOperator, points, tol: float = 1e-9
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     env = env_arrays(points)
-    memo = {}
     residual = 0.0
     for alpha in set(a.terms) | set(b.terms):
-        va, vb = (op.terms[alpha].eval(env, memo) if alpha in op.terms else 0 for op in (a, b))
+        va, vb = (op.terms[alpha].eval(env) if alpha in op.terms else 0 for op in (a, b))
         residual = max(residual, float(np.max(np.abs(va - vb))))
     return residual < tol, residual

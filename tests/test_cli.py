@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptclab
-from ptclab.cli import main
+from ptclab.cli import SEED_ENV_VAR, main
 from ptclab.generators import GENERATOR_NAMES
+from ptclab.vocabulary import OP_ORDER, REP_KINDS
 
 SRC = str(Path(ptclab.__file__).resolve().parents[1])
 
@@ -94,6 +99,21 @@ def test_classify_unreachable_tolerance_is_indeterminate(capsys):
     assert code == 2
     assert payload["verdict"] == "indeterminate"
     assert payload["nullspace_dim"] >= 1
+    assert payload["witness"] is None and payload["residual"] > 0
+
+
+def test_invertible_nullspace_element_missing_tol_is_indeterminate(capsys):
+    """dirac8 under T2 at an unreachable tol: the constructed witness misses
+    it, and so does the projected nullspace element, which is invertible
+    (sigma_min / sigma_max about 0.09) though its normalised determinant is
+    only about 2.5e-7.  A nullspace with an invertible element is no
+    evidence against invariance, so the cell is indeterminate, exit 2."""
+    code, payload = run_json(
+        capsys, "classify", "--rep", "dirac8", "--op", "T2", "--tol", "1e-300"
+    )
+    assert code == 2
+    assert payload["verdict"] == "indeterminate"
+    assert payload["nullspace_dim"] == 4
     assert payload["witness"] is None and payload["residual"] > 0
 
 
@@ -259,3 +279,76 @@ def test_commands_that_classify_nothing_skip_the_classifier(argv):
 
 def test_cli_import_generates_no_dataclasses():
     assert "dataclasses" not in _modules_after()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines
+
+def _values(valid, invalid):
+    """Mostly valid values, sometimes an invalid one."""
+    return st.one_of(valid, valid, valid, st.sampled_from(invalid))
+
+
+_COMMON = {
+    "--seed": _values(st.integers(0, 2 ** 70).map(str), ["-1", "x", "1.5", ""]),
+    "--samples": _values(st.integers(1, 50).map(str), ["0", "-2", "two", "1e3"]),
+    "--tol": _values(st.sampled_from(["1e-9", "1e-300", "1e300"]), ["0", "-1", "nan", "x"]),
+    "--rank-tol": _values(
+        st.sampled_from(["1e-8", "1e-12", "1e-3", "0.5"]), ["1", "0", "nan", "y"]
+    ),
+}
+_REP = st.sampled_from(REP_KINDS + ("all",))
+# per command: its required flags, then its optional ones
+_COMMANDS = {
+    "selftest": ({}, {}),
+    "massless": ({}, {}),
+    "algebra": ({"--rep": _REP}, {"--dump-generators": _values(
+        st.integers(0, 49).map(str), ["50", "-1", "z"])}),
+    "classify": ({"--rep": _REP, "--op": st.sampled_from(OP_ORDER + ("Q",))}, {}),
+    "table": ({"--rep": st.sampled_from(REP_KINDS + ("all", "rep4"))}, {}),
+    "ptc": ({"--labels": st.sampled_from(
+        ["D+(1/2,0)+D-(0,1/2)", "D+(1/2,0)+D+(0,1/2)+D-(1/2,0)+D-(0,1/2)", "D(", "", "x"]
+    )}, {}),
+    "bogus": ({}, {}),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand, usually with its required flags, some optional flags,
+    perhaps --json and rarely a stray token."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    argv = [command]
+    for flag, values in required.items():
+        if draw(st.integers(0, 9)):
+            argv += [flag, draw(values)]
+    flags = {**_COMMON, **optional}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        argv += [flag, draw(flags[flag])]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if not draw(st.integers(0, 14)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--help", "-x", "7"])))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    argv=_command_lines(),
+    seed=st.one_of(st.none(), _values(st.integers(0, 2 ** 40).map(str), ["abc", "-3", ""])),
+)
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv, seed):
+    """Whatever the arguments and PTCLAB_SEED, main returns 0, 1, 2 or 64 and
+    raises nothing."""
+    saved = os.environ.pop(SEED_ENV_VAR, None)
+    if seed is not None:
+        os.environ[SEED_ENV_VAR] = seed
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.environ.pop(SEED_ENV_VAR, None)
+        if saved is not None:
+            os.environ[SEED_ENV_VAR] = saved
+    assert code in (0, 1, 2, 64), (argv, seed, code)

@@ -9,36 +9,62 @@ from ptclab.expr import (
     E,
     LAURENT_VARS,
     MASS,
+    MOMENTA,
+    ONE,
+    P1,
     TIME,
     VARIABLES,
-    Const,
-    Var,
-    add,
-    div,
-    intpow,
-    mul,
-    on_shell,
-    sqrt,
+    W,
+    Expr,
+    FlagTransform,
+    flag_signs,
 )
-from ptclab.generators import REP_KINDS, RepId, build_generators, helicity_operator
+from ptclab.generators import REP_KINDS, RepId, build_generators, fs_transform, helicity_operator
 from ptclab.operators import Coefficient
 from ptclab.sampling import Point, env_arrays, sample_points
 
 from oracles import conjugated, mapped
 
+PROBE = Point(0.83, -0.41, 1.27, 1.15, 0.3)
+
 
 def ev(expr, p1=0.0, p2=0.0, p3=0.0, m=1.0, t=0.0):
-    return expr.eval(Point(p1, p2, p3, m, t).env())
+    return expr.eval(env_arrays([Point(p1, p2, p3, m, t)]))[0]
 
 
 def central_diff(expr, point, var, h=1e-6):
-    """Finite-difference oracle; E is recomputed from the perturbed point."""
-    fields = {name: getattr(point, name) for name in ("p1", "p2", "p3", "m", "t")}
-    up = dict(fields)
-    up[var] += h
-    down = dict(fields)
-    down[var] -= h
-    return (expr.eval(Point(**up).env()) - expr.eval(Point(**down).env())) / (2 * h)
+    """Finite-difference oracle; E and W are recomputed from the perturbed point."""
+    fields = point._asdict()
+    up = dict(fields, **{var: fields[var] + h})
+    down = dict(fields, **{var: fields[var] - h})
+    return (ev(expr, **up) - ev(expr, **down)) / (2 * h)
+
+
+# random Laurent polynomials: p, m, t to small powers, E and W to either sign
+_ROWS = st.tuples(
+    *[st.integers(0, 3)] * 3, st.integers(0, 2), st.integers(0, 2),
+    st.integers(-3, 3), st.integers(-2, 2),
+)
+_COMPLEX = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+
+def _polynomials(max_terms=5, with_w=True):
+    def build(terms):
+        exps = np.array([row for row, _ in terms], dtype=int).reshape(-1, len(LAURENT_VARS))
+        if not with_w:
+            exps[:, LAURENT_VARS.index("W")] = 0
+        return Expr(exps, [c for _, c in terms])
+
+    return st.lists(st.tuples(_ROWS, _COMPLEX), max_size=max_terms).map(build)
+
+
+def _close(a, b, rel):
+    scale = max(1.0, float(np.max(np.abs(a), initial=0)), float(np.max(np.abs(b), initial=0)))
+    return float(np.max(np.abs(np.asarray(a) - b), initial=0)) <= rel * scale
+
+
+# ---------------------------------------------------------------------------
+# values and derivatives at fixed points
 
 
 def test_energy_derivative_chain_rule():
@@ -47,106 +73,152 @@ def test_energy_derivative_chain_rule():
 
 
 def test_product_derivative():
-    expr = mul(Var("p1"), Var("p2"))
+    expr = MOMENTA[0] * MOMENTA[1]
     assert ev(expr.diff("p1"), p1=0.3, p2=-1.25) == pytest.approx(-1.25, abs=0)
 
 
 def test_inverse_energy_derivative_value():
     # d(1/E)/dp2 = -p2/E^3; at p=(0,3,0), m=4 the energy is 5, so -3/125
-    expr = div(Const(1), E)
+    expr = 1 / E
     point = Point(0.0, 3.0, 0.0, 4.0, 0.0)
-    exact = expr.diff("p2").eval(point.env())
+    exact = ev(expr.diff("p2"), **point._asdict())
     assert exact == pytest.approx(-3 / 125, abs=1e-15)
-    fd = central_diff(expr, point, "p2")
-    assert abs(exact - fd) < 1e-8
-
-
-def test_energy_even_under_flips():
-    point = Point(0.7, -1.1, 0.4, 1.3, 0.2).env()
-    for signs in ({"p1": -1, "p2": -1, "p3": -1}, {"m": -1}):
-        assert mapped(E, signs, False).eval(point) == E.eval(point)
-
-
-def test_mass_flip_substitutes_but_energy_untouched():
-    expr = mul(MASS, div(Var("p1"), E))
-    point = Point(0.5, 0.1, -0.2, 1.4, 0.0).env()
-    flipped = mapped(expr, {"m": -1}, False)
-    assert flipped.eval(point) == pytest.approx(-expr.eval(point), abs=1e-15)
-
-
-def test_conjugation_hits_constants_only():
-    expr = mul(Const(2j), add(Var("p1"), mul(Const(1 - 1j), TIME)))
-    point = Point(0.9, 0.0, 0.0, 1.0, 0.7).env()
-    assert conjugated(expr).eval(point) == np.conj(expr.eval(point))
-
-
-def test_sqrt_derivative():
-    expr = sqrt(mul(2, mul(E, add(E, MASS))))
-    point = Point(0.8, -0.5, 1.2, 1.1, 0.0)
-    fd = central_diff(expr, point, "p1")
-    exact = expr.diff("p1").eval(point.env())
-    assert abs(exact - fd) < 1e-7
+    assert abs(exact - central_diff(expr, point, "p2")) < 1e-8
 
 
 def test_integer_power_and_negative_exponent():
-    expr = intpow(E, -2)
-    point = Point(1.0, 2.0, 2.0, 0.0, 0.0)  # E = 3
-    assert expr.eval(point.env()) == pytest.approx(1 / 9, abs=1e-15)
-    assert expr.diff("p1").eval(point.env()) == pytest.approx(-2 / 81, abs=1e-15)
+    expr = E ** -2
+    point = dict(p1=1.0, p2=2.0, p3=2.0, m=0.0)  # E = 3
+    assert ev(expr, **point) == pytest.approx(1 / 9, abs=1e-15)
+    assert ev(expr.diff("p1"), **point) == pytest.approx(-2 / 81, abs=1e-15)
+    assert np.array_equal((E ** 3).exps, [[0, 0, 0, 0, 0, 3, 0]])
+    assert (MASS + E) ** 0 is ONE
 
 
-def _random_expr(rng, probe, depth):
-    """Random tree whose divisions stay away from zero at the probe point."""
-    leaves = [Var("p1"), Var("p2"), Var("p3"), MASS, E, Const(rng.uniform(-2, 2))]
-    if depth == 0:
-        return leaves[rng.integers(0, len(leaves))]
-    choice = rng.integers(0, 5)
-    a = _random_expr(rng, probe, depth - 1)
-    b = _random_expr(rng, probe, depth - 1)
-    if choice == 0:
-        return add(a, b)
-    if choice == 1:
-        return mul(a, b)
-    if choice == 2:
-        denom = add(mul(b, b), Const(rng.uniform(0.5, 2.0)))
-        return div(a, denom)
-    if choice == 3:
-        return intpow(a, int(rng.integers(2, 4)))
-    return add(mul(Const(1j), a), b)
+def test_sqrt_derivative():
+    """W = sqrt(2E(E+m)) is an atom: its derivatives by the chain-rule table,
+    (2 p_a + m p_a / E) / W and (2m + E + m^2 / E) / W, match central
+    differences, and so do those of W^-1 and of the connector."""
+    point = Point(0.8, -0.5, 1.2, 1.1, 0.0)
+    assert ev(W, **point._asdict()) == pytest.approx(
+        math.sqrt(2 * point.energy * (point.energy + point.m)), rel=1e-15
+    )
+    for expr in (W, W ** -1, (MASS + E + P1) / W):
+        for var in ("p1", "p2", "p3", "m"):
+            exact = ev(expr.diff(var), **point._asdict())
+            assert abs(exact - central_diff(expr, point, var)) < 1e-7, (expr, var)
+    assert len(W.diff("t").exps) == 0
 
 
-def test_derivative_matches_finite_differences_on_100_expressions():
-    rng = np.random.default_rng(0x5EED)
-    probe = Point(0.83, -0.41, 1.27, 1.15, 0.3)
-    checked = 0
-    while checked < 100:
-        expr = _random_expr(rng, probe, depth=int(rng.integers(1, 4)))
-        var = ("p1", "p2", "p3", "m")[rng.integers(0, 4)]
-        exact = expr.diff(var).eval(probe.env())
-        fd = central_diff(expr, probe, var)
-        scale = max(1.0, abs(exact), abs(fd))
-        assert abs(exact - fd) / scale < 1e-7, (expr, var)
-        checked += 1
+@settings(max_examples=100, deadline=None)
+@given(expr=_polynomials(), var=st.sampled_from(("p1", "p2", "p3", "m", "t")))
+def test_derivative_matches_finite_differences_on_100_expressions(expr, var):
+    exact = ev(expr.diff(var), **PROBE._asdict())
+    fd = central_diff(expr, PROBE, var)
+    assert abs(exact - fd) <= 1e-6 * max(1.0, abs(exact), abs(fd)), (expr, var)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    coeffs=st.lists(
-        st.floats(min_value=-2, max_value=2, allow_nan=False), min_size=2, max_size=2
-    ),
+    coeffs=st.lists(st.floats(min_value=-2, max_value=2, allow_nan=False), min_size=2, max_size=2),
     var=st.sampled_from(["p1", "p2", "m"]),
 )
 def test_product_rule_property(coeffs, var):
-    a = add(mul(Const(coeffs[0]), Var("p1")), E)
-    b = add(mul(Const(coeffs[1]), MASS), intpow(Var("p2"), 2))
-    point = Point(0.6, -0.9, 0.35, 1.2, 0.0).env()
-    lhs = mul(a, b).diff(var).eval(point)
-    rhs = (add(mul(a.diff(var), b), mul(a, b.diff(var)))).eval(point)
+    a = coeffs[0] * MOMENTA[0] + E
+    b = coeffs[1] * MASS + MOMENTA[1] ** 2 + W
+    point = PROBE._asdict()
+    lhs = ev((a * b).diff(var), **point)
+    rhs = ev(a.diff(var) * b + a * b.diff(var), **point)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Laurent expansion
+# the algebra
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_polynomials(), b=_polynomials(), c=_COMPLEX)
+def test_eval_is_a_ring_homomorphism(a, b, c):
+    env = env_arrays(sample_points(count=4))
+    va, vb = a.eval(env), b.eval(env)
+    assert _close((a + b).eval(env), va + vb, 1e-13)
+    assert _close((a - b).eval(env), va - vb, 1e-13)
+    assert _close((c * a + 1).eval(env), c * va + 1, 1e-13)
+    assert _close((a * b).eval(env), va * vb, 1e-12 * max(1.0, float(np.max(np.abs(va)))))
+    # equal monomials are merged and zero coefficients dropped
+    rows = [tuple(r) for r in (a * b).exps.tolist()]
+    assert len(set(rows)) == len(rows)
+    assert len((a - a).exps) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_polynomials(), k=st.integers(0, 3))
+def test_scalar_times_matrix_coefficient(x, k):
+    """A Coefficient shares the scalar algebra: scaling by a scalar
+    expression, left factors and derivatives act matrix by matrix."""
+    env = env_arrays(sample_points(count=3))
+    mats = np.arange(2 * 4 * 4).reshape(2, 4, 4) * (1 + 0.5j) - 7
+    c = Coefficient(mats, [MOMENTA[k % 3] / E, TIME * W])
+    left = np.eye(4)[::-1] * 2j
+    assert isinstance(x * c, Coefficient) and isinstance(c.scale(x), Coefficient)
+    assert _close(c.scale(x).eval(env), x.eval(env)[:, None, None] * c.eval(env), 1e-12)
+    assert _close(c.lmul(left).eval(env), left @ c.eval(env), 1e-13)
+    var = VARIABLES[k]
+    by_matrix = sum(
+        m * s.diff(var).eval(env)[:, None, None]
+        for m, s in zip(mats, [MOMENTA[k % 3] / E, TIME * W])
+    )
+    assert _close(c.diff(var).eval(env), by_matrix, 1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=_polynomials(with_w=False),
+    flags=st.builds(
+        FlagTransform, st.sampled_from((1, -1)), st.sampled_from((1, -1)),
+        st.sampled_from((1, -1)), st.booleans(),
+    ),
+)
+def test_sign_map_equals_evaluation_at_reflected_points(x, flags):
+    """sign * [conj] coefficient per monomial, evaluated at (p, m, t), is
+    [conj] x evaluated at (eta_p p, eta_m m, eta_t t)."""
+    points = sample_points(count=4)
+    reflected = [
+        Point(flags.eta_p * p.p1, flags.eta_p * p.p2, flags.eta_p * p.p3,
+              flags.eta_m * p.m, flags.eta_t * p.t)
+        for p in points
+    ]
+    coeffs = x.coeffs.conj() if flags.conj else x.coeffs
+    signed = Expr(x.exps, flag_signs(x.exps, flags) * coeffs)
+    want = x.eval(env_arrays(reflected))
+    assert _close(signed.eval(env_arrays(points)), want.conj() if flags.conj else want, 1e-13)
+
+
+def test_energy_even_under_flips():
+    env = env_arrays([PROBE])
+    for flags in (FlagTransform(eta_p=-1), FlagTransform(eta_m=-1), FlagTransform(eta_t=-1)):
+        assert mapped(E, flags).eval(env) == E.eval(env)
+    # W is even in p and in t, and not a monomial of -m
+    assert mapped(W, FlagTransform(eta_p=-1, eta_t=-1)).eval(env) == W.eval(env)
+    with pytest.raises(ValueError):
+        flag_signs(W.exps, FlagTransform(eta_m=-1))
+
+
+def test_mass_flip_substitutes_but_energy_untouched():
+    expr = MASS * MOMENTA[0] / E
+    env = env_arrays([Point(0.5, 0.1, -0.2, 1.4, 0.0)])
+    flipped = mapped(expr, FlagTransform(eta_m=-1))
+    assert flipped.eval(env) == pytest.approx(-expr.eval(env), abs=1e-15)
+
+
+def test_conjugation_hits_constants_only():
+    expr = 2j * (MOMENTA[0] + (1 - 1j) * TIME)
+    env = env_arrays([Point(0.9, 0.0, 0.0, 1.0, 0.7)])
+    assert conjugated(expr).eval(env) == np.conj(expr.eval(env))
+
+
+# ---------------------------------------------------------------------------
+# every generator coefficient, and the mass-shell normal form
 
 # the eight generator sets: the five representations and the negative-energy
 # four-component sets
@@ -155,110 +227,148 @@ GENERATOR_SETS = [(kind, 1) for kind in REP_KINDS] + [
 ]
 
 
-def _all_scalars():
-    """Every coefficient scalar of the eight generator sets and of both
-    helicity operators."""
+def _all_coefficients():
+    """Every coefficient of the eight generator sets and of both helicity
+    operators."""
     operators = [
         op
         for kind, sign in GENERATOR_SETS
         for op in build_generators(RepId(kind, sign)).ops.values()
     ]
     operators += [helicity_operator("s"), helicity_operator("t")]
-    return [x for op in operators for c in op.terms.values() for x in c.scalars]
+    return [c for op in operators for c in op.terms.values()]
 
 
-def _laurent_eval(poly, env):
-    """sum_b c_b x^b with every power taken here."""
+def _rows_eval(exps, mats, env):
+    """sum_b M_b x^b with every power taken here, point by point."""
     total = 0.0
-    for exps, c in poly.items():
-        term = c
-        for name, k in zip(LAURENT_VARS, exps):
-            term = term * env[name] ** float(k)
-        total = total + term
+    for row, mat in zip(exps, mats):
+        weight = np.ones_like(env["E"])
+        for name, k in zip(LAURENT_VARS, row):
+            weight = weight * env[name] ** float(k)
+        total = total + weight[:, None, None] * mat
     return total
 
 
-def _formal_diff(poly, var):
-    """d/dvar of a Laurent polynomial, E differentiated by the chain rule:
-    dE/dp_a = p_a / E and dE/dm = m / E."""
-    axis = LAURENT_VARS.index(var)
-    energy = LAURENT_VARS.index("E")
+def _formal_diff(exps, mats, var):
+    """d/dvar of sum_b M_b x^b as a dict from exponent tuples, with the
+    atoms differentiated by hand: dE/dv = v / E, dW/dp_a = (2 p_a + m p_a / E) / W
+    and dW/dm = (2m + E + m^2 / E) / W."""
+    axis = {name: k for k, name in enumerate(LAURENT_VARS)}
+
+    def moved(row, **shift):
+        out = list(row)
+        for name, k in shift.items():
+            out[axis[name]] += k
+        return tuple(out)
+
     out = {}
-    for exps, c in poly.items():
-        terms = []
-        if exps[axis]:
-            lowered = list(exps)
-            lowered[axis] -= 1
-            terms.append((tuple(lowered), c * exps[axis]))
-        if exps[energy] and var != "t":
-            chained = list(exps)
-            chained[axis] += 1
-            chained[energy] -= 2
-            terms.append((tuple(chained), c * exps[energy]))
-        for key, value in terms:
-            out[key] = out.get(key, 0) + value
-    return {k: v for k, v in out.items() if v != 0}
+
+    def add(key, value):
+        out[key] = out.get(key, 0) + value
+
+    for row, mat in zip(map(tuple, exps.tolist()), mats):
+        if row[axis[var]]:
+            add(moved(row, **{var: -1}), row[axis[var]] * mat)
+        if var == "t":
+            continue
+        if row[axis["E"]]:
+            add(moved(row, **{var: 1}, E=-2), row[axis["E"]] * mat)
+        w = row[axis["W"]]
+        if w and var == "m":
+            add(moved(row, m=1, W=-2), 2 * w * mat)
+            add(moved(row, E=1, W=-2), w * mat)
+            add(moved(row, m=2, E=-1, W=-2), w * mat)
+        elif w:
+            add(moved(row, **{var: 1}, W=-2), 2 * w * mat)
+            add(moved(row, **{var: 1}, m=1, E=-1, W=-2), w * mat)
+    return {key: value for key, value in out.items() if np.any(value != 0)}
 
 
 def test_laurent_matches_eval_on_every_generator_scalar():
+    """Every generator coefficient evaluates to its rows summed by hand, and
+    its mass-shell normal form to E^shift times it, with no power of E
+    beyond the first."""
     env = env_arrays(sample_points())
-    scalars = _all_scalars()
-    assert len(scalars) > 100
-    for x in scalars:
-        direct = np.asarray(x.eval(env)) * np.ones_like(env["E"])
-        expanded = _laurent_eval(x.laurent(), env) * np.ones_like(env["E"])
+    coefficients = _all_coefficients()
+    assert len(coefficients) > 100
+    energy = env["E"][:, None, None]
+    for c in coefficients:
+        direct = c.eval(env)
         scale = max(1.0, float(np.max(np.abs(direct))))
-        assert np.max(np.abs(expanded - direct)) <= 1e-13 * scale, x
+        assert np.max(np.abs(_rows_eval(c.exps, c.mats, env) - direct)) <= 1e-13 * scale, c
+        shift, form = c.on_shell()
+        assert isinstance(form, Coefficient) and shift % 2 == 0
+        assert set(form.exps[:, LAURENT_VARS.index("E")].tolist()) <= {0, 1}
+        reduced = form.eval(env)
+        assert np.max(np.abs(reduced - energy ** shift * direct)) <= 1e-12 * scale * 10 ** shift
 
 
 def test_laurent_of_a_derivative_is_the_formal_derivative():
-    memo = {}
-    for x in _all_scalars():
+    for c in _all_coefficients() + [fs_transform().terms[(0, 0, 0)]]:
         for var in VARIABLES:
-            got = x.diff(var).laurent(memo)
-            want = _formal_diff(x.laurent(memo), var)
-            assert sorted(got) == sorted(want), (x, var)
-            for key, value in want.items():
-                assert abs(got[key] - value) <= 1e-15 * abs(value), (x, var, key)
+            got = c.diff(var)
+            want = _formal_diff(c.exps, c.mats, var)
+            assert sorted(map(tuple, got.exps.tolist())) == sorted(want), (c, var)
+            for row, mat in zip(map(tuple, got.exps.tolist()), got.mats):
+                assert np.max(np.abs(mat - want[row])) <= 1e-15, (c, var, row)
 
 
 def test_laurent_rejects_square_roots_and_non_monomial_divisors():
     with pytest.raises(ValueError):
-        sqrt(add(E, MASS)).laurent()
+        (W * (E + MASS)).on_shell()
     with pytest.raises(ValueError):
-        div(Var("p1"), add(E, MASS)).laurent()
+        fs_transform().terms[(0, 0, 0)].on_shell()
     with pytest.raises(ValueError):
-        intpow(add(E, MASS), -1).laurent()
+        MOMENTA[0] / (E + MASS)
+    with pytest.raises(ValueError):
+        (E + MASS) ** -1
     # a monomial divisor is fine: p1 / (2 E^2) = 0.5 p1 E^-2
-    assert div(Var("p1"), mul(2, intpow(E, 2))).laurent() == {(1, 0, 0, 0, 0, -2): 0.5}
+    half = MOMENTA[0] / (2 * E ** 2)
+    assert half.exps.tolist() == [[1, 0, 0, 0, 0, -2, 0]]
+    assert half.coeffs.tolist() == [0.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_polynomials(with_w=False))
+def test_on_shell_equals_the_input_on_the_mass_shell(x):
+    env = env_arrays(sample_points(count=4))
+    shift, form = x.on_shell()
+    assert shift % 2 == 0 and shift >= 0
+    assert set(form.exps[:, LAURENT_VARS.index("E")].tolist()) <= {0, 1}
+    rows = form.exps.tolist()
+    assert rows == sorted(rows)
+    direct = env["E"] ** shift * x.eval(env)
+    assert _close(form.eval(env), direct, 1e-12 * 30 ** (shift // 2))
 
 
 def test_on_shell_block_that_vanishes_through_the_mass_shell_yields_no_equation():
     """E^2 - p1^2 - p2^2 - p3^2 - m^2 is a nonzero Laurent polynomial in
     the free variable E but zero on the mass shell: its normal form has no
     monomial, while a block that does not vanish keeps its equations."""
-    shell = [mul(E, E), mul(-1, intpow(Var("p1"), 2)), mul(-1, intpow(Var("p2"), 2)),
-             mul(-1, intpow(Var("p3"), 2)), mul(-1, intpow(MASS, 2))]
+    shell = [E * E, -MOMENTA[0] ** 2, -MOMENTA[1] ** 2, -MOMENTA[2] ** 2, -MASS ** 2]
     mat = np.array([[1.0, 2j], [0.0, -1.0]])
     vanishing = Coefficient([mat] * 5, shell)
-    assert len(add(shell[0], shell[1]).laurent()) == 2
-    shift, exps, mats = vanishing.on_shell()
-    assert shift == 0 and exps.shape == (0, 6) and mats.shape == (0, 2, 2)
+    assert len(vanishing.exps) == 5
+    shift, form = vanishing.on_shell()
+    assert shift == 0 and form.exps.shape == (0, 7) and form.mats.shape == (0, 2, 2)
     # (E^2 - p1^2) / E^3: shift 4 clears E^-3, leaving E (p2^2 + p3^2 + m^2)
-    kept = Coefficient([mat, mat], [div(1, E), div(mul(-1, intpow(Var("p1"), 2)), intpow(E, 3))])
-    shift, exps, mats = kept.on_shell()
+    kept = Coefficient([mat, mat], [1 / E, -MOMENTA[0] ** 2 / E ** 3])
+    shift, form = kept.on_shell()
     assert shift == 4
-    assert exps.tolist() == [[0, 0, 0, 2, 0, 1], [0, 0, 2, 0, 0, 1], [0, 2, 0, 0, 0, 1]]
-    assert all(np.array_equal(m, mat) for m in mats)
+    assert form.exps.tolist() == [
+        [0, 0, 0, 2, 0, 1, 0], [0, 0, 2, 0, 0, 1, 0], [0, 2, 0, 0, 0, 1, 0]
+    ]
+    assert all(np.array_equal(m, mat) for m in form.mats)
 
 
 def test_on_shell_expands_even_powers_of_the_energy():
-    poly = intpow(E, 4).laurent()
-    reduced = on_shell(poly, 0)
+    shift, reduced = (E ** 4).on_shell()
     # (p1^2 + p2^2 + p3^2 + m^2)^2: 4 squares and 6 cross terms of weight 2
-    assert len(reduced) == 10
-    assert sorted(reduced.values(), key=abs) == [1] * 4 + [2] * 6
+    assert shift == 0 and len(reduced.exps) == 10
+    assert sorted(reduced.coeffs.real.tolist()) == [1] * 4 + [2] * 6
     env = env_arrays(sample_points(count=3))
-    assert np.allclose(_laurent_eval(reduced, env), env["E"] ** 4, rtol=1e-14, atol=0)
-    with pytest.raises(ValueError):
-        on_shell(intpow(E, -3).laurent(), 2)
+    assert np.allclose(reduced.eval(env), env["E"] ** 4, rtol=1e-14, atol=0)
+    # E^-3 needs E^4: E^4 / E^3 = E
+    shift, reduced = (E ** -3).on_shell()
+    assert shift == 4 and reduced.exps.tolist() == [[0, 0, 0, 0, 0, 1, 0]]

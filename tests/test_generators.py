@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from ptclab.clifford import cached_basis, cached_spin
-from ptclab.expr import E, MASS, TIME, Var, div, mul
+from ptclab.expr import E, MASS, MOMENTA, TIME
 from ptclab.generators import (
     GENERATOR_NAMES,
     REP_KINDS,
@@ -243,7 +243,7 @@ def test_closed_form_matches_composed_generators(kind, points, points_alt):
     for a in (1, 2, 3):
         boost = g[f"J0{a}"]
         expected = minus(
-            MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), dim),
+            MomentumOperator.scalar(TIME * MOMENTA[a - 1], dim),
             scaled(plus(compose(x[a], g["P0"]), compose(g["P0"], x[a])), 0.5),
         )
         for pts in (points, points_alt):
@@ -296,13 +296,13 @@ def test_rep3_boost_alternate_form(rep3, points):
     basis = cached_basis(4)
     h_mat = Coefficient(
         [basis.gamma0 @ basis.gamma(k) for k in range(1, 5)],
-        [Var(f"p{k}") if k < 4 else MASS for k in range(1, 5)],
+        MOMENTA + (MASS,),
     )
     for a in (1, 2, 3):
-        alt_spin = h_mat.lmul(spin.entry(0, a)).scale(div(1, E))
+        alt_spin = h_mat.lmul(spin.entry(0, a)).scale(1 / E)
         alt = plus(
             minus(
-                MomentumOperator.scalar(mul(TIME, Var(f"p{a}")), 4),
+                MomentumOperator.scalar(TIME * MOMENTA[a - 1], 4),
                 compose(position(a, 4), MomentumOperator.scalar(E, 4)),
             ),
             MomentumOperator.from_matrix(alt_spin),

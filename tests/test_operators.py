@@ -1,7 +1,7 @@
 import pytest
 
 from ptclab.classify import PRIMITIVE_OPS, momentum_action
-from ptclab.expr import E, P1, div, mul
+from ptclab.expr import E, P1
 from ptclab.generators import build_generators
 from ptclab.operators import (
     FlagTransform,
@@ -52,7 +52,7 @@ def test_position_energy_bracket(points):
     # [x1, E] = i p1 / E, straight from the chain rule
     x1 = position(1, 4)
     e_op = MomentumOperator.scalar(E, 4)
-    expected = MomentumOperator.scalar(mul(I_UNIT, div(P1, E)), 4)
+    expected = MomentumOperator.scalar(I_UNIT * P1 / E, 4)
     ok, resid = equal_at(bracket(x1, e_op), expected, points)
     assert ok, resid
     # E followed by x1 keeps no order-0 piece; x1 followed by E gains one
