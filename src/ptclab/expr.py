@@ -168,6 +168,8 @@ class Expr:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
+        if self.coeffs.ndim > 1:
+            raise TypeError("a matrix coefficient has no power")
         if n < 0:
             if len(self.exps) != 1:
                 raise ValueError(f"only a monomial has a negative power, not {self!r}")

@@ -18,6 +18,7 @@ from ptclab.expr import (
     Expr,
     FlagTransform,
     flag_signs,
+    monomials,
 )
 from ptclab.generators import REP_KINDS, RepId, build_generators, fs_transform, helicity_operator
 from ptclab.operators import Coefficient
@@ -58,9 +59,17 @@ def _polynomials(max_terms=5, with_w=True):
     return st.lists(st.tuples(_ROWS, _COMPLEX), max_size=max_terms).map(build)
 
 
-def _close(a, b, rel):
-    scale = max(1.0, float(np.max(np.abs(a), initial=0)), float(np.max(np.abs(b), initial=0)))
-    return float(np.max(np.abs(np.asarray(a) - b), initial=0)) <= rel * scale
+def _size(x, env):
+    """sum_k |c_k| |x^e_k| point by point: the size of the terms an
+    evaluation of x rounds, with a matrix coefficient's largest entry."""
+    coeffs = np.abs(x.coeffs).reshape(len(x.coeffs), math.prod(x.coeffs.shape[1:]))
+    return np.abs(monomials(x.exps, env)) @ coeffs.max(axis=1, initial=0)
+
+
+def _close(got, want, rel, size):
+    """got equals want within rel (1 + size) at every point, size per point."""
+    size = np.reshape(1 + size, np.shape(size) + (1,) * (np.ndim(got) - np.ndim(size)))
+    return bool(np.all(np.abs(np.asarray(got) - want) <= rel * size))
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +119,13 @@ def test_sqrt_derivative():
     assert len(W.diff("t").exps) == 0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(expr=_polynomials(), var=st.sampled_from(("p1", "p2", "p3", "m", "t")))
 def test_derivative_matches_finite_differences_on_100_expressions(expr, var):
     exact = ev(expr.diff(var), **PROBE._asdict())
     fd = central_diff(expr, PROBE, var)
-    assert abs(exact - fd) <= 1e-6 * max(1.0, abs(exact), abs(fd)), (expr, var)
+    scale = max(1.0, abs(exact), abs(fd))
+    assert abs(exact - fd) / scale < 1e-7, (expr, var)
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,10 +151,11 @@ def test_product_rule_property(coeffs, var):
 def test_eval_is_a_ring_homomorphism(a, b, c):
     env = env_arrays(sample_points(count=4))
     va, vb = a.eval(env), b.eval(env)
-    assert _close((a + b).eval(env), va + vb, 1e-13)
-    assert _close((a - b).eval(env), va - vb, 1e-13)
-    assert _close((c * a + 1).eval(env), c * va + 1, 1e-13)
-    assert _close((a * b).eval(env), va * vb, 1e-12 * max(1.0, float(np.max(np.abs(va)))))
+    sa, sb = _size(a, env), _size(b, env)
+    assert _close((a + b).eval(env), va + vb, 1e-13, sa + sb)
+    assert _close((a - b).eval(env), va - vb, 1e-13, sa + sb)
+    assert _close((c * a + 1).eval(env), c * va + 1, 1e-13, abs(c) * sa)
+    assert _close((a * b).eval(env), va * vb, 1e-13, sa * sb)
     # equal monomials are merged and zero coefficients dropped
     rows = [tuple(r) for r in (a * b).exps.tolist()]
     assert len(set(rows)) == len(rows)
@@ -158,17 +169,17 @@ def test_scalar_times_matrix_coefficient(x, k):
     expression, left factors and derivatives act matrix by matrix."""
     env = env_arrays(sample_points(count=3))
     mats = np.arange(2 * 4 * 4).reshape(2, 4, 4) * (1 + 0.5j) - 7
-    c = Coefficient(mats, [MOMENTA[k % 3] / E, TIME * W])
+    scalars = [MOMENTA[k % 3] / E, TIME * W]
+    c = Coefficient(mats, scalars)
     left = np.eye(4)[::-1] * 2j
     assert isinstance(x * c, Coefficient) and isinstance(c.scale(x), Coefficient)
-    assert _close(c.scale(x).eval(env), x.eval(env)[:, None, None] * c.eval(env), 1e-12)
-    assert _close(c.lmul(left).eval(env), left @ c.eval(env), 1e-13)
+    size = _size(x, env) * _size(c, env)
+    assert _close(c.scale(x).eval(env), x.eval(env)[:, None, None] * c.eval(env), 1e-13, size)
+    assert _close(c.lmul(left).eval(env), left @ c.eval(env), 1e-13, 2 * _size(c, env))
     var = VARIABLES[k]
-    by_matrix = sum(
-        m * s.diff(var).eval(env)[:, None, None]
-        for m, s in zip(mats, [MOMENTA[k % 3] / E, TIME * W])
-    )
-    assert _close(c.diff(var).eval(env), by_matrix, 1e-13)
+    by_matrix = sum(m * s.diff(var).eval(env)[:, None, None] for m, s in zip(mats, scalars))
+    size = sum(np.abs(m).max() * _size(s.diff(var), env) for m, s in zip(mats, scalars))
+    assert _close(c.diff(var).eval(env), by_matrix, 1e-13, size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,8 +201,9 @@ def test_sign_map_equals_evaluation_at_reflected_points(x, flags):
     ]
     coeffs = x.coeffs.conj() if flags.conj else x.coeffs
     signed = Expr(x.exps, flag_signs(x.exps, flags) * coeffs)
+    env = env_arrays(points)
     want = x.eval(env_arrays(reflected))
-    assert _close(signed.eval(env_arrays(points)), want.conj() if flags.conj else want, 1e-13)
+    assert _close(signed.eval(env), want.conj() if flags.conj else want, 1e-13, _size(x, env))
 
 
 def test_energy_even_under_flips():
@@ -311,7 +323,7 @@ def test_laurent_of_a_derivative_is_the_formal_derivative():
             want = _formal_diff(c.exps, c.mats, var)
             assert sorted(map(tuple, got.exps.tolist())) == sorted(want), (c, var)
             for row, mat in zip(map(tuple, got.exps.tolist()), got.mats):
-                assert np.max(np.abs(mat - want[row])) <= 1e-15, (c, var, row)
+                assert np.all(np.abs(mat - want[row]) <= 1e-15 * np.abs(want[row])), (c, var, row)
 
 
 def test_laurent_rejects_square_roots_and_non_monomial_divisors():
@@ -323,6 +335,8 @@ def test_laurent_rejects_square_roots_and_non_monomial_divisors():
         MOMENTA[0] / (E + MASS)
     with pytest.raises(ValueError):
         (E + MASS) ** -1
+    with pytest.raises(TypeError):
+        Coefficient.constant(np.eye(2)) ** -1
     # a monomial divisor is fine: p1 / (2 E^2) = 0.5 p1 E^-2
     half = MOMENTA[0] / (2 * E ** 2)
     assert half.exps.tolist() == [[1, 0, 0, 0, 0, -2, 0]]
@@ -339,7 +353,7 @@ def test_on_shell_equals_the_input_on_the_mass_shell(x):
     rows = form.exps.tolist()
     assert rows == sorted(rows)
     direct = env["E"] ** shift * x.eval(env)
-    assert _close(form.eval(env), direct, 1e-12 * 30 ** (shift // 2))
+    assert _close(form.eval(env), direct, 1e-13, env["E"] ** shift * _size(x, env))
 
 
 def test_on_shell_block_that_vanishes_through_the_mass_shell_yields_no_equation():
