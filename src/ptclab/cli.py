@@ -94,7 +94,8 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--samples", type=int, default=DEFAULT_COUNT,
             help="sample points; classify and table check only the witness residual "
-            "on them, their rank decision uses none",
+            "on them, their rank decision uses none; algebra uses them only for "
+            "--dump-generators and massless only for the helicity eigenvalues",
         )
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
@@ -102,7 +103,7 @@ def _build_parser() -> _Parser:
 
     common(sub.add_parser("selftest", help="basis invariants, unitarity, diagonalization, charge"))
 
-    p = sub.add_parser("algebra", help="bracket closure against the fitted structure constants")
+    p = sub.add_parser("algebra", help="exact bracket closure against the structure constants")
     p.add_argument("--rep", required=True, choices=REP_KINDS)
     p.add_argument(
         "--dump-generators",
@@ -154,7 +155,7 @@ def _selftest_checks(config: RunConfig) -> list:
 
     from .clifford import build_basis, cached_basis
     from .generators import canonical_transform, charge_check, dirac_hamiltonian8, fs_transform
-    from .operators import eval_operator
+    from .operators import ZERO_INDEX, eval_operator
     from .sampling import env_arrays, sample_points
 
     checks = []
@@ -171,21 +172,21 @@ def _selftest_checks(config: RunConfig) -> list:
 
     points = sample_points(count=100, seed=config.seed)
     env = env_arrays(points)
-    u = eval_operator(canonical_transform(), env, derivatives=False).coeffs[(0, 0, 0)]
+    u = eval_operator(canonical_transform(), env)[ZERO_INDEX]
     u_dag = u.conj().transpose(0, 2, 1)
     resid = float(np.max(np.abs(u @ u_dag - np.eye(8))))
     record("canonical_transform_unitary", resid < config.tol, resid)
 
-    h8 = eval_operator(dirac_hamiltonian8(), env, derivatives=False).coeffs[(0, 0, 0)]
+    h8 = eval_operator(dirac_hamiltonian8(), env)[ZERO_INDEX]
     target = cached_basis(8).gamma0[None, :, :] * env["E"][:, None, None]
     resid = float(np.max(np.abs(u @ h8 @ u_dag - target)))
     record("hamiltonian_diagonalization", resid < config.tol, resid)
 
-    u1 = eval_operator(fs_transform(), env, derivatives=False).coeffs[(0, 0, 0)]
+    u1 = eval_operator(fs_transform(), env)[ZERO_INDEX]
     resid = float(np.max(np.abs(u1.conj().transpose(0, 2, 1) @ u1 - np.eye(4))))
     record("connector_unitary", resid < config.tol, resid)
 
-    charge = charge_check(points=config.points(), tol=max(config.tol, 1e-10))
+    charge = charge_check(tol=max(config.tol, 1e-10))
     record("charge_commutes", charge.ok, charge.max_residual)
     return checks
 
@@ -232,9 +233,9 @@ def _generators_json(g, point) -> dict:
         "generators": {},
     }
     for name, op in g.items():
-        ev = eval_operator(op, env, derivatives=False)
         out["generators"][name] = {
-            ",".join(map(str, alpha)): cmat(mat[0]) for alpha, mat in sorted(ev.coeffs.items())
+            ",".join(map(str, alpha)): cmat(mat[0])
+            for alpha, mat in sorted(eval_operator(op, env).items())
         }
     return out
 
@@ -243,15 +244,14 @@ def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
     from .generators import build_generators, check_algebra
 
     g = build_generators(rep)
-    points = config.points()
-    if dump_sample is not None and not 0 <= dump_sample < len(points):
+    if dump_sample is not None and not 0 <= dump_sample < config.sample_count:
         print(
             f"ptclab: error: sample index {dump_sample} out of range "
-            f"(0..{len(points) - 1})",
+            f"(0..{config.sample_count - 1})",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    report = check_algebra(g, points, tol=config.tol)
+    report = check_algebra(g, tol=config.tol)
     if config.json_output:
         payload = {
             "schema": SCHEMA_VERSION,
@@ -266,7 +266,7 @@ def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
             "pass": report.ok,
         }
         if dump_sample is not None:
-            payload.update(_generators_json(g, points[dump_sample]))
+            payload.update(_generators_json(g, config.points()[dump_sample]))
         _emit(payload)
     else:
         print(f"bracket closure for {rep} (tol {config.tol:g})")

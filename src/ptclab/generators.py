@@ -20,8 +20,12 @@ a diagonal H and B_a = (S_ab p_b + mass part) / E.  That the Dirac-type set is
 the canonical one conjugated by the diagonalizing unitary is a checked
 property, not the construction.
 
-Structure constants are never copied in by hand: they are fitted once, all
-45 brackets in one least-squares solve over samples, from the spinless
+Every check here is exact.  The coefficients are Laurent polynomials in
+(p, m, t, E) with constant matrices, so an identity between generators holds
+for all momenta, masses and times iff the mass-shell normal form
+(`Expr.on_shell`) of its coefficients has no rows; brackets are formed with
+`operators.commutator`, and no sample point is used.  Structure constants are
+never copied in by hand: they are read off the 45 brackets of the spinless
 orbital realization (identity matrices, P0 = E) and then imposed on every
 spinor set.  `check_algebra` also checks that every generator is formally
 self-adjoint.
@@ -29,37 +33,30 @@ self-adjoint.
 Two conserved operators are checked against the sets here as well: gamma0
 commutes with every generator of rep3 (`charge_check`), and the helicity
 operators S.p/E and T.p/E commute with every canonical eight-component
-generator exactly at m = 0 (`helicity_check`).
+generator at m = 0 (`helicity_check`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .clifford import cached_basis, cached_spin, spectral_projector
-from .expr import E as ENERGY, MASS, MOMENTA, TIME, W
+from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, W
 from .labels import CANONICAL8_CONTENT, HALF
-from .operators import (
-    ZERO_INDEX,
-    Coefficient,
-    MomentumOperator,
-    bracket_eval,
-    eval_operator,
-    max_coeff_residual,
-)
+from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator, eval_operator
 from .sampling import env_arrays, sample_points
 from .vocabulary import DEFAULT_TOL, REP_KINDS
 
 # the spinless orbital realization that fixes the structure constants; not one
 # of the wave equations classified
 SCALAR_KIND = "scalar"
+_MASS_AXIS = LAURENT_VARS.index("m")
 # p1, p2, p3 and the mass as the fourth momentum component
 _MOMENTA4 = MOMENTA + (MASS,)
-# distance a fitted structure constant may sit from its Gaussian integer
-GAUSSIAN_SNAP_TOL = 1e-6
 GENERATOR_NAMES = ("P0", "P1", "P2", "P3", "J12", "J13", "J23", "J01", "J02", "J03")
 GENERATOR_CLASS = {
     "P0": "P0",
@@ -211,6 +208,49 @@ def build_generators(rep) -> GeneratorSet:
 
 
 # ---------------------------------------------------------------------------
+# exact residuals on the mass-shell normal form
+
+
+def _shell_residual(coeffs, massless: bool = False) -> float:
+    """The largest |coefficient| of the mass-shell normal forms of the given
+    coefficients, 0.0 iff every one of them vanishes on the mass shell.
+    With massless, only the rows without a power of m count: they are the
+    coefficient at m = 0, where 1 and E = |p| are still a basis because
+    p1^2 + p2^2 + p3^2 is not a square."""
+    worst = 0.0
+    for c in coeffs:
+        form = c.on_shell()[1]
+        values = form.coeffs
+        if massless:
+            values = values[form.exps[:, _MASS_AXIS] == 0]
+        worst = max(worst, float(np.abs(values).max(initial=0.0)))
+    return worst
+
+
+def _brackets(ops: list) -> dict:
+    """[G_i, G_j] for every pair i < j of the ten generators, in GENERATOR_NAMES order."""
+    return {
+        (i, j): commutator(ops[i], ops[j])
+        for i in range(len(ops))
+        for j in range(i + 1, len(ops))
+    }
+
+
+def _closure_residuals(ops: list, brackets: dict, constants: dict) -> dict:
+    """Per pair (name_i, name_j), the residual of [G_i, G_j] - sum_k c_k G_k."""
+    residuals = {}
+    for (i, j), coeffs in constants.items():
+        gap = dict(brackets[(i, j)].terms)
+        for k, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            for alpha, coeff in ops[k].terms.items():
+                gap[alpha] = gap[alpha] - coeff * c if alpha in gap else coeff * -c
+        residuals[(GENERATOR_NAMES[i], GENERATOR_NAMES[j])] = _shell_residual(gap.values())
+    return residuals
+
+
+# ---------------------------------------------------------------------------
 # structure constants from the spinless orbital realization
 
 
@@ -224,60 +264,58 @@ def scalar_generator_set() -> GeneratorSet:
     )
 
 
-def _snap_gaussian(value: complex) -> complex:
-    snapped = complex(round(value.real), round(value.imag))
-    if abs(value - snapped) > GAUSSIAN_SNAP_TOL:
-        raise AssertionError(f"structure constant {value} is not a Gaussian integer")
-    return snapped
-
-
-def _structure_system():
-    """The scalar orbital fit: the independent pairs (i, j), i < j over
-    GENERATOR_NAMES indices, the matrix whose column k stacks generator k's
-    coefficients over multi-indices and samples, and the matrix whose column
-    stacks the bracket of each pair the same way."""
-    env = env_arrays(sample_points(count=24, seed=0x51AB))
-    evaluated = [eval_operator(op, env) for op in scalar_generator_set().ops.values()]
-    generators = [ev.coeffs for ev in evaluated]
-    brackets = {
-        (i, j): bracket_eval(evaluated[i], evaluated[j])
-        for i in range(len(evaluated))
-        for j in range(i + 1, len(evaluated))
+def _scalar_rows(op: MomentumOperator) -> dict:
+    """{(multi-index, exponent row): coefficient} of a one-dimensional operator."""
+    return {
+        (alpha, tuple(row)): complex(mat[0, 0])
+        for alpha, c in op.terms.items()
+        for row, mat in zip(c.exps.tolist(), c.mats)
     }
-    alphas = sorted({a for coeffs in generators + list(brackets.values()) for a in coeffs})
-    zero = np.zeros(len(env["E"]))
-
-    def stacked(coeffs):
-        return np.concatenate([coeffs[a].ravel() if a in coeffs else zero for a in alphas])
-
-    basis_matrix = np.stack([stacked(coeffs) for coeffs in generators], axis=1)
-    rhs = np.stack([stacked(br) for br in brackets.values()], axis=1)
-    return list(brackets), basis_matrix, rhs
 
 
 @lru_cache(maxsize=None)
 def structure_constants() -> dict:
-    """Fit [G_i, G_j] = sum_k c_k G_k on the scalar orbital set, all 45
-    brackets in one least-squares solve.
+    """[G_i, G_j] = sum_k c_k G_k on the scalar orbital set, exactly.
 
-    Returns a dict keyed by (i, j) with i < j over GENERATOR_NAMES indices,
-    holding the snapped coefficient vector of length ten.
+    Every scalar generator has a private monomial, one that no other
+    generator has (E for P0, p_a for P_a, p_b at d_a for J_ab, t p_a for
+    J_0a).  c_k is the bracket's coefficient at G_k's private monomial
+    divided by G_k's own coefficient there, and the set's exact closure
+    under these constants certifies them.  Returns a dict keyed by (i, j)
+    with i < j over GENERATOR_NAMES indices, holding the coefficient vector
+    of length ten.
     """
-    pairs, basis_matrix, rhs = _structure_system()
-    fits, *_ = np.linalg.lstsq(basis_matrix, rhs, rcond=None)
-    residuals = np.max(np.abs(basis_matrix @ fits - rhs), axis=0)
+    ops = [scalar_generator_set()[name] for name in GENERATOR_NAMES]
+    rows = [_scalar_rows(op) for op in ops]
+    owners = Counter(key for generator in rows for key in generator)
+    private = []
+    for name, generator in zip(GENERATOR_NAMES, rows):
+        key = next((key for key in generator if owners[key] == 1), None)
+        if key is None:
+            raise AssertionError(f"scalar generator {name} has no private monomial")
+        private.append((key, generator[key]))
+    brackets = _brackets(ops)
     constants = {}
-    for (i, j), coeffs, residual in zip(pairs, fits.T, residuals):
-        if residual > 1e-9:
+    for pair, bracket in brackets.items():
+        found = _scalar_rows(bracket)
+        constants[pair] = tuple(found.get(key, 0j) / own for key, own in private)
+    for (a, b), residual in _closure_residuals(ops, brackets, constants).items():
+        if residual != 0.0:
             raise AssertionError(
-                f"scalar bracket [{GENERATOR_NAMES[i]},{GENERATOR_NAMES[j]}] does not close "
-                f"(fit residual {float(residual)})"
+                f"scalar bracket [{a},{b}] does not close (residual {residual})"
             )
-        constants[(i, j)] = tuple(_snap_gaussian(c) for c in coeffs)
     return constants
 
 
 class AlgebraReport(NamedTuple):
+    """Closure and self-adjointness of one generator set.
+
+    A residual is the largest |coefficient| of a mass-shell normal form
+    (`Expr.on_shell`): of [G_i, G_j] - sum_k c_k G_k over its multi-indices
+    for a bracket, and of the two self-adjointness conditions for a
+    generator.  It is 0.0 iff the identity holds for all (p, m, t).
+    """
+
     rep: str
     residuals: dict  # (name_i, name_j) -> float
     adjoint_residuals: dict  # name -> distance of G from its formal adjoint
@@ -301,42 +339,26 @@ class AlgebraReport(NamedTuple):
         ]
 
 
-def _adjoint_residual(ev) -> float:
+def _adjoint_residual(op: MomentumOperator) -> float:
     """Distance of G = C_0 + sum_a C_a d_a from its formal adjoint
     C_0^H - sum_a (d_a C_a)^H - sum_a C_a^H d_a: G is self-adjoint iff
-    C_a = -C_a^H and C_0 - C_0^H + sum_a (d_a C_a)^H = 0."""
-    worst = 0.0
-    gap = 0.0
-    for alpha, c in ev.coeffs.items():
-        c_dagger = c.conj().transpose(0, 2, 1)
-        if alpha == ZERO_INDEX:
-            gap = gap + c - c_dagger
-        else:
-            worst = max(worst, float(np.max(np.abs(c + c_dagger))))
-            gap = gap + ev.dcoeffs[(alpha.index(1), alpha)].conj().transpose(0, 2, 1)
-    return max(worst, float(np.max(np.abs(gap))))
+    C_a + C_a^H and C_0 - C_0^H + sum_a (d_a C_a)^H vanish."""
+    c0 = op.terms[ZERO_INDEX]
+    gap = c0 - c0.dagger()
+    conditions = []
+    for alpha, c in op.terms.items():
+        if alpha != ZERO_INDEX:
+            conditions.append(c + c.dagger())
+            gap = gap + c.diff(MOMENTUM_VARS[alpha.index(1)]).dagger()
+    return _shell_residual(conditions + [gap])
 
 
-def check_algebra(g: GeneratorSet, points=None, tol: float = DEFAULT_TOL) -> AlgebraReport:
-    """Verify every independent bracket against the fitted structure
-    constants, and that every generator is formally self-adjoint."""
-    if points is None:
-        points = sample_points()
-    env = env_arrays(points)
-    evaluated = {name: eval_operator(op, env) for name, op in g.items()}
-    constants = structure_constants()
-    names = list(GENERATOR_NAMES)
-    residuals = {}
-    for (i, j), coeffs in constants.items():
-        br = bracket_eval(evaluated[names[i]], evaluated[names[j]])
-        target: dict = {}
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            for alpha, mat in evaluated[names[k]].coeffs.items():
-                target[alpha] = target.get(alpha, 0) + c * mat
-        residuals[(names[i], names[j])] = max_coeff_residual(br, target)
-    adjoint = {name: _adjoint_residual(ev) for name, ev in evaluated.items()}
+def check_algebra(g: GeneratorSet, tol: float = DEFAULT_TOL) -> AlgebraReport:
+    """Check every independent bracket against the structure constants, and
+    that every generator is formally self-adjoint, on the normal form."""
+    ops = [g[name] for name in GENERATOR_NAMES]
+    residuals = _closure_residuals(ops, _brackets(ops), structure_constants())
+    adjoint = {name: _adjoint_residual(op) for name, op in g.items()}
     return AlgebraReport(g.rep.kind, residuals, adjoint, tol)
 
 
@@ -350,15 +372,19 @@ class SubspaceReport(NamedTuple):
     complete: bool
 
 
-def subspace_decomposition(points=None, tol: float = DEFAULT_TOL) -> SubspaceReport:
+def _commutant_residual(q, op: MomentumOperator) -> float:
+    """The `_shell_residual` of [q, C] over op's coefficients C, for a
+    constant matrix q."""
+    return _shell_residual(c.from_rows(c.exps, q @ c.mats - c.mats @ q) for c in op.terms.values())
+
+
+def subspace_decomposition(tol: float = DEFAULT_TOL) -> SubspaceReport:
     """Rank-2 projectors labelled by energy sign and by which Casimir is excited.
 
     Each projector is the product of a spectral projector of Gamma0 with one
     of S^2 or T^2, and must commute with all ten canonical generators.
     """
     g = build_generators("canonical8")
-    if points is None:
-        points = sample_points()
     basis = cached_basis(8)
     spin = cached_spin(8)
 
@@ -374,14 +400,7 @@ def subspace_decomposition(points=None, tol: float = DEFAULT_TOL) -> SubspaceRep
             )
         blocks.append((proj, label))
 
-    env = env_arrays(points)
-    worst = 0.0
-    for name, op in g.items():
-        ev = eval_operator(op, env, derivatives=False)
-        for proj, label in blocks:
-            for mat in ev.coeffs.values():
-                comm = proj @ mat - mat @ proj
-                worst = max(worst, float(np.max(np.abs(comm))))
+    worst = max(_commutant_residual(proj, op) for op in g.ops.values() for proj, _ in blocks)
     if worst >= tol:
         raise AssertionError(
             f"a subspace projector fails to commute with the generators "
@@ -398,27 +417,17 @@ class ChargeReport(NamedTuple):
     per_generator: dict
 
 
-def charge_check(points=None, tol: float = 1e-10) -> ChargeReport:
+def charge_check(tol: float = 1e-10) -> ChargeReport:
     """Does gamma0 commute with all ten generators of the positive-Hamiltonian
     set rep3?"""
-    g = build_generators("rep3")
-    if points is None:
-        points = sample_points()
     q = cached_basis(4).gamma0
-    env = env_arrays(points)
-    per = {}
-    for name, op in g.items():
-        ev = eval_operator(op, env, derivatives=False)
-        worst = 0.0
-        for mat in ev.coeffs.values():
-            worst = max(worst, float(np.max(np.abs(q @ mat - mat @ q))))
-        per[name] = worst
+    per = {name: _commutant_residual(q, op) for name, op in build_generators("rep3").items()}
     max_residual = max(per.values())
     return ChargeReport(max_residual < tol, max_residual, per)
 
 
 # ---------------------------------------------------------------------------
-# numeric helicity check on the canonical eight-component generators
+# helicity check on the canonical eight-component generators
 
 
 class HelicityReport(NamedTuple):
@@ -437,34 +446,27 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
 
 def helicity_check(points=None, tol: float = 1e-9) -> HelicityReport:
     """Check that both helicity operators commute with all ten canonical
-    eight-component generators.
+    eight-component generators at m = 0, and that S.p/E has eigenvalues
+    +-1/2 on the S^2 = 3/4 subspace.
 
-    The generators keep their symbolic mass dependence; evaluating at
-    massless sample points realizes the m = 0 generator set (E = |p|).
+    The generators keep their mass dependence: each commutator counts only
+    the rows of its normal form without a power of m, which are the
+    commutator at m = 0 (E = |p|).  The eigenvalues are checked at the
+    massless sample points.
     """
-    genset = build_generators("canonical8")
+    hs, ht = helicity_operator("s"), helicity_operator("t")
+    per = {
+        name: tuple(
+            _shell_residual(commutator(h, op).terms.values(), massless=True) for h in (hs, ht)
+        )
+        for name, op in build_generators("canonical8").items()
+    }
+    worst = max(max(pair) for pair in per.values())
     if points is None:
         points = sample_points(masses=(0.0,))
-    env = env_arrays(points)
-    hs = eval_operator(helicity_operator("s"), env)
-    ht = eval_operator(helicity_operator("t"), env)
-    per = {}
-    worst = 0.0
-    for name, op in genset.ops.items():
-        ev = eval_operator(op, env)
-        rs = _bracket_norm(hs, ev)
-        rt = _bracket_norm(ht, ev)
-        per[name] = (rs, rt)
-        worst = max(worst, rs, rt)
-
-    eig_residual = _helicity_eigen_residual(hs.coeffs[(0, 0, 0)])
+    eig_residual = _helicity_eigen_residual(eval_operator(hs, env_arrays(points))[ZERO_INDEX])
     ok = worst < tol and eig_residual < tol
     return HelicityReport(ok, worst, per, eig_residual)
-
-
-def _bracket_norm(h, ev) -> float:
-    res = bracket_eval(h, ev)
-    return max(float(np.max(np.abs(mat))) for mat in res.values())
 
 
 def _helicity_eigen_residual(hmat) -> float:

@@ -6,16 +6,15 @@ polynomial of `expr` whose coefficients are constant matrices, sum_b M_b x^b
 over distinct monomials x^b, so it shares the scalars' sums, products,
 derivatives, evaluation and mass-shell normal form (`Expr.on_shell`).  The
 package builds every generator in closed form from sums, scalar scalings and
-constant left factors of coefficients, and computes with them numerically:
-`eval_operator` evaluates the coefficients and their p-derivatives over a
-batch of sample points, and `bracket_eval` forms commutators of order <= 1
-operators from those values.  `FlagTransform` is the signature of a discrete
+constant left factors of coefficients.  `commutator` forms the bracket of
+two order <= 1 operators exactly, as another operator of the same kind, so
+every identity between generators is decided on the normal form of its
+coefficients; `eval_operator` evaluates the coefficients over a batch of
+sample points.  `FlagTransform` is the signature of a discrete
 substitution map.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +87,10 @@ class Coefficient(Expr):
         """mat @ self for a constant matrix mat."""
         return self.from_rows(self.exps, mat @ self.coeffs)
 
+    def dagger(self) -> "Coefficient":
+        """The Hermitian adjoint; every variable is real."""
+        return self._new(self.exps, self.coeffs.conj().transpose(0, 2, 1))
+
 
 # ---------------------------------------------------------------------------
 # the operator type
@@ -118,58 +121,46 @@ class MomentumOperator:
 
 
 # ---------------------------------------------------------------------------
-# fast numeric evaluation of operators and their brackets
-
-class EvaluatedOperator(NamedTuple):
-    """Coefficient matrices (and their p-derivatives) stacked over samples."""
-
-    dim: int
-    coeffs: dict  # Index -> ndarray (n, d, d)
-    dcoeffs: dict  # (var 0..2, Index) -> ndarray (n, d, d)
+# evaluation and the exact commutator
 
 
-def eval_operator(g: MomentumOperator, env, derivatives: bool = True) -> EvaluatedOperator:
-    """g's coefficients and, with derivatives, their p-derivatives over env,
-    from one evaluation of all their monomials."""
-    keys = list(g.terms)
-    exprs = list(g.terms.values())
-    if derivatives:
-        for alpha, c in g.terms.items():
-            keys += [(k, alpha) for k in range(3)]
-            exprs += [c.diff(var) for var in MOMENTUM_VARS]
-    values = dict(zip(keys, evaluate(exprs, env)))
-    coeffs = {alpha: values.pop(alpha) for alpha in g.terms}
-    return EvaluatedOperator(g.dim, coeffs, values)
+def eval_operator(g: MomentumOperator, env) -> dict:
+    """g's coefficients over env, {multi-index: values (n, d, d)}, from one
+    evaluation of all their monomials."""
+    return dict(zip(g.terms, evaluate(list(g.terms.values()), env)))
 
 
-def compose_eval(a: EvaluatedOperator, b: EvaluatedOperator) -> dict:
-    """Numeric composition for operators of derivative order <= 1."""
-    out: dict = {}
-    for alpha, amat in a.coeffs.items():
-        o = index_order(alpha)
-        if o > 1:
-            raise ValueError("numeric composition supports order <= 1 inputs")
-        for beta, bmat in b.coeffs.items():
-            idx = index_add(alpha, beta)
-            out[idx] = out.get(idx, 0) + amat @ bmat
-        if o == 1:
-            var = alpha.index(1)
-            for beta in b.coeffs:
-                out[beta] = out.get(beta, 0) + amat @ b.dcoeffs[(var, beta)]
-    return out
+def _product_rows(a: Coefficient, b: Coefficient):
+    """The unmerged rows of the matrix product a b: the outer sum of the
+    exponent rows and the product of every pair of matrices."""
+    exps = (a.exps[:, None] + b.exps[None]).reshape(-1, a.exps.shape[1])
+    mats = np.matmul(a.mats[:, None], b.mats[None]).reshape(-1, a.dim, a.dim)
+    return exps, mats
 
 
-def bracket_eval(a: EvaluatedOperator, b: EvaluatedOperator) -> dict:
-    """Numeric commutator AB - BA, per multi-index, of order <= 1 inputs."""
-    out = compose_eval(a, b)
-    for alpha, mat in compose_eval(b, a).items():
-        out[alpha] = out.get(alpha, 0) - mat
-    return out
+def commutator(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
+    """AB - BA of order <= 1 operators, exactly:
 
+        [A, B] = sum A_alpha B_beta d^(alpha+beta)
+                 + sum_{|alpha|=1} A_alpha (d_alpha B_beta) d^beta - (A <-> B),
 
-def max_coeff_residual(lhs: dict, rhs: dict) -> float:
-    residual = 0.0
-    for alpha in set(lhs) | set(rhs):
-        diff = lhs.get(alpha, 0) - rhs.get(alpha, 0)
-        residual = max(residual, float(np.max(np.abs(diff))))
-    return residual
+    every row of one multi-index merged once.  Multi-indices whose rows all
+    cancel are dropped.  Raises ValueError on an input of order > 1.
+    """
+    if any(index_order(alpha) > 1 for op in (a, b) for alpha in op.terms):
+        raise ValueError("the commutator takes operators of order <= 1")
+    rows: dict = {}  # multi-index -> [(exps, mats)]
+    for sign, (x, y) in ((1, (a, b)), (-1, (b, a))):
+        for alpha, xc in x.terms.items():
+            for beta, yc in y.terms.items():
+                products = [(index_add(alpha, beta), yc)]
+                if index_order(alpha) == 1:
+                    products.append((beta, yc.diff(MOMENTUM_VARS[alpha.index(1)])))
+                for index, right in products:
+                    exps, mats = _product_rows(xc, right)
+                    rows.setdefault(index, []).append((exps, sign * mats))
+    terms = {
+        index: Coefficient.from_rows(*map(np.concatenate, zip(*parts)))
+        for index, parts in rows.items()
+    }
+    return MomentumOperator(a.dim, {index: c for index, c in terms.items() if len(c.exps)})

@@ -1,12 +1,14 @@
-"""Symbolic operator algebra that the tests hold the numeric path to.
+"""Symbolic operator algebra that the tests hold the package to.
 
-The package builds every generator in closed form and computes with it
-numerically (`eval_operator`, `bracket_eval`, the monomial constraint system).
-This module is the independent reference for those numbers: operator
-sums and scalings, the position operator, the full Leibniz-rule composition
-(coefficients multiplied sum by sum), symbolic commutators, formal adjoints,
-the substitution-flag conjugation R g R^-1 and per-multi-index comparison of
-operators at sample points.
+The package builds every generator in closed form and decides identities
+between generators exactly (`operators.commutator` and the mass-shell normal
+form, the monomial constraint system), evaluating coefficients only with
+`eval_operator`.  This module is the independent reference for those
+results: operator sums and scalings, the position operator, the full
+Leibniz-rule composition (coefficients multiplied sum by sum, for any
+order), symbolic commutators, formal adjoints, the substitution-flag
+conjugation R g R^-1 and per-multi-index comparison of operators at sample
+points.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -185,8 +187,8 @@ def compose(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
 def bracket(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
     """AB - BA; cancellation of the top-order pieces is detected numerically.
 
-    The numeric bracket_eval is what the package computes with; this symbolic
-    form is the reference the tests hold it to.
+    The package's exact `operators.commutator` is held to this general
+    Leibniz-rule form.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")

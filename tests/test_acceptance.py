@@ -51,7 +51,7 @@ def _passline(n, text):
 
 def _matrix_at(op, points):
     env = env_arrays(points)
-    return eval_operator(op, env, derivatives=False).coeffs[(0, 0, 0)]
+    return eval_operator(op, env)[(0, 0, 0)]
 
 
 def test_criterion_01_clifford_exact():
@@ -106,11 +106,10 @@ def test_criterion_03_connector_unitary():
 def test_criterion_04_poincare_closure():
     kinds = ("dirac8", "canonical8", "rep1", "rep2", "rep3")
     sets = {kind: build_generators(RepId(kind)) for kind in kinds}  # cached builds
-    points = sample_points()
     start = time.perf_counter()
     worst = 0.0
     for kind in kinds:
-        report = check_algebra(sets[kind], points, tol=1e-9)
+        report = check_algebra(sets[kind], tol=1e-9)
         assert report.ok, (kind, report.failures())
         assert len(report.residuals) == 45
         worst = max(worst, report.max_residual)
@@ -123,7 +122,7 @@ def test_criterion_05_casimirs_and_subspaces():
     spectra = casimir_spectrum(cached_spin(8))
     assert spectra["s_squared"] == {0.75: 4, 0.0: 4}
     assert spectra["t_squared"] == {0.75: 4, 0.0: 4}
-    report = subspace_decomposition(points=sample_points(), tol=1e-9)
+    report = subspace_decomposition(tol=1e-9)
     labels = [label for _, label in report.blocks]
     assert labels == [
         IrrepLabel(1, HALF, 0),
@@ -214,7 +213,7 @@ def test_criterion_09_position_conditions():
 
 
 def test_criterion_10_charge_commutes():
-    report = charge_check(points=sample_points(seed=DEFAULT_SEED), tol=1e-10)
+    report = charge_check(tol=1e-10)
     assert report.ok
     assert report.max_residual < 1e-10
     _passline(10, f"charge operator commutes with all ten positive-Hamiltonian "

@@ -128,8 +128,8 @@ def _oracle_blocks(g, op, points):
     flags = momentum_action(op)
     blocks = []
     for name, gen in g.items():
-        plain = eval_operator(gen, env, derivatives=False).coeffs
-        flagged = eval_operator(apply_flags(gen, flags), env, derivatives=False).coeffs
+        plain = eval_operator(gen, env)
+        flagged = eval_operator(apply_flags(gen, flags), env)
         for alpha in sorted(plain):
             blocks.append((flagged[alpha], plain[alpha], op.generator_sign(name)))
     return blocks
