@@ -92,9 +92,6 @@ class DiscreteOpSpec(NamedTuple):
     conj: bool = False
     signs: tuple = (1, 1, 1, 1)  # ordered as SIGN_CLASSES
 
-    def generator_sign(self, generator_name: str) -> int:
-        return self.signs[SIGN_CLASSES.index(GENERATOR_CLASS[generator_name])]
-
 
 def compose_ops(a: DiscreteOpSpec, b: DiscreteOpSpec, name: str = None) -> DiscreteOpSpec:
     """Composite operator: flags multiply, conjugations XOR, signs multiply."""

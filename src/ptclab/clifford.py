@@ -8,8 +8,7 @@ The canonical construction starts from five mutually anticommuting hermitian
 The 4x4 basis is gamma0 = D5 (already diagonal, diag(1,1,-1,-1)) and
 gamma_k = i*D_k for k = 1..4, so gamma0 is hermitian with square +1 and the
 spatial gammas are anti-hermitian with square -1.  The 8x8 basis doubles up:
-Gamma0 = s3 x 1_4 and Gamma_k = s1 x (i*D_k); the extra anticommuting element
-s2 x 1_4 completes a six-element set used by the commutant scan.
+Gamma0 = s3 x 1_4 and Gamma_k = s1 x (i*D_k).
 
 All entries are exact integers or half-integers times i, so the basis
 invariants hold with zero floating error.
@@ -21,8 +20,6 @@ from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
-
-from .sampling import sample_points
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -39,8 +36,6 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 # distance an eigenvalue may sit from its snapped s(s+1) value
 CASIMIR_TOL = 1e-9
-# commutator norm below which a bilinear counts as commuting with Gamma0 E
-COMMUTANT_TOL = 1e-12
 # distance within which spectral_projector counts an eigenvalue as the target
 EIGENVALUE_TOL = 1e-8
 
@@ -59,28 +54,16 @@ DELTAS = (
 
 
 class CliffordBasis(NamedTuple):
-    """gamma0 plus four 'spatial' gammas (index 4 pairs with the mass).
-
-    For dim 8 `extra` holds the sixth mutually anticommuting element used by
-    the commutant scan; it is None for dim 4.
-    """
+    """gamma0 plus four 'spatial' gammas (index 4 pairs with the mass)."""
 
     dim: int
     gamma0: np.ndarray
     gammas: tuple  # gamma_1..gamma_4
-    extra: np.ndarray | None = None
 
     def gamma(self, mu: int) -> np.ndarray:
         if mu == 0:
             return self.gamma0
         return self.gammas[mu - 1]
-
-    def anticommuting_set(self) -> list:
-        """All mutually anticommuting hermitian involutions backing the basis."""
-        elems = [self.gamma0] + [-1j * g for g in self.gammas]
-        if self.extra is not None:
-            elems.append(self.extra)
-        return elems
 
 
 def build_basis(dim: int) -> CliffordBasis:
@@ -95,7 +78,6 @@ def build_basis(dim: int) -> CliffordBasis:
             8,
             np.kron(SZ, eye4),
             tuple(np.kron(SX, 1j * DELTAS[k]) for k in range(4)),
-            extra=np.kron(SY, eye4),
         )
     else:
         raise ValueError(f"unsupported dimension {dim}; expected 4 or 8")
@@ -227,46 +209,3 @@ def spectral_projector(matrix: np.ndarray, eigenvalue: float) -> np.ndarray:
     sel = vectors[:, mask]
     return sel @ sel.conj().T
 
-
-class CommutantScan:
-    """Which antisymmetrized bilinears commute with the diagonal Hamiltonian.
-
-    A plain class, not a NamedTuple: the field `count` would shadow
-    tuple.count."""
-
-    __slots__ = ("total", "count", "members", "max_residual")
-
-    def __init__(self, total: int, count: int, members: tuple, max_residual: float):
-        self.total = total
-        self.count = count
-        self.members = members  # index pairs (A, B) into the anticommuting set
-        self.max_residual = max_residual
-
-
-def commutant_scan(basis: CliffordBasis, points=None) -> CommutantScan:
-    """Scan the bilinears of the six-element anticommuting set against Gamma0*E.
-
-    Element 0 is Gamma0 itself, 1..4 are the spatial gammas (as hermitian
-    involutions) and 5 is the extra doubling element; the scan reports which
-    of the 15 products S_AB = i/4 [e_A, e_B] commute with the canonical
-    Hamiltonian at every sample.
-    """
-    if basis.dim != 8:
-        raise ValueError("the commutant scan is defined for the dim-8 basis")
-    if points is None:
-        points = sample_points(count=5)
-    elems = basis.anticommuting_set()
-    n = len(elems)
-    members = []
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            bil = 0.25j * (elems[a] @ elems[b] - elems[b] @ elems[a])
-            residual = 0.0
-            for pt in points:
-                h = basis.gamma0 * pt.energy
-                residual = max(residual, float(np.max(np.abs(bil @ h - h @ bil))))
-            if residual < COMMUTANT_TOL:
-                members.append((a, b))
-                worst = max(worst, residual)
-    return CommutantScan(n * (n - 1) // 2, len(members), tuple(members), worst)

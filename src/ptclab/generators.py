@@ -33,7 +33,10 @@ self-adjoint.
 Two conserved operators are checked against the sets here as well: gamma0
 commutes with every generator of rep3 (`charge_check`), and the helicity
 operators S.p/E and T.p/E commute with every canonical eight-component
-generator at m = 0 (`helicity_check`).
+generator at m = 0, where S.p/E has eigenvalues +-1/2 on the S^2 = 3/4
+subspace (`helicity_check`).  `transform_residuals` checks that both
+transforms are unitary and that the canonical one diagonalizes H8, on
+their numerators (Foldy & Wouthuysen, Phys. Rev. 78 (1950) 29).
 """
 
 from __future__ import annotations
@@ -45,10 +48,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import cached_basis, cached_spin, spectral_projector
-from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, W
+from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, W, Expr
 from .labels import CANONICAL8_CONTENT, HALF
-from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator, eval_operator
-from .sampling import env_arrays, sample_points
+from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator
 from .vocabulary import DEFAULT_TOL, REP_KINDS
 
 # the spinless orbital realization that fixes the structure constants; not one
@@ -150,24 +152,33 @@ def dirac_hamiltonian8() -> MomentumOperator:
     return MomentumOperator.from_matrix(Coefficient(coeffs, _MOMENTA4))
 
 
+def _canonical_numerator() -> Coefficient:
+    """1 + Gamma0 H8 / E = 1 + Gamma_k p_k / E, sqrt(2) times the canonical transform."""
+    basis = cached_basis(8)
+    over_e = Coefficient([basis.gamma(k) for k in range(1, 5)], _MOMENTA4).scale(1 / ENERGY)
+    return Coefficient.scalar(1, 8) + over_e
+
+
 @lru_cache(maxsize=None)
 def canonical_transform() -> MomentumOperator:
     """The unitary (1 + Gamma0 H8 / E) / sqrt(2) that diagonalizes H8."""
-    basis = cached_basis(8)
-    over_e = Coefficient([basis.gamma(k) for k in range(1, 5)], _MOMENTA4).scale(1 / ENERGY)
-    return MomentumOperator.from_matrix((Coefficient.scalar(1, 8) + over_e).scale(2 ** -0.5))
+    return MomentumOperator.from_matrix(_canonical_numerator().scale(2 ** -0.5))
+
+
+def _connector_numerator() -> Coefficient:
+    """m + E + gamma4 gamma_a p_a, W times the connector."""
+    basis = cached_basis(4)
+    return Coefficient(
+        [np.eye(4)] + [basis.gamma(4) @ basis.gamma(a) for a in range(1, 4)],
+        [MASS + ENERGY, *MOMENTA],
+    )
 
 
 @lru_cache(maxsize=None)
 def fs_transform() -> MomentumOperator:
     """The unitary connector (m + E + gamma4 gamma_a p_a) W^-1, with the atom
     W = sqrt(2E(E+m)) of `expr` as its normalisation."""
-    basis = cached_basis(4)
-    num = Coefficient(
-        [np.eye(4)] + [basis.gamma(4) @ basis.gamma(a) for a in range(1, 4)],
-        [MASS + ENERGY, *MOMENTA],
-    )
-    return MomentumOperator.from_matrix(num.scale(W ** -1))
+    return MomentumOperator.from_matrix(_connector_numerator().scale(W ** -1))
 
 
 @lru_cache(maxsize=None)
@@ -427,6 +438,36 @@ def charge_check(tol: float = 1e-10) -> ChargeReport:
 
 
 # ---------------------------------------------------------------------------
+# the diagonalizing transforms
+
+
+def transform_residuals() -> dict:
+    """The `_shell_residual`s of the identities that make both transforms
+    unitary and the canonical one diagonalize H8, each 0.0 iff it holds for
+    all (p, m), checked on the numerators so that no square root is left:
+
+        U U^H = 2,  U H8 U^H = 2 Gamma0 E   for U = 1 + Gamma0 H8 / E,
+        N^H N = 2E(E + m)                   for N = m + E + gamma4 gamma_a p_a.
+
+    Keyed by the selftest check each one backs.
+    """
+    u = _canonical_numerator()
+    h8 = dirac_hamiltonian8().terms[ZERO_INDEX]
+    n = _connector_numerator()
+    return {
+        "canonical_transform_unitary": _shell_residual(
+            [u @ u.dagger() - Coefficient.scalar(2, 8)]
+        ),
+        "hamiltonian_diagonalization": _shell_residual(
+            [u @ h8 @ u.dagger() - Coefficient([2 * cached_basis(8).gamma0], [ENERGY])]
+        ),
+        "connector_unitary": _shell_residual(
+            [n.dagger() @ n - Coefficient.scalar(2 * ENERGY * (ENERGY + MASS), 4)]
+        ),
+    }
+
+
+# ---------------------------------------------------------------------------
 # helicity check on the canonical eight-component generators
 
 
@@ -444,15 +485,17 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
     return MomentumOperator.from_matrix(Coefficient(triple, MOMENTA).scale(1 / ENERGY))
 
 
-def helicity_check(points=None, tol: float = 1e-9) -> HelicityReport:
+def helicity_check(tol: float = 1e-9) -> HelicityReport:
     """Check that both helicity operators commute with all ten canonical
     eight-component generators at m = 0, and that S.p/E has eigenvalues
-    +-1/2 on the S^2 = 3/4 subspace.
+    +-1/2, twice each, on the S^2 = 3/4 subspace.
 
     The generators keep their mass dependence: each commutator counts only
     the rows of its normal form without a power of m, which are the
-    commutator at m = 0 (E = |p|).  The eigenvalues are checked at the
-    massless sample points.
+    commutator at m = 0 (E = |p|).  The projector P onto the subspace
+    commutes with every S_a, so the eigenvalues there are +-1/2 iff
+    (P S.p/E)^2 - P/4 vanishes at m = 0, and they come twice each iff
+    tr(P S.p/E) = sum_a tr(P S_a) p_a / E vanishes as well.
     """
     hs, ht = helicity_operator("s"), helicity_operator("t")
     per = {
@@ -462,23 +505,9 @@ def helicity_check(points=None, tol: float = 1e-9) -> HelicityReport:
         for name, op in build_generators("canonical8").items()
     }
     worst = max(max(pair) for pair in per.values())
-    if points is None:
-        points = sample_points(masses=(0.0,))
-    eig_residual = _helicity_eigen_residual(eval_operator(hs, env_arrays(points))[ZERO_INDEX])
+    proj = spectral_projector(cached_spin(8).s_squared, 0.75)
+    h = hs.terms[ZERO_INDEX].lmul(proj)
+    trace = Expr.from_rows(h.exps, np.trace(h.mats, axis1=1, axis2=2))
+    eig_residual = _shell_residual([h @ h - Coefficient.constant(proj / 4), trace], massless=True)
     ok = worst < tol and eig_residual < tol
     return HelicityReport(ok, worst, per, eig_residual)
-
-
-def _helicity_eigen_residual(hmat) -> float:
-    """Eigenvalues of S.p/E (its coefficients at each sample) restricted to
-    the S^2 = 3/4 subspace must be +-1/2."""
-    spin = cached_spin(8)
-    proj = spectral_projector(spin.s_squared, 0.75)
-    values, vectors = np.linalg.eigh(proj)
-    basis = vectors[:, values > 0.5]
-    worst = 0.0
-    for k in range(hmat.shape[0]):
-        block = basis.conj().T @ hmat[k] @ basis
-        eigs = np.sort(np.linalg.eigvalsh(block))
-        worst = max(worst, float(np.max(np.abs(eigs - np.array([-0.5, -0.5, 0.5, 0.5])))))
-    return worst

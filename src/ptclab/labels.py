@@ -1,10 +1,10 @@
 """Label-level algebra of the irreducible pieces D^(sign)(s, tau).
 
 Pure label calculus over exact fractions: the completeness rule for full
-P, T, C invariance, the spin content of a (s, tau) block, the massless
-helicity decomposition with its pair count, and the text syntax of label
-sums.  It needs no numpy; the numeric check that the helicity operators are
-good symmetries exactly at m = 0 lives in `ptclab.generators`.
+P, T, C invariance, the massless helicity decomposition with its pair count,
+and the text syntax of label sums.  It needs no numpy; the numeric check
+that the helicity operators are good symmetries exactly at m = 0 lives in
+`ptclab.generators`.
 """
 
 from __future__ import annotations
@@ -87,11 +87,6 @@ FOUR_COMPONENT_CONTENTS = {
 }
 
 
-def conjugate_partner(label: IrrepLabel) -> IrrepLabel:
-    """Charge-conjugate partner: energy sign flips and (s, tau) swap."""
-    return IrrepLabel(-label.energy_sign, label.tau, label.s)
-
-
 def ptc_complete(labels) -> bool:
     """True iff the multiset splits into the required partner groups.
 
@@ -117,18 +112,6 @@ def ptc_complete(labels) -> bool:
             if len(set(quartet)) != 1:
                 return False
     return True
-
-
-def spin_content(s, tau) -> list:
-    """Spins |s - tau|, |s - tau| + 1, ..., s + tau carried by a (s, tau) block."""
-    s, tau = half_integer(s), half_integer(tau)
-    low, high = abs(s - tau), s + tau
-    out = []
-    spin = low
-    while spin <= high:
-        out.append(spin)
-        spin += 1
-    return out
 
 
 def massless_decompose() -> list:

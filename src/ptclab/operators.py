@@ -4,9 +4,10 @@ An operator is a finite sum of coefficients times partial-derivative
 multi-indices in (p1, p2, p3).  A coefficient is a `Coefficient`: a Laurent
 polynomial of `expr` whose coefficients are constant matrices, sum_b M_b x^b
 over distinct monomials x^b, so it shares the scalars' sums, products,
-derivatives, evaluation and mass-shell normal form (`Expr.on_shell`).  The
-package builds every generator in closed form from sums, scalar scalings and
-constant left factors of coefficients.  `commutator` forms the bracket of
+derivatives, evaluation and mass-shell normal form (`Expr.on_shell`), and
+`a @ b` is their matrix product.  The package builds every generator in
+closed form from sums, scalar scalings and constant left factors of
+coefficients.  `commutator` forms the bracket of
 two order <= 1 operators exactly, as another operator of the same kind, so
 every identity between generators is decided on the normal form of its
 coefficients; `eval_operator` evaluates the coefficients over a batch of
@@ -90,6 +91,10 @@ class Coefficient(Expr):
     def dagger(self) -> "Coefficient":
         """The Hermitian adjoint; every variable is real."""
         return self._new(self.exps, self.coeffs.conj().transpose(0, 2, 1))
+
+    def __matmul__(self, other: "Coefficient") -> "Coefficient":
+        """The matrix product self other, its equal rows merged."""
+        return Coefficient.from_rows(*_product_rows(self, other))
 
 
 # ---------------------------------------------------------------------------

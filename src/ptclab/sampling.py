@@ -8,7 +8,6 @@ golden outputs.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -25,10 +24,6 @@ class Point(NamedTuple):
     p3: float
     m: float
     t: float
-
-    @property
-    def energy(self) -> float:
-        return math.sqrt(self.p1 ** 2 + self.p2 ** 2 + self.p3 ** 2 + self.m ** 2)
 
 
 def sample_points(

@@ -7,8 +7,8 @@ form, the monomial constraint system), evaluating coefficients only with
 results: operator sums and scalings, the position operator, the full
 Leibniz-rule composition (coefficients multiplied sum by sum, for any
 order), symbolic commutators, formal adjoints, the substitution-flag
-conjugation R g R^-1 and per-multi-index comparison of operators at sample
-points.
+conjugation R g R^-1, per-multi-index comparison of operators at sample
+points and the energy at a sample point.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -37,6 +37,11 @@ I_UNIT = 1j * ONE
 _PRUNE_ENV = env_arrays(
     sample_points(count=5, seed=0x0ACE, masses=(1.0, 1.7), times=(0.3, 0.7))
 )
+
+
+def energy(point) -> float:
+    """E = sqrt(p1^2 + p2^2 + p3^2 + m^2) at one sample point."""
+    return math.sqrt(point.p1 ** 2 + point.p2 ** 2 + point.p3 ** 2 + point.m ** 2)
 
 
 class OperatorOrderError(ValueError):

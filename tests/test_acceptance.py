@@ -223,8 +223,9 @@ def test_criterion_10_charge_commutes():
 def test_criterion_11_massless_helicity():
     points = sample_points(seed=DEFAULT_SEED, masses=(0.0,))
     assert all(pt.p1 ** 2 + pt.p2 ** 2 + pt.p3 ** 2 > 1e-6 for pt in points)
-    report = helicity_check(points, tol=1e-9)
+    report = helicity_check(tol=1e-9)
     assert report.ok and report.max_residual < 1e-9
+    assert report.eigenvalue_residual == 0.0
     labels = massless_decompose()
     assert len(labels) == 8
     assert massless_pair_count() == 28

@@ -13,6 +13,7 @@ from ptclab.classify import (
     OP_ORDER,
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
+    SIGN_CLASSES,
     _HeldOut,
     _index_classes,
     _inverse_sqrt,
@@ -31,7 +32,7 @@ from ptclab.classify import (
 )
 from ptclab.clifford import cached_basis, cached_spin, spectral_projector
 from ptclab.expr import LAURENT_VARS
-from ptclab.generators import REP_KINDS, GeneratorSet, RepId, build_generators
+from ptclab.generators import GENERATOR_CLASS, REP_KINDS, GeneratorSet, RepId, build_generators
 from ptclab.operators import (
     ZERO_INDEX,
     Coefficient,
@@ -131,7 +132,8 @@ def _oracle_blocks(g, op, points):
         plain = eval_operator(gen, env)
         flagged = eval_operator(apply_flags(gen, flags), env)
         for alpha in sorted(plain):
-            blocks.append((flagged[alpha], plain[alpha], op.generator_sign(name)))
+            sign = op.signs[SIGN_CLASSES.index(GENERATOR_CLASS[name])]
+            blocks.append((flagged[alpha], plain[alpha], sign))
     return blocks
 
 

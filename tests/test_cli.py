@@ -11,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptclab
+import ptclab.generators as generators
 from ptclab.cli import SEED_ENV_VAR, main
+from ptclab.clifford import cached_spin, spectral_projector
+from ptclab.expr import MASS
 from ptclab.generators import GENERATOR_NAMES
+from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
 from ptclab.vocabulary import OP_ORDER, REP_KINDS
 
 SRC = str(Path(ptclab.__file__).resolve().parents[1])
@@ -35,18 +39,54 @@ def test_selftest_passes(capsys):
     assert out.count("PASS") == 6 and "FAIL" not in out
 
 
-def test_selftest_unreachable_tolerance(capsys):
-    code, _, err = run(capsys, "selftest", "--tol", "1e-30")
+def test_selftest_is_exact_at_any_tolerance(capsys):
+    code, payload = run_json(capsys, "selftest", "--tol", "1e-300")
+    assert code == 0 and payload["pass"] is True
+    assert [c["residual"] for c in payload["checks"]] == [0.0] * 6
+
+
+# (numerator, doctored value, the first check it fails); with U = 1 + X,
+# X = Gamma0 H8 / E: 1 - X still gives U U^H = 2 but U H8 U^H = -2 Gamma0 E,
+# 1 + 2X gives U U^H = 5, and N without its mass gives N^H N = 2E^2
+_DOCTORED = [
+    ("_canonical_numerator", lambda u: Coefficient.scalar(2, 8) - u,
+     "hamiltonian_diagonalization"),
+    ("_canonical_numerator", lambda u: u.scale(2) - Coefficient.scalar(1, 8),
+     "canonical_transform_unitary"),
+    ("_connector_numerator", lambda n: n - Coefficient.scalar(MASS, 4),
+     "connector_unitary"),
+]
+
+
+@pytest.mark.parametrize("numerator, doctor, check", _DOCTORED)
+def test_selftest_names_a_doctored_identity(capsys, monkeypatch, numerator, doctor, check):
+    wrong = doctor(getattr(generators, numerator)())
+    monkeypatch.setattr(generators, numerator, lambda: wrong)
+    code, out, err = run(capsys, "selftest")
     assert code == 1
-    assert "failed" in err
+    assert f"FAIL  {check}" in out
+    assert f"selftest failed at: {check}" in err
+
+
+def _outputs_across_seeds_and_samples(capsys, command) -> set:
+    """The distinct JSON outputs of the command, config dropped, across
+    --seed 0/1/24301 and --samples 1/20."""
+    outputs = set()
+    for flags in ([], ["--seed", "0"], ["--seed", "1"], ["--seed", "24301"], ["--samples", "1"],
+                  ["--samples", "20"], ["--seed", "1", "--samples", "1"]):
+        code, payload = run_json(capsys, command, *flags)
+        assert code == 0
+        del payload["config"]
+        outputs.add(json.dumps(payload, indent=2, sort_keys=True))
+    return outputs
 
 
 def test_selftest_seed_change_same_verdicts(capsys):
-    code_a, payload_a = run_json(capsys, "selftest", "--seed", "1")
-    code_b, payload_b = run_json(capsys, "selftest", "--seed", "2")
-    assert code_a == code_b == 0
-    verdicts = lambda p: [(c["name"], c["pass"]) for c in p["checks"]]
-    assert verdicts(payload_a) == verdicts(payload_b)
+    assert len(_outputs_across_seeds_and_samples(capsys, "selftest")) == 1
+
+
+def test_massless_seed_change_same_output(capsys):
+    assert len(_outputs_across_seeds_and_samples(capsys, "massless")) == 1
 
 
 def test_algebra_command(capsys):
@@ -162,6 +202,33 @@ def test_massless_command(capsys):
     assert payload["pair_count"] == 28
     assert len(payload["labels"]) == 8
     assert payload["helicity"]["pass"] is True
+    assert payload["helicity"]["max_residual"] == 0.0
+    assert payload["helicity"]["eigenvalue_residual"] == 0.0
+
+
+def _doubled(helicity, which):
+    """2 S.p/E: it still commutes with every generator at m = 0, but its
+    eigenvalues on the S^2 = 3/4 subspace are +-1, not +-1/2."""
+    coeff = helicity(which).terms[ZERO_INDEX]
+    return MomentumOperator.from_matrix(coeff.scale(2))
+
+
+def _one_signed(helicity, which):
+    """P/2 for the S^2 = 3/4 projector P: it commutes with every generator and
+    squares to P/4 there, but its eigenvalues are +1/2 four times."""
+    proj = spectral_projector(cached_spin(8).s_squared, 0.75)
+    return MomentumOperator.from_matrix(Coefficient.constant(proj / 2))
+
+
+@pytest.mark.parametrize("doctor", [_doubled, _one_signed])
+def test_massless_rejects_a_doctored_helicity_operator(capsys, monkeypatch, doctor):
+    helicity = generators.helicity_operator
+    monkeypatch.setattr(generators, "helicity_operator", lambda which="s": doctor(helicity, which))
+    code, payload = run_json(capsys, "massless")
+    assert code == 1
+    assert payload["helicity"]["pass"] is False
+    assert payload["helicity"]["max_residual"] == 0.0
+    assert payload["helicity"]["eigenvalue_residual"] > 0.5
 
 
 def test_ptc_command(capsys):
@@ -275,6 +342,7 @@ def test_commands_that_classify_nothing_skip_the_classifier(argv):
     loaded = _modules_after((argv, 0))
     assert "ptclab.generators" in loaded
     assert "ptclab.classify" not in loaded
+    assert "ptclab.sampling" not in loaded
 
 
 def test_cli_import_generates_no_dataclasses():

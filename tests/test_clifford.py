@@ -1,16 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ptclab.clifford import (
     METRIC,
+    SY,
     build_basis,
     cached_spin,
     casimir_spectrum,
-    commutant_scan,
     spectral_projector,
     spin_tensor,
 )
-from ptclab.sampling import sample_points
 
 
 @pytest.mark.parametrize("dim", [4, 8])
@@ -116,20 +117,35 @@ def test_spectral_projector_rejects_missing_eigenvalue():
         spectral_projector(spin.s_squared, 0.5)
 
 
-def test_commutant_scan_counts():
+def _commutant_scan():
+    """(total, members): the number of bilinears S_AB = i/4 [e_A, e_B] of the
+    dim-8 anticommuting set, and the index pairs (A, B) of those that commute
+    with the canonical Hamiltonian Gamma0 E.  E is a positive scalar, so
+    [S_AB, Gamma0 E] = E [S_AB, Gamma0], and the scan checks [S_AB, Gamma0] = 0
+    exactly.  Element 0 is Gamma0, 1..4 are the spatial gammas as hermitian
+    involutions and 5 is the doubling element s2 x 1_4."""
     basis = build_basis(8)
-    scan = commutant_scan(basis, sample_points(count=5))
-    assert scan.total == 15
+    g0 = basis.gamma0
+    elems = [g0] + [-1j * g for g in basis.gammas] + [np.kron(SY, np.eye(4))]
+    pairs = list(itertools.combinations(range(len(elems)), 2))
+    for a, b in pairs:
+        assert np.array_equal(elems[a] @ elems[b], -elems[b] @ elems[a]), (a, b)
+    members = []
+    for a, b in pairs:
+        bil = 0.25j * (elems[a] @ elems[b] - elems[b] @ elems[a])
+        if np.array_equal(bil @ g0, g0 @ bil):
+            members.append((a, b))
+    return len(pairs), members
+
+
+def test_commutant_scan_counts():
+    total, members = _commutant_scan()
+    assert total == 15
     # independent rule: a bilinear commutes with Gamma0 iff neither factor is
     # Gamma0 itself (both factors then anticommute, so the product commutes)
     expected = {(a, b) for a in range(1, 6) for b in range(a + 1, 6)}
-    assert set(scan.members) == expected
-    assert scan.count == len(expected) == 10
+    assert set(members) == expected
+    assert len(members) == len(expected) == 10
     # the six purely 'spatial' rotation generators are all present
     for pair in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
-        assert pair in scan.members
-
-
-def test_commutant_scan_requires_dim8():
-    with pytest.raises(ValueError):
-        commutant_scan(build_basis(4))
+        assert pair in members

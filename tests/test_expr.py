@@ -24,7 +24,7 @@ from ptclab.generators import REP_KINDS, RepId, build_generators, fs_transform, 
 from ptclab.operators import Coefficient
 from ptclab.sampling import Point, env_arrays, sample_points
 
-from oracles import conjugated, mapped
+from oracles import conjugated, energy, mapped
 
 PROBE = Point(0.83, -0.41, 1.27, 1.15, 0.3)
 
@@ -110,7 +110,7 @@ def test_sqrt_derivative():
     differences, and so do those of W^-1 and of the connector."""
     point = Point(0.8, -0.5, 1.2, 1.1, 0.0)
     assert ev(W, **point._asdict()) == pytest.approx(
-        math.sqrt(2 * point.energy * (point.energy + point.m)), rel=1e-15
+        math.sqrt(2 * energy(point) * (energy(point) + point.m)), rel=1e-15
     )
     for expr in (W, W ** -1, (MASS + E + P1) / W):
         for var in ("p1", "p2", "p3", "m"):

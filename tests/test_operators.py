@@ -13,6 +13,7 @@ from oracles import (
     apply_flags,
     bracket,
     compose,
+    energy,
     equal_at,
     identity,
     minus,
@@ -74,7 +75,7 @@ def test_equal_at_detects_difference(canonical8, points):
     ok, resid = equal_at(canonical8["P0"], e_op, points)
     assert not ok
     # residual is exactly twice the largest sampled energy (the -E block)
-    expected = 2 * max(pt.energy for pt in points)
+    expected = 2 * max(energy(pt) for pt in points)
     assert resid == pytest.approx(expected, rel=1e-12)
 
 
