@@ -24,7 +24,7 @@ sum_b eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b x^b
 
 That is 34 equations on dirac8 and 40 on every other set.  The monomial
 system is built once per generator set and shared by all nine operators;
-no sample point enters the rank decision.
+no sample point enters the classification.
 
 The matrices are products of Pauli-type tensors, so every N_b is block
 diagonal over a few classes of the d basis indices, and q A = B q splits
@@ -37,9 +37,10 @@ value threshold with a guard band: anything ambiguous is flagged instead of
 silently classified, and so is a nullspace whose invertible element misses
 the residual tolerance.
 
-The sample points feed only that residual: the witness is checked on them,
-block by block, as sum_b x^b E^-shift (q F_b - sign(G) N_b q) with F_b the
-flagged matrix above, so every point is held out from the decision.
+The witness found is checked on the same monomial equations: its residual
+is the largest |q F_b - sign(G) N_b q| over them, with F_b the flagged matrix
+above, which bounds every coefficient of the condition for all (p, m, t) at
+once.
 
 Witnesses are built in closed form.  If q0 is one invertible element of the
 nullspace N, then N = C q0, where C is the commutant of the generators'
@@ -64,10 +65,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import cached_spin
-from .expr import flag_signs, monomials
+from .expr import flag_signs
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, index_order
-from .sampling import env_arrays, sample_points
 from .vocabulary import (
     DEFAULT_RANK_TOL,
     DEFAULT_SEED,
@@ -225,52 +225,10 @@ def build_constraints(pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-class _HeldOut(NamedTuple):
-    """The constraints at sample points: row r of weights @ (q a_e - b_e q),
-    over the equations e of pairs, is one block's q A - sign B q at one
-    sample."""
-
-    pairs: np.ndarray  # (equations, 2, d, d)
-    weights: np.ndarray  # (blocks * samples, equations), real
-
-
-class _SampleSet(list):
-    """Sample points that keep, per generator set, the weights that sum its
-    monomial equations into each block at each point, x^b / E^shift, shared
-    by every operator classified on them."""
-
-    def __init__(self, points):
-        super().__init__(points)
-        if not self:
-            raise ValueError("classification needs at least one sample point")
-        self.env = env_arrays(self)
-        self._weights = {}  # generator set -> (blocks * n, equations)
-
-    @classmethod
-    def of(cls, points) -> "_SampleSet":
-        return points if isinstance(points, cls) else cls(points)
-
-    def weights(self, g: GeneratorSet) -> np.ndarray:
-        if g not in self._weights:
-            system = _monomial_system(g)
-            shift = system.shift[system.block]
-            values = monomials(system.exps, self.env) * self.env["E"][:, None] ** -shift
-            out = np.zeros((len(system.shift), len(self), len(system.block)))
-            out[system.block, :, np.arange(len(system.block))] = values.T
-            self._weights[g] = out.reshape(-1, len(system.block))
-        return self._weights[g]
-
-
-def _witness_residual(q: np.ndarray, held_out: _HeldOut) -> float:
-    """max over blocks and samples of |q A - sign B q|: the products q a_e
-    and b_e q as two stacked GEMMs, summed into the blocks by one more."""
-    pairs, weights = held_out
-    count, _, d, _ = pairs.shape
-    qa = (q @ pairs[:, 0].transpose(1, 0, 2).reshape(d, count * d)).reshape(d, count, d)
-    bq = pairs[:, 1].reshape(count * d, d) @ q
-    terms = np.ascontiguousarray(qa.transpose(1, 0, 2)) - bq.reshape(count, d, d)
-    sums = weights @ terms.reshape(count, d * d).view(float)
-    return float(np.max(np.abs(sums.view(complex)), initial=0.0))
+def _witness_residual(q: np.ndarray, pairs: np.ndarray) -> float:
+    """max over the monomial equations (a, b) of pairs of |q a - b q|: the
+    largest coefficient of q (R G R^-1) - sign(G) G q, for all (p, m, t)."""
+    return float(np.max(np.abs(q @ pairs[:, 0] - pairs[:, 1] @ q), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +263,7 @@ def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
     return vectors @ (roots[:, None] * np.linalg.inv(vectors))
 
 
-def _select_witness(basis, held_out, rng, tol):
+def _select_witness(basis, pairs, rng, tol):
     """(witness, residual, involution scale) from an orthonormal basis of the
     nullspace N; (None, residual, None) when the invertible element found
     misses tol, and (None, None, None) when no invertible element turns up.
@@ -317,7 +275,7 @@ def _select_witness(basis, held_out, rng, tol):
     of N with q^2 = 1, so it is always invertible.  If q fails validation,
     the projected element is reported without an involution scale, if it is
     invertible (sigma_min / sigma_max above INVERTIBLE_TOL) and its residual
-    on held_out is below tol.
+    on the monomial equations pairs is below tol.
     """
     d = basis[0].shape[0]
     flat = np.reshape(basis, (len(basis), d * d))
@@ -326,13 +284,13 @@ def _select_witness(basis, held_out, rng, tol):
     u, singular, vh = np.linalg.svd(raw)
     q0 = u @ vh
     q = _normalized(_inverse_sqrt(q0 @ q0) @ q0)
-    residual = _witness_residual(q, held_out)
+    residual = _witness_residual(q, pairs)
     lam = _involution_scale(q, tol)
     if residual < tol and lam is not None:
         return q, residual, lam
     if singular[-1] > INVERTIBLE_TOL * singular[0]:
         raw = _normalized(raw)
-        residual = _witness_residual(raw, held_out)
+        residual = _witness_residual(raw, pairs)
         return (raw if residual < tol else None), residual, None
     return None, None, None
 
@@ -363,7 +321,7 @@ class ClassificationResult(NamedTuple):
 def classify(
     g: GeneratorSet,
     op,
-    points=None,
+    *,
     rank_tol: float = DEFAULT_RANK_TOL,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
@@ -372,9 +330,6 @@ def classify(
     check_settings(seed=seed, tol=tol, rank_tol=rank_tol)
     if isinstance(op, str):
         op = get_op(op)
-    if points is None:
-        points = sample_points(seed=seed)
-    samples = _SampleSet.of(points)
     d = g.dim
     pairs = _monomial_pairs(_monomial_system(g), op)
     _, singular, vh = np.linalg.svd(build_constraints(pairs), full_matrices=False)
@@ -390,8 +345,7 @@ def classify(
         rng = np.random.default_rng(
             [seed, zlib.crc32(g.rep.kind.encode()), zlib.crc32(op.name.encode())]
         )
-        held_out = _HeldOut(pairs, samples.weights(g))
-        witness, residual, scale = _select_witness(basis, held_out, rng, tol)
+        witness, residual, scale = _select_witness(basis, pairs, rng, tol)
         # an invertible element whose residual misses tol decides nothing
         indeterminate = witness is None and residual is not None
     return ClassificationResult(
@@ -464,7 +418,7 @@ class ClassificationTable(NamedTuple):
 
 def full_table(
     rep,
-    points=None,
+    *,
     rank_tol: float = DEFAULT_RANK_TOL,
     tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
@@ -472,12 +426,9 @@ def full_table(
     """Classify all nine discrete operators against one representation."""
     check_settings(seed=seed, tol=tol, rank_tol=rank_tol)
     g = rep if isinstance(rep, GeneratorSet) else build_generators(rep)
-    if points is None:
-        points = sample_points(seed=seed)
-    samples = _SampleSet.of(points)
     rows = {}
     for name in OP_ORDER:
-        result = classify(g, get_op(name), samples, rank_tol, tol, seed)
+        result = classify(g, get_op(name), rank_tol=rank_tol, tol=tol, seed=seed)
         rows[name] = TableRow(result, paper_expectation(g.rep.kind, name))
     return ClassificationTable(g.rep.kind, rows)
 
@@ -496,18 +447,15 @@ class IntertwiningReport(NamedTuple):
         return not self.missing and all(r < self.tol for r in self.residuals.values())
 
 
-def intertwining_check(points=None, tol: float = DEFAULT_TOL) -> IntertwiningReport:
+def intertwining_check(tol: float = DEFAULT_TOL) -> IntertwiningReport:
     """The parity and mass-flip witnesses of the canonical 8-dim set swap the
     two su(2) actions; the linear time-flip witness centralizes them."""
     g = build_generators("canonical8")
-    if points is None:
-        points = sample_points()
-    samples = _SampleSet.of(points)
     spin = cached_spin(8)
     witnesses = {}
     missing = []
     for name in ("P1", "M", "T1"):
-        result = classify(g, get_op(name), samples, tol=tol)
+        result = classify(g, get_op(name), tol=tol)
         if result.witness is None:
             missing.append(f"{name}: no invertible witness ({result.nullspace_dim=})")
         witnesses[name] = result.witness

@@ -3,10 +3,10 @@
 At import this module loads only argparse, json and `ptclab.vocabulary`,
 which holds the names and settings the parser checks.  Each command's
 handler imports the numeric layers it runs, so `ptc`, `--help` and every
-usage error finish without numpy, and `selftest`, `algebra` and `massless`
-never load the classifier, nor the sampler unless `algebra` dumps
-generators.  The user-facing summary, JSON schema and exit
-codes are in DESCRIPTION, which `--help` prints.
+usage error finish without numpy, `selftest`, `algebra` and `massless` never
+load the classifier, and no command loads the sampler unless `algebra` dumps
+generators.  The user-facing summary, JSON schema and exit codes are in
+DESCRIPTION, which `--help` prints.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument(
             "--samples", type=int, default=DEFAULT_COUNT,
-            help="sample points; classify and table check only the witness residual "
-            "on them, their rank decision uses none; algebra uses them only for "
-            "--dump-generators; selftest and massless use none",
+            help="sample points; only algebra --dump-generators reads them, every "
+            "other command decides on the exact normal form and uses none",
         )
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
@@ -280,8 +279,7 @@ def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
 
     g = build_generators(rep)
     result = classify(
-        g, get_op(op), config.points(), rank_tol=config.rank_tol,
-        tol=config.tol, seed=config.seed,
+        g, get_op(op), rank_tol=config.rank_tol, tol=config.tol, seed=config.seed
     )
     if config.json_output:
         payload = {
@@ -311,11 +309,8 @@ def cmd_table(config: RunConfig, rep: str) -> int:
     from .classify import full_table
 
     reps = ["rep1", "rep2", "rep3", "canonical8"] if rep == "all" else [rep]
-    points = config.points()
     tables = {
-        kind: full_table(
-            kind, points, rank_tol=config.rank_tol, tol=config.tol, seed=config.seed
-        )
+        kind: full_table(kind, rank_tol=config.rank_tol, tol=config.tol, seed=config.seed)
         for kind in reps
     }
     any_indeterminate = any(t.any_indeterminate for t in tables.values())

@@ -95,7 +95,7 @@ class RepId(NamedTuple("RepId", [("kind", str), ("energy_sign", int)])):
 
 class GeneratorSet:
     """The ten generators of one representation; equal and hashed by
-    identity, so a set keys the classifier's per-sample-set caches."""
+    identity, so a set keys the classifier's cache of monomial systems."""
 
     __slots__ = ("rep", "ops")
 

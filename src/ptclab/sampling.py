@@ -2,8 +2,10 @@
 
 Momentum components are drawn uniformly from [-2, 2] with a guard band around
 zero, so rational coefficients in p, m, E stay away from their singular set.
-Masses and times cycle through small fixed menus; the defaults reproduce the
-golden outputs.
+Masses and times cycle through small fixed menus.  In the package only
+`algebra --dump-generators` reads a sample point; every check decides on the
+exact normal form, and the tests use these points as an independent,
+sampled reference.
 """
 
 from __future__ import annotations

@@ -137,18 +137,16 @@ def test_criterion_05_casimirs_and_subspaces():
                  f"(residual {report.commutation_residual:.1e})")
 
 
-def _tables(points):
+def _tables(seed=DEFAULT_SEED):
     return {
-        kind: full_table(RepId(kind), points)
+        kind: full_table(RepId(kind), seed=seed)
         for kind in ("rep1", "rep2", "rep3")
     }
 
 
 def test_criterion_06_classification_table():
-    points_a = sample_points(seed=DEFAULT_SEED)
-    points_b = sample_points(seed=DEFAULT_SEED + 1)
-    tables_a = _tables(points_a)
-    tables_b = _tables(points_b)
+    tables_a = _tables(DEFAULT_SEED)
+    tables_b = _tables(DEFAULT_SEED + 1)
     for kind, table in tables_a.items():
         claims = PAPER_CLAIMS[kind]
         verdicts = table.verdicts()
@@ -161,21 +159,20 @@ def test_criterion_06_classification_table():
         for name in verdicts:
             if name not in stated:
                 assert table.rows[name].expectation is None
-        assert verdicts == tables_b[kind].verdicts(), f"{kind} unstable across sample sets"
+        assert verdicts == tables_b[kind].verdicts(), f"{kind} unstable across seeds"
     _passline(6, "classification table reproduces all three published claims, "
-                 "stable across two disjoint sample sets")
+                 "stable across two witness-draw seeds")
 
 
 def test_criterion_07_witness_contract():
-    points = sample_points(seed=DEFAULT_SEED)
     elicited = []
-    for kind, table in _tables(points).items():
+    for kind, table in _tables().items():
         for name, row in table.rows.items():
             if row.result.invariant:
                 elicited.append((kind, name, row.result))
     g8 = build_generators(RepId("canonical8"))
     for name in ("P1", "M", "T1"):
-        elicited.append(("canonical8", name, classify(g8, name, points)))
+        elicited.append(("canonical8", name, classify(g8, name)))
     assert len(elicited) >= 13
     for kind, name, result in elicited:
         assert result.residual < 1e-9, (kind, name)
@@ -190,7 +187,7 @@ def test_criterion_07_witness_contract():
 
 
 def test_criterion_08_intertwining_relations():
-    report = intertwining_check(points=sample_points(seed=DEFAULT_SEED), tol=1e-9)
+    report = intertwining_check(tol=1e-9)
     assert not report.missing
     assert set(report.residuals) == {"P1_swap", "M_swap", "T1_commute"}
     assert report.ok

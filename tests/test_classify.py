@@ -14,12 +14,10 @@ from ptclab.classify import (
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
     SIGN_CLASSES,
-    _HeldOut,
     _index_classes,
     _inverse_sqrt,
     _monomial_pairs,
     _monomial_system,
-    _SampleSet,
     _select_witness,
     _witness_residual,
     build_constraints,
@@ -152,13 +150,6 @@ def _evaluated_pairs(system, pairs, points):
     return out
 
 
-def _held_out_from_pairs(pairs):
-    """The residual input of constant pairs (equations, 2, d, d): every
-    equation is its own block at one sample."""
-    pairs = np.asarray(pairs, dtype=complex)
-    return _HeldOut(pairs, np.eye(len(pairs)))
-
-
 def _stacked_system(blocks, d):
     """Every row of every block at every sample, as one dense matrix."""
     eye = np.eye(d)
@@ -247,10 +238,10 @@ def test_blockwise_factor_matches_the_stacked_system(kind, count):
             assert nullity == sampled_nullity, (kind, name)
         else:
             assert nullity <= sampled_nullity, (kind, name)
-        assert classify(g, op, points).nullspace_dim == nullity, (kind, name)
+        assert classify(g, op).nullspace_dim == nullity, (kind, name)
 
 
-def test_full_table_builds_each_monomial_system_once(monkeypatch, points):
+def test_full_table_builds_each_monomial_system_once(monkeypatch):
     """Each coefficient of a generator set is put in normal form once, on the
     first cell classified, and the tables after it reuse the system."""
     calls = []
@@ -263,29 +254,19 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch, points):
     monkeypatch.setattr(Coefficient, "on_shell", counting)
     base = build_generators(RepId("canonical8"))
     g = GeneratorSet(base.rep, dict(base.ops))  # not yet cached
-    full_table(g, points)
-    full_table(g, points[:3])
+    full_table(g)
+    full_table(g, seed=DEFAULT_SEED + 1)
     coefficients = [id(c) for gen in g.ops.values() for c in gen.terms.values()]
     assert sorted(calls) == sorted(coefficients)
 
 
-def test_single_sample_is_enough(rep1, points):
-    """The rank decision uses no samples: one sample point gives the
-    verdicts, nullspace dimensions and singular values of twenty."""
-    one = points[:1]
-    for name in OP_ORDER:
-        a, b = classify(rep1, name, one), classify(rep1, name, points)
-        assert (a.verdict, a.nullspace_dim) == (b.verdict, b.nullspace_dim), name
-        assert a.smallest_singular_value == b.smallest_singular_value, name
-
-
-def test_mutated_boost_coefficient_changes_the_verdicts(rep1, points):
+def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
     """Left-multiplying any one matrix of rep1's J01 zero-index coefficient
     by gamma0 breaks exactly the C and Mt invariances: both cells turn
     noninvariant, with the smallest singular value far above the threshold,
     and every other verdict stays.  (Flipping the sign of one matrix moves
     no verdict: each monomial equation is homogeneous in its matrix.)"""
-    base = full_table(rep1, points).verdicts()
+    base = full_table(rep1).verdicts()
     gamma0 = cached_basis(4).gamma0
     coeff = rep1["J01"].terms[ZERO_INDEX]
     for k in range(len(coeff.mats)):
@@ -295,7 +276,7 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1, points):
         terms[ZERO_INDEX] = Coefficient.from_rows(coeff.exps, mats)
         ops = dict(rep1.ops)
         ops["J01"] = MomentumOperator(rep1.dim, terms)
-        table = full_table(GeneratorSet(rep1.rep, ops), points)
+        table = full_table(GeneratorSet(rep1.rep, ops))
         changed = {name for name, verdict in table.verdicts().items() if verdict != base[name]}
         assert changed == {"C", "Mt"}, k
         for name in changed:
@@ -308,7 +289,6 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1, points):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"points": []},
         {"tol": 0.0},
         {"tol": float("nan")},
         {"tol": float("inf")},
@@ -322,8 +302,7 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1, points):
         {"rank_tol": 1e-18},
     ],
 )
-def test_invalid_settings_raise(rep1, points, kwargs):
-    kwargs = {"points": points, **kwargs}
+def test_invalid_settings_raise(rep1, kwargs):
     with pytest.raises(ValueError):
         classify(rep1, "C", **kwargs)
     with pytest.raises(ValueError):
@@ -336,15 +315,15 @@ def test_invalid_sample_count_raises():
             sample_points(count=count)
 
 
-def test_classify_spot_checks(rep1, rep2, rep3, points):
-    assert classify(rep1, "C", points).invariant
-    assert classify(rep2, "P2", points).invariant
-    assert not classify(rep2, "C", points).invariant
-    assert not classify(rep3, "T1", points).invariant
+def test_classify_spot_checks(rep1, rep2, rep3):
+    assert classify(rep1, "C").invariant
+    assert classify(rep2, "P2").invariant
+    assert not classify(rep2, "C").invariant
+    assert not classify(rep3, "T1").invariant
 
 
-def test_noninvariant_report_fields(rep1, points):
-    result = classify(rep1, "P1", points)
+def test_noninvariant_report_fields(rep1):
+    result = classify(rep1, "P1")
     assert not result.invariant and not result.indeterminate
     assert result.nullspace_dim == 0
     assert result.witness is None and result.residual is None
@@ -353,8 +332,8 @@ def test_noninvariant_report_fields(rep1, points):
 
 
 @pytest.mark.parametrize("kind", ["rep1", "rep2", "rep3"])
-def test_full_table_matches_paper(kind, points):
-    table = full_table(RepId(kind), points)
+def test_full_table_matches_paper(kind):
+    table = full_table(RepId(kind))
     claims = PAPER_CLAIMS[kind]
     for name, row in table.rows.items():
         if name in claims["invariant"]:
@@ -366,17 +345,17 @@ def test_full_table_matches_paper(kind, points):
     assert table.matches_paper
 
 
-def test_unstated_entries_are_labelled(points):
-    table = full_table(RepId("rep1"), points)
+def test_unstated_entries_are_labelled():
+    table = full_table(RepId("rep1"))
     assert table.rows["T1"].expectation is None
     assert table.rows["T1"].matches is None
-    table8 = full_table(RepId("canonical8"), points)
+    table8 = full_table(RepId("canonical8"))
     assert all(row.expectation is None for row in table8.rows.values())
 
 
-def test_witness_contract(rep1, rep2, rep3, points):
+def test_witness_contract(rep1, rep2, rep3):
     for g in (rep1, rep2, rep3):
-        table = full_table(g, points)
+        table = full_table(g)
         for name, row in table.rows.items():
             result = row.result
             if not result.invariant:
@@ -390,13 +369,14 @@ def test_witness_contract(rep1, rep2, rep3, points):
 
 
 @pytest.mark.parametrize("kind", REP_KINDS)
-def test_witnesses_hold_on_held_out_points(kind, points, points_alt):
-    """Every witness found with one sample set satisfies the apply_flags
-    constraints evaluated on a disjoint one, and is unitary up to scale:
-    d q q^H = 1.  The package's own residual on those points agrees."""
+def test_witnesses_hold_on_held_out_points(kind, points_alt):
+    """Every witness, found without sample points, satisfies the apply_flags
+    constraints evaluated at sample points, and is unitary up to scale:
+    d q q^H = 1.  The package's residual is the largest |q a - b q| over the
+    monomial equations, and shifting one entry of the witness by 1e-6 lifts
+    it above the tolerance."""
     g = build_generators(RepId(kind))
-    held_out = _SampleSet(points_alt)
-    table = full_table(g, points)
+    table = full_table(g)
     invariant = [name for name, row in table.rows.items() if row.result.invariant]
     assert invariant
     eye = np.eye(g.dim)
@@ -407,8 +387,12 @@ def test_witnesses_hold_on_held_out_points(kind, points, points_alt):
             for a, b, sign in _oracle_blocks(g, get_op(name), points_alt)
         )
         assert residual < 1e-9, (kind, name)
-        package = _witness_residual(q, _HeldOut(_pairs_of(g, name), held_out.weights(g)))
-        assert abs(package - residual) <= 1e-14, (kind, name)
+        pairs = _pairs_of(g, name)
+        per_equation = max(float(np.max(np.abs(q @ a - b @ q))) for a, b in pairs)
+        assert _witness_residual(q, pairs) == per_equation, (kind, name)
+        shifted = q.copy()
+        shifted[0, 0] += 1e-6
+        assert _witness_residual(shifted, pairs) > DEFAULT_TOL, (kind, name)
         assert np.max(np.abs(g.dim * q @ q.conj().T - eye)) <= 1e-12, (kind, name)
 
 
@@ -426,11 +410,10 @@ def test_inverse_sqrt_keeps_a_cluster_at_minus_one_on_one_branch(seed):
 
 
 @pytest.mark.parametrize("kind", REP_KINDS)
-def test_witness_depends_only_on_the_nullspace(kind, points):
+def test_witness_depends_only_on_the_nullspace(kind):
     """Re-expressing the nullspace basis through a random unitary, with the
     same draw, leaves every invariant cell's witness unchanged."""
     g = build_generators(RepId(kind))
-    weights = _SampleSet(points).weights(g)
     rotations = np.random.default_rng(11)
     d = g.dim
     checked = 0
@@ -446,8 +429,7 @@ def test_witness_depends_only_on_the_nullspace(kind, points):
         )
         witnesses = [
             _select_witness(
-                list(b.reshape(k, d, d)), _HeldOut(pairs, weights),
-                np.random.default_rng(5), DEFAULT_TOL,
+                list(b.reshape(k, d, d)), pairs, np.random.default_rng(5), DEFAULT_TOL
             )[0]
             for b in (basis, u @ basis)
         ]
@@ -462,30 +444,28 @@ def test_singular_nullspace_gives_no_witness():
     the nullspace and the nullspace element itself is singular."""
     a, b = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
     basis = [np.diag([1.0, 0.0])]
-    held_out = _held_out_from_pairs([[a, b]])
+    pairs = np.array([[a, b]])
     rng = np.random.default_rng(0)
-    assert _select_witness(basis, held_out, rng, 1e-9) == (None, None, None)
+    assert _select_witness(basis, pairs, rng, 1e-9) == (None, None, None)
 
 
-def test_witness_fallback_checks_the_tolerance(canonical8, points):
+def test_witness_fallback_checks_the_tolerance(canonical8):
     """With tol below rounding, neither the constructed witness nor the
     projected element passes: _select_witness returns no witness but the
     residual it found, and classify reports indeterminate, not invariant.
-    canonical8 under C has a nonzero residual at the default points, where
-    a witness with exact entries could reach zero."""
-    samples = _SampleSet(points)
+    canonical8 under C has a nonzero residual on its monomial equations,
+    where a witness with exact entries could reach zero."""
     pairs = _pairs_of(canonical8, "C")
-    held_out = _HeldOut(pairs, samples.weights(canonical8))
     _, singular, vh = np.linalg.svd(build_constraints(pairs))
     basis = list(vh[singular < DEFAULT_RANK_TOL * singular[0]].reshape(-1, 8, 8))
     assert basis
-    q, residual, scale = _select_witness(basis, held_out, np.random.default_rng(0), 1e-300)
+    q, residual, scale = _select_witness(basis, pairs, np.random.default_rng(0), 1e-300)
     assert q is None and scale is None
     assert 0 < residual < DEFAULT_TOL
-    q, residual, _ = _select_witness(basis, held_out, np.random.default_rng(0), DEFAULT_TOL)
+    q, residual, _ = _select_witness(basis, pairs, np.random.default_rng(0), DEFAULT_TOL)
     assert q is not None and residual < DEFAULT_TOL
 
-    result = classify(canonical8, "C", samples, tol=1e-300)
+    result = classify(canonical8, "C", tol=1e-300)
     assert result.indeterminate and not result.invariant
     assert result.verdict == "indeterminate"
     assert result.nullspace_dim >= 1 and result.witness is None
@@ -498,12 +478,12 @@ def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
     the nullspace, so J itself is reported without an involution scale."""
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     y = np.diag([1.0, 2.0])
-    held_out = _held_out_from_pairs([
+    pairs = np.array([
         [jordan, jordan],
         [y, jordan @ y @ np.linalg.inv(jordan)],
     ])
     basis = [jordan / np.linalg.norm(jordan)]
-    q, residual, scale = _select_witness(basis, held_out, np.random.default_rng(0), 1e-9)
+    q, residual, scale = _select_witness(basis, pairs, np.random.default_rng(0), 1e-9)
     assert scale is None and residual < 1e-9
     assert np.allclose(q / q[0, 0], jordan)
 
@@ -556,16 +536,8 @@ def test_classify_submodule_is_not_shadowed():
     assert isinstance(module, types.ModuleType)
 
 
-def test_verdicts_stable_across_sample_sets(points, points_alt):
-    for kind in ("rep1", "rep2", "rep3"):
-        g = build_generators(RepId(kind))
-        first = full_table(g, points).verdicts()
-        second = full_table(g, points_alt).verdicts()
-        assert first == second
-
-
-def test_indeterminate_flagged_not_misclassified(rep1, points):
-    result = classify(rep1, "C", points, rank_tol=1e-1)
+def test_indeterminate_flagged_not_misclassified(rep1):
+    result = classify(rep1, "C", rank_tol=1e-1)
     assert result.indeterminate
     assert not result.invariant
 
@@ -574,8 +546,8 @@ def test_indeterminate_flagged_not_misclassified(rep1, points):
 # intertwining relations of the eight-component witnesses
 
 
-def test_intertwining_relations(points):
-    report = intertwining_check(points)
+def test_intertwining_relations():
+    report = intertwining_check()
     assert not report.missing
     assert report.ok
     assert set(report.residuals) == {"P1_swap", "M_swap", "T1_commute"}
@@ -593,8 +565,8 @@ def test_identity_fails_swap_relation():
     assert worst > 0.4
 
 
-def test_parity_witness_swaps_casimir_eigenspaces(canonical8, points):
-    result = classify(canonical8, "P1", points)
+def test_parity_witness_swaps_casimir_eigenspaces(canonical8):
+    result = classify(canonical8, "P1")
     assert result.invariant
     spin = cached_spin(8)
     w = result.witness

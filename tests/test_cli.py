@@ -81,6 +81,22 @@ def _outputs_across_seeds_and_samples(capsys, command) -> set:
     return outputs
 
 
+@pytest.mark.parametrize(
+    "command", [("table", "--rep", "rep1"), ("classify", "--rep", "rep1", "--op", "C")]
+)
+def test_classification_output_ignores_the_sample_count(capsys, command):
+    """Verdicts, witnesses and residuals come from the monomial equations
+    alone: --samples 1/2/20 print the same JSON once config is dropped.  The
+    seed still picks the witness draw, so it stays fixed."""
+    outputs = set()
+    for count in ("1", "2", "20"):
+        code, payload = run_json(capsys, *command, "--samples", count)
+        assert code == 0
+        del payload["config"]
+        outputs.add(json.dumps(payload, indent=2, sort_keys=True))
+    assert len(outputs) == 1
+
+
 def test_selftest_seed_change_same_verdicts(capsys):
     assert len(_outputs_across_seeds_and_samples(capsys, "selftest")) == 1
 
@@ -342,6 +358,14 @@ def test_commands_that_classify_nothing_skip_the_classifier(argv):
     loaded = _modules_after((argv, 0))
     assert "ptclab.generators" in loaded
     assert "ptclab.classify" not in loaded
+    assert "ptclab.sampling" not in loaded
+
+
+def test_classifying_commands_skip_the_sampler():
+    loaded = _modules_after(
+        (["table", "--rep", "dirac8"], 0), (["classify", "--rep", "rep1", "--op", "C"], 0)
+    )
+    assert "ptclab.classify" in loaded
     assert "ptclab.sampling" not in loaded
 
 
