@@ -4,6 +4,8 @@ relativistic wave equations.
 
 The API lives in the submodules: ptclab.classify, ptclab.generators,
 ptclab.operators, ptclab.clifford, ptclab.labels, ptclab.expr,
-ptclab.sampling, ptclab.vocabulary, and the command line in ptclab.cli."""
+ptclab.vocabulary, and the command line in ptclab.cli.  Every verdict and
+check is decided exactly on Laurent polynomials in (p, m, t); no module
+draws or evaluates a sample point."""
 
 __version__ = "0.1.0"

@@ -3,10 +3,11 @@
 At import this module loads only argparse, json and `ptclab.vocabulary`,
 which holds the names and settings the parser checks.  Each command's
 handler imports the numeric layers it runs, so `ptc`, `--help` and every
-usage error finish without numpy, `selftest`, `algebra` and `massless` never
-load the classifier, and no command loads the sampler unless `algebra` dumps
-generators.  The user-facing summary, JSON schema and exit codes are in
-DESCRIPTION, which `--help` prints.
+usage error finish without numpy, and `selftest`, `algebra` and `massless`
+never load the classifier.  No command reads a sample point: every check is
+decided on the exact Laurent coefficients, and `algebra --dump-generators`
+writes those coefficients' rows.  The user-facing summary, JSON schema and
+exit codes are in DESCRIPTION, which `--help` prints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from typing import NamedTuple
 
 from .vocabulary import (
-    DEFAULT_COUNT,
     DEFAULT_RANK_TOL,
     DEFAULT_SEED,
     DEFAULT_TOL,
@@ -48,23 +48,12 @@ SEED_ENV_VAR = "PTCLAB_SEED"
 
 class RunConfig(NamedTuple):
     seed: int = DEFAULT_SEED
-    sample_count: int = DEFAULT_COUNT
     tol: float = DEFAULT_TOL
     rank_tol: float = DEFAULT_RANK_TOL
     json_output: bool = False
 
-    def points(self):
-        from .sampling import sample_points
-
-        return sample_points(count=self.sample_count, seed=self.seed)
-
     def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "samples": self.sample_count,
-            "tol": self.tol,
-            "rank_tol": self.rank_tol,
-        }
+        return {"seed": self.seed, "tol": self.tol, "rank_tol": self.rank_tol}
 
 
 def cnum(z) -> list:
@@ -91,11 +80,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument(
-            "--samples", type=int, default=DEFAULT_COUNT,
-            help="sample points; only algebra --dump-generators reads them, every "
-            "other command decides on the exact normal form and uses none",
+            "--seed", type=int, default=None,
+            help=f"witness draw of classify and table only (default {SEED_ENV_VAR} "
+            f"or {DEFAULT_SEED})",
         )
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
@@ -107,10 +95,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--rep", required=True, choices=REP_KINDS)
     p.add_argument(
         "--dump-generators",
-        type=int,
-        default=None,
-        metavar="SAMPLE",
-        help="also emit every generator's coefficient matrices at the given sample index",
+        action="store_true",
+        help="also write every generator's exact coefficients, per derivative "
+        "multi-index, as rows of an exponent vector and a constant matrix; needs --json",
     )
     common(p)
 
@@ -142,8 +129,8 @@ def _config(args) -> RunConfig:
             seed = DEFAULT_SEED if raw is None else int(raw)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    check_settings(seed=seed, samples=args.samples, tol=args.tol, rank_tol=args.rank_tol)
-    return RunConfig(seed, args.samples, args.tol, args.rank_tol, args.json)
+    check_settings(seed=seed, tol=args.tol, rank_tol=args.rank_tol)
+    return RunConfig(seed, args.tol, args.rank_tol, args.json)
 
 
 # ---------------------------------------------------------------------------
@@ -204,36 +191,32 @@ def cmd_selftest(config: RunConfig) -> int:
 # algebra / classify / table
 
 
-def _generators_json(g, point) -> dict:
-    """Every generator's coefficient matrices, per derivative multi-index,
-    evaluated at one named sample point."""
-    from .operators import eval_operator
-    from .sampling import env_arrays
+def _generators_json(g) -> dict:
+    """Every generator's coefficients, per derivative multi-index, as exact
+    rows {exponents, matrix} sorted by exponent vector: the coefficient is
+    the sum of matrix x^exponents over its rows, the exponents ordered as
+    `variables`.  Every matrix entry is dyadic, so the floats are exact."""
+    from .expr import LAURENT_VARS
 
-    env = env_arrays([point])
-    out = {
-        "sample": {name: getattr(point, name) for name in ("p1", "p2", "p3", "m", "t")},
-        "generators": {},
+    def rows(c):
+        return [
+            {"exponents": exps, "matrix": cmat(mat)}
+            for exps, mat in sorted(zip(c.exps.tolist(), c.mats), key=lambda row: row[0])
+        ]
+
+    return {
+        "variables": list(LAURENT_VARS),
+        "generators": {
+            name: {",".join(map(str, alpha)): rows(c) for alpha, c in sorted(op.terms.items())}
+            for name, op in g.items()
+        },
     }
-    for name, op in g.items():
-        out["generators"][name] = {
-            ",".join(map(str, alpha)): cmat(mat[0])
-            for alpha, mat in sorted(eval_operator(op, env).items())
-        }
-    return out
 
 
-def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
+def cmd_algebra(config: RunConfig, rep: str, dump: bool = False) -> int:
     from .generators import build_generators, check_algebra
 
     g = build_generators(rep)
-    if dump_sample is not None and not 0 <= dump_sample < config.sample_count:
-        print(
-            f"ptclab: error: sample index {dump_sample} out of range "
-            f"(0..{config.sample_count - 1})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     report = check_algebra(g, tol=config.tol)
     if config.json_output:
         payload = {
@@ -248,8 +231,8 @@ def cmd_algebra(config: RunConfig, rep: str, dump_sample=None) -> int:
             "adjoint_residuals": dict(sorted(report.adjoint_residuals.items())),
             "pass": report.ok,
         }
-        if dump_sample is not None:
-            payload.update(_generators_json(g, config.points()[dump_sample]))
+        if dump:
+            payload.update(_generators_json(g))
         _emit(payload)
     else:
         print(f"bracket closure for {rep} (tol {config.tol:g})")
@@ -419,6 +402,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "dump_generators", False) and not args.json:
+            parser.error("--dump-generators writes JSON only; add --json")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

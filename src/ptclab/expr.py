@@ -7,8 +7,8 @@ An `Expr` is a finite sum  sum_k c_k x^(e_k)  of monomials
 held as K integer exponent rows `exps` (K, 7), ordered as LAURENT_VARS, and
 K coefficients `coeffs`.  A coefficient is a complex number for a scalar and
 a constant d x d matrix for an operator coefficient (`operators.Coefficient`,
-a subclass), so sums, products, derivatives, evaluation, reflection signs and
-the mass-shell normal form have one implementation for both.  Equal rows are
+a subclass), so sums, products, derivatives, reflection signs and the
+mass-shell normal form have one implementation for both.  Equal rows are
 merged and zero coefficients dropped.
 
 E = sqrt(p1^2 + p2^2 + p3^2 + m^2) and W = sqrt(2E(E + m)) are atoms.  The
@@ -24,8 +24,7 @@ conjugation acts on the coefficients alone.  W only normalises the
 canonical-form connector; the generators never contain it.
 
 `Expr.on_shell` puts an expression in the normal form in which it vanishes on
-the mass shell E^2 = p1^2 + p2^2 + p3^2 + m^2 iff it has no rows, and
-`monomials` evaluates exponent rows over a batch of sample points.
+the mass shell E^2 = p1^2 + p2^2 + p3^2 + m^2 iff it has no rows.
 """
 
 from __future__ import annotations
@@ -187,7 +186,7 @@ class Expr:
     def __rtruediv__(self, other):
         return other * self ** -1
 
-    # -- calculus and evaluation -------------------------------------------
+    # -- calculus and the normal form ---------------------------------------
 
     def diff(self, var: str):
         """d/dvar by the chain rule over the atoms, var one of VARIABLES."""
@@ -201,11 +200,6 @@ class Expr:
             self.exps[row] + deltas[term],
             weights[row, term].reshape((-1,) + tail) * self.coeffs[row],
         )
-
-    def eval(self, env) -> np.ndarray:
-        """The value over an environment of numbers or arrays holding every
-        name in LAURENT_VARS: shape env-shape + coefficient shape."""
-        return evaluate([self], env)[0]
 
     def on_shell(self):
         """(shift, form): E^shift times this expression equals `form` on the
@@ -279,28 +273,6 @@ def flag_signs(exps, flags: FlagTransform) -> np.ndarray:
             raise ValueError("W = sqrt(2E(E + m)) is not even under m -> -m")
         odd += exps[:, _AXIS["m"]]
     return 1 - 2 * (odd % 2)
-
-
-def monomials(exps, env) -> np.ndarray:
-    """The monomials with exponent rows exps (B, 7), ordered as LAURENT_VARS,
-    over a batch of samples: shape env-shape + (B,)."""
-    values = np.stack([np.asarray(env[name], dtype=float) for name in LAURENT_VARS], axis=-1)
-    return np.prod(values[..., None, :] ** np.asarray(exps), axis=-1)
-
-
-def evaluate(exprs, env) -> list:
-    """Every expression's value over env (`Expr.eval`), from one evaluation
-    of all their monomials together."""
-    values = monomials(np.concatenate([x.exps for x in exprs] + [ONE.exps[:0]]), env)
-    out = []
-    start = 0
-    for x in exprs:
-        stop = start + len(x.exps)
-        coeffs = x.coeffs.reshape(stop - start, math.prod(x.coeffs.shape[1:]))
-        value = values[..., start:stop] @ coeffs
-        out.append(value.reshape(values.shape[:-1] + x.coeffs.shape[1:]))
-        start = stop
-    return out
 
 
 ONE = Expr(_row(), [1])

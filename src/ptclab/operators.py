@@ -4,22 +4,20 @@ An operator is a finite sum of coefficients times partial-derivative
 multi-indices in (p1, p2, p3).  A coefficient is a `Coefficient`: a Laurent
 polynomial of `expr` whose coefficients are constant matrices, sum_b M_b x^b
 over distinct monomials x^b, so it shares the scalars' sums, products,
-derivatives, evaluation and mass-shell normal form (`Expr.on_shell`), and
-`a @ b` is their matrix product.  The package builds every generator in
-closed form from sums, scalar scalings and constant left factors of
-coefficients.  `commutator` forms the bracket of
-two order <= 1 operators exactly, as another operator of the same kind, so
-every identity between generators is decided on the normal form of its
-coefficients; `eval_operator` evaluates the coefficients over a batch of
-sample points.  `FlagTransform` is the signature of a discrete
-substitution map.
+derivatives and mass-shell normal form (`Expr.on_shell`), and `a @ b` is
+their matrix product.  The package builds every generator in closed form
+from sums, scalar scalings and constant left factors of coefficients.
+`commutator` forms the bracket of two order <= 1 operators exactly, as
+another operator of the same kind, so every identity between generators is
+decided on the normal form of its coefficients.  `FlagTransform` is the
+signature of a discrete substitution map.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expr import MOMENTA, MOMENTUM_VARS, ONE, Expr, evaluate
+from .expr import MOMENTA, MOMENTUM_VARS, ONE, Expr
 from .expr import FlagTransform  # the substitution signature, part of this module's API
 
 Index = tuple  # (n1, n2, n3) derivative multi-index
@@ -45,8 +43,7 @@ class Coefficient(Expr):
 
     Every generator coefficient has this form (Gamma0 Gamma_k p_k, Gamma0 E,
     the boost spin Gamma0 S_ab p_b / E, ...), so a derivative only moves
-    exponent rows and an evaluation is one batch of monomials and one
-    contraction against the matrices.
+    exponent rows.
     """
 
     __slots__ = ()
@@ -126,13 +123,7 @@ class MomentumOperator:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and the exact commutator
-
-
-def eval_operator(g: MomentumOperator, env) -> dict:
-    """g's coefficients over env, {multi-index: values (n, d, d)}, from one
-    evaluation of all their monomials."""
-    return dict(zip(g.terms, evaluate(list(g.terms.values()), env)))
+# the exact commutator
 
 
 def _product_rows(a: Coefficient, b: Coefficient):

@@ -3,8 +3,8 @@
 Representation kinds, discrete-operator names, the default run settings and
 their range checks live here so that `ptclab.cli` can parse and check a
 command line, and answer `ptc`, `--help` and usage errors, without loading
-the numeric layers.  `sampling`, `generators` and `classify` import them from
-this module.
+the numeric layers.  `generators` and `classify` import them from this
+module.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ REP_KINDS = ("dirac8", "canonical8", "rep1", "rep2", "rep3")
 OP_ORDER = ("P1", "P2", "T1", "T2", "C", "M", "Mt", "Mx", "P1T2")
 
 DEFAULT_SEED = 0x5EED
-DEFAULT_COUNT = 20
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
 # a singular value within this factor of the rank threshold is indeterminate
@@ -27,22 +26,18 @@ RANK_GUARD = 10.0
 MIN_RANK_TOL = RANK_GUARD * sys.float_info.epsilon
 
 
-def check_settings(seed=None, samples=None, tol=None, rank_tol=None):
+def check_settings(seed=None, tol=None, rank_tol=None):
     """Raise ValueError for a setting outside its range; None skips a check.
 
-    The seed is a non-negative integer (what numpy's generators accept),
-    there is at least one sample, tol is finite and positive, and rank_tol is
-    a fraction of the largest singular value in [MIN_RANK_TOL, 1).
+    The seed is a non-negative integer (what numpy's generators accept), tol
+    is finite and positive, and rank_tol is a fraction of the largest
+    singular value in [MIN_RANK_TOL, 1).
     """
-    for name, value in (("seed", seed), ("samples", samples)):
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if samples is not None and samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed is not None:
+        if isinstance(seed, bool) or not isinstance(seed, Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if rank_tol is not None and not MIN_RANK_TOL <= rank_tol < 1:

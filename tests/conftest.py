@@ -2,7 +2,9 @@ import pytest
 from hypothesis import settings
 
 from ptclab.generators import RepId, build_generators
-from ptclab.sampling import DEFAULT_SEED, sample_points
+from ptclab.vocabulary import DEFAULT_SEED
+
+from oracles import sample_points
 
 # every property test draws the same examples on every run; each test keeps
 # its own max_examples

@@ -1,11 +1,12 @@
-"""Symbolic operator algebra that the tests hold the package to.
+"""Sample points and symbolic operator algebra that the tests hold the package to.
 
 The package builds every generator in closed form and decides identities
 between generators exactly (`operators.commutator` and the mass-shell normal
-form, the monomial constraint system), evaluating coefficients only with
-`eval_operator`.  This module is the independent reference for those
-results: operator sums and scalings, the position operator, the full
-Leibniz-rule composition (coefficients multiplied sum by sum, for any
+form, the monomial constraint system); it never draws or evaluates a point.
+This module is the independent, sampled reference for those results: seeded
+sample points in (p, m, t), the evaluation of expressions and operator
+coefficients at them, operator sums and scalings, the position operator, the
+full Leibniz-rule composition (coefficients multiplied sum by sum, for any
 order), symbolic commutators, formal adjoints, the substitution-flag
 conjugation R g R^-1, per-multi-index comparison of operators at sample
 points and the energy at a sample point.
@@ -21,16 +22,92 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from ptclab.expr import LAURENT_VARS, ONE
 from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
-from ptclab.sampling import env_arrays, sample_points
+from ptclab.vocabulary import DEFAULT_SEED
 
 MAX_ORDER = 2
 PRUNE_TOL = 1e-10
 I_UNIT = 1j * ONE
+
+# ---------------------------------------------------------------------------
+# sample points and evaluation
+
+SAMPLE_COUNT = 20
+MOMENTUM_RANGE = 2.0
+MIN_COMPONENT = 1e-3
+
+
+class Point(NamedTuple):
+    p1: float
+    p2: float
+    p3: float
+    m: float
+    t: float
+
+
+def sample_points(
+    count: int = SAMPLE_COUNT,
+    seed: int = DEFAULT_SEED,
+    masses: tuple = (1.0, 1.7),
+    times: tuple = (0.0, 0.6),
+) -> list:
+    """Draw `count` reproducible sample points.
+
+    Momentum components are uniform in [-2, 2]; components with
+    |p_a| < MIN_COMPONENT are rejected and redrawn, so rational coefficients
+    in p, m, E stay away from their singular set.  Masses and times cycle
+    through small fixed menus.  Pass masses=(0.0,) for massless sampling;
+    the momentum guard keeps |p| bounded away from zero there as well.
+    """
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        p = rng.uniform(-MOMENTUM_RANGE, MOMENTUM_RANGE, size=3)
+        if np.any(np.abs(p) < MIN_COMPONENT):
+            continue
+        i = len(points)
+        m = masses[i % len(masses)]
+        t = times[(i // len(masses)) % len(times)]
+        points.append(Point(float(p[0]), float(p[1]), float(p[2]), float(m), float(t)))
+    return points
+
+
+def env_arrays(points) -> dict:
+    """Stack points into a vectorized evaluation environment: p1, p2, p3, m,
+    t, the energy E and the connector norm W = sqrt(2E(E+m))."""
+    arr = {
+        name: np.array([getattr(pt, name) for pt in points], dtype=float)
+        for name in ("p1", "p2", "p3", "m", "t")
+    }
+    arr["E"] = np.sqrt(arr["p1"] ** 2 + arr["p2"] ** 2 + arr["p3"] ** 2 + arr["m"] ** 2)
+    arr["W"] = np.sqrt(2 * arr["E"] * (arr["E"] + arr["m"]))
+    return arr
+
+
+def monomials(exps, env) -> np.ndarray:
+    """The monomials with exponent rows exps (B, 7), ordered as LAURENT_VARS,
+    over a batch of samples: shape env-shape + (B,)."""
+    values = np.stack([np.asarray(env[name], dtype=float) for name in LAURENT_VARS], axis=-1)
+    return np.prod(values[..., None, :] ** np.asarray(exps), axis=-1)
+
+
+def evaluate(x, env) -> np.ndarray:
+    """The value of an expression or coefficient over env, a mapping of
+    numbers or arrays holding every name in LAURENT_VARS: shape env-shape +
+    coefficient shape."""
+    values = monomials(x.exps, env)
+    coeffs = x.coeffs.reshape(len(x.exps), math.prod(x.coeffs.shape[1:]))
+    return (values @ coeffs).reshape(values.shape[:-1] + x.coeffs.shape[1:])
+
+
+def eval_operator(g: MomentumOperator, env) -> dict:
+    """g's coefficients over env, {multi-index: values (n, d, d)}."""
+    return {alpha: evaluate(c, env) for alpha, c in g.terms.items()}
 
 # Generic probe points used to decide whether a coefficient matrix vanishes
 # identically.  Times are nonzero so t-dependent terms cannot hide.
@@ -142,7 +219,7 @@ def dagger(c: Coefficient) -> Coefficient:
 def _prune(raw: dict) -> dict:
     kept = {}
     for alpha, c in raw.items():
-        if np.max(np.abs(c.eval(_PRUNE_ENV))) >= PRUNE_TOL:
+        if np.max(np.abs(evaluate(c, _PRUNE_ENV))) >= PRUNE_TOL:
             kept[alpha] = c
     return kept
 
@@ -247,6 +324,6 @@ def equal_at(a: MomentumOperator, b: MomentumOperator, points, tol: float = 1e-9
     env = env_arrays(points)
     residual = 0.0
     for alpha in set(a.terms) | set(b.terms):
-        va, vb = (op.terms[alpha].eval(env) if alpha in op.terms else 0 for op in (a, b))
+        va, vb = (evaluate(op.terms[alpha], env) if alpha in op.terms else 0 for op in (a, b))
         residual = max(residual, float(np.max(np.abs(va - vb))))
     return residual < tol, residual

@@ -37,10 +37,17 @@ from ptclab.labels import (
     massless_pair_count,
     ptc_complete,
 )
-from ptclab.operators import eval_operator
-from ptclab.sampling import DEFAULT_SEED, env_arrays, sample_points
+from ptclab.vocabulary import DEFAULT_SEED
 
-from oracles import apply_flags, equal_at, position, scaled
+from oracles import (
+    apply_flags,
+    env_arrays,
+    equal_at,
+    eval_operator,
+    position,
+    sample_points,
+    scaled,
+)
 
 HALF = Fraction(1, 2)
 

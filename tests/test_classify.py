@@ -36,12 +36,18 @@ from ptclab.operators import (
     Coefficient,
     FlagTransform,
     MomentumOperator,
-    eval_operator,
 )
-from ptclab.sampling import env_arrays, sample_points
 from ptclab.vocabulary import DEFAULT_RANK_TOL, DEFAULT_SEED, DEFAULT_TOL
 
-from oracles import apply_flags, equal_at, position, scaled
+from oracles import (
+    apply_flags,
+    env_arrays,
+    equal_at,
+    eval_operator,
+    position,
+    sample_points,
+    scaled,
+)
 
 # the five representations and the negative-energy four-component sets
 SETS = [(kind, 1) for kind in REP_KINDS] + [(kind, -1) for kind in ("rep1", "rep2", "rep3")]
@@ -289,17 +295,17 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"tol": 0.0},
-        {"tol": float("nan")},
-        {"tol": float("inf")},
-        {"rank_tol": 0.0},
-        {"rank_tol": float("nan")},
-        {"rank_tol": 1.0},
-        {"seed": -1},
-        {"seed": 1.5},
-        {"seed": "7"},
-        {"rank_tol": 1e-300},
-        {"rank_tol": 1e-18},
+        pytest.param({"tol": 0.0}, id="tol-zero"),
+        pytest.param({"tol": float("nan")}, id="tol-nan"),
+        pytest.param({"tol": float("inf")}, id="tol-inf"),
+        pytest.param({"rank_tol": 0.0}, id="rank_tol-zero"),
+        pytest.param({"rank_tol": float("nan")}, id="rank_tol-nan"),
+        pytest.param({"rank_tol": 1.0}, id="rank_tol-one"),
+        pytest.param({"seed": -1}, id="seed-negative"),
+        pytest.param({"seed": 1.5}, id="seed-float"),
+        pytest.param({"seed": "7"}, id="seed-str"),
+        pytest.param({"rank_tol": 1e-300}, id="rank_tol-1e-300"),
+        pytest.param({"rank_tol": 1e-18}, id="rank_tol-1e-18"),
     ],
 )
 def test_invalid_settings_raise(rep1, kwargs):
@@ -307,12 +313,6 @@ def test_invalid_settings_raise(rep1, kwargs):
         classify(rep1, "C", **kwargs)
     with pytest.raises(ValueError):
         full_table(rep1, **kwargs)
-
-
-def test_invalid_sample_count_raises():
-    for count in (0, -1):
-        with pytest.raises(ValueError):
-            sample_points(count=count)
 
 
 def test_classify_spot_checks(rep1, rep2, rep3):

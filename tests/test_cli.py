@@ -14,8 +14,8 @@ import ptclab
 import ptclab.generators as generators
 from ptclab.cli import SEED_ENV_VAR, main
 from ptclab.clifford import cached_spin, spectral_projector
-from ptclab.expr import MASS
-from ptclab.generators import GENERATOR_NAMES
+from ptclab.expr import LAURENT_VARS, MASS
+from ptclab.generators import GENERATOR_NAMES, RepId, build_generators
 from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
 from ptclab.vocabulary import OP_ORDER, REP_KINDS
 
@@ -68,41 +68,24 @@ def test_selftest_names_a_doctored_identity(capsys, monkeypatch, numerator, doct
     assert f"selftest failed at: {check}" in err
 
 
-def _outputs_across_seeds_and_samples(capsys, command) -> set:
-    """The distinct JSON outputs of the command, config dropped, across
-    --seed 0/1/24301 and --samples 1/20."""
+def _outputs_across_seeds(capsys, *command, seeds=("0", "1", "24301")) -> set:
+    """The distinct JSON outputs of the command, config dropped, at the
+    default seed and at each of `seeds`."""
     outputs = set()
-    for flags in ([], ["--seed", "0"], ["--seed", "1"], ["--seed", "24301"], ["--samples", "1"],
-                  ["--samples", "20"], ["--seed", "1", "--samples", "1"]):
-        code, payload = run_json(capsys, command, *flags)
+    for flags in ([], *(["--seed", seed] for seed in seeds)):
+        code, payload = run_json(capsys, *command, *flags)
         assert code == 0
         del payload["config"]
         outputs.add(json.dumps(payload, indent=2, sort_keys=True))
     return outputs
 
 
-@pytest.mark.parametrize(
-    "command", [("table", "--rep", "rep1"), ("classify", "--rep", "rep1", "--op", "C")]
-)
-def test_classification_output_ignores_the_sample_count(capsys, command):
-    """Verdicts, witnesses and residuals come from the monomial equations
-    alone: --samples 1/2/20 print the same JSON once config is dropped.  The
-    seed still picks the witness draw, so it stays fixed."""
-    outputs = set()
-    for count in ("1", "2", "20"):
-        code, payload = run_json(capsys, *command, "--samples", count)
-        assert code == 0
-        del payload["config"]
-        outputs.add(json.dumps(payload, indent=2, sort_keys=True))
-    assert len(outputs) == 1
-
-
 def test_selftest_seed_change_same_verdicts(capsys):
-    assert len(_outputs_across_seeds_and_samples(capsys, "selftest")) == 1
+    assert len(_outputs_across_seeds(capsys, "selftest")) == 1
 
 
 def test_massless_seed_change_same_output(capsys):
-    assert len(_outputs_across_seeds_and_samples(capsys, "massless")) == 1
+    assert len(_outputs_across_seeds(capsys, "massless")) == 1
 
 
 def test_algebra_command(capsys):
@@ -116,18 +99,49 @@ def test_algebra_command(capsys):
 
 
 def test_algebra_generator_export(capsys):
-    code, payload = run_json(capsys, "algebra", "--rep", "rep1", "--dump-generators", "0")
+    code, payload = run_json(capsys, "algebra", "--rep", "rep1", "--dump-generators")
     assert code == 0
     gens = payload["generators"]
     assert set(gens) == {"P0", "P1", "P2", "P3", "J12", "J13", "J23", "J01", "J02", "J03"}
-    # P1 is p1 times the identity: one order-0 term whose (0,0) entry is [p1, 0]
-    p1_terms = gens["P1"]
-    assert set(p1_terms) == {"0,0,0"}
-    assert p1_terms["0,0,0"][0][0] == [payload["sample"]["p1"], 0.0]
+    # P1 is p1 times the identity: one order-0 term with the single row p1 * 1
+    one = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    assert gens["P1"] == {"0,0,0": [{"exponents": [1, 0, 0, 0, 0, 0, 0], "matrix": one}]}
     # boosts carry a first-order derivative term
     assert any(key != "0,0,0" for key in gens["J01"])
-    code, _, err = run(capsys, "algebra", "--rep", "rep1", "--dump-generators", "99", "--json")
-    assert code == 64 and "out of range" in err
+    # the flag takes no value: a sample index is a usage error
+    code, _, err = run(capsys, "algebra", "--rep", "rep1", "--dump-generators", "0", "--json")
+    assert code == 64 and "unrecognized arguments: 0" in err
+
+
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_generator_dump_reloads_exactly(capsys, kind):
+    """The dumped rows, read back into coefficients, differ from the built
+    generators by no row at all, and the dump does not depend on --seed."""
+    outputs = _outputs_across_seeds(
+        capsys, "algebra", "--rep", kind, "--dump-generators", seeds=("0", "7")
+    )
+    assert len(outputs) == 1
+    payload = json.loads(outputs.pop())
+    assert payload["variables"] == list(LAURENT_VARS)
+    built = build_generators(RepId(kind))
+    assert set(payload["generators"]) == set(built.ops)
+    for name, terms in payload["generators"].items():
+        assert set(terms) == {",".join(map(str, alpha)) for alpha in built[name].terms}
+        for key, rows in terms.items():
+            exps = [row["exponents"] for row in rows]
+            mats = [[[complex(*z) for z in line] for line in row["matrix"]] for row in rows]
+            assert exps == sorted(exps), (name, key)
+            reloaded = Coefficient.from_rows(exps, mats)
+            alpha = tuple(map(int, key.split(",")))
+            difference = reloaded - built[name].terms[alpha]
+            assert len(difference.exps) == 0, (kind, name, key)
+
+
+def test_generator_dump_needs_json(capsys):
+    code, out, err = run(capsys, "algebra", "--rep", "rep1", "--dump-generators")
+    assert code == 64
+    assert out == ""
+    assert "--json" in err and "Traceback" not in err
 
 
 def test_classify_command(capsys):
@@ -285,8 +299,8 @@ def test_seed_env_override(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--samples", "0"), "samples"),
-        (("--samples", "-2"), "samples"),
+        (("--seed", "1.5"), "seed"),
+        (("--tol", "x"), "tol"),
         (("--tol", "0"), "tol"),
         (("--tol", "nan"), "tol"),
         (("--tol", "-1e-9"), "tol"),
@@ -305,6 +319,19 @@ def test_invalid_setting_is_usage_error(capsys, argv, message):
     assert code == 64
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("selftest",), ("algebra", "--rep", "rep1"), ("classify", "--rep", "rep1", "--op", "C"),
+     ("table", "--rep", "rep1"), ("massless",), ("ptc", "--labels", "D+(1/2,0)")],
+    ids=lambda command: command[0],
+)
+def test_samples_option_is_removed(capsys, command):
+    code, out, err = run(capsys, *command, "--samples", "1")
+    assert code == 64
+    assert out == ""
+    assert "--samples" in err
 
 
 def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
@@ -358,15 +385,6 @@ def test_commands_that_classify_nothing_skip_the_classifier(argv):
     loaded = _modules_after((argv, 0))
     assert "ptclab.generators" in loaded
     assert "ptclab.classify" not in loaded
-    assert "ptclab.sampling" not in loaded
-
-
-def test_classifying_commands_skip_the_sampler():
-    loaded = _modules_after(
-        (["table", "--rep", "dirac8"], 0), (["classify", "--rep", "rep1", "--op", "C"], 0)
-    )
-    assert "ptclab.classify" in loaded
-    assert "ptclab.sampling" not in loaded
 
 
 def test_cli_import_generates_no_dataclasses():
@@ -383,7 +401,6 @@ def _values(valid, invalid):
 
 _COMMON = {
     "--seed": _values(st.integers(0, 2 ** 70).map(str), ["-1", "x", "1.5", ""]),
-    "--samples": _values(st.integers(1, 50).map(str), ["0", "-2", "two", "1e3"]),
     "--tol": _values(st.sampled_from(["1e-9", "1e-300", "1e300"]), ["0", "-1", "nan", "x"]),
     "--rank-tol": _values(
         st.sampled_from(["1e-8", "1e-12", "1e-3", "0.5"]), ["1", "0", "nan", "y"]
@@ -394,8 +411,9 @@ _REP = st.sampled_from(REP_KINDS + ("all",))
 _COMMANDS = {
     "selftest": ({}, {}),
     "massless": ({}, {}),
+    # a bare --dump-generators, sometimes followed by a stray value
     "algebra": ({"--rep": _REP}, {"--dump-generators": _values(
-        st.integers(0, 49).map(str), ["50", "-1", "z"])}),
+        st.just([]), [["0"], ["-1"], ["z"]])}),
     "classify": ({"--rep": _REP, "--op": st.sampled_from(OP_ORDER + ("Q",))}, {}),
     "table": ({"--rep": st.sampled_from(REP_KINDS + ("all", "rep4"))}, {}),
     "ptc": ({"--labels": st.sampled_from(
@@ -417,7 +435,8 @@ def _command_lines(draw):
             argv += [flag, draw(values)]
     flags = {**_COMMON, **optional}
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
-        argv += [flag, draw(flags[flag])]
+        value = draw(flags[flag])
+        argv += [flag, *value] if isinstance(value, list) else [flag, value]
     if draw(st.booleans()):
         argv.append("--json")
     if not draw(st.integers(0, 14)):

@@ -18,19 +18,26 @@ from ptclab.expr import (
     Expr,
     FlagTransform,
     flag_signs,
-    monomials,
 )
 from ptclab.generators import REP_KINDS, RepId, build_generators, fs_transform, helicity_operator
 from ptclab.operators import Coefficient
-from ptclab.sampling import Point, env_arrays, sample_points
 
-from oracles import conjugated, energy, mapped
+from oracles import (
+    Point,
+    conjugated,
+    energy,
+    env_arrays,
+    evaluate,
+    mapped,
+    monomials,
+    sample_points,
+)
 
 PROBE = Point(0.83, -0.41, 1.27, 1.15, 0.3)
 
 
 def ev(expr, p1=0.0, p2=0.0, p3=0.0, m=1.0, t=0.0):
-    return expr.eval(env_arrays([Point(p1, p2, p3, m, t)]))[0]
+    return evaluate(expr, env_arrays([Point(p1, p2, p3, m, t)]))[0]
 
 
 def central_diff(expr, point, var, h=1e-6):
@@ -150,12 +157,12 @@ def test_product_rule_property(coeffs, var):
 @given(a=_polynomials(), b=_polynomials(), c=_COMPLEX)
 def test_eval_is_a_ring_homomorphism(a, b, c):
     env = env_arrays(sample_points(count=4))
-    va, vb = a.eval(env), b.eval(env)
+    va, vb = evaluate(a, env), evaluate(b, env)
     sa, sb = _size(a, env), _size(b, env)
-    assert _close((a + b).eval(env), va + vb, 1e-13, sa + sb)
-    assert _close((a - b).eval(env), va - vb, 1e-13, sa + sb)
-    assert _close((c * a + 1).eval(env), c * va + 1, 1e-13, abs(c) * sa)
-    assert _close((a * b).eval(env), va * vb, 1e-13, sa * sb)
+    assert _close(evaluate(a + b, env), va + vb, 1e-13, sa + sb)
+    assert _close(evaluate(a - b, env), va - vb, 1e-13, sa + sb)
+    assert _close(evaluate(c * a + 1, env), c * va + 1, 1e-13, abs(c) * sa)
+    assert _close(evaluate(a * b, env), va * vb, 1e-13, sa * sb)
     # equal monomials are merged and zero coefficients dropped
     rows = [tuple(r) for r in (a * b).exps.tolist()]
     assert len(set(rows)) == len(rows)
@@ -174,12 +181,13 @@ def test_scalar_times_matrix_coefficient(x, k):
     left = np.eye(4)[::-1] * 2j
     assert isinstance(x * c, Coefficient) and isinstance(c.scale(x), Coefficient)
     size = _size(x, env) * _size(c, env)
-    assert _close(c.scale(x).eval(env), x.eval(env)[:, None, None] * c.eval(env), 1e-13, size)
-    assert _close(c.lmul(left).eval(env), left @ c.eval(env), 1e-13, 2 * _size(c, env))
+    scaled = evaluate(x, env)[:, None, None] * evaluate(c, env)
+    assert _close(evaluate(c.scale(x), env), scaled, 1e-13, size)
+    assert _close(evaluate(c.lmul(left), env), left @ evaluate(c, env), 1e-13, 2 * _size(c, env))
     var = VARIABLES[k]
-    by_matrix = sum(m * s.diff(var).eval(env)[:, None, None] for m, s in zip(mats, scalars))
+    by_matrix = sum(m * evaluate(s.diff(var), env)[:, None, None] for m, s in zip(mats, scalars))
     size = sum(np.abs(m).max() * _size(s.diff(var), env) for m, s in zip(mats, scalars))
-    assert _close(c.diff(var).eval(env), by_matrix, 1e-13, size)
+    assert _close(evaluate(c.diff(var), env), by_matrix, 1e-13, size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,16 +210,16 @@ def test_sign_map_equals_evaluation_at_reflected_points(x, flags):
     coeffs = x.coeffs.conj() if flags.conj else x.coeffs
     signed = Expr(x.exps, flag_signs(x.exps, flags) * coeffs)
     env = env_arrays(points)
-    want = x.eval(env_arrays(reflected))
-    assert _close(signed.eval(env), want.conj() if flags.conj else want, 1e-13, _size(x, env))
+    want = evaluate(x, env_arrays(reflected))
+    assert _close(evaluate(signed, env), want.conj() if flags.conj else want, 1e-13, _size(x, env))
 
 
 def test_energy_even_under_flips():
     env = env_arrays([PROBE])
     for flags in (FlagTransform(eta_p=-1), FlagTransform(eta_m=-1), FlagTransform(eta_t=-1)):
-        assert mapped(E, flags).eval(env) == E.eval(env)
+        assert evaluate(mapped(E, flags), env) == evaluate(E, env)
     # W is even in p and in t, and not a monomial of -m
-    assert mapped(W, FlagTransform(eta_p=-1, eta_t=-1)).eval(env) == W.eval(env)
+    assert evaluate(mapped(W, FlagTransform(eta_p=-1, eta_t=-1)), env) == evaluate(W, env)
     with pytest.raises(ValueError):
         flag_signs(W.exps, FlagTransform(eta_m=-1))
 
@@ -220,13 +228,13 @@ def test_mass_flip_substitutes_but_energy_untouched():
     expr = MASS * MOMENTA[0] / E
     env = env_arrays([Point(0.5, 0.1, -0.2, 1.4, 0.0)])
     flipped = mapped(expr, FlagTransform(eta_m=-1))
-    assert flipped.eval(env) == pytest.approx(-expr.eval(env), abs=1e-15)
+    assert evaluate(flipped, env) == pytest.approx(-evaluate(expr, env), abs=1e-15)
 
 
 def test_conjugation_hits_constants_only():
     expr = 2j * (MOMENTA[0] + (1 - 1j) * TIME)
     env = env_arrays([Point(0.9, 0.0, 0.0, 1.0, 0.7)])
-    assert conjugated(expr).eval(env) == np.conj(expr.eval(env))
+    assert evaluate(conjugated(expr), env) == np.conj(evaluate(expr, env))
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +314,13 @@ def test_laurent_matches_eval_on_every_generator_scalar():
     assert len(coefficients) > 100
     energy = env["E"][:, None, None]
     for c in coefficients:
-        direct = c.eval(env)
+        direct = evaluate(c, env)
         scale = max(1.0, float(np.max(np.abs(direct))))
         assert np.max(np.abs(_rows_eval(c.exps, c.mats, env) - direct)) <= 1e-13 * scale, c
         shift, form = c.on_shell()
         assert isinstance(form, Coefficient) and shift % 2 == 0
         assert set(form.exps[:, LAURENT_VARS.index("E")].tolist()) <= {0, 1}
-        reduced = form.eval(env)
+        reduced = evaluate(form, env)
         assert np.max(np.abs(reduced - energy ** shift * direct)) <= 1e-12 * scale * 10 ** shift
 
 
@@ -352,8 +360,8 @@ def test_on_shell_equals_the_input_on_the_mass_shell(x):
     assert set(form.exps[:, LAURENT_VARS.index("E")].tolist()) <= {0, 1}
     rows = form.exps.tolist()
     assert rows == sorted(rows)
-    direct = env["E"] ** shift * x.eval(env)
-    assert _close(form.eval(env), direct, 1e-13, env["E"] ** shift * _size(x, env))
+    direct = env["E"] ** shift * evaluate(x, env)
+    assert _close(evaluate(form, env), direct, 1e-13, env["E"] ** shift * _size(x, env))
 
 
 def test_on_shell_block_that_vanishes_through_the_mass_shell_yields_no_equation():
@@ -382,7 +390,7 @@ def test_on_shell_expands_even_powers_of_the_energy():
     assert shift == 0 and len(reduced.exps) == 10
     assert sorted(reduced.coeffs.real.tolist()) == [1] * 4 + [2] * 6
     env = env_arrays(sample_points(count=3))
-    assert np.allclose(reduced.eval(env), env["E"] ** 4, rtol=1e-14, atol=0)
+    assert np.allclose(evaluate(reduced, env), env["E"] ** 4, rtol=1e-14, atol=0)
     # E^-3 needs E^4: E^4 / E^3 = E
     shift, reduced = (E ** -3).on_shell()
     assert shift == 4 and reduced.exps.tolist() == [[0, 0, 0, 0, 0, 1, 0]]

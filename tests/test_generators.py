@@ -29,21 +29,23 @@ from ptclab.operators import (
     Coefficient,
     MomentumOperator,
     commutator,
-    eval_operator,
     index_order,
 )
-from ptclab.sampling import env_arrays, sample_points
 
 from oracles import (
+    Point,
     adjoint,
     bracket,
     compose,
     energy,
+    env_arrays,
     equal_at,
+    eval_operator,
     minus,
     order,
     plus,
     position,
+    sample_points,
     scaled,
     zero,
 )
@@ -59,8 +61,6 @@ def _matrix_at(op, points):
 
 
 def test_canonical_transform_at_rest():
-    from ptclab.sampling import Point
-
     rest = Point(0.0, 0.0, 0.0, 1.0, 0.0)
     u = _matrix_at(canonical_transform(), [rest])[0]
     basis = cached_basis(8)
@@ -103,8 +103,6 @@ def test_exponential_equals_closed_form(points100):
 
 
 def test_connector_is_identity_at_rest():
-    from ptclab.sampling import Point
-
     u1 = _matrix_at(fs_transform(), [Point(0.0, 0.0, 0.0, 1.3, 0.0)])[0]
     assert np.allclose(u1, np.eye(4), atol=1e-15)
 
