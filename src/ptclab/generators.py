@@ -24,11 +24,12 @@ Every check here is exact.  The coefficients are Laurent polynomials in
 (p, m, t, E) with constant matrices, so an identity between generators holds
 for all momenta, masses and times iff the mass-shell normal form
 (`Expr.on_shell`) of its coefficients has no rows; brackets are formed with
-`operators.commutator`, and no sample point is used.  Structure constants are
-never copied in by hand: they are read off the 45 brackets of the spinless
-orbital realization (identity matrices, P0 = E) and then imposed on every
-spinor set.  `check_algebra` also checks that every generator is formally
-self-adjoint.
+`operators.commutator`, and no sample point is used.  So no check takes a
+tolerance: each passes only when its residuals are exactly 0.0.  Structure
+constants are never copied in by hand: they are read off the 45 brackets of
+the spinless orbital realization (identity matrices, P0 = E) and then imposed
+on every spinor set.  `check_algebra` also checks that every generator is
+formally self-adjoint.
 
 Two conserved operators are checked against the sets here as well: gamma0
 commutes with every generator of rep3 (`charge_check`), and the helicity
@@ -51,7 +52,7 @@ from .clifford import cached_basis, cached_spin, spectral_projector
 from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, W, Expr
 from .labels import CANONICAL8_CONTENT, HALF
 from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator
-from .vocabulary import DEFAULT_TOL, REP_KINDS
+from .vocabulary import REP_KINDS
 
 # the spinless orbital realization that fixes the structure constants; not one
 # of the wave equations classified
@@ -330,7 +331,6 @@ class AlgebraReport(NamedTuple):
     rep: str
     residuals: dict  # (name_i, name_j) -> float
     adjoint_residuals: dict  # name -> distance of G from its formal adjoint
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -342,11 +342,11 @@ class AlgebraReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.max_residual < self.tol and self.max_adjoint_residual < self.tol
+        return not self.failures()
 
     def failures(self) -> list:
-        return [pair for pair, r in self.residuals.items() if r >= self.tol] + [
-            name for name, r in self.adjoint_residuals.items() if r >= self.tol
+        return [pair for pair, r in self.residuals.items() if r != 0.0] + [
+            name for name, r in self.adjoint_residuals.items() if r != 0.0
         ]
 
 
@@ -364,13 +364,13 @@ def _adjoint_residual(op: MomentumOperator) -> float:
     return _shell_residual(conditions + [gap])
 
 
-def check_algebra(g: GeneratorSet, tol: float = DEFAULT_TOL) -> AlgebraReport:
+def check_algebra(g: GeneratorSet) -> AlgebraReport:
     """Check every independent bracket against the structure constants, and
     that every generator is formally self-adjoint, on the normal form."""
     ops = [g[name] for name in GENERATOR_NAMES]
     residuals = _closure_residuals(ops, _brackets(ops), structure_constants())
     adjoint = {name: _adjoint_residual(op) for name, op in g.items()}
-    return AlgebraReport(g.rep.kind, residuals, adjoint, tol)
+    return AlgebraReport(g.rep.kind, residuals, adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +389,11 @@ def _commutant_residual(q, op: MomentumOperator) -> float:
     return _shell_residual(c.from_rows(c.exps, q @ c.mats - c.mats @ q) for c in op.terms.values())
 
 
-def subspace_decomposition(tol: float = DEFAULT_TOL) -> SubspaceReport:
+def subspace_decomposition() -> SubspaceReport:
     """Rank-2 projectors labelled by energy sign and by which Casimir is excited.
 
     Each projector is the product of a spectral projector of Gamma0 with one
-    of S^2 or T^2, and must commute with all ten canonical generators.
+    of S^2 or T^2, and must commute exactly with all ten canonical generators.
     """
     g = build_generators("canonical8")
     basis = cached_basis(8)
@@ -412,13 +412,13 @@ def subspace_decomposition(tol: float = DEFAULT_TOL) -> SubspaceReport:
         blocks.append((proj, label))
 
     worst = max(_commutant_residual(proj, op) for op in g.ops.values() for proj, _ in blocks)
-    if worst >= tol:
+    if worst != 0.0:
         raise AssertionError(
             f"a subspace projector fails to commute with the generators "
             f"(residual {worst})"
         )
     total = sum(proj for proj, _ in blocks)
-    complete = bool(np.max(np.abs(total - np.eye(8))) < 1e-12)
+    complete = bool(np.array_equal(total, np.eye(8)))
     return SubspaceReport(blocks, worst, complete)
 
 
@@ -428,13 +428,13 @@ class ChargeReport(NamedTuple):
     per_generator: dict
 
 
-def charge_check(tol: float = 1e-10) -> ChargeReport:
-    """Does gamma0 commute with all ten generators of the positive-Hamiltonian
-    set rep3?"""
+def charge_check() -> ChargeReport:
+    """Does gamma0 commute exactly with all ten generators of the
+    positive-Hamiltonian set rep3?"""
     q = cached_basis(4).gamma0
     per = {name: _commutant_residual(q, op) for name, op in build_generators("rep3").items()}
     max_residual = max(per.values())
-    return ChargeReport(max_residual < tol, max_residual, per)
+    return ChargeReport(max_residual == 0.0, max_residual, per)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +485,7 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
     return MomentumOperator.from_matrix(Coefficient(triple, MOMENTA).scale(1 / ENERGY))
 
 
-def helicity_check(tol: float = 1e-9) -> HelicityReport:
+def helicity_check() -> HelicityReport:
     """Check that both helicity operators commute with all ten canonical
     eight-component generators at m = 0, and that S.p/E has eigenvalues
     +-1/2, twice each, on the S^2 = 3/4 subspace.
@@ -509,5 +509,4 @@ def helicity_check(tol: float = 1e-9) -> HelicityReport:
     h = hs.terms[ZERO_INDEX].lmul(proj)
     trace = Expr.from_rows(h.exps, np.trace(h.mats, axis1=1, axis2=2))
     eig_residual = _shell_residual([h @ h - Coefficient.constant(proj / 4), trace], massless=True)
-    ok = worst < tol and eig_residual < tol
-    return HelicityReport(ok, worst, per, eig_residual)
+    return HelicityReport(worst == 0.0 and eig_residual == 0.0, worst, per, eig_residual)

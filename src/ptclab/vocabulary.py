@@ -3,8 +3,8 @@
 Representation kinds, discrete-operator names, the default run settings and
 their range checks live here so that `ptclab.cli` can parse and check a
 command line, and answer `ptc`, `--help` and usage errors, without loading
-the numeric layers.  `generators` and `classify` import them from this
-module.
+the numeric layers.  `generators` and `classify` import them from here; the
+seed and both tolerances are settings of `classify` and `table` alone.
 """
 
 from __future__ import annotations

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 import ptclab
 import ptclab.generators as generators
-from ptclab.cli import SEED_ENV_VAR, main
+from ptclab.cli import main
 from ptclab.clifford import cached_spin, spectral_projector
 from ptclab.expr import LAURENT_VARS, MASS
 from ptclab.generators import GENERATOR_NAMES, RepId, build_generators
 from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
-from ptclab.vocabulary import OP_ORDER, REP_KINDS
+from ptclab.vocabulary import DEFAULT_SEED, OP_ORDER, REP_KINDS
 
 SRC = str(Path(ptclab.__file__).resolve().parents[1])
 
@@ -37,10 +37,7 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 6 and "FAIL" not in out
-
-
-def test_selftest_is_exact_at_any_tolerance(capsys):
-    code, payload = run_json(capsys, "selftest", "--tol", "1e-300")
+    code, payload = run_json(capsys, "selftest")
     assert code == 0 and payload["pass"] is True
     assert [c["residual"] for c in payload["checks"]] == [0.0] * 6
 
@@ -68,15 +65,25 @@ def test_selftest_names_a_doctored_identity(capsys, monkeypatch, numerator, doct
     assert f"selftest failed at: {check}" in err
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",), ("--seed", "0"), ("--seed", "7", "--json")])
+def test_doctored_selftest_fails_under_every_accepted_flag(capsys, monkeypatch, flags):
+    """The connector without its mass misses unitarity by 2: no flag selftest
+    accepts turns that into a pass."""
+    wrong = generators._connector_numerator() - Coefficient.scalar(MASS, 4)
+    monkeypatch.setattr(generators, "_connector_numerator", lambda: wrong)
+    code, _, _ = run(capsys, "selftest", *flags)
+    assert code == 1
+
+
 def _outputs_across_seeds(capsys, *command, seeds=("0", "1", "24301")) -> set:
-    """The distinct JSON outputs of the command, config dropped, at the
-    default seed and at each of `seeds`."""
+    """The distinct JSON outputs of the command at the default seed and at
+    each of `seeds`; a command that reads no setting prints config {}."""
     outputs = set()
     for flags in ([], *(["--seed", seed] for seed in seeds)):
-        code, payload = run_json(capsys, *command, *flags)
+        code, out, _ = run(capsys, *command, *flags, "--json")
         assert code == 0
-        del payload["config"]
-        outputs.add(json.dumps(payload, indent=2, sort_keys=True))
+        assert json.loads(out)["config"] == {}
+        outputs.add(out)
     return outputs
 
 
@@ -93,9 +100,9 @@ def test_algebra_command(capsys):
     assert code == 0
     assert payload["pass"] is True
     assert len(payload["brackets"]) == 45
-    assert payload["max_residual"] < 1e-9
+    assert payload["max_residual"] == 0.0
     assert sorted(payload["adjoint_residuals"]) == sorted(GENERATOR_NAMES)
-    assert max(payload["adjoint_residuals"].values()) < 1e-9
+    assert max(payload["adjoint_residuals"].values()) == 0.0
 
 
 def test_algebra_generator_export(capsys):
@@ -261,6 +268,26 @@ def test_massless_rejects_a_doctored_helicity_operator(capsys, monkeypatch, doct
     assert payload["helicity"]["eigenvalue_residual"] > 0.5
 
 
+_COMMUTE = "helicity operators commute with all generators"
+_EIGENVALUES = "S.p/E has eigenvalues +-1/2, twice each, on S^2 = 3/4"
+
+
+def test_massless_text_reports_each_check(capsys, monkeypatch):
+    """The text report gives the commutator check and the eigenvalue check a
+    line each: the doubled operator still commutes, only its eigenvalues fail."""
+    code, out, _ = run(capsys, "massless")
+    assert code == 0
+    assert f"{_COMMUTE}: PASS (residual 0.000e+00)" in out
+    assert f"{_EIGENVALUES}: PASS (residual 0.000e+00)" in out
+    helicity = generators.helicity_operator
+    monkeypatch.setattr(generators, "helicity_operator", lambda which="s": _doubled(helicity, which))
+    code, out, _ = run(capsys, "massless")
+    assert code == 1
+    assert f"{_COMMUTE}: PASS (residual 0.000e+00)" in out
+    line = next(line for line in out.splitlines() if _EIGENVALUES in line)
+    assert ": FAIL (residual " in line and "0.000e+00" not in line
+
+
 def test_ptc_command(capsys):
     code, payload = run_json(capsys, "ptc", "--labels", "D+(1/2,1/2)+D-(1/2,1/2)")
     assert code == 0 and payload["ptc_complete"] is True
@@ -286,14 +313,6 @@ def test_unknown_command_usage_error(capsys):
 def test_missing_required_flag_usage_error(capsys):
     assert main(["classify", "--rep", "rep1"]) == 64
     capsys.readouterr()
-
-
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("PTCLAB_SEED", "12345")
-    code, payload = run_json(capsys, "classify", "--rep", "rep3", "--op", "M")
-    assert code == 0
-    assert payload["config"]["seed"] == 12345
-    assert payload["verdict"] == "invariant"
 
 
 @pytest.mark.parametrize(
@@ -334,12 +353,35 @@ def test_samples_option_is_removed(capsys, command):
     assert "--samples" in err
 
 
-def test_non_integer_seed_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PTCLAB_SEED", "abc")
-    code, out, err = run(capsys, "classify", "--rep", "rep1", "--op", "C")
+_EXACT_COMMANDS = [
+    ("selftest",), ("algebra", "--rep", "rep1"), ("massless",), ("ptc", "--labels", "D+(1/2,0)"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param(command, flag, id=f"{command[0]}-{flag.lstrip('-')}")
+        for command in _EXACT_COMMANDS
+        for flag in ("--tol", "--rank-tol")
+    ],
+)
+def test_exact_commands_take_no_tolerance(capsys, command, flag):
+    """Every check of these commands passes only at exactly zero, so a
+    tolerance could only hide a failure: the flag is a usage error."""
+    code, out, err = run(capsys, *command, flag, "10", "--json")
     assert code == 64
     assert out == ""
-    assert "PTCLAB_SEED" in err
+    assert f"unrecognized arguments: {flag} 10" in err
+
+
+@pytest.mark.parametrize("command", [("classify", "--op", "C"), ("table",)], ids=lambda c: c[0])
+def test_float_commands_take_both_tolerances(capsys, command):
+    code, payload = run_json(
+        capsys, command[0], "--rep", "rep1", *command[1:], "--tol", "1e-8", "--rank-tol", "1e-7"
+    )
+    assert code == 0
+    assert payload["config"] == {"seed": DEFAULT_SEED, "tol": 1e-8, "rank_tol": 1e-7}
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +441,7 @@ def _values(valid, invalid):
     return st.one_of(valid, valid, valid, st.sampled_from(invalid))
 
 
+# every command takes --seed; the tolerances are usage errors outside classify and table
 _COMMON = {
     "--seed": _values(st.integers(0, 2 ** 70).map(str), ["-1", "x", "1.5", ""]),
     "--tol": _values(st.sampled_from(["1e-9", "1e-300", "1e300"]), ["0", "-1", "nan", "x"]),
@@ -445,21 +488,9 @@ def _command_lines(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    argv=_command_lines(),
-    seed=st.one_of(st.none(), _values(st.integers(0, 2 ** 40).map(str), ["abc", "-3", ""])),
-)
-def test_fuzzed_command_lines_exit_with_a_documented_code(argv, seed):
-    """Whatever the arguments and PTCLAB_SEED, main returns 0, 1, 2 or 64 and
-    raises nothing."""
-    saved = os.environ.pop(SEED_ENV_VAR, None)
-    if seed is not None:
-        os.environ[SEED_ENV_VAR] = seed
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    finally:
-        os.environ.pop(SEED_ENV_VAR, None)
-        if saved is not None:
-            os.environ[SEED_ENV_VAR] = saved
-    assert code in (0, 1, 2, 64), (argv, seed, code)
+@given(argv=_command_lines())
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
+    """Whatever the arguments, main returns 0, 1, 2 or 64 and raises nothing."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 64), (argv, code)

@@ -226,6 +226,21 @@ def test_check_algebra_rejects_one_flipped_term_of_a_boost(rep1, term):
     assert any("J01" in pair for pair in report.failures())
 
 
+def test_check_algebra_passes_only_at_exactly_zero(rep1):
+    """Scaling one term of rep1's J01 by 1 + 2^-40 leaves residuals near
+    1e-12, far below any float tolerance, and the set still fails."""
+    constant = rep1["J01"].terms[ZERO_INDEX]
+    mats = constant.mats.copy()
+    mats[0] *= 1 + 2 ** -40
+    ops = dict(rep1.ops)
+    ops["J01"] = MomentumOperator(
+        rep1.dim, {**rep1["J01"].terms, ZERO_INDEX: Coefficient.from_rows(constant.exps, mats)}
+    )
+    report = check_algebra(GeneratorSet(rep1.rep, ops))
+    assert 0.0 < report.max_residual < 1e-11
+    assert not report.ok
+
+
 def test_check_algebra_rejects_a_derivative_coefficient_that_is_not_anti_hermitian():
     """Adding the constant d_1 to the scalar J01 leaves d_1 C_1 as it was, so
     only the condition C_a + C_a^H = 0 sees it, with residual 2."""
@@ -249,7 +264,7 @@ def test_check_algebra_rejects_boosts_that_are_not_self_adjoint(canonical8):
         constant = boost.terms[ZERO_INDEX] + h.diff(f"p{a}").scale(0.5j)
         ops[f"J0{a}"] = MomentumOperator(boost.dim, {**boost.terms, ZERO_INDEX: constant})
     report = check_algebra(GeneratorSet(canonical8.rep, ops))
-    assert report.max_residual < report.tol
+    assert report.max_residual == 0.0
     assert not report.ok
     assert report.failures() == ["J01", "J02", "J03"]
     assert max(report.adjoint_residuals[n] for n in ("J01", "J02", "J03")) > 0.1
@@ -388,7 +403,7 @@ def test_generators_self_adjoint(canonical8, rep3, points):
 def test_subspace_decomposition():
     report = subspace_decomposition()
     assert report.complete
-    assert report.commutation_residual < 1e-9
+    assert report.commutation_residual == 0.0
     labels = [label for _, label in report.blocks]
     assert labels == [
         IrrepLabel(1, HALF, 0),
@@ -406,7 +421,7 @@ def test_subspace_decomposition():
 def test_charge_commutes_with_positive_set():
     report = charge_check()
     assert report.ok
-    assert report.max_residual < 1e-10
+    assert report.max_residual == 0.0
 
 
 def test_commutant_residual_sees_a_matrix_that_does_not_commute(rep3):
@@ -437,7 +452,7 @@ def test_charge_commutes_with_spin_term_directly(points):
 def test_helicity_operators_commute_at_zero_mass(massless_points):
     report = helicity_check()
     assert report.ok
-    assert report.max_residual < 1e-9
+    assert report.max_residual == 0.0
     assert report.eigenvalue_residual == 0.0
     # the sampled reference: S.p/E restricted to the S^2 = 3/4 subspace has
     # eigenvalues -1/2, -1/2, 1/2, 1/2 at every massless sample point
