@@ -28,19 +28,28 @@ no sample point enters the classification.
 
 The matrices are products of Pauli-type tensors, so every N_b is block
 diagonal over a few classes of the d basis indices, and q A = B q splits
-into one small system per (row class, column class) submatrix of q.  The
-rank decision is an SVD of a d^2 x d^2 factor R assembled from one QR
-factor per submatrix: R^H R = A^H A, so R has the singular values and
-right singular vectors of the stacked system A.  The symmetry holds iff the
-nullspace contains an invertible element.  Rank decisions use a singular
-value threshold with a guard band: anything ambiguous is flagged instead of
+into one small system per (row class, column class) submatrix of q, with
+s^2 unknowns for classes of size s.  Equations that impose the same
+constraint under every operator are merged first: a shared sign class and
+shared parities of p (with |alpha|), t and m give them the same flag sign
+and sign(G) under any operator, and matrices equal up to a real factor r
+(checked exactly) make each one r times the other, so one row block of
+weight sqrt(sum r^2) leaves A^H A unchanged.  That leaves 14 merged
+equations on every set, built once per generator set.  Each submatrix's
+merged system is QR-factored to an s^2 x s^2 factor R, R^H R = A^H A, and the
+rank is decided on one SVD per factor: the union of their singular values
+is the spectrum of the stacked system A, and each factor's null right
+singular vectors, placed at its submatrix's entries of q, give an
+orthonormal basis of the nullspace.  The symmetry holds iff the nullspace
+contains an invertible element.  Rank decisions use a singular value
+threshold with a guard band: anything ambiguous is flagged instead of
 silently classified, and so is a nullspace whose invertible element misses
 the residual tolerance.
 
-The witness found is checked on the same monomial equations: its residual
-is the largest |q F_b - sign(G) N_b q| over them, with F_b the flagged matrix
-above, which bounds every coefficient of the condition for all (p, m, t) at
-once.
+The witness found is checked on the unmerged monomial equations: its
+residual is the largest |q F_b - sign(G) N_b q| over them, with F_b the
+flagged matrix above, which bounds every coefficient of the condition for
+all (p, m, t) at once.
 
 Witnesses are built in closed form.  If q0 is one invertible element of the
 nullspace N, then N = C q0, where C is the commutant of the generators'
@@ -48,8 +57,11 @@ coefficients, closed under adjoints.  So the unitary polar factor of a
 random element of N is again in N, its square w lies in C and commutes with
 it, and q = w^(-1/2) q0 is a unitary element of N with q^2 = 1.  The random
 element is a Gaussian matrix projected orthogonally onto N, so the witness
-depends on N alone, not on the basis the SVD returns for it.  The witness
-reported is q / |q|, so its involution scale is 1/d.
+depends on N alone, not on the basis the SVD returns for it.  The Gaussians
+come from the standard library's `random.Random`, seeded with the string
+"seed/rep/op", so the draw is the same on every platform and under every
+PYTHONHASHSEED.  The witness reported is q / |q|, so its involution scale is
+1/d.
 
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
@@ -58,14 +70,14 @@ is why q may be taken momentum independent in the first place.
 
 from __future__ import annotations
 
-import zlib
+import random
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .clifford import cached_spin
-from .expr import flag_signs
+from .expr import LAURENT_VARS, flag_signs
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, index_order
 from .vocabulary import (
@@ -169,8 +181,61 @@ def _monomial_system(g: GeneratorSet) -> _MonomialSystem:
     )
 
 
-def _monomial_pairs(system: _MonomialSystem, op: DiscreteOpSpec) -> np.ndarray:
-    """(equations, 2, d, d): per equation, the flagged matrix
+class _RankSystem(NamedTuple):
+    """The monomial equations of a generator set merged for the rank
+    decision, and the index classes they split over."""
+
+    mats: np.ndarray  # (merged equations, d, d) representative times sqrt(sum r^2)
+    exps: np.ndarray  # (merged equations, 7) the representative's exponents
+    order: np.ndarray  # (merged equations,)
+    sign_class: np.ndarray  # (merged equations,)
+    classes: np.ndarray  # (classes, size) from _index_classes
+    members: np.ndarray  # (classes^2, size^2) entries of q per submatrix, row-major
+
+
+def _real_multiple(a: np.ndarray, b: np.ndarray) -> bool:
+    """Is a = r b for a real r?  Exact: every entry is a Gaussian dyadic, so
+    cross-multiplying at b's first nonzero entry rounds nothing."""
+    k = np.flatnonzero(b)[0]
+    a_k, b_k = a.flat[k], b.flat[k]
+    return (a_k * b_k.conjugate()).imag == 0 and np.array_equal(a * b_k, b * a_k)
+
+
+@lru_cache(maxsize=None)
+def _rank_system(g: GeneratorSet) -> _RankSystem:
+    """Merge the equations of `_monomial_system(g)` that impose the same
+    constraint under every operator: same sign class, same parities of
+    |a| + |alpha|, gamma and beta, and matrices equal up to a real factor.
+    Equation N = r N0 then gives r times N0's rows of the system, so the
+    class adds sum r^2 A0^H A0 to A^H A; one row block of N0 sqrt(sum r^2)
+    adds the same.  The representative is the class's first equation."""
+    system = _monomial_system(g)
+    t, m = LAURENT_VARS.index("t"), LAURENT_VARS.index("m")
+    parity = np.column_stack(
+        [system.exps[:, :3].sum(axis=1) + system.order, system.exps[:, t], system.exps[:, m]]
+    ) % 2
+    keys = list(zip(system.sign_class.tolist(), map(tuple, parity.tolist())))
+    norms = np.linalg.norm(system.mats, axis=(1, 2))
+    weights = {}  # representative -> sum of |N|^2 over its class
+    for e, key in enumerate(keys):
+        rep = next(
+            (r for r in weights if keys[r] == key and _real_multiple(system.mats[e], system.mats[r])),
+            e,
+        )
+        weights[rep] = weights.get(rep, 0.0) + norms[e] ** 2
+    reps = np.array(list(weights))
+    weight = np.sqrt(list(weights.values())) / norms[reps]
+    classes = _index_classes(system.mats.any(axis=0))
+    members = classes[:, None, :, None] * g.dim + classes[None, :, None, :]
+    return _RankSystem(
+        system.mats[reps] * weight[:, None, None], system.exps[reps], system.order[reps],
+        system.sign_class[reps], classes, members.reshape(len(classes) ** 2, -1),
+    )
+
+
+def _monomial_pairs(system, op: DiscreteOpSpec) -> np.ndarray:
+    """(equations, 2, d, d): per equation of a `_MonomialSystem` or a
+    `_RankSystem`, the flagged matrix
     eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N and sign(G) N.
 
     The coefficient of R G R^-1 at x is [conj] coeff(eta.x) eta_p^|alpha|,
@@ -199,18 +264,18 @@ def _index_classes(support: np.ndarray) -> np.ndarray:
     return np.stack([np.flatnonzero(reach[root]) for root in roots])
 
 
-def build_constraints(pairs: np.ndarray) -> np.ndarray:
-    """A d^2 x d^2 factor R, R^H R = A^H A, of the system A: q a - b q = 0
-    for every pair (a, b) of pairs (equations, 2, d, d), on the row-major
-    entries of q.
+def build_constraints(pairs: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The block factors of the system A: q a - b q = 0 for every pair
+    (a, b) of pairs (equations, 2, d, d), stacked: (classes^2 * s^2, s^2)
+    for classes (classes, s).
 
     Every pair is block diagonal over `_index_classes`, so q a = b q splits
     into q_xy a_y - b_x q_xy per submatrix q_xy of q (row class x, column
-    class y).  One batched QR factors all of them; R holds each factor on
-    its submatrix's columns, in as many of those rows as the factor has.
+    class y), on the row-major entries of q_xy.  One batched QR factors all
+    of them; block x * classes + y is the s^2 x s^2 factor R_xy with
+    R_xy^H R_xy = A_xy^H A_xy, so it has the singular values and right
+    singular vectors of that submatrix's system.
     """
-    d = pairs.shape[-1]
-    classes = _index_classes(pairs.any(axis=(0, 1)))
     m, s = classes.shape
     sub = pairs[:, :, classes[:, :, None], classes[:, None, :]]
     eye = np.eye(s)
@@ -218,11 +283,22 @@ def build_constraints(pairs: np.ndarray) -> np.ndarray:
     left = np.einsum("ij,nylk->ynikjl", eye, sub[:, 0])
     right = np.einsum("nxij,kl->xnikjl", sub[:, 1], eye)
     systems = (left[None] - right[:, None]).reshape(m * m, -1, s * s)
-    factor = np.linalg.qr(systems, mode="r")
-    members = (classes[:, None, :, None] * d + classes[None, :, None, :]).reshape(m * m, s * s)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    out[members[:, : factor.shape[1], None], members[:, None, :]] = factor
-    return out
+    return np.linalg.qr(systems, mode="r").reshape(-1, s * s)
+
+
+def _rank_decision(g: GeneratorSet, op: DiscreteOpSpec, rank_tol: float):
+    """(singular values, nullspace basis) of the merged constraint system of
+    g under op: the union of the singular values of every block factor, one
+    SVD each, and the right singular vectors below rank_tol * sigma_max, each
+    at its block's entries of q, as orthonormal rows (nullity, d^2)."""
+    rank = _rank_system(g)
+    factors = build_constraints(_monomial_pairs(rank, op), rank.classes)
+    n = factors.shape[1]
+    _, singular, vh = map(np.array, zip(*(np.linalg.svd(f) for f in factors.reshape(-1, n, n))))
+    block, index = np.nonzero(singular < rank_tol * singular.max())
+    basis = np.zeros((len(block), g.dim ** 2), dtype=complex)
+    basis[np.arange(len(block))[:, None], rank.members[block]] = vh[block, index]
+    return singular.ravel(), basis
 
 
 def _witness_residual(q: np.ndarray, pairs: np.ndarray) -> float:
@@ -263,13 +339,15 @@ def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
     return vectors @ (roots[:, None] * np.linalg.inv(vectors))
 
 
-def _select_witness(basis, pairs, rng, tol):
+def _select_witness(basis, pairs, rng: random.Random, tol):
     """(witness, residual, involution scale) from an orthonormal basis of the
-    nullspace N; (None, residual, None) when the invertible element found
-    misses tol, and (None, None, None) when no invertible element turns up.
+    nullspace N, rows of d^2 entries of q; (None, residual, None) when the
+    invertible element found misses tol, and (None, None, None) when no
+    invertible element turns up.
 
-    One d x d complex Gaussian is drawn and projected orthogonally onto N, so
-    the element depends on N and not on the basis that spans it.  Its polar
+    One d x d complex Gaussian is drawn from rng, 2 d^2 standard normals as
+    interleaved real and imaginary parts, and projected orthogonally onto N,
+    so the element depends on N and not on the basis that spans it.  Its polar
     factor q0 is unitary and still in N, w = q0^2 is a unitary element of the
     commutant that commutes with q0, and q = w^(-1/2) q0 is a unitary element
     of N with q^2 = 1, so it is always invertible.  If q fails validation,
@@ -277,9 +355,9 @@ def _select_witness(basis, pairs, rng, tol):
     invertible (sigma_min / sigma_max above INVERTIBLE_TOL) and its residual
     on the monomial equations pairs is below tol.
     """
-    d = basis[0].shape[0]
+    d = pairs.shape[-1]
     flat = np.reshape(basis, (len(basis), d * d))
-    draw = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+    draw = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)]).view(complex)
     raw = (flat.T @ (flat.conj() @ draw)).reshape(d, d)
     u, singular, vh = np.linalg.svd(raw)
     q0 = u @ vh
@@ -330,27 +408,22 @@ def classify(
     check_settings(seed=seed, tol=tol, rank_tol=rank_tol)
     if isinstance(op, str):
         op = get_op(op)
-    d = g.dim
-    pairs = _monomial_pairs(_monomial_system(g), op)
-    _, singular, vh = np.linalg.svd(build_constraints(pairs), full_matrices=False)
-
-    sigma_max = float(singular[0])
+    singular, basis = _rank_decision(g, op, rank_tol)
+    sigma_max = float(singular.max())
     threshold = rank_tol * sigma_max
     indeterminate = bool(
         np.any((singular > threshold / RANK_GUARD) & (singular < threshold * RANK_GUARD))
     )
-    basis = [vh[i].reshape(d, d) for i, s in enumerate(singular) if s < threshold]
     witness = residual = scale = None
-    if basis and not indeterminate:
-        rng = np.random.default_rng(
-            [seed, zlib.crc32(g.rep.kind.encode()), zlib.crc32(op.name.encode())]
-        )
+    if len(basis) and not indeterminate:
+        pairs = _monomial_pairs(_monomial_system(g), op)
+        rng = random.Random(f"{seed}/{g.rep.kind}/{op.name}")
         witness, residual, scale = _select_witness(basis, pairs, rng, tol)
         # an invertible element whose residual misses tol decides nothing
         indeterminate = witness is None and residual is not None
     return ClassificationResult(
         g.rep.kind, op.name, witness is not None, indeterminate, len(basis),
-        witness, residual, scale, float(singular[-1]), sigma_max,
+        witness, residual, scale, float(singular.min()), sigma_max,
     )
 
 

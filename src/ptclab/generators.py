@@ -50,7 +50,6 @@ import numpy as np
 
 from .clifford import cached_basis, cached_spin, spectral_projector
 from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, W, Expr
-from .labels import CANONICAL8_CONTENT, HALF
 from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator
 from .vocabulary import REP_KINDS
 
@@ -379,7 +378,6 @@ def check_algebra(g: GeneratorSet) -> AlgebraReport:
 
 class SubspaceReport(NamedTuple):
     blocks: list  # (projector, IrrepLabel)
-    commutation_residual: float
     complete: bool
 
 
@@ -393,8 +391,12 @@ def subspace_decomposition() -> SubspaceReport:
     """Rank-2 projectors labelled by energy sign and by which Casimir is excited.
 
     Each projector is the product of a spectral projector of Gamma0 with one
-    of S^2 or T^2, and must commute exactly with all ten canonical generators.
+    of S^2 or T^2, and must commute exactly with all ten canonical generators:
+    a projector of the wrong rank, or one that fails to commute, raises
+    AssertionError.
     """
+    from .labels import CANONICAL8_CONTENT, HALF
+
     g = build_generators("canonical8")
     basis = cached_basis(8)
     spin = cached_spin(8)
@@ -419,7 +421,7 @@ def subspace_decomposition() -> SubspaceReport:
         )
     total = sum(proj for proj, _ in blocks)
     complete = bool(np.array_equal(total, np.eye(8)))
-    return SubspaceReport(blocks, worst, complete)
+    return SubspaceReport(blocks, complete)
 
 
 class ChargeReport(NamedTuple):

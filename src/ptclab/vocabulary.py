@@ -29,9 +29,10 @@ MIN_RANK_TOL = RANK_GUARD * sys.float_info.epsilon
 def check_settings(seed=None, tol=None, rank_tol=None):
     """Raise ValueError for a setting outside its range; None skips a check.
 
-    The seed is a non-negative integer (what numpy's generators accept), tol
-    is finite and positive, and rank_tol is a fraction of the largest
-    singular value in [MIN_RANK_TOL, 1).
+    The seed is a non-negative integer, written into the string that seeds
+    the witness draw (`random.Random("seed/rep/op")`), tol is finite and
+    positive, and rank_tol is a fraction of the largest singular value in
+    [MIN_RANK_TOL, 1).
     """
     if seed is not None:
         if isinstance(seed, bool) or not isinstance(seed, Integral):

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 import types
@@ -18,6 +20,8 @@ from ptclab.classify import (
     _inverse_sqrt,
     _monomial_pairs,
     _monomial_system,
+    _rank_decision,
+    _rank_system,
     _select_witness,
     _witness_residual,
     build_constraints,
@@ -109,18 +113,22 @@ def _pairs_of(g, name):
 
 
 def test_constraint_nullspace_dimensions(rep1):
-    sv = np.linalg.svd(build_constraints(_pairs_of(rep1, "P1")), compute_uv=False)
-    assert np.sum(sv < 1e-8 * sv[0]) == 0  # claim 1: no parity intertwiner
+    sv, basis = _rank_decision(rep1, get_op("P1"), 1e-8)
+    assert np.sum(sv < 1e-8 * sv.max()) == 0 == len(basis)  # claim 1: no parity intertwiner
 
-    sv = np.linalg.svd(build_constraints(_pairs_of(rep1, "Mx")), compute_uv=False)
-    assert np.sum(sv < 1e-8 * sv[0]) >= 1
+    sv, basis = _rank_decision(rep1, get_op("Mx"), 1e-8)
+    assert np.sum(sv < 1e-8 * sv.max()) >= 1
+    assert len(basis) == np.sum(sv < 1e-8 * sv.max())
 
 
 def test_monomial_equation_counts():
     """One equation per distinct monomial of every block in normal form: 34
-    on dirac8 and 40 on every other set, summed over 19 blocks."""
+    on dirac8 and 40 on every other set, summed over 19 blocks; 14 on every
+    set once merged for the rank decision."""
     for kind, sign in SETS:
-        system = _monomial_system(build_generators(RepId(kind, sign)))
+        g = build_generators(RepId(kind, sign))
+        assert len(_rank_system(g).mats) == 14, (kind, sign)
+        system = _monomial_system(g)
         assert len(system.mats) == (34 if kind == "dirac8" else 40), (kind, sign)
         assert len(system.shift) == 19, (kind, sign)
         assert all(m.any() for m in system.mats), (kind, sign)
@@ -219,21 +227,26 @@ def test_index_classes_of_each_set():
 @pytest.mark.parametrize("count", [1, 2, 20])
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_blockwise_factor_matches_the_stacked_system(kind, count):
-    """The factor built submatrix by submatrix of q has the singular values
-    of the dense stacked monomial system, and its nullity is that of the
-    dense system sampled at 20 points.  Fewer samples impose fewer
-    conditions, so the sampled nullity at 1 or 2 points can only be larger;
-    the factor uses no samples."""
+    """The factors built submatrix by submatrix of q from the merged
+    equations, one s^2 x s^2 block each, have together the singular values of
+    the dense stacked system of every monomial equation, and their nullity is
+    that of the dense system sampled at 20 points.  Fewer samples impose
+    fewer conditions, so the sampled nullity at 1 or 2 points can only be
+    larger; the factors use no samples."""
     g = build_generators(RepId(kind))
     points = sample_points(count=count)
+    rank = _rank_system(g)
+    m, s = rank.classes.shape
     for name in OP_ORDER:
         op = get_op(name)
         pairs = _pairs_of(g, name)
         stacked = _stacked_system([(a[None], b[None], 1) for a, b in pairs], g.dim)
         exact = np.linalg.svd(stacked, compute_uv=False)
-        factor = build_constraints(pairs)
-        assert factor.shape == (g.dim ** 2, g.dim ** 2)
-        singular = np.linalg.svd(factor, compute_uv=False)
+        factor = build_constraints(_monomial_pairs(rank, op), rank.classes)
+        assert factor.shape == (m * m * s * s, s * s)
+        blocks = factor.reshape(m * m, s * s, s * s)
+        blockwise = [np.linalg.svd(f, compute_uv=False) for f in blocks]
+        singular = np.sort(np.concatenate(blockwise))[::-1]
         assert np.max(np.abs(singular - exact)) <= 1e-12 * exact[0], (kind, name)
         nullity = int(np.sum(singular < DEFAULT_RANK_TOL * singular[0]))
         sampled = np.linalg.svd(
@@ -247,9 +260,42 @@ def test_blockwise_factor_matches_the_stacked_system(kind, count):
         assert classify(g, op).nullspace_dim == nullity, (kind, name)
 
 
+def _null_projector(singular, vh, rank_tol=DEFAULT_RANK_TOL):
+    null = vh[singular < rank_tol * singular[0]]
+    return null.T @ null.conj()
+
+
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_merged_system_keeps_the_spectrum_and_the_nullspace(kind):
+    """Merging the equations that impose the same constraint under every
+    operator leaves the dense stacked system's singular values (within
+    1e-12 relative) and its nullspace projector unchanged in all nine cells,
+    and the blockwise basis spans the same nullspace.  Each merged equation
+    stands for one or more of the monomial equations."""
+    g = build_generators(RepId(kind))
+    system, rank = _monomial_system(g), _rank_system(g)
+    assert len(rank.mats) < len(system.mats), kind
+    for name in OP_ORDER:
+        op = get_op(name)
+        dense = [
+            np.linalg.svd(
+                _stacked_system([(a[None], b[None], 1) for a, b in pairs], g.dim),
+                full_matrices=False,
+            )[1:]
+            for pairs in (_monomial_pairs(system, op), _monomial_pairs(rank, op))
+        ]
+        (full, full_vh), (merged, merged_vh) = dense
+        assert np.max(np.abs(full - merged)) <= 1e-12 * full[0], (kind, name)
+        projector = _null_projector(full, full_vh)
+        assert np.max(np.abs(projector - _null_projector(merged, merged_vh))) <= 1e-12
+        basis = _rank_decision(g, op, DEFAULT_RANK_TOL)[1]
+        assert np.max(np.abs(projector - basis.T @ basis.conj())) <= 1e-12, (kind, name)
+
+
 def test_full_table_builds_each_monomial_system_once(monkeypatch):
     """Each coefficient of a generator set is put in normal form once, on the
-    first cell classified, and the tables after it reuse the system."""
+    first cell classified, and the tables after it reuse the system; the
+    merged rank system is likewise built once and then reused."""
     calls = []
     original = Coefficient.on_shell
 
@@ -260,10 +306,14 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch):
     monkeypatch.setattr(Coefficient, "on_shell", counting)
     base = build_generators(RepId("canonical8"))
     g = GeneratorSet(base.rep, dict(base.ops))  # not yet cached
+    before = _rank_system.cache_info()
     full_table(g)
     full_table(g, seed=DEFAULT_SEED + 1)
+    after = _rank_system.cache_info()
     coefficients = [id(c) for gen in g.ops.values() for c in gen.terms.values()]
     assert sorted(calls) == sorted(coefficients)
+    assert after.misses - before.misses == 1
+    assert after.hits - before.hits == 2 * len(OP_ORDER) - 1
 
 
 def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
@@ -415,12 +465,10 @@ def test_witness_depends_only_on_the_nullspace(kind):
     same draw, leaves every invariant cell's witness unchanged."""
     g = build_generators(RepId(kind))
     rotations = np.random.default_rng(11)
-    d = g.dim
     checked = 0
     for name in OP_ORDER:
         pairs = _pairs_of(g, name)
-        _, singular, vh = np.linalg.svd(build_constraints(pairs))
-        basis = vh[singular < DEFAULT_RANK_TOL * singular[0]]
+        basis = _rank_decision(g, get_op(name), DEFAULT_RANK_TOL)[1]
         k = len(basis)
         if k == 0:
             continue
@@ -428,9 +476,7 @@ def test_witness_depends_only_on_the_nullspace(kind):
             rotations.standard_normal((k, k)) + 1j * rotations.standard_normal((k, k))
         )
         witnesses = [
-            _select_witness(
-                list(b.reshape(k, d, d)), pairs, np.random.default_rng(5), DEFAULT_TOL
-            )[0]
+            _select_witness(b, pairs, random.Random(5), DEFAULT_TOL)[0]
             for b in (basis, u @ basis)
         ]
         assert witnesses[0] is not None, (kind, name)
@@ -445,31 +491,42 @@ def test_singular_nullspace_gives_no_witness():
     a, b = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
     basis = [np.diag([1.0, 0.0])]
     pairs = np.array([[a, b]])
-    rng = np.random.default_rng(0)
-    assert _select_witness(basis, pairs, rng, 1e-9) == (None, None, None)
+    assert _select_witness(basis, pairs, random.Random(0), 1e-9) == (None, None, None)
 
 
-def test_witness_fallback_checks_the_tolerance(canonical8):
+def test_witness_fallback_checks_the_tolerance(dirac8):
     """With tol below rounding, neither the constructed witness nor the
     projected element passes: _select_witness returns no witness but the
     residual it found, and classify reports indeterminate, not invariant.
-    canonical8 under C has a nonzero residual on its monomial equations,
-    where a witness with exact entries could reach zero."""
-    pairs = _pairs_of(canonical8, "C")
-    _, singular, vh = np.linalg.svd(build_constraints(pairs))
-    basis = list(vh[singular < DEFAULT_RANK_TOL * singular[0]].reshape(-1, 8, 8))
-    assert basis
-    q, residual, scale = _select_witness(basis, pairs, np.random.default_rng(0), 1e-300)
+    dirac8 under C has a nonzero residual on its monomial equations, where a
+    witness with exact entries could reach zero."""
+    pairs = _pairs_of(dirac8, "C")
+    basis = _rank_decision(dirac8, get_op("C"), DEFAULT_RANK_TOL)[1]
+    assert len(basis)
+    q, residual, scale = _select_witness(basis, pairs, random.Random(0), 1e-300)
     assert q is None and scale is None
     assert 0 < residual < DEFAULT_TOL
-    q, residual, _ = _select_witness(basis, pairs, np.random.default_rng(0), DEFAULT_TOL)
+    q, residual, _ = _select_witness(basis, pairs, random.Random(0), DEFAULT_TOL)
     assert q is not None and residual < DEFAULT_TOL
 
-    result = classify(canonical8, "C", tol=1e-300)
+    result = classify(dirac8, "C", tol=1e-300)
     assert result.indeterminate and not result.invariant
     assert result.verdict == "indeterminate"
     assert result.nullspace_dim >= 1 and result.witness is None
     assert result.residual > 0
+
+
+def test_block_sparse_witness_is_exact_on_canonical8(canonical8):
+    """canonical8's nullspace basis under C is block sparse, with exact zeros
+    off its submatrices, and the projected element it gives has residual
+    exactly 0.0 on the monomial equations: it passes even tol 1e-300, as an
+    invariant verdict without an involution scale, since the constructed
+    witness's square misses that tol."""
+    result = classify(canonical8, "C", tol=1e-300)
+    assert result.verdict == "invariant"
+    assert result.residual == 0.0 and result.involution_scale is None
+    assert result.witness is not None
+    assert _witness_residual(result.witness, _pairs_of(canonical8, "C")) == 0.0
 
 
 def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
@@ -483,7 +540,7 @@ def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
         [y, jordan @ y @ np.linalg.inv(jordan)],
     ])
     basis = [jordan / np.linalg.norm(jordan)]
-    q, residual, scale = _select_witness(basis, pairs, np.random.default_rng(0), 1e-9)
+    q, residual, scale = _select_witness(basis, pairs, random.Random(0), 1e-9)
     assert scale is None and residual < 1e-9
     assert np.allclose(q / q[0, 0], jordan)
 
@@ -528,6 +585,37 @@ def test_commands_do_not_import_numpy_ma():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_commands_do_not_import_numpy_random_or_labels():
+    """The witness draw comes from the standard library's random module and
+    the label calculus is imported only where it is used: a table and a
+    classify command load neither numpy.random nor ptclab.labels nor the
+    fractions module it needs, and algebra and selftest load no
+    ptclab.labels."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ptclab.cli import main\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(argv) == 0, argv\n"
+        "names = ('numpy.random', 'ptclab.labels', 'fractions')\n"
+        "print(json.dumps([name for name in names if name in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ptclab.__file__).resolve().parents[1]))
+    classifying = {"numpy.random", "ptclab.labels", "fractions"}
+    banned = {
+        ("table", "--rep", "dirac8"): classifying,
+        ("classify", "--rep", "rep1", "--op", "C"): classifying,
+        ("algebra", "--rep", "dirac8"): {"ptclab.labels"},
+        ("selftest",): {"ptclab.labels"},
+    }
+    for argv, names in banned.items():
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert not set(json.loads(out.stdout)) & names, argv
 
 
 def test_classify_submodule_is_not_shadowed():

@@ -171,12 +171,25 @@ def test_classify_unreachable_tolerance_is_indeterminate(capsys):
     invariance: the verdict is indeterminate and the exit code 2.  The cell
     has a nonzero residual; a witness with exact entries can reach zero."""
     code, payload = run_json(
-        capsys, "classify", "--rep", "canonical8", "--op", "C", "--tol", "1e-300"
+        capsys, "classify", "--rep", "dirac8", "--op", "C", "--tol", "1e-300"
     )
     assert code == 2
     assert payload["verdict"] == "indeterminate"
     assert payload["nullspace_dim"] >= 1
     assert payload["witness"] is None and payload["residual"] > 0
+
+
+def test_classify_exact_witness_passes_any_tolerance(capsys):
+    """canonical8 under C: the element projected onto the block-sparse
+    nullspace basis has residual exactly 0.0, so even tol 1e-300 gives an
+    invariant verdict, exit 0, reported without an involution scale."""
+    code, payload = run_json(
+        capsys, "classify", "--rep", "canonical8", "--op", "C", "--tol", "1e-300"
+    )
+    assert code == 0
+    assert payload["verdict"] == "invariant"
+    assert payload["residual"] == 0.0 and payload["involution_scale"] is None
+    assert payload["witness"] is not None
 
 
 def test_invertible_nullspace_element_missing_tol_is_indeterminate(capsys):
@@ -231,6 +244,22 @@ def test_table_json_identical_across_hash_seeds():
         env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(hash_seed))
         outputs.add(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
     assert len(outputs) == 1
+
+
+def test_witness_depends_on_the_seed_alone():
+    """The witness draw is seeded from --seed, the representation and the
+    operator: processes that differ only in PYTHONHASHSEED print the same
+    witness bytes, and --seed 2 draws another witness than --seed 1."""
+
+    def witness(seed, hash_seed):
+        argv = [sys.executable, "-m", "ptclab.cli", "classify", "--rep", "dirac8", "--op", "C",
+                "--seed", str(seed), "--json"]
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(hash_seed))
+        out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+        return json.dumps(json.loads(out)["witness"])
+
+    assert witness(1, 0) == witness(1, 1)
+    assert witness(2, 0) != witness(1, 0)
 
 
 def test_massless_command(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import ptclab.generators as generators
 from ptclab.clifford import cached_basis, cached_spin, spectral_projector
 from ptclab.expr import LAURENT_VARS, E, MASS, MOMENTA, TIME
 from ptclab.generators import (
@@ -403,7 +404,6 @@ def test_generators_self_adjoint(canonical8, rep3, points):
 def test_subspace_decomposition():
     report = subspace_decomposition()
     assert report.complete
-    assert report.commutation_residual == 0.0
     labels = [label for _, label in report.blocks]
     assert labels == [
         IrrepLabel(1, HALF, 0),
@@ -416,6 +416,21 @@ def test_subspace_decomposition():
         assert np.max(np.abs(proj @ proj - proj)) < 1e-12
     total = sum(proj for proj, _ in report.blocks)
     assert np.max(np.abs(total - np.eye(8))) < 1e-12
+
+
+def test_subspace_decomposition_raises_on_a_doctored_projector(monkeypatch):
+    """The report carries no residual: a projector that fails to commute
+    with the generators raises.  Conjugating every spectral projector by a
+    cyclic shift of the basis keeps each product a rank-2 projector but
+    breaks the commutation."""
+    shift = np.roll(np.eye(8), 1, axis=0)
+
+    def doctored(matrix, value):
+        return shift @ spectral_projector(matrix, value) @ shift.T
+
+    monkeypatch.setattr(generators, "spectral_projector", doctored)
+    with pytest.raises(AssertionError, match="fails to commute"):
+        subspace_decomposition()
 
 
 def test_charge_commutes_with_positive_set():
