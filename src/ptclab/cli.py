@@ -34,8 +34,11 @@ check is exact and passes only at residual 0.0.
 
 JSON schema (version 1): complex numbers are [re, im] pairs, matrices are
 row-major nested lists of such pairs.  "config" lists the settings a command
-read ({} for selftest, algebra and massless).  Identical configuration
-produces byte-identical JSON.  Exit codes: 0 pass, 1 mismatch or failure,
+read ({} for selftest, algebra and massless).  "involution_scale" is the
+lambda in q q = lambda 1 for the witness q of unit Frobenius norm: 1/d, or
+null when q q is not a multiple of 1.  For the antilinear P2, T2, C and P1T2
+it is not the square q conj(q).  Identical configuration produces
+byte-identical JSON.  Exit codes: 0 pass, 1 mismatch or failure,
 2 indeterminate classification, 64 usage error.
 """
 

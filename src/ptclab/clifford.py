@@ -11,11 +11,14 @@ spatial gammas are anti-hermitian with square -1.  The 8x8 basis doubles up:
 Gamma0 = s3 x 1_4 and Gamma_k = s1 x (i*D_k).
 
 All entries are exact integers or half-integers times i, so the basis
-invariants hold with zero floating error.
+invariants hold with zero floating error.  Casimir spectra and spectral
+projectors come from polynomials in the matrix over a stated spectrum, not
+from an eigen-solver, so they are exact as well.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
@@ -29,27 +32,12 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 # metric for indices 0..4: {gamma_mu, gamma_nu} = 2 g_mu_nu
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0, -1.0])
 
-EPSILON = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    EPSILON[_i, _j, _k] = 1.0
-    EPSILON[_j, _i, _k] = -1.0
-
-# distance an eigenvalue may sit from its snapped s(s+1) value
-CASIMIR_TOL = 1e-9
-# distance within which spectral_projector counts an eigenvalue as the target
-EIGENVALUE_TOL = 1e-8
-
-
-def kron(*mats) -> np.ndarray:
-    return reduce(np.kron, mats)
-
-
 DELTAS = (
-    kron(SX, SX),
-    kron(SX, SY),
-    kron(SX, SZ),
-    kron(SY, I2),
-    kron(SZ, I2),
+    np.kron(SX, SX),
+    np.kron(SX, SY),
+    np.kron(SX, SZ),
+    np.kron(SY, I2),
+    np.kron(SZ, I2),
 )
 
 
@@ -86,20 +74,17 @@ def build_basis(dim: int) -> CliffordBasis:
 
 
 def _validate(basis: CliffordBasis):
+    """gamma0 is hermitian, the spatial gammas anti-hermitian, and
+    {gamma_mu, gamma_nu} = 2 g_mu_nu, all exactly."""
     eye = np.eye(basis.dim, dtype=complex)
-    g0 = basis.gamma0
-    if not np.array_equal(g0, g0.conj().T):
-        raise AssertionError("gamma0 must be hermitian")
-    if not np.array_equal(g0 @ g0, eye):
-        raise AssertionError("gamma0 squared must be the identity")
     for mu in range(5):
+        g = basis.gamma(mu)
+        if not np.array_equal(g.conj().T, METRIC[mu, mu] * g):
+            raise AssertionError(f"gamma_{mu} must be {'' if mu == 0 else 'anti-'}hermitian")
         for nu in range(5):
-            anti = basis.gamma(mu) @ basis.gamma(nu) + basis.gamma(nu) @ basis.gamma(mu)
+            anti = g @ basis.gamma(nu) + basis.gamma(nu) @ g
             if not np.array_equal(anti, 2 * METRIC[mu, nu] * eye):
                 raise AssertionError(f"anticommutator ({mu},{nu}) violates the metric")
-    for gk in basis.gammas:
-        if not np.array_equal(gk, -gk.conj().T):
-            raise AssertionError("spatial gammas must be anti-hermitian")
 
 
 class SpinGenerators:
@@ -114,22 +99,17 @@ class SpinGenerators:
         self.table = table  # (mu, nu) with mu < nu -> ndarray
 
     def entry(self, mu: int, nu: int) -> np.ndarray:
-        if mu == nu:
-            return np.zeros((self.dim, self.dim), dtype=complex)
+        """S_mu_nu for mu != nu."""
         if mu < nu:
             return self.table[(mu, nu)]
         return -self.table[(nu, mu)]
 
     def _triple(self, sign: int) -> tuple:
-        out = []
-        for a in range(1, 4):
-            rot = sum(
-                EPSILON[a - 1, b - 1, c - 1] * self.entry(b, c)
-                for b in range(1, 4)
-                for c in range(1, 4)
-            )
-            out.append(0.5 * (0.5 * rot + sign * self.entry(4, a)))
-        return tuple(out)
+        # eps_abc S_bc / 2 is S_bc for the cyclic order (a, b, c)
+        return tuple(
+            0.5 * (self.entry(b, c) + sign * self.entry(4, a))
+            for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+        )
 
     @cached_property
     def S(self) -> tuple:
@@ -168,44 +148,58 @@ def cached_spin(dim: int) -> SpinGenerators:
     return spin_tensor(cached_basis(dim))
 
 
-def _snap_casimir(value: float) -> float:
-    """Snap an eigenvalue to the nearest s(s+1) with s a half-integer >= 0."""
-    s = 0.5 * (-1.0 + np.sqrt(max(1.0 + 4.0 * value, 0.0)))
-    s0 = round(2.0 * s) / 2.0
-    snapped = s0 * (s0 + 1.0)
-    if abs(value - snapped) > CASIMIR_TOL:
-        raise AssertionError(
-            f"eigenvalue {value} is not within {CASIMIR_TOL} of an s(s+1) value"
-        )
-    return snapped
+def _lagrange_sylvester(matrix: np.ndarray, eigenvalue: float, spectrum) -> tuple:
+    """(N, c) = (prod (M - mu), prod (eigenvalue - mu)) over the values
+    mu != eigenvalue of `spectrum`, so that N / c projects onto the
+    eigenvalue's eigenspace (Lagrange-Sylvester; Higham, Functions of
+    Matrices, SIAM 2008, sec. 1.2).  The entries are small dyadic rationals,
+    so every float product is exact.  ValueError unless the product over the
+    whole spectrum, (M - eigenvalue) N, is exactly zero and N N == c N."""
+    eye = np.eye(len(matrix))
+    others = [mu for mu in spectrum if mu != eigenvalue]
+    numerator = reduce(np.matmul, (matrix - mu * eye for mu in others), eye)
+    scale = math.prod(eigenvalue - mu for mu in others)
+    if np.any((matrix - eigenvalue * eye) @ numerator):
+        raise ValueError(f"the matrix has an eigenvalue outside {spectrum}")
+    if not np.array_equal(numerator @ numerator, scale * numerator):
+        raise ValueError(f"N N != c N for the eigenvalue {eigenvalue}")
+    return numerator, scale
 
 
 def casimir_spectrum(gens: SpinGenerators) -> dict:
-    """Eigenvalue histograms of S^2 and T^2, snapped to s(s+1) values."""
+    """How often S^2 and T^2 take each value s(s+1) with 2s + 1 <= d, as the
+    exact integer trace(N) / c; AssertionError if an eigenvalue is not one."""
+    values = [k * (k + 2) / 4 for k in range(gens.dim)]  # s = k / 2
     out = {}
     for name, mat in (("s_squared", gens.s_squared), ("t_squared", gens.t_squared)):
-        values = np.linalg.eigvalsh(mat)
-        hist: dict = {}
-        for v in values:
-            key = _snap_casimir(float(v))
-            hist[key] = hist.get(key, 0) + 1
-        out[name] = hist
+        out[name] = {}
+        for value in values:
+            try:
+                numerator, scale = _lagrange_sylvester(mat, value, values)
+            except ValueError as exc:
+                raise AssertionError(f"{name}: {exc}") from None
+            trace = np.trace(numerator)
+            count = trace.real / scale
+            # fmod is exact, so it is 0 iff trace(N) / c is an integer
+            if trace.imag or math.fmod(trace.real, scale):
+                raise AssertionError(f"{name}: {value} has multiplicity {count}")
+            if count:
+                out[name][value] = int(count)
     return out
 
 
-def spectral_projector(matrix: np.ndarray, eigenvalue: float) -> np.ndarray:
-    """Orthogonal projector onto the eigenspace of a hermitian matrix."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
-        raise ValueError("spectral_projector expects a hermitian matrix")
-    values, vectors = np.linalg.eigh(matrix)
-    mask = np.abs(values - eigenvalue) <= EIGENVALUE_TOL
-    if not np.any(mask):
-        nearest = values[np.argmin(np.abs(values - eigenvalue))]
-        raise ValueError(
-            f"{eigenvalue} is not an eigenvalue within {EIGENVALUE_TOL}; "
-            f"nearest is {nearest}"
-        )
-    sel = vectors[:, mask]
-    return sel @ sel.conj().T
+def spectral_projector(matrix: np.ndarray, eigenvalue: float, spectrum) -> np.ndarray:
+    """N / c for a matrix whose eigenvalues lie in `spectrum`: the projector
+    onto the eigenspace of `eigenvalue`, orthogonal if the matrix is
+    hermitian.  ValueError if the eigenspace is empty or N / c is not exact."""
+    from fractions import Fraction
 
+    numerator, scale = _lagrange_sylvester(matrix, eigenvalue, spectrum)
+    if not np.any(numerator):
+        raise ValueError(f"{eigenvalue} is not an eigenvalue")
+    proj = numerator / scale
+    exact = Fraction(scale)
+    for n, q in set(zip(numerator.ravel().tolist(), proj.ravel().tolist())):
+        if (Fraction(q.real) * exact, Fraction(q.imag) * exact) != (n.real, n.imag):
+            raise ValueError(f"N / {scale} is not exact for the eigenvalue {eigenvalue}")
+    return proj

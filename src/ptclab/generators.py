@@ -1,8 +1,8 @@
 """The five generator sets, the diagonalizing transforms, and algebra checks.
 
 Five realizations of the ten translation/rotation/boost generators are built:
-the eight-component Dirac-type set, its canonical (diagonal-Hamiltonian)
-form, and the three inequivalent four-component sets.  Every set, and the
+the 8-component Dirac-type set, its canonical (diagonal-Hamiltonian)
+form, and the three inequivalent 4-component sets.  Every set, and the
 spinless orbital set below, comes out of one assembly from its Hamiltonian H,
 its spin matrices S_ab and an optional boost-spin term B_a:
 
@@ -15,7 +15,7 @@ scalars (H8 = sum_k (Gamma0 Gamma_k) p_k, B_a = sum_b (Gamma0 S_ab) p_b / E
 + ...), built by sums, scalar scalings and constant left factors.
 
 The Dirac-type set takes H8 = Gamma0 Gamma_k p_k and no B_a: its spin part
-sits inside the anticommutator.  The canonical and four-component sets take
+sits inside the anticommutator.  The canonical and 4-component sets take
 a diagonal H and B_a = (S_ab p_b + mass part) / E.  That the Dirac-type set is
 the canonical one conjugated by the diagonalizing unitary is a checked
 property, not the construction.
@@ -33,7 +33,7 @@ formally self-adjoint.
 
 Two conserved operators are checked against the sets here as well: gamma0
 commutes with every generator of rep3 (`charge_check`), and the helicity
-operators S.p/E and T.p/E commute with every canonical eight-component
+operators S.p/E and T.p/E commute with every canonical 8-component
 generator at m = 0, where S.p/E has eigenvalues +-1/2 on the S^2 = 3/4
 subspace (`helicity_check`).  `transform_residuals` checks that both
 transforms are unitary and that the canonical one diagonalizes H8, on
@@ -390,10 +390,10 @@ def _commutant_residual(q, op: MomentumOperator) -> float:
 def subspace_decomposition() -> SubspaceReport:
     """Rank-2 projectors labelled by energy sign and by which Casimir is excited.
 
-    Each projector is the product of a spectral projector of Gamma0 with one
-    of S^2 or T^2, and must commute exactly with all ten canonical generators:
-    a projector of the wrong rank, or one that fails to commute, raises
-    AssertionError.
+    Each projector is the product of a spectral projector of Gamma0 (spectrum
+    +-1) with one of S^2 or T^2 (spectrum 0, 3/4), and must commute exactly
+    with all ten canonical generators: a projector whose trace is not its
+    label's dimension, or one that fails to commute, raises AssertionError.
     """
     from .labels import CANONICAL8_CONTENT, HALF
 
@@ -403,13 +403,13 @@ def subspace_decomposition() -> SubspaceReport:
 
     blocks = []
     for label in CANONICAL8_CONTENT:
-        sign_proj = spectral_projector(basis.gamma0, float(label.energy_sign))
+        sign_proj = spectral_projector(basis.gamma0, label.energy_sign, (1, -1))
         casimir = spin.s_squared if label.s == HALF else spin.t_squared
-        proj = sign_proj @ spectral_projector(casimir, 0.75)
-        rank = round(float(np.real(np.trace(proj))))
-        if rank != label.dimension:
+        proj = sign_proj @ spectral_projector(casimir, 0.75, (0, 0.75))
+        trace = np.trace(proj)
+        if trace != label.dimension:
             raise AssertionError(
-                f"projector for {label} has rank {rank}, expected {label.dimension}"
+                f"projector for {label} has trace {trace}, expected {label.dimension}"
             )
         blocks.append((proj, label))
 
@@ -470,7 +470,7 @@ def transform_residuals() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# helicity check on the canonical eight-component generators
+# helicity check on the canonical 8-component generators
 
 
 class HelicityReport(NamedTuple):
@@ -481,7 +481,7 @@ class HelicityReport(NamedTuple):
 
 
 def helicity_operator(which: str = "s") -> MomentumOperator:
-    """S_a p_a / E (or T_a p_a / E) on the eight-dimensional space."""
+    """S_a p_a / E (or T_a p_a / E) on the 8-dimensional space."""
     spin = cached_spin(8)
     triple = spin.S if which == "s" else spin.T
     return MomentumOperator.from_matrix(Coefficient(triple, MOMENTA).scale(1 / ENERGY))
@@ -489,7 +489,7 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
 
 def helicity_check() -> HelicityReport:
     """Check that both helicity operators commute with all ten canonical
-    eight-component generators at m = 0, and that S.p/E has eigenvalues
+    8-component generators at m = 0, and that S.p/E has eigenvalues
     +-1/2, twice each, on the S^2 = 3/4 subspace.
 
     The generators keep their mass dependence: each commutator counts only
@@ -507,7 +507,7 @@ def helicity_check() -> HelicityReport:
         for name, op in build_generators("canonical8").items()
     }
     worst = max(max(pair) for pair in per.values())
-    proj = spectral_projector(cached_spin(8).s_squared, 0.75)
+    proj = spectral_projector(cached_spin(8).s_squared, 0.75, (0, 0.75))
     h = hs.terms[ZERO_INDEX].lmul(proj)
     trace = Expr.from_rows(h.exps, np.trace(h.mats, axis1=1, axis2=2))
     eig_residual = _shell_residual([h @ h - Coefficient.constant(proj / 4), trace], massless=True)

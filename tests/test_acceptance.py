@@ -141,7 +141,7 @@ def test_criterion_05_casimirs_and_subspaces():
         IrrepLabel(1, 0, HALF),
     ]
     for proj, _ in report.blocks:
-        assert round(float(np.real(np.trace(proj)))) == 2
+        assert np.trace(proj) == 2
     assert report.complete
     _passline(5, "Casimir spectra {3/4:4, 0:4}; four rank-2 projectors, "
                  "each commuting exactly with all ten generators")

@@ -658,8 +658,8 @@ def test_parity_witness_swaps_casimir_eigenspaces(canonical8):
     assert result.invariant
     spin = cached_spin(8)
     w = result.witness
-    p_s = spectral_projector(spin.s_squared, 0.75)
-    p_t = spectral_projector(spin.t_squared, 0.75)
+    p_s = spectral_projector(spin.s_squared, 0.75, (0, 0.75))
+    p_t = spectral_projector(spin.t_squared, 0.75, (0, 0.75))
     # w S^2 = T^2 w follows from the swap relation, so w maps the excited
     # S-block onto the excited T-block
     assert np.max(np.abs(w @ p_s - p_t @ w)) < 1e-9

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 import ptclab
 import ptclab.generators as generators
 from ptclab.cli import main
-from ptclab.clifford import cached_spin, spectral_projector
+from ptclab.clifford import cached_spin, casimir_spectrum, spectral_projector
 from ptclab.expr import LAURENT_VARS, MASS
-from ptclab.generators import GENERATOR_NAMES, RepId, build_generators
+from ptclab.generators import GENERATOR_NAMES, RepId, build_generators, subspace_decomposition
 from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
 from ptclab.vocabulary import DEFAULT_SEED, OP_ORDER, REP_KINDS
 
@@ -282,7 +283,7 @@ def _doubled(helicity, which):
 def _one_signed(helicity, which):
     """P/2 for the S^2 = 3/4 projector P: it commutes with every generator and
     squares to P/4 there, but its eigenvalues are +1/2 four times."""
-    proj = spectral_projector(cached_spin(8).s_squared, 0.75)
+    proj = spectral_projector(cached_spin(8).s_squared, 0.75, (0, 0.75))
     return MomentumOperator.from_matrix(Coefficient.constant(proj / 2))
 
 
@@ -315,6 +316,22 @@ def test_massless_text_reports_each_check(capsys, monkeypatch):
     assert f"{_COMMUTE}: PASS (residual 0.000e+00)" in out
     line = next(line for line in out.splitlines() if _EIGENVALUES in line)
     assert ": FAIL (residual " in line and "0.000e+00" not in line
+
+
+def test_exact_checks_call_no_eigen_solver(capsys, monkeypatch):
+    """selftest, algebra and massless, the subspace projectors and the
+    Casimir spectra pass with every numpy eigen-solver made to raise: their
+    spectra and projectors are built exactly, not found numerically."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an eigen-solver was called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for argv in (("selftest",), ("algebra", "--rep", "canonical8"), ("massless",)):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert subspace_decomposition().complete
+    assert casimir_spectrum(cached_spin(8))["s_squared"] == {0.0: 4, 0.75: 4}
 
 
 def test_ptc_command(capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import ptclab.clifford as clifford
 from ptclab.clifford import (
     METRIC,
     SY,
@@ -91,30 +92,91 @@ def test_casimir_spectra(dim, expected):
 
 
 def test_spectral_projector_identity():
-    assert np.allclose(spectral_projector(np.eye(3), 1.0), np.eye(3))
+    assert np.array_equal(spectral_projector(np.eye(3), 1.0, (1.0,)), np.eye(3))
 
 
 def test_spectral_projector_gamma0():
     basis = build_basis(8)
-    proj = spectral_projector(basis.gamma0, 1.0)
-    assert np.allclose(proj, (np.eye(8) + basis.gamma0) / 2, atol=1e-14)
+    proj = spectral_projector(basis.gamma0, 1.0, (1, -1))
+    assert np.array_equal(proj, (np.eye(8) + basis.gamma0) / 2)
 
 
 def test_spectral_projector_casimir_block():
     spin = cached_spin(8)
     basis = build_basis(8)
-    proj = spectral_projector(spin.s_squared, 0.75)
-    assert round(float(np.real(np.trace(proj)))) == 4
-    assert np.max(np.abs(proj @ proj - proj)) < 1e-10
-    assert np.max(np.abs(proj - proj.conj().T)) < 1e-10
-    assert np.max(np.abs(spin.s_squared @ proj - 0.75 * proj)) < 1e-10
-    assert np.max(np.abs(proj @ basis.gamma0 - basis.gamma0 @ proj)) < 1e-12
+    proj = spectral_projector(spin.s_squared, 0.75, (0, 0.75))
+    assert np.trace(proj) == 4
+    assert np.array_equal(proj @ proj, proj)
+    assert np.array_equal(proj, proj.conj().T)
+    assert np.array_equal(spin.s_squared @ proj, 0.75 * proj)
+    assert np.array_equal(proj @ basis.gamma0, basis.gamma0 @ proj)
 
 
 def test_spectral_projector_rejects_missing_eigenvalue():
     spin = cached_spin(8)
-    with pytest.raises(ValueError, match="nearest"):
-        spectral_projector(spin.s_squared, 0.5)
+    with pytest.raises(ValueError, match="is not an eigenvalue"):
+        spectral_projector(spin.s_squared, 0.5, (0, 0.5, 0.75))
+
+
+# (matrix, spectrum) pairs whose projectors are checked as exact identities
+_SPECTRA = {
+    "gamma0": (lambda dim: build_basis(dim).gamma0, (1, -1)),
+    "s_squared": (lambda dim: cached_spin(dim).s_squared, (0, 0.75)),
+    "t_squared": (lambda dim: cached_spin(dim).t_squared, (0, 0.75)),
+}
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+@pytest.mark.parametrize("name", sorted(_SPECTRA))
+def test_spectral_projectors_are_exact_identities(dim, name):
+    """Over the stated spectrum, each projector is idempotent, the
+    projectors sum to the identity and each trace is its multiplicity d/2,
+    all with no rounding."""
+    build, spectrum = _SPECTRA[name]
+    matrix = build(dim)
+    projectors = [spectral_projector(matrix, value, spectrum) for value in spectrum]
+    for value, proj in zip(spectrum, projectors):
+        assert np.array_equal(proj @ proj, proj)
+        assert np.array_equal(matrix @ proj, value * proj)
+        assert np.trace(proj) == dim // 2
+    assert np.array_equal(sum(projectors), np.eye(dim))
+
+
+def test_doctored_casimir_is_rejected():
+    """Fresh spin generators whose S^2 has 1/4 added to one diagonal entry,
+    so that it has eigenvalues outside {0, 3/4}: no s(s+1) spectrum and no
+    projector is accepted."""
+    spin = spin_tensor(build_basis(8))
+    spin.s_squared = spin.s_squared + np.diag([0.25] + [0.0] * 7)
+    with pytest.raises(AssertionError, match="s_squared"):
+        casimir_spectrum(spin)
+    for value in (0, 0.75):
+        with pytest.raises(ValueError, match="eigenvalue outside"):
+            spectral_projector(spin.s_squared, value, (0, 0.75))
+
+
+def test_casimir_spectrum_rejects_a_fractional_multiplicity(monkeypatch):
+    """A multiplicity trace(N) / c that is not an integer raises: here c is
+    tripled behind the construction's back, so 4 / 3 remains."""
+    lagrange = clifford._lagrange_sylvester
+
+    def tripled(matrix, value, spectrum):
+        numerator, scale = lagrange(matrix, value, spectrum)
+        return numerator, 3 * scale
+
+    monkeypatch.setattr(clifford, "_lagrange_sylvester", tripled)
+    with pytest.raises(AssertionError, match="multiplicity"):
+        casimir_spectrum(spin_tensor(build_basis(8)))
+
+
+def test_spectral_projector_rejects_an_inexact_quotient():
+    """M = [[1, 2], [2, 4]] has the spectrum {0, 5}, and its projectors
+    (5 - M) / 5 and M / 5 have entries that no float represents: both are
+    refused rather than rounded."""
+    matrix = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for value in (0, 5):
+        with pytest.raises(ValueError, match="not exact"):
+            spectral_projector(matrix, value, (0, 5))
 
 
 def _commutant_scan():
