@@ -171,13 +171,14 @@ def _monomial_system(g: GeneratorSet) -> _MonomialSystem:
         sign_class = SIGN_CLASSES.index(GENERATOR_CLASS[name])
         for alpha in sorted(gen.terms):
             shift, form = gen.terms[alpha].on_shell()
-            labels += [(len(shifts), index_order(alpha), sign_class)] * len(form.exps)
+            labels += [(len(shifts), index_order(alpha), sign_class)] * len(form.terms)
             shifts.append(shift)
-            exps.append(form.exps)
-            mats.append(form.mats)
+            exps += form.exps
+            mats += form.mats
     block, order, sign_class = np.array(labels, dtype=int).reshape(-1, 3).T
     return _MonomialSystem(
-        np.concatenate(mats), np.concatenate(exps), block, np.array(shifts), order, sign_class
+        np.array(mats, dtype=complex), np.array(exps, dtype=int), block, np.array(shifts),
+        order, sign_class,
     )
 
 
@@ -244,7 +245,7 @@ def _monomial_pairs(system, op: DiscreteOpSpec) -> np.ndarray:
     condition q (R G R^-1) = sign(G) G q holds for all (p, m, t) iff
     q a = b q holds for every pair (a, b)."""
     flags = momentum_action(op)
-    flag_sign = flag_signs(system.exps, flags) * flags.eta_p ** system.order
+    flag_sign = np.array(flag_signs(system.exps.tolist(), flags)) * flags.eta_p ** system.order
     flagged = system.mats.conj() if flags.conj else system.mats
     sign = np.array(op.signs)[system.sign_class]
     return np.stack(
@@ -540,10 +541,8 @@ def intertwining_check(tol: float = DEFAULT_TOL) -> IntertwiningReport:
             continue
         worst = 0.0
         for a in range(3):
-            if relation == "swap":
-                dev = w @ spin.S[a] - spin.T[a] @ w
-            else:
-                dev = w @ spin.S[a] - spin.S[a] @ w
+            s, t = np.asarray(spin.S[a]), np.asarray(spin.T[a])
+            dev = w @ s - (t if relation == "swap" else s) @ w
             worst = max(worst, float(np.max(np.abs(dev))))
         residuals[f"{name}_{relation}"] = worst
     return IntertwiningReport(residuals, missing, tol)

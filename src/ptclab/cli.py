@@ -2,9 +2,10 @@
 
 At import this module loads only argparse, json and `ptclab.vocabulary`,
 which holds the names and settings the parser checks.  Each command's
-handler imports the numeric layers it runs, so `ptc`, `--help` and every
-usage error finish without numpy, and `selftest`, `algebra` and `massless`
-never load the classifier.  No command reads a sample point: every check is
+handler imports the layers it runs, so `ptc`, `--help` and every usage error
+load no numeric layer, `selftest`, `algebra` and `massless` run on the
+plain-Python exact core, and numpy is loaded only by `classify` and `table`,
+with the classifier.  No command reads a sample point: every check is
 decided on the exact Laurent coefficients, and `algebra --dump-generators`
 writes those coefficients' rows.  The user-facing summary, flags, JSON
 schema and exit codes are in DESCRIPTION, which `--help` prints.
@@ -34,7 +35,7 @@ check is exact and passes only at residual 0.0.
 
 JSON schema (version 1): complex numbers are [re, im] pairs, matrices are
 row-major nested lists of such pairs.  "config" lists the settings a command
-read ({} for selftest, algebra and massless).  "involution_scale" is the
+read ({} for selftest, algebra, massless and ptc).  "involution_scale" is the
 lambda in q q = lambda 1 for the witness q of unit Frobenius norm: 1/d, or
 null when q q is not a multiple of 1.  For the antilinear P2, T2, C and P1T2
 it is not the square q conj(q).  Identical configuration produces
@@ -202,7 +203,7 @@ def _generators_json(g) -> dict:
     def rows(c):
         return [
             {"exponents": exps, "matrix": cmat(mat)}
-            for exps, mat in sorted(zip(c.exps.tolist(), c.mats), key=lambda row: row[0])
+            for exps, mat in sorted(zip(c.exps, c.mats))
         ]
 
     return {
@@ -386,6 +387,7 @@ def cmd_ptc(json_output: bool, expression: str) -> int:
             {
                 "schema": SCHEMA_VERSION,
                 "command": "ptc",
+                "config": {},
                 "labels": [str(l) for l in labels],
                 "ptc_complete": verdict,
             }

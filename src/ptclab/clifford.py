@@ -1,4 +1,5 @@
-"""Gamma-matrix bases, spin tensors, Casimirs and spectral projectors.
+"""Gamma-matrix bases, spin tensors, Casimirs and spectral projectors, and the
+constant-matrix arithmetic that they and the operator coefficients share.
 
 The canonical construction starts from five mutually anticommuting hermitian
 4x4 matrices built as Pauli tensor products:
@@ -10,10 +11,11 @@ gamma_k = i*D_k for k = 1..4, so gamma0 is hermitian with square +1 and the
 spatial gammas are anti-hermitian with square -1.  The 8x8 basis doubles up:
 Gamma0 = s3 x 1_4 and Gamma_k = s1 x (i*D_k).
 
-All entries are exact integers or half-integers times i, so the basis
-invariants hold with zero floating error.  Casimir spectra and spectral
-projectors come from polynomials in the matrix over a stated spectrum, not
-from an eigen-solver, so they are exact as well.
+A matrix is dense, a tuple of rows of complex (any nested sequence is
+accepted), or sparse, a dict {(i, j): nonzero entry} to compute products in.
+All entries are integers or half-integers times i, so no arithmetic rounds.
+Casimir spectra and spectral projectors come from polynomials in the matrix
+over a stated spectrum, not from an eigen-solver, so they are exact as well.
 """
 
 from __future__ import annotations
@@ -22,33 +24,92 @@ import math
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
-import numpy as np
+# ---------------------------------------------------------------------------
+# constant matrices
 
-I2 = np.eye(2, dtype=complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def sparse(mat) -> dict:
+    """{(i, j): entry} over the nonzero entries of a dense matrix."""
+    return {(i, j): complex(v) for i, row in enumerate(mat) for j, v in enumerate(row) if v}
+
+
+def dense(m: dict, dim: int) -> tuple:
+    """The dense matrix of a sparse one, every zero part +0.0."""
+    rows = [[0j] * dim for _ in range(dim)]
+    for (i, j), v in m.items():
+        rows[i][j] = v + 0j
+    return tuple(map(tuple, rows))
+
+
+def mat_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out[key] + v if key in out else v
+    return {key: v for key, v in out.items() if v}
+
+
+def mat_scale(m: dict, factor) -> dict:
+    return {key: v * factor for key, v in m.items()} if factor else {}
+
+
+def mat_mul(a: dict, b: dict) -> dict:
+    rows = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    out = {}
+    for (i, k), x in a.items():
+        for j, y in rows.get(k, ()):
+            out[i, j] = out[i, j] + x * y if (i, j) in out else x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def mat_dagger(m: dict) -> dict:
+    return {(j, i): v.conjugate() for (i, j), v in m.items()}
+
+
+def matmul(a, b) -> tuple:
+    """The product of two dense matrices, as a dense matrix."""
+    return dense(mat_mul(sparse(a), sparse(b)), len(a))
+
+
+def combine(*terms) -> tuple:
+    """sum f * m over (f, m) pairs of a number and a dense matrix."""
+    return dense(reduce(mat_add, (mat_scale(sparse(m), f) for f, m in terms)), len(terms[0][1]))
+
+
+def eye(dim: int) -> tuple:
+    return dense({(i, i): 1 for i in range(dim)}, dim)
+
+
+def kron(a, b) -> tuple:
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def trace(mat) -> complex:
+    return sum(mat[i][i] for i in range(len(mat)))
+
+
+I2 = eye(2)
+SX = dense({(0, 1): 1, (1, 0): 1}, 2)
+SY = dense({(0, 1): -1j, (1, 0): 1j}, 2)
+SZ = dense({(0, 0): 1, (1, 1): -1}, 2)
 
 # metric for indices 0..4: {gamma_mu, gamma_nu} = 2 g_mu_nu
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0, -1.0])
-
-DELTAS = (
-    np.kron(SX, SX),
-    np.kron(SX, SY),
-    np.kron(SX, SZ),
-    np.kron(SY, I2),
-    np.kron(SZ, I2),
+METRIC = tuple(
+    tuple(g if nu == mu else 0.0 for nu in range(5)) for mu, g in enumerate((1.0,) + (-1.0,) * 4)
 )
+
+DELTAS = (kron(SX, SX), kron(SX, SY), kron(SX, SZ), kron(SY, I2), kron(SZ, I2))
 
 
 class CliffordBasis(NamedTuple):
     """gamma0 plus four 'spatial' gammas (index 4 pairs with the mass)."""
 
     dim: int
-    gamma0: np.ndarray
+    gamma0: tuple
     gammas: tuple  # gamma_1..gamma_4
 
-    def gamma(self, mu: int) -> np.ndarray:
+    def gamma(self, mu: int) -> tuple:
         if mu == 0:
             return self.gamma0
         return self.gammas[mu - 1]
@@ -56,17 +117,11 @@ class CliffordBasis(NamedTuple):
 
 def build_basis(dim: int) -> CliffordBasis:
     """Construct the documented canonical basis for dim 4 or 8."""
+    spatial = [combine((1j, DELTAS[k])) for k in range(4)]
     if dim == 4:
-        basis = CliffordBasis(
-            4, DELTAS[4].copy(), tuple(1j * DELTAS[k] for k in range(4))
-        )
+        basis = CliffordBasis(4, DELTAS[4], tuple(spatial))
     elif dim == 8:
-        eye4 = np.eye(4, dtype=complex)
-        basis = CliffordBasis(
-            8,
-            np.kron(SZ, eye4),
-            tuple(np.kron(SX, 1j * DELTAS[k]) for k in range(4)),
-        )
+        basis = CliffordBasis(8, kron(SZ, eye(4)), tuple(kron(SX, g) for g in spatial))
     else:
         raise ValueError(f"unsupported dimension {dim}; expected 4 or 8")
     _validate(basis)
@@ -76,14 +131,13 @@ def build_basis(dim: int) -> CliffordBasis:
 def _validate(basis: CliffordBasis):
     """gamma0 is hermitian, the spatial gammas anti-hermitian, and
     {gamma_mu, gamma_nu} = 2 g_mu_nu, all exactly."""
-    eye = np.eye(basis.dim, dtype=complex)
-    for mu in range(5):
-        g = basis.gamma(mu)
-        if not np.array_equal(g.conj().T, METRIC[mu, mu] * g):
+    one = sparse(eye(basis.dim))
+    gammas = [sparse(basis.gamma(mu)) for mu in range(5)]
+    for mu, g in enumerate(gammas):
+        if mat_dagger(g) != mat_scale(g, METRIC[mu][mu]):
             raise AssertionError(f"gamma_{mu} must be {'' if mu == 0 else 'anti-'}hermitian")
-        for nu in range(5):
-            anti = g @ basis.gamma(nu) + basis.gamma(nu) @ g
-            if not np.array_equal(anti, 2 * METRIC[mu, nu] * eye):
+        for nu, h in enumerate(gammas):
+            if mat_add(mat_mul(g, h), mat_mul(h, g)) != mat_scale(one, 2 * METRIC[mu][nu]):
                 raise AssertionError(f"anticommutator ({mu},{nu}) violates the metric")
 
 
@@ -96,18 +150,18 @@ class SpinGenerators:
 
     def __init__(self, dim: int, table: dict):
         self.dim = dim
-        self.table = table  # (mu, nu) with mu < nu -> ndarray
+        self.table = table  # (mu, nu) with mu < nu -> dense matrix
 
-    def entry(self, mu: int, nu: int) -> np.ndarray:
+    def entry(self, mu: int, nu: int) -> tuple:
         """S_mu_nu for mu != nu."""
         if mu < nu:
             return self.table[(mu, nu)]
-        return -self.table[(nu, mu)]
+        return combine((-1, self.table[(nu, mu)]))
 
     def _triple(self, sign: int) -> tuple:
         # eps_abc S_bc / 2 is S_bc for the cyclic order (a, b, c)
         return tuple(
-            0.5 * (self.entry(b, c) + sign * self.entry(4, a))
+            combine((0.5, self.entry(b, c)), (0.5 * sign, self.entry(4, a)))
             for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
         )
 
@@ -120,21 +174,23 @@ class SpinGenerators:
         return self._triple(-1)
 
     @cached_property
-    def s_squared(self) -> np.ndarray:
-        return sum(s @ s for s in self.S)
+    def s_squared(self) -> tuple:
+        return combine(*((1, matmul(s, s)) for s in self.S))
 
     @cached_property
-    def t_squared(self) -> np.ndarray:
-        return sum(t @ t for t in self.T)
+    def t_squared(self) -> tuple:
+        return combine(*((1, matmul(t, t)) for t in self.T))
 
 
 def spin_tensor(basis: CliffordBasis) -> SpinGenerators:
     """S_mu_nu = i/4 [gamma_mu, gamma_nu] over indices 0..4."""
+    gammas = [sparse(basis.gamma(mu)) for mu in range(5)]
     table = {}
     for mu in range(5):
         for nu in range(mu + 1, 5):
-            gm, gn = basis.gamma(mu), basis.gamma(nu)
-            table[(mu, nu)] = 0.25j * (gm @ gn - gn @ gm)
+            gm, gn = gammas[mu], gammas[nu]
+            commutator = mat_add(mat_mul(gm, gn), mat_scale(mat_mul(gn, gm), -1))
+            table[(mu, nu)] = dense(mat_scale(commutator, 0.25j), basis.dim)
     return SpinGenerators(basis.dim, table)
 
 
@@ -148,20 +204,20 @@ def cached_spin(dim: int) -> SpinGenerators:
     return spin_tensor(cached_basis(dim))
 
 
-def _lagrange_sylvester(matrix: np.ndarray, eigenvalue: float, spectrum) -> tuple:
+def _lagrange_sylvester(mat, eigenvalue: float, spectrum) -> tuple:
     """(N, c) = (prod (M - mu), prod (eigenvalue - mu)) over the values
-    mu != eigenvalue of `spectrum`, so that N / c projects onto the
+    mu != eigenvalue of `spectrum`, N sparse, so that N / c projects onto the
     eigenvalue's eigenspace (Lagrange-Sylvester; Higham, Functions of
     Matrices, SIAM 2008, sec. 1.2).  The entries are small dyadic rationals,
     so every float product is exact.  ValueError unless the product over the
     whole spectrum, (M - eigenvalue) N, is exactly zero and N N == c N."""
-    eye = np.eye(len(matrix))
+    m, one = sparse(mat), sparse(eye(len(mat)))
     others = [mu for mu in spectrum if mu != eigenvalue]
-    numerator = reduce(np.matmul, (matrix - mu * eye for mu in others), eye)
+    numerator = reduce(mat_mul, (mat_add(m, mat_scale(one, -mu)) for mu in others), one)
     scale = math.prod(eigenvalue - mu for mu in others)
-    if np.any((matrix - eigenvalue * eye) @ numerator):
+    if mat_mul(mat_add(m, mat_scale(one, -eigenvalue)), numerator):
         raise ValueError(f"the matrix has an eigenvalue outside {spectrum}")
-    if not np.array_equal(numerator @ numerator, scale * numerator):
+    if mat_mul(numerator, numerator) != mat_scale(numerator, scale):
         raise ValueError(f"N N != c N for the eigenvalue {eigenvalue}")
     return numerator, scale
 
@@ -178,28 +234,28 @@ def casimir_spectrum(gens: SpinGenerators) -> dict:
                 numerator, scale = _lagrange_sylvester(mat, value, values)
             except ValueError as exc:
                 raise AssertionError(f"{name}: {exc}") from None
-            trace = np.trace(numerator)
-            count = trace.real / scale
+            diagonal = sum(numerator.get((i, i), 0) for i in range(gens.dim))
+            count = diagonal.real / scale
             # fmod is exact, so it is 0 iff trace(N) / c is an integer
-            if trace.imag or math.fmod(trace.real, scale):
+            if diagonal.imag or math.fmod(diagonal.real, scale):
                 raise AssertionError(f"{name}: {value} has multiplicity {count}")
             if count:
                 out[name][value] = int(count)
     return out
 
 
-def spectral_projector(matrix: np.ndarray, eigenvalue: float, spectrum) -> np.ndarray:
+def spectral_projector(mat, eigenvalue: float, spectrum) -> tuple:
     """N / c for a matrix whose eigenvalues lie in `spectrum`: the projector
     onto the eigenspace of `eigenvalue`, orthogonal if the matrix is
     hermitian.  ValueError if the eigenspace is empty or N / c is not exact."""
     from fractions import Fraction
 
-    numerator, scale = _lagrange_sylvester(matrix, eigenvalue, spectrum)
-    if not np.any(numerator):
+    numerator, scale = _lagrange_sylvester(mat, eigenvalue, spectrum)
+    if not numerator:
         raise ValueError(f"{eigenvalue} is not an eigenvalue")
-    proj = numerator / scale
+    proj = {key: n / scale for key, n in numerator.items()}
     exact = Fraction(scale)
-    for n, q in set(zip(numerator.ravel().tolist(), proj.ravel().tolist())):
+    for n, q in set(zip(numerator.values(), proj.values())):
         if (Fraction(q.real) * exact, Fraction(q.imag) * exact) != (n.real, n.imag):
             raise ValueError(f"N / {scale} is not exact for the eigenvalue {eigenvalue}")
-    return proj
+    return dense(proj, len(mat))

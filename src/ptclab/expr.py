@@ -4,12 +4,13 @@ An `Expr` is a finite sum  sum_k c_k x^(e_k)  of monomials
 
     x^e = p1^e1 p2^e2 p3^e3 m^e4 t^e5 E^e6 W^e7,
 
-held as K integer exponent rows `exps` (K, 7), ordered as LAURENT_VARS, and
-K coefficients `coeffs`.  A coefficient is a complex number for a scalar and
-a constant d x d matrix for an operator coefficient (`operators.Coefficient`,
+held as `terms`, a dict from each exponent row e (seven ints, ordered as
+LAURENT_VARS) to its coefficient c: a Python complex for a scalar and a
+constant d x d matrix for an operator coefficient (`operators.Coefficient`,
 a subclass), so sums, products, derivatives, reflection signs and the
 mass-shell normal form have one implementation for both.  Equal rows are
-merged and zero coefficients dropped.
+merged in order of first occurrence and zero coefficients dropped; every
+coefficient is a Gaussian dyadic rational, so no arithmetic rounds.
 
 E = sqrt(p1^2 + p2^2 + p3^2 + m^2) and W = sqrt(2E(E + m)) are atoms.  The
 chain rule with
@@ -32,15 +33,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
+from operator import add, mul
 from typing import NamedTuple
-
-import numpy as np
 
 VARIABLES = ("p1", "p2", "p3", "m", "t")
 MOMENTUM_VARS = ("p1", "p2", "p3")
 LAURENT_VARS = VARIABLES + ("E", "W")
 _AXIS = {name: k for k, name in enumerate(LAURENT_VARS)}
+_E_AXIS, _W_AXIS = _AXIS["E"], _AXIS["W"]
 # the terms of E^2 on the mass shell: p1^2 + p2^2 + p3^2 + m^2
 _SHELL_AXES = tuple(_AXIS[name] for name in MOMENTUM_VARS + ("m",))
 
@@ -55,80 +56,77 @@ class FlagTransform(NamedTuple):
     conj: bool = False
 
 
-def _row(**powers) -> np.ndarray:
+def _row(**powers) -> tuple:
     """The exponent row of the monomial prod_v v^powers[v]."""
-    out = np.zeros(len(LAURENT_VARS), dtype=int)
-    for name, k in powers.items():
-        out[_AXIS[name]] = k
-    return out
+    return tuple(powers.get(name, 0) for name in LAURENT_VARS)
 
 
-def _chain_rule(var: str):
-    """(axes, factors, deltas), one entry per term of the chain rule
-    d x^e / dvar = sum_j factors[j] e[axes[j]] x^(e + deltas[j]), from the
+def _chain_rule(var: str) -> tuple:
+    """(axis, factor, delta), one per term of the chain rule
+    d x^e / dvar = sum factor e[axis] x^(e + delta), from the
     e_u x^(e - u) du/dvar of every atom u that depends on var."""
     terms = [(_AXIS[var], 1, _row(**{var: -1}))]
     if var != "t":
-        terms.append((_AXIS["E"], 1, _row(**{var: 1}, E=-2)))
-        w = _AXIS["W"]
+        terms.append((_E_AXIS, 1, _row(**{var: 1}, E=-2)))
         if var == "m":
-            terms += [(w, 2, _row(m=1, W=-2)), (w, 1, _row(E=1, W=-2)),
-                      (w, 1, _row(m=2, E=-1, W=-2))]
+            terms += [(_W_AXIS, 2, _row(m=1, W=-2)), (_W_AXIS, 1, _row(E=1, W=-2)),
+                      (_W_AXIS, 1, _row(m=2, E=-1, W=-2))]
         else:
-            terms += [(w, 2, _row(**{var: 1}, W=-2)), (w, 1, _row(**{var: 1}, m=1, E=-1, W=-2))]
-    axes, factors, deltas = zip(*terms)
-    return np.array(axes), np.array(factors), np.array(deltas)
+            terms += [(_W_AXIS, 2, _row(**{var: 1}, W=-2)),
+                      (_W_AXIS, 1, _row(**{var: 1}, m=1, E=-1, W=-2))]
+    return tuple(terms)
 
 
 _CHAIN = {var: _chain_rule(var) for var in VARIABLES}
 
 
-def _merged(exps, coeffs):
-    """exps and coeffs with equal rows summed and zero coefficients dropped."""
-    exps = np.asarray(exps, dtype=int).reshape(-1, len(LAURENT_VARS))
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if len(coeffs) != len(exps):
-        raise ValueError("expected one coefficient per exponent row")
-    rows = list(map(tuple, exps.tolist()))
-    index = dict.fromkeys(rows)
-    if len(index) < len(rows):
-        index = {row: k for k, row in enumerate(index)}
-        sums = np.zeros((len(index),) + coeffs.shape[1:], dtype=complex)
-        np.add.at(sums, [index[row] for row in rows], coeffs)
-        exps, coeffs = np.array(list(index), dtype=int), sums
-    keep = coeffs.reshape(len(coeffs), math.prod(coeffs.shape[1:])).any(axis=1)
-    if not keep.all():
-        exps, coeffs = exps[keep], coeffs[keep]
-    return exps, coeffs
-
-
 class Expr:
-    """sum_k coeffs[k] x^exps[k]; immutable."""
+    """sum over `terms` of coefficient x^row; immutable."""
 
-    __slots__ = ("exps", "coeffs")
+    __slots__ = ("terms",)
+    # the sum and the scaling by a number of two coefficients of this class
+    _add = staticmethod(add)
+    _scale = staticmethod(mul)
+    _matrix = False
 
     def __init__(self, exps, coeffs):
-        self.exps, self.coeffs = _merged(exps, coeffs)
+        if len(coeffs) != len(exps):
+            raise ValueError("expected one coefficient per exponent row")
+        self.terms = self._collect(
+            (tuple(map(int, row)), complex(c)) for row, c in zip(exps, coeffs)
+        )
 
     @classmethod
-    def from_rows(cls, exps, coeffs):
-        """An expression of this class from its exponent rows and coefficients."""
-        return cls._new(*_merged(exps, coeffs))
+    def _collect(cls, pairs) -> dict:
+        """{row: coefficient} from (row, coefficient) pairs: equal rows
+        summed in order of first occurrence, zero sums dropped."""
+        terms = {}
+        plus = cls._add
+        for row, c in pairs:
+            terms[row] = plus(terms[row], c) if row in terms else c
+        return {row: c for row, c in terms.items() if c}
 
-    @classmethod
-    def _new(cls, exps, coeffs):
-        """From rows that are already distinct, with nonzero coefficients."""
-        out = cls.__new__(cls)
-        out.exps, out.coeffs = exps, coeffs
+    def _new(self, terms: dict):
+        """An expression of this class with the given distinct, nonzero terms."""
+        out = object.__new__(type(self))
+        out.terms = terms
         return out
+
+    @property
+    def exps(self) -> tuple:
+        """The exponent rows, in order."""
+        return tuple(self.terms)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, one per exponent row."""
+        return tuple(self.terms.values())
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = other if isinstance(other, Expr) else Expr(_row(), [other])
-        return self.from_rows(
-            np.concatenate([self.exps, other.exps]), np.concatenate([self.coeffs, other.coeffs])
-        )
+        other = other if isinstance(other, Expr) else ONE * other
+        return self._new(self._collect(chain(self.terms.items(), other.terms.items())))
 
     __radd__ = __add__
 
@@ -143,36 +141,32 @@ class Expr:
 
     def __mul__(self, other):
         if not isinstance(other, Expr):
-            if other == 0:
-                return self._new(self.exps[:0], self.coeffs[:0])
-            return self._new(self.exps, self.coeffs * other)
-        a, b = self.coeffs, other.coeffs
-        if a.ndim > 1 and b.ndim > 1:
+            other = complex(other)
+            return self._new({row: self._scale(c, other) for row, c in self.terms.items()}
+                             if other else {})
+        if self._matrix and other._matrix:
             raise TypeError("a product takes at least one scalar expression")
-        # outer product of the rows, a scalar factor broadcast over a matrix one
-        ndim = max(a.ndim, b.ndim)
-        a = a.reshape(a.shape[:1] + (1,) + a.shape[1:] + (1,) * (ndim - a.ndim))
-        b = b.reshape((1,) + b.shape + (1,) * (ndim - b.ndim))
-        product = a * b
-        exps = (self.exps[:, None] + other.exps[None]).reshape(-1, len(LAURENT_VARS))
-        product = product.reshape((-1,) + product.shape[2:])
-        cls = type(self) if self.coeffs.ndim >= other.coeffs.ndim else type(other)
-        if len(self.exps) == 1 or len(other.exps) == 1:
-            # a monomial factor keeps the rows distinct and nonzero
-            return cls._new(exps, product)
-        return cls.from_rows(exps, product)
+        # the product has the class of its matrix factor, if it has one
+        out = other if other._matrix else self
+        swap = out is not self
+        return out._new(out._collect(
+            (tuple(map(add, r, s)), out._scale(d, c) if swap else out._scale(c, d))
+            for r, c in self.terms.items()
+            for s, d in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
-        if self.coeffs.ndim > 1:
+        if self._matrix:
             raise TypeError("a matrix coefficient has no power")
         if n < 0:
-            if len(self.exps) != 1:
+            if len(self.terms) != 1:
                 raise ValueError(f"only a monomial has a negative power, not {self!r}")
-            return self._new(self.exps * n, self.coeffs ** n)
+            [(row, c)] = self.terms.items()
+            return self._new({tuple(k * n for k in row): c ** n})
         out = ONE
         for _ in range(n):
             out = out * self
@@ -192,14 +186,12 @@ class Expr:
         """d/dvar by the chain rule over the atoms, var one of VARIABLES."""
         if var not in _CHAIN:
             raise ValueError(f"unknown variable {var!r}, expected one of {VARIABLES}")
-        axes, factors, deltas = _CHAIN[var]
-        weights = self.exps[:, axes] * factors
-        row, term = np.nonzero(weights)
-        tail = (1,) * (self.coeffs.ndim - 1)
-        return self.from_rows(
-            self.exps[row] + deltas[term],
-            weights[row, term].reshape((-1,) + tail) * self.coeffs[row],
-        )
+        return self._new(self._collect(
+            (tuple(map(add, row, delta)), self._scale(c, row[axis] * factor))
+            for row, c in self.terms.items()
+            for axis, factor, delta in _CHAIN[var]
+            if row[axis]
+        ))
 
     def on_shell(self):
         """(shift, form): E^shift times this expression equals `form` on the
@@ -213,72 +205,54 @@ class Expr:
         expression vanishes on the mass shell iff form has no rows.  Raises
         ValueError on a power of W, which is not a Laurent polynomial there.
         """
-        if self.exps[:, _AXIS["W"]].any():
+        if any(row[_W_AXIS] for row in self.terms):
             raise ValueError("W = sqrt(2E(E + m)) has no Laurent normal form on the mass shell")
-        energy = self.exps[:, _AXIS["E"]]
-        shift = max(0, -2 * (int(energy.min(initial=0)) // 2))
-        half, odd = np.divmod(energy + shift, 2)
-        tail = (1,) * (self.coeffs.ndim - 1)
-        exps, coeffs = [self.exps[:0]], [self.coeffs[:0]]
-        for h in sorted(set(half.tolist())):
-            rows = half == h
-            base = self.exps[rows]
-            base[:, _AXIS["E"]] = odd[rows]
-            deltas, weights = _shell_power(h)
-            exps.append((base[:, None] + deltas).reshape(-1, len(LAURENT_VARS)))
-            terms = weights.reshape((1, -1) + tail) * self.coeffs[rows][:, None]
-            coeffs.append(terms.reshape((-1,) + self.coeffs.shape[1:]))
-        form = self.from_rows(np.concatenate(exps), np.concatenate(coeffs))
-        order = np.lexsort(form.exps.T[::-1])
-        return shift, self._new(form.exps[order], form.coeffs[order])
+        shift = -2 * (min([0] + [row[_E_AXIS] for row in self.terms]) // 2)
+        pairs = []
+        for row, c in self.terms.items():
+            half, odd = divmod(row[_E_AXIS] + shift, 2)
+            base = row[:_E_AXIS] + (odd,) + row[_E_AXIS + 1:]
+            pairs += [(tuple(map(add, base, delta)), self._scale(c, weight))
+                      for delta, weight in _shell_power(half)]
+        # the rows are distinct, so sorting the items sorts by row alone
+        return shift, self._new(dict(sorted(self._collect(pairs).items())))
 
     def __repr__(self):
         """The monomials, each with its coefficient when that is a number."""
         terms = []
-        for row, c in zip(self.exps.tolist(), self.coeffs):
+        for row, c in self.terms.items():
             mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(LAURENT_VARS, row) if k)
-            terms.append(f"{complex(c)!r}*{mono or 1}" if c.ndim == 0 else mono or "1")
+            terms.append(mono or "1" if self._matrix else f"{c!r}*{mono or 1}")
         return f"{type(self).__name__}({' + '.join(terms) or '0'})"
 
 
 @lru_cache(maxsize=None)
-def _shell_power(half: int):
-    """The exponent rows and integer weights of (p1^2 + p2^2 + p3^2 + m^2)^half,
-    by the multinomial theorem."""
-    deltas, weights = [], []
+def _shell_power(half: int) -> tuple:
+    """(delta, weight) per term of (p1^2 + p2^2 + p3^2 + m^2)^half, by the
+    multinomial theorem: its exponent rows and integer weights."""
+    out = []
     for chosen in combinations_with_replacement(_SHELL_AXES, half):
-        delta = np.zeros(len(LAURENT_VARS), dtype=int)
-        weight = math.factorial(half)
-        for axis, j in Counter(chosen).items():
-            delta[axis] = 2 * j
-            weight //= math.factorial(j)
-        deltas.append(delta)
-        weights.append(weight)
-    return np.array(deltas), np.array(weights)
+        counts = Counter(chosen)
+        weight = math.factorial(half) // math.prod(map(math.factorial, counts.values()))
+        out.append((tuple(2 * counts[axis] for axis in range(len(LAURENT_VARS))), weight))
+    return tuple(out)
 
 
-def flag_signs(exps, flags: FlagTransform) -> np.ndarray:
+def flag_signs(exps, flags: FlagTransform) -> list:
     """eta_p^(e1+e2+e3) eta_t^e5 eta_m^e4 per exponent row: the sign the
     substitution `flags` gives each monomial, since E is even under every
     flip and W under p -> -p.  Raises ValueError on a power of W under
     m -> -m, which takes W to sqrt(2E(E - m))."""
-    exps = np.asarray(exps)
-    odd = np.zeros(len(exps), dtype=int)
-    if flags.eta_p == -1:
-        odd += exps[:, :3].sum(axis=1)
-    if flags.eta_t == -1:
-        odd += exps[:, _AXIS["t"]]
-    if flags.eta_m == -1:
-        if exps[:, _AXIS["W"]].any():
-            raise ValueError("W = sqrt(2E(E + m)) is not even under m -> -m")
-        odd += exps[:, _AXIS["m"]]
-    return 1 - 2 * (odd % 2)
+    if flags.eta_m == -1 and any(row[_W_AXIS] for row in exps):
+        raise ValueError("W = sqrt(2E(E + m)) is not even under m -> -m")
+    p, m, t = (int(eta == -1) for eta in (flags.eta_p, flags.eta_m, flags.eta_t))
+    return [1 - 2 * (((e[0] + e[1] + e[2]) * p + e[3] * m + e[4] * t) % 2) for e in exps]
 
 
-ONE = Expr(_row(), [1])
-P1, P2, P3 = (Expr(_row(**{name: 1}), [1]) for name in MOMENTUM_VARS)
+ONE = Expr([_row()], [1])
+P1, P2, P3 = (Expr([_row(**{name: 1})], [1]) for name in MOMENTUM_VARS)
 MOMENTA = (P1, P2, P3)
-MASS = Expr(_row(m=1), [1])
-TIME = Expr(_row(t=1), [1])
-E = Expr(_row(E=1), [1])
-W = Expr(_row(W=1), [1])
+MASS = Expr([_row(m=1)], [1])
+TIME = Expr([_row(t=1)], [1])
+E = Expr([_row(E=1)], [1])
+W = Expr([_row(W=1)], [1])

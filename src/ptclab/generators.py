@@ -46,9 +46,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
-from .clifford import cached_basis, cached_spin, spectral_projector
+from .clifford import cached_basis, cached_spin, combine, eye, matmul, spectral_projector, trace
 from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, W, Expr
 from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator
 from .vocabulary import REP_KINDS
@@ -148,7 +146,7 @@ def _assemble(rep: RepId, ham: MomentumOperator, spin_entry, boost_spin=None) ->
 def dirac_hamiltonian8() -> MomentumOperator:
     """Gamma0 Gamma_k p_k with the fourth momentum component playing the mass."""
     basis = cached_basis(8)
-    coeffs = [basis.gamma0 @ basis.gamma(k) for k in range(1, 5)]
+    coeffs = [matmul(basis.gamma0, basis.gamma(k)) for k in range(1, 5)]
     return MomentumOperator.from_matrix(Coefficient(coeffs, _MOMENTA4))
 
 
@@ -169,7 +167,7 @@ def _connector_numerator() -> Coefficient:
     """m + E + gamma4 gamma_a p_a, W times the connector."""
     basis = cached_basis(4)
     return Coefficient(
-        [np.eye(4)] + [basis.gamma(4) @ basis.gamma(a) for a in range(1, 4)],
+        [eye(4)] + [matmul(basis.gamma(4), basis.gamma(a)) for a in range(1, 4)],
         [MASS + ENERGY, *MOMENTA],
     )
 
@@ -192,11 +190,13 @@ def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
     if kind == "rep3":  # positive multiple of the identity
         ham = MomentumOperator.scalar(energy_sign * ENERGY, rep.dim)
     else:
-        ham = MomentumOperator.from_matrix(Coefficient([energy_sign * gamma0], [ENERGY]))
+        ham = MomentumOperator.from_matrix(Coefficient([gamma0], [energy_sign * ENERGY]))
     # boost spin (sum_b S_ab p_b + mass part) / E, times Gamma0 except on rep3
     boost_spin = []
     for a in range(1, 4):
-        mass_part = spin.S[a - 1] + spin.T[a - 1] if kind == "rep2" else spin.entry(a, 4)
+        mass_part = (
+            combine((1, spin.S[a - 1]), (1, spin.T[a - 1])) if kind == "rep2" else spin.entry(a, 4)
+        )
         others = [b for b in range(1, 4) if b != a]
         mat = Coefficient(
             [spin.entry(a, b) for b in others] + [mass_part],
@@ -230,11 +230,10 @@ def _shell_residual(coeffs, massless: bool = False) -> float:
     p1^2 + p2^2 + p3^2 is not a square."""
     worst = 0.0
     for c in coeffs:
-        form = c.on_shell()[1]
-        values = form.coeffs
-        if massless:
-            values = values[form.exps[:, _MASS_AXIS] == 0]
-        worst = max(worst, float(np.abs(values).max(initial=0.0)))
+        for row, value in c.on_shell()[1].terms.items():
+            if not (massless and row[_MASS_AXIS]):
+                entries = value.values() if isinstance(value, dict) else [value]
+                worst = max(worst, *map(abs, entries))
     return worst
 
 
@@ -271,16 +270,14 @@ def scalar_generator_set() -> GeneratorSet:
     return _assemble(
         RepId(SCALAR_KIND),
         MomentumOperator.scalar(ENERGY, 1),
-        lambda a, b: np.zeros((1, 1)),
+        lambda a, b: ((0j,),),
     )
 
 
 def _scalar_rows(op: MomentumOperator) -> dict:
     """{(multi-index, exponent row): coefficient} of a one-dimensional operator."""
     return {
-        (alpha, tuple(row)): complex(mat[0, 0])
-        for alpha, c in op.terms.items()
-        for row, mat in zip(c.exps.tolist(), c.mats)
+        (alpha, row): mat[0, 0] for alpha, c in op.terms.items() for row, mat in c.terms.items()
     }
 
 
@@ -384,7 +381,8 @@ class SubspaceReport(NamedTuple):
 def _commutant_residual(q, op: MomentumOperator) -> float:
     """The `_shell_residual` of [q, C] over op's coefficients C, for a
     constant matrix q."""
-    return _shell_residual(c.from_rows(c.exps, q @ c.mats - c.mats @ q) for c in op.terms.values())
+    q = Coefficient.constant(q)
+    return _shell_residual(q @ c - c @ q for c in op.terms.values())
 
 
 def subspace_decomposition() -> SubspaceReport:
@@ -405,11 +403,10 @@ def subspace_decomposition() -> SubspaceReport:
     for label in CANONICAL8_CONTENT:
         sign_proj = spectral_projector(basis.gamma0, label.energy_sign, (1, -1))
         casimir = spin.s_squared if label.s == HALF else spin.t_squared
-        proj = sign_proj @ spectral_projector(casimir, 0.75, (0, 0.75))
-        trace = np.trace(proj)
-        if trace != label.dimension:
+        proj = matmul(sign_proj, spectral_projector(casimir, 0.75, (0, 0.75)))
+        if trace(proj) != label.dimension:
             raise AssertionError(
-                f"projector for {label} has trace {trace}, expected {label.dimension}"
+                f"projector for {label} has trace {trace(proj)}, expected {label.dimension}"
             )
         blocks.append((proj, label))
 
@@ -419,8 +416,7 @@ def subspace_decomposition() -> SubspaceReport:
             f"a subspace projector fails to commute with the generators "
             f"(residual {worst})"
         )
-    total = sum(proj for proj, _ in blocks)
-    complete = bool(np.array_equal(total, np.eye(8)))
+    complete = combine(*((1, proj) for proj, _ in blocks)) == eye(8)
     return SubspaceReport(blocks, complete)
 
 
@@ -461,7 +457,7 @@ def transform_residuals() -> dict:
             [u @ u.dagger() - Coefficient.scalar(2, 8)]
         ),
         "hamiltonian_diagonalization": _shell_residual(
-            [u @ h8 @ u.dagger() - Coefficient([2 * cached_basis(8).gamma0], [ENERGY])]
+            [u @ h8 @ u.dagger() - Coefficient([cached_basis(8).gamma0], [2 * ENERGY])]
         ),
         "connector_unitary": _shell_residual(
             [n.dagger() @ n - Coefficient.scalar(2 * ENERGY * (ENERGY + MASS), 4)]
@@ -509,6 +505,6 @@ def helicity_check() -> HelicityReport:
     worst = max(max(pair) for pair in per.values())
     proj = spectral_projector(cached_spin(8).s_squared, 0.75, (0, 0.75))
     h = hs.terms[ZERO_INDEX].lmul(proj)
-    trace = Expr.from_rows(h.exps, np.trace(h.mats, axis1=1, axis2=2))
-    eig_residual = _shell_residual([h @ h - Coefficient.constant(proj / 4), trace], massless=True)
+    traces = Expr(h.exps, [trace(mat) for mat in h.mats])
+    eig_residual = _shell_residual([h @ h - Coefficient([proj], [0.25]), traces], massless=True)
     return HelicityReport(worst == 0.0 and eig_residual == 0.0, worst, per, eig_residual)

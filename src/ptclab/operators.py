@@ -5,18 +5,20 @@ multi-indices in (p1, p2, p3).  A coefficient is a `Coefficient`: a Laurent
 polynomial of `expr` whose coefficients are constant matrices, sum_b M_b x^b
 over distinct monomials x^b, so it shares the scalars' sums, products,
 derivatives and mass-shell normal form (`Expr.on_shell`), and `a @ b` is
-their matrix product.  The package builds every generator in closed form
-from sums, scalar scalings and constant left factors of coefficients.
-`commutator` forms the bracket of two order <= 1 operators exactly, as
-another operator of the same kind, so every identity between generators is
-decided on the normal form of its coefficients.  `FlagTransform` is the
-signature of a discrete substitution map.
+their matrix product; its matrices are held sparse and read dense from
+`mats`.  The package builds every generator in closed form from sums,
+scalar scalings and constant left factors of coefficients.  `commutator`
+forms the bracket of two order <= 1 operators exactly, as another operator
+of the same kind, so every identity between generators is decided on the
+normal form of its coefficients.  `FlagTransform` is the signature of a
+discrete substitution map.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from operator import add
 
+from .clifford import dense, eye, mat_add, mat_dagger, mat_mul, mat_scale, sparse
 from .expr import MOMENTA, MOMENTUM_VARS, ONE, Expr
 from .expr import FlagTransform  # the substitution signature, part of this module's API
 
@@ -38,26 +40,38 @@ def index_order(a: Index) -> int:
 
 
 class Coefficient(Expr):
-    """sum_b M_b x^b: constant d x d matrices `mats` (K, d, d), one per
-    distinct monomial row of `exps` (K, 7).
+    """sum_b M_b x^b: a constant d x d matrix, sparse, per distinct monomial
+    row of `exps`.
 
     Every generator coefficient has this form (Gamma0 Gamma_k p_k, Gamma0 E,
     the boost spin Gamma0 S_ab p_b / E, ...), so a derivative only moves
     exponent rows.
     """
 
-    __slots__ = ()
+    __slots__ = ("dim",)
+    _add = staticmethod(mat_add)
+    _scale = staticmethod(mat_scale)
+    _matrix = True
 
     def __init__(self, mats, scalars):
         """sum_k mats[k] scalars[k], for scalar expressions or numbers."""
-        mats = np.asarray(mats, dtype=complex)
-        scalars = [x if isinstance(x, Expr) else x * ONE for x in scalars]
-        if mats.ndim != 3 or len(mats) != len(scalars):
+        if not len(mats) or len(mats) != len(scalars):
             raise ValueError("expected one d x d matrix per scalar")
-        super().__init__(
-            np.concatenate([x.exps for x in scalars]),
-            np.concatenate([x.coeffs[:, None, None] * mat for x, mat in zip(scalars, mats)]),
+        self.dim = len(mats[0])
+        self.terms = self._collect(
+            (row, mat_scale(sparse(mat), c))
+            for mat, x in zip(mats, scalars)
+            for row, c in (x if isinstance(x, Expr) else x * ONE).terms.items()
         )
+
+    @classmethod
+    def from_rows(cls, exps, mats, dim: int = None) -> "Coefficient":
+        """sum_k mats[k] x^exps[k] for d x d matrices, d = dim or their size."""
+        rows = cls._collect((tuple(map(int, row)), sparse(mat)) for row, mat in zip(exps, mats))
+        return _coefficient(len(mats[0]) if dim is None else dim, rows)
+
+    def _new(self, terms: dict) -> "Coefficient":
+        return _coefficient(self.dim, terms)
 
     @staticmethod
     def constant(mat) -> "Coefficient":
@@ -65,17 +79,15 @@ class Coefficient(Expr):
 
     @staticmethod
     def scalar(expr, dim: int) -> "Coefficient":
-        """expr times the identity: its rows, each with a nonzero matrix."""
-        expr = expr if isinstance(expr, Expr) else expr * ONE
-        return Coefficient._new(expr.exps, expr.coeffs[:, None, None] * np.eye(dim))
+        """expr times the identity."""
+        return Coefficient([eye(dim)], [expr])
 
     @property
-    def mats(self) -> np.ndarray:
-        return self.coeffs
+    def mats(self) -> tuple:
+        """The matrices, dense, one per exponent row."""
+        return tuple(dense(m, self.dim) for m in self.terms.values())
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[-1]
+    coeffs = mats
 
     def scale(self, factor) -> "Coefficient":
         """factor times self, for a scalar expression or a number."""
@@ -83,15 +95,22 @@ class Coefficient(Expr):
 
     def lmul(self, mat) -> "Coefficient":
         """mat @ self for a constant matrix mat."""
-        return self.from_rows(self.exps, mat @ self.coeffs)
+        left = sparse(mat)
+        return self._new(self._collect((row, mat_mul(left, m)) for row, m in self.terms.items()))
 
     def dagger(self) -> "Coefficient":
         """The Hermitian adjoint; every variable is real."""
-        return self._new(self.exps, self.coeffs.conj().transpose(0, 2, 1))
+        return self._new({row: mat_dagger(m) for row, m in self.terms.items()})
 
     def __matmul__(self, other: "Coefficient") -> "Coefficient":
         """The matrix product self other, its equal rows merged."""
-        return Coefficient.from_rows(*_product_rows(self, other))
+        return self._new(self._collect(_product_rows(self, other)))
+
+
+def _coefficient(dim: int, terms: dict) -> Coefficient:
+    out = object.__new__(Coefficient)
+    out.dim, out.terms = dim, terms
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +146,13 @@ class MomentumOperator:
 
 
 def _product_rows(a: Coefficient, b: Coefficient):
-    """The unmerged rows of the matrix product a b: the outer sum of the
-    exponent rows and the product of every pair of matrices."""
-    exps = (a.exps[:, None] + b.exps[None]).reshape(-1, a.exps.shape[1])
-    mats = np.matmul(a.mats[:, None], b.mats[None]).reshape(-1, a.dim, a.dim)
-    return exps, mats
+    """The unmerged rows of the matrix product a b: the sum of every pair of
+    exponent rows with the product of their matrices."""
+    return (
+        (tuple(map(add, r, s)), mat_mul(x, y))
+        for r, x in a.terms.items()
+        for s, y in b.terms.items()
+    )
 
 
 def commutator(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
@@ -145,7 +166,7 @@ def commutator(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
     """
     if any(index_order(alpha) > 1 for op in (a, b) for alpha in op.terms):
         raise ValueError("the commutator takes operators of order <= 1")
-    rows: dict = {}  # multi-index -> [(exps, mats)]
+    rows: dict = {}  # multi-index -> [(exponent row, matrix)]
     for sign, (x, y) in ((1, (a, b)), (-1, (b, a))):
         for alpha, xc in x.terms.items():
             for beta, yc in y.terms.items():
@@ -153,10 +174,8 @@ def commutator(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
                 if index_order(alpha) == 1:
                     products.append((beta, yc.diff(MOMENTUM_VARS[alpha.index(1)])))
                 for index, right in products:
-                    exps, mats = _product_rows(xc, right)
-                    rows.setdefault(index, []).append((exps, sign * mats))
-    terms = {
-        index: Coefficient.from_rows(*map(np.concatenate, zip(*parts)))
-        for index, parts in rows.items()
-    }
-    return MomentumOperator(a.dim, {index: c for index, c in terms.items() if len(c.exps)})
+                    rows.setdefault(index, []).extend(
+                        (row, mat_scale(m, sign)) for row, m in _product_rows(xc, right)
+                    )
+    terms = {index: Coefficient._collect(parts) for index, parts in rows.items()}
+    return MomentumOperator(a.dim, {i: _coefficient(a.dim, t) for i, t in terms.items() if t})

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ptclab.expr import LAURENT_VARS, ONE
+from ptclab.expr import LAURENT_VARS, ONE, Expr
 from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
 from ptclab.vocabulary import DEFAULT_SEED
 
@@ -96,13 +96,29 @@ def monomials(exps, env) -> np.ndarray:
     return np.prod(values[..., None, :] ** np.asarray(exps), axis=-1)
 
 
+def arrays(x):
+    """(exps, coeffs): the exponent rows (K, 7) and the coefficients, (K,)
+    or (K, d, d), of an expression or coefficient as numpy arrays."""
+    shape = (x.dim, x.dim) if isinstance(x, Coefficient) else ()
+    exps = np.asarray(x.exps, dtype=int).reshape(-1, len(LAURENT_VARS))
+    return exps, np.asarray(x.coeffs, dtype=complex).reshape((-1,) + shape)
+
+
+def from_arrays(like, exps, coeffs):
+    """An expression of like's class, and size, from numpy rows."""
+    if isinstance(like, Coefficient):
+        return Coefficient.from_rows(exps, coeffs, like.dim)
+    return Expr(exps, coeffs)
+
+
 def evaluate(x, env) -> np.ndarray:
     """The value of an expression or coefficient over env, a mapping of
     numbers or arrays holding every name in LAURENT_VARS: shape env-shape +
     coefficient shape."""
-    values = monomials(x.exps, env)
-    coeffs = x.coeffs.reshape(len(x.exps), math.prod(x.coeffs.shape[1:]))
-    return (values @ coeffs).reshape(values.shape[:-1] + x.coeffs.shape[1:])
+    exps, coeffs = arrays(x)
+    values = monomials(exps, env)
+    flat = coeffs.reshape(len(exps), math.prod(coeffs.shape[1:]))
+    return (values @ flat).reshape(values.shape[:-1] + coeffs.shape[1:])
 
 
 def eval_operator(g: MomentumOperator, env) -> dict:
@@ -179,9 +195,10 @@ def minus(a: MomentumOperator, b: MomentumOperator) -> MomentumOperator:
 def coefficient_product(a: Coefficient, b: Coefficient) -> Coefficient:
     """(sum_k A_k x^a_k)(sum_l B_l x^b_l) = sum_kl (A_k B_l) x^(a_k + b_l): the
     outer sum of the exponent rows, with equal monomials merged."""
-    exps = (a.exps[:, None] + b.exps[None]).reshape(-1, a.exps.shape[1])
-    mats = np.einsum("kij,ljm->klim", a.mats, b.mats).reshape(-1, a.dim, a.dim)
-    return Coefficient.from_rows(exps, mats)
+    (a_exps, a_mats), (b_exps, b_mats) = arrays(a), arrays(b)
+    exps = (a_exps[:, None] + b_exps[None]).reshape(-1, a_exps.shape[1])
+    mats = np.einsum("kij,ljm->klim", a_mats, b_mats).reshape(-1, a.dim, a.dim)
+    return Coefficient.from_rows(exps, mats, a.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +210,14 @@ def mapped(expr, f: FlagTransform):
     conjugate.  All variables are real, E is even under every flip and W
     under p -> -p, so monomial x^e gains prod_v sign(v)^e_v: computed here
     variable by variable, not by the package's `flag_signs`."""
-    if f.eta_m == -1 and expr.exps[:, LAURENT_VARS.index("W")].any():
+    exps, coeffs = arrays(expr)
+    if f.eta_m == -1 and exps[:, LAURENT_VARS.index("W")].any():
         raise ValueError("W is not even under m -> -m")
     per_var = {"p1": f.eta_p, "p2": f.eta_p, "p3": f.eta_p, "m": f.eta_m, "t": f.eta_t}
     base = np.array([per_var.get(name, 1) for name in LAURENT_VARS])
-    coeffs = expr.coeffs.conj() if f.conj else expr.coeffs
-    signs = np.prod(base ** np.abs(expr.exps), axis=1)
-    return type(expr).from_rows(expr.exps, signs.reshape((-1,) + (1,) * (coeffs.ndim - 1)) * coeffs)
+    coeffs = coeffs.conj() if f.conj else coeffs
+    signs = np.prod(base ** np.abs(exps), axis=1)
+    return from_arrays(expr, exps, signs.reshape((-1,) + (1,) * (coeffs.ndim - 1)) * coeffs)
 
 
 def conjugated(expr):
@@ -209,7 +227,8 @@ def conjugated(expr):
 
 def dagger(c: Coefficient) -> Coefficient:
     """Hermitian adjoint of a coefficient in real variables."""
-    return Coefficient.from_rows(c.exps, c.mats.conj().transpose(0, 2, 1))
+    exps, mats = arrays(c)
+    return Coefficient.from_rows(exps, mats.conj().transpose(0, 2, 1), c.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ def _one_signed(helicity, which):
     """P/2 for the S^2 = 3/4 projector P: it commutes with every generator and
     squares to P/4 there, but its eigenvalues are +1/2 four times."""
     proj = spectral_projector(cached_spin(8).s_squared, 0.75, (0, 0.75))
-    return MomentumOperator.from_matrix(Coefficient.constant(proj / 2))
+    return MomentumOperator.from_matrix(Coefficient.constant(np.asarray(proj) / 2))
 
 
 @pytest.mark.parametrize("doctor", [_doubled, _one_signed])
@@ -337,6 +337,8 @@ def test_exact_checks_call_no_eigen_solver(capsys, monkeypatch):
 def test_ptc_command(capsys):
     code, payload = run_json(capsys, "ptc", "--labels", "D+(1/2,1/2)+D-(1/2,1/2)")
     assert code == 0 and payload["ptc_complete"] is True
+    # like every exact command, ptc reads no setting
+    assert payload["config"] == {}
     code, payload = run_json(capsys, "ptc", "--labels", "D+(1/2,0)")
     assert code == 0 and payload["ptc_complete"] is False
     code, payload = run_json(
@@ -477,6 +479,26 @@ def test_commands_that_classify_nothing_skip_the_classifier(argv):
 
 def test_cli_import_generates_no_dataclasses():
     assert "dataclasses" not in _modules_after()
+
+
+def test_exact_commands_run_with_numpy_blocked():
+    """With numpy made unimportable (sys.modules["numpy"] = None), selftest,
+    algebra for every rep, with and without its generator dump, massless and
+    ptc still run through main and pass: only classify and table need numpy."""
+    runs = [["selftest"], ["massless"], ["ptc", "--labels", "D+(1/2,0)+D-(1/2,0)"]]
+    for kind in REP_KINDS:
+        runs.append(["algebra", "--rep", kind])
+        runs.append(["algebra", "--rep", kind, "--dump-generators", "--json"])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from ptclab.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------

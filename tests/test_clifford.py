@@ -19,15 +19,16 @@ from ptclab.clifford import (
 def test_basis_invariants_exact(dim):
     basis = build_basis(dim)
     eye = np.eye(dim, dtype=complex)
-    assert np.array_equal(basis.gamma0, basis.gamma0.conj().T)
-    assert np.array_equal(basis.gamma0 @ basis.gamma0, eye)
-    for k, gk in enumerate(basis.gammas, start=1):
+    gamma = [np.asarray(basis.gamma(mu)) for mu in range(5)]
+    assert np.array_equal(gamma[0], gamma[0].conj().T)
+    assert np.array_equal(gamma[0] @ gamma[0], eye)
+    for k, gk in enumerate(map(np.asarray, basis.gammas), start=1):
         assert np.array_equal(gk, -gk.conj().T)
         assert np.array_equal(gk @ gk, -eye)
     for mu in range(5):
         for nu in range(5):
-            anti = basis.gamma(mu) @ basis.gamma(nu) + basis.gamma(nu) @ basis.gamma(mu)
-            assert np.array_equal(anti, 2 * METRIC[mu, nu] * eye), (mu, nu)
+            anti = gamma[mu] @ gamma[nu] + gamma[nu] @ gamma[mu]
+            assert np.array_equal(anti, 2 * np.asarray(METRIC)[mu, nu] * eye), (mu, nu)
 
 
 def test_gamma0_is_diagonal_with_unit_entries():
@@ -44,7 +45,7 @@ def test_dim8_hamiltonian_square_is_mass_shell():
     # direct matrix arithmetic at integer momenta: 1 + 4 + 9 + 1 = 15
     basis = build_basis(8)
     p = (1, 2, 3, 1)  # (p1, p2, p3, m)
-    h = sum(basis.gamma0 @ basis.gamma(k + 1) * p[k] for k in range(4))
+    h = sum(np.asarray(basis.gamma0) @ np.asarray(basis.gamma(k + 1)) * p[k] for k in range(4))
     assert np.array_equal(h @ h, 15 * np.eye(8, dtype=complex))
 
 
@@ -52,6 +53,7 @@ def test_dim8_hamiltonian_square_is_mass_shell():
 def test_spin_tensor_antisymmetry_and_exact_entries(dim):
     spin = spin_tensor(build_basis(dim))
     for (mu, nu), mat in spin.table.items():
+        mat = np.asarray(mat)
         assert np.array_equal(spin.entry(nu, mu), -mat)
         # entries are exact half-integers times powers of i
         assert np.array_equal(2 * mat, np.round(2 * mat.real) + 1j * np.round(2 * mat.imag))
@@ -70,13 +72,14 @@ def test_su2_brackets():
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[i, j, k], eps[j, i, k] = 1.0, -1.0
     spin = cached_spin(8)
+    S, T = np.asarray(spin.S), np.asarray(spin.T)
     for a in range(3):
         for b in range(3):
-            target_s = sum(1j * eps[a, b, c] * spin.S[c] for c in range(3))
-            target_t = sum(1j * eps[a, b, c] * spin.T[c] for c in range(3))
-            assert np.max(np.abs(spin.S[a] @ spin.S[b] - spin.S[b] @ spin.S[a] - target_s)) < 1e-12
-            assert np.max(np.abs(spin.T[a] @ spin.T[b] - spin.T[b] @ spin.T[a] - target_t)) < 1e-12
-            assert np.max(np.abs(spin.S[a] @ spin.T[b] - spin.T[b] @ spin.S[a])) < 1e-12
+            target_s = sum(1j * eps[a, b, c] * S[c] for c in range(3))
+            target_t = sum(1j * eps[a, b, c] * T[c] for c in range(3))
+            assert np.max(np.abs(S[a] @ S[b] - S[b] @ S[a] - target_s)) < 1e-12
+            assert np.max(np.abs(T[a] @ T[b] - T[b] @ T[a] - target_t)) < 1e-12
+            assert np.max(np.abs(S[a] @ T[b] - T[b] @ S[a])) < 1e-12
 
 
 @pytest.mark.parametrize("dim,expected", [(4, {0.75: 2, 0.0: 2}), (8, {0.75: 4, 0.0: 4})])
@@ -87,7 +90,7 @@ def test_casimir_spectra(dim, expected):
     assert spectra["t_squared"] == expected
     assert sum(spectra["s_squared"].values()) == dim
     # independent eigendecomposition of the Casimir matrix itself
-    values = np.linalg.eigvalsh(spin.s_squared)
+    values = np.linalg.eigvalsh(np.asarray(spin.s_squared))
     assert np.allclose(np.sort(values), np.sort([v for v, n in expected.items() for _ in range(n)]), atol=1e-12)
 
 
@@ -98,18 +101,19 @@ def test_spectral_projector_identity():
 def test_spectral_projector_gamma0():
     basis = build_basis(8)
     proj = spectral_projector(basis.gamma0, 1.0, (1, -1))
-    assert np.array_equal(proj, (np.eye(8) + basis.gamma0) / 2)
+    assert np.array_equal(proj, (np.eye(8) + np.asarray(basis.gamma0)) / 2)
 
 
 def test_spectral_projector_casimir_block():
     spin = cached_spin(8)
     basis = build_basis(8)
-    proj = spectral_projector(spin.s_squared, 0.75, (0, 0.75))
+    proj = np.asarray(spectral_projector(spin.s_squared, 0.75, (0, 0.75)))
+    gamma0 = np.asarray(basis.gamma0)
     assert np.trace(proj) == 4
     assert np.array_equal(proj @ proj, proj)
     assert np.array_equal(proj, proj.conj().T)
-    assert np.array_equal(spin.s_squared @ proj, 0.75 * proj)
-    assert np.array_equal(proj @ basis.gamma0, basis.gamma0 @ proj)
+    assert np.array_equal(np.asarray(spin.s_squared) @ proj, 0.75 * proj)
+    assert np.array_equal(proj @ gamma0, gamma0 @ proj)
 
 
 def test_spectral_projector_rejects_missing_eigenvalue():
@@ -133,8 +137,8 @@ def test_spectral_projectors_are_exact_identities(dim, name):
     projectors sum to the identity and each trace is its multiplicity d/2,
     all with no rounding."""
     build, spectrum = _SPECTRA[name]
-    matrix = build(dim)
-    projectors = [spectral_projector(matrix, value, spectrum) for value in spectrum]
+    matrix = np.asarray(build(dim))
+    projectors = [np.asarray(spectral_projector(matrix, value, spectrum)) for value in spectrum]
     for value, proj in zip(spectrum, projectors):
         assert np.array_equal(proj @ proj, proj)
         assert np.array_equal(matrix @ proj, value * proj)
@@ -147,7 +151,7 @@ def test_doctored_casimir_is_rejected():
     so that it has eigenvalues outside {0, 3/4}: no s(s+1) spectrum and no
     projector is accepted."""
     spin = spin_tensor(build_basis(8))
-    spin.s_squared = spin.s_squared + np.diag([0.25] + [0.0] * 7)
+    spin.s_squared = np.asarray(spin.s_squared) + np.diag([0.25] + [0.0] * 7)
     with pytest.raises(AssertionError, match="s_squared"):
         casimir_spectrum(spin)
     for value in (0, 0.75):
@@ -187,8 +191,8 @@ def _commutant_scan():
     exactly.  Element 0 is Gamma0, 1..4 are the spatial gammas as hermitian
     involutions and 5 is the doubling element s2 x 1_4."""
     basis = build_basis(8)
-    g0 = basis.gamma0
-    elems = [g0] + [-1j * g for g in basis.gammas] + [np.kron(SY, np.eye(4))]
+    g0 = np.asarray(basis.gamma0)
+    elems = [g0] + [-1j * np.asarray(g) for g in basis.gammas] + [np.kron(SY, np.eye(4))]
     pairs = list(itertools.combinations(range(len(elems)), 2))
     for a, b in pairs:
         assert np.array_equal(elems[a] @ elems[b], -elems[b] @ elems[a]), (a, b)

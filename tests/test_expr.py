@@ -10,6 +10,7 @@ from ptclab.expr import (
     LAURENT_VARS,
     MASS,
     MOMENTA,
+    MOMENTUM_VARS,
     ONE,
     P1,
     TIME,
@@ -20,10 +21,18 @@ from ptclab.expr import (
     flag_signs,
 )
 from ptclab.generators import REP_KINDS, RepId, build_generators, fs_transform, helicity_operator
-from ptclab.operators import Coefficient
+from ptclab.operators import (
+    ZERO_INDEX,
+    Coefficient,
+    MomentumOperator,
+    commutator,
+    index_add,
+    index_order,
+)
 
 from oracles import (
     Point,
+    arrays,
     conjugated,
     energy,
     env_arrays,
@@ -69,8 +78,9 @@ def _polynomials(max_terms=5, with_w=True):
 def _size(x, env):
     """sum_k |c_k| |x^e_k| point by point: the size of the terms an
     evaluation of x rounds, with a matrix coefficient's largest entry."""
-    coeffs = np.abs(x.coeffs).reshape(len(x.coeffs), math.prod(x.coeffs.shape[1:]))
-    return np.abs(monomials(x.exps, env)) @ coeffs.max(axis=1, initial=0)
+    exps, coeffs = arrays(x)
+    coeffs = np.abs(coeffs).reshape(len(coeffs), math.prod(coeffs.shape[1:]))
+    return np.abs(monomials(exps, env)) @ coeffs.max(axis=1, initial=0)
 
 
 def _close(got, want, rel, size):
@@ -164,7 +174,7 @@ def test_eval_is_a_ring_homomorphism(a, b, c):
     assert _close(evaluate(c * a + 1, env), c * va + 1, 1e-13, abs(c) * sa)
     assert _close(evaluate(a * b, env), va * vb, 1e-13, sa * sb)
     # equal monomials are merged and zero coefficients dropped
-    rows = [tuple(r) for r in (a * b).exps.tolist()]
+    rows = [tuple(r) for r in np.asarray((a * b).exps).tolist()]
     assert len(set(rows)) == len(rows)
     assert len((a - a).exps) == 0
 
@@ -207,8 +217,9 @@ def test_sign_map_equals_evaluation_at_reflected_points(x, flags):
               flags.eta_m * p.m, flags.eta_t * p.t)
         for p in points
     ]
-    coeffs = x.coeffs.conj() if flags.conj else x.coeffs
-    signed = Expr(x.exps, flag_signs(x.exps, flags) * coeffs)
+    exps, coeffs = arrays(x)
+    coeffs = coeffs.conj() if flags.conj else coeffs
+    signed = Expr(exps, flag_signs(exps, flags) * coeffs)
     env = env_arrays(points)
     want = evaluate(x, env_arrays(reflected))
     assert _close(evaluate(signed, env), want.conj() if flags.conj else want, 1e-13, _size(x, env))
@@ -316,10 +327,10 @@ def test_laurent_matches_eval_on_every_generator_scalar():
     for c in coefficients:
         direct = evaluate(c, env)
         scale = max(1.0, float(np.max(np.abs(direct))))
-        assert np.max(np.abs(_rows_eval(c.exps, c.mats, env) - direct)) <= 1e-13 * scale, c
+        assert np.max(np.abs(_rows_eval(*arrays(c), env) - direct)) <= 1e-13 * scale, c
         shift, form = c.on_shell()
         assert isinstance(form, Coefficient) and shift % 2 == 0
-        assert set(form.exps[:, LAURENT_VARS.index("E")].tolist()) <= {0, 1}
+        assert set(arrays(form)[0][:, LAURENT_VARS.index("E")].tolist()) <= {0, 1}
         reduced = evaluate(form, env)
         assert np.max(np.abs(reduced - energy ** shift * direct)) <= 1e-12 * scale * 10 ** shift
 
@@ -328,9 +339,10 @@ def test_laurent_of_a_derivative_is_the_formal_derivative():
     for c in _all_coefficients() + [fs_transform().terms[(0, 0, 0)]]:
         for var in VARIABLES:
             got = c.diff(var)
-            want = _formal_diff(c.exps, c.mats, var)
-            assert sorted(map(tuple, got.exps.tolist())) == sorted(want), (c, var)
-            for row, mat in zip(map(tuple, got.exps.tolist()), got.mats):
+            want = _formal_diff(*arrays(c), var)
+            got_exps, got_mats = arrays(got)
+            assert sorted(map(tuple, got_exps.tolist())) == sorted(want), (c, var)
+            for row, mat in zip(map(tuple, got_exps.tolist()), got_mats):
                 assert np.all(np.abs(mat - want[row]) <= 1e-15 * np.abs(want[row])), (c, var, row)
 
 
@@ -347,8 +359,8 @@ def test_laurent_rejects_square_roots_and_non_monomial_divisors():
         Coefficient.constant(np.eye(2)) ** -1
     # a monomial divisor is fine: p1 / (2 E^2) = 0.5 p1 E^-2
     half = MOMENTA[0] / (2 * E ** 2)
-    assert half.exps.tolist() == [[1, 0, 0, 0, 0, -2, 0]]
-    assert half.coeffs.tolist() == [0.5]
+    assert np.asarray(half.exps).tolist() == [[1, 0, 0, 0, 0, -2, 0]]
+    assert np.asarray(half.coeffs).tolist() == [0.5]
 
 
 @settings(max_examples=60, deadline=None)
@@ -357,8 +369,9 @@ def test_on_shell_equals_the_input_on_the_mass_shell(x):
     env = env_arrays(sample_points(count=4))
     shift, form = x.on_shell()
     assert shift % 2 == 0 and shift >= 0
-    assert set(form.exps[:, LAURENT_VARS.index("E")].tolist()) <= {0, 1}
-    rows = form.exps.tolist()
+    exps = arrays(form)[0]
+    assert set(exps[:, LAURENT_VARS.index("E")].tolist()) <= {0, 1}
+    rows = exps.tolist()
     assert rows == sorted(rows)
     direct = env["E"] ** shift * evaluate(x, env)
     assert _close(evaluate(form, env), direct, 1e-13, env["E"] ** shift * _size(x, env))
@@ -373,12 +386,13 @@ def test_on_shell_block_that_vanishes_through_the_mass_shell_yields_no_equation(
     vanishing = Coefficient([mat] * 5, shell)
     assert len(vanishing.exps) == 5
     shift, form = vanishing.on_shell()
-    assert shift == 0 and form.exps.shape == (0, 7) and form.mats.shape == (0, 2, 2)
+    exps, mats = arrays(form)
+    assert shift == 0 and exps.shape == (0, 7) and mats.shape == (0, 2, 2)
     # (E^2 - p1^2) / E^3: shift 4 clears E^-3, leaving E (p2^2 + p3^2 + m^2)
     kept = Coefficient([mat, mat], [1 / E, -MOMENTA[0] ** 2 / E ** 3])
     shift, form = kept.on_shell()
     assert shift == 4
-    assert form.exps.tolist() == [
+    assert np.asarray(form.exps).tolist() == [
         [0, 0, 0, 2, 0, 1, 0], [0, 0, 2, 0, 0, 1, 0], [0, 2, 0, 0, 0, 1, 0]
     ]
     assert all(np.array_equal(m, mat) for m in form.mats)
@@ -388,9 +402,151 @@ def test_on_shell_expands_even_powers_of_the_energy():
     shift, reduced = (E ** 4).on_shell()
     # (p1^2 + p2^2 + p3^2 + m^2)^2: 4 squares and 6 cross terms of weight 2
     assert shift == 0 and len(reduced.exps) == 10
-    assert sorted(reduced.coeffs.real.tolist()) == [1] * 4 + [2] * 6
+    assert sorted(np.asarray(reduced.coeffs).real.tolist()) == [1] * 4 + [2] * 6
     env = env_arrays(sample_points(count=3))
     assert np.allclose(evaluate(reduced, env), env["E"] ** 4, rtol=1e-14, atol=0)
     # E^-3 needs E^4: E^4 / E^3 = E
     shift, reduced = (E ** -3).on_shell()
-    assert shift == 4 and reduced.exps.tolist() == [[0, 0, 0, 0, 0, 1, 0]]
+    assert shift == 4 and np.asarray(reduced.exps).tolist() == [[0, 0, 0, 0, 0, 1, 0]]
+
+
+# ---------------------------------------------------------------------------
+# the plain-Python core against dense numpy, exactly
+
+# Gaussian dyadic entries: every sum and product of a few of them is exact
+_DYADIC = st.builds(
+    lambda re, im, k: complex(re, im) / 2 ** k,
+    st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 3),
+)
+_DIM = 3
+
+
+@st.composite
+def _sparse_rows(draw, with_w=True):
+    """(exps (K, 7), mats (K, d, d)): up to four rows, each matrix with up to
+    d nonzero Gaussian dyadic entries, rows possibly repeated."""
+    exps = np.array(draw(st.lists(_ROWS, max_size=4)), dtype=int).reshape(-1, len(LAURENT_VARS))
+    if not with_w:
+        exps[:, LAURENT_VARS.index("W")] = 0
+    mats = np.zeros((len(exps), _DIM, _DIM), dtype=complex)
+    for mat in mats:
+        for _ in range(draw(st.integers(1, _DIM))):
+            i, j = draw(st.integers(0, _DIM - 1)), draw(st.integers(0, _DIM - 1))
+            mat[i, j] = draw(_DYADIC)
+    return exps, mats
+
+
+def _dense_terms(exps, mats) -> dict:
+    """{row: matrix} with equal rows summed and zero matrices dropped."""
+    out = {}
+    for row, mat in zip(map(tuple, np.asarray(exps).tolist()), mats):
+        out[row] = out.get(row, 0) + mat
+    return {row: mat for row, mat in out.items() if mat.any()}
+
+
+def _equal(core, want: dict) -> bool:
+    """The core coefficient has exactly the rows of want, distinct, with
+    array_equal matrices."""
+    exps, mats = arrays(core)
+    got = dict(zip(map(tuple, exps.tolist()), mats))
+    return (
+        len(got) == len(exps)
+        and got.keys() == want.keys()
+        and all(np.array_equal(got[row], want[row]) for row in want)
+    )
+
+
+def _dense_product(a, b) -> dict:
+    (ea, ma), (eb, mb) = a, b
+    exps = (ea[:, None] + eb[None]).reshape(-1, len(LAURENT_VARS))
+    return _dense_terms(exps, np.matmul(ma[:, None], mb[None]).reshape(-1, _DIM, _DIM))
+
+
+def _rows(terms: dict):
+    exps = np.array(list(terms), dtype=int).reshape(-1, len(LAURENT_VARS))
+    return exps, np.array(list(terms.values()), dtype=complex).reshape(-1, _DIM, _DIM)
+
+
+def _dense_on_shell(exps, mats):
+    """(shift, {row: matrix}): E^shift times the rows, with E^2 replaced by
+    p1^2 + p2^2 + p3^2 + m^2 one square at a time until no power of E above
+    the first is left."""
+    axis = LAURENT_VARS.index("E")
+    shift = -int(exps[:, axis].min(initial=0))
+    shift += shift % 2
+    unit = np.arange(len(LAURENT_VARS)) == axis
+    todo = [(row + shift * unit, mat) for row, mat in zip(exps, mats)]
+    done = []
+    while todo:
+        row, mat = todo.pop()
+        if row[axis] < 2:
+            done.append((row, mat))
+            continue
+        for name in ("p1", "p2", "p3", "m"):
+            square = row.copy()
+            square[axis] -= 2
+            square[LAURENT_VARS.index(name)] += 2
+            todo.append((square, mat))
+    return shift, _dense_terms([row for row, _ in done], [mat for _, mat in done])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    a=_sparse_rows(), b=_sparse_rows(), shell=_sparse_rows(with_w=False),
+    left=_sparse_rows(), var=st.sampled_from(VARIABLES),
+)
+def test_core_matches_dense_numpy_exactly(a, b, shell, left, var):
+    """Sparse Gaussian dyadic coefficients: the product, a constant left
+    factor, the adjoint, a derivative and the mass-shell normal form of the
+    core equal their dense numpy counterparts entry for entry."""
+    ca, cb = (Coefficient.from_rows(*x, _DIM) for x in (a, b))
+    assert _equal(ca, _dense_terms(*a))
+    assert _equal(ca @ cb, _dense_product(_rows(_dense_terms(*a)), _rows(_dense_terms(*b))))
+    factor = sum(left[1]) if len(left[1]) else np.eye(_DIM)
+    assert _equal(ca.lmul(factor), _dense_terms(a[0], factor @ a[1]))
+    assert _equal(ca.dagger(), _dense_terms(a[0], a[1].conj().transpose(0, 2, 1)))
+    assert _equal(ca.diff(var), _formal_diff(*_rows(_dense_terms(*a)), var))
+    shift, form = Coefficient.from_rows(*shell, _DIM).on_shell()
+    want_shift, want = _dense_on_shell(*_rows(_dense_terms(*shell)))
+    assert shift == want_shift and _equal(form, want)
+    assert list(form.exps) == sorted(form.exps)
+
+
+_UNITS = (ZERO_INDEX, (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.dictionaries(st.sampled_from(_UNITS), _sparse_rows(), min_size=1, max_size=3),
+    b=st.dictionaries(st.sampled_from(_UNITS), _sparse_rows(), min_size=1, max_size=3),
+)
+def test_commutator_matches_dense_numpy_exactly(a, b):
+    """The exact commutator of two order <= 1 operators with sparse Gaussian
+    dyadic coefficients equals the same Leibniz formula in dense numpy:
+    sum A_alpha B_beta d^(alpha+beta) + sum_{|alpha|=1} A_alpha (d_alpha
+    B_beta) d^beta - (A <-> B), per multi-index."""
+    a = {alpha: _rows(_dense_terms(*x)) for alpha, x in a.items()}
+    b = {alpha: _rows(_dense_terms(*x)) for alpha, x in b.items()}
+    want = {}
+    for sign, x, y in ((1, a, b), (-1, b, a)):
+        for alpha, xc in x.items():
+            for beta, yc in y.items():
+                products = [(index_add(alpha, beta), yc)]
+                if index_order(alpha) == 1:
+                    derivative = _formal_diff(*yc, MOMENTUM_VARS[alpha.index(1)])
+                    products.append((beta, _rows(derivative)))
+                for index, right in products:
+                    terms = want.setdefault(index, {})
+                    for row, mat in _dense_product(xc, right).items():
+                        terms[row] = terms.get(row, 0) + sign * mat
+    want = {index: _dense_terms(*_rows(t)) for index, t in want.items()}
+    want = {index: t for index, t in want.items() if t}
+
+    def operator(terms):
+        return MomentumOperator(_DIM, {
+            alpha: Coefficient.from_rows(*rows, _DIM) for alpha, rows in terms.items()
+        })
+
+    got = commutator(operator(a), operator(b)).terms
+    assert got.keys() == want.keys()
+    assert all(_equal(got[index], want[index]) for index in want)

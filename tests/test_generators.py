@@ -36,6 +36,7 @@ from ptclab.operators import (
 from oracles import (
     Point,
     adjoint,
+    arrays,
     bracket,
     compose,
     energy,
@@ -65,7 +66,7 @@ def test_canonical_transform_at_rest():
     rest = Point(0.0, 0.0, 0.0, 1.0, 0.0)
     u = _matrix_at(canonical_transform(), [rest])[0]
     basis = cached_basis(8)
-    expected = (np.eye(8) + basis.gamma(4)) / np.sqrt(2)
+    expected = (np.eye(8) + np.asarray(basis.gamma(4))) / np.sqrt(2)
     assert np.allclose(u, expected, atol=1e-15)
 
 
@@ -79,7 +80,7 @@ def test_canonical_transform_diagonalizes(points100):
     env = env_arrays(points100)
     u = _matrix_at(canonical_transform(), points100)
     h8 = _matrix_at(dirac_hamiltonian8(), points100)
-    target = cached_basis(8).gamma0[None, :, :] * env["E"][:, None, None]
+    target = np.asarray(cached_basis(8).gamma0)[None, :, :] * env["E"][:, None, None]
     resid = np.max(np.abs(u @ h8 @ u.conj().transpose(0, 2, 1) - target))
     assert resid < 1e-10
 
@@ -90,7 +91,7 @@ def test_exponential_equals_closed_form(points100):
     env = env_arrays(points100)
     h8 = _matrix_at(dirac_hamiltonian8(), points100)
     u = _matrix_at(canonical_transform(), points100)
-    gamma0 = cached_basis(8).gamma0
+    gamma0 = np.asarray(cached_basis(8).gamma0)
     worst = 0.0
     for k in range(0, len(points100), 5):
         a = gamma0 @ h8[k] / env["E"][k]
@@ -215,11 +216,11 @@ def test_check_algebra_rejects_one_flipped_term_of_a_boost(rep1, term):
     no verdict of `classify`; the exact closure check must reject it."""
     constant = rep1["J01"].terms[ZERO_INDEX]
     assert len(constant.exps) == 5
-    mats = constant.mats.copy()
+    exps, mats = arrays(constant)
     mats[term] *= -1
     ops = dict(rep1.ops)
     ops["J01"] = MomentumOperator(
-        rep1.dim, {**rep1["J01"].terms, ZERO_INDEX: Coefficient.from_rows(constant.exps, mats)}
+        rep1.dim, {**rep1["J01"].terms, ZERO_INDEX: Coefficient.from_rows(exps, mats)}
     )
     report = check_algebra(GeneratorSet(rep1.rep, ops))
     assert not report.ok
@@ -231,11 +232,11 @@ def test_check_algebra_passes_only_at_exactly_zero(rep1):
     """Scaling one term of rep1's J01 by 1 + 2^-40 leaves residuals near
     1e-12, far below any float tolerance, and the set still fails."""
     constant = rep1["J01"].terms[ZERO_INDEX]
-    mats = constant.mats.copy()
+    exps, mats = arrays(constant)
     mats[0] *= 1 + 2 ** -40
     ops = dict(rep1.ops)
     ops["J01"] = MomentumOperator(
-        rep1.dim, {**rep1["J01"].terms, ZERO_INDEX: Coefficient.from_rows(constant.exps, mats)}
+        rep1.dim, {**rep1["J01"].terms, ZERO_INDEX: Coefficient.from_rows(exps, mats)}
     )
     report = check_algebra(GeneratorSet(rep1.rep, ops))
     assert 0.0 < report.max_residual < 1e-11
@@ -355,7 +356,7 @@ def test_rep3_boost_alternate_form(rep3, points):
     spin = cached_spin(4)
     basis = cached_basis(4)
     h_mat = Coefficient(
-        [basis.gamma0 @ basis.gamma(k) for k in range(1, 5)],
+        [np.asarray(basis.gamma0) @ np.asarray(basis.gamma(k)) for k in range(1, 5)],
         MOMENTA + (MASS,),
     )
     for a in (1, 2, 3):
@@ -379,14 +380,14 @@ def test_rep3_hamiltonian_positive(rep3, points):
 
 def test_hamiltonian_forms(canonical8, rep3, points):
     env = env_arrays(points)
-    g0e = cached_basis(8).gamma0[None, :, :] * env["E"][:, None, None]
+    g0e = np.asarray(cached_basis(8).gamma0)[None, :, :] * env["E"][:, None, None]
     assert np.array_equal(_matrix_at(canonical8["P0"], points), g0e)
     assert np.allclose(
         _matrix_at(rep3["P0"], points),
         np.eye(4)[None, :, :] * env["E"][:, None, None],
     )
     minus = build_generators(RepId("rep1", -1))
-    g0e4 = cached_basis(4).gamma0[None, :, :] * env["E"][:, None, None]
+    g0e4 = np.asarray(cached_basis(4).gamma0)[None, :, :] * env["E"][:, None, None]
     assert np.array_equal(_matrix_at(minus["P0"], points), -g0e4)
 
 
@@ -412,9 +413,10 @@ def test_subspace_decomposition():
         IrrepLabel(1, 0, HALF),
     ]
     for proj, label in report.blocks:
+        proj = np.asarray(proj)
         assert np.trace(proj) == 2
         assert np.array_equal(proj @ proj, proj)
-    total = sum(proj for proj, _ in report.blocks)
+    total = sum(np.asarray(proj) for proj, _ in report.blocks)
     assert np.array_equal(total, np.eye(8))
 
 
@@ -426,7 +428,7 @@ def test_subspace_decomposition_raises_on_a_doctored_projector(monkeypatch):
     shift = np.roll(np.eye(8), 1, axis=0)
 
     def doctored(matrix, value, spectrum):
-        return shift @ spectral_projector(matrix, value, spectrum) @ shift.T
+        return shift @ np.asarray(spectral_projector(matrix, value, spectrum)) @ shift.T
 
     monkeypatch.setattr(generators, "spectral_projector", doctored)
     with pytest.raises(AssertionError, match="fails to commute"):
@@ -452,15 +454,15 @@ def test_charge_commutes_with_spin_term_directly(points):
     # both factors of S_0a H anticommute with gamma0, so the product commutes
     basis = cached_basis(4)
     spin = cached_spin(4)
-    q = basis.gamma0
+    q = np.asarray(basis.gamma0)
     for pt in points[:5]:
         h = sum(
-            np.asarray(basis.gamma0 @ basis.gamma(k))
+            np.asarray(q @ np.asarray(basis.gamma(k)))
             * (getattr(pt, f"p{k}") if k < 4 else pt.m)
             for k in range(1, 5)
         )
         for a in (1, 2, 3):
-            mat = spin.entry(0, a) @ h / energy(pt)
+            mat = np.asarray(spin.entry(0, a)) @ h / energy(pt)
             assert np.max(np.abs(q @ mat - mat @ q)) < 1e-12
 
 
@@ -471,7 +473,7 @@ def test_helicity_operators_commute_at_zero_mass(massless_points):
     assert report.eigenvalue_residual == 0.0
     # the sampled reference: S.p/E restricted to the S^2 = 3/4 subspace has
     # eigenvalues -1/2, -1/2, 1/2, 1/2 at every massless sample point
-    proj = spectral_projector(cached_spin(8).s_squared, 0.75, (0, 0.75))
+    proj = np.asarray(spectral_projector(cached_spin(8).s_squared, 0.75, (0, 0.75)))
     values, vectors = np.linalg.eigh(proj)
     basis = vectors[:, values > 0.5]
     hmat = _matrix_at(helicity_operator("s"), massless_points)
@@ -488,9 +490,10 @@ def test_helicity_normal_forms_keep_mass_terms(canonical8):
     for which in ("s", "t"):
         h = helicity_operator(which)
         for a in (1, 2, 3):
-            forms = [c.on_shell()[1] for c in commutator(h, canonical8[f"J0{a}"]).terms.values()]
-            assert sum(len(form.exps) for form in forms) > 0, (which, a)
-            assert max(float(np.abs(form.coeffs).max(initial=0.0)) for form in forms) > 1e-3
-            assert all((form.exps[:, m_axis] > 0).all() for form in forms), (which, a)
+            forms = [arrays(c.on_shell()[1])
+                     for c in commutator(h, canonical8[f"J0{a}"]).terms.values()]
+            assert sum(len(exps) for exps, _ in forms) > 0, (which, a)
+            assert max(float(np.abs(coeffs).max(initial=0.0)) for _, coeffs in forms) > 1e-3
+            assert all((exps[:, m_axis] > 0).all() for exps, _ in forms), (which, a)
             forms = [c.on_shell()[1] for c in commutator(h, canonical8[f"P{a}"]).terms.values()]
             assert all(len(form.exps) == 0 for form in forms), (which, a)
