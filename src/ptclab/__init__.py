@@ -4,11 +4,11 @@ relativistic wave equations.
 
 The API lives in the submodules: ptclab.classify, ptclab.generators,
 ptclab.operators, ptclab.clifford, ptclab.labels, ptclab.expr,
-ptclab.vocabulary, and the command line in ptclab.cli.  Every check is
-decided exactly on Laurent polynomials in (p, m, t), in plain Python; no
-module draws or evaluates a sample point.  Only classify and table load
-numpy, for the only float decisions: the rank, an SVD against --rank-tol
-with a guard band, and the witness, a float matrix accepted when its
-residual is below --tol."""
+ptclab.vocabulary, and the command line in ptclab.cli.  Every check and
+every classification is decided exactly on Laurent polynomials in (p, m, t),
+in plain Python with no runtime dependency: the rank by fraction-free
+elimination over the Gaussian integers, the witness as a Gaussian-integer
+combination of the exact nullspace basis.  No module takes a tolerance,
+draws a random number or evaluates a sample point."""
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Discrete-symmetry classification by constant-intertwiner nullspaces.
+"""Discrete-symmetry classification by constant-intertwiner nullspaces, decided
+exactly in the Gaussian integers.
 
 A discrete operator is a substitution map R (space flip, time flip, mass
 flip, optional complex conjugation) times an unknown constant matrix q.
@@ -26,42 +27,36 @@ That is 34 equations on dirac8 and 40 on every other set.  The monomial
 system is built once per generator set and shared by all nine operators;
 no sample point enters the classification.
 
-The matrices are products of Pauli-type tensors, so every N_b is block
-diagonal over a few classes of the d basis indices, and q A = B q splits
-into one small system per (row class, column class) submatrix of q, with
-s^2 unknowns for classes of size s.  Equations that impose the same
-constraint under every operator are merged first: a shared sign class and
-shared parities of p (with |alpha|), t and m give them the same flag sign
-and sign(G) under any operator, and matrices equal up to a real factor r
-(checked exactly) make each one r times the other, so one row block of
-weight sqrt(sum r^2) leaves A^H A unchanged.  That leaves 14 merged
-equations on every set, built once per generator set.  Each submatrix's
-merged system is QR-factored to an s^2 x s^2 factor R, R^H R = A^H A, and the
-rank is decided on one SVD per factor: the union of their singular values
-is the spectrum of the stacked system A, and each factor's null right
-singular vectors, placed at its submatrix's entries of q, give an
-orthonormal basis of the nullspace.  The symmetry holds iff the nullspace
-contains an invertible element.  Rank decisions use a singular value
-threshold with a guard band: anything ambiguous is flagged instead of
-silently classified, and so is a nullspace whose invertible element misses
-the residual tolerance.
+The subsidiary conditions make q constant, and every N_b is a Gaussian
+dyadic rational matrix, so the condition is a linear system over Q(i) and
+is decided exactly.  Equations that impose the same constraint under every
+operator are merged first: a shared sign class and shared parities of p
+(with |alpha|), t and m give them the same flag sign and sign(G) under any
+operator, and matrices equal up to a real factor (checked exactly) make each
+one a multiple of the other.  That leaves 14 merged equations on every set.
+Every N_b is block diagonal over a few classes of the d basis indices (the
+union of their supports), so q A = B q splits into one system per (row
+class, column class) submatrix of q.  Each merged equation is scaled to
+Gaussian integers by a power of 2, and its rows for q N, q conj(N) and N q
+are built once per generator set; an operator only picks the conjugation and
+the relative sign sign(G) * flag sign of each equation.  One fraction-free
+elimination over Z[i] per submatrix, in Python ints, gives its rank and,
+from the echelon rows, a primitive Gaussian-integer nullspace basis, one
+vector per free entry of q; like Bareiss's (Math. Comp. 22 (1968) 565), it
+never divides, except each combined row by the integer content of its
+entries.  That basis depends on the nullspace alone.
 
-The witness found is checked on the unmerged monomial equations: its
-residual is the largest |q F_b - sign(G) N_b q| over them, with F_b the
-flagged matrix above, which bounds every coefficient of the condition for
-all (p, m, t) at once.
-
-Witnesses are built in closed form.  If q0 is one invertible element of the
-nullspace N, then N = C q0, where C is the commutant of the generators'
-coefficients, closed under adjoints.  So the unitary polar factor of a
-random element of N is again in N, its square w lies in C and commutes with
-it, and q = w^(-1/2) q0 is a unitary element of N with q^2 = 1.  The random
-element is a Gaussian matrix projected orthogonally onto N, so the witness
-depends on N alone, not on the basis the SVD returns for it.  The Gaussians
-come from the standard library's `random.Random`, seeded with the string
-"seed/rep/op", so the draw is the same on every platform and under every
-PYTHONHASHSEED.  The witness reported is q / |q|, so its involution scale is
-1/d.
+Nullity 0 is a noninvariant verdict.  Otherwise the witness is the first
+combination W = sum c_k B_k of the basis, c_k in {1, -1, i, -i, 0} taken in
+`itertools.product` order, with W W^H = c 1 for some c > 0 and W^2 (linear)
+or W conj(W) (antilinear) = lambda c 1: W / sqrt(c) is then a unitary
+(antiunitary, with conjugation) symmetry whose operator square is lambda.
+If none of the first WITNESS_CANDIDATES combinations qualifies, the verdict
+is indeterminate.  The witness is checked on the unmerged monomial
+equations: its residual is the largest |W F_b - sign(G) N_b W| over them,
+with F_b the flagged matrix above, which bounds every coefficient of the
+condition for all (p, m, t) at once; every product is exact, so it reads
+0.0.
 
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
@@ -70,28 +65,23 @@ is why q may be taken momentum independent in the first place.
 
 from __future__ import annotations
 
-import random
-from functools import lru_cache
+import math
+from functools import lru_cache, reduce
+from itertools import islice, product
 from typing import NamedTuple
 
-import numpy as np
-
-from .clifford import cached_spin
+from .clifford import cached_spin, mat_add, mat_mul, mat_scale, sparse
 from .expr import LAURENT_VARS, flag_signs
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, index_order
-from .vocabulary import (
-    DEFAULT_RANK_TOL,
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    OP_ORDER,
-    RANK_GUARD,
-    check_settings,
-)
+from .vocabulary import OP_ORDER
 
 SIGN_CLASSES = ("P0", "Pa", "Jab", "J0a")
-# sigma_min / sigma_max above which a nullspace element counts as invertible
-INVERTIBLE_TOL = 1e-6
+# the coefficients of a witness in the nullspace basis, as (re, im), in the
+# order the search tries them (0 last, so the first candidates use every
+# basis vector), and how many combinations it tries at most
+UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1), (0, 0))
+WITNESS_CANDIDATES = len(UNITS) ** 4
 
 
 class DiscreteOpSpec(NamedTuple):
@@ -146,6 +136,100 @@ def momentum_action(op: DiscreteOpSpec) -> FlagTransform:
 
 
 # ---------------------------------------------------------------------------
+# Gaussian integers (re, im) and sparse rows {column: (re, im)}
+
+
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _exact_div(x, y):
+    """x / y for Gaussian integers that y divides."""
+    norm = y[0] * y[0] + y[1] * y[1]
+    re, im = x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1]
+    assert re % norm == 0 and im % norm == 0, (x, y)
+    return (re // norm, im // norm)
+
+
+def _gcd(x, y):
+    """A greatest common divisor in Z[i], by Euclid with rounded quotients."""
+    while y != (0, 0):
+        norm = y[0] * y[0] + y[1] * y[1]
+        re, im = x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1]
+        q = ((2 * re + norm) // (2 * norm), (2 * im + norm) // (2 * norm))
+        qy = _mul(q, y)
+        x, y = y, (x[0] - qy[0], x[1] - qy[1])
+    return x
+
+
+def _associate(row: dict) -> dict:
+    """row times the unit that puts its first entry in re > 0, im >= 0."""
+    unit, first = (1, 0), row[min(row)]
+    while not (first[0] > 0 and first[1] >= 0):  # at most three turns by i
+        unit, first = _mul(unit, (0, 1)), _mul(first, (0, 1))
+    return {c: _mul(unit, v) for c, v in row.items()}
+
+
+def _combine(x, u: dict, y, v: dict) -> dict:
+    """x u - y v for Gaussian integers x, y and rows u, v, divided by the
+    integer content of its entries."""
+    (xr, xi), (yr, yi) = x, y
+    out = {}
+    for c in u.keys() | v.keys():
+        ur, ui = u.get(c, (0, 0))
+        vr, vi = v.get(c, (0, 0))
+        re = xr * ur - xi * ui - yr * vr + yi * vi
+        im = xr * ui + xi * ur - yr * vi - yi * vr
+        if re or im:
+            out[c] = (re, im)
+    content = math.gcd(*(part for value in out.values() for part in value))
+    if content > 1:
+        out = {c: (re // content, im // content) for c, (re, im) in out.items()}
+    return out
+
+
+def _nullspace(rows, n: int) -> list:
+    """A primitive Gaussian-integer basis of {v in Q(i)^n : r . v = 0 for
+    every row r}, one vector per free column, as sparse rows.
+
+    Fraction-free elimination: each row is reduced against the pivot rows
+    found so far, x r - y p, and a new pivot row is eliminated from the
+    others, so that each pivot row vanishes on every other pivot column.  A
+    pivot is the first column of a reduced row, so the pivot columns are
+    the leading columns of the row space, whatever the row order.  The
+    vector of free column f is the one nullspace element that vanishes on
+    every other free column, made primitive and put in associate form, so
+    the basis depends on the nullspace alone."""
+    pivots = {}  # pivot column -> pivot row
+    for row in rows:
+        for c, p in pivots.items():
+            if c in row:
+                row = _combine(p[c], row, row[c], p)
+        if not row:
+            continue
+        c = min(row)
+        for k, p in pivots.items():
+            if c in p:
+                pivots[k] = _combine(row[c], p, p[c], row)
+        pivots[c] = row
+        if len(pivots) == n:
+            return []
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        used = [(c, p) for c, p in pivots.items() if f in p]
+        scale = reduce(_mul, (p[c] for c, p in used), (1, 0))
+        vector = {f: scale}
+        for c, p in used:
+            re, im = _mul(p[f], _exact_div(scale, p[c]))
+            vector[c] = (-re, -im)
+        content = reduce(_gcd, vector.values(), (0, 0))
+        basis.append(_associate({c: _exact_div(v, content) for c, v in vector.items()}))
+    return basis
+
+
+# ---------------------------------------------------------------------------
 # constraint assembly
 
 
@@ -154,12 +238,12 @@ class _MonomialSystem(NamedTuple):
     (`Coefficient.on_shell`): E^shift[c] times block c is
     sum over its equations e of mats[e] x^exps[e]."""
 
-    mats: np.ndarray  # (equations, d, d)
-    exps: np.ndarray  # (equations, 7), ordered as expr.LAURENT_VARS
-    block: np.ndarray  # (equations,) the block each equation comes from
-    shift: np.ndarray  # (blocks,)
-    order: np.ndarray  # (equations,) |alpha| of the block's multi-index
-    sign_class: np.ndarray  # (equations,) index into SIGN_CLASSES
+    mats: tuple  # per equation, sparse {(i, j): entry}
+    exps: tuple  # per equation, ordered as expr.LAURENT_VARS
+    block: tuple  # per equation, the block it comes from
+    shift: tuple  # per block
+    order: tuple  # per equation, |alpha| of the block's multi-index
+    sign_class: tuple  # per equation, index into SIGN_CLASSES
 
 
 @lru_cache(maxsize=None)
@@ -173,71 +257,16 @@ def _monomial_system(g: GeneratorSet) -> _MonomialSystem:
             shift, form = gen.terms[alpha].on_shell()
             labels += [(len(shifts), index_order(alpha), sign_class)] * len(form.terms)
             shifts.append(shift)
-            exps += form.exps
-            mats += form.mats
-    block, order, sign_class = np.array(labels, dtype=int).reshape(-1, 3).T
-    return _MonomialSystem(
-        np.array(mats, dtype=complex), np.array(exps, dtype=int), block, np.array(shifts),
-        order, sign_class,
-    )
+            exps += form.terms
+            mats += form.terms.values()
+    block, order, sign_class = zip(*labels)
+    return _MonomialSystem(tuple(mats), tuple(exps), block, tuple(shifts), order, sign_class)
 
 
-class _RankSystem(NamedTuple):
-    """The monomial equations of a generator set merged for the rank
-    decision, and the index classes they split over."""
-
-    mats: np.ndarray  # (merged equations, d, d) representative times sqrt(sum r^2)
-    exps: np.ndarray  # (merged equations, 7) the representative's exponents
-    order: np.ndarray  # (merged equations,)
-    sign_class: np.ndarray  # (merged equations,)
-    classes: np.ndarray  # (classes, size) from _index_classes
-    members: np.ndarray  # (classes^2, size^2) entries of q per submatrix, row-major
-
-
-def _real_multiple(a: np.ndarray, b: np.ndarray) -> bool:
-    """Is a = r b for a real r?  Exact: every entry is a Gaussian dyadic, so
-    cross-multiplying at b's first nonzero entry rounds nothing."""
-    k = np.flatnonzero(b)[0]
-    a_k, b_k = a.flat[k], b.flat[k]
-    return (a_k * b_k.conjugate()).imag == 0 and np.array_equal(a * b_k, b * a_k)
-
-
-@lru_cache(maxsize=None)
-def _rank_system(g: GeneratorSet) -> _RankSystem:
-    """Merge the equations of `_monomial_system(g)` that impose the same
-    constraint under every operator: same sign class, same parities of
-    |a| + |alpha|, gamma and beta, and matrices equal up to a real factor.
-    Equation N = r N0 then gives r times N0's rows of the system, so the
-    class adds sum r^2 A0^H A0 to A^H A; one row block of N0 sqrt(sum r^2)
-    adds the same.  The representative is the class's first equation."""
-    system = _monomial_system(g)
-    t, m = LAURENT_VARS.index("t"), LAURENT_VARS.index("m")
-    parity = np.column_stack(
-        [system.exps[:, :3].sum(axis=1) + system.order, system.exps[:, t], system.exps[:, m]]
-    ) % 2
-    keys = list(zip(system.sign_class.tolist(), map(tuple, parity.tolist())))
-    norms = np.linalg.norm(system.mats, axis=(1, 2))
-    weights = {}  # representative -> sum of |N|^2 over its class
-    for e, key in enumerate(keys):
-        rep = next(
-            (r for r in weights if keys[r] == key and _real_multiple(system.mats[e], system.mats[r])),
-            e,
-        )
-        weights[rep] = weights.get(rep, 0.0) + norms[e] ** 2
-    reps = np.array(list(weights))
-    weight = np.sqrt(list(weights.values())) / norms[reps]
-    classes = _index_classes(system.mats.any(axis=0))
-    members = classes[:, None, :, None] * g.dim + classes[None, :, None, :]
-    return _RankSystem(
-        system.mats[reps] * weight[:, None, None], system.exps[reps], system.order[reps],
-        system.sign_class[reps], classes, members.reshape(len(classes) ** 2, -1),
-    )
-
-
-def _monomial_pairs(system, op: DiscreteOpSpec) -> np.ndarray:
-    """(equations, 2, d, d): per equation of a `_MonomialSystem` or a
-    `_RankSystem`, the flagged matrix
-    eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N and sign(G) N.
+def _monomial_pairs(system, op: DiscreteOpSpec) -> list:
+    """Per equation of a `_MonomialSystem`, the sparse pair (a, b) of the
+    flagged matrix eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N and
+    sign(G) N.
 
     The coefficient of R G R^-1 at x is [conj] coeff(eta.x) eta_p^|alpha|,
     all variables are real and E is even, so monomial by monomial it is the
@@ -245,133 +274,185 @@ def _monomial_pairs(system, op: DiscreteOpSpec) -> np.ndarray:
     condition q (R G R^-1) = sign(G) G q holds for all (p, m, t) iff
     q a = b q holds for every pair (a, b)."""
     flags = momentum_action(op)
-    flag_sign = np.array(flag_signs(system.exps.tolist(), flags)) * flags.eta_p ** system.order
-    flagged = system.mats.conj() if flags.conj else system.mats
-    sign = np.array(op.signs)[system.sign_class]
-    return np.stack(
-        [flag_sign[:, None, None] * flagged, sign[:, None, None] * system.mats], axis=1
+    pairs = []
+    for mat, flag, order, sign_class in zip(
+        system.mats, flag_signs(system.exps, flags), system.order, system.sign_class
+    ):
+        flagged = {key: v.conjugate() for key, v in mat.items()} if flags.conj else mat
+        pairs.append(
+            (mat_scale(flagged, flag * flags.eta_p ** order), mat_scale(mat, op.signs[sign_class]))
+        )
+    return pairs
+
+
+def _real_multiple(a: dict, b: dict) -> bool:
+    """Is a = r b for a real r?  Exact: every entry is a Gaussian dyadic, so
+    cross-multiplying at b's first nonzero entry rounds nothing."""
+    if a.keys() != b.keys():
+        return False
+    k = min(b)
+    a_k, b_k = a[k], b[k]
+    return (a_k * b_k.conjugate()).imag == 0 and all(a[key] * b_k == b[key] * a_k for key in b)
+
+
+def _index_classes(mats, dim: int) -> tuple:
+    """The classes of basis indices that no matrix of mats couples: the
+    connected components of the union of their supports, each sorted,
+    ordered by their smallest index."""
+    linked = {i: {i} for i in range(dim)}  # index -> its class so far
+    for mat in mats:
+        for i, j in mat:
+            merged = linked[i] | linked[j]
+            for k in merged:
+                linked[k] = merged
+    return tuple(sorted({tuple(sorted(c)) for c in linked.values()}))
+
+
+def _gaussian_integers(mat: dict) -> dict:
+    """mat times the least power of 2 that makes every entry a Gaussian
+    integer, as {(i, j): (re, im)}; the entries are dyadic, so exact."""
+    parts = {key: (v.real.as_integer_ratio(), v.imag.as_integer_ratio()) for key, v in mat.items()}
+    scale = max(den for pair in parts.values() for _, den in pair)
+    return {key: (a * (scale // b), c * (scale // d)) for key, ((a, b), (c, d)) in parts.items()}
+
+
+class _RankSystem(NamedTuple):
+    """The monomial equations of a generator set merged for the rank
+    decision, and their rows on each submatrix of q."""
+
+    reps: tuple  # per merged equation, its representative in the monomial system
+    classes: tuple  # from _index_classes
+    blocks: tuple  # per (row class, column class) submatrix, row-major:
+    # ((row class, column class), per merged equation {(conj, sigma): rows})
+
+
+def _submatrix_rows(n: dict, rows: tuple, cols: tuple) -> dict:
+    """{(conj, sigma): the rows of q_xy [conj] N_yy - sigma N_xx q_xy} for the
+    submatrix q_xy of q on row class `rows` and column class `cols`, its
+    entries (i, j) numbered i * len(cols) + j; each row in associate form,
+    each set of rows without repeats."""
+    width = len(cols)
+    row_of = {index: i for i, index in enumerate(rows)}
+    col_of = {index: j for j, index in enumerate(cols)}
+    left, right = {}, {}  # column k of N_yy as [(j, N_jk)], row i of N_xx as [(l, N_il)]
+    for (a, b), v in n.items():
+        if a in col_of and b in col_of:
+            left.setdefault(col_of[b], []).append((col_of[a], v))
+        if a in row_of and b in row_of:
+            right.setdefault(row_of[a], []).append((row_of[b], v))
+    parts = {key: set() for key in product((False, True), (1, -1))}
+    for i, k in product(range(len(rows)), range(width)):
+        for conj, sigma in parts:
+            row = {i * width + j: (re, -im if conj else im) for j, (re, im) in left.get(k, ())}
+            for l, (re, im) in right.get(i, ()):
+                old = row.get(l * width + k, (0, 0))
+                row[l * width + k] = (old[0] - sigma * re, old[1] - sigma * im)
+            row = {c: v for c, v in row.items() if v != (0, 0)}
+            if row:
+                parts[conj, sigma].add(tuple(sorted(_associate(row).items())))
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _rank_system(g: GeneratorSet) -> _RankSystem:
+    """Merge the equations of `_monomial_system(g)` that impose the same
+    constraint under every operator: same sign class, same parities of
+    |a| + |alpha|, gamma and beta, and matrices equal up to a real factor r.
+    Equation N = r N0 then gives r times N0's rows of the system, the same
+    constraint.  The representative is the class's first equation."""
+    system = _monomial_system(g)
+    t, m = LAURENT_VARS.index("t"), LAURENT_VARS.index("m")
+    keys = [
+        (sign_class, (sum(e[:3]) + order) % 2, e[t] % 2, e[m] % 2)
+        for e, order, sign_class in zip(system.exps, system.order, system.sign_class)
+    ]
+    reps = []
+    for e, key in enumerate(keys):
+        if not any(keys[r] == key and _real_multiple(system.mats[e], system.mats[r]) for r in reps):
+            reps.append(e)
+    classes = _index_classes(system.mats, g.dim)
+    scaled = [_gaussian_integers(system.mats[e]) for e in reps]
+    blocks = tuple(
+        ((x, y), tuple(_submatrix_rows(n, x, y) for n in scaled)) for x in classes for y in classes
     )
+    return _RankSystem(tuple(reps), classes, blocks)
 
 
-def _index_classes(support: np.ndarray) -> np.ndarray:
-    """The classes (classes, size) of basis indices that no coefficient
-    couples, from the d x d nonzero pattern of all of them: the transitive
-    closure, read off the d-th power of the symmetrized pattern plus the
-    identity.  Classes of unequal size would not stack, and raise."""
-    d = len(support)
-    reach = np.linalg.matrix_power(support | support.T | np.eye(d, dtype=bool), d)
-    # each class once, at its smallest index
-    roots = np.flatnonzero(reach.argmax(axis=1) == np.arange(d))
-    return np.stack([np.flatnonzero(reach[root]) for root in roots])
+def _block_rows(g: GeneratorSet, op: DiscreteOpSpec) -> list:
+    """[((row class, column class), rows)] per submatrix of q: the distinct
+    rows of g's merged system under op, sorted, as sparse rows."""
+    system, rank = _monomial_system(g), _rank_system(g)
+    flags = momentum_action(op)
+    exps = [system.exps[e] for e in rank.reps]
+    sigma = [
+        flag * flags.eta_p ** system.order[e] * op.signs[system.sign_class[e]]
+        for flag, e in zip(flag_signs(exps, flags), rank.reps)
+    ]
+    blocks = []
+    for classes, parts in rank.blocks:
+        rows = set().union(*(part[flags.conj, s] for part, s in zip(parts, sigma)))
+        blocks.append((classes, [dict(row) for row in sorted(rows)]))
+    return blocks
 
 
-def build_constraints(pairs: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The block factors of the system A: q a - b q = 0 for every pair
-    (a, b) of pairs (equations, 2, d, d), stacked: (classes^2 * s^2, s^2)
-    for classes (classes, s).
-
-    Every pair is block diagonal over `_index_classes`, so q a = b q splits
-    into q_xy a_y - b_x q_xy per submatrix q_xy of q (row class x, column
-    class y), on the row-major entries of q_xy.  One batched QR factors all
-    of them; block x * classes + y is the s^2 x s^2 factor R_xy with
-    R_xy^H R_xy = A_xy^H A_xy, so it has the singular values and right
-    singular vectors of that submatrix's system.
-    """
-    m, s = classes.shape
-    sub = pairs[:, :, classes[:, :, None], classes[:, None, :]]
-    eye = np.eye(s)
-    # row (n, i, k) of q_xy a_y - b_x q_xy on entry (j, l) of q_xy
-    left = np.einsum("ij,nylk->ynikjl", eye, sub[:, 0])
-    right = np.einsum("nxij,kl->xnikjl", sub[:, 1], eye)
-    systems = (left[None] - right[:, None]).reshape(m * m, -1, s * s)
-    return np.linalg.qr(systems, mode="r").reshape(-1, s * s)
+def _rank_decision(g: GeneratorSet, op: DiscreteOpSpec) -> list:
+    """The primitive Gaussian-integer nullspace basis of g's merged system
+    under op, each vector {(row, column) of q: (re, im)}, submatrix by
+    submatrix of q in row-major order."""
+    basis = []
+    for (x, y), rows in _block_rows(g, op):
+        for vector in _nullspace(rows, len(x) * len(y)):
+            basis.append({(x[c // len(y)], y[c % len(y)]): v for c, v in vector.items()})
+    return basis
 
 
-def _rank_decision(g: GeneratorSet, op: DiscreteOpSpec, rank_tol: float):
-    """(singular values, nullspace basis) of the merged constraint system of
-    g under op: the union of the singular values of every block factor, one
-    SVD each, and the right singular vectors below rank_tol * sigma_max, each
-    at its block's entries of q, as orthonormal rows (nullity, d^2)."""
-    rank = _rank_system(g)
-    factors = build_constraints(_monomial_pairs(rank, op), rank.classes)
-    n = factors.shape[1]
-    _, singular, vh = map(np.array, zip(*(np.linalg.svd(f) for f in factors.reshape(-1, n, n))))
-    block, index = np.nonzero(singular < rank_tol * singular.max())
-    basis = np.zeros((len(block), g.dim ** 2), dtype=complex)
-    basis[np.arange(len(block))[:, None], rank.members[block]] = vh[block, index]
-    return singular.ravel(), basis
-
-
-def _witness_residual(q: np.ndarray, pairs: np.ndarray) -> float:
+def _witness_residual(q, pairs) -> float:
     """max over the monomial equations (a, b) of pairs of |q a - b q|: the
     largest coefficient of q (R G R^-1) - sign(G) G q, for all (p, m, t)."""
-    return float(np.max(np.abs(q @ pairs[:, 0] - pairs[:, 1] @ q), initial=0.0))
+    q = sparse(q)
+    deviations = (mat_add(mat_mul(q, a), mat_scale(mat_mul(b, q), -1)) for a, b in pairs)
+    return max((abs(v) for dev in deviations for v in dev.values()), default=0.0)
 
 
 # ---------------------------------------------------------------------------
 # witness selection
 
 
-def _normalized(q: np.ndarray) -> np.ndarray:
-    return q / np.linalg.norm(q)
+def _dot(u, v):
+    """sum_k u_k v_k for Gaussian-integer vectors u, v."""
+    re, im = zip(*map(_mul, u, v))
+    return (sum(re), sum(im))
 
 
-def _involution_scale(q: np.ndarray, tol: float):
-    d = q.shape[0]
-    square = q @ q
-    lam = complex(np.trace(square) / d)
-    if np.max(np.abs(square - lam * np.eye(d))) < tol:
-        return lam
+def _scalar_multiple(rows: list):
+    """s when the Gaussian-integer matrix `rows` is s 1, else None."""
+    s = rows[0][0]
+    wanted = ((v, s if i == j else (0, 0)) for i, row in enumerate(rows) for j, v in enumerate(row))
+    return s if all(v == want for v, want in wanted) else None
+
+
+def _select_witness(basis: list, d: int, conj: bool):
+    """(W, lambda) for the first combination W of the basis vectors, with
+    coefficients in UNITS in `itertools.product` order, such that
+    W W^H = c 1 with c > 0 and W W (W conj(W) when conj) = lambda c 1;
+    None if none of the first WITNESS_CANDIDATES qualifies.  W is a tuple
+    of rows of complex, exact Gaussian integers."""
+    for coeffs in islice(product(UNITS, repeat=len(basis)), WITNESS_CANDIDATES):
+        w = [[(0, 0)] * d for _ in range(d)]
+        for c, vector in zip(coeffs, basis):
+            for (i, j), v in vector.items():
+                x = _mul(c, v)
+                w[i][j] = (w[i][j][0] + x[0], w[i][j][1] + x[1])
+        bar = [[(re, -im) for re, im in row] for row in w]
+        scale = _scalar_multiple([[_dot(u, v) for v in bar] for u in w])
+        if scale is None or scale == (0, 0):
+            continue
+        columns = list(zip(*(bar if conj else w)))
+        square = _scalar_multiple([[_dot(u, column) for column in columns] for u in w])
+        if square is not None:
+            witness = tuple(tuple(complex(*v) for v in row) for row in w)
+            return witness, complex(*square) / scale[0]
     return None
-
-
-def _inverse_sqrt(w: np.ndarray) -> np.ndarray:
-    """w^(-1/2) of a unitary w, by eigendecomposition.
-
-    The square root's branch cut is turned to the middle of the widest gap
-    in w's spectrum, so no cluster of nearly equal eigenvalues straddles it.
-    """
-    values, vectors = np.linalg.eig(w)
-    angles = np.sort(np.angle(values))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    widest = np.argmax(gaps)
-    turn = np.exp(1j * (angles[widest] + gaps[widest] / 2 - np.pi))
-    roots = (values / turn) ** -0.5 / np.sqrt(turn)
-    return vectors @ (roots[:, None] * np.linalg.inv(vectors))
-
-
-def _select_witness(basis, pairs, rng: random.Random, tol):
-    """(witness, residual, involution scale) from an orthonormal basis of the
-    nullspace N, rows of d^2 entries of q; (None, residual, None) when the
-    invertible element found misses tol, and (None, None, None) when no
-    invertible element turns up.
-
-    One d x d complex Gaussian is drawn from rng, 2 d^2 standard normals as
-    interleaved real and imaginary parts, and projected orthogonally onto N,
-    so the element depends on N and not on the basis that spans it.  Its polar
-    factor q0 is unitary and still in N, w = q0^2 is a unitary element of the
-    commutant that commutes with q0, and q = w^(-1/2) q0 is a unitary element
-    of N with q^2 = 1, so it is always invertible.  If q fails validation,
-    the projected element is reported without an involution scale, if it is
-    invertible (sigma_min / sigma_max above INVERTIBLE_TOL) and its residual
-    on the monomial equations pairs is below tol.
-    """
-    d = pairs.shape[-1]
-    flat = np.reshape(basis, (len(basis), d * d))
-    draw = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * d * d)]).view(complex)
-    raw = (flat.T @ (flat.conj() @ draw)).reshape(d, d)
-    u, singular, vh = np.linalg.svd(raw)
-    q0 = u @ vh
-    q = _normalized(_inverse_sqrt(q0 @ q0) @ q0)
-    residual = _witness_residual(q, pairs)
-    lam = _involution_scale(q, tol)
-    if residual < tol and lam is not None:
-        return q, residual, lam
-    if singular[-1] > INVERTIBLE_TOL * singular[0]:
-        raw = _normalized(raw)
-        residual = _witness_residual(raw, pairs)
-        return (raw if residual < tol else None), residual, None
-    return None, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +465,9 @@ class ClassificationResult(NamedTuple):
     invariant: bool
     indeterminate: bool
     nullspace_dim: int
-    witness: np.ndarray | None
+    witness: tuple | None  # rows of complex, Gaussian integers
     residual: float | None
-    involution_scale: complex | None
-    smallest_singular_value: float
-    largest_singular_value: float
+    operator_square: complex | None
 
     @property
     def verdict(self) -> str:
@@ -397,34 +476,19 @@ class ClassificationResult(NamedTuple):
         return "invariant" if self.invariant else "noninvariant"
 
 
-def classify(
-    g: GeneratorSet,
-    op,
-    *,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> ClassificationResult:
+def classify(g: GeneratorSet, op) -> ClassificationResult:
     """Decide invariance of a generator set under one discrete operator."""
-    check_settings(seed=seed, tol=tol, rank_tol=rank_tol)
     if isinstance(op, str):
         op = get_op(op)
-    singular, basis = _rank_decision(g, op, rank_tol)
-    sigma_max = float(singular.max())
-    threshold = rank_tol * sigma_max
-    indeterminate = bool(
-        np.any((singular > threshold / RANK_GUARD) & (singular < threshold * RANK_GUARD))
-    )
-    witness = residual = scale = None
-    if len(basis) and not indeterminate:
-        pairs = _monomial_pairs(_monomial_system(g), op)
-        rng = random.Random(f"{seed}/{g.rep.kind}/{op.name}")
-        witness, residual, scale = _select_witness(basis, pairs, rng, tol)
-        # an invertible element whose residual misses tol decides nothing
-        indeterminate = witness is None and residual is not None
+    basis = _rank_decision(g, op)
+    found = _select_witness(basis, g.dim, op.conj) if basis else None
+    witness, square = found or (None, None)
+    residual = None
+    if witness is not None:
+        residual = _witness_residual(witness, _monomial_pairs(_monomial_system(g), op))
     return ClassificationResult(
-        g.rep.kind, op.name, witness is not None, indeterminate, len(basis),
-        witness, residual, scale, float(singular.min()), sigma_max,
+        g.rep.kind, op.name, witness is not None, bool(basis) and witness is None, len(basis),
+        witness, residual, square,
     )
 
 
@@ -490,20 +554,12 @@ class ClassificationTable(NamedTuple):
         return {name: row.verdict for name, row in self.rows.items()}
 
 
-def full_table(
-    rep,
-    *,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_TOL,
-    seed: int = DEFAULT_SEED,
-) -> ClassificationTable:
+def full_table(rep) -> ClassificationTable:
     """Classify all nine discrete operators against one representation."""
-    check_settings(seed=seed, tol=tol, rank_tol=rank_tol)
     g = rep if isinstance(rep, GeneratorSet) else build_generators(rep)
     rows = {}
     for name in OP_ORDER:
-        result = classify(g, get_op(name), rank_tol=rank_tol, tol=tol, seed=seed)
-        rows[name] = TableRow(result, paper_expectation(g.rep.kind, name))
+        rows[name] = TableRow(classify(g, get_op(name)), paper_expectation(g.rep.kind, name))
     return ClassificationTable(g.rep.kind, rows)
 
 
@@ -512,37 +568,32 @@ def full_table(
 
 
 class IntertwiningReport(NamedTuple):
-    residuals: dict  # relation label -> float or None when not checkable
+    residuals: dict  # relation label -> float
     missing: list
-    tol: float
 
     @property
     def ok(self) -> bool:
-        return not self.missing and all(r < self.tol for r in self.residuals.values())
+        return not self.missing and all(r == 0.0 for r in self.residuals.values())
 
 
-def intertwining_check(tol: float = DEFAULT_TOL) -> IntertwiningReport:
+def intertwining_check() -> IntertwiningReport:
     """The parity and mass-flip witnesses of the canonical 8-dim set swap the
-    two su(2) actions; the linear time-flip witness centralizes them."""
+    two su(2) actions; the linear time-flip witness centralizes them.  Every
+    product is exact, so each relation holds iff its residual is 0.0."""
     g = build_generators("canonical8")
     spin = cached_spin(8)
-    witnesses = {}
-    missing = []
-    for name in ("P1", "M", "T1"):
-        result = classify(g, get_op(name), tol=tol)
-        if result.witness is None:
-            missing.append(f"{name}: no invertible witness ({result.nullspace_dim=})")
-        witnesses[name] = result.witness
-
     residuals = {}
+    missing = []
     for name, relation in (("P1", "swap"), ("M", "swap"), ("T1", "commute")):
-        w = witnesses[name]
-        if w is None:
+        result = classify(g, get_op(name))
+        if result.witness is None:
+            missing.append(f"{name}: no witness ({result.nullspace_dim=})")
             continue
+        w = sparse(result.witness)
         worst = 0.0
         for a in range(3):
-            s, t = np.asarray(spin.S[a]), np.asarray(spin.T[a])
-            dev = w @ s - (t if relation == "swap" else s) @ w
-            worst = max(worst, float(np.max(np.abs(dev))))
+            s, t = sparse(spin.S[a]), sparse(spin.T[a])
+            dev = mat_add(mat_mul(w, s), mat_scale(mat_mul(t if relation == "swap" else s, w), -1))
+            worst = max([worst] + [abs(v) for v in dev.values()])
         residuals[f"{name}_{relation}"] = worst
-    return IntertwiningReport(residuals, missing, tol)
+    return IntertwiningReport(residuals, missing)

@@ -1,14 +1,14 @@
 """The `ptclab` command line: argument parsing, usage errors and output.
 
 At import this module loads only argparse, json and `ptclab.vocabulary`,
-which holds the names and settings the parser checks.  Each command's
-handler imports the layers it runs, so `ptc`, `--help` and every usage error
-load no numeric layer, `selftest`, `algebra` and `massless` run on the
-plain-Python exact core, and numpy is loaded only by `classify` and `table`,
-with the classifier.  No command reads a sample point: every check is
-decided on the exact Laurent coefficients, and `algebra --dump-generators`
-writes those coefficients' rows.  The user-facing summary, flags, JSON
-schema and exit codes are in DESCRIPTION, which `--help` prints.
+which holds the names the parser checks.  Each command's handler imports the
+layers it runs, so `ptc`, `--help` and every usage error load no numeric
+layer, and every other command runs on the plain-Python exact core; no
+command loads numpy.  No command reads a sample point: every check and every
+classification is decided on the exact Laurent coefficients, and
+`algebra --dump-generators` writes those coefficients' rows.  The
+user-facing summary, flags, JSON schema and exit codes are in DESCRIPTION,
+which `--help` prints.
 """
 
 from __future__ import annotations
@@ -16,48 +16,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple
 
-from .vocabulary import (
-    DEFAULT_RANK_TOL,
-    DEFAULT_SEED,
-    DEFAULT_TOL,
-    OP_ORDER,
-    REP_KINDS,
-    check_settings,
-)
+from .vocabulary import DEFAULT_SEED, OP_ORDER, REP_KINDS, check_seed
 
 DESCRIPTION = """\
 Batch front door: self-tests, algebra checks, classification tables and
-label-calculus queries, with deterministic text or JSON output.  Only
-classify and table read --seed and take --tol and --rank-tol; every other
-check is exact and passes only at residual 0.0.
+label-calculus queries, with deterministic text or JSON output.  Every check
+and every classification is exact: no command takes a tolerance, and
+--seed is accepted and read by no command.
 
-JSON schema (version 1): complex numbers are [re, im] pairs, matrices are
-row-major nested lists of such pairs.  "config" lists the settings a command
-read ({} for selftest, algebra, massless and ptc).  "involution_scale" is the
-lambda in q q = lambda 1 for the witness q of unit Frobenius norm: 1/d, or
-null when q q is not a multiple of 1.  For the antilinear P2, T2, C and P1T2
-it is not the square q conj(q).  Identical configuration produces
-byte-identical JSON.  Exit codes: 0 pass, 1 mismatch or failure,
-2 indeterminate classification, 64 usage error.
+JSON schema (version 2): complex numbers are [re, im] pairs, matrices are
+row-major nested lists of such pairs.  "config" is {}: no command reads a
+setting.  An invariant classification cell holds the witness W, a
+Gaussian-integer matrix with W W^H = c 1, its "residual" on the monomial
+equations (exactly 0.0), and its "operator_square" lambda: W W = lambda c 1
+for a linear operator and W conj(W) = lambda c 1 for an antilinear one
+(P2, T2, C, P1T2).  A noninvariant cell has nullspace_dim 0.  Identical
+configuration produces byte-identical JSON.  Exit codes: 0 pass,
+1 mismatch or failure, 2 indeterminate classification (a nullspace with no
+unitary witness among the combinations searched), 64 usage error.
 """
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
-
-
-class RunConfig(NamedTuple):
-    seed: int = DEFAULT_SEED
-    tol: float = DEFAULT_TOL
-    rank_tol: float = DEFAULT_RANK_TOL
-    json_output: bool = False
-
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "tol": self.tol, "rank_tol": self.rank_tol}
 
 
 def cnum(z) -> list:
@@ -83,14 +67,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ptclab", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, tolerances=False):
+    def common(p):
         p.add_argument(
             "--seed", type=int, default=DEFAULT_SEED,
-            help=f"witness draw of classify and table only (default {DEFAULT_SEED})",
+            help=f"a non-negative integer that no command reads (default {DEFAULT_SEED})",
         )
-        if tolerances:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-            p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
         p.add_argument("--json", action="store_true")
 
     common(sub.add_parser("selftest", help="basis invariants, unitarity, diagonalization, charge"))
@@ -108,14 +89,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="one (representation, operator) verdict")
     p.add_argument("--rep", required=True, choices=REP_KINDS)
     p.add_argument("--op", required=True, choices=OP_ORDER)
-    common(p, tolerances=True)
+    common(p)
 
     p = sub.add_parser("table", help="discrete-symmetry table, nine operators per representation")
     p.add_argument(
         "--rep", required=True, choices=REP_KINDS + ("all",),
         help="all: rep1, rep2, rep3 and canonical8 (not dirac8)",
     )
-    common(p, tolerances=True)
+    common(p)
 
     p = sub.add_parser("massless", help="m = 0 helicity decomposition and checks")
     common(p)
@@ -125,14 +106,6 @@ def _build_parser() -> _Parser:
     common(p)
 
     return parser
-
-
-def _config(args) -> RunConfig:
-    """Settings from the flags; ValueError names a bad one."""
-    tol = getattr(args, "tol", DEFAULT_TOL)
-    rank_tol = getattr(args, "rank_tol", DEFAULT_RANK_TOL)
-    check_settings(seed=args.seed, tol=tol, rank_tol=rank_tol)
-    return RunConfig(args.seed, tol, rank_tol, args.json)
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +224,22 @@ def _result_json(result) -> dict:
         "nullspace_dim": result.nullspace_dim,
         "residual": result.residual,
         "witness": None if result.witness is None else cmat(result.witness),
-        "involution_scale": None
-        if result.involution_scale is None
-        else cnum(result.involution_scale),
-        "smallest_singular_value": result.smallest_singular_value,
+        "operator_square": None
+        if result.operator_square is None
+        else cnum(result.operator_square),
     }
 
 
-def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
-    from .classify import classify, get_op
+def cmd_classify(json_output: bool, rep: str, op: str) -> int:
+    from .classify import WITNESS_CANDIDATES, classify, get_op
     from .generators import build_generators
 
-    g = build_generators(rep)
-    result = classify(
-        g, get_op(op), rank_tol=config.rank_tol, tol=config.tol, seed=config.seed
-    )
-    if config.json_output:
+    result = classify(build_generators(rep), get_op(op))
+    if json_output:
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "classify",
-            "config": config.as_dict(),
+            "config": {},
             "rep": rep,
             "op": op,
         }
@@ -281,31 +250,25 @@ def cmd_classify(config: RunConfig, rep: str, op: str) -> int:
         print(f"  nullspace dimension {result.nullspace_dim}")
         if result.invariant:
             print(f"  witness residual {result.residual:.3e}")
-            if result.involution_scale is not None:
-                print(f"  witness squares to {result.involution_scale:.6g} * identity")
-        elif result.residual is not None:
-            print(f"  witness residual {result.residual:.3e} is not below tol {config.tol:g}")
-        else:
-            print(f"  smallest singular value {result.smallest_singular_value:.3e}")
+            print(f"  operator square {result.operator_square:.6g}")
+        elif result.indeterminate:
+            print(f"  no unitary witness among {WITNESS_CANDIDATES} combinations of the basis")
     return EXIT_INDETERMINATE if result.indeterminate else EXIT_OK
 
 
-def cmd_table(config: RunConfig, rep: str) -> int:
+def cmd_table(json_output: bool, rep: str) -> int:
     from .classify import full_table
 
     reps = ["rep1", "rep2", "rep3", "canonical8"] if rep == "all" else [rep]
-    tables = {
-        kind: full_table(kind, rank_tol=config.rank_tol, tol=config.tol, seed=config.seed)
-        for kind in reps
-    }
+    tables = {kind: full_table(kind) for kind in reps}
     any_indeterminate = any(t.any_indeterminate for t in tables.values())
     all_match = all(t.matches_paper for t in tables.values())
 
-    if config.json_output:
+    if json_output:
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "table",
-            "config": config.as_dict(),
+            "config": {},
             "reps": {},
             "matches_paper": all_match,
         }
@@ -410,23 +373,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        config = _config(args)
+        check_seed(args.seed)
     except ValueError as exc:
         print(f"ptclab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.command == "selftest":
-        return cmd_selftest(config.json_output)
+        return cmd_selftest(args.json)
     if args.command == "algebra":
-        return cmd_algebra(config.json_output, args.rep, args.dump_generators)
+        return cmd_algebra(args.json, args.rep, args.dump_generators)
     if args.command == "classify":
-        return cmd_classify(config, args.rep, args.op)
+        return cmd_classify(args.json, args.rep, args.op)
     if args.command == "table":
-        return cmd_table(config, args.rep)
+        return cmd_table(args.json, args.rep)
     if args.command == "massless":
-        return cmd_massless(config.json_output)
+        return cmd_massless(args.json)
     if args.command == "ptc":
-        return cmd_ptc(config.json_output, args.labels)
+        return cmd_ptc(args.json, args.labels)
     raise AssertionError(f"unhandled command {args.command}")
 
 

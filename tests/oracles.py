@@ -9,7 +9,10 @@ coefficients at them, operator sums and scalings, the position operator, the
 full Leibniz-rule composition (coefficients multiplied sum by sum, for any
 order), symbolic commutators, formal adjoints, the substitution-flag
 conjugation R g R^-1, per-multi-index comparison of operators at sample
-points and the energy at a sample point.
+points and the energy at a sample point.  It also holds the float reference
+for the classifier's exact rank: the QR factor of every (row class, column
+class) block of the constraint system and its SVD, with a relative rank
+threshold.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -26,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ptclab.clifford import dense
 from ptclab.expr import LAURENT_VARS, ONE, Expr
 from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
 from ptclab.vocabulary import DEFAULT_SEED
@@ -346,3 +350,44 @@ def equal_at(a: MomentumOperator, b: MomentumOperator, points, tol: float = 1e-9
         va, vb = (evaluate(op.terms[alpha], env) if alpha in op.terms else 0 for op in (a, b))
         residual = max(residual, float(np.max(np.abs(va - vb))))
     return residual < tol, residual
+
+
+# ---------------------------------------------------------------------------
+# the float reference for the classifier's rank
+
+RANK_TOL = 1e-8
+
+
+def dense_pairs(pairs, dim: int) -> np.ndarray:
+    """(equations, 2, d, d): the classifier's sparse (a, b) pairs as arrays."""
+    out = np.array([[dense(a, dim), dense(b, dim)] for a, b in pairs], dtype=complex)
+    return out.reshape(-1, 2, dim, dim)
+
+
+def block_factors(pairs: np.ndarray, classes) -> list:
+    """Per (row class x, column class y), row-major, the QR factor R of the
+    system q_xy a_yy - b_xx q_xy = 0 over every pair (a, b) of pairs
+    (equations, 2, d, d), on the row-major entries of q_xy: R^H R is the
+    system's A^H A, so R has its singular values and right singular vectors."""
+    factors = []
+    for x in classes:
+        for y in classes:
+            a = pairs[:, 0][:, y][:, :, y]
+            b = pairs[:, 1][:, x][:, :, x]
+            # row (n, i, k) of q_xy a - b q_xy on entry (j, l) of q_xy
+            left = np.einsum("ij,nlk->nikjl", np.eye(len(x)), a)
+            right = np.einsum("nij,kl->nikjl", b, np.eye(len(y)))
+            system = (left - right).reshape(-1, len(x) * len(y))
+            factors.append(np.linalg.qr(system, mode="r"))
+    return factors
+
+
+def float_nullity(pairs: np.ndarray, classes, rank_tol: float = RANK_TOL) -> int:
+    """The nullity of the stacked system, decided on one SVD per block
+    factor: the unknowns less the singular values above rank_tol times the
+    largest one of all blocks."""
+    factors = block_factors(pairs, classes)
+    singular = [np.linalg.svd(f, compute_uv=False) for f in factors]
+    largest = max(float(s.max(initial=0.0)) for s in singular)
+    unknowns = sum(f.shape[1] for f in factors)
+    return unknowns - sum(int(np.sum(s >= rank_tol * largest)) for s in singular)

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 import types
@@ -9,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptclab
 from ptclab.classify import (
@@ -16,15 +17,16 @@ from ptclab.classify import (
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
     SIGN_CLASSES,
+    _block_rows,
+    _combine,
     _index_classes,
-    _inverse_sqrt,
     _monomial_pairs,
     _monomial_system,
+    _nullspace,
     _rank_decision,
     _rank_system,
     _select_witness,
     _witness_residual,
-    build_constraints,
     classify,
     compose_ops,
     full_table,
@@ -41,14 +43,18 @@ from ptclab.operators import (
     FlagTransform,
     MomentumOperator,
 )
-from ptclab.vocabulary import DEFAULT_RANK_TOL, DEFAULT_SEED, DEFAULT_TOL
+from ptclab.vocabulary import DEFAULT_SEED, check_seed
 
 from oracles import (
+    RANK_TOL,
     apply_flags,
     arrays,
+    block_factors,
+    dense_pairs,
     env_arrays,
     equal_at,
     eval_operator,
+    float_nullity,
     position,
     sample_points,
     scaled,
@@ -110,16 +116,27 @@ def test_subsidiary_position_conditions_hold_identically(points):
 
 
 def _pairs_of(g, name):
-    return _monomial_pairs(_monomial_system(g), get_op(name))
+    """The monomial pairs of g under the named operator, as arrays."""
+    return dense_pairs(_monomial_pairs(_monomial_system(g), get_op(name)), g.dim)
+
+
+def _matrix(vector, dim):
+    """The d x d array of a nullspace vector {(i, j): (re, im)}."""
+    q = np.zeros((dim, dim), dtype=complex)
+    for (i, j), (re, im) in vector.items():
+        q[i, j] = complex(re, im)
+    return q
 
 
 def test_constraint_nullspace_dimensions(rep1):
-    sv, basis = _rank_decision(rep1, get_op("P1"), 1e-8)
-    assert np.sum(sv < 1e-8 * sv.max()) == 0 == len(basis)  # claim 1: no parity intertwiner
+    assert _rank_decision(rep1, get_op("P1")) == []  # claim 1: no parity intertwiner
 
-    sv, basis = _rank_decision(rep1, get_op("Mx"), 1e-8)
-    assert np.sum(sv < 1e-8 * sv.max()) >= 1
-    assert len(basis) == np.sum(sv < 1e-8 * sv.max())
+    basis = _rank_decision(rep1, get_op("Mx"))
+    assert len(basis) == 2
+    pairs = _pairs_of(rep1, "Mx")
+    for vector in basis:  # every basis element solves every monomial equation exactly
+        q = _matrix(vector, rep1.dim)
+        assert np.array_equal(q @ pairs[:, 0], pairs[:, 1] @ q)
 
 
 def test_monomial_equation_counts():
@@ -128,11 +145,11 @@ def test_monomial_equation_counts():
     set once merged for the rank decision."""
     for kind, sign in SETS:
         g = build_generators(RepId(kind, sign))
-        assert len(_rank_system(g).mats) == 14, (kind, sign)
+        assert len(_rank_system(g).reps) == 14, (kind, sign)
         system = _monomial_system(g)
         assert len(system.mats) == (34 if kind == "dirac8" else 40), (kind, sign)
         assert len(system.shift) == 19, (kind, sign)
-        assert all(m.any() for m in system.mats), (kind, sign)
+        assert all(system.mats), (kind, sign)
 
 
 def _oracle_blocks(g, op, points):
@@ -188,7 +205,7 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
     for name in OP_ORDER:
         op = get_op(name)
         oracle = _oracle_blocks(g, op, points)
-        evaluated = _evaluated_pairs(system, _monomial_pairs(system, op), points)
+        evaluated = _evaluated_pairs(system, dense_pairs(_monomial_pairs(system, op), g.dim), points)
         assert len(evaluated) == len(oracle)
         for block, (a0, b0, sign0) in zip(evaluated, oracle):
             scale = max(1.0, float(np.max(np.abs(a0))), float(np.max(np.abs(b0))))
@@ -200,7 +217,8 @@ def test_index_classes_of_each_set():
     """Every coefficient is a sum of Pauli tensor products, so it is block
     diagonal over classes of the basis indices: 4 of 2 on canonical8, 2 of 4
     on dirac8 and 2 of 2 on the four-component sets.  Every operator's
-    monomial pairs give the same classes; classes of unequal size raise."""
+    monomial pairs give the same classes; classes of unequal size are
+    components like any other."""
     expected = {
         "dirac8": (2, 4), "canonical8": (4, 2), "rep1": (2, 2), "rep2": (2, 2), "rep3": (2, 2),
     }
@@ -209,53 +227,53 @@ def test_index_classes_of_each_set():
         coeffs = np.concatenate(
             [arrays(c)[1] for gen in g.ops.values() for c in gen.terms.values()]
         )
-        classes = _index_classes(coeffs.any(axis=0))
-        assert classes.shape == shape, kind
-        assert sorted(classes.ravel().tolist()) == list(range(g.dim)), kind
+        classes = _rank_system(g).classes
+        assert (len(classes), len(classes[0])) == shape, kind
+        assert {len(members) for members in classes} == {shape[1]}, kind
+        assert sorted(i for members in classes for i in members) == list(range(g.dim)), kind
         same_class = np.zeros((g.dim, g.dim), dtype=bool)
         for members in classes:
             same_class[np.ix_(members, members)] = True
         assert not np.any(coeffs[:, ~same_class]), kind
         for name in OP_ORDER:
-            support = _pairs_of(g, name).any(axis=(0, 1))
-            assert np.array_equal(_index_classes(support), classes), (kind, name)
-        dense = np.ones((g.dim, g.dim), dtype=bool)
-        assert _index_classes(dense).tolist() == [list(range(g.dim))], kind
-    unequal = np.eye(4, dtype=bool)
-    unequal[1, 2] = unequal[2, 3] = True
-    with pytest.raises(ValueError):
-        _index_classes(unequal)
+            pairs = _monomial_pairs(_monomial_system(g), get_op(name))
+            assert _index_classes([m for pair in pairs for m in pair], g.dim) == classes, (kind, name)
+        full = {(i, j): 1 for i in range(g.dim) for j in range(g.dim)}
+        assert _index_classes([full], g.dim) == (tuple(range(g.dim)),), kind
+    assert _index_classes([{(1, 2): 1, (2, 3): 1}], 4) == ((0,), (1, 2, 3))
 
 
 @pytest.mark.parametrize("count", [1, 2, 20])
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_blockwise_factor_matches_the_stacked_system(kind, count):
-    """The factors built submatrix by submatrix of q from the merged
-    equations, one s^2 x s^2 block each, have together the singular values of
-    the dense stacked system of every monomial equation, and their nullity is
-    that of the dense system sampled at 20 points.  Fewer samples impose
-    fewer conditions, so the sampled nullity at 1 or 2 points can only be
-    larger; the factors use no samples."""
+    """The float reference factors (`oracles.block_factors`), built
+    submatrix by submatrix of q from every monomial equation, one square
+    block each, have together the singular values of the dense stacked
+    system, and their nullity is that of the dense system sampled at 20
+    points.  Fewer samples impose fewer conditions, so the sampled nullity
+    at 1 or 2 points can only be larger; the factors use no samples.  The
+    exact nullity of `classify` equals the reference's."""
     g = build_generators(RepId(kind))
     points = sample_points(count=count)
-    rank = _rank_system(g)
-    m, s = rank.classes.shape
+    classes = _rank_system(g).classes
     for name in OP_ORDER:
         op = get_op(name)
         pairs = _pairs_of(g, name)
         stacked = _stacked_system([(a[None], b[None], 1) for a, b in pairs], g.dim)
         exact = np.linalg.svd(stacked, compute_uv=False)
-        factor = build_constraints(_monomial_pairs(rank, op), rank.classes)
-        assert factor.shape == (m * m * s * s, s * s)
-        blocks = factor.reshape(m * m, s * s, s * s)
-        blockwise = [np.linalg.svd(f, compute_uv=False) for f in blocks]
+        factors = block_factors(pairs, classes)
+        assert [f.shape for f in factors] == [
+            (len(x) * len(y),) * 2 for x in classes for y in classes
+        ]
+        blockwise = [np.linalg.svd(f, compute_uv=False) for f in factors]
         singular = np.sort(np.concatenate(blockwise))[::-1]
         assert np.max(np.abs(singular - exact)) <= 1e-12 * exact[0], (kind, name)
-        nullity = int(np.sum(singular < DEFAULT_RANK_TOL * singular[0]))
+        nullity = float_nullity(pairs, classes)
+        assert nullity == int(np.sum(singular < RANK_TOL * singular[0])), (kind, name)
         sampled = np.linalg.svd(
             _stacked_system(_oracle_blocks(g, op, points), g.dim), compute_uv=False
         )
-        sampled_nullity = int(np.sum(sampled < DEFAULT_RANK_TOL * sampled[0]))
+        sampled_nullity = int(np.sum(sampled < RANK_TOL * sampled[0]))
         if count == 20:
             assert nullity == sampled_nullity, (kind, name)
         else:
@@ -263,36 +281,42 @@ def test_blockwise_factor_matches_the_stacked_system(kind, count):
         assert classify(g, op).nullspace_dim == nullity, (kind, name)
 
 
-def _null_projector(singular, vh, rank_tol=DEFAULT_RANK_TOL):
-    null = vh[singular < rank_tol * singular[0]]
+def _null_projector(matrix):
+    """The orthogonal projector onto the nullspace of a float matrix."""
+    _, singular, vh = np.linalg.svd(matrix)
+    null = vh[np.sum(singular >= RANK_TOL * singular[0]):]
     return null.T @ null.conj()
 
 
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_merged_system_keeps_the_spectrum_and_the_nullspace(kind):
     """Merging the equations that impose the same constraint under every
-    operator leaves the dense stacked system's singular values (within
-    1e-12 relative) and its nullspace projector unchanged in all nine cells,
-    and the blockwise basis spans the same nullspace.  Each merged equation
-    stands for one or more of the monomial equations."""
+    operator leaves the nullspace projector of the dense stacked system
+    unchanged in all nine cells (within 1e-12), and the exact basis spans
+    the same nullspace.  Each merged equation stands for one or more of the
+    monomial equations; unweighted, the merged system has other singular
+    values, but its nonzero ones stay far above the rank threshold."""
     g = build_generators(RepId(kind))
     system, rank = _monomial_system(g), _rank_system(g)
-    assert len(rank.mats) < len(system.mats), kind
+    assert len(rank.reps) < len(system.mats), kind
     for name in OP_ORDER:
-        op = get_op(name)
-        dense = [
-            np.linalg.svd(
-                _stacked_system([(a[None], b[None], 1) for a, b in pairs], g.dim),
-                full_matrices=False,
-            )[1:]
-            for pairs in (_monomial_pairs(system, op), _monomial_pairs(rank, op))
-        ]
-        (full, full_vh), (merged, merged_vh) = dense
-        assert np.max(np.abs(full - merged)) <= 1e-12 * full[0], (kind, name)
-        projector = _null_projector(full, full_vh)
-        assert np.max(np.abs(projector - _null_projector(merged, merged_vh))) <= 1e-12
-        basis = _rank_decision(g, op, DEFAULT_RANK_TOL)[1]
-        assert np.max(np.abs(projector - basis.T @ basis.conj())) <= 1e-12, (kind, name)
+        pairs = _pairs_of(g, name)
+        full, merged = (
+            _stacked_system([(a[None], b[None], 1) for a, b in p], g.dim)
+            for p in (pairs, pairs[list(rank.reps)])
+        )
+        projector = _null_projector(full)
+        assert np.max(np.abs(projector - _null_projector(merged))) <= 1e-12, (kind, name)
+        singular = np.linalg.svd(merged, compute_uv=False)
+        nonzero = singular[singular >= RANK_TOL * singular[0]]
+        assert len(nonzero) == g.dim ** 2 - classify(g, name).nullspace_dim, (kind, name)
+        assert nonzero[-1] > 1e-3 * singular[0], (kind, name)
+        basis = _rank_decision(g, get_op(name))
+        if basis:
+            q, _ = np.linalg.qr(np.array([_matrix(v, g.dim).ravel() for v in basis]).T)
+            assert np.max(np.abs(projector - q @ q.conj().T)) <= 1e-12, (kind, name)
+        else:
+            assert np.max(np.abs(projector)) <= 1e-12, (kind, name)
 
 
 def test_full_table_builds_each_monomial_system_once(monkeypatch):
@@ -311,7 +335,7 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch):
     g = GeneratorSet(base.rep, dict(base.ops))  # not yet cached
     before = _rank_system.cache_info()
     full_table(g)
-    full_table(g, seed=DEFAULT_SEED + 1)
+    full_table(g)
     after = _rank_system.cache_info()
     coefficients = [id(c) for gen in g.ops.values() for c in gen.terms.values()]
     assert sorted(calls) == sorted(coefficients)
@@ -322,8 +346,8 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch):
 def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
     """Left-multiplying any one matrix of rep1's J01 zero-index coefficient
     by gamma0 breaks exactly the C and Mt invariances: both cells turn
-    noninvariant, with the smallest singular value far above the threshold,
-    and every other verdict stays.  (Flipping the sign of one matrix moves
+    noninvariant, with an exactly trivial nullspace, and every other
+    verdict stays.  (Flipping the sign of one matrix moves
     no verdict: each monomial equation is homogeneous in its matrix.)"""
     base = full_table(rep1).verdicts()
     gamma0 = np.asarray(cached_basis(4).gamma0)
@@ -341,8 +365,7 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
         for name in changed:
             result = table.rows[name].result
             assert result.verdict == "noninvariant", (k, name)
-            threshold = DEFAULT_RANK_TOL * result.largest_singular_value
-            assert result.smallest_singular_value > 1e6 * threshold, (k, name)
+            assert result.nullspace_dim == 0 and result.witness is None, (k, name)
 
 
 @pytest.mark.parametrize(
@@ -362,10 +385,16 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
     ],
 )
 def test_invalid_settings_raise(rep1, kwargs):
-    with pytest.raises(ValueError):
+    """classify and full_table take no tolerance and no seed: the removed
+    keywords are refused whatever their value.  The command line's --seed
+    is still range-checked."""
+    with pytest.raises(TypeError):
         classify(rep1, "C", **kwargs)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         full_table(rep1, **kwargs)
+    if "seed" in kwargs:
+        with pytest.raises(ValueError):
+            check_seed(kwargs["seed"])
 
 
 def test_classify_spot_checks(rep1, rep2, rep3):
@@ -380,8 +409,7 @@ def test_noninvariant_report_fields(rep1):
     assert not result.invariant and not result.indeterminate
     assert result.nullspace_dim == 0
     assert result.witness is None and result.residual is None
-    # evidence: the smallest retained singular value sits well above threshold
-    assert result.smallest_singular_value > 10 * 1e-8 * result.largest_singular_value
+    assert result.operator_square is None
 
 
 @pytest.mark.parametrize("kind", ["rep1", "rep2", "rep3"])
@@ -413,139 +441,101 @@ def test_witness_contract(rep1, rep2, rep3):
             result = row.result
             if not result.invariant:
                 continue
-            assert result.residual < 1e-9
-            assert abs(np.linalg.det(result.witness)) > 1e-6
-            lam = result.involution_scale
-            assert lam is not None and abs(lam) > 0
-            square = result.witness @ result.witness
-            assert np.max(np.abs(square - lam * np.eye(g.dim))) < 1e-9
+            _assert_exact_witness(result, get_op(name).conj, g.dim)
+
+
+def _assert_exact_witness(result, conj, dim):
+    """W has Gaussian-integer entries, W W^H = c 1 with c > 0, its operator
+    square is +1 or -1 with W W (W conj(W) when conj) = square c 1, and its
+    residual on the monomial equations is 0.0, all exactly."""
+    w = np.asarray(result.witness)
+    assert np.array_equal(w, np.round(w.real) + 1j * np.round(w.imag))
+    c = (w @ w.conj().T)[0, 0].real
+    assert c > 0 and np.array_equal(w @ w.conj().T, c * np.eye(dim))
+    assert result.operator_square in (1, -1)
+    square = w @ (w.conj() if conj else w)
+    assert np.array_equal(square, result.operator_square * c * np.eye(dim))
+    assert result.residual == 0.0
 
 
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_witnesses_hold_on_held_out_points(kind, points_alt):
     """Every witness, found without sample points, satisfies the apply_flags
     constraints evaluated at sample points, and is unitary up to scale:
-    d q q^H = 1.  The package's residual is the largest |q a - b q| over the
-    monomial equations, and shifting one entry of the witness by 1e-6 lifts
-    it above the tolerance."""
+    q q^H = c 1.  The package's residual is the largest |q a - b q| over the
+    monomial equations, and shifting one entry of the witness by 1e-6 makes
+    it nonzero."""
     g = build_generators(RepId(kind))
     table = full_table(g)
     invariant = [name for name, row in table.rows.items() if row.result.invariant]
     assert invariant
-    eye = np.eye(g.dim)
     for name in invariant:
-        q = table.rows[name].result.witness
+        q = np.asarray(table.rows[name].result.witness)
         residual = max(
             float(np.max(np.abs(q @ a - sign * b @ q)))
             for a, b, sign in _oracle_blocks(g, get_op(name), points_alt)
         )
         assert residual < 1e-9, (kind, name)
-        pairs = _pairs_of(g, name)
-        per_equation = max(float(np.max(np.abs(q @ a - b @ q))) for a, b in pairs)
-        assert _witness_residual(q, pairs) == per_equation, (kind, name)
+        pairs = _monomial_pairs(_monomial_system(g), get_op(name))
+        per_equation = max(
+            float(np.max(np.abs(q @ a - b @ q))) for a, b in _pairs_of(g, name)
+        )
+        assert _witness_residual(q, pairs) == per_equation == 0.0, (kind, name)
         shifted = q.copy()
         shifted[0, 0] += 1e-6
-        assert _witness_residual(shifted, pairs) > DEFAULT_TOL, (kind, name)
-        assert np.max(np.abs(g.dim * q @ q.conj().T - eye)) <= 1e-12, (kind, name)
+        assert _witness_residual(shifted, pairs) > 0.0, (kind, name)
+        c = (q @ q.conj().T)[0, 0].real
+        assert np.array_equal(q @ q.conj().T, c * np.eye(g.dim)), (kind, name)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_inverse_sqrt_keeps_a_cluster_at_minus_one_on_one_branch(seed):
-    """q0 = i X for a random Hermitian unitary X squares to -1 up to rounding,
-    which scatters w's eigenvalues on both sides of -1.  Unless the branch
-    cut is turned away, w^(-1/2) splits them and (w^(-1/2) q0)^2 is not 1."""
-    rng = np.random.default_rng(seed)
-    d = 8
-    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    q0 = 1j * u @ np.diag([1.0] * 4 + [-1.0] * 4) @ u.conj().T
-    q = _inverse_sqrt(q0 @ q0) @ q0
-    assert np.max(np.abs(q @ q - np.eye(d))) < 1e-12
+def _mixed(rows):
+    """Each row plus (1 + i) times the next: an invertible Gaussian-integer
+    recombination, so the same row space."""
+    return [
+        _combine((1, 0), row, (-1, -1), rows[k + 1]) if k + 1 < len(rows) else row
+        for k, row in enumerate(rows)
+    ]
 
 
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_witness_depends_only_on_the_nullspace(kind):
-    """Re-expressing the nullspace basis through a random unitary, with the
-    same draw, leaves every invariant cell's witness unchanged."""
+    """The nullspace basis is a function of the nullspace alone: eliminating
+    each submatrix's rows in reverse order, or after recombining them
+    invertibly, gives the same primitive vectors, and so the same witness."""
     g = build_generators(RepId(kind))
-    rotations = np.random.default_rng(11)
     checked = 0
     for name in OP_ORDER:
-        pairs = _pairs_of(g, name)
-        basis = _rank_decision(g, get_op(name), DEFAULT_RANK_TOL)[1]
-        k = len(basis)
-        if k == 0:
-            continue
-        u, _ = np.linalg.qr(
-            rotations.standard_normal((k, k)) + 1j * rotations.standard_normal((k, k))
-        )
-        witnesses = [
-            _select_witness(b, pairs, random.Random(5), DEFAULT_TOL)[0]
-            for b in (basis, u @ basis)
-        ]
-        assert witnesses[0] is not None, (kind, name)
-        assert np.max(np.abs(witnesses[0] - witnesses[1])) <= 1e-12, (kind, name)
-        checked += 1
+        for (x, y), rows in _block_rows(g, get_op(name)):
+            n = len(x) * len(y)
+            basis = _nullspace(rows, n)
+            assert _nullspace(rows[::-1], n) == basis, (kind, name)
+            assert _nullspace(_mixed(rows), n) == basis, (kind, name)
+            checked += bool(basis)
     assert checked
 
 
 def test_singular_nullspace_gives_no_witness():
-    """q a = b q holds only for multiples of E_11: the polar factor leaves
-    the nullspace and the nullspace element itself is singular."""
-    a, b = np.diag([1.0, 2.0]), np.diag([1.0, 3.0])
-    basis = [np.diag([1.0, 0.0])]
-    pairs = np.array([[a, b]])
-    assert _select_witness(basis, pairs, random.Random(0), 1e-9) == (None, None, None)
-
-
-def test_witness_fallback_checks_the_tolerance(dirac8):
-    """With tol below rounding, neither the constructed witness nor the
-    projected element passes: _select_witness returns no witness but the
-    residual it found, and classify reports indeterminate, not invariant.
-    dirac8 under C has a nonzero residual on its monomial equations, where a
-    witness with exact entries could reach zero."""
-    pairs = _pairs_of(dirac8, "C")
-    basis = _rank_decision(dirac8, get_op("C"), DEFAULT_RANK_TOL)[1]
-    assert len(basis)
-    q, residual, scale = _select_witness(basis, pairs, random.Random(0), 1e-300)
-    assert q is None and scale is None
-    assert 0 < residual < DEFAULT_TOL
-    q, residual, _ = _select_witness(basis, pairs, random.Random(0), DEFAULT_TOL)
-    assert q is not None and residual < DEFAULT_TOL
-
-    result = classify(dirac8, "C", tol=1e-300)
-    assert result.indeterminate and not result.invariant
-    assert result.verdict == "indeterminate"
-    assert result.nullspace_dim >= 1 and result.witness is None
-    assert result.residual > 0
+    """A nullspace spanned by E_11, or by the Jordan block J = 1 + E_12,
+    holds no unitary element: the search returns no witness."""
+    assert _select_witness([{(0, 0): (1, 0)}], 2, False) is None
+    jordan = {(0, 0): (1, 0), (0, 1): (1, 0), (1, 1): (1, 0)}
+    assert _select_witness([jordan], 2, False) is None
+    assert _select_witness([jordan], 2, True) is None
 
 
 def test_block_sparse_witness_is_exact_on_canonical8(canonical8):
     """canonical8's nullspace basis under C is block sparse, with exact zeros
-    off its submatrices, and the projected element it gives has residual
-    exactly 0.0 on the monomial equations: it passes even tol 1e-300, as an
-    invariant verdict without an involution scale, since the constructed
-    witness's square misses that tol."""
-    result = classify(canonical8, "C", tol=1e-300)
+    off its submatrices, and the witness combined from it is a
+    Gaussian-integer unitary with residual exactly 0.0 on the monomial
+    equations and antiunitary square -1."""
+    result = classify(canonical8, "C")
     assert result.verdict == "invariant"
-    assert result.residual == 0.0 and result.involution_scale is None
-    assert result.witness is not None
-    assert _witness_residual(result.witness, _pairs_of(canonical8, "C")) == 0.0
-
-
-def test_witness_falls_back_when_the_commutant_is_not_adjoint_closed():
-    """q J = J q and q y = (J y J^-1) q hold only for multiples of the Jordan
-    block J, whose commutant holds no adjoints.  The polar factor of J leaves
-    the nullspace, so J itself is reported without an involution scale."""
-    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-    y = np.diag([1.0, 2.0])
-    pairs = np.array([
-        [jordan, jordan],
-        [y, jordan @ y @ np.linalg.inv(jordan)],
-    ])
-    basis = [jordan / np.linalg.norm(jordan)]
-    q, residual, scale = _select_witness(basis, pairs, random.Random(0), 1e-9)
-    assert scale is None and residual < 1e-9
-    assert np.allclose(q / q[0, 0], jordan)
+    for vector in _rank_decision(canonical8, get_op("C")):
+        assert len({(i // 2, j // 2) for i, j in vector}) == 1
+    _assert_exact_witness(result, True, 8)
+    assert result.operator_square == -1
+    pairs = _monomial_pairs(_monomial_system(canonical8), get_op("C"))
+    assert _witness_residual(result.witness, pairs) == 0.0
 
 
 def test_classification_does_not_import_scipy():
@@ -591,12 +581,10 @@ def test_commands_do_not_import_numpy_ma():
 
 
 def test_commands_do_not_import_numpy_random_or_labels():
-    """The witness draw comes from the standard library's random module and
-    the label calculus is imported only where it is used: a table and a
-    classify command load neither numpy.random nor ptclab.labels nor the
-    fractions module it needs, and algebra and selftest load no
-    ptclab.labels.  Only the classifier uses numpy: selftest, algebra and
-    massless load no numpy module at all (listed as numpy*)."""
+    """The label calculus is imported only where it is used: a table and a
+    classify command load neither ptclab.labels nor the fractions module it
+    needs, and algebra and selftest load no ptclab.labels.  No command uses
+    numpy: none loads a numpy module at all (listed as numpy*)."""
     code = (
         "import contextlib, io, json, sys\n"
         "from ptclab.cli import main\n"
@@ -609,7 +597,7 @@ def test_commands_do_not_import_numpy_random_or_labels():
         "print(json.dumps(loaded))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ptclab.__file__).resolve().parents[1]))
-    classifying = {"numpy.random", "ptclab.labels", "fractions"}
+    classifying = {"numpy.random", "numpy*", "ptclab.labels", "fractions"}
     banned = {
         ("table", "--rep", "dirac8"): classifying,
         ("classify", "--rep", "rep1", "--op", "C"): classifying,
@@ -631,10 +619,71 @@ def test_classify_submodule_is_not_shadowed():
     assert isinstance(module, types.ModuleType)
 
 
-def test_indeterminate_flagged_not_misclassified(rep1):
-    result = classify(rep1, "C", rank_tol=1e-1)
+def singular_nullspace_set():
+    """A one-generator set, H = diag(i, 0, 0, 0), whose nullspace under the
+    antilinear T2 (q conj(H) = H q) is every q with a zero first row and
+    column: 9-dimensional, and every element singular."""
+    h = Coefficient.constant(np.diag([1j, 0, 0, 0]))
+    return GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(h)})
+
+
+def test_indeterminate_flagged_not_misclassified():
+    """A nullspace with no unitary element is neither evidence of invariance
+    nor of noninvariance: the verdict is indeterminate."""
+    result = classify(singular_nullspace_set(), "T2")
     assert result.indeterminate
     assert not result.invariant
+    assert result.verdict == "indeterminate"
+    assert result.nullspace_dim == 9
+    assert result.witness is None and result.residual is None
+
+
+@pytest.mark.parametrize("kind, sign", SETS)
+def test_exact_nullity_matches_the_float_reference(kind, sign):
+    """In all 72 cells (the five sets and the three negative-energy sets,
+    nine operators each), the exact nullity equals the float reference's
+    (block QR and SVD at a relative threshold of 1e-8), nullity 0 is exactly
+    the noninvariant cells, and every invariant cell has an exact witness."""
+    g = build_generators(RepId(kind, sign))
+    classes = _rank_system(g).classes
+    for name in OP_ORDER:
+        result = classify(g, name)
+        assert result.nullspace_dim == float_nullity(_pairs_of(g, name), classes), (kind, name)
+        assert result.verdict == ("invariant" if result.nullspace_dim else "noninvariant")
+        if result.invariant:
+            _assert_exact_witness(result, get_op(name).conj, g.dim)
+
+
+_GAUSSIAN = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    entries=st.lists(_GAUSSIAN, min_size=36, max_size=36),
+    low_rank=st.booleans(),
+)
+def test_elimination_matches_numpy_rank(shape, entries, low_rank):
+    """On small Gaussian-integer matrices (rank-deficient ones included, by
+    repeating a combination of the first rows), the nullity of the
+    fraction-free elimination equals numpy's rank deficiency, and every
+    basis vector annihilates every row exactly in integers."""
+    m, n = shape
+    rows = [
+        {j: v for j, v in enumerate(entries[i * n:(i + 1) * n]) if v != (0, 0)}
+        for i in range(m)
+    ]
+    if low_rank and m > 1:
+        rows[-1] = _combine((1, 1), rows[0], (2, 0), rows[1])
+    basis = _nullspace(rows, n)
+    dense = np.array([[complex(*row.get(j, (0, 0))) for j in range(n)] for row in rows])
+    assert len(basis) == n - np.linalg.matrix_rank(dense)
+    for vector in basis:
+        assert any(vector.values())
+        for row in rows:
+            re = sum(a[0] * vector[j][0] - a[1] * vector[j][1] for j, a in row.items() if j in vector)
+            im = sum(a[0] * vector[j][1] + a[1] * vector[j][0] for j, a in row.items() if j in vector)
+            assert (re, im) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +696,7 @@ def test_intertwining_relations():
     assert report.ok
     assert set(report.residuals) == {"P1_swap", "M_swap", "T1_commute"}
     for value in report.residuals.values():
-        assert value < 1e-9
+        assert value == 0.0
 
 
 def test_identity_fails_swap_relation():
@@ -668,5 +717,6 @@ def test_parity_witness_swaps_casimir_eigenspaces(canonical8):
     p_s = np.asarray(spectral_projector(spin.s_squared, 0.75, (0, 0.75)))
     p_t = np.asarray(spectral_projector(spin.t_squared, 0.75, (0, 0.75)))
     # w S^2 = T^2 w follows from the swap relation, so w maps the excited
-    # S-block onto the excited T-block
-    assert np.max(np.abs(w @ p_s - p_t @ w)) < 1e-9
+    # S-block onto the excited T-block, exactly
+    w = np.asarray(w)
+    assert np.array_equal(w @ p_s, p_t @ w)

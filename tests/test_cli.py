@@ -18,7 +18,7 @@ from ptclab.clifford import cached_spin, casimir_spectrum, spectral_projector
 from ptclab.expr import LAURENT_VARS, MASS
 from ptclab.generators import GENERATOR_NAMES, RepId, build_generators, subspace_decomposition
 from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
-from ptclab.vocabulary import DEFAULT_SEED, OP_ORDER, REP_KINDS
+from ptclab.vocabulary import OP_ORDER, REP_KINDS
 
 SRC = str(Path(ptclab.__file__).resolve().parents[1])
 
@@ -157,55 +157,40 @@ def test_classify_command(capsys):
     assert code == 0
     assert payload["verdict"] == "invariant"
     assert payload["nullspace_dim"] == 2
+    assert payload["config"] == {}
     # complex numbers serialize as [re, im]; the witness is a 4x4 matrix
     assert len(payload["witness"]) == 4
     assert len(payload["witness"][0][0]) == 2
+    assert payload["residual"] == 0.0 and payload["operator_square"] == [1.0, 0.0]
+    assert "smallest_singular_value" not in payload and "involution_scale" not in payload
 
 
-def test_classify_indeterminate_exit(capsys):
-    code, _, _ = run(capsys, "classify", "--rep", "rep1", "--op", "C", "--rank-tol", "1e-1")
-    assert code == 2
-
-
-def test_classify_unreachable_tolerance_is_indeterminate(capsys):
-    """A nullspace whose invertible element misses tol is no evidence of
-    invariance: the verdict is indeterminate and the exit code 2.  The cell
-    has a nonzero residual; a witness with exact entries can reach zero."""
-    code, payload = run_json(
-        capsys, "classify", "--rep", "dirac8", "--op", "C", "--tol", "1e-300"
-    )
+def test_classify_indeterminate_exit(capsys, monkeypatch):
+    """A nullspace with no unitary element (H = diag(i, 0, 0, 0) under T2,
+    whose every solution q has a zero first row) gives exit 2."""
+    h = Coefficient.constant(np.diag([1j, 0, 0, 0]))
+    toy = generators.GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(h)})
+    monkeypatch.setattr(generators, "build_generators", lambda rep: toy)
+    code, payload = run_json(capsys, "classify", "--rep", "rep1", "--op", "T2")
     assert code == 2
     assert payload["verdict"] == "indeterminate"
-    assert payload["nullspace_dim"] >= 1
-    assert payload["witness"] is None and payload["residual"] > 0
+    assert payload["nullspace_dim"] == 9
+    assert payload["witness"] is None and payload["residual"] is None
+    code, out, _ = run(capsys, "classify", "--rep", "rep1", "--op", "T2")
+    assert code == 2 and "no unitary witness" in out
 
 
 def test_classify_exact_witness_passes_any_tolerance(capsys):
-    """canonical8 under C: the element projected onto the block-sparse
-    nullspace basis has residual exactly 0.0, so even tol 1e-300 gives an
-    invariant verdict, exit 0, reported without an involution scale."""
-    code, payload = run_json(
-        capsys, "classify", "--rep", "canonical8", "--op", "C", "--tol", "1e-300"
-    )
+    """canonical8 under C: the witness combined from the block-sparse exact
+    nullspace basis has residual exactly 0.0, with its antiunitary square
+    -1; the command takes no tolerance (--tol is a usage error)."""
+    code, payload = run_json(capsys, "classify", "--rep", "canonical8", "--op", "C")
     assert code == 0
     assert payload["verdict"] == "invariant"
-    assert payload["residual"] == 0.0 and payload["involution_scale"] is None
+    assert payload["residual"] == 0.0 and payload["operator_square"] == [-1.0, 0.0]
     assert payload["witness"] is not None
-
-
-def test_invertible_nullspace_element_missing_tol_is_indeterminate(capsys):
-    """dirac8 under T2 at an unreachable tol: the constructed witness misses
-    it, and so does the projected nullspace element, which is invertible
-    (sigma_min / sigma_max about 0.09) though its normalised determinant is
-    only about 2.5e-7.  A nullspace with an invertible element is no
-    evidence against invariance, so the cell is indeterminate, exit 2."""
-    code, payload = run_json(
-        capsys, "classify", "--rep", "dirac8", "--op", "T2", "--tol", "1e-300"
-    )
-    assert code == 2
-    assert payload["verdict"] == "indeterminate"
-    assert payload["nullspace_dim"] == 4
-    assert payload["witness"] is None and payload["residual"] > 0
+    code, _, _ = run(capsys, "classify", "--rep", "canonical8", "--op", "C", "--tol", "1e-300")
+    assert code == 64
 
 
 def test_table_single_rep(capsys):
@@ -233,7 +218,8 @@ def test_table_json_round_trip_and_determinism(capsys):
     assert out_a == out_b  # byte-identical under identical config
     payload = json.loads(out_a)
     assert json.loads(json.dumps(payload)) == payload
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
+    assert payload["config"] == {}
 
 
 def test_table_json_identical_across_hash_seeds():
@@ -247,10 +233,9 @@ def test_table_json_identical_across_hash_seeds():
     assert len(outputs) == 1
 
 
-def test_witness_depends_on_the_seed_alone():
-    """The witness draw is seeded from --seed, the representation and the
-    operator: processes that differ only in PYTHONHASHSEED print the same
-    witness bytes, and --seed 2 draws another witness than --seed 1."""
+def test_witness_is_the_same_at_every_seed():
+    """The witness depends on nothing but the generator set: processes that
+    differ in --seed or in PYTHONHASHSEED print the same witness bytes."""
 
     def witness(seed, hash_seed):
         argv = [sys.executable, "-m", "ptclab.cli", "classify", "--rep", "dirac8", "--op", "C",
@@ -259,8 +244,7 @@ def test_witness_depends_on_the_seed_alone():
         out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
         return json.dumps(json.loads(out)["witness"])
 
-    assert witness(1, 0) == witness(1, 1)
-    assert witness(2, 0) != witness(1, 0)
+    assert witness(1, 0) == witness(1, 1) == witness(2, 0)
 
 
 def test_massless_command(capsys):
@@ -382,9 +366,13 @@ def test_missing_required_flag_usage_error(capsys):
     ],
 )
 def test_invalid_setting_is_usage_error(capsys, argv, message):
+    """A bad seed is named; --tol and --rank-tol are no options any more, so
+    any value of them is an unrecognized argument."""
     code, out, err = run(capsys, "classify", "--rep", "rep1", "--op", "C", *argv)
     assert code == 64
     assert out == ""
+    if argv[0] != "--seed":
+        message = f"unrecognized arguments: {' '.join(argv)}"
     assert message in err and "Traceback" not in err
 
 
@@ -403,6 +391,7 @@ def test_samples_option_is_removed(capsys, command):
 
 _EXACT_COMMANDS = [
     ("selftest",), ("algebra", "--rep", "rep1"), ("massless",), ("ptc", "--labels", "D+(1/2,0)"),
+    ("classify", "--rep", "rep1", "--op", "C"), ("table", "--rep", "rep1"),
 ]
 
 
@@ -415,21 +404,12 @@ _EXACT_COMMANDS = [
     ],
 )
 def test_exact_commands_take_no_tolerance(capsys, command, flag):
-    """Every check of these commands passes only at exactly zero, so a
+    """Every check and classification of these commands is exact, so a
     tolerance could only hide a failure: the flag is a usage error."""
     code, out, err = run(capsys, *command, flag, "10", "--json")
     assert code == 64
     assert out == ""
     assert f"unrecognized arguments: {flag} 10" in err
-
-
-@pytest.mark.parametrize("command", [("classify", "--op", "C"), ("table",)], ids=lambda c: c[0])
-def test_float_commands_take_both_tolerances(capsys, command):
-    code, payload = run_json(
-        capsys, command[0], "--rep", "rep1", *command[1:], "--tol", "1e-8", "--rank-tol", "1e-7"
-    )
-    assert code == 0
-    assert payload["config"] == {"seed": DEFAULT_SEED, "tol": 1e-8, "rank_tol": 1e-7}
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +463,12 @@ def test_cli_import_generates_no_dataclasses():
 
 def test_exact_commands_run_with_numpy_blocked():
     """With numpy made unimportable (sys.modules["numpy"] = None), selftest,
-    algebra for every rep, with and without its generator dump, massless and
-    ptc still run through main and pass: only classify and table need numpy."""
+    algebra for every rep, with and without its generator dump, massless,
+    ptc, classify for every operator and table for every rep and for all
+    still run through main and pass: no command needs numpy."""
     runs = [["selftest"], ["massless"], ["ptc", "--labels", "D+(1/2,0)+D-(1/2,0)"]]
+    runs += [["table", "--rep", kind, "--json"] for kind in REP_KINDS + ("all",)]
+    runs += [["classify", "--rep", "dirac8", "--op", op] for op in OP_ORDER]
     for kind in REP_KINDS:
         runs.append(["algebra", "--rep", kind])
         runs.append(["algebra", "--rep", kind, "--dump-generators", "--json"])
@@ -509,7 +492,7 @@ def _values(valid, invalid):
     return st.one_of(valid, valid, valid, st.sampled_from(invalid))
 
 
-# every command takes --seed; the tolerances are usage errors outside classify and table
+# every command takes --seed; the tolerances are usage errors on every command
 _COMMON = {
     "--seed": _values(st.integers(0, 2 ** 70).map(str), ["-1", "x", "1.5", ""]),
     "--tol": _values(st.sampled_from(["1e-9", "1e-300", "1e300"]), ["0", "-1", "nan", "x"]),
