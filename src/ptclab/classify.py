@@ -28,23 +28,21 @@ system is built once per generator set and shared by all nine operators;
 no sample point enters the classification.
 
 The subsidiary conditions make q constant, and every N_b is a Gaussian
-dyadic rational matrix, so the condition is a linear system over Q(i) and
-is decided exactly.  Equations that impose the same constraint under every
-operator are merged first: a shared sign class and shared parities of p
-(with |alpha|), t and m give them the same flag sign and sign(G) under any
-operator, and matrices equal up to a real factor (checked exactly) make each
-one a multiple of the other.  That leaves 14 merged equations on every set.
-Every N_b is block diagonal over a few classes of the d basis indices (the
-union of their supports), so q A = B q splits into one system per (row
-class, column class) submatrix of q.  Each merged equation is scaled to
-Gaussian integers by a power of 2, and its rows for q N, q conj(N) and N q
-are built once per generator set; an operator only picks the conjugation and
-the relative sign sign(G) * flag sign of each equation.  One fraction-free
-elimination over Z[i] per submatrix, in Python ints, gives its rank and,
-from the echelon rows, a primitive Gaussian-integer nullspace basis, one
-vector per free entry of q; like Bareiss's (Math. Comp. 22 (1968) 565), it
-never divides, except each combined row by the integer content of its
-entries.  That basis depends on the nullspace alone.
+dyadic rational matrix, so the condition is one linear system over Q(i) in
+the d^2 entries of q, entry (i, j) numbered i d + j, and is decided exactly.
+Once per generator set, each distinct matrix N (up to a real factor) is
+scaled to Gaussian integers and its rows of q N - sigma N q and
+q conj(N) - sigma N q, for sigma = +-1, are built over all d^2 entries, each
+made primitive and put in associate form; an operator only picks the
+conjugation and sigma = sign(G) * flag sign of each equation.  Equal
+constraints are then equal rows, so the union of the picked row sets holds
+each once.  One fraction-free elimination over Z[i] of that union, in
+Python ints, gives the rank and, from the echelon rows, a primitive
+Gaussian-integer nullspace basis, one vector per free entry of q; like
+Bareiss's (Math. Comp. 22 (1968) 565), it never divides, except each
+combined row by a Gaussian gcd of its entries.  Rows that share no
+entry of q are never combined, so the elimination needs no split of q into
+blocks.  That basis depends on the nullspace alone.
 
 Nullity 0 is a noninvariant verdict.  Otherwise the witness is the first
 combination W = sum c_k B_k of the basis, c_k in {1, -1, i, -i, 0} taken in
@@ -52,11 +50,10 @@ combination W = sum c_k B_k of the basis, c_k in {1, -1, i, -i, 0} taken in
 or W conj(W) (antilinear) = lambda c 1: W / sqrt(c) is then a unitary
 (antiunitary, with conjugation) symmetry whose operator square is lambda.
 If none of the first WITNESS_CANDIDATES combinations qualifies, the verdict
-is indeterminate.  The witness is checked on the unmerged monomial
-equations: its residual is the largest |W F_b - sign(G) N_b W| over them,
-with F_b the flagged matrix above, which bounds every coefficient of the
-condition for all (p, m, t) at once; every product is exact, so it reads
-0.0.
+is indeterminate.  The witness is checked on the monomial equations: its
+residual is the largest |W F_b - sign(G) N_b W| over them, with F_b the
+flagged matrix above, which bounds every coefficient of the condition for
+all (p, m, t) at once; every product is exact, so it reads 0.0.
 
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
@@ -71,7 +68,7 @@ from itertools import islice, product
 from typing import NamedTuple
 
 from .clifford import cached_spin, mat_add, mat_mul, mat_scale, sparse
-from .expr import LAURENT_VARS, flag_signs
+from .expr import flag_signs
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, index_order
 from .vocabulary import OP_ORDER
@@ -167,12 +164,19 @@ def _associate(row: dict) -> dict:
     unit, first = (1, 0), row[min(row)]
     while not (first[0] > 0 and first[1] >= 0):  # at most three turns by i
         unit, first = _mul(unit, (0, 1)), _mul(first, (0, 1))
-    return {c: _mul(unit, v) for c, v in row.items()}
+    return row if unit == (1, 0) else {c: _mul(unit, v) for c, v in row.items()}
+
+
+def _primitive(row: dict) -> dict:
+    """A nonzero row divided by a Gaussian gcd of its entries."""
+    if any(re * re + im * im == 1 for re, im in row.values()):  # a unit entry
+        return row
+    content = reduce(_gcd, row.values(), (0, 0))
+    return {c: _exact_div(v, content) for c, v in row.items()}
 
 
 def _combine(x, u: dict, y, v: dict) -> dict:
-    """x u - y v for Gaussian integers x, y and rows u, v, divided by the
-    integer content of its entries."""
+    """x u - y v for Gaussian integers x, y and rows u, v, made primitive."""
     (xr, xi), (yr, yi) = x, y
     out = {}
     for c in u.keys() | v.keys():
@@ -182,19 +186,17 @@ def _combine(x, u: dict, y, v: dict) -> dict:
         im = xr * ui + xi * ur - yr * vi - yi * vr
         if re or im:
             out[c] = (re, im)
-    content = math.gcd(*(part for value in out.values() for part in value))
-    if content > 1:
-        out = {c: (re // content, im // content) for c, (re, im) in out.items()}
-    return out
+    return _primitive(out) if out else out
 
 
 def _nullspace(rows, n: int) -> list:
     """A primitive Gaussian-integer basis of {v in Q(i)^n : r . v = 0 for
     every row r}, one vector per free column, as sparse rows.
 
-    Fraction-free elimination: each row is reduced against the pivot rows
-    found so far, x r - y p, and a new pivot row is eliminated from the
-    others, so that each pivot row vanishes on every other pivot column.  A
+    Fraction-free elimination: each row is reduced, x r - y p, against the
+    pivot rows of the pivot columns it holds, and a new pivot row is
+    eliminated from the others, so that each pivot row vanishes on every
+    other pivot column and a reduction adds only free columns.  A
     pivot is the first column of a reduced row, so the pivot columns are
     the leading columns of the row space, whatever the row order.  The
     vector of free column f is the one nullspace element that vanishes on
@@ -202,9 +204,9 @@ def _nullspace(rows, n: int) -> list:
     the basis depends on the nullspace alone."""
     pivots = {}  # pivot column -> pivot row
     for row in rows:
-        for c, p in pivots.items():
-            if c in row:
-                row = _combine(p[c], row, row[c], p)
+        for c in [c for c in row if c in pivots]:
+            p = pivots[c]
+            row = _combine(p[c], row, row[c], p)
         if not row:
             continue
         c = min(row)
@@ -224,8 +226,7 @@ def _nullspace(rows, n: int) -> list:
         for c, p in used:
             re, im = _mul(p[f], _exact_div(scale, p[c]))
             vector[c] = (-re, -im)
-        content = reduce(_gcd, vector.values(), (0, 0))
-        basis.append(_associate({c: _exact_div(v, content) for c, v in vector.items()}))
+        basis.append(_associate(_primitive(vector)))
     return basis
 
 
@@ -263,6 +264,18 @@ def _monomial_system(g: GeneratorSet) -> _MonomialSystem:
     return _MonomialSystem(tuple(mats), tuple(exps), block, tuple(shifts), order, sign_class)
 
 
+def _equation_signs(system, op: DiscreteOpSpec) -> list:
+    """Per equation of a `_MonomialSystem`, the flag sign
+    eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta and sign(G) under op."""
+    flags = momentum_action(op)
+    return [
+        (flag * flags.eta_p ** order, op.signs[sign_class])
+        for flag, order, sign_class in zip(
+            flag_signs(system.exps, flags), system.order, system.sign_class
+        )
+    ]
+
+
 def _monomial_pairs(system, op: DiscreteOpSpec) -> list:
     """Per equation of a `_MonomialSystem`, the sparse pair (a, b) of the
     flagged matrix eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N and
@@ -273,137 +286,78 @@ def _monomial_pairs(system, op: DiscreteOpSpec) -> list:
     flagged matrix times x^b, over the same E^shift as G's own block: the
     condition q (R G R^-1) = sign(G) G q holds for all (p, m, t) iff
     q a = b q holds for every pair (a, b)."""
-    flags = momentum_action(op)
     pairs = []
-    for mat, flag, order, sign_class in zip(
-        system.mats, flag_signs(system.exps, flags), system.order, system.sign_class
-    ):
-        flagged = {key: v.conjugate() for key, v in mat.items()} if flags.conj else mat
-        pairs.append(
-            (mat_scale(flagged, flag * flags.eta_p ** order), mat_scale(mat, op.signs[sign_class]))
-        )
+    for mat, (flag, sign) in zip(system.mats, _equation_signs(system, op)):
+        flagged = {key: v.conjugate() for key, v in mat.items()} if op.conj else mat
+        pairs.append((mat_scale(flagged, flag), mat_scale(mat, sign)))
     return pairs
 
 
-def _real_multiple(a: dict, b: dict) -> bool:
-    """Is a = r b for a real r?  Exact: every entry is a Gaussian dyadic, so
-    cross-multiplying at b's first nonzero entry rounds nothing."""
-    if a.keys() != b.keys():
-        return False
-    k = min(b)
-    a_k, b_k = a[k], b[k]
-    return (a_k * b_k.conjugate()).imag == 0 and all(a[key] * b_k == b[key] * a_k for key in b)
-
-
-def _index_classes(mats, dim: int) -> tuple:
-    """The classes of basis indices that no matrix of mats couples: the
-    connected components of the union of their supports, each sorted,
-    ordered by their smallest index."""
-    linked = {i: {i} for i in range(dim)}  # index -> its class so far
-    for mat in mats:
-        for i, j in mat:
-            merged = linked[i] | linked[j]
-            for k in merged:
-                linked[k] = merged
-    return tuple(sorted({tuple(sorted(c)) for c in linked.values()}))
-
-
-def _gaussian_integers(mat: dict) -> dict:
-    """mat times the least power of 2 that makes every entry a Gaussian
-    integer, as {(i, j): (re, im)}; the entries are dyadic, so exact."""
+def _real_primitive(mat: dict) -> tuple:
+    """mat times the real factor that makes its entries coprime Gaussian
+    integers with its first entry in re > 0, or re = 0 and im > 0, as sorted
+    items {(i, j): (re, im)}; the entries are dyadic, so exact.  Only a real
+    factor: i N would impose another antilinear constraint than N."""
     parts = {key: (v.real.as_integer_ratio(), v.imag.as_integer_ratio()) for key, v in mat.items()}
     scale = max(den for pair in parts.values() for _, den in pair)
-    return {key: (a * (scale // b), c * (scale // d)) for key, ((a, b), (c, d)) in parts.items()}
+    ints = {key: (a * (scale // b), c * (scale // d)) for key, ((a, b), (c, d)) in parts.items()}
+    first = ints[min(ints)]
+    content = math.gcd(*(part for v in ints.values() for part in v)) * (1 if first > (0, 0) else -1)
+    return tuple(sorted((key, (re // content, im // content)) for key, (re, im) in ints.items()))
 
 
-class _RankSystem(NamedTuple):
-    """The monomial equations of a generator set merged for the rank
-    decision, and their rows on each submatrix of q."""
-
-    reps: tuple  # per merged equation, its representative in the monomial system
-    classes: tuple  # from _index_classes
-    blocks: tuple  # per (row class, column class) submatrix, row-major:
-    # ((row class, column class), per merged equation {(conj, sigma): rows})
-
-
-def _submatrix_rows(n: dict, rows: tuple, cols: tuple) -> dict:
-    """{(conj, sigma): the rows of q_xy [conj] N_yy - sigma N_xx q_xy} for the
-    submatrix q_xy of q on row class `rows` and column class `cols`, its
-    entries (i, j) numbered i * len(cols) + j; each row in associate form,
-    each set of rows without repeats."""
-    width = len(cols)
-    row_of = {index: i for i, index in enumerate(rows)}
-    col_of = {index: j for j, index in enumerate(cols)}
-    left, right = {}, {}  # column k of N_yy as [(j, N_jk)], row i of N_xx as [(l, N_il)]
-    for (a, b), v in n.items():
-        if a in col_of and b in col_of:
-            left.setdefault(col_of[b], []).append((col_of[a], v))
-        if a in row_of and b in row_of:
-            right.setdefault(row_of[a], []).append((row_of[b], v))
+def _matrix_rows(n: tuple, d: int) -> dict:
+    """{(conj, sigma): the set of rows of q [conj] N - sigma N q} for the
+    Gaussian-integer matrix N, given as items, over the d * d entries of q,
+    entry (i, j) numbered i * d + j; each row primitive and in associate
+    form, so rows that differ by a factor in Q(i) are equal."""
+    left, right = {}, {}  # column k of N as [(j, N_jk)], row i of N as [(l, N_il)]
+    for (a, b), v in n:
+        left.setdefault(b, []).append((a, v))
+        right.setdefault(a, []).append((b, v))
     parts = {key: set() for key in product((False, True), (1, -1))}
-    for i, k in product(range(len(rows)), range(width)):
+    for i, k in product(range(d), repeat=2):
         for conj, sigma in parts:
-            row = {i * width + j: (re, -im if conj else im) for j, (re, im) in left.get(k, ())}
+            row = {i * d + j: (re, -im if conj else im) for j, (re, im) in left.get(k, ())}
             for l, (re, im) in right.get(i, ()):
-                old = row.get(l * width + k, (0, 0))
-                row[l * width + k] = (old[0] - sigma * re, old[1] - sigma * im)
+                old = row.get(l * d + k, (0, 0))
+                row[l * d + k] = (old[0] - sigma * re, old[1] - sigma * im)
             row = {c: v for c, v in row.items() if v != (0, 0)}
             if row:
-                parts[conj, sigma].add(tuple(sorted(_associate(row).items())))
+                parts[conj, sigma].add(tuple(sorted(_associate(_primitive(row)).items())))
     return parts
 
 
 @lru_cache(maxsize=None)
-def _rank_system(g: GeneratorSet) -> _RankSystem:
-    """Merge the equations of `_monomial_system(g)` that impose the same
-    constraint under every operator: same sign class, same parities of
-    |a| + |alpha|, gamma and beta, and matrices equal up to a real factor r.
-    Equation N = r N0 then gives r times N0's rows of the system, the same
-    constraint.  The representative is the class's first equation."""
-    system = _monomial_system(g)
-    t, m = LAURENT_VARS.index("t"), LAURENT_VARS.index("m")
-    keys = [
-        (sign_class, (sum(e[:3]) + order) % 2, e[t] % 2, e[m] % 2)
-        for e, order, sign_class in zip(system.exps, system.order, system.sign_class)
-    ]
-    reps = []
-    for e, key in enumerate(keys):
-        if not any(keys[r] == key and _real_multiple(system.mats[e], system.mats[r]) for r in reps):
-            reps.append(e)
-    classes = _index_classes(system.mats, g.dim)
-    scaled = [_gaussian_integers(system.mats[e]) for e in reps]
-    blocks = tuple(
-        ((x, y), tuple(_submatrix_rows(n, x, y) for n in scaled)) for x in classes for y in classes
+def _constraint_rows(g: GeneratorSet) -> tuple:
+    """Per equation of `_monomial_system(g)`, the `_matrix_rows` of its
+    matrix, built once per matrix up to a real factor."""
+    built, rows = {}, []
+    for mat in _monomial_system(g).mats:
+        n = _real_primitive(mat)
+        if n not in built:
+            built[n] = _matrix_rows(n, g.dim)
+        rows.append(built[n])
+    return tuple(rows)
+
+
+def _cell_rows(g: GeneratorSet, op: DiscreteOpSpec) -> list:
+    """The distinct rows of g's monomial system under op, sorted, as sparse
+    rows over the d * d entries of q: q [conj] N - sigma N q per equation,
+    with sigma its flag sign times sign(G)."""
+    signs = _equation_signs(_monomial_system(g), op)
+    rows = set().union(
+        *(parts[op.conj, flag * sign] for parts, (flag, sign) in zip(_constraint_rows(g), signs))
     )
-    return _RankSystem(tuple(reps), classes, blocks)
-
-
-def _block_rows(g: GeneratorSet, op: DiscreteOpSpec) -> list:
-    """[((row class, column class), rows)] per submatrix of q: the distinct
-    rows of g's merged system under op, sorted, as sparse rows."""
-    system, rank = _monomial_system(g), _rank_system(g)
-    flags = momentum_action(op)
-    exps = [system.exps[e] for e in rank.reps]
-    sigma = [
-        flag * flags.eta_p ** system.order[e] * op.signs[system.sign_class[e]]
-        for flag, e in zip(flag_signs(exps, flags), rank.reps)
-    ]
-    blocks = []
-    for classes, parts in rank.blocks:
-        rows = set().union(*(part[flags.conj, s] for part, s in zip(parts, sigma)))
-        blocks.append((classes, [dict(row) for row in sorted(rows)]))
-    return blocks
+    return [dict(row) for row in sorted(rows)]
 
 
 def _rank_decision(g: GeneratorSet, op: DiscreteOpSpec) -> list:
-    """The primitive Gaussian-integer nullspace basis of g's merged system
-    under op, each vector {(row, column) of q: (re, im)}, submatrix by
-    submatrix of q in row-major order."""
-    basis = []
-    for (x, y), rows in _block_rows(g, op):
-        for vector in _nullspace(rows, len(x) * len(y)):
-            basis.append({(x[c // len(y)], y[c % len(y)]): v for c, v in vector.items()})
-    return basis
+    """The primitive Gaussian-integer nullspace basis of g's monomial system
+    under op, each vector {(row, column) of q: (re, im)}, one per free entry
+    of q in row-major order."""
+    basis = _nullspace(_cell_rows(g, op), g.dim * g.dim)
+    return [{divmod(c, g.dim): v for c, v in vector.items()} for vector in basis]
 
 
 def _witness_residual(q, pairs) -> float:

@@ -10,9 +10,8 @@ full Leibniz-rule composition (coefficients multiplied sum by sum, for any
 order), symbolic commutators, formal adjoints, the substitution-flag
 conjugation R g R^-1, per-multi-index comparison of operators at sample
 points and the energy at a sample point.  It also holds the float reference
-for the classifier's exact rank: the QR factor of every (row class, column
-class) block of the constraint system and its SVD, with a relative rank
-threshold.
+for the classifier's exact rank: one SVD of the dense system of every
+monomial equation over all d^2 entries of q, with a relative rank threshold.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -364,30 +363,18 @@ def dense_pairs(pairs, dim: int) -> np.ndarray:
     return out.reshape(-1, 2, dim, dim)
 
 
-def block_factors(pairs: np.ndarray, classes) -> list:
-    """Per (row class x, column class y), row-major, the QR factor R of the
-    system q_xy a_yy - b_xx q_xy = 0 over every pair (a, b) of pairs
-    (equations, 2, d, d), on the row-major entries of q_xy: R^H R is the
-    system's A^H A, so R has its singular values and right singular vectors."""
-    factors = []
-    for x in classes:
-        for y in classes:
-            a = pairs[:, 0][:, y][:, :, y]
-            b = pairs[:, 1][:, x][:, :, x]
-            # row (n, i, k) of q_xy a - b q_xy on entry (j, l) of q_xy
-            left = np.einsum("ij,nlk->nikjl", np.eye(len(x)), a)
-            right = np.einsum("nij,kl->nikjl", b, np.eye(len(y)))
-            system = (left - right).reshape(-1, len(x) * len(y))
-            factors.append(np.linalg.qr(system, mode="r"))
-    return factors
+def stacked_system(pairs: np.ndarray) -> np.ndarray:
+    """The dense system q a - b q = 0 over every pair (a, b) of pairs
+    (equations, 2, d, d), on the row-major entries of q: row (n, i, k) is
+    entry (i, k) of equation n."""
+    d = pairs.shape[-1]
+    left = np.einsum("ij,nlk->nikjl", np.eye(d), pairs[:, 0])
+    right = np.einsum("nij,kl->nikjl", pairs[:, 1], np.eye(d))
+    return (left - right).reshape(-1, d * d)
 
 
-def float_nullity(pairs: np.ndarray, classes, rank_tol: float = RANK_TOL) -> int:
-    """The nullity of the stacked system, decided on one SVD per block
-    factor: the unknowns less the singular values above rank_tol times the
-    largest one of all blocks."""
-    factors = block_factors(pairs, classes)
-    singular = [np.linalg.svd(f, compute_uv=False) for f in factors]
-    largest = max(float(s.max(initial=0.0)) for s in singular)
-    unknowns = sum(f.shape[1] for f in factors)
-    return unknowns - sum(int(np.sum(s >= rank_tol * largest)) for s in singular)
+def float_nullity(pairs: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """The nullity of the stacked system, decided on one SVD: the d^2
+    unknowns less the singular values above rank_tol times the largest."""
+    singular = np.linalg.svd(stacked_system(pairs), compute_uv=False)
+    return pairs.shape[-1] ** 2 - int(np.sum(singular >= rank_tol * singular.max(initial=0.0)))

@@ -17,14 +17,13 @@ from ptclab.classify import (
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
     SIGN_CLASSES,
-    _block_rows,
+    _cell_rows,
     _combine,
-    _index_classes,
+    _constraint_rows,
     _monomial_pairs,
     _monomial_system,
     _nullspace,
     _rank_decision,
-    _rank_system,
     _select_witness,
     _witness_residual,
     classify,
@@ -49,7 +48,6 @@ from oracles import (
     RANK_TOL,
     apply_flags,
     arrays,
-    block_factors,
     dense_pairs,
     env_arrays,
     equal_at,
@@ -58,6 +56,7 @@ from oracles import (
     position,
     sample_points,
     scaled,
+    stacked_system,
 )
 
 # the five representations and the negative-energy four-component sets
@@ -141,11 +140,9 @@ def test_constraint_nullspace_dimensions(rep1):
 
 def test_monomial_equation_counts():
     """One equation per distinct monomial of every block in normal form: 34
-    on dirac8 and 40 on every other set, summed over 19 blocks; 14 on every
-    set once merged for the rank decision."""
+    on dirac8 and 40 on every other set, summed over 19 blocks."""
     for kind, sign in SETS:
         g = build_generators(RepId(kind, sign))
-        assert len(_rank_system(g).reps) == 14, (kind, sign)
         system = _monomial_system(g)
         assert len(system.mats) == (34 if kind == "dirac8" else 40), (kind, sign)
         assert len(system.shift) == 19, (kind, sign)
@@ -182,15 +179,23 @@ def _evaluated_pairs(system, pairs, points):
     return out
 
 
-def _stacked_system(blocks, d):
+def _sampled_system(blocks):
     """Every row of every block at every sample, as one dense matrix."""
-    eye = np.eye(d)
-    rows = []
-    for a, b, sign in blocks:
-        left = np.einsum("ij,nlk->nikjl", eye, a).reshape(-1, d * d)
-        right = np.einsum("nij,kl->nikjl", b, eye).reshape(-1, d * d)
-        rows.append(left - sign * right)
-    return np.concatenate(rows)
+    pairs = [np.stack([a, sign * b], axis=1) for a, b, sign in blocks]
+    return stacked_system(np.concatenate(pairs))
+
+
+def _index_classes(mats, dim: int) -> tuple:
+    """The classes of basis indices that no matrix of mats couples: the
+    connected components of the union of their supports, each sorted,
+    ordered by their smallest index."""
+    linked = {i: {i} for i in range(dim)}  # index -> its class so far
+    for mat in mats:
+        for i, j in mat:
+            merged = linked[i] | linked[j]
+            for k in merged:
+                linked[k] = merged
+    return tuple(sorted({tuple(sorted(c)) for c in linked.values()}))
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, DEFAULT_SEED + 1])
@@ -215,10 +220,11 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
 
 def test_index_classes_of_each_set():
     """Every coefficient is a sum of Pauli tensor products, so it is block
-    diagonal over classes of the basis indices: 4 of 2 on canonical8, 2 of 4
-    on dirac8 and 2 of 2 on the four-component sets.  Every operator's
-    monomial pairs give the same classes; classes of unequal size are
-    components like any other."""
+    diagonal over classes of the basis indices, the components of the union
+    of their supports: 4 of 2 on canonical8, 2 of 4 on dirac8 and 2 of 2 on
+    the four-component sets, and no coefficient couples two classes.  Every
+    operator's monomial pairs give the same classes; classes of unequal size
+    are components like any other."""
     expected = {
         "dirac8": (2, 4), "canonical8": (4, 2), "rep1": (2, 2), "rep2": (2, 2), "rep3": (2, 2),
     }
@@ -227,7 +233,7 @@ def test_index_classes_of_each_set():
         coeffs = np.concatenate(
             [arrays(c)[1] for gen in g.ops.values() for c in gen.terms.values()]
         )
-        classes = _rank_system(g).classes
+        classes = _index_classes(_monomial_system(g).mats, g.dim)
         assert (len(classes), len(classes[0])) == shape, kind
         assert {len(members) for members in classes} == {shape[1]}, kind
         assert sorted(i for members in classes for i in members) == list(range(g.dim)), kind
@@ -243,36 +249,34 @@ def test_index_classes_of_each_set():
     assert _index_classes([{(1, 2): 1, (2, 3): 1}], 4) == ((0,), (1, 2, 3))
 
 
+@pytest.mark.parametrize("kind, sign", SETS)
+def test_basis_vectors_lie_in_one_submatrix(kind, sign):
+    """The elimination runs over all d^2 entries of q, yet in all 72 cells
+    every basis vector lies in one (row class, column class) submatrix of q:
+    rows that share no entry are never combined."""
+    g = build_generators(RepId(kind, sign))
+    classes = _index_classes(_monomial_system(g).mats, g.dim)
+    class_of = {i: k for k, members in enumerate(classes) for i in members}
+    for name in OP_ORDER:
+        for vector in _rank_decision(g, get_op(name)):
+            assert len({(class_of[i], class_of[j]) for i, j in vector}) == 1, (kind, name)
+
+
 @pytest.mark.parametrize("count", [1, 2, 20])
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_blockwise_factor_matches_the_stacked_system(kind, count):
-    """The float reference factors (`oracles.block_factors`), built
-    submatrix by submatrix of q from every monomial equation, one square
-    block each, have together the singular values of the dense stacked
-    system, and their nullity is that of the dense system sampled at 20
-    points.  Fewer samples impose fewer conditions, so the sampled nullity
-    at 1 or 2 points can only be larger; the factors use no samples.  The
-    exact nullity of `classify` equals the reference's."""
+    """The float reference nullity (`oracles.float_nullity`, one SVD of the
+    dense system of every monomial equation over all d^2 entries of q) is
+    that of the dense system sampled at 20 points.  Fewer samples impose
+    fewer conditions, so the sampled nullity at 1 or 2 points can only be
+    larger; the reference uses no samples.  The exact nullity of `classify`
+    equals the reference's."""
     g = build_generators(RepId(kind))
     points = sample_points(count=count)
-    classes = _rank_system(g).classes
     for name in OP_ORDER:
         op = get_op(name)
-        pairs = _pairs_of(g, name)
-        stacked = _stacked_system([(a[None], b[None], 1) for a, b in pairs], g.dim)
-        exact = np.linalg.svd(stacked, compute_uv=False)
-        factors = block_factors(pairs, classes)
-        assert [f.shape for f in factors] == [
-            (len(x) * len(y),) * 2 for x in classes for y in classes
-        ]
-        blockwise = [np.linalg.svd(f, compute_uv=False) for f in factors]
-        singular = np.sort(np.concatenate(blockwise))[::-1]
-        assert np.max(np.abs(singular - exact)) <= 1e-12 * exact[0], (kind, name)
-        nullity = float_nullity(pairs, classes)
-        assert nullity == int(np.sum(singular < RANK_TOL * singular[0])), (kind, name)
-        sampled = np.linalg.svd(
-            _stacked_system(_oracle_blocks(g, op, points), g.dim), compute_uv=False
-        )
+        nullity = float_nullity(_pairs_of(g, name))
+        sampled = np.linalg.svd(_sampled_system(_oracle_blocks(g, op, points)), compute_uv=False)
         sampled_nullity = int(np.sum(sampled < RANK_TOL * sampled[0]))
         if count == 20:
             assert nullity == sampled_nullity, (kind, name)
@@ -282,35 +286,21 @@ def test_blockwise_factor_matches_the_stacked_system(kind, count):
 
 
 def _null_projector(matrix):
-    """The orthogonal projector onto the nullspace of a float matrix."""
-    _, singular, vh = np.linalg.svd(matrix)
+    """The orthogonal projector onto the nullspace of a float matrix with at
+    least as many rows as columns."""
+    _, singular, vh = np.linalg.svd(matrix, full_matrices=False)
     null = vh[np.sum(singular >= RANK_TOL * singular[0]):]
     return null.T @ null.conj()
 
 
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_merged_system_keeps_the_spectrum_and_the_nullspace(kind):
-    """Merging the equations that impose the same constraint under every
-    operator leaves the nullspace projector of the dense stacked system
-    unchanged in all nine cells (within 1e-12), and the exact basis spans
-    the same nullspace.  Each merged equation stands for one or more of the
-    monomial equations; unweighted, the merged system has other singular
-    values, but its nonzero ones stay far above the rank threshold."""
+    """The exact basis spans the nullspace of the dense stacked system of
+    every monomial equation: in all nine cells its orthogonal projector is
+    the system's null projector within 1e-12."""
     g = build_generators(RepId(kind))
-    system, rank = _monomial_system(g), _rank_system(g)
-    assert len(rank.reps) < len(system.mats), kind
     for name in OP_ORDER:
-        pairs = _pairs_of(g, name)
-        full, merged = (
-            _stacked_system([(a[None], b[None], 1) for a, b in p], g.dim)
-            for p in (pairs, pairs[list(rank.reps)])
-        )
-        projector = _null_projector(full)
-        assert np.max(np.abs(projector - _null_projector(merged))) <= 1e-12, (kind, name)
-        singular = np.linalg.svd(merged, compute_uv=False)
-        nonzero = singular[singular >= RANK_TOL * singular[0]]
-        assert len(nonzero) == g.dim ** 2 - classify(g, name).nullspace_dim, (kind, name)
-        assert nonzero[-1] > 1e-3 * singular[0], (kind, name)
+        projector = _null_projector(stacked_system(_pairs_of(g, name)))
         basis = _rank_decision(g, get_op(name))
         if basis:
             q, _ = np.linalg.qr(np.array([_matrix(v, g.dim).ravel() for v in basis]).T)
@@ -322,7 +312,8 @@ def test_merged_system_keeps_the_spectrum_and_the_nullspace(kind):
 def test_full_table_builds_each_monomial_system_once(monkeypatch):
     """Each coefficient of a generator set is put in normal form once, on the
     first cell classified, and the tables after it reuse the system; the
-    merged rank system is likewise built once and then reused."""
+    constraint rows are likewise built once per generator set and then
+    reused by all nine operators and by the second table."""
     calls = []
     original = Coefficient.on_shell
 
@@ -333,10 +324,10 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch):
     monkeypatch.setattr(Coefficient, "on_shell", counting)
     base = build_generators(RepId("canonical8"))
     g = GeneratorSet(base.rep, dict(base.ops))  # not yet cached
-    before = _rank_system.cache_info()
+    before = _constraint_rows.cache_info()
     full_table(g)
     full_table(g)
-    after = _rank_system.cache_info()
+    after = _constraint_rows.cache_info()
     coefficients = [id(c) for gen in g.ops.values() for c in gen.terms.values()]
     assert sorted(calls) == sorted(coefficients)
     assert after.misses - before.misses == 1
@@ -500,17 +491,16 @@ def _mixed(rows):
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_witness_depends_only_on_the_nullspace(kind):
     """The nullspace basis is a function of the nullspace alone: eliminating
-    each submatrix's rows in reverse order, or after recombining them
-    invertibly, gives the same primitive vectors, and so the same witness."""
+    each cell's rows in reverse order, or after recombining them invertibly,
+    gives the same primitive vectors, and so the same witness."""
     g = build_generators(RepId(kind))
     checked = 0
     for name in OP_ORDER:
-        for (x, y), rows in _block_rows(g, get_op(name)):
-            n = len(x) * len(y)
-            basis = _nullspace(rows, n)
-            assert _nullspace(rows[::-1], n) == basis, (kind, name)
-            assert _nullspace(_mixed(rows), n) == basis, (kind, name)
-            checked += bool(basis)
+        rows = _cell_rows(g, get_op(name))
+        basis = _nullspace(rows, g.dim ** 2)
+        assert _nullspace(rows[::-1], g.dim ** 2) == basis, (kind, name)
+        assert _nullspace(_mixed(rows), g.dim ** 2) == basis, (kind, name)
+        checked += bool(basis)
     assert checked
 
 
@@ -642,13 +632,13 @@ def test_indeterminate_flagged_not_misclassified():
 def test_exact_nullity_matches_the_float_reference(kind, sign):
     """In all 72 cells (the five sets and the three negative-energy sets,
     nine operators each), the exact nullity equals the float reference's
-    (block QR and SVD at a relative threshold of 1e-8), nullity 0 is exactly
-    the noninvariant cells, and every invariant cell has an exact witness."""
+    (one SVD of the dense system at a relative threshold of 1e-8), nullity 0
+    is exactly the noninvariant cells, and every invariant cell has an exact
+    witness."""
     g = build_generators(RepId(kind, sign))
-    classes = _rank_system(g).classes
     for name in OP_ORDER:
         result = classify(g, name)
-        assert result.nullspace_dim == float_nullity(_pairs_of(g, name), classes), (kind, name)
+        assert result.nullspace_dim == float_nullity(_pairs_of(g, name)), (kind, name)
         assert result.verdict == ("invariant" if result.nullspace_dim else "noninvariant")
         if result.invariant:
             _assert_exact_witness(result, get_op(name).conj, g.dim)

@@ -224,13 +224,14 @@ def test_table_json_round_trip_and_determinism(capsys):
 
 def test_table_json_identical_across_hash_seeds():
     """Fresh processes that differ only in PYTHONHASHSEED (and so in memory
-    layout) print the same bytes."""
-    argv = [sys.executable, "-m", "ptclab.cli", "table", "--rep", "all", "--seed", "5", "--json"]
-    outputs = set()
-    for hash_seed in range(4):
-        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(hash_seed))
-        outputs.add(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
-    assert len(outputs) == 1
+    layout) print the same bytes, for the full table and for dirac8's."""
+    for rep in ("all", "dirac8"):
+        argv = [sys.executable, "-m", "ptclab.cli", "table", "--rep", rep, "--seed", "5", "--json"]
+        outputs = set()
+        for hash_seed in range(4):
+            env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(hash_seed))
+            outputs.add(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+        assert len(outputs) == 1, rep
 
 
 def test_witness_is_the_same_at_every_seed():
