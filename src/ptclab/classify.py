@@ -30,14 +30,14 @@ no sample point enters the classification.
 The subsidiary conditions make q constant, and every N_b is a Gaussian
 dyadic rational matrix, so the condition is one linear system over Q(i) in
 the d^2 entries of q, entry (i, j) numbered i d + j, and is decided exactly.
-Once per generator set, each distinct matrix N (up to a real factor) is
-scaled to Gaussian integers and its rows of q N - sigma N q and
-q conj(N) - sigma N q, for sigma = +-1, are built over all d^2 entries, each
-made primitive and put in associate form; an operator only picks the
-conjugation and sigma = sign(G) * flag sign of each equation.  Equal
-constraints are then equal rows, so the union of the picked row sets holds
-each once.  One fraction-free elimination over Z[i] of that union, in
-Python ints, gives the rank and, from the echelon rows, a primitive
+Each distinct matrix N (up to a real factor) is scaled to Gaussian integers;
+an operator picks the conjugation and sigma = sign(G) * flag sign of each
+equation, and the rows of q [conj] N - sigma N q over all d^2 entries, each
+made primitive and put in associate form, are built once per process for
+each (N, d, conj, sigma) picked and shared by every set and operator that
+picks it.  Equal constraints are then equal rows, so the union of the picked
+row sets holds each once.  One fraction-free elimination over Z[i] of that
+union, in Python ints, gives the rank and, from the echelon rows, a primitive
 Gaussian-integer nullspace basis, one vector per free entry of q; like
 Bareiss's (Math. Comp. 22 (1968) 565), it never divides, except each
 combined row by a Gaussian gcd of its entries.  Rows that share no
@@ -47,13 +47,14 @@ blocks.  That basis depends on the nullspace alone.
 Nullity 0 is a noninvariant verdict.  Otherwise the witness is the first
 combination W = sum c_k B_k of the basis, c_k in {1, -1, i, -i, 0} taken in
 `itertools.product` order, with W W^H = c 1 for some c > 0 and W^2 (linear)
-or W conj(W) (antilinear) = lambda c 1: W / sqrt(c) is then a unitary
+or W conj(W) (antilinear) = lambda c 1, each tested by a sparse product
+that stops at the first row off c 1: W / sqrt(c) is then a unitary
 (antiunitary, with conjugation) symmetry whose operator square is lambda.
 If none of the first WITNESS_CANDIDATES combinations qualifies, the verdict
 is indeterminate.  The witness is checked on the monomial equations: its
-residual is the largest |W F_b - sign(G) N_b W| over them, with F_b the
-flagged matrix above, which bounds every coefficient of the condition for
-all (p, m, t) at once; every product is exact, so it reads 0.0.
+residual is the largest |W F_b - sign(G) N_b W| over the distinct ones,
+with F_b the flagged matrix above, which bounds every coefficient of the
+condition for all (p, m, t) at once; every product is exact, so it reads 0.0.
 
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
@@ -67,7 +68,7 @@ from functools import lru_cache, reduce
 from itertools import islice, product
 from typing import NamedTuple
 
-from .clifford import cached_spin, mat_add, mat_mul, mat_scale, sparse
+from .clifford import cached_spin, dense, mat_add, mat_mul, mat_scale, sparse
 from .expr import flag_signs
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, index_order
@@ -79,6 +80,8 @@ SIGN_CLASSES = ("P0", "Pa", "Jab", "J0a")
 # basis vector), and how many combinations it tries at most
 UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1), (0, 0))
 WITNESS_CANDIDATES = len(UNITS) ** 4
+# the four units of Z[i]: a row that holds one is primitive
+_GAUSSIAN_UNITS = frozenset(UNITS[:4])
 
 
 class DiscreteOpSpec(NamedTuple):
@@ -161,15 +164,16 @@ def _gcd(x, y):
 
 def _associate(row: dict) -> dict:
     """row times the unit that puts its first entry in re > 0, im >= 0."""
-    unit, first = (1, 0), row[min(row)]
-    while not (first[0] > 0 and first[1] >= 0):  # at most three turns by i
-        unit, first = _mul(unit, (0, 1)), _mul(first, (0, 1))
-    return row if unit == (1, 0) else {c: _mul(unit, v) for c, v in row.items()}
+    re, im = row[min(row)]
+    if re > 0 and im >= 0:
+        return row
+    unit = (0, -1) if im > 0 else (-1, 0) if re < 0 else (0, 1)  # by the quadrant
+    return {c: _mul(unit, v) for c, v in row.items()}
 
 
 def _primitive(row: dict) -> dict:
     """A nonzero row divided by a Gaussian gcd of its entries."""
-    if any(re * re + im * im == 1 for re, im in row.values()):  # a unit entry
+    if not _GAUSSIAN_UNITS.isdisjoint(row.values()):
         return row
     content = reduce(_gcd, row.values(), (0, 0))
     return {c: _exact_div(v, content) for c, v in row.items()}
@@ -306,39 +310,34 @@ def _real_primitive(mat: dict) -> tuple:
     return tuple(sorted((key, (re // content, im // content)) for key, (re, im) in ints.items()))
 
 
-def _matrix_rows(n: tuple, d: int) -> dict:
-    """{(conj, sigma): the set of rows of q [conj] N - sigma N q} for the
-    Gaussian-integer matrix N, given as items, over the d * d entries of q,
-    entry (i, j) numbered i * d + j; each row primitive and in associate
-    form, so rows that differ by a factor in Q(i) are equal."""
-    left, right = {}, {}  # column k of N as [(j, N_jk)], row i of N as [(l, N_il)]
-    for (a, b), v in n:
-        left.setdefault(b, []).append((a, v))
-        right.setdefault(a, []).append((b, v))
-    parts = {key: set() for key in product((False, True), (1, -1))}
+@lru_cache(maxsize=None)
+def _matrix_rows(n: tuple, d: int, conj: bool, sigma: int) -> frozenset:
+    """The rows of q [conj] N - sigma N q for the Gaussian-integer matrix N,
+    given as items, over the d * d entries of q, entry (i, j) numbered
+    i * d + j; each row primitive and in associate form, so rows that differ
+    by a factor in Q(i) are equal.  Built once per process and key, so the
+    sets and operators that share a matrix share its rows."""
+    left, right = {}, {}  # column k of [conj] N as [(j, .)], row i of -sigma N as [(l d, .)]
+    for (a, b), (re, im) in n:
+        left.setdefault(b, []).append((a, (re, -im if conj else im)))
+        right.setdefault(a, []).append((b * d, (-sigma * re, -sigma * im)))
+    rows = set()
     for i, k in product(range(d), repeat=2):
-        for conj, sigma in parts:
-            row = {i * d + j: (re, -im if conj else im) for j, (re, im) in left.get(k, ())}
-            for l, (re, im) in right.get(i, ()):
-                old = row.get(l * d + k, (0, 0))
-                row[l * d + k] = (old[0] - sigma * re, old[1] - sigma * im)
-            row = {c: v for c, v in row.items() if v != (0, 0)}
-            if row:
-                parts[conj, sigma].add(tuple(sorted(_associate(_primitive(row)).items())))
-    return parts
+        row = {i * d + j: v for j, v in left.get(k, ())}
+        for l, (re, im) in right.get(i, ()):
+            old = row.pop(l + k, (0, 0))
+            if (old[0] + re, old[1] + im) != (0, 0):
+                row[l + k] = (old[0] + re, old[1] + im)
+        if row:
+            rows.add(tuple(sorted(_associate(_primitive(row)).items())))
+    return frozenset(rows)
 
 
 @lru_cache(maxsize=None)
 def _constraint_rows(g: GeneratorSet) -> tuple:
-    """Per equation of `_monomial_system(g)`, the `_matrix_rows` of its
-    matrix, built once per matrix up to a real factor."""
-    built, rows = {}, []
-    for mat in _monomial_system(g).mats:
-        n = _real_primitive(mat)
-        if n not in built:
-            built[n] = _matrix_rows(n, g.dim)
-        rows.append(built[n])
-    return tuple(rows)
+    """Per equation of `_monomial_system(g)`, its matrix up to a real factor
+    (`_real_primitive`), the key of its `_matrix_rows`."""
+    return tuple(map(_real_primitive, _monomial_system(g).mats))
 
 
 def _cell_rows(g: GeneratorSet, op: DiscreteOpSpec) -> list:
@@ -346,9 +345,8 @@ def _cell_rows(g: GeneratorSet, op: DiscreteOpSpec) -> list:
     rows over the d * d entries of q: q [conj] N - sigma N q per equation,
     with sigma its flag sign times sign(G)."""
     signs = _equation_signs(_monomial_system(g), op)
-    rows = set().union(
-        *(parts[op.conj, flag * sign] for parts, (flag, sign) in zip(_constraint_rows(g), signs))
-    )
+    keys = {(n, flag * sign) for n, (flag, sign) in zip(_constraint_rows(g), signs)}
+    rows = set().union(*(_matrix_rows(n, g.dim, op.conj, sigma) for n, sigma in keys))
     return [dict(row) for row in sorted(rows)]
 
 
@@ -361,10 +359,14 @@ def _rank_decision(g: GeneratorSet, op: DiscreteOpSpec) -> list:
 
 
 def _witness_residual(q, pairs) -> float:
-    """max over the monomial equations (a, b) of pairs of |q a - b q|: the
-    largest coefficient of q (R G R^-1) - sign(G) G q, for all (p, m, t)."""
+    """max over the monomial equations (a, b) of pairs of |q a - b q|, each
+    distinct pair taken once: the largest coefficient of
+    q (R G R^-1) - sign(G) G q, for all (p, m, t)."""
     q = sparse(q)
-    deviations = (mat_add(mat_mul(q, a), mat_scale(mat_mul(b, q), -1)) for a, b in pairs)
+    distinct = {(frozenset(a.items()), frozenset(b.items())): (a, b) for a, b in pairs}
+    deviations = (
+        mat_add(mat_mul(q, a), mat_scale(mat_mul(b, q), -1)) for a, b in distinct.values()
+    )
     return max((abs(v) for dev in deviations for v in dev.values()), default=0.0)
 
 
@@ -372,17 +374,28 @@ def _witness_residual(q, pairs) -> float:
 # witness selection
 
 
-def _dot(u, v):
-    """sum_k u_k v_k for Gaussian-integer vectors u, v."""
-    re, im = zip(*map(_mul, u, v))
-    return (sum(re), sum(im))
-
-
-def _scalar_multiple(rows: list):
-    """s when the Gaussian-integer matrix `rows` is s 1, else None."""
-    s = rows[0][0]
-    wanted = ((v, s if i == j else (0, 0)) for i, row in enumerate(rows) for j, v in enumerate(row))
-    return s if all(v == want for v, want in wanted) else None
+def _scalar_product(u: dict, v: dict, d: int):
+    """s when the product u v of the sparse Gaussian-integer d x d matrices
+    {(i, j): (re, im)} is s 1, else None; row by row, returning at the first
+    row that rules it out."""
+    rows = [[] for _ in range(d)]
+    for (k, j), y in v.items():
+        rows[k].append((j, y))
+    left = [[] for _ in range(d)]
+    for (i, k), x in u.items():
+        left[i].append((k, x))
+    scale = None
+    for i in range(d):
+        out = {}
+        for k, (xr, xi) in left[i]:
+            for j, (yr, yi) in rows[k]:
+                re, im = out.get(j, (0, 0))
+                out[j] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+        entry = out.pop(i, (0, 0))
+        scale = entry if scale is None else scale
+        if entry != scale or any(x != (0, 0) for x in out.values()):
+            return None
+    return scale
 
 
 def _select_witness(basis: list, d: int, conj: bool):
@@ -392,19 +405,18 @@ def _select_witness(basis: list, d: int, conj: bool):
     None if none of the first WITNESS_CANDIDATES qualifies.  W is a tuple
     of rows of complex, exact Gaussian integers."""
     for coeffs in islice(product(UNITS, repeat=len(basis)), WITNESS_CANDIDATES):
-        w = [[(0, 0)] * d for _ in range(d)]
+        w = {}
         for c, vector in zip(coeffs, basis):
-            for (i, j), v in vector.items():
-                x = _mul(c, v)
-                w[i][j] = (w[i][j][0] + x[0], w[i][j][1] + x[1])
-        bar = [[(re, -im) for re, im in row] for row in w]
-        scale = _scalar_multiple([[_dot(u, v) for v in bar] for u in w])
+            for key, v in vector.items():
+                x, old = _mul(c, v), w.get(key, (0, 0))
+                w[key] = (old[0] + x[0], old[1] + x[1])
+        bar = {key: (re, -im) for key, (re, im) in w.items()}
+        scale = _scalar_product(w, {(j, i): v for (i, j), v in bar.items()}, d)
         if scale is None or scale == (0, 0):
             continue
-        columns = list(zip(*(bar if conj else w)))
-        square = _scalar_multiple([[_dot(u, column) for column in columns] for u in w])
+        square = _scalar_product(w, bar if conj else w, d)
         if square is not None:
-            witness = tuple(tuple(complex(*v) for v in row) for row in w)
+            witness = dense({key: complex(*v) for key, v in w.items()}, d)
             return witness, complex(*square) / scale[0]
     return None
 

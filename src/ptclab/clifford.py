@@ -130,13 +130,14 @@ def build_basis(dim: int) -> CliffordBasis:
 
 def _validate(basis: CliffordBasis):
     """gamma0 is hermitian, the spatial gammas anti-hermitian, and
-    {gamma_mu, gamma_nu} = 2 g_mu_nu, all exactly."""
+    {gamma_mu, gamma_nu} = 2 g_mu_nu, all exactly; the anticommutator is
+    symmetric, so only mu <= nu is checked."""
     one = sparse(eye(basis.dim))
     gammas = [sparse(basis.gamma(mu)) for mu in range(5)]
     for mu, g in enumerate(gammas):
         if mat_dagger(g) != mat_scale(g, METRIC[mu][mu]):
             raise AssertionError(f"gamma_{mu} must be {'' if mu == 0 else 'anti-'}hermitian")
-        for nu, h in enumerate(gammas):
+        for nu, h in enumerate(gammas[mu:], mu):
             if mat_add(mat_mul(g, h), mat_mul(h, g)) != mat_scale(one, 2 * METRIC[mu][nu]):
                 raise AssertionError(f"anticommutator ({mu},{nu}) violates the metric")
 

@@ -11,7 +11,9 @@ order), symbolic commutators, formal adjoints, the substitution-flag
 conjugation R g R^-1, per-multi-index comparison of operators at sample
 points and the energy at a sample point.  It also holds the float reference
 for the classifier's exact rank: one SVD of the dense system of every
-monomial equation over all d^2 entries of q, with a relative rank threshold.
+monomial equation over all d^2 entries of q, with a relative rank threshold;
+and the dense reference for its witness search, which forms every product
+in full.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -23,7 +25,7 @@ capped at two, which is all the generator algebra ever needs.
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -378,3 +380,51 @@ def float_nullity(pairs: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     unknowns less the singular values above rank_tol times the largest."""
     singular = np.linalg.svd(stacked_system(pairs), compute_uv=False)
     return pairs.shape[-1] ** 2 - int(np.sum(singular >= rank_tol * singular.max(initial=0.0)))
+
+
+# ---------------------------------------------------------------------------
+# the dense reference for the classifier's witness search
+
+
+def gaussian_dot(u, v) -> tuple:
+    """sum_k u_k v_k for Gaussian-integer vectors u, v of (re, im)."""
+    return (
+        sum(a * c - b * d for (a, b), (c, d) in zip(u, v)),
+        sum(a * d + b * c for (a, b), (c, d) in zip(u, v)),
+    )
+
+
+def scalar_multiple(rows):
+    """s when the dense Gaussian-integer matrix `rows` is s 1, else None."""
+    s = rows[0][0]
+    wanted = ((v, s if i == j else (0, 0)) for i, row in enumerate(rows) for j, v in enumerate(row))
+    return s if all(v == want for v, want in wanted) else None
+
+
+def dense_scalar_product(u, v):
+    """s when the product of the dense Gaussian-integer matrices u v is s 1,
+    else None, from the full product."""
+    columns = list(zip(*v))
+    return scalar_multiple([[gaussian_dot(row, column) for column in columns] for row in u])
+
+
+def dense_select_witness(basis: list, d: int, conj: bool, units, candidates: int):
+    """The witness search on dense matrices: (W, lambda) for the first
+    combination W of the basis vectors {(i, j): (re, im)}, with coefficients
+    in units in `itertools.product` order, such that W W^H = c 1 with c > 0
+    and W W (W conj(W) when conj) = lambda c 1; None if none of the first
+    `candidates` qualifies.  W is a tuple of rows of complex."""
+    for coeffs in islice(product(units, repeat=len(basis)), candidates):
+        w = [[(0, 0)] * d for _ in range(d)]
+        for (cr, ci), vector in zip(coeffs, basis):
+            for (i, j), (re, im) in vector.items():
+                w[i][j] = (w[i][j][0] + cr * re - ci * im, w[i][j][1] + cr * im + ci * re)
+        bar = [[(re, -im) for re, im in row] for row in w]
+        scale = dense_scalar_product(w, list(zip(*bar)))
+        if scale is None or scale == (0, 0):
+            continue
+        square = dense_scalar_product(w, bar if conj else w)
+        if square is not None:
+            witness = tuple(tuple(complex(*v) for v in row) for row in w)
+            return witness, complex(*square) / scale[0]
+    return None

@@ -17,13 +17,18 @@ from ptclab.classify import (
     PAPER_CLAIMS,
     PRIMITIVE_OPS,
     SIGN_CLASSES,
+    UNITS,
+    WITNESS_CANDIDATES,
     _cell_rows,
     _combine,
     _constraint_rows,
+    _equation_signs,
+    _matrix_rows,
     _monomial_pairs,
     _monomial_system,
     _nullspace,
     _rank_decision,
+    _scalar_product,
     _select_witness,
     _witness_residual,
     classify,
@@ -49,6 +54,8 @@ from oracles import (
     apply_flags,
     arrays,
     dense_pairs,
+    dense_scalar_product,
+    dense_select_witness,
     env_arrays,
     equal_at,
     eval_operator,
@@ -312,8 +319,9 @@ def test_merged_system_keeps_the_spectrum_and_the_nullspace(kind):
 def test_full_table_builds_each_monomial_system_once(monkeypatch):
     """Each coefficient of a generator set is put in normal form once, on the
     first cell classified, and the tables after it reuse the system; the
-    constraint rows are likewise built once per generator set and then
-    reused by all nine operators and by the second table."""
+    row-family keys of its equations are likewise computed once per
+    generator set and then reused by all nine operators and by the second
+    table."""
     calls = []
     original = Coefficient.on_shell
 
@@ -332,6 +340,32 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch):
     assert sorted(calls) == sorted(coefficients)
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 2 * len(OP_ORDER) - 1
+
+
+def test_row_families_are_built_once_per_process():
+    """Over the sets of `table --rep all` (rep1, rep2, rep3, canonical8),
+    `_matrix_rows` builds each (N, d, conj, sigma) family that some cell
+    picks exactly once, shared across sets, and a second pass builds none:
+    fewer families than the four per distinct (N, d) an eager build makes."""
+    sets = [build_generators(RepId(kind)) for kind in ("rep1", "rep2", "rep3", "canonical8")]
+    keys, matrices = set(), set()
+    for g in sets:
+        system = _monomial_system(g)
+        matrices |= {(n, g.dim) for n in _constraint_rows(g)}
+        for name in OP_ORDER:
+            op = get_op(name)
+            for n, (flag, sign) in zip(_constraint_rows(g), _equation_signs(system, op)):
+                keys.add((n, g.dim, op.conj, flag * sign))
+    _matrix_rows.cache_clear()
+    for g in sets:
+        full_table(g)
+    first = _matrix_rows.cache_info()
+    for g in sets:
+        full_table(g)
+    second = _matrix_rows.cache_info()
+    assert first.misses == first.currsize == len(keys) < 4 * len(matrices)
+    assert second.misses == first.misses
+    assert second.hits > first.hits
 
 
 def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
@@ -455,7 +489,8 @@ def test_witnesses_hold_on_held_out_points(kind, points_alt):
     constraints evaluated at sample points, and is unitary up to scale:
     q q^H = c 1.  The package's residual is the largest |q a - b q| over the
     monomial equations, and shifting one entry of the witness by 1e-6 makes
-    it nonzero."""
+    it nonzero, equal to the largest deviation over every monomial equation,
+    so taking each distinct equation once drops none."""
     g = build_generators(RepId(kind))
     table = full_table(g)
     invariant = [name for name, row in table.rows.items() if row.result.invariant]
@@ -474,7 +509,10 @@ def test_witnesses_hold_on_held_out_points(kind, points_alt):
         assert _witness_residual(q, pairs) == per_equation == 0.0, (kind, name)
         shifted = q.copy()
         shifted[0, 0] += 1e-6
-        assert _witness_residual(shifted, pairs) > 0.0, (kind, name)
+        shifted_per_equation = max(
+            float(np.max(np.abs(shifted @ a - b @ shifted))) for a, b in _pairs_of(g, name)
+        )
+        assert _witness_residual(shifted, pairs) == shifted_per_equation > 0.0, (kind, name)
         c = (q @ q.conj().T)[0, 0].real
         assert np.array_equal(q @ q.conj().T, c * np.eye(g.dim)), (kind, name)
 
@@ -506,11 +544,28 @@ def test_witness_depends_only_on_the_nullspace(kind):
 
 def test_singular_nullspace_gives_no_witness():
     """A nullspace spanned by E_11, or by the Jordan block J = 1 + E_12,
-    holds no unitary element: the search returns no witness."""
-    assert _select_witness([{(0, 0): (1, 0)}], 2, False) is None
+    holds no unitary element: the search returns no witness, and neither
+    does the dense reference search."""
     jordan = {(0, 0): (1, 0), (0, 1): (1, 0), (1, 1): (1, 0)}
-    assert _select_witness([jordan], 2, False) is None
-    assert _select_witness([jordan], 2, True) is None
+    for basis, conj in (([{(0, 0): (1, 0)}], False), ([jordan], False), ([jordan], True)):
+        reference = dense_select_witness(basis, 2, conj, UNITS, WITNESS_CANDIDATES)
+        assert _select_witness(basis, 2, conj) is None and reference is None, (basis, conj)
+
+
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_witness_search_matches_the_dense_reference(kind):
+    """In every cell with a nonzero nullity, the sparse witness search
+    returns the same (W, lambda) as the dense reference search."""
+    g = build_generators(RepId(kind))
+    checked = 0
+    for name in OP_ORDER:
+        op = get_op(name)
+        basis = _rank_decision(g, op)
+        if basis:
+            found = _select_witness(basis, g.dim, op.conj)
+            assert found == dense_select_witness(basis, g.dim, op.conj, UNITS, WITNESS_CANDIDATES)
+            checked += found is not None
+    assert checked
 
 
 def test_block_sparse_witness_is_exact_on_canonical8(canonical8):
@@ -674,6 +729,48 @@ def test_elimination_matches_numpy_rank(shape, entries, low_rank):
             re = sum(a[0] * vector[j][0] - a[1] * vector[j][1] for j, a in row.items() if j in vector)
             im = sum(a[0] * vector[j][1] + a[1] * vector[j][0] for j, a in row.items() if j in vector)
             assert (re, im) == (0, 0)
+
+
+def _dense(m: dict, d: int) -> list:
+    return [[m.get((i, j), (0, 0)) for j in range(d)] for i in range(d)]
+
+
+@st.composite
+def _square_pairs(draw):
+    """(u, v, d): sparse Gaussian-integer d x d matrices, random, zero, with
+    u v scalar (u a monomial unitary, v = s u^H), or almost scalar (one entry
+    of such a v shifted)."""
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "zero", "scalar", "almost"]))
+    cells = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+    if kind == "random":
+        u, v = (draw(st.dictionaries(cells, _GAUSSIAN, max_size=2 * d)) for _ in range(2))
+    elif kind == "zero":
+        u = draw(st.dictionaries(cells, _GAUSSIAN, max_size=2 * d))
+        u, v = draw(st.permutations([u, {}]))
+    else:
+        perm = draw(st.permutations(range(d)))
+        units = draw(st.lists(st.sampled_from(UNITS[:4]), min_size=d, max_size=d))
+        s = draw(_GAUSSIAN)
+        u = {(i, perm[i]): unit for i, unit in enumerate(units)}
+        v = {
+            (j, i): (s[0] * re + s[1] * im, s[1] * re - s[0] * im) for (i, j), (re, im) in u.items()
+        }
+        if kind == "almost":
+            key, delta = draw(cells), draw(_GAUSSIAN.filter(lambda x: x != (0, 0)))
+            old = v.get(key, (0, 0))
+            v[key] = (old[0] + delta[0], old[1] + delta[1])
+    u, v = ({key: x for key, x in m.items() if x != (0, 0)} for m in (u, v))
+    return u, v, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_pairs())
+def test_sparse_scalar_product_matches_the_dense_reference(case):
+    """The sparse, early-exit test of u v = s 1 gives the same s (or None)
+    as the full dense product."""
+    u, v, d = case
+    assert _scalar_product(u, v, d) == dense_scalar_product(_dense(u, d), _dense(v, d))
 
 
 # ---------------------------------------------------------------------------

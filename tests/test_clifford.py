@@ -7,9 +7,11 @@ import ptclab.clifford as clifford
 from ptclab.clifford import (
     METRIC,
     SY,
+    CliffordBasis,
     build_basis,
     cached_spin,
     casimir_spectrum,
+    combine,
     spectral_projector,
     spin_tensor,
 )
@@ -39,6 +41,29 @@ def test_gamma0_is_diagonal_with_unit_entries():
 def test_unsupported_dimension_rejected():
     with pytest.raises(ValueError, match="unsupported dimension"):
         build_basis(6)
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+@pytest.mark.parametrize(
+    "mu, corrupt, message",
+    [
+        (4, lambda basis: basis.gamma(1), r"anticommutator \(1,4\) violates the metric"),
+        (1, lambda basis: basis.gamma(4), r"anticommutator \(1,4\) violates the metric"),
+        (2, lambda basis: combine((2, basis.gamma(2))), r"anticommutator \(2,2\) violates"),
+        (0, lambda basis: combine((1j, basis.gamma0)), "gamma_0 must be hermitian"),
+    ],
+    ids=["gamma4-is-gamma1", "gamma1-is-gamma4", "gamma2-doubled", "gamma0-times-i"],
+)
+def test_a_corrupted_gamma_is_rejected(dim, mu, corrupt, message):
+    """_validate checks each anticommutator once, for mu <= nu, and still
+    rejects a basis with one gamma corrupted, whether the failing pair has
+    the corrupted gamma first or second, with the first failing pair named
+    in the message."""
+    basis = build_basis(dim)
+    gammas = [basis.gamma(nu) for nu in range(5)]
+    gammas[mu] = corrupt(basis)
+    with pytest.raises(AssertionError, match=f"^{message}"):
+        clifford._validate(CliffordBasis(dim, gammas[0], tuple(gammas[1:])))
 
 
 def test_dim8_hamiltonian_square_is_mass_shell():
