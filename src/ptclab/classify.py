@@ -30,19 +30,21 @@ no sample point enters the classification.
 The subsidiary conditions make q constant, and every N_b is a Gaussian
 dyadic rational matrix, so the condition is one linear system over Q(i) in
 the d^2 entries of q, entry (i, j) numbered i d + j, and is decided exactly.
-Each distinct matrix N (up to a real factor) is scaled to Gaussian integers;
-an operator picks the conjugation and sigma = sign(G) * flag sign of each
-equation, and the rows of q [conj] N - sigma N q over all d^2 entries, each
-made primitive and put in associate form, are built once per process for
-each (N, d, conj, sigma) picked and shared by every set and operator that
-picks it.  Equal constraints are then equal rows, so the union of the picked
-row sets holds each once.  One fraction-free elimination over Z[i] of that
-union, in Python ints, gives the rank and, from the echelon rows, a primitive
-Gaussian-integer nullspace basis, one vector per free entry of q; like
-Bareiss's (Math. Comp. 22 (1968) 565), it never divides, except each
-combined row by a Gaussian gcd of its entries.  Rows that share no
-entry of q are never combined, so the elimination needs no split of q into
-blocks.  That basis depends on the nullspace alone.
+Each N_b is s n with n a coprime Gaussian-integer matrix and s real.  An
+operator turns its equations into the cell's distinct equations
+{(n, conj, sigma): s}, sigma = sign(G) * flag sign, conj dropped when n is
+real (conj n = n) and s the largest |s| of the equations that share a key;
+that one set gives both the rows and the witness check.  The rows of
+q [conj] n - sigma n q over all d^2 entries, each made primitive and put in
+associate form, are built once per process for each (n, d, conj, sigma) and
+shared by every set and operator that picks it, so the union of a cell's
+row sets holds each constraint once.  One fraction-free elimination over
+Z[i] of that union, in Python ints, gives the rank and, from the echelon
+rows, a primitive Gaussian-integer nullspace basis, one vector per free
+entry of q; like Bareiss's (Math. Comp. 22 (1968) 565), it never divides,
+except each combined row by a Gaussian gcd of its entries.  Rows that share
+no entry of q are never combined, so the elimination needs no split of q
+into blocks.  That basis depends on the nullspace alone.
 
 Nullity 0 is a noninvariant verdict.  Otherwise the witness is the first
 combination W = sum c_k B_k of the basis, c_k in {1, -1, i, -i, 0} taken in
@@ -51,10 +53,11 @@ or W conj(W) (antilinear) = lambda c 1, each tested by a sparse product
 that stops at the first row off c 1: W / sqrt(c) is then a unitary
 (antiunitary, with conjugation) symmetry whose operator square is lambda.
 If none of the first WITNESS_CANDIDATES combinations qualifies, the verdict
-is indeterminate.  The witness is checked on the monomial equations: its
-residual is the largest |W F_b - sign(G) N_b W| over the distinct ones,
-with F_b the flagged matrix above, which bounds every coefficient of the
-condition for all (p, m, t) at once; every product is exact, so it reads 0.0.
+is indeterminate.  The witness is checked in Z[i] on the cell's distinct
+equations: its residual is the largest |s (W [conj] n - sigma n W)|, which
+is |W F_b - sign(G) N_b W| with F_b the flagged matrix above and bounds
+every coefficient of the condition for all (p, m, t) at once; every product
+is exact, so it reads 0.0.  W becomes a complex matrix only in the result.
 
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
@@ -280,34 +283,18 @@ def _equation_signs(system, op: DiscreteOpSpec) -> list:
     ]
 
 
-def _monomial_pairs(system, op: DiscreteOpSpec) -> list:
-    """Per equation of a `_MonomialSystem`, the sparse pair (a, b) of the
-    flagged matrix eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N and
-    sign(G) N.
-
-    The coefficient of R G R^-1 at x is [conj] coeff(eta.x) eta_p^|alpha|,
-    all variables are real and E is even, so monomial by monomial it is the
-    flagged matrix times x^b, over the same E^shift as G's own block: the
-    condition q (R G R^-1) = sign(G) G q holds for all (p, m, t) iff
-    q a = b q holds for every pair (a, b)."""
-    pairs = []
-    for mat, (flag, sign) in zip(system.mats, _equation_signs(system, op)):
-        flagged = {key: v.conjugate() for key, v in mat.items()} if op.conj else mat
-        pairs.append((mat_scale(flagged, flag), mat_scale(mat, sign)))
-    return pairs
-
-
 def _real_primitive(mat: dict) -> tuple:
-    """mat times the real factor that makes its entries coprime Gaussian
-    integers with its first entry in re > 0, or re = 0 and im > 0, as sorted
-    items {(i, j): (re, im)}; the entries are dyadic, so exact.  Only a real
-    factor: i N would impose another antilinear constraint than N."""
+    """(n, s) with mat = s n: n the Gaussian-integer matrix whose entries are
+    coprime, with its first entry in re > 0, or re = 0 and im > 0, as sorted
+    items {(i, j): (re, im)}, and s real; the entries are dyadic, so exact.
+    Only a real factor: i N would impose another antilinear constraint than N."""
     parts = {key: (v.real.as_integer_ratio(), v.imag.as_integer_ratio()) for key, v in mat.items()}
     scale = max(den for pair in parts.values() for _, den in pair)
     ints = {key: (a * (scale // b), c * (scale // d)) for key, ((a, b), (c, d)) in parts.items()}
     first = ints[min(ints)]
     content = math.gcd(*(part for v in ints.values() for part in v)) * (1 if first > (0, 0) else -1)
-    return tuple(sorted((key, (re // content, im // content)) for key, (re, im) in ints.items()))
+    n = tuple(sorted((key, (re // content, im // content)) for key, (re, im) in ints.items()))
+    return n, content / scale
 
 
 @lru_cache(maxsize=None)
@@ -335,62 +322,67 @@ def _matrix_rows(n: tuple, d: int, conj: bool, sigma: int) -> frozenset:
 
 @lru_cache(maxsize=None)
 def _constraint_rows(g: GeneratorSet) -> tuple:
-    """Per equation of `_monomial_system(g)`, its matrix up to a real factor
-    (`_real_primitive`), the key of its `_matrix_rows`."""
-    return tuple(map(_real_primitive, _monomial_system(g).mats))
+    """Per equation of `_monomial_system(g)`, (n, s, whether n has an
+    imaginary entry) for its matrix s n (`_real_primitive`)."""
+    pairs = map(_real_primitive, _monomial_system(g).mats)
+    return tuple((n, s, any(im for _, (_, im) in n)) for n, s in pairs)
 
 
-def _cell_rows(g: GeneratorSet, op: DiscreteOpSpec) -> list:
-    """The distinct rows of g's monomial system under op, sorted, as sparse
-    rows over the d * d entries of q: q [conj] N - sigma N q per equation,
-    with sigma its flag sign times sign(G)."""
+def _cell_equations(g: GeneratorSet, op: DiscreteOpSpec) -> dict:
+    """The distinct monomial equations of g under op, {(n, conj, sigma): s}:
+    q [conj] n = sigma n q, conj only when n has an imaginary entry, s the
+    largest |s| of the equations that share the key."""
+    equations = {}
     signs = _equation_signs(_monomial_system(g), op)
-    keys = {(n, flag * sign) for n, (flag, sign) in zip(_constraint_rows(g), signs)}
-    rows = set().union(*(_matrix_rows(n, g.dim, op.conj, sigma) for n, sigma in keys))
+    for (n, s, imaginary), (flag, sign) in zip(_constraint_rows(g), signs):
+        key = (n, op.conj and imaginary, flag * sign)
+        equations[key] = max(abs(s), equations.get(key, 0.0))
+    return equations
+
+
+def _cell_rows(equations: dict, d: int) -> list:
+    """The distinct rows of a cell's equations, sorted, as sparse rows over
+    the d * d entries of q."""
+    rows = set().union(*(_matrix_rows(n, d, conj, sigma) for n, conj, sigma in equations))
     return [dict(row) for row in sorted(rows)]
 
 
-def _rank_decision(g: GeneratorSet, op: DiscreteOpSpec) -> list:
-    """The primitive Gaussian-integer nullspace basis of g's monomial system
-    under op, each vector {(row, column) of q: (re, im)}, one per free entry
-    of q in row-major order."""
-    basis = _nullspace(_cell_rows(g, op), g.dim * g.dim)
-    return [{divmod(c, g.dim): v for c, v in vector.items()} for vector in basis]
-
-
-def _witness_residual(q, pairs) -> float:
-    """max over the monomial equations (a, b) of pairs of |q a - b q|, each
-    distinct pair taken once: the largest coefficient of
-    q (R G R^-1) - sign(G) G q, for all (p, m, t)."""
-    q = sparse(q)
-    distinct = {(frozenset(a.items()), frozenset(b.items())): (a, b) for a, b in pairs}
-    deviations = (
-        mat_add(mat_mul(q, a), mat_scale(mat_mul(b, q), -1)) for a, b in distinct.values()
-    )
-    return max((abs(v) for dev in deviations for v in dev.values()), default=0.0)
+def _rank_decision(equations: dict, d: int) -> list:
+    """The primitive Gaussian-integer nullspace basis of a cell's equations,
+    each vector {(row, column) of q: (re, im)}, one per free entry of q in
+    row-major order."""
+    basis = _nullspace(_cell_rows(equations, d), d * d)
+    return [{divmod(c, d): v for c, v in vector.items()} for vector in basis]
 
 
 # ---------------------------------------------------------------------------
 # witness selection
 
 
-def _scalar_product(u: dict, v: dict, d: int):
-    """s when the product u v of the sparse Gaussian-integer d x d matrices
-    {(i, j): (re, im)} is s 1, else None; row by row, returning at the first
-    row that rules it out."""
+def _product_rows(u: dict, v: dict, d: int):
+    """The rows of the product u v of sparse Gaussian-integer d x d matrices
+    {(i, j): (re, im)}, one {j: (re, im)} at a time, entries that cancel
+    kept as (0, 0)."""
     rows = [[] for _ in range(d)]
     for (k, j), y in v.items():
         rows[k].append((j, y))
     left = [[] for _ in range(d)]
     for (i, k), x in u.items():
         left[i].append((k, x))
-    scale = None
     for i in range(d):
         out = {}
         for k, (xr, xi) in left[i]:
             for j, (yr, yi) in rows[k]:
                 re, im = out.get(j, (0, 0))
                 out[j] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+        yield out
+
+
+def _scalar_product(u: dict, v: dict, d: int):
+    """s when the product u v of sparse Gaussian-integer d x d matrices is
+    s 1, else None; row by row, returning at the first row that rules it out."""
+    scale = None
+    for i, out in enumerate(_product_rows(u, v, d)):
         entry = out.pop(i, (0, 0))
         scale = entry if scale is None else scale
         if entry != scale or any(x != (0, 0) for x in out.values()):
@@ -402,8 +394,8 @@ def _select_witness(basis: list, d: int, conj: bool):
     """(W, lambda) for the first combination W of the basis vectors, with
     coefficients in UNITS in `itertools.product` order, such that
     W W^H = c 1 with c > 0 and W W (W conj(W) when conj) = lambda c 1;
-    None if none of the first WITNESS_CANDIDATES qualifies.  W is a tuple
-    of rows of complex, exact Gaussian integers."""
+    None if none of the first WITNESS_CANDIDATES qualifies.  W is sparse,
+    {(i, j): (re, im)} with its zero entries kept."""
     for coeffs in islice(product(UNITS, repeat=len(basis)), WITNESS_CANDIDATES):
         w = {}
         for c, vector in zip(coeffs, basis):
@@ -416,9 +408,23 @@ def _select_witness(basis: list, d: int, conj: bool):
             continue
         square = _scalar_product(w, bar if conj else w, d)
         if square is not None:
-            witness = dense({key: complex(*v) for key, v in w.items()}, d)
-            return witness, complex(*square) / scale[0]
+            return w, complex(*square) / scale[0]
     return None
+
+
+def _witness_residual(w: dict, equations: dict, d: int) -> float:
+    """max over a cell's equations of |s (W [conj] n - sigma n W)| for the
+    Gaussian-integer W {(i, j): (re, im)}: exact in Z[i] and dyadic s, so
+    rounded once, in abs."""
+    worst = 0.0
+    for (n, conj, sigma), s in equations.items():
+        n = dict(n)
+        flagged = {key: (re, -im) for key, (re, im) in n.items()} if conj else n
+        for left, right in zip(_product_rows(w, flagged, d), _product_rows(n, w, d)):
+            for j in left.keys() | right.keys():
+                (ar, ai), (br, bi) = left.get(j, (0, 0)), right.get(j, (0, 0))
+                worst = max(worst, abs(complex(s * (ar - sigma * br), s * (ai - sigma * bi))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +452,16 @@ def classify(g: GeneratorSet, op) -> ClassificationResult:
     """Decide invariance of a generator set under one discrete operator."""
     if isinstance(op, str):
         op = get_op(op)
-    basis = _rank_decision(g, op)
+    equations = _cell_equations(g, op)
+    basis = _rank_decision(equations, g.dim)
     found = _select_witness(basis, g.dim, op.conj) if basis else None
-    witness, square = found or (None, None)
-    residual = None
-    if witness is not None:
-        residual = _witness_residual(witness, _monomial_pairs(_monomial_system(g), op))
+    witness = residual = square = None
+    if found is not None:
+        w, square = found
+        witness = dense({key: complex(*v) for key, v in w.items()}, g.dim)
+        residual = _witness_residual(w, equations, g.dim)
     return ClassificationResult(
-        g.rep.kind, op.name, witness is not None, bool(basis) and witness is None, len(basis),
+        g.rep.kind, op.name, found is not None, bool(basis) and found is None, len(basis),
         witness, residual, square,
     )
 

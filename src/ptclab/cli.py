@@ -6,9 +6,12 @@ layers it runs, so `ptc`, `--help` and every usage error load no numeric
 layer, and every other command runs on the plain-Python exact core; no
 command loads numpy.  No command reads a sample point: every check and every
 classification is decided on the exact Laurent coefficients, and
-`algebra --dump-generators` writes those coefficients' rows.  The
-user-facing summary, flags, JSON schema and exit codes are in DESCRIPTION,
-which `--help` prints.
+`algebra --dump-generators` writes those coefficients' rows.  Each
+`cmd_*` returns one payload, (JSON body, text lines, exit code); `main`
+dispatches through `_COMMANDS`, adds schema, command and config to the body
+and prints the one form asked for, so both modes share the exit code and the
+text is a view of the same result.  The user-facing summary, flags, JSON
+schema and exit codes are in DESCRIPTION, which `--help` prints.
 """
 
 from __future__ import annotations
@@ -53,8 +56,12 @@ def cmat(matrix) -> list:
     return [[cnum(v) for v in row] for row in matrix]
 
 
-def _emit(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+class _Stderr(str):
+    """A text-mode line that goes to stderr, not stdout."""
+
+
+class _UsageError(Exception):
+    """Invalid input that the parser cannot see, reported with exit 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,61 +116,31 @@ def _build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# selftest
+# commands
 
 
-def _selftest_checks() -> list:
+def cmd_selftest():
     from .clifford import build_basis
     from .generators import charge_check, transform_residuals
 
-    checks = []
-
-    def record(name, passed, residual=None):
-        checks.append({"name": name, "pass": bool(passed), "residual": residual})
-
+    residuals = {}  # per check, None when the basis check raised; a check passes at 0.0
     for dim in (4, 8):
         try:
             build_basis(dim)
-            record(f"clifford_invariants_dim{dim}", True, 0.0)
+            residuals[f"clifford_invariants_dim{dim}"] = 0.0
         except AssertionError:
-            record(f"clifford_invariants_dim{dim}", False)
-
-    for name, resid in transform_residuals().items():
-        record(name, resid == 0.0, resid)
-
-    charge = charge_check()
-    record("charge_commutes", charge.ok, charge.max_residual)
-    return checks
-
-
-def cmd_selftest(json_output: bool) -> int:
-    checks = _selftest_checks()
-    ok = all(c["pass"] for c in checks)
-    if json_output:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "selftest",
-                "config": {},
-                "checks": checks,
-                "pass": ok,
-            }
-        )
-    else:
-        for c in checks:
-            status = "PASS" if c["pass"] else "FAIL"
-            extra = "" if c["residual"] is None else f"  residual={c['residual']:.3e}"
-            print(f"{status}  {c['name']}{extra}")
-    if ok:
-        return EXIT_OK
-    if not json_output:
-        first = next(c["name"] for c in checks if not c["pass"])
-        print(f"selftest failed at: {first}", file=sys.stderr)
-    return EXIT_FAIL
-
-
-# ---------------------------------------------------------------------------
-# algebra / classify / table
+            residuals[f"clifford_invariants_dim{dim}"] = None
+    residuals.update(transform_residuals(), charge_commutes=charge_check().max_residual)
+    checks = [{"name": name, "pass": r == 0.0, "residual": r} for name, r in residuals.items()]
+    lines = [
+        f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}"
+        + ("" if c["residual"] is None else f"  residual={c['residual']:.3e}")
+        for c in checks
+    ]
+    failed = [c["name"] for c in checks if not c["pass"]]
+    if failed:
+        lines.append(_Stderr(f"selftest failed at: {failed[0]}"))
+    return {"checks": checks, "pass": not failed}, lines, EXIT_FAIL if failed else EXIT_OK
 
 
 def _generators_json(g) -> dict:
@@ -188,34 +165,25 @@ def _generators_json(g) -> dict:
     }
 
 
-def cmd_algebra(json_output: bool, rep: str, dump: bool = False) -> int:
+def cmd_algebra(rep: str, dump: bool):
     from .generators import build_generators, check_algebra
 
     g = build_generators(rep)
     report = check_algebra(g)
-    if json_output:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "algebra",
-            "config": {},
-            "rep": rep,
-            "brackets": {
-                f"[{a},{b}]": r for (a, b), r in sorted(report.residuals.items())
-            },
-            "max_residual": report.max_residual,
-            "adjoint_residuals": dict(sorted(report.adjoint_residuals.items())),
-            "pass": report.ok,
-        }
-        if dump:
-            payload.update(_generators_json(g))
-        _emit(payload)
-    else:
-        print(f"exact bracket closure for {rep}")
-        for (a, b), r in sorted(report.residuals.items()):
-            print(f"  [{a},{b}]  {r:.3e}")
-        print(f"max self-adjointness residual {report.max_adjoint_residual:.3e}")
-        print(f"max residual {report.max_residual:.3e}  ->  {'PASS' if report.ok else 'FAIL'}")
-    return EXIT_OK if report.ok else EXIT_FAIL
+    body = {
+        "rep": rep,
+        "brackets": {f"[{a},{b}]": r for (a, b), r in sorted(report.residuals.items())},
+        "max_residual": report.max_residual,
+        "adjoint_residuals": dict(sorted(report.adjoint_residuals.items())),
+        "pass": report.ok,
+    }
+    lines = [f"exact bracket closure for {rep}"]
+    lines += [f"  {bracket}  {r:.3e}" for bracket, r in body["brackets"].items()]
+    lines.append(f"max self-adjointness residual {report.max_adjoint_residual:.3e}")
+    lines.append(f"max residual {report.max_residual:.3e}  ->  {'PASS' if report.ok else 'FAIL'}")
+    if dump:
+        body.update(_generators_json(g))
+    return body, lines, EXIT_OK if report.ok else EXIT_FAIL
 
 
 def _result_json(result) -> dict:
@@ -224,141 +192,104 @@ def _result_json(result) -> dict:
         "nullspace_dim": result.nullspace_dim,
         "residual": result.residual,
         "witness": None if result.witness is None else cmat(result.witness),
-        "operator_square": None
-        if result.operator_square is None
-        else cnum(result.operator_square),
+        "operator_square": None if result.operator_square is None else cnum(result.operator_square),
     }
 
 
-def cmd_classify(json_output: bool, rep: str, op: str) -> int:
+def cmd_classify(rep: str, op: str):
     from .classify import WITNESS_CANDIDATES, classify, get_op
     from .generators import build_generators
 
     result = classify(build_generators(rep), get_op(op))
-    if json_output:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "classify",
-            "config": {},
-            "rep": rep,
-            "op": op,
-        }
-        payload.update(_result_json(result))
-        _emit(payload)
-    else:
-        print(f"{rep} under {op}: {result.verdict}")
-        print(f"  nullspace dimension {result.nullspace_dim}")
-        if result.invariant:
-            print(f"  witness residual {result.residual:.3e}")
-            print(f"  operator square {result.operator_square:.6g}")
-        elif result.indeterminate:
-            print(f"  no unitary witness among {WITNESS_CANDIDATES} combinations of the basis")
-    return EXIT_INDETERMINATE if result.indeterminate else EXIT_OK
+    lines = [f"{rep} under {op}: {result.verdict}", f"  nullspace dimension {result.nullspace_dim}"]
+    if result.invariant:
+        lines.append(f"  witness residual {result.residual:.3e}")
+        lines.append(f"  operator square {result.operator_square:.6g}")
+    elif result.indeterminate:
+        lines.append(f"  no unitary witness among {WITNESS_CANDIDATES} combinations of the basis")
+    body = {"rep": rep, "op": op, **_result_json(result)}
+    return body, lines, EXIT_INDETERMINATE if result.indeterminate else EXIT_OK
 
 
-def cmd_table(json_output: bool, rep: str) -> int:
+def cmd_table(rep: str):
     from .classify import full_table
 
     reps = ["rep1", "rep2", "rep3", "canonical8"] if rep == "all" else [rep]
-    tables = {kind: full_table(kind) for kind in reps}
-    any_indeterminate = any(t.any_indeterminate for t in tables.values())
-    all_match = all(t.matches_paper for t in tables.values())
-
-    if json_output:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "table",
-            "config": {},
-            "reps": {},
-            "matches_paper": all_match,
-        }
-        for kind, table in tables.items():
-            rows = {}
-            for name, row in table.rows.items():
-                entry = _result_json(row.result)
-                entry["paper_expectation"] = row.expectation
-                entry["matches_paper"] = row.matches
-                rows[name] = entry
-            payload["reps"][kind] = {"ops": rows, "matches_paper": table.matches_paper}
-        _emit(payload)
-    else:
-        for kind, table in tables.items():
-            print(f"{kind}:")
-            for name, row in table.rows.items():
-                note = ""
-                if row.expectation is None:
-                    note = "  (computed, unstated in source claims)"
-                elif row.matches is False:
-                    note = f"  MISMATCH, expected {row.expectation}"
-                print(f"  {name:<5} {row.verdict}{note}")
-            if kind in ("rep1", "rep2", "rep3"):
-                print(f"  -> matches published claims: {table.matches_paper}")
-    if any_indeterminate:
-        return EXIT_INDETERMINATE
-    return EXIT_OK if all_match else EXIT_FAIL
+    body = {"reps": {}, "matches_paper": True}
+    lines, indeterminate = [], False
+    for kind in reps:
+        table = full_table(kind)
+        ops = body["reps"][kind] = {"ops": {}, "matches_paper": table.matches_paper}
+        lines.append(f"{kind}:")
+        for name, row in table.rows.items():
+            ops["ops"][name] = {
+                **_result_json(row.result),
+                "paper_expectation": row.expectation,
+                "matches_paper": row.matches,
+            }
+            note = ""
+            if row.expectation is None:
+                note = "  (computed, unstated in source claims)"
+            elif row.matches is False:
+                note = f"  MISMATCH, expected {row.expectation}"
+            lines.append(f"  {name:<5} {row.verdict}{note}")
+        if kind in ("rep1", "rep2", "rep3"):
+            lines.append(f"  -> matches published claims: {table.matches_paper}")
+        body["matches_paper"] &= table.matches_paper
+        indeterminate |= table.any_indeterminate
+    if indeterminate:
+        return body, lines, EXIT_INDETERMINATE
+    return body, lines, EXIT_OK if body["matches_paper"] else EXIT_FAIL
 
 
-# ---------------------------------------------------------------------------
-# massless / ptc
-
-
-def cmd_massless(json_output: bool) -> int:
+def cmd_massless():
     from .generators import helicity_check
     from .labels import massless_decompose, massless_pair_count
 
-    labels = massless_decompose()
-    pair_count = massless_pair_count()
+    labels = [str(l) for l in massless_decompose()]
     report = helicity_check()
-    if json_output:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "massless",
-                "config": {},
-                "labels": [str(l) for l in labels],
-                "pair_count": pair_count,
-                "helicity": {
-                    "max_residual": report.max_residual,
-                    "eigenvalue_residual": report.eigenvalue_residual,
-                    "pass": report.ok,
-                },
-            }
-        )
-    else:
-        print("massless decomposition:")
-        print("  " + " + ".join(str(l) for l in labels))
-        print(f"  {len(labels)} one-dimensional pieces, {pair_count} unordered pairs")
-        for claim, residual in (
-            ("helicity operators commute with all generators", report.max_residual),
-            ("S.p/E has eigenvalues +-1/2, twice each, on S^2 = 3/4", report.eigenvalue_residual),
-        ):
-            print(f"  {claim}: {'PASS' if residual == 0.0 else 'FAIL'} (residual {residual:.3e})")
-    return EXIT_OK if report.ok else EXIT_FAIL
+    body = {
+        "labels": labels,
+        "pair_count": massless_pair_count(),
+        "helicity": {
+            "max_residual": report.max_residual,
+            "eigenvalue_residual": report.eigenvalue_residual,
+            "pass": report.ok,
+        },
+    }
+    lines = [
+        "massless decomposition:",
+        "  " + " + ".join(labels),
+        f"  {len(labels)} one-dimensional pieces, {body['pair_count']} unordered pairs",
+    ]
+    for claim, residual in (
+        ("helicity operators commute with all generators", report.max_residual),
+        ("S.p/E has eigenvalues +-1/2, twice each, on S^2 = 3/4", report.eigenvalue_residual),
+    ):
+        lines.append(f"  {claim}: {'PASS' if residual == 0.0 else 'FAIL'} (residual {residual:.3e})")
+    return body, lines, EXIT_OK if report.ok else EXIT_FAIL
 
 
-def cmd_ptc(json_output: bool, expression: str) -> int:
+def cmd_ptc(expression: str):
     from .labels import LabelParseError, parse_labels, ptc_complete
 
     try:
         labels = parse_labels(expression)
     except LabelParseError as exc:
-        print(f"ptclab: label error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    verdict = ptc_complete(labels)
-    if json_output:
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "ptc",
-                "config": {},
-                "labels": [str(l) for l in labels],
-                "ptc_complete": verdict,
-            }
-        )
-    else:
-        print(" + ".join(str(l) for l in labels))
-        print(f"fully P, T, C invariant: {verdict}")
-    return EXIT_OK
+        raise _UsageError(f"label error: {exc}") from None
+    body = {"labels": [str(l) for l in labels], "ptc_complete": ptc_complete(labels)}
+    lines = [" + ".join(body["labels"]), f"fully P, T, C invariant: {body['ptc_complete']}"]
+    return body, lines, EXIT_OK
+
+
+_COMMANDS = {
+    "selftest": lambda args: cmd_selftest(),
+    "algebra": lambda args: cmd_algebra(args.rep, args.dump_generators),
+    "classify": lambda args: cmd_classify(args.rep, args.op),
+    "table": lambda args: cmd_table(args.rep),
+    "massless": lambda args: cmd_massless(),
+    "ptc": lambda args: cmd_ptc(args.labels),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +308,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ptclab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.command == "selftest":
-        return cmd_selftest(args.json)
-    if args.command == "algebra":
-        return cmd_algebra(args.json, args.rep, args.dump_generators)
-    if args.command == "classify":
-        return cmd_classify(args.json, args.rep, args.op)
-    if args.command == "table":
-        return cmd_table(args.json, args.rep)
-    if args.command == "massless":
-        return cmd_massless(args.json)
-    if args.command == "ptc":
-        return cmd_ptc(args.json, args.labels)
-    raise AssertionError(f"unhandled command {args.command}")
+    try:
+        body, lines, code = _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(f"ptclab: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.json:
+        payload = {"schema": SCHEMA_VERSION, "command": args.command, "config": {}, **body}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line, file=sys.stderr if isinstance(line, _Stderr) else sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

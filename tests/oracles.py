@@ -9,11 +9,13 @@ coefficients at them, operator sums and scalings, the position operator, the
 full Leibniz-rule composition (coefficients multiplied sum by sum, for any
 order), symbolic commutators, formal adjoints, the substitution-flag
 conjugation R g R^-1, per-multi-index comparison of operators at sample
-points and the energy at a sample point.  It also holds the float reference
-for the classifier's exact rank: one SVD of the dense system of every
-monomial equation over all d^2 entries of q, with a relative rank threshold;
-and the dense reference for its witness search, which forms every product
-in full.
+points and the energy at a sample point.  It also holds the monomial
+equations as complex pairs, with the complex-float witness residual over
+them, the reference for the classifier's exact residual in Z[i]; the float
+reference for the classifier's exact rank: one SVD of the dense system of
+every monomial equation over all d^2 entries of q, with a relative rank
+threshold; and the dense reference for its witness search, which forms
+every product in full.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -30,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ptclab.clifford import dense
+from ptclab.classify import _equation_signs
+from ptclab.clifford import dense, mat_add, mat_mul, mat_scale, sparse
 from ptclab.expr import LAURENT_VARS, ONE, Expr
 from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
 from ptclab.vocabulary import DEFAULT_SEED
@@ -354,9 +357,39 @@ def equal_at(a: MomentumOperator, b: MomentumOperator, points, tol: float = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# the float reference for the classifier's rank
+# the monomial equations as complex pairs, and the float reference for the
+# classifier's rank
 
 RANK_TOL = 1e-8
+
+
+def monomial_pairs(system, op) -> list:
+    """Per equation of a `classify._MonomialSystem`, the sparse complex pair
+    (a, b) of the flagged matrix eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta
+    [conj] N and sign(G) N.
+
+    The coefficient of R G R^-1 at x is [conj] coeff(eta.x) eta_p^|alpha|,
+    all variables are real and E is even, so monomial by monomial it is the
+    flagged matrix times x^b, over the same E^shift as G's own block: the
+    condition q (R G R^-1) = sign(G) G q holds for all (p, m, t) iff
+    q a = b q holds for every pair (a, b)."""
+    pairs = []
+    for mat, (flag, sign) in zip(system.mats, _equation_signs(system, op)):
+        flagged = {key: v.conjugate() for key, v in mat.items()} if op.conj else mat
+        pairs.append((mat_scale(flagged, flag), mat_scale(mat, sign)))
+    return pairs
+
+
+def complex_witness_residual(q, pairs) -> float:
+    """max over the monomial equations (a, b) of pairs of |q a - b q|, in
+    complex floats, each distinct pair taken once: the reference for the
+    classifier's exact residual."""
+    q = sparse(q)
+    distinct = {(frozenset(a.items()), frozenset(b.items())): (a, b) for a, b in pairs}
+    deviations = (
+        mat_add(mat_mul(q, a), mat_scale(mat_mul(b, q), -1)) for a, b in distinct.values()
+    )
+    return max((abs(v) for dev in deviations for v in dev.values()), default=0.0)
 
 
 def dense_pairs(pairs, dim: int) -> np.ndarray:

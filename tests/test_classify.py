@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptclab
+import ptclab.classify as classify_module
 from ptclab.classify import (
     OP_ORDER,
     PAPER_CLAIMS,
@@ -19,12 +20,12 @@ from ptclab.classify import (
     SIGN_CLASSES,
     UNITS,
     WITNESS_CANDIDATES,
+    _cell_equations,
     _cell_rows,
     _combine,
     _constraint_rows,
     _equation_signs,
     _matrix_rows,
-    _monomial_pairs,
     _monomial_system,
     _nullspace,
     _rank_decision,
@@ -53,6 +54,7 @@ from oracles import (
     RANK_TOL,
     apply_flags,
     arrays,
+    complex_witness_residual,
     dense_pairs,
     dense_scalar_product,
     dense_select_witness,
@@ -60,6 +62,7 @@ from oracles import (
     equal_at,
     eval_operator,
     float_nullity,
+    monomial_pairs,
     position,
     sample_points,
     scaled,
@@ -123,7 +126,18 @@ def test_subsidiary_position_conditions_hold_identically(points):
 
 def _pairs_of(g, name):
     """The monomial pairs of g under the named operator, as arrays."""
-    return dense_pairs(_monomial_pairs(_monomial_system(g), get_op(name)), g.dim)
+    return dense_pairs(monomial_pairs(_monomial_system(g), get_op(name)), g.dim)
+
+
+def _basis(g, op):
+    """The exact nullspace basis of g's monomial equations under op."""
+    return _rank_decision(_cell_equations(g, op), g.dim)
+
+
+def _complex(w: dict, d: int) -> tuple:
+    """The d x d rows of complex of a sparse Gaussian-integer matrix
+    {(i, j): (re, im)}."""
+    return tuple(tuple(complex(*w.get((i, j), (0, 0))) for j in range(d)) for i in range(d))
 
 
 def _matrix(vector, dim):
@@ -135,9 +149,9 @@ def _matrix(vector, dim):
 
 
 def test_constraint_nullspace_dimensions(rep1):
-    assert _rank_decision(rep1, get_op("P1")) == []  # claim 1: no parity intertwiner
+    assert _basis(rep1, get_op("P1")) == []  # claim 1: no parity intertwiner
 
-    basis = _rank_decision(rep1, get_op("Mx"))
+    basis = _basis(rep1, get_op("Mx"))
     assert len(basis) == 2
     pairs = _pairs_of(rep1, "Mx")
     for vector in basis:  # every basis element solves every monomial equation exactly
@@ -217,7 +231,7 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
     for name in OP_ORDER:
         op = get_op(name)
         oracle = _oracle_blocks(g, op, points)
-        evaluated = _evaluated_pairs(system, dense_pairs(_monomial_pairs(system, op), g.dim), points)
+        evaluated = _evaluated_pairs(system, dense_pairs(monomial_pairs(system, op), g.dim), points)
         assert len(evaluated) == len(oracle)
         for block, (a0, b0, sign0) in zip(evaluated, oracle):
             scale = max(1.0, float(np.max(np.abs(a0))), float(np.max(np.abs(b0))))
@@ -249,7 +263,7 @@ def test_index_classes_of_each_set():
             same_class[np.ix_(members, members)] = True
         assert not np.any(coeffs[:, ~same_class]), kind
         for name in OP_ORDER:
-            pairs = _monomial_pairs(_monomial_system(g), get_op(name))
+            pairs = monomial_pairs(_monomial_system(g), get_op(name))
             assert _index_classes([m for pair in pairs for m in pair], g.dim) == classes, (kind, name)
         full = {(i, j): 1 for i in range(g.dim) for j in range(g.dim)}
         assert _index_classes([full], g.dim) == (tuple(range(g.dim)),), kind
@@ -265,7 +279,7 @@ def test_basis_vectors_lie_in_one_submatrix(kind, sign):
     classes = _index_classes(_monomial_system(g).mats, g.dim)
     class_of = {i: k for k, members in enumerate(classes) for i in members}
     for name in OP_ORDER:
-        for vector in _rank_decision(g, get_op(name)):
+        for vector in _basis(g, get_op(name)):
             assert len({(class_of[i], class_of[j]) for i, j in vector}) == 1, (kind, name)
 
 
@@ -308,7 +322,7 @@ def test_merged_system_keeps_the_spectrum_and_the_nullspace(kind):
     g = build_generators(RepId(kind))
     for name in OP_ORDER:
         projector = _null_projector(stacked_system(_pairs_of(g, name)))
-        basis = _rank_decision(g, get_op(name))
+        basis = _basis(g, get_op(name))
         if basis:
             q, _ = np.linalg.qr(np.array([_matrix(v, g.dim).ravel() for v in basis]).T)
             assert np.max(np.abs(projector - q @ q.conj().T)) <= 1e-12, (kind, name)
@@ -342,20 +356,30 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch):
     assert after.hits - before.hits == 2 * len(OP_ORDER) - 1
 
 
-def test_row_families_are_built_once_per_process():
+def test_row_families_are_built_once_per_process(monkeypatch):
     """Over the sets of `table --rep all` (rep1, rep2, rep3, canonical8),
     `_matrix_rows` builds each (N, d, conj, sigma) family that some cell
     picks exactly once, shared across sets, and a second pass builds none:
-    fewer families than the four per distinct (N, d) an eager build makes."""
+    59 families, fewer than the four per distinct (N, d) an eager build
+    makes.  conj is part of the key only when N has an imaginary entry
+    (conj N = N otherwise), so no real N is ever built under conj=True."""
     sets = [build_generators(RepId(kind)) for kind in ("rep1", "rep2", "rep3", "canonical8")]
     keys, matrices = set(), set()
     for g in sets:
         system = _monomial_system(g)
-        matrices |= {(n, g.dim) for n in _constraint_rows(g)}
+        matrices |= {(n, g.dim) for n, _, _ in _constraint_rows(g)}
         for name in OP_ORDER:
             op = get_op(name)
-            for n, (flag, sign) in zip(_constraint_rows(g), _equation_signs(system, op)):
-                keys.add((n, g.dim, op.conj, flag * sign))
+            for (n, _, _), (flag, sign) in zip(_constraint_rows(g), _equation_signs(system, op)):
+                imaginary = any(im for _, (_, im) in n)
+                keys.add((n, g.dim, op.conj and imaginary, flag * sign))
+    picked = []
+
+    def recording(*key):
+        picked.append(key)
+        return _matrix_rows(*key)
+
+    monkeypatch.setattr(classify_module, "_matrix_rows", recording)
     _matrix_rows.cache_clear()
     for g in sets:
         full_table(g)
@@ -363,9 +387,11 @@ def test_row_families_are_built_once_per_process():
     for g in sets:
         full_table(g)
     second = _matrix_rows.cache_info()
-    assert first.misses == first.currsize == len(keys) < 4 * len(matrices)
+    assert first.misses == first.currsize == len(keys) == 59 < 4 * len(matrices)
     assert second.misses == first.misses
     assert second.hits > first.hits
+    assert set(picked) == keys
+    assert not [n for n, _, conj, _ in picked if conj and not any(im for _, (_, im) in n)]
 
 
 def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
@@ -487,34 +513,54 @@ def _assert_exact_witness(result, conj, dim):
 def test_witnesses_hold_on_held_out_points(kind, points_alt):
     """Every witness, found without sample points, satisfies the apply_flags
     constraints evaluated at sample points, and is unitary up to scale:
-    q q^H = c 1.  The package's residual is the largest |q a - b q| over the
-    monomial equations, and shifting one entry of the witness by 1e-6 makes
-    it nonzero, equal to the largest deviation over every monomial equation,
-    so taking each distinct equation once drops none."""
+    q q^H = c 1.  The package's residual, computed in Z[i] on each cell's
+    distinct equations, equals bit for bit the complex reference (the
+    largest |q a - b q| over every monomial pair, in complex floats): 0.0
+    for the witness, and the same nonzero value after one entry of the
+    witness is shifted by the Gaussian integer 1, i or 3 - 2i, so taking
+    each distinct equation once, with its largest real factor, drops none."""
     g = build_generators(RepId(kind))
     table = full_table(g)
     invariant = [name for name, row in table.rows.items() if row.result.invariant]
     assert invariant
     for name in invariant:
+        op = get_op(name)
         q = np.asarray(table.rows[name].result.witness)
         residual = max(
             float(np.max(np.abs(q @ a - sign * b @ q)))
-            for a, b, sign in _oracle_blocks(g, get_op(name), points_alt)
+            for a, b, sign in _oracle_blocks(g, op, points_alt)
         )
         assert residual < 1e-9, (kind, name)
-        pairs = _monomial_pairs(_monomial_system(g), get_op(name))
-        per_equation = max(
-            float(np.max(np.abs(q @ a - b @ q))) for a, b in _pairs_of(g, name)
-        )
-        assert _witness_residual(q, pairs) == per_equation == 0.0, (kind, name)
-        shifted = q.copy()
-        shifted[0, 0] += 1e-6
-        shifted_per_equation = max(
-            float(np.max(np.abs(shifted @ a - b @ shifted))) for a, b in _pairs_of(g, name)
-        )
-        assert _witness_residual(shifted, pairs) == shifted_per_equation > 0.0, (kind, name)
+        pairs = monomial_pairs(_monomial_system(g), op)
+        equations = _cell_equations(g, op)
+        w = {(i, j): (int(v.real), int(v.imag)) for (i, j), v in np.ndenumerate(q)}
+        assert _witness_residual(w, equations, g.dim) == 0.0, (kind, name)
+        assert complex_witness_residual(q, pairs) == 0.0, (kind, name)
+        for shift in ((1, 0), (0, 1), (3, -2)):
+            shifted = dict(w)
+            shifted[0, 0] = (w[0, 0][0] + shift[0], w[0, 0][1] + shift[1])
+            reference = complex_witness_residual(_complex(shifted, g.dim), pairs)
+            exact = _witness_residual(shifted, equations, g.dim)
+            assert exact == reference > 0.0, (kind, name, shift)
         c = (q @ q.conj().T)[0, 0].real
         assert np.array_equal(q @ q.conj().T, c * np.eye(g.dim)), (kind, name)
+
+
+def test_equations_that_share_a_matrix_keep_its_largest_factor():
+    """H = N p1 + 2 N m for N = diag(1, i, 0, 0) gives two monomial
+    equations whose matrices differ by a real factor; under T1 both impose
+    q N = -N q, so the cell keeps one equation, with the larger factor 2,
+    and the residual of any W is that of the 2N equation, bit for bit the
+    complex reference over both pairs."""
+    n = np.diag([1, 1j, 0, 0])
+    coeff = Coefficient.from_rows([(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)], [n, 2 * n])
+    g = GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(coeff)})
+    op = get_op("T1")
+    key = ((((0, 0), (1, 0)), ((1, 1), (0, 1))), False, -1)
+    assert _cell_equations(g, op) == {key: 2.0}
+    w = {(0, 0): (1, 0), (0, 1): (3, -2), (1, 1): (0, 1), (2, 3): (1, 1)}
+    reference = complex_witness_residual(_complex(w, 4), monomial_pairs(_monomial_system(g), op))
+    assert _witness_residual(w, _cell_equations(g, op), 4) == reference > 0.0
 
 
 def _mixed(rows):
@@ -534,7 +580,7 @@ def test_witness_depends_only_on_the_nullspace(kind):
     g = build_generators(RepId(kind))
     checked = 0
     for name in OP_ORDER:
-        rows = _cell_rows(g, get_op(name))
+        rows = _cell_rows(_cell_equations(g, get_op(name)), g.dim)
         basis = _nullspace(rows, g.dim ** 2)
         assert _nullspace(rows[::-1], g.dim ** 2) == basis, (kind, name)
         assert _nullspace(_mixed(rows), g.dim ** 2) == basis, (kind, name)
@@ -560,11 +606,17 @@ def test_witness_search_matches_the_dense_reference(kind):
     checked = 0
     for name in OP_ORDER:
         op = get_op(name)
-        basis = _rank_decision(g, op)
+        basis = _basis(g, op)
         if basis:
             found = _select_witness(basis, g.dim, op.conj)
-            assert found == dense_select_witness(basis, g.dim, op.conj, UNITS, WITNESS_CANDIDATES)
-            checked += found is not None
+            reference = dense_select_witness(basis, g.dim, op.conj, UNITS, WITNESS_CANDIDATES)
+            if found is None:
+                assert reference is None, (kind, name)
+                continue
+            w, square = found
+            assert (_complex(w, g.dim), square) == reference, (kind, name)
+            assert classify(g, op).witness == reference[0], (kind, name)
+            checked += 1
     assert checked
 
 
@@ -572,15 +624,21 @@ def test_block_sparse_witness_is_exact_on_canonical8(canonical8):
     """canonical8's nullspace basis under C is block sparse, with exact zeros
     off its submatrices, and the witness combined from it is a
     Gaussian-integer unitary with residual exactly 0.0 on the monomial
-    equations and antiunitary square -1."""
-    result = classify(canonical8, "C")
+    equations, in Z[i] and in the complex reference, and antiunitary
+    square -1."""
+    op = get_op("C")
+    result = classify(canonical8, op)
     assert result.verdict == "invariant"
-    for vector in _rank_decision(canonical8, get_op("C")):
+    basis = _basis(canonical8, op)
+    for vector in basis:
         assert len({(i // 2, j // 2) for i, j in vector}) == 1
     _assert_exact_witness(result, True, 8)
     assert result.operator_square == -1
-    pairs = _monomial_pairs(_monomial_system(canonical8), get_op("C"))
-    assert _witness_residual(result.witness, pairs) == 0.0
+    w, _ = _select_witness(basis, 8, True)
+    assert _complex(w, 8) == result.witness
+    assert _witness_residual(w, _cell_equations(canonical8, op), 8) == 0.0
+    pairs = monomial_pairs(_monomial_system(canonical8), op)
+    assert complex_witness_residual(result.witness, pairs) == 0.0
 
 
 def test_classification_does_not_import_scipy():

@@ -332,6 +332,106 @@ def test_ptc_command(capsys):
     assert code == 0 and payload["ptc_complete"] is True
 
 
+def _verdict_lines(payload) -> list:
+    """The PASS/FAIL and verdict lines the text form of a command must show,
+    derived from its JSON payload alone."""
+    command = payload["command"]
+    if command == "selftest":
+        return [
+            f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}"
+            + ("" if c["residual"] is None else f"  residual={c['residual']:.3e}")
+            for c in payload["checks"]
+        ]
+    if command == "algebra":
+        verdict = "PASS" if payload["pass"] else "FAIL"
+        return [f"  {bracket}  {r:.3e}" for bracket, r in payload["brackets"].items()] + [
+            f"max residual {payload['max_residual']:.3e}  ->  {verdict}"
+        ]
+    if command == "classify":
+        return [
+            f"{payload['rep']} under {payload['op']}: {payload['verdict']}",
+            f"  nullspace dimension {payload['nullspace_dim']}",
+        ]
+    if command == "table":
+        lines = []
+        for kind, table in payload["reps"].items():
+            lines.append(f"{kind}:")
+            for name, row in table["ops"].items():
+                note = ""
+                if row["paper_expectation"] is None:
+                    note = "  (computed, unstated in source claims)"
+                elif row["matches_paper"] is False:
+                    note = f"  MISMATCH, expected {row['paper_expectation']}"
+                lines.append(f"  {name:<5} {row['verdict']}{note}")
+            if kind in ("rep1", "rep2", "rep3"):
+                lines.append(f"  -> matches published claims: {table['matches_paper']}")
+        return lines
+    if command == "massless":
+        helicity = payload["helicity"]
+        return ["  " + " + ".join(payload["labels"])] + [
+            f"  {claim}: {'PASS' if r == 0.0 else 'FAIL'} (residual {r:.3e})"
+            for claim, r in (
+                (_COMMUTE, helicity["max_residual"]),
+                (_EIGENVALUES, helicity["eigenvalue_residual"]),
+            )
+        ]
+    assert command == "ptc"
+    return [" + ".join(payload["labels"]), f"fully P, T, C invariant: {payload['ptc_complete']}"]
+
+
+def _doctored_connector(monkeypatch):
+    wrong = generators._connector_numerator() - Coefficient.scalar(MASS, 4)
+    monkeypatch.setattr(generators, "_connector_numerator", lambda: wrong)
+
+
+def _indeterminate_set(monkeypatch):
+    h = Coefficient.constant(np.diag([1j, 0, 0, 0]))
+    toy = generators.GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(h)})
+    monkeypatch.setattr(generators, "build_generators", lambda rep: toy)
+
+
+@pytest.mark.parametrize(
+    "argv, doctor, expected",
+    [
+        pytest.param(("selftest",), None, 0, id="selftest"),
+        pytest.param(("selftest",), _doctored_connector, 1, id="selftest-doctored"),
+        pytest.param(("algebra", "--rep", "rep1"), None, 0, id="algebra"),
+        pytest.param(("classify", "--rep", "rep1", "--op", "C"), None, 0, id="classify-invariant"),
+        pytest.param(("classify", "--rep", "rep1", "--op", "P1"), None, 0, id="classify-noninvariant"),
+        pytest.param(
+            ("classify", "--rep", "rep1", "--op", "T2"), _indeterminate_set, 2,
+            id="classify-indeterminate",
+        ),
+        pytest.param(("table", "--rep", "all"), None, 0, id="table"),
+        pytest.param(("massless",), None, 0, id="massless"),
+        pytest.param(("ptc", "--labels", "D+(1/2,0)+D-(0,1/2)"), None, 0, id="ptc"),
+    ],
+)
+def test_text_output_is_a_view_of_the_json_payload(capsys, monkeypatch, argv, doctor, expected):
+    """Both modes exit with the same code; the text holds every line derived
+    from the JSON payload, and its PASS/FAIL and verdict lines are exactly
+    the derived ones.  Only a failing selftest writes to stderr, and only in
+    text mode."""
+    if doctor is not None:
+        doctor(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    json_code, json_out, json_err = run(capsys, *argv, "--json")
+    assert code == json_code == expected
+    assert json_err == ""
+    payload = json.loads(json_out)
+    wanted = _verdict_lines(payload)
+    lines = out.splitlines()
+    assert set(wanted) <= set(lines), argv
+    words = ("PASS", "FAIL", "invariant", "indeterminate")
+    verdicts = sorted(line for line in lines if any(w in line for w in words))
+    assert verdicts == sorted(line for line in wanted if any(w in line for w in words)), argv
+    if argv[0] == "selftest" and not payload["pass"]:
+        failed = next(c["name"] for c in payload["checks"] if not c["pass"])
+        assert err == f"selftest failed at: {failed}\n"
+    else:
+        assert err == ""
+
+
 def test_ptc_parse_error_is_usage_error(capsys):
     code, _, err = run(capsys, "ptc", "--labels", "D+(1/3,0)")
     assert code == 64
