@@ -23,28 +23,29 @@ sum_b eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b x^b
 
     q * (eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b) = sign(G) * N_b * q.
 
-That is 34 equations on dirac8 and 40 on every other set.  The monomial
-system is built once per generator set and shared by all nine operators;
-no sample point enters the classification.
+That is 34 equations on dirac8 and 40 on every other set, each a constant
+condition q a = b q between Gaussian-integer matrices, held as the pair
+(a, b) of sorted items {(i, j): (re, im)}.  Each N_b is s n with n a coprime
+Gaussian-integer matrix and s real.  A table built once per generator set
+holds per equation s, its exponent row, |alpha|, its sign class and its
+pairs ([conj] n, +-n), one per equation up to a real factor (conj n is n
+for a real n and -n for an imaginary one).  An operator picks a = [conj] n
+and b = sigma n, sigma = sign(G) * flag sign, and keeps the cell's distinct
+equations {(a, b): s}, s the largest |s| of those that share a pair: the one
+input of the rows and of the witness check, neither of which sees conj or
+sigma.  No sample point enters the classification.
 
-The subsidiary conditions make q constant, and every N_b is a Gaussian
-dyadic rational matrix, so the condition is one linear system over Q(i) in
-the d^2 entries of q, entry (i, j) numbered i d + j, and is decided exactly.
-Each N_b is s n with n a coprime Gaussian-integer matrix and s real.  An
-operator turns its equations into the cell's distinct equations
-{(n, conj, sigma): s}, sigma = sign(G) * flag sign, conj dropped when n is
-real (conj n = n) and s the largest |s| of the equations that share a key;
-that one set gives both the rows and the witness check.  The rows of
-q [conj] n - sigma n q over all d^2 entries, each made primitive and put in
-associate form, are built once per process for each (n, d, conj, sigma) and
-shared by every set and operator that picks it, so the union of a cell's
-row sets holds each constraint once.  One fraction-free elimination over
-Z[i] of that union, in Python ints, gives the rank and, from the echelon
-rows, a primitive Gaussian-integer nullspace basis, one vector per free
-entry of q; like Bareiss's (Math. Comp. 22 (1968) 565), it never divides,
-except each combined row by a Gaussian gcd of its entries.  Rows that share
-no entry of q are never combined, so the elimination needs no split of q
-into blocks.  That basis depends on the nullspace alone.
+The subsidiary conditions make q constant and every N_b is Gaussian dyadic,
+so the condition is one linear system over Q(i) in the d^2 entries of q,
+entry (i, j) numbered i d + j, decided exactly.  The rows of q a - b q, each
+primitive and in associate form, are built once per process per (a, b, d),
+so the union of a cell's row sets holds each constraint once.  One
+fraction-free elimination over Z[i] of that union, in Python ints, gives the
+rank and, from the echelon rows, a primitive Gaussian-integer nullspace
+basis, one vector per free entry of q, that depends on the nullspace alone;
+like Bareiss's (Math. Comp. 22 (1968) 565), it never divides, except each
+combined row by a Gaussian gcd of its entries.  Rows that share no entry of
+q are never combined, so q needs no split into blocks.
 
 Nullity 0 is a noninvariant verdict.  Otherwise the witness is the first
 combination W = sum c_k B_k of the basis, c_k in {1, -1, i, -i, 0} taken in
@@ -54,8 +55,8 @@ that stops at the first row off c 1: W / sqrt(c) is then a unitary
 (antiunitary, with conjugation) symmetry whose operator square is lambda.
 If none of the first WITNESS_CANDIDATES combinations qualifies, the verdict
 is indeterminate.  The witness is checked in Z[i] on the cell's distinct
-equations: its residual is the largest |s (W [conj] n - sigma n W)|, which
-is |W F_b - sign(G) N_b W| with F_b the flagged matrix above and bounds
+equations: its residual is the largest |s (W a - b W)|, which is
+|W F_b - sign(G) N_b W| with F_b the flagged matrix above and bounds
 every coefficient of the condition for all (p, m, t) at once; every product
 is exact, so it reads 0.0.  W becomes a complex matrix only in the result.
 
@@ -241,48 +242,6 @@ def _nullspace(rows, n: int) -> list:
 # constraint assembly
 
 
-class _MonomialSystem(NamedTuple):
-    """Every (generator, multi-index) block of a generator set in normal form
-    (`Coefficient.on_shell`): E^shift[c] times block c is
-    sum over its equations e of mats[e] x^exps[e]."""
-
-    mats: tuple  # per equation, sparse {(i, j): entry}
-    exps: tuple  # per equation, ordered as expr.LAURENT_VARS
-    block: tuple  # per equation, the block it comes from
-    shift: tuple  # per block
-    order: tuple  # per equation, |alpha| of the block's multi-index
-    sign_class: tuple  # per equation, index into SIGN_CLASSES
-
-
-@lru_cache(maxsize=None)
-def _monomial_system(g: GeneratorSet) -> _MonomialSystem:
-    """The blocks of g in GENERATOR_NAMES order, multi-indices sorted within
-    a generator, monomials sorted within a block."""
-    shifts, exps, mats, labels = [], [], [], []
-    for name, gen in g.items():
-        sign_class = SIGN_CLASSES.index(GENERATOR_CLASS[name])
-        for alpha in sorted(gen.terms):
-            shift, form = gen.terms[alpha].on_shell()
-            labels += [(len(shifts), index_order(alpha), sign_class)] * len(form.terms)
-            shifts.append(shift)
-            exps += form.terms
-            mats += form.terms.values()
-    block, order, sign_class = zip(*labels)
-    return _MonomialSystem(tuple(mats), tuple(exps), block, tuple(shifts), order, sign_class)
-
-
-def _equation_signs(system, op: DiscreteOpSpec) -> list:
-    """Per equation of a `_MonomialSystem`, the flag sign
-    eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta and sign(G) under op."""
-    flags = momentum_action(op)
-    return [
-        (flag * flags.eta_p ** order, op.signs[sign_class])
-        for flag, order, sign_class in zip(
-            flag_signs(system.exps, flags), system.order, system.sign_class
-        )
-    ]
-
-
 def _real_primitive(mat: dict) -> tuple:
     """(n, s) with mat = s n: n the Gaussian-integer matrix whose entries are
     coprime, with its first entry in re > 0, or re = 0 and im > 0, as sorted
@@ -298,16 +257,61 @@ def _real_primitive(mat: dict) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _matrix_rows(n: tuple, d: int, conj: bool, sigma: int) -> frozenset:
-    """The rows of q [conj] N - sigma N q for the Gaussian-integer matrix N,
-    given as items, over the d * d entries of q, entry (i, j) numbered
-    i * d + j; each row primitive and in associate form, so rows that differ
-    by a factor in Q(i) are equal.  Built once per process and key, so the
-    sets and operators that share a matrix share its rows."""
-    left, right = {}, {}  # column k of [conj] N as [(j, .)], row i of -sigma N as [(l d, .)]
-    for (a, b), (re, im) in n:
-        left.setdefault(b, []).append((a, (re, -im if conj else im)))
-        right.setdefault(a, []).append((b * d, (-sigma * re, -sigma * im)))
+def _equation_table(g: GeneratorSet) -> tuple:
+    """(exps, equations): the monomial equations of g, from its (generator,
+    multi-index) blocks in normal form (`Coefficient.on_shell`) in
+    GENERATOR_NAMES order, multi-indices sorted within a generator, monomials
+    sorted within a block.  exps holds their exponent rows, ordered as
+    expr.LAURENT_VARS; equations holds (s, |alpha|, sign class, pairs) for the
+    matrix s n (`_real_primitive`), with pairs[conj][sigma] the pair
+    ([conj] n, sigma n) up to a real factor: a real n is its own conjugate,
+    and an imaginary one, conj n = -n, gives (n, -sigma n)."""
+    exps, equations = [], []
+    for name, gen in g.items():
+        sign_class = SIGN_CLASSES.index(GENERATOR_CLASS[name])
+        for alpha in sorted(gen.terms):
+            for row, mat in gen.terms[alpha].on_shell()[1].terms.items():
+                n, s = _real_primitive(mat)
+                minus = tuple((key, (-re, -im)) for key, (re, im) in n)
+                plain = {1: (n, n), -1: (n, minus)}
+                if not any(im for _, (_, im) in n):  # conj n = n
+                    flagged = plain
+                elif not any(re for _, (re, _) in n):  # conj n = -n
+                    flagged = {1: plain[-1], -1: plain[1]}
+                else:
+                    bar = tuple((key, (re, -im)) for key, (re, im) in n)
+                    flagged = {1: (bar, n), -1: (bar, minus)}
+                exps.append(row)
+                equations.append((s, index_order(alpha), sign_class, (plain, flagged)))
+    return tuple(exps), tuple(equations)
+
+
+def _cell_equations(g: GeneratorSet, op: DiscreteOpSpec) -> dict:
+    """The distinct monomial equations of g under op, {(a, b): s}: q a = b q
+    with a = [conj] n and b = sigma n, sigma = sign(G) times the flag sign
+    eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta, and s the largest |s| of the
+    equations that share the pair."""
+    flags = momentum_action(op)
+    exps, table = _equation_table(g)
+    equations = {}
+    for (s, order, sign_class, pairs), flag in zip(table, flag_signs(exps, flags)):
+        key = pairs[op.conj][flag * flags.eta_p ** order * op.signs[sign_class]]
+        equations[key] = max(abs(s), equations.get(key, 0.0))
+    return equations
+
+
+@lru_cache(maxsize=None)
+def _matrix_rows(a: tuple, b: tuple, d: int) -> frozenset:
+    """The rows of q a - b q for Gaussian-integer matrices a and b, given as
+    items, over the d * d entries of q, entry (i, j) numbered i * d + j; each
+    row primitive and in associate form, so rows that differ by a factor in
+    Q(i) are equal.  Built once per process and pair, so the sets and
+    operators that share an equation share its rows."""
+    left, right = {}, {}  # column k of a as [(j, .)], row i of -b as [(l d, .)]
+    for (j, k), v in a:
+        left.setdefault(k, []).append((j, v))
+    for (i, l), (re, im) in b:
+        right.setdefault(i, []).append((l * d, (-re, -im)))
     rows = set()
     for i, k in product(range(d), repeat=2):
         row = {i * d + j: v for j, v in left.get(k, ())}
@@ -320,30 +324,10 @@ def _matrix_rows(n: tuple, d: int, conj: bool, sigma: int) -> frozenset:
     return frozenset(rows)
 
 
-@lru_cache(maxsize=None)
-def _constraint_rows(g: GeneratorSet) -> tuple:
-    """Per equation of `_monomial_system(g)`, (n, s, whether n has an
-    imaginary entry) for its matrix s n (`_real_primitive`)."""
-    pairs = map(_real_primitive, _monomial_system(g).mats)
-    return tuple((n, s, any(im for _, (_, im) in n)) for n, s in pairs)
-
-
-def _cell_equations(g: GeneratorSet, op: DiscreteOpSpec) -> dict:
-    """The distinct monomial equations of g under op, {(n, conj, sigma): s}:
-    q [conj] n = sigma n q, conj only when n has an imaginary entry, s the
-    largest |s| of the equations that share the key."""
-    equations = {}
-    signs = _equation_signs(_monomial_system(g), op)
-    for (n, s, imaginary), (flag, sign) in zip(_constraint_rows(g), signs):
-        key = (n, op.conj and imaginary, flag * sign)
-        equations[key] = max(abs(s), equations.get(key, 0.0))
-    return equations
-
-
 def _cell_rows(equations: dict, d: int) -> list:
     """The distinct rows of a cell's equations, sorted, as sparse rows over
     the d * d entries of q."""
-    rows = set().union(*(_matrix_rows(n, d, conj, sigma) for n, conj, sigma in equations))
+    rows = set().union(*(_matrix_rows(a, b, d) for a, b in equations))
     return [dict(row) for row in sorted(rows)]
 
 
@@ -413,17 +397,15 @@ def _select_witness(basis: list, d: int, conj: bool):
 
 
 def _witness_residual(w: dict, equations: dict, d: int) -> float:
-    """max over a cell's equations of |s (W [conj] n - sigma n W)| for the
-    Gaussian-integer W {(i, j): (re, im)}: exact in Z[i] and dyadic s, so
-    rounded once, in abs."""
+    """max over a cell's equations of |s (W a - b W)| for the Gaussian-integer
+    W {(i, j): (re, im)}: exact in Z[i] and dyadic s, so rounded once, in
+    abs."""
     worst = 0.0
-    for (n, conj, sigma), s in equations.items():
-        n = dict(n)
-        flagged = {key: (re, -im) for key, (re, im) in n.items()} if conj else n
-        for left, right in zip(_product_rows(w, flagged, d), _product_rows(n, w, d)):
+    for (a, b), s in equations.items():
+        for left, right in zip(_product_rows(w, dict(a), d), _product_rows(dict(b), w, d)):
             for j in left.keys() | right.keys():
                 (ar, ai), (br, bi) = left.get(j, (0, 0)), right.get(j, (0, 0))
-                worst = max(worst, abs(complex(s * (ar - sigma * br), s * (ai - sigma * bi))))
+                worst = max(worst, abs(complex(s * (ar - br), s * (ai - bi))))
     return worst
 
 
@@ -487,14 +469,9 @@ PAPER_CLAIMS = {
 
 
 def paper_expectation(rep_kind: str, op_name: str):
-    claims = PAPER_CLAIMS.get(rep_kind)
-    if claims is None:
-        return None
-    if op_name in claims["invariant"]:
-        return "invariant"
-    if op_name in claims["noninvariant"]:
-        return "noninvariant"
-    return None
+    """The published verdict of a cell, None where the source states none."""
+    claims = PAPER_CLAIMS.get(rep_kind, {})
+    return next((verdict for verdict, ops in claims.items() if op_name in ops), None)
 
 
 class TableRow(NamedTuple):

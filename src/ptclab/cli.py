@@ -120,17 +120,24 @@ def _build_parser() -> _Parser:
 
 
 def cmd_selftest():
-    from .clifford import build_basis
-    from .generators import charge_check, transform_residuals
+    from .clifford import cached_basis
+    from .generators import TRANSFORM_CHECKS, charge_check, transform_residuals
 
-    residuals = {}  # per check, None when the basis check raised; a check passes at 0.0
-    for dim in (4, 8):
+    def clifford(dim):
+        cached_basis(dim)  # raises AssertionError unless every invariant holds exactly
+        return {f"clifford_invariants_dim{dim}": 0.0}
+
+    residuals = {}  # per check, None when a failed basis check stopped it; a check passes at 0.0
+    for names, check in (
+        (("clifford_invariants_dim4",), lambda: clifford(4)),
+        (("clifford_invariants_dim8",), lambda: clifford(8)),
+        (TRANSFORM_CHECKS, transform_residuals),
+        (("charge_commutes",), lambda: {"charge_commutes": charge_check().max_residual}),
+    ):
         try:
-            build_basis(dim)
-            residuals[f"clifford_invariants_dim{dim}"] = 0.0
+            residuals.update(check())
         except AssertionError:
-            residuals[f"clifford_invariants_dim{dim}"] = None
-    residuals.update(transform_residuals(), charge_commutes=charge_check().max_residual)
+            residuals.update(dict.fromkeys(names))
     checks = [{"name": name, "pass": r == 0.0, "residual": r} for name, r in residuals.items()]
     lines = [
         f"{'PASS' if c['pass'] else 'FAIL'}  {c['name']}"

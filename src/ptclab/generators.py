@@ -93,7 +93,7 @@ class RepId(NamedTuple("RepId", [("kind", str), ("energy_sign", int)])):
 
 class GeneratorSet:
     """The ten generators of one representation; equal and hashed by
-    identity, so a set keys the classifier's cache of monomial systems."""
+    identity, so a set keys the classifier's cache of equation tables."""
 
     __slots__ = ("rep", "ops")
 
@@ -423,20 +423,21 @@ def subspace_decomposition() -> SubspaceReport:
 class ChargeReport(NamedTuple):
     ok: bool
     max_residual: float
-    per_generator: dict
 
 
 def charge_check() -> ChargeReport:
     """Does gamma0 commute exactly with all ten generators of the
     positive-Hamiltonian set rep3?"""
     q = cached_basis(4).gamma0
-    per = {name: _commutant_residual(q, op) for name, op in build_generators("rep3").items()}
-    max_residual = max(per.values())
-    return ChargeReport(max_residual == 0.0, max_residual, per)
+    max_residual = max(_commutant_residual(q, op) for op in build_generators("rep3").ops.values())
+    return ChargeReport(max_residual == 0.0, max_residual)
 
 
 # ---------------------------------------------------------------------------
 # the diagonalizing transforms
+
+
+TRANSFORM_CHECKS = ("canonical_transform_unitary", "hamiltonian_diagonalization", "connector_unitary")
 
 
 def transform_residuals() -> dict:
@@ -447,22 +448,17 @@ def transform_residuals() -> dict:
         U U^H = 2,  U H8 U^H = 2 Gamma0 E   for U = 1 + Gamma0 H8 / E,
         N^H N = 2E(E + m)                   for N = m + E + gamma4 gamma_a p_a.
 
-    Keyed by the selftest check each one backs.
+    Keyed by the selftest check each one backs, in TRANSFORM_CHECKS order.
     """
     u = _canonical_numerator()
     h8 = dirac_hamiltonian8().terms[ZERO_INDEX]
     n = _connector_numerator()
-    return {
-        "canonical_transform_unitary": _shell_residual(
-            [u @ u.dagger() - Coefficient.scalar(2, 8)]
-        ),
-        "hamiltonian_diagonalization": _shell_residual(
-            [u @ h8 @ u.dagger() - Coefficient([cached_basis(8).gamma0], [2 * ENERGY])]
-        ),
-        "connector_unitary": _shell_residual(
-            [n.dagger() @ n - Coefficient.scalar(2 * ENERGY * (ENERGY + MASS), 4)]
-        ),
-    }
+    identities = (
+        u @ u.dagger() - Coefficient.scalar(2, 8),
+        u @ h8 @ u.dagger() - Coefficient([cached_basis(8).gamma0], [2 * ENERGY]),
+        n.dagger() @ n - Coefficient.scalar(2 * ENERGY * (ENERGY + MASS), 4),
+    )
+    return {name: _shell_residual([c]) for name, c in zip(TRANSFORM_CHECKS, identities)}
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +468,6 @@ def transform_residuals() -> dict:
 class HelicityReport(NamedTuple):
     ok: bool
     max_residual: float
-    per_generator: dict  # name -> (residual of [S.p/E, G], residual of [T.p/E, G])
     eigenvalue_residual: float
 
 
@@ -496,15 +491,13 @@ def helicity_check() -> HelicityReport:
     tr(P S.p/E) = sum_a tr(P S_a) p_a / E vanishes as well.
     """
     hs, ht = helicity_operator("s"), helicity_operator("t")
-    per = {
-        name: tuple(
-            _shell_residual(commutator(h, op).terms.values(), massless=True) for h in (hs, ht)
-        )
-        for name, op in build_generators("canonical8").items()
-    }
-    worst = max(max(pair) for pair in per.values())
+    worst = max(
+        _shell_residual(commutator(h, op).terms.values(), massless=True)
+        for op in build_generators("canonical8").ops.values()
+        for h in (hs, ht)
+    )
     proj = spectral_projector(cached_spin(8).s_squared, 0.75, (0, 0.75))
     h = hs.terms[ZERO_INDEX].lmul(proj)
     traces = Expr(h.exps, [trace(mat) for mat in h.mats])
     eig_residual = _shell_residual([h @ h - Coefficient([proj], [0.25]), traces], massless=True)
-    return HelicityReport(worst == 0.0 and eig_residual == 0.0, worst, per, eig_residual)
+    return HelicityReport(worst == 0.0 and eig_residual == 0.0, worst, eig_residual)

@@ -88,30 +88,13 @@ FOUR_COMPONENT_CONTENTS = {
 
 
 def ptc_complete(labels) -> bool:
-    """True iff the multiset splits into the required partner groups.
-
-    For s != tau a full quadruple {both energy signs} x {(s,tau), (tau,s)} is
-    needed; for s == tau just the pair of energy signs.
-    """
+    """True iff every label's count equals the count of its energy-sign flip
+    and of its (s, tau) swap: the multiset is a sum of full partner groups,
+    {both energy signs} x {(s, tau), (tau, s)}, a pair when s == tau."""
     counts = Counter((lab.energy_sign, lab.s, lab.tau) for lab in labels)
-    done = set()
-    for (_, s, tau) in list(counts):
-        key = (min(s, tau), max(s, tau))
-        if key in done:
-            continue
-        done.add(key)
-        if s == tau:
-            if counts[(1, s, s)] != counts[(-1, s, s)]:
-                return False
-        else:
-            quartet = [
-                counts[(sign, a, b)]
-                for sign in (1, -1)
-                for (a, b) in ((s, tau), (tau, s))
-            ]
-            if len(set(quartet)) != 1:
-                return False
-    return True
+    return all(
+        n == counts[(-sign, s, tau)] == counts[(sign, tau, s)] for (sign, s, tau), n in counts.items()
+    )
 
 
 def massless_decompose() -> list:

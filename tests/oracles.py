@@ -10,12 +10,14 @@ full Leibniz-rule composition (coefficients multiplied sum by sum, for any
 order), symbolic commutators, formal adjoints, the substitution-flag
 conjugation R g R^-1, per-multi-index comparison of operators at sample
 points and the energy at a sample point.  It also holds the monomial
-equations as complex pairs, with the complex-float witness residual over
-them, the reference for the classifier's exact residual in Z[i]; the float
-reference for the classifier's exact rank: one SVD of the dense system of
-every monomial equation over all d^2 entries of q, with a relative rank
-threshold; and the dense reference for its witness search, which forms
-every product in full.
+equations as complex pairs, built here from `Coefficient.on_shell` with
+each flag sign taken variable by variable, and the complex-float witness
+residual over them, the reference for the classifier's exact residual in
+Z[i]; the float reference for the classifier's exact rank: one SVD of the
+dense system of every monomial equation over all d^2 entries of q, with a
+relative rank threshold; the dense reference for its witness search, which
+forms every product in full; and the quartet-by-quartet reference for the
+label completeness rule.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -27,14 +29,16 @@ capped at two, which is all the generator algebra ever needs.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import islice, product
 from typing import NamedTuple
 
 import numpy as np
 
-from ptclab.classify import _equation_signs
+from ptclab.classify import SIGN_CLASSES
 from ptclab.clifford import dense, mat_add, mat_mul, mat_scale, sparse
 from ptclab.expr import LAURENT_VARS, ONE, Expr
+from ptclab.generators import GENERATOR_CLASS
 from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
 from ptclab.vocabulary import DEFAULT_SEED
 
@@ -363,20 +367,52 @@ def equal_at(a: MomentumOperator, b: MomentumOperator, points, tol: float = 1e-9
 RANK_TOL = 1e-8
 
 
-def monomial_pairs(system, op) -> list:
-    """Per equation of a `classify._MonomialSystem`, the sparse complex pair
-    (a, b) of the flagged matrix eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta
-    [conj] N and sign(G) N.
+class MonomialBlock(NamedTuple):
+    """One (generator, multi-index) block of a generator set in normal form:
+    E^shift times the block is sum over terms {exps: matrix} of matrix x^exps,
+    the exponents ordered as LAURENT_VARS."""
+
+    name: str
+    alpha: tuple
+    shift: int
+    terms: dict
+
+
+def monomial_blocks(g) -> list:
+    """The blocks of g in its generator order, multi-indices sorted within a
+    generator, each put in normal form by `Coefficient.on_shell`."""
+    blocks = []
+    for name, gen in g.items():
+        for alpha in sorted(gen.terms):
+            shift, form = gen.terms[alpha].on_shell()
+            blocks.append(MonomialBlock(name, alpha, shift, form.terms))
+    return blocks
+
+
+def monomial_pairs(g, op) -> list:
+    """Per monomial equation of g, block by block as `monomial_blocks`, the
+    sparse complex pair (a, b) of the flagged matrix
+    eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N and sign(G) N, under
+    the discrete operator op.
 
     The coefficient of R G R^-1 at x is [conj] coeff(eta.x) eta_p^|alpha|,
     all variables are real and E is even, so monomial by monomial it is the
     flagged matrix times x^b, over the same E^shift as G's own block: the
     condition q (R G R^-1) = sign(G) G q holds for all (p, m, t) iff
-    q a = b q holds for every pair (a, b)."""
+    q a = b q holds for every pair (a, b).  The flag sign is taken here,
+    variable by variable: a space flip flips p and conjugation flips it
+    again."""
+    eta_p = op.eta_x * (-1 if op.conj else 1)
+    per_var = {"p1": eta_p, "p2": eta_p, "p3": eta_p, "m": op.eta_m, "t": op.eta_t}
     pairs = []
-    for mat, (flag, sign) in zip(system.mats, _equation_signs(system, op)):
-        flagged = {key: v.conjugate() for key, v in mat.items()} if op.conj else mat
-        pairs.append((mat_scale(flagged, flag), mat_scale(mat, sign)))
+    for block in monomial_blocks(g):
+        sign = op.signs[SIGN_CLASSES.index(GENERATOR_CLASS[block.name])]
+        for exps, mat in block.terms.items():
+            flag = eta_p ** sum(block.alpha)
+            for name, k in zip(LAURENT_VARS, exps):
+                flag *= per_var.get(name, 1) ** abs(k)
+            flagged = {key: v.conjugate() for key, v in mat.items()} if op.conj else mat
+            pairs.append((mat_scale(flagged, flag), mat_scale(mat, sign)))
     return pairs
 
 
@@ -461,3 +497,33 @@ def dense_select_witness(basis: list, d: int, conj: bool, units, candidates: int
             witness = tuple(tuple(complex(*v) for v in row) for row in w)
             return witness, complex(*square) / scale[0]
     return None
+
+
+# ---------------------------------------------------------------------------
+# the quartet-by-quartet reference for the label completeness rule
+
+
+def quartet_ptc_complete(labels) -> bool:
+    """True iff the multiset splits into the required partner groups, decided
+    group by group: for s != tau a full quadruple {both energy signs} x
+    {(s, tau), (tau, s)} with equal counts, for s == tau the pair of energy
+    signs with equal counts."""
+    counts = Counter((lab.energy_sign, lab.s, lab.tau) for lab in labels)
+    done = set()
+    for (_, s, tau) in list(counts):
+        key = (min(s, tau), max(s, tau))
+        if key in done:
+            continue
+        done.add(key)
+        if s == tau:
+            if counts[(1, s, s)] != counts[(-1, s, s)]:
+                return False
+        else:
+            quartet = [
+                counts[(sign, a, b)]
+                for sign in (1, -1)
+                for (a, b) in ((s, tau), (tau, s))
+            ]
+            if len(set(quartet)) != 1:
+                return False
+    return True

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 import os
 import subprocess
 import sys
@@ -23,10 +24,8 @@ from ptclab.classify import (
     _cell_equations,
     _cell_rows,
     _combine,
-    _constraint_rows,
-    _equation_signs,
+    _equation_table,
     _matrix_rows,
-    _monomial_system,
     _nullspace,
     _rank_decision,
     _scalar_product,
@@ -62,6 +61,7 @@ from oracles import (
     equal_at,
     eval_operator,
     float_nullity,
+    monomial_blocks,
     monomial_pairs,
     position,
     sample_points,
@@ -126,7 +126,7 @@ def test_subsidiary_position_conditions_hold_identically(points):
 
 def _pairs_of(g, name):
     """The monomial pairs of g under the named operator, as arrays."""
-    return dense_pairs(monomial_pairs(_monomial_system(g), get_op(name)), g.dim)
+    return dense_pairs(monomial_pairs(g, get_op(name)), g.dim)
 
 
 def _basis(g, op):
@@ -159,15 +159,22 @@ def test_constraint_nullspace_dimensions(rep1):
         assert np.array_equal(q @ pairs[:, 0], pairs[:, 1] @ q)
 
 
+def _mats(g) -> list:
+    """The matrices of g's monomial equations, from the oracle's blocks."""
+    return [mat for block in monomial_blocks(g) for mat in block.terms.values()]
+
+
 def test_monomial_equation_counts():
     """One equation per distinct monomial of every block in normal form: 34
-    on dirac8 and 40 on every other set, summed over 19 blocks."""
+    on dirac8 and 40 on every other set, summed over 19 blocks, in the
+    oracle's blocks and in the package's equation table alike."""
     for kind, sign in SETS:
         g = build_generators(RepId(kind, sign))
-        system = _monomial_system(g)
-        assert len(system.mats) == (34 if kind == "dirac8" else 40), (kind, sign)
-        assert len(system.shift) == 19, (kind, sign)
-        assert all(system.mats), (kind, sign)
+        mats = _mats(g)
+        assert len(mats) == (34 if kind == "dirac8" else 40), (kind, sign)
+        assert len(monomial_blocks(g)) == 19, (kind, sign)
+        assert all(mats), (kind, sign)
+        assert len(_equation_table(g)[1]) == len(mats), (kind, sign)
 
 
 def _oracle_blocks(g, op, points):
@@ -185,18 +192,20 @@ def _oracle_blocks(g, op, points):
     return blocks
 
 
-def _evaluated_pairs(system, pairs, points):
-    """The monomial pairs summed into each block at each sample point,
-    (blocks, n, 2, d, d): sum over the block's equations of x^b / E^shift
-    times the pair, with every power taken here, not by the package."""
+def _evaluated_pairs(blocks, pairs, points):
+    """The monomial pairs summed into each of the oracle's blocks at each
+    sample point, (blocks, n, 2, d, d): sum over the block's equations of
+    x^b / E^shift times the pair, with every power taken here, not by the
+    package."""
     env = env_arrays(points)
     variables = np.stack([env[name] for name in LAURENT_VARS], axis=1)
     energy = LAURENT_VARS.index("E")
-    out = np.zeros((len(system.shift), len(points)) + pairs.shape[1:], dtype=complex)
-    for e, (c, exps) in enumerate(zip(system.block, system.exps)):
+    out = np.zeros((len(blocks), len(points)) + pairs.shape[1:], dtype=complex)
+    equations = [(c, exps) for c, block in enumerate(blocks) for exps in block.terms]
+    for e, (c, exps) in enumerate(equations):
         for i, x in enumerate(variables):
             weight = math.prod(float(v) ** int(k) for v, k in zip(x, exps))
-            out[c, i] += weight / float(x[energy]) ** int(system.shift[c]) * pairs[e]
+            out[c, i] += weight / float(x[energy]) ** int(blocks[c].shift) * pairs[e]
     return out
 
 
@@ -226,12 +235,12 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
     evaluated at the samples, equal the apply_flags blocks: the flagged side
     within 1e-14 relative, the plain side sign(G) times the coefficient."""
     g = build_generators(RepId(kind))
-    system = _monomial_system(g)
+    blocks = monomial_blocks(g)
     points = sample_points(seed=seed)
     for name in OP_ORDER:
         op = get_op(name)
         oracle = _oracle_blocks(g, op, points)
-        evaluated = _evaluated_pairs(system, dense_pairs(monomial_pairs(system, op), g.dim), points)
+        evaluated = _evaluated_pairs(blocks, dense_pairs(monomial_pairs(g, op), g.dim), points)
         assert len(evaluated) == len(oracle)
         for block, (a0, b0, sign0) in zip(evaluated, oracle):
             scale = max(1.0, float(np.max(np.abs(a0))), float(np.max(np.abs(b0))))
@@ -254,7 +263,7 @@ def test_index_classes_of_each_set():
         coeffs = np.concatenate(
             [arrays(c)[1] for gen in g.ops.values() for c in gen.terms.values()]
         )
-        classes = _index_classes(_monomial_system(g).mats, g.dim)
+        classes = _index_classes(_mats(g), g.dim)
         assert (len(classes), len(classes[0])) == shape, kind
         assert {len(members) for members in classes} == {shape[1]}, kind
         assert sorted(i for members in classes for i in members) == list(range(g.dim)), kind
@@ -263,7 +272,7 @@ def test_index_classes_of_each_set():
             same_class[np.ix_(members, members)] = True
         assert not np.any(coeffs[:, ~same_class]), kind
         for name in OP_ORDER:
-            pairs = monomial_pairs(_monomial_system(g), get_op(name))
+            pairs = monomial_pairs(g, get_op(name))
             assert _index_classes([m for pair in pairs for m in pair], g.dim) == classes, (kind, name)
         full = {(i, j): 1 for i in range(g.dim) for j in range(g.dim)}
         assert _index_classes([full], g.dim) == (tuple(range(g.dim)),), kind
@@ -276,7 +285,7 @@ def test_basis_vectors_lie_in_one_submatrix(kind, sign):
     every basis vector lies in one (row class, column class) submatrix of q:
     rows that share no entry are never combined."""
     g = build_generators(RepId(kind, sign))
-    classes = _index_classes(_monomial_system(g).mats, g.dim)
+    classes = _index_classes(_mats(g), g.dim)
     class_of = {i: k for k, members in enumerate(classes) for i in members}
     for name in OP_ORDER:
         for vector in _basis(g, get_op(name)):
@@ -332,10 +341,10 @@ def test_merged_system_keeps_the_spectrum_and_the_nullspace(kind):
 
 def test_full_table_builds_each_monomial_system_once(monkeypatch):
     """Each coefficient of a generator set is put in normal form once, on the
-    first cell classified, and the tables after it reuse the system; the
-    row-family keys of its equations are likewise computed once per
-    generator set and then reused by all nine operators and by the second
-    table."""
+    first cell classified, and the tables after it reuse the result: the
+    equation table, with the row-family pairs of every equation, is built
+    once per generator set and then reused by all nine operators and by the
+    second table."""
     calls = []
     original = Coefficient.on_shell
 
@@ -346,33 +355,47 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch):
     monkeypatch.setattr(Coefficient, "on_shell", counting)
     base = build_generators(RepId("canonical8"))
     g = GeneratorSet(base.rep, dict(base.ops))  # not yet cached
-    before = _constraint_rows.cache_info()
+    before = _equation_table.cache_info()
     full_table(g)
     full_table(g)
-    after = _constraint_rows.cache_info()
+    after = _equation_table.cache_info()
     coefficients = [id(c) for gen in g.ops.values() for c in gen.terms.values()]
     assert sorted(calls) == sorted(coefficients)
     assert after.misses - before.misses == 1
     assert after.hits - before.hits == 2 * len(OP_ORDER) - 1
 
 
+def _real_class(*mats) -> tuple:
+    """mats, dyadic complex matrices {(i, j): v}, up to one common real
+    factor: each divided by the factor that makes all their entries coprime
+    Gaussian integers with the first nonzero part positive, as sorted items
+    without zero entries.  q a = b q is one equation for every (r a, r b)."""
+    items = [sorted((key, v) for key, v in m.items() if v) for m in mats]
+    parts = [Fraction(x) for m in items for _, v in m for x in (v.real, v.imag)]
+    unit = Fraction(math.gcd(*(x.numerator for x in parts)), math.lcm(*(x.denominator for x in parts)))
+    unit *= 1 if next(x for x in parts if x) > 0 else -1
+    return tuple(
+        tuple((key, (int(Fraction(v.real) / unit), int(Fraction(v.imag) / unit))) for key, v in m)
+        for m in items
+    )
+
+
 def test_row_families_are_built_once_per_process(monkeypatch):
     """Over the sets of `table --rep all` (rep1, rep2, rep3, canonical8),
-    `_matrix_rows` builds each (N, d, conj, sigma) family that some cell
-    picks exactly once, shared across sets, and a second pass builds none:
-    59 families, fewer than the four per distinct (N, d) an eager build
-    makes.  conj is part of the key only when N has an imaginary entry
-    (conj N = N otherwise), so no real N is ever built under conj=True."""
+    `_matrix_rows` builds each (a, b, d) family that some cell picks exactly
+    once, shared across sets, and a second pass builds none: 43 families,
+    one per equation of the oracle's monomial pairs up to a real factor,
+    fewer than the four per distinct (N, d) an eager build makes.  No two
+    picked keys are one equation: a real N is its own conjugate, and an
+    imaginary one (conj N = -N) turns q conj(N) = sigma N q into
+    q N = -sigma N q, so neither family is ever built twice."""
     sets = [build_generators(RepId(kind)) for kind in ("rep1", "rep2", "rep3", "canonical8")]
     keys, matrices = set(), set()
     for g in sets:
-        system = _monomial_system(g)
-        matrices |= {(n, g.dim) for n, _, _ in _constraint_rows(g)}
         for name in OP_ORDER:
-            op = get_op(name)
-            for (n, _, _), (flag, sign) in zip(_constraint_rows(g), _equation_signs(system, op)):
-                imaginary = any(im for _, (_, im) in n)
-                keys.add((n, g.dim, op.conj and imaginary, flag * sign))
+            for a, b in monomial_pairs(g, get_op(name)):
+                keys.add((_real_class(a, b), g.dim))
+                matrices.add((_real_class(b), g.dim))
     picked = []
 
     def recording(*key):
@@ -387,11 +410,13 @@ def test_row_families_are_built_once_per_process(monkeypatch):
     for g in sets:
         full_table(g)
     second = _matrix_rows.cache_info()
-    assert first.misses == first.currsize == len(keys) == 59 < 4 * len(matrices)
+    assert first.misses == first.currsize == len(set(picked)) == len(keys) == 43 < 4 * len(matrices)
     assert second.misses == first.misses
     assert second.hits > first.hits
-    assert set(picked) == keys
-    assert not [n for n, _, conj, _ in picked if conj and not any(im for _, (_, im) in n)]
+    classes = {
+        (_real_class(*({k: complex(*v) for k, v in m} for m in (a, b))), d) for a, b, d in picked
+    }
+    assert classes == keys
 
 
 def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
@@ -531,7 +556,7 @@ def test_witnesses_hold_on_held_out_points(kind, points_alt):
             for a, b, sign in _oracle_blocks(g, op, points_alt)
         )
         assert residual < 1e-9, (kind, name)
-        pairs = monomial_pairs(_monomial_system(g), op)
+        pairs = monomial_pairs(g, op)
         equations = _cell_equations(g, op)
         w = {(i, j): (int(v.real), int(v.imag)) for (i, j), v in np.ndenumerate(q)}
         assert _witness_residual(w, equations, g.dim) == 0.0, (kind, name)
@@ -549,17 +574,18 @@ def test_witnesses_hold_on_held_out_points(kind, points_alt):
 def test_equations_that_share_a_matrix_keep_its_largest_factor():
     """H = N p1 + 2 N m for N = diag(1, i, 0, 0) gives two monomial
     equations whose matrices differ by a real factor; under T1 both impose
-    q N = -N q, so the cell keeps one equation, with the larger factor 2,
+    q N = -N q, so the cell keeps one equation, the pair (n, -n) with
+    n = diag(1, i, 0, 0) as items, with the larger factor 2,
     and the residual of any W is that of the 2N equation, bit for bit the
     complex reference over both pairs."""
     n = np.diag([1, 1j, 0, 0])
     coeff = Coefficient.from_rows([(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)], [n, 2 * n])
     g = GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(coeff)})
     op = get_op("T1")
-    key = ((((0, 0), (1, 0)), ((1, 1), (0, 1))), False, -1)
+    key = ((((0, 0), (1, 0)), ((1, 1), (0, 1))), (((0, 0), (-1, 0)), ((1, 1), (0, -1))))
     assert _cell_equations(g, op) == {key: 2.0}
     w = {(0, 0): (1, 0), (0, 1): (3, -2), (1, 1): (0, 1), (2, 3): (1, 1)}
-    reference = complex_witness_residual(_complex(w, 4), monomial_pairs(_monomial_system(g), op))
+    reference = complex_witness_residual(_complex(w, 4), monomial_pairs(g, op))
     assert _witness_residual(w, _cell_equations(g, op), 4) == reference > 0.0
 
 
@@ -637,7 +663,7 @@ def test_block_sparse_witness_is_exact_on_canonical8(canonical8):
     w, _ = _select_witness(basis, 8, True)
     assert _complex(w, 8) == result.witness
     assert _witness_residual(w, _cell_equations(canonical8, op), 8) == 0.0
-    pairs = monomial_pairs(_monomial_system(canonical8), op)
+    pairs = monomial_pairs(canonical8, op)
     assert complex_witness_residual(result.witness, pairs) == 0.0
 
 

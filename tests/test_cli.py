@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptclab
+import ptclab.clifford as clifford
 import ptclab.generators as generators
 from ptclab.cli import main
 from ptclab.clifford import cached_spin, casimir_spectrum, spectral_projector
@@ -64,6 +66,77 @@ def test_selftest_names_a_doctored_identity(capsys, monkeypatch, numerator, doct
     assert code == 1
     assert f"FAIL  {check}" in out
     assert f"selftest failed at: {check}" in err
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_selftest_reports_a_failing_basis(capsys, monkeypatch, dim):
+    """A Clifford basis that fails its check fails its own selftest line and
+    every check that needs it, each with pass false and residual null, and
+    the command exits 1 and names the first failure on stderr, in text mode
+    only; it never raises.  Every transform needs both bases, and the charge
+    check needs the four-dimensional one."""
+    validate = clifford._validate
+
+    def doctored(basis):
+        if basis.dim == dim:
+            raise AssertionError(f"doctored basis of dim {dim}")
+        validate(basis)
+
+    monkeypatch.setattr(clifford, "_validate", doctored)
+    clifford.cached_basis.cache_clear()
+    try:
+        code, payload = run_json(capsys, "selftest")
+        text_code, out, err = run(capsys, "selftest")
+    finally:
+        clifford.cached_basis.cache_clear()
+    failed = {f"clifford_invariants_dim{dim}", *generators.TRANSFORM_CHECKS}
+    failed |= {"charge_commutes"} if dim == 4 else set()
+    assert code == text_code == 1 and payload["pass"] is False
+    for check in payload["checks"]:
+        if check["name"] in failed:
+            assert (check["pass"], check["residual"]) == (False, None), check
+            assert f"FAIL  {check['name']}\n" in out
+        else:
+            assert (check["pass"], check["residual"]) == (True, 0.0), check
+    assert len(payload["checks"]) == 6
+    assert err == f"selftest failed at: clifford_invariants_dim{dim}\n"
+
+
+def test_selftest_checks_each_basis_once(capsys, monkeypatch):
+    """selftest validates the dim-4 and dim-8 bases once each, through the
+    cached basis that the other checks use."""
+    validate, dims = clifford._validate, []
+
+    def counting(basis):
+        dims.append(basis.dim)
+        validate(basis)
+
+    monkeypatch.setattr(clifford, "_validate", counting)
+    clifford.cached_basis.cache_clear()
+    try:
+        code, _, _ = run(capsys, "selftest")
+    finally:
+        clifford.cached_basis.cache_clear()
+    assert code == 0 and dims == [4, 8]
+
+
+# sha256 of the stdout of `table --rep all --json` and `table --rep dirac8 --json`
+_TABLE_SHA256 = {
+    "all": "cfcaf4c4f70d890aa55edc6f57f957d4c45ca1409ed78da13b8c45c7caae96bd",
+    "dirac8": "9c0318992fe9fc98b9e0649ad26c0a890fb9aa01896475c709c5a64c5fa4c1b5",
+}
+
+
+@pytest.mark.parametrize("rep", sorted(_TABLE_SHA256))
+def test_table_json_is_pinned(capsys, rep):
+    """The table JSON, every verdict, witness, residual and square of it, is
+    byte for byte the pinned output."""
+    code, out, _ = run(capsys, "table", "--rep", rep, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_SHA256[rep], (
+        f"table --rep {rep} --json changed; an intended change must be declared in "
+        "CHANGES.md together with the new digest"
+    )
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",), ("--seed", "0"), ("--seed", "7", "--json")])

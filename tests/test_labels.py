@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from ptclab.labels import (
     parse_labels,
     ptc_complete,
 )
+
+from oracles import quartet_ptc_complete
 
 Q = Fraction
 
@@ -87,6 +90,45 @@ def test_multiset_multiplicity_matters():
     labels = [L(1, "1/2", 0), L(1, "1/2", 0), L(-1, "1/2", 0),
               L(1, 0, "1/2"), L(-1, 0, "1/2")]
     assert not ptc_complete(labels)
+
+
+_SPINS = (Q(0), HALF, Q(1), Q(3, 2))
+_LABELS = [IrrepLabel(sign, s, tau) for sign in (1, -1) for s in _SPINS for tau in _SPINS]
+
+
+# the moves that generate the partner group: energy-sign flip, (s, tau) swap
+_FLIP, _SWAP = ((1, False), (-1, False)), ((1, False), (1, True))
+_GROUP = tuple(product((1, -1), (False, True)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(counts=st.lists(st.integers(0, 3), min_size=len(_LABELS), max_size=len(_LABELS)))
+def test_orbit_rule_matches_the_quartet_reference(counts):
+    """The one orbit condition of ptc_complete and the quartet-by-quartet
+    reference of `oracles` agree on random multisets of labels with
+    s, tau in {0, 1/2, 1, 3/2}, and on each one summed over its images under
+    the flip alone, the swap alone and both; the last is always complete."""
+    labels = [label for label, n in zip(_LABELS, counts) for _ in range(n)]
+    for moves in ((1, False),), _FLIP, _SWAP, _GROUP:
+        images = [
+            IrrepLabel(sign * lab.energy_sign, *((lab.tau, lab.s) if swap else (lab.s, lab.tau)))
+            for lab in labels
+            for sign, swap in moves
+        ]
+        assert ptc_complete(images) == quartet_ptc_complete(images), moves
+    assert ptc_complete(images)
+
+
+def test_orbit_rule_matches_the_quartet_reference_exhaustively():
+    """Every multiset with counts 0 to 2 of the eight labels with
+    s, tau in {0, 1/2}: 3^8 multisets, both rules agree on each."""
+    labels = [IrrepLabel(sign, s, tau) for sign in (1, -1) for s in (0, HALF) for tau in (0, HALF)]
+    complete = 0
+    for counts in product(range(3), repeat=len(labels)):
+        multiset = [label for label, n in zip(labels, counts) for _ in range(n)]
+        assert ptc_complete(multiset) == quartet_ptc_complete(multiset), counts
+        complete += ptc_complete(multiset)
+    assert complete == 3 ** 3  # free: the (0, 0) pair, the (1/2, 1/2) pair, the quartet
 
 
 # ---------------------------------------------------------------------------
