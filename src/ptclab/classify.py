@@ -24,28 +24,34 @@ sum_b eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b x^b
     q * (eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta [conj] N_b) = sign(G) * N_b * q.
 
 That is 34 equations on dirac8 and 40 on every other set, each a constant
-condition q a = b q between Gaussian-integer matrices, held as the pair
-(a, b) of sorted items {(i, j): (re, im)}.  Each N_b is s n with n a coprime
-Gaussian-integer matrix and s real.  A table built once per generator set
-holds per equation s, its exponent row, |alpha|, its sign class and its
-pairs ([conj] n, +-n), one per equation up to a real factor (conj n is n
-for a real n and -n for an imaginary one).  An operator picks a = [conj] n
-and b = sigma n, sigma = sign(G) * flag sign, and keeps the cell's distinct
-equations {(a, b): s}, s the largest |s| of those that share a pair: the one
-input of the rows and of the witness check, neither of which sees conj or
-sigma.  No sample point enters the classification.
+condition q a = b q between Gaussian-integer matrices a and b.  Each N_b is
+s n with n a coprime Gaussian-integer matrix and s real.  Each distinct
+(n, d) is interned once per process and gives four small-int pair keys, one
+per pair (a, b) = ([conj] n, +-n).  A table built once per generator set
+holds per equation |s|, its exponent row, |alpha|, its sign class and its
+pair keys, one per equation up to a real factor (conj n is n for a real n
+and -n for an imaginary one).  An operator picks a = [conj] n and
+b = sigma n, sigma = sign(G) * flag sign, and keeps the cell's distinct
+equations {pair key: s}, s the largest |s| of those that share a pair: the
+one input of the rows and of the witness check, neither of which sees conj
+or sigma.  No sample point enters the classification.
 
 The subsidiary conditions make q constant and every N_b is Gaussian dyadic,
 so the condition is one linear system over Q(i) in the d^2 entries of q,
-entry (i, j) numbered i d + j, decided exactly.  The rows of q a - b q, each
-primitive and in associate form, are built once per process per (a, b, d),
-so the union of a cell's row sets holds each constraint once.  One
-fraction-free elimination over Z[i] of that union, in Python ints, gives the
-rank and, from the echelon rows, a primitive Gaussian-integer nullspace
-basis, one vector per free entry of q, that depends on the nullspace alone;
+entry (i, j) numbered i d + j, decided exactly.  Per pair key, the row
+tables of a and -b are built once per process, and from them the row
+family of q a - b q: each row primitive and in associate form, and each
+distinct row held once per process, as a dict, under an int id, so a cell's
+rows are the union of its families' ids.  One fraction-free elimination
+over Z[i] of those rows, in Python ints, gives the rank and, from the
+echelon rows, a primitive Gaussian-integer nullspace basis, one vector per
+free entry of q, that depends on the nullspace alone, not on the row order;
 like Bareiss's (Math. Comp. 22 (1968) 565), it never divides, except each
 combined row by a Gaussian gcd of its entries.  Rows that share no entry of
-q are never combined, so q needs no split into blocks.
+q are never combined, so q needs no split into blocks.  Each distinct set of
+pair keys is eliminated, and its witness searched, once per process: cells
+whose operators impose the same equations (P1 and M on most sets) share
+the decision.
 
 Nullity 0 is a noninvariant verdict.  Otherwise the witness is the first
 combination W = sum c_k B_k of the basis, c_k in {1, -1, i, -i, 0} taken in
@@ -55,7 +61,8 @@ that stops at the first row off c 1: W / sqrt(c) is then a unitary
 (antiunitary, with conjugation) symmetry whose operator square is lambda.
 If none of the first WITNESS_CANDIDATES combinations qualifies, the verdict
 is indeterminate.  The witness is checked in Z[i] on the cell's distinct
-equations: its residual is the largest |s (W a - b W)|, which is
+equations, row by row from the pair's row tables: its residual is the
+largest |s (W a - b W)|, which is
 |W F_b - sign(G) N_b W| with F_b the flagged matrix above and bounds
 every coefficient of the condition for all (p, m, t) at once; every product
 is exact, so it reads 0.0.  W becomes a complex matrix only in the result.
@@ -72,7 +79,7 @@ from functools import lru_cache, reduce
 from itertools import islice, product
 from typing import NamedTuple
 
-from .clifford import cached_spin, dense, mat_add, mat_mul, mat_scale, sparse
+from .clifford import dense
 from .expr import flag_signs
 from .generators import GENERATOR_CLASS, GeneratorSet, build_generators
 from .operators import FlagTransform, index_order
@@ -184,17 +191,37 @@ def _primitive(row: dict) -> dict:
 
 
 def _combine(x, u: dict, y, v: dict) -> dict:
-    """x u - y v for Gaussian integers x, y and rows u, v, made primitive."""
+    """x u - y v for nonzero Gaussian integers x, y and rows u, v, made
+    primitive: x u in one pass over u, then y v subtracted in one pass over v."""
     (xr, xi), (yr, yi) = x, y
-    out = {}
-    for c in u.keys() | v.keys():
-        ur, ui = u.get(c, (0, 0))
-        vr, vi = v.get(c, (0, 0))
-        re = xr * ur - xi * ui - yr * vr + yi * vi
-        im = xr * ui + xi * ur - yr * vi - yi * vr
+    out = {c: (xr * ur - xi * ui, xr * ui + xi * ur) for c, (ur, ui) in u.items()}
+    for c, (vr, vi) in v.items():
+        re, im = out.get(c, (0, 0))
+        re, im = re - yr * vr + yi * vi, im - yr * vi - yi * vr
         if re or im:
             out[c] = (re, im)
+        else:
+            del out[c]
     return _primitive(out) if out else out
+
+
+def _by_row(items, d: int) -> list:
+    """The rows [(j, (re, im))] of a sparse d x d Gaussian-integer matrix
+    given as items ((i, j), (re, im))."""
+    rows = [[] for _ in range(d)]
+    for (i, j), v in items:
+        rows[i].append((j, v))
+    return rows
+
+
+def _row_times(row, table, out: dict) -> dict:
+    """out plus the row [(k, x)] times the matrix with rows table[k]
+    [(j, y)], as {j: (re, im)}, entries that cancel kept as (0, 0)."""
+    for k, (xr, xi) in row:
+        for j, (yr, yi) in table[k]:
+            re, im = out.get(j, (0, 0))
+            out[j] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
+    return out
 
 
 def _nullspace(rows, n: int) -> list:
@@ -256,38 +283,49 @@ def _real_primitive(mat: dict) -> tuple:
     return n, content / scale
 
 
+# the pairs (a, b, d) of the coprime d x d matrices n of the equation
+# tables, interned once per process: _PAIR_KEYS maps (n, d) to 4 k, the
+# first of its four keys 4 k + code into _PAIRS, where code bit 1 takes
+# a = conj n instead of n and code bit 0 takes b = -n instead of n
+_PAIRS = []
+_PAIR_KEYS = {}
+
+
 @lru_cache(maxsize=None)
 def _equation_table(g: GeneratorSet) -> tuple:
     """(exps, equations): the monomial equations of g, from its (generator,
     multi-index) blocks in normal form (`Coefficient.on_shell`) in
     GENERATOR_NAMES order, multi-indices sorted within a generator, monomials
     sorted within a block.  exps holds their exponent rows, ordered as
-    expr.LAURENT_VARS; equations holds (s, |alpha|, sign class, pairs) for the
-    matrix s n (`_real_primitive`), with pairs[conj][sigma] the pair
-    ([conj] n, sigma n) up to a real factor: a real n is its own conjugate,
-    and an imaginary one, conj n = -n, gives (n, -sigma n)."""
+    expr.LAURENT_VARS; equations holds (|s|, |alpha|, sign class, pairs) for
+    the matrix s n (`_real_primitive`), with pairs[conj][sigma] the key of the
+    pair ([conj] n, sigma n) up to a real factor: a real n is its own
+    conjugate, and an imaginary one, conj n = -n, gives (n, -sigma n)."""
     exps, equations = [], []
     for name, gen in g.items():
         sign_class = SIGN_CLASSES.index(GENERATOR_CLASS[name])
         for alpha in sorted(gen.terms):
             for row, mat in gen.terms[alpha].on_shell()[1].terms.items():
                 n, s = _real_primitive(mat)
-                minus = tuple((key, (-re, -im)) for key, (re, im) in n)
-                plain = {1: (n, n), -1: (n, minus)}
+                key = _PAIR_KEYS.setdefault((n, g.dim), len(_PAIRS))
+                if key == len(_PAIRS):
+                    bar = tuple((ij, (re, -im)) for ij, (re, im) in n)
+                    minus = tuple((ij, (-re, -im)) for ij, (re, im) in n)
+                    _PAIRS.extend((a, b, g.dim) for a in (n, bar) for b in (n, minus))
+                plain = {1: key, -1: key + 1}
                 if not any(im for _, (_, im) in n):  # conj n = n
                     flagged = plain
                 elif not any(re for _, (re, _) in n):  # conj n = -n
-                    flagged = {1: plain[-1], -1: plain[1]}
+                    flagged = {1: key + 1, -1: key}
                 else:
-                    bar = tuple((key, (re, -im)) for key, (re, im) in n)
-                    flagged = {1: (bar, n), -1: (bar, minus)}
+                    flagged = {1: key + 2, -1: key + 3}
                 exps.append(row)
-                equations.append((s, index_order(alpha), sign_class, (plain, flagged)))
+                equations.append((abs(s), index_order(alpha), sign_class, (plain, flagged)))
     return tuple(exps), tuple(equations)
 
 
 def _cell_equations(g: GeneratorSet, op: DiscreteOpSpec) -> dict:
-    """The distinct monomial equations of g under op, {(a, b): s}: q a = b q
+    """The distinct monomial equations of g under op, {pair key: s}: q a = b q
     with a = [conj] n and b = sigma n, sigma = sign(G) times the flag sign
     eta_p^(|a|+|alpha|) eta_t^gamma eta_m^beta, and s the largest |s| of the
     equations that share the pair."""
@@ -296,46 +334,68 @@ def _cell_equations(g: GeneratorSet, op: DiscreteOpSpec) -> dict:
     equations = {}
     for (s, order, sign_class, pairs), flag in zip(table, flag_signs(exps, flags)):
         key = pairs[op.conj][flag * flags.eta_p ** order * op.signs[sign_class]]
-        equations[key] = max(abs(s), equations.get(key, 0.0))
+        equations[key] = max(s, equations.get(key, 0.0))
     return equations
 
 
 @lru_cache(maxsize=None)
-def _matrix_rows(a: tuple, b: tuple, d: int) -> frozenset:
-    """The rows of q a - b q for Gaussian-integer matrices a and b, given as
-    items, over the d * d entries of q, entry (i, j) numbered i * d + j; each
-    row primitive and in associate form, so rows that differ by a factor in
-    Q(i) are equal.  Built once per process and pair, so the sets and
+def _pair_tables(key: int) -> tuple:
+    """(a, -b) of the pair key by row (`_by_row`), built once per process per
+    key: the tables of its row family and of the witness residual."""
+    a, b, d = _PAIRS[key]
+    return _by_row(a, d), _by_row((((i, j), (-re, -im)) for (i, j), (re, im) in b), d)
+
+
+# every distinct constraint row of the row families built so far, held once
+# per process, and its id (its index in _ROWS) by its sorted items
+_ROWS = []
+_ROW_IDS = {}
+
+
+@lru_cache(maxsize=None)
+def _matrix_rows(key: int) -> frozenset:
+    """The ids in _ROWS of the rows of q a - b q for the pair (a, b) of key,
+    over the d * d entries of q, entry (i, j) numbered i * d + j; each row
+    primitive and in associate form, so rows that differ by a factor in Q(i)
+    are one row.  Built once per process and pair, so the sets and
     operators that share an equation share its rows."""
-    left, right = {}, {}  # column k of a as [(j, .)], row i of -b as [(l d, .)]
-    for (j, k), v in a:
-        left.setdefault(k, []).append((j, v))
-    for (i, l), (re, im) in b:
-        right.setdefault(i, []).append((l * d, (-re, -im)))
-    rows = set()
-    for i, k in product(range(d), repeat=2):
-        row = {i * d + j: v for j, v in left.get(k, ())}
-        for l, (re, im) in right.get(i, ()):
-            old = row.pop(l + k, (0, 0))
-            if (old[0] + re, old[1] + im) != (0, 0):
-                row[l + k] = (old[0] + re, old[1] + im)
-        if row:
-            rows.add(tuple(sorted(_associate(_primitive(row)).items())))
-    return frozenset(rows)
+    a, minus_b = _pair_tables(key)
+    d = len(a)
+    ids = set()
+    for i in range(d):
+        rows = [{} for _ in range(d)]  # row (i, k) for k = 0 .. d - 1
+        for j, a_row in enumerate(a):
+            for k, v in a_row:
+                rows[k][i * d + j] = v
+        for l, (re, im) in minus_b[i]:
+            for c, row in enumerate(rows, l * d):  # c numbers entry (l, k) of q
+                old = row.pop(c, (0, 0))
+                if (old[0] + re, old[1] + im) != (0, 0):
+                    row[c] = (old[0] + re, old[1] + im)
+        for row in filter(None, rows):
+            row = _associate(_primitive(row))
+            ids.add(_ROW_IDS.setdefault(tuple(sorted(row.items())), len(_ROWS)))
+            if len(_ROWS) < len(_ROW_IDS):
+                _ROWS.append(row)
+    return frozenset(ids)
 
 
-def _cell_rows(equations: dict, d: int) -> list:
-    """The distinct rows of a cell's equations, sorted, as sparse rows over
-    the d * d entries of q."""
-    rows = set().union(*(_matrix_rows(a, b, d) for a, b in equations))
-    return [dict(row) for row in sorted(rows)]
+def _cell_rows(keys) -> list:
+    """The distinct rows of the equations with the given pair keys, as sparse
+    rows over the d * d entries of q, the dicts of _ROWS themselves, so read
+    only; the sparsest first, which spares the elimination about a tenth of
+    its row combinations."""
+    return sorted((_ROWS[i] for i in set().union(*map(_matrix_rows, keys))), key=len)
 
 
-def _rank_decision(equations: dict, d: int) -> list:
-    """The primitive Gaussian-integer nullspace basis of a cell's equations,
-    each vector {(row, column) of q: (re, im)}, one per free entry of q in
-    row-major order."""
-    basis = _nullspace(_cell_rows(equations, d), d * d)
+@lru_cache(maxsize=None)
+def _rank_decision(keys: frozenset, d: int) -> list:
+    """The primitive Gaussian-integer nullspace basis of the equations with
+    the given pair keys, each vector {(row, column) of q: (re, im)}, one per
+    free entry of q in row-major order; eliminated once per process per
+    distinct system, so the cells that share one share its basis, read
+    only."""
+    basis = _nullspace(_cell_rows(keys), d * d)
     return [{divmod(c, d): v for c, v in vector.items()} for vector in basis]
 
 
@@ -343,30 +403,14 @@ def _rank_decision(equations: dict, d: int) -> list:
 # witness selection
 
 
-def _product_rows(u: dict, v: dict, d: int):
-    """The rows of the product u v of sparse Gaussian-integer d x d matrices
-    {(i, j): (re, im)}, one {j: (re, im)} at a time, entries that cancel
-    kept as (0, 0)."""
-    rows = [[] for _ in range(d)]
-    for (k, j), y in v.items():
-        rows[k].append((j, y))
-    left = [[] for _ in range(d)]
-    for (i, k), x in u.items():
-        left[i].append((k, x))
-    for i in range(d):
-        out = {}
-        for k, (xr, xi) in left[i]:
-            for j, (yr, yi) in rows[k]:
-                re, im = out.get(j, (0, 0))
-                out[j] = (re + xr * yr - xi * yi, im + xr * yi + xi * yr)
-        yield out
-
-
 def _scalar_product(u: dict, v: dict, d: int):
-    """s when the product u v of sparse Gaussian-integer d x d matrices is
-    s 1, else None; row by row, returning at the first row that rules it out."""
+    """s when the product u v of sparse Gaussian-integer d x d matrices
+    {(i, j): (re, im)} is s 1, else None; row by row, returning at the first
+    row that rules it out."""
+    v = _by_row(v.items(), d)
     scale = None
-    for i, out in enumerate(_product_rows(u, v, d)):
+    for i, row in enumerate(_by_row(u.items(), d)):
+        out = _row_times(row, v, {})
         entry = out.pop(i, (0, 0))
         scale = entry if scale is None else scale
         if entry != scale or any(x != (0, 0) for x in out.values()):
@@ -396,16 +440,27 @@ def _select_witness(basis: list, d: int, conj: bool):
     return None
 
 
+@lru_cache(maxsize=None)
+def _witness(keys: frozenset, d: int, conj: bool):
+    """`_select_witness` on the basis of the equations with the given pair
+    keys: searched once per process per distinct system and conj, and
+    shared, read only, by the cells that share them."""
+    basis = _rank_decision(keys, d)
+    return _select_witness(basis, d, conj) if basis else None
+
+
 def _witness_residual(w: dict, equations: dict, d: int) -> float:
-    """max over a cell's equations of |s (W a - b W)| for the Gaussian-integer
-    W {(i, j): (re, im)}: exact in Z[i] and dyadic s, so rounded once, in
-    abs."""
+    """max over a cell's equations {pair key: s} of |s (W a - b W)| for the
+    Gaussian-integer W {(i, j): (re, im)}: exact in Z[i] and dyadic s, so
+    rounded once, in abs.  Row i of W a - b W is formed in one pass over
+    row i of W and row i of b."""
+    rows = _by_row(w.items(), d)
     worst = 0.0
-    for (a, b), s in equations.items():
-        for left, right in zip(_product_rows(w, dict(a), d), _product_rows(dict(b), w, d)):
-            for j in left.keys() | right.keys():
-                (ar, ai), (br, bi) = left.get(j, (0, 0)), right.get(j, (0, 0))
-                worst = max(worst, abs(complex(s * (ar - br), s * (ai - bi))))
+    for key, s in equations.items():
+        a, minus_b = _pair_tables(key)
+        for row, b_row in zip(rows, minus_b):
+            for re, im in _row_times(b_row, rows, _row_times(row, a, {})).values():
+                worst = max(worst, abs(complex(s * re, s * im)))
     return worst
 
 
@@ -435,15 +490,16 @@ def classify(g: GeneratorSet, op) -> ClassificationResult:
     if isinstance(op, str):
         op = get_op(op)
     equations = _cell_equations(g, op)
-    basis = _rank_decision(equations, g.dim)
-    found = _select_witness(basis, g.dim, op.conj) if basis else None
+    keys = frozenset(equations)
+    nullity = len(_rank_decision(keys, g.dim))
+    found = _witness(keys, g.dim, op.conj)
     witness = residual = square = None
     if found is not None:
         w, square = found
         witness = dense({key: complex(*v) for key, v in w.items()}, g.dim)
         residual = _witness_residual(w, equations, g.dim)
     return ClassificationResult(
-        g.rep.kind, op.name, found is not None, bool(basis) and found is None, len(basis),
+        g.rep.kind, op.name, found is not None, bool(nullity) and found is None, nullity,
         witness, residual, square,
     )
 
@@ -512,39 +568,3 @@ def full_table(rep) -> ClassificationTable:
     for name in OP_ORDER:
         rows[name] = TableRow(classify(g, get_op(name)), paper_expectation(g.rep.kind, name))
     return ClassificationTable(g.rep.kind, rows)
-
-
-# ---------------------------------------------------------------------------
-# intertwining relations of the eight-component witnesses
-
-
-class IntertwiningReport(NamedTuple):
-    residuals: dict  # relation label -> float
-    missing: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing and all(r == 0.0 for r in self.residuals.values())
-
-
-def intertwining_check() -> IntertwiningReport:
-    """The parity and mass-flip witnesses of the canonical 8-dim set swap the
-    two su(2) actions; the linear time-flip witness centralizes them.  Every
-    product is exact, so each relation holds iff its residual is 0.0."""
-    g = build_generators("canonical8")
-    spin = cached_spin(8)
-    residuals = {}
-    missing = []
-    for name, relation in (("P1", "swap"), ("M", "swap"), ("T1", "commute")):
-        result = classify(g, get_op(name))
-        if result.witness is None:
-            missing.append(f"{name}: no witness ({result.nullspace_dim=})")
-            continue
-        w = sparse(result.witness)
-        worst = 0.0
-        for a in range(3):
-            s, t = sparse(spin.S[a]), sparse(spin.T[a])
-            dev = mat_add(mat_mul(w, s), mat_scale(mat_mul(t if relation == "swap" else s, w), -1))
-            worst = max([worst] + [abs(v) for v in dev.values()])
-        residuals[f"{name}_{relation}"] = worst
-    return IntertwiningReport(residuals, missing)

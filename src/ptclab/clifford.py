@@ -14,8 +14,8 @@ Gamma0 = s3 x 1_4 and Gamma_k = s1 x (i*D_k).
 A matrix is dense, a tuple of rows of complex (any nested sequence is
 accepted), or sparse, a dict {(i, j): nonzero entry} to compute products in.
 All entries are integers or half-integers times i, so no arithmetic rounds.
-Casimir spectra and spectral projectors come from polynomials in the matrix
-over a stated spectrum, not from an eigen-solver, so they are exact as well.
+Spectral projectors come from a polynomial in the matrix over a stated
+spectrum, not from an eigen-solver, so they are exact as well.
 """
 
 from __future__ import annotations
@@ -221,28 +221,6 @@ def _lagrange_sylvester(mat, eigenvalue: float, spectrum) -> tuple:
     if mat_mul(numerator, numerator) != mat_scale(numerator, scale):
         raise ValueError(f"N N != c N for the eigenvalue {eigenvalue}")
     return numerator, scale
-
-
-def casimir_spectrum(gens: SpinGenerators) -> dict:
-    """How often S^2 and T^2 take each value s(s+1) with 2s + 1 <= d, as the
-    exact integer trace(N) / c; AssertionError if an eigenvalue is not one."""
-    values = [k * (k + 2) / 4 for k in range(gens.dim)]  # s = k / 2
-    out = {}
-    for name, mat in (("s_squared", gens.s_squared), ("t_squared", gens.t_squared)):
-        out[name] = {}
-        for value in values:
-            try:
-                numerator, scale = _lagrange_sylvester(mat, value, values)
-            except ValueError as exc:
-                raise AssertionError(f"{name}: {exc}") from None
-            diagonal = sum(numerator.get((i, i), 0) for i in range(gens.dim))
-            count = diagonal.real / scale
-            # fmod is exact, so it is 0 iff trace(N) / c is an integer
-            if diagonal.imag or math.fmod(diagonal.real, scale):
-                raise AssertionError(f"{name}: {value} has multiplicity {count}")
-            if count:
-                out[name][value] = int(count)
-    return out
 
 
 def spectral_projector(mat, eigenvalue: float, spectrum) -> tuple:

@@ -370,12 +370,7 @@ def check_algebra(g: GeneratorSet) -> AlgebraReport:
 
 
 # ---------------------------------------------------------------------------
-# canonical subspaces and the charge remark
-
-
-class SubspaceReport(NamedTuple):
-    blocks: list  # (projector, IrrepLabel)
-    complete: bool
+# the charge remark
 
 
 def _commutant_residual(q, op: MomentumOperator) -> float:
@@ -383,41 +378,6 @@ def _commutant_residual(q, op: MomentumOperator) -> float:
     constant matrix q."""
     q = Coefficient.constant(q)
     return _shell_residual(q @ c - c @ q for c in op.terms.values())
-
-
-def subspace_decomposition() -> SubspaceReport:
-    """Rank-2 projectors labelled by energy sign and by which Casimir is excited.
-
-    Each projector is the product of a spectral projector of Gamma0 (spectrum
-    +-1) with one of S^2 or T^2 (spectrum 0, 3/4), and must commute exactly
-    with all ten canonical generators: a projector whose trace is not its
-    label's dimension, or one that fails to commute, raises AssertionError.
-    """
-    from .labels import CANONICAL8_CONTENT, HALF
-
-    g = build_generators("canonical8")
-    basis = cached_basis(8)
-    spin = cached_spin(8)
-
-    blocks = []
-    for label in CANONICAL8_CONTENT:
-        sign_proj = spectral_projector(basis.gamma0, label.energy_sign, (1, -1))
-        casimir = spin.s_squared if label.s == HALF else spin.t_squared
-        proj = matmul(sign_proj, spectral_projector(casimir, 0.75, (0, 0.75)))
-        if trace(proj) != label.dimension:
-            raise AssertionError(
-                f"projector for {label} has trace {trace(proj)}, expected {label.dimension}"
-            )
-        blocks.append((proj, label))
-
-    worst = max(_commutant_residual(proj, op) for op in g.ops.values() for proj, _ in blocks)
-    if worst != 0.0:
-        raise AssertionError(
-            f"a subspace projector fails to commute with the generators "
-            f"(residual {worst})"
-        )
-    complete = combine(*((1, proj) for proj, _ in blocks)) == eye(8)
-    return SubspaceReport(blocks, complete)
 
 
 class ChargeReport(NamedTuple):

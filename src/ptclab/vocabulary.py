@@ -9,7 +9,7 @@ No command reads the seed: `--seed` is still accepted and range-checked.
 
 from __future__ import annotations
 
-from numbers import Integral
+from operator import index
 
 REP_KINDS = ("dirac8", "canonical8", "rep1", "rep2", "rep3")
 OP_ORDER = ("P1", "P2", "T1", "T2", "C", "M", "Mt", "Mx", "P1T2")
@@ -18,8 +18,13 @@ DEFAULT_SEED = 0x5EED
 
 
 def check_seed(seed):
-    """Raise ValueError unless seed is a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral):
+    """Raise ValueError unless seed is a non-negative integer: anything
+    `operator.index` accepts, except a bool."""
+    try:
+        value = index(seed)
+    except TypeError:
+        value = None
+    if value is None or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
+    if value < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

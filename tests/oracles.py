@@ -17,7 +17,9 @@ Z[i]; the float reference for the classifier's exact rank: one SVD of the
 dense system of every monomial equation over all d^2 entries of q, with a
 relative rank threshold; the dense reference for its witness search, which
 forms every product in full; and the quartet-by-quartet reference for the
-label completeness rule.
+label completeness rule.  Last, the exact checks of the canonical
+eight-component set that no command runs: its Casimir spectra, its four
+invariant subspaces and the intertwining relations of its witnesses.
 
 Cancellations (for example the second-order pieces of a commutator of two
 first-order operators) are detected numerically: after every composition the
@@ -35,10 +37,25 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ptclab.classify import SIGN_CLASSES
-from ptclab.clifford import dense, mat_add, mat_mul, mat_scale, sparse
+import ptclab.clifford as clifford
+from ptclab.classify import SIGN_CLASSES, classify, get_op
+from ptclab.clifford import (
+    cached_basis,
+    cached_spin,
+    combine,
+    dense,
+    eye,
+    mat_add,
+    mat_mul,
+    mat_scale,
+    matmul,
+    sparse,
+    spectral_projector,
+    trace,
+)
 from ptclab.expr import LAURENT_VARS, ONE, Expr
-from ptclab.generators import GENERATOR_CLASS
+from ptclab.generators import GENERATOR_CLASS, _commutant_residual, build_generators
+from ptclab.labels import CANONICAL8_CONTENT, HALF
 from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
 from ptclab.vocabulary import DEFAULT_SEED
 
@@ -527,3 +544,101 @@ def quartet_ptc_complete(labels) -> bool:
             if len(set(quartet)) != 1:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# exact checks of the canonical eight-component set that no command runs
+
+
+def casimir_spectrum(gens) -> dict:
+    """How often S^2 and T^2 of the spin generators gens take each value
+    s(s+1) with 2s + 1 <= d, as the exact integer trace(N) / c of the
+    package's Lagrange-Sylvester numerator N; AssertionError if an
+    eigenvalue is not one."""
+    values = [k * (k + 2) / 4 for k in range(gens.dim)]  # s = k / 2
+    out = {}
+    for name, mat in (("s_squared", gens.s_squared), ("t_squared", gens.t_squared)):
+        out[name] = {}
+        for value in values:
+            try:
+                numerator, scale = clifford._lagrange_sylvester(mat, value, values)
+            except ValueError as exc:
+                raise AssertionError(f"{name}: {exc}") from None
+            diagonal = sum(numerator.get((i, i), 0) for i in range(gens.dim))
+            count = diagonal.real / scale
+            # fmod is exact, so it is 0 iff trace(N) / c is an integer
+            if diagonal.imag or math.fmod(diagonal.real, scale):
+                raise AssertionError(f"{name}: {value} has multiplicity {count}")
+            if count:
+                out[name][value] = int(count)
+    return out
+
+
+class SubspaceReport(NamedTuple):
+    blocks: list  # (projector, IrrepLabel)
+    complete: bool
+
+
+def subspace_decomposition() -> SubspaceReport:
+    """Rank-2 projectors labelled by energy sign and by which Casimir is excited.
+
+    Each projector is the product of a spectral projector of Gamma0 (spectrum
+    +-1) with one of S^2 or T^2 (spectrum 0, 3/4), and must commute exactly
+    with all ten canonical generators: a projector whose trace is not its
+    label's dimension, or one that fails to commute, raises AssertionError.
+    """
+    g = build_generators("canonical8")
+    basis = cached_basis(8)
+    spin = cached_spin(8)
+
+    blocks = []
+    for label in CANONICAL8_CONTENT:
+        sign_proj = spectral_projector(basis.gamma0, label.energy_sign, (1, -1))
+        casimir = spin.s_squared if label.s == HALF else spin.t_squared
+        proj = matmul(sign_proj, spectral_projector(casimir, 0.75, (0, 0.75)))
+        if trace(proj) != label.dimension:
+            raise AssertionError(
+                f"projector for {label} has trace {trace(proj)}, expected {label.dimension}"
+            )
+        blocks.append((proj, label))
+
+    worst = max(_commutant_residual(proj, op) for op in g.ops.values() for proj, _ in blocks)
+    if worst != 0.0:
+        raise AssertionError(
+            f"a subspace projector fails to commute with the generators "
+            f"(residual {worst})"
+        )
+    complete = combine(*((1, proj) for proj, _ in blocks)) == eye(8)
+    return SubspaceReport(blocks, complete)
+
+
+class IntertwiningReport(NamedTuple):
+    residuals: dict  # relation label -> float
+    missing: list
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing and all(r == 0.0 for r in self.residuals.values())
+
+
+def intertwining_check() -> IntertwiningReport:
+    """The parity and mass-flip witnesses of the canonical 8-dim set swap the
+    two su(2) actions; the linear time-flip witness centralizes them.  Every
+    product is exact, so each relation holds iff its residual is 0.0."""
+    g = build_generators("canonical8")
+    spin = cached_spin(8)
+    residuals = {}
+    missing = []
+    for name, relation in (("P1", "swap"), ("M", "swap"), ("T1", "commute")):
+        result = classify(g, get_op(name))
+        if result.witness is None:
+            missing.append(f"{name}: no witness ({result.nullspace_dim=})")
+            continue
+        w = sparse(result.witness)
+        worst = 0.0
+        for a in range(3):
+            s, t = sparse(spin.S[a]), sparse(spin.T[a])
+            dev = mat_add(mat_mul(w, s), mat_scale(mat_mul(t if relation == "swap" else s, w), -1))
+            worst = max([worst] + [abs(v) for v in dev.values()])
+        residuals[f"{name}_{relation}"] = worst
+    return IntertwiningReport(residuals, missing)

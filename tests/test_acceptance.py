@@ -19,10 +19,9 @@ from ptclab.classify import (
     classify,
     full_table,
     get_op,
-    intertwining_check,
     momentum_action,
 )
-from ptclab.clifford import METRIC, build_basis, cached_basis, cached_spin, casimir_spectrum
+from ptclab.clifford import METRIC, build_basis, cached_basis, cached_spin
 from ptclab.generators import (
     GeneratorSet,
     RepId,
@@ -33,7 +32,6 @@ from ptclab.generators import (
     dirac_hamiltonian8,
     fs_transform,
     helicity_check,
-    subspace_decomposition,
 )
 from ptclab.labels import (
     FOUR_COMPONENT_CONTENTS,
@@ -46,12 +44,15 @@ from ptclab.vocabulary import DEFAULT_SEED
 
 from oracles import (
     apply_flags,
+    casimir_spectrum,
     env_arrays,
     equal_at,
     eval_operator,
+    intertwining_check,
     position,
     sample_points,
     scaled,
+    subspace_decomposition,
 )
 
 HALF = Fraction(1, 2)

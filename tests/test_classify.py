@@ -21,21 +21,23 @@ from ptclab.classify import (
     SIGN_CLASSES,
     UNITS,
     WITNESS_CANDIDATES,
+    _PAIRS,
     _cell_equations,
     _cell_rows,
     _combine,
     _equation_table,
     _matrix_rows,
     _nullspace,
+    _pair_tables,
     _rank_decision,
     _scalar_product,
     _select_witness,
+    _witness,
     _witness_residual,
     classify,
     compose_ops,
     full_table,
     get_op,
-    intertwining_check,
     momentum_action,
 )
 from ptclab.clifford import cached_basis, cached_spin, spectral_projector
@@ -61,6 +63,7 @@ from oracles import (
     equal_at,
     eval_operator,
     float_nullity,
+    intertwining_check,
     monomial_blocks,
     monomial_pairs,
     position,
@@ -131,7 +134,7 @@ def _pairs_of(g, name):
 
 def _basis(g, op):
     """The exact nullspace basis of g's monomial equations under op."""
-    return _rank_decision(_cell_equations(g, op), g.dim)
+    return _rank_decision(frozenset(_cell_equations(g, op)), g.dim)
 
 
 def _complex(w: dict, d: int) -> tuple:
@@ -380,10 +383,18 @@ def _real_class(*mats) -> tuple:
     )
 
 
+def _clear_decisions():
+    """Empty the per-process caches of the rank decision and the witness,
+    so that the next tables eliminate and search again."""
+    _rank_decision.cache_clear()
+    _witness.cache_clear()
+
+
 def test_row_families_are_built_once_per_process(monkeypatch):
     """Over the sets of `table --rep all` (rep1, rep2, rep3, canonical8),
-    `_matrix_rows` builds each (a, b, d) family that some cell picks exactly
-    once, shared across sets, and a second pass builds none: 43 families,
+    `_matrix_rows` builds the family of each pair key that some cell picks
+    exactly once, shared across sets, and a second pass, its decisions
+    cleared so that it eliminates again, builds none: 43 families,
     one per equation of the oracle's monomial pairs up to a real factor,
     fewer than the four per distinct (N, d) an eager build makes.  No two
     picked keys are one equation: a real N is its own conjugate, and an
@@ -398,15 +409,17 @@ def test_row_families_are_built_once_per_process(monkeypatch):
                 matrices.add((_real_class(b), g.dim))
     picked = []
 
-    def recording(*key):
+    def recording(key):
         picked.append(key)
-        return _matrix_rows(*key)
+        return _matrix_rows(key)
 
     monkeypatch.setattr(classify_module, "_matrix_rows", recording)
     _matrix_rows.cache_clear()
+    _clear_decisions()
     for g in sets:
         full_table(g)
     first = _matrix_rows.cache_info()
+    _clear_decisions()
     for g in sets:
         full_table(g)
     second = _matrix_rows.cache_info()
@@ -414,9 +427,66 @@ def test_row_families_are_built_once_per_process(monkeypatch):
     assert second.misses == first.misses
     assert second.hits > first.hits
     classes = {
-        (_real_class(*({k: complex(*v) for k, v in m} for m in (a, b))), d) for a, b, d in picked
+        (_real_class(*({k: complex(*v) for k, v in m} for m in (a, b))), d)
+        for a, b, d in (_PAIRS[key] for key in picked)
     }
     assert classes == keys
+
+
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_each_distinct_system_is_decided_once(monkeypatch, kind):
+    """With the decisions cleared, a full table calls `_nullspace` once per
+    distinct system among its nine cells, counted on the oracle's monomial
+    pairs as sets of equations up to a real factor: fewer than nine, since
+    some operators impose the same equations (P1 and Mt, T1 and Mx on
+    dirac8, P1 and M on the other sets).  The basis each cell then reads
+    from the cache is `_nullspace` of that cell's own rows."""
+    g = build_generators(RepId(kind))
+    systems = {
+        frozenset(_real_class(a, b) for a, b in monomial_pairs(g, get_op(name))) for name in OP_ORDER
+    }
+    calls = []
+
+    def counting(rows, n):
+        calls.append(n)
+        return _nullspace(rows, n)
+
+    monkeypatch.setattr(classify_module, "_nullspace", counting)
+    _clear_decisions()
+    full_table(g)
+    assert len(calls) == len(systems) < len(OP_ORDER)
+    decided = _rank_decision.cache_info()
+    for name in OP_ORDER:
+        equations = _cell_equations(g, get_op(name))
+        own = _nullspace(_cell_rows(equations), g.dim ** 2)
+        expected = [{divmod(c, g.dim): v for c, v in vector.items()} for vector in own]
+        assert _rank_decision(frozenset(equations), g.dim) == expected, (kind, name)
+    assert _rank_decision.cache_info().misses == decided.misses
+    assert len(calls) == len(systems)
+
+
+def test_pair_tables_are_built_once_per_process():
+    """Over the sets of `table --rep all`, `_pair_tables` builds the
+    row-indexed tables of each pair key that some cell picks once, for its
+    row family and for the witness residuals alike, and a second pass, its
+    families and decisions cleared so that it builds and eliminates again,
+    builds none."""
+    sets = [build_generators(RepId(kind)) for kind in ("rep1", "rep2", "rep3", "canonical8")]
+    picked = {key for g in sets for name in OP_ORDER for key in _cell_equations(g, get_op(name))}
+    _pair_tables.cache_clear()
+    _matrix_rows.cache_clear()
+    _clear_decisions()
+    for g in sets:
+        full_table(g)
+    first = _pair_tables.cache_info()
+    _matrix_rows.cache_clear()
+    _clear_decisions()
+    for g in sets:
+        full_table(g)
+    second = _pair_tables.cache_info()
+    assert first.misses == first.currsize == len(picked) == 43
+    assert second.misses == first.misses
+    assert second.hits > first.hits
 
 
 def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
@@ -574,7 +644,7 @@ def test_witnesses_hold_on_held_out_points(kind, points_alt):
 def test_equations_that_share_a_matrix_keep_its_largest_factor():
     """H = N p1 + 2 N m for N = diag(1, i, 0, 0) gives two monomial
     equations whose matrices differ by a real factor; under T1 both impose
-    q N = -N q, so the cell keeps one equation, the pair (n, -n) with
+    q N = -N q, so the cell keeps one equation, the key of the pair (n, -n) with
     n = diag(1, i, 0, 0) as items, with the larger factor 2,
     and the residual of any W is that of the 2N equation, bit for bit the
     complex reference over both pairs."""
@@ -582,8 +652,10 @@ def test_equations_that_share_a_matrix_keep_its_largest_factor():
     coeff = Coefficient.from_rows([(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)], [n, 2 * n])
     g = GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(coeff)})
     op = get_op("T1")
-    key = ((((0, 0), (1, 0)), ((1, 1), (0, 1))), (((0, 0), (-1, 0)), ((1, 1), (0, -1))))
-    assert _cell_equations(g, op) == {key: 2.0}
+    n = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
+    minus = (((0, 0), (-1, 0)), ((1, 1), (0, -1)))
+    equations = _cell_equations(g, op)
+    assert [(_PAIRS[key], s) for key, s in equations.items()] == [((n, minus, 4), 2.0)]
     w = {(0, 0): (1, 0), (0, 1): (3, -2), (1, 1): (0, 1), (2, 3): (1, 1)}
     reference = complex_witness_residual(_complex(w, 4), monomial_pairs(g, op))
     assert _witness_residual(w, _cell_equations(g, op), 4) == reference > 0.0
@@ -606,7 +678,7 @@ def test_witness_depends_only_on_the_nullspace(kind):
     g = build_generators(RepId(kind))
     checked = 0
     for name in OP_ORDER:
-        rows = _cell_rows(_cell_equations(g, get_op(name)), g.dim)
+        rows = _cell_rows(_cell_equations(g, get_op(name)))
         basis = _nullspace(rows, g.dim ** 2)
         assert _nullspace(rows[::-1], g.dim ** 2) == basis, (kind, name)
         assert _nullspace(_mixed(rows), g.dim ** 2) == basis, (kind, name)
@@ -673,9 +745,10 @@ def test_classification_does_not_import_scipy():
     no part of scipy."""
     code = (
         "import contextlib, io, sys\n"
-        "from ptclab.classify import full_table, intertwining_check\n"
+        "from ptclab.classify import full_table\n"
         "from ptclab.cli import main\n"
         "from ptclab.generators import REP_KINDS, RepId\n"
+        "from oracles import intertwining_check\n"
         "for kind in REP_KINDS:\n"
         "    full_table(RepId(kind))\n"
         "intertwining_check()\n"
@@ -684,7 +757,8 @@ def test_classification_does_not_import_scipy():
         "        assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(ptclab.__file__).resolve().parents[1]))
+    paths = (Path(ptclab.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -16,11 +16,13 @@ import ptclab
 import ptclab.clifford as clifford
 import ptclab.generators as generators
 from ptclab.cli import main
-from ptclab.clifford import cached_spin, casimir_spectrum, spectral_projector
+from ptclab.clifford import cached_spin, spectral_projector
 from ptclab.expr import LAURENT_VARS, MASS
-from ptclab.generators import GENERATOR_NAMES, RepId, build_generators, subspace_decomposition
+from ptclab.generators import GENERATOR_NAMES, RepId, build_generators
 from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
 from ptclab.vocabulary import OP_ORDER, REP_KINDS
+
+from oracles import casimir_spectrum, subspace_decomposition
 
 SRC = str(Path(ptclab.__file__).resolve().parents[1])
 

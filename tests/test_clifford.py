@@ -10,11 +10,12 @@ from ptclab.clifford import (
     CliffordBasis,
     build_basis,
     cached_spin,
-    casimir_spectrum,
     combine,
     spectral_projector,
     spin_tensor,
 )
+
+from oracles import casimir_spectrum
 
 
 @pytest.mark.parametrize("dim", [4, 8])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import ptclab.generators as generators
 from ptclab.clifford import cached_basis, cached_spin, spectral_projector
 from ptclab.expr import LAURENT_VARS, E, MASS, MOMENTA, TIME
 from ptclab.generators import (
@@ -22,7 +21,6 @@ from ptclab.generators import (
     helicity_operator,
     scalar_generator_set,
     structure_constants,
-    subspace_decomposition,
 )
 from ptclab.labels import HALF, IrrepLabel
 from ptclab.operators import (
@@ -33,6 +31,7 @@ from ptclab.operators import (
     index_order,
 )
 
+import oracles
 from oracles import (
     Point,
     adjoint,
@@ -49,6 +48,7 @@ from oracles import (
     position,
     sample_points,
     scaled,
+    subspace_decomposition,
     zero,
 )
 
@@ -430,7 +430,7 @@ def test_subspace_decomposition_raises_on_a_doctored_projector(monkeypatch):
     def doctored(matrix, value, spectrum):
         return shift @ np.asarray(spectral_projector(matrix, value, spectrum)) @ shift.T
 
-    monkeypatch.setattr(generators, "spectral_projector", doctored)
+    monkeypatch.setattr(oracles, "spectral_projector", doctored)
     with pytest.raises(AssertionError, match="fails to commute"):
         subspace_decomposition()
 
