@@ -1,5 +1,5 @@
-"""Gamma-matrix bases, spin tensors, Casimirs and spectral projectors, and the
-constant-matrix arithmetic that they and the operator coefficients share.
+"""Gamma-matrix bases, spin tensors and Casimirs, and the constant-matrix
+arithmetic that they and the operator coefficients share.
 
 The canonical construction starts from five mutually anticommuting hermitian
 4x4 matrices built as Pauli tensor products:
@@ -13,14 +13,13 @@ Gamma0 = s3 x 1_4 and Gamma_k = s1 x (i*D_k).
 
 A matrix is dense, a tuple of rows of complex (any nested sequence is
 accepted), or sparse, a dict {(i, j): nonzero entry} to compute products in.
-All entries are integers or half-integers times i, so no arithmetic rounds.
-Spectral projectors come from a polynomial in the matrix over a stated
-spectrum, not from an eigen-solver, so they are exact as well.
+Every entry is a Gaussian dyadic rational: the gammas hold 0, +-1 and +-i,
+the spin matrices 0, +-1/2 and +-i/2, and the Casimirs S^2 and T^2 only 0
+and 3/4, so no product or sum of them rounds.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
@@ -203,38 +202,3 @@ def cached_basis(dim: int) -> CliffordBasis:
 @lru_cache(maxsize=None)
 def cached_spin(dim: int) -> SpinGenerators:
     return spin_tensor(cached_basis(dim))
-
-
-def _lagrange_sylvester(mat, eigenvalue: float, spectrum) -> tuple:
-    """(N, c) = (prod (M - mu), prod (eigenvalue - mu)) over the values
-    mu != eigenvalue of `spectrum`, N sparse, so that N / c projects onto the
-    eigenvalue's eigenspace (Lagrange-Sylvester; Higham, Functions of
-    Matrices, SIAM 2008, sec. 1.2).  The entries are small dyadic rationals,
-    so every float product is exact.  ValueError unless the product over the
-    whole spectrum, (M - eigenvalue) N, is exactly zero and N N == c N."""
-    m, one = sparse(mat), sparse(eye(len(mat)))
-    others = [mu for mu in spectrum if mu != eigenvalue]
-    numerator = reduce(mat_mul, (mat_add(m, mat_scale(one, -mu)) for mu in others), one)
-    scale = math.prod(eigenvalue - mu for mu in others)
-    if mat_mul(mat_add(m, mat_scale(one, -eigenvalue)), numerator):
-        raise ValueError(f"the matrix has an eigenvalue outside {spectrum}")
-    if mat_mul(numerator, numerator) != mat_scale(numerator, scale):
-        raise ValueError(f"N N != c N for the eigenvalue {eigenvalue}")
-    return numerator, scale
-
-
-def spectral_projector(mat, eigenvalue: float, spectrum) -> tuple:
-    """N / c for a matrix whose eigenvalues lie in `spectrum`: the projector
-    onto the eigenspace of `eigenvalue`, orthogonal if the matrix is
-    hermitian.  ValueError if the eigenspace is empty or N / c is not exact."""
-    from fractions import Fraction
-
-    numerator, scale = _lagrange_sylvester(mat, eigenvalue, spectrum)
-    if not numerator:
-        raise ValueError(f"{eigenvalue} is not an eigenvalue")
-    proj = {key: n / scale for key, n in numerator.items()}
-    exact = Fraction(scale)
-    for n, q in set(zip(numerator.values(), proj.values())):
-        if (Fraction(q.real) * exact, Fraction(q.imag) * exact) != (n.real, n.imag):
-            raise ValueError(f"N / {scale} is not exact for the eigenvalue {eigenvalue}")
-    return dense(proj, len(mat))

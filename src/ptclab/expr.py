@@ -9,8 +9,10 @@ LAURENT_VARS) to its coefficient c: a Python complex for a scalar and a
 constant d x d matrix for an operator coefficient (`operators.Coefficient`,
 a subclass), so sums, products, derivatives, reflection signs and the
 mass-shell normal form have one implementation for both.  Equal rows are
-merged in order of first occurrence and zero coefficients dropped; every
-coefficient is a Gaussian dyadic rational, so no arithmetic rounds.
+merged in order of first occurrence and zero coefficients dropped.  Every
+coefficient is a Gaussian dyadic rational, so no arithmetic rounds, with
+one exception: the 2^-1/2 that normalises `generators.canonical_transform`,
+which no check of the package uses: the checks work on its numerator.
 
 E = sqrt(p1^2 + p2^2 + p3^2 + m^2) and W = sqrt(2E(E + m)) are atoms.  The
 chain rule with

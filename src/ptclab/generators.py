@@ -46,7 +46,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .clifford import cached_basis, cached_spin, combine, eye, matmul, spectral_projector, trace
+from .clifford import cached_basis, cached_spin, combine, eye, matmul, trace
 from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, W, Expr
 from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator
 from .vocabulary import REP_KINDS
@@ -440,15 +440,17 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
 
 def helicity_check() -> HelicityReport:
     """Check that both helicity operators commute with all ten canonical
-    8-component generators at m = 0, and that S.p/E has eigenvalues
+    8-component generators at m = 0, and that h = S.p/E has eigenvalues
     +-1/2, twice each, on the S^2 = 3/4 subspace.
 
     The generators keep their mass dependence: each commutator counts only
     the rows of its normal form without a power of m, which are the
-    commutator at m = 0 (E = |p|).  The projector P onto the subspace
-    commutes with every S_a, so the eigenvalues there are +-1/2 iff
-    (P S.p/E)^2 - P/4 vanishes at m = 0, and they come twice each iff
-    tr(P S.p/E) = sum_a tr(P S_a) p_a / E vanishes as well.
+    commutator at m = 0 (E = |p|).  The eigenvalue claim is decided on
+    Q = S^2 itself, whose entries are dyadic, so nothing is divided:
+    Q Q = 3/4 Q puts its spectrum in {0, 3/4}, so P = 4Q/3 projects onto the
+    subspace, and tr Q = 3 makes that subspace 4-dimensional.  Q commutes
+    with every S_a and so with h, so at m = 0 the eigenvalues there are
+    +-1/2 iff Q h h = Q/4, and they come twice each iff tr(Q h) = 0.
     """
     hs, ht = helicity_operator("s"), helicity_operator("t")
     worst = max(
@@ -456,8 +458,10 @@ def helicity_check() -> HelicityReport:
         for op in build_generators("canonical8").ops.values()
         for h in (hs, ht)
     )
-    proj = spectral_projector(cached_spin(8).s_squared, 0.75, (0, 0.75))
-    h = hs.terms[ZERO_INDEX].lmul(proj)
-    traces = Expr(h.exps, [trace(mat) for mat in h.mats])
-    eig_residual = _shell_residual([h @ h - Coefficient([proj], [0.25]), traces], massless=True)
+    h = hs.terms[ZERO_INDEX]
+    q = Coefficient.constant(cached_spin(8).s_squared)
+    qh = q @ h
+    tr_q, tr_qh = (Expr(c.exps, [trace(mat) for mat in c.mats]) for c in (q, qh))
+    identities = [q @ q - q.scale(0.75), tr_q - 3, qh @ h - q.scale(0.25), tr_qh]
+    eig_residual = _shell_residual(identities, massless=True)
     return HelicityReport(worst == 0.0 and eig_residual == 0.0, worst, eig_residual)

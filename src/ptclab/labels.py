@@ -1,89 +1,85 @@
 """Label-level algebra of the irreducible pieces D^(sign)(s, tau).
 
-Pure label calculus over exact fractions: the completeness rule for full
-P, T, C invariance, the massless helicity decomposition with its pair count,
-and the text syntax of label sums.  It needs no numpy; the numeric check
-that the helicity operators are good symmetries exactly at m = 0 lives in
-`ptclab.generators`.
+Pure label calculus in integers: every spin and helicity is held as the int
+twice its value, 2s, so a half-integer is exact without a rational type.
+It holds the completeness rule for full P, T, C invariance, the massless
+helicity decomposition with its pair count, and the text syntax of label
+sums.  The check that the helicity operators are good symmetries exactly at
+m = 0 lives in `ptclab.generators`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 
-def half_integer(value) -> Fraction:
-    frac = Fraction(value)
-    if frac < 0 or frac.denominator not in (1, 2):
-        raise ValueError(f"{value!r} is not a non-negative half-integer")
-    return frac
-
-
-def _fmt_frac(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _spin_text(two_s: int) -> str:
+    """s written as the label syntax writes it: "1" for 2s = 2, "3/2" for 2s = 3."""
+    return str(two_s // 2) if two_s % 2 == 0 else f"{two_s}/2"
 
 
 class IrrepLabel(
-    NamedTuple("IrrepLabel", [("energy_sign", int), ("s", Fraction), ("tau", Fraction)])
+    NamedTuple("IrrepLabel", [("energy_sign", int), ("two_s", int), ("two_tau", int)])
 ):
-    """Ordered, hashable and compared as the tuple (energy_sign, s, tau), with
-    s and tau normalized to half-integer Fractions."""
+    """D^(energy_sign)(s, tau) with two_s = 2s and two_tau = 2 tau; ordered,
+    hashable and compared as the tuple (energy_sign, two_s, two_tau)."""
 
     __slots__ = ()
 
-    def __new__(cls, energy_sign, s, tau):
+    def __new__(cls, energy_sign, two_s, two_tau):
         if energy_sign not in (1, -1):
             raise ValueError("energy sign must be +1 or -1")
-        return super().__new__(cls, energy_sign, half_integer(s), half_integer(tau))
+        for value in (two_s, two_tau):
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{value!r} is not twice a spin: expected an int >= 0")
+        return super().__new__(cls, energy_sign, two_s, two_tau)
 
     @property
     def dimension(self) -> int:
-        return int((2 * self.s + 1) * (2 * self.tau + 1))
+        return (self.two_s + 1) * (self.two_tau + 1)
 
     def __str__(self):
         sign = "+" if self.energy_sign > 0 else "-"
-        return f"D{sign}({_fmt_frac(self.s)},{_fmt_frac(self.tau)})"
+        return f"D{sign}({_spin_text(self.two_s)},{_spin_text(self.two_tau)})"
 
 
 class MasslessLabel(
     NamedTuple(
         "MasslessLabel",
-        [("energy_sign", int), ("s_helicity", Fraction | None), ("t_helicity", Fraction | None)],
+        [("energy_sign", int), ("two_s_helicity", int | None), ("two_t_helicity", int | None)],
     )
 ):
-    """One-dimensional massless piece tagged by a single helicity eigenvalue."""
+    """One-dimensional massless piece tagged by a single helicity eigenvalue,
+    held as twice its value."""
 
     __slots__ = ()
 
-    def __new__(cls, energy_sign, s_helicity=None, t_helicity=None):
-        if (s_helicity is None) == (t_helicity is None):
-            raise ValueError("exactly one of s_helicity / t_helicity must be set")
-        return super().__new__(cls, energy_sign, s_helicity, t_helicity)
+    def __new__(cls, energy_sign, two_s_helicity=None, two_t_helicity=None):
+        if (two_s_helicity is None) == (two_t_helicity is None):
+            raise ValueError("exactly one of two_s_helicity / two_t_helicity must be set")
+        return super().__new__(cls, energy_sign, two_s_helicity, two_t_helicity)
 
     def __str__(self):
         sign = "+" if self.energy_sign > 0 else "-"
-        if self.s_helicity is not None:
-            return f"D{sign}({_fmt_frac(self.s_helicity)},0)"
-        return f"D{sign}(0,{_fmt_frac(self.t_helicity)})"
+        if self.two_s_helicity is not None:
+            return f"D{sign}({_spin_text(self.two_s_helicity)},0)"
+        return f"D{sign}(0,{_spin_text(self.two_t_helicity)})"
 
-
-HALF = Fraction(1, 2)
 
 # Massive content of the canonical eight-component equation, and of each of
 # the three inequivalent four-component equations it splits into.
 CANONICAL8_CONTENT = (
-    IrrepLabel(1, HALF, 0),
-    IrrepLabel(-1, 0, HALF),
-    IrrepLabel(-1, HALF, 0),
-    IrrepLabel(1, 0, HALF),
+    IrrepLabel(1, 1, 0),
+    IrrepLabel(-1, 0, 1),
+    IrrepLabel(-1, 1, 0),
+    IrrepLabel(1, 0, 1),
 )
 FOUR_COMPONENT_CONTENTS = {
-    "rep1": (IrrepLabel(1, HALF, 0), IrrepLabel(-1, 0, HALF)),
-    "rep2": (IrrepLabel(1, HALF, 0), IrrepLabel(-1, HALF, 0)),
-    "rep3": (IrrepLabel(1, HALF, 0), IrrepLabel(1, 0, HALF)),
+    "rep1": (IrrepLabel(1, 1, 0), IrrepLabel(-1, 0, 1)),
+    "rep2": (IrrepLabel(1, 1, 0), IrrepLabel(-1, 1, 0)),
+    "rep3": (IrrepLabel(1, 1, 0), IrrepLabel(1, 0, 1)),
 }
 
 
@@ -91,21 +87,22 @@ def ptc_complete(labels) -> bool:
     """True iff every label's count equals the count of its energy-sign flip
     and of its (s, tau) swap: the multiset is a sum of full partner groups,
     {both energy signs} x {(s, tau), (tau, s)}, a pair when s == tau."""
-    counts = Counter((lab.energy_sign, lab.s, lab.tau) for lab in labels)
+    counts = Counter(labels)
     return all(
         n == counts[(-sign, s, tau)] == counts[(sign, tau, s)] for (sign, s, tau), n in counts.items()
     )
 
 
 def massless_decompose() -> list:
-    """The eight one-dimensional helicity pieces of the m = 0 limit."""
+    """The eight one-dimensional helicity pieces of the m = 0 limit: each
+    spin-1/2 label splits into helicities +1/2 and -1/2."""
     out = []
     for label in CANONICAL8_CONTENT:
-        for hel in (HALF, -HALF):
-            if label.s != 0:
-                out.append(MasslessLabel(label.energy_sign, s_helicity=hel))
+        for two_h in (1, -1):
+            if label.two_s:
+                out.append(MasslessLabel(label.energy_sign, two_s_helicity=two_h))
             else:
-                out.append(MasslessLabel(label.energy_sign, t_helicity=hel))
+                out.append(MasslessLabel(label.energy_sign, two_t_helicity=two_h))
     return out
 
 
@@ -124,55 +121,60 @@ class LabelParseError(ValueError):
         self.position = position
 
 
+# The tokens of a label sum, each after optional whitespace: (the characters
+# it may be, or "" for a spin; the message when it is missing).  No separator
+# comes before the first label, and the sum may end where one is due.
+_SEPARATOR = ("+", "expected '+' between labels")
+_STEPS = (
+    _SEPARATOR,
+    ("D", "expected 'D'"),
+    ("+-", "expected '+' or '-' after 'D'"),
+    ("(", "expected '('"),
+    ("", "expected a half-integer"),
+    (",", "expected ','"),
+    ("", "expected a half-integer"),
+    (")", "expected ')'"),
+)
+
+
+def _twice_spin(token: str, position: int) -> int:
+    """2s for a spin token "p" or "p/q" of decimal digits, where q != 0
+    divides 2p."""
+    p, slash, q = token.partition("/")
+    try:
+        p, q = int(p), int(q) if slash else 1
+    except ValueError:  # p or q is empty or not all decimal digits
+        q = 0
+    if q == 0 or 2 * p % q:
+        raise LabelParseError(f"malformed half-integer {token!r}", position)
+    return 2 * p // q
+
+
 def parse_labels(text: str) -> list:
-    labels = []
-    i = 0
-    n = len(text)
-
-    def skip_ws(j):
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def expect(j, char):
-        j = skip_ws(j)
-        if j >= n or text[j] != char:
-            raise LabelParseError(f"expected {char!r}", j)
-        return j + 1
-
-    def read_fraction(j):
-        j = skip_ws(j)
-        start = j
-        while j < n and (text[j].isdigit() or text[j] == "/"):
-            j += 1
-        token = text[start:j]
-        if not token:
-            raise LabelParseError("expected a half-integer", start)
-        try:
-            value = half_integer(Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            raise LabelParseError(f"malformed half-integer {token!r}", start) from None
-        return value, j
-
+    """The labels of a sum such as "D+(1/2,0) + D-(0,1/2)", in order.
+    LabelParseError gives the first token that is not what the syntax
+    expects, and its position."""
+    labels, i, steps = [], 0, _STEPS[1:]  # no separator before the first label
     while True:
-        i = skip_ws(i)
-        if i >= n or text[i] != "D":
-            raise LabelParseError("expected 'D'", i)
-        i += 1
-        i = skip_ws(i)
-        if i >= n or text[i] not in "+-":
-            raise LabelParseError("expected '+' or '-' after 'D'", i)
-        sign = 1 if text[i] == "+" else -1
-        i += 1
-        i = expect(i, "(")
-        s, i = read_fraction(i)
-        i = expect(i, ",")
-        tau, i = read_fraction(i)
-        i = expect(i, ")")
-        labels.append(IrrepLabel(sign, s, tau))
-        i = skip_ws(i)
-        if i >= n:
-            return labels
-        if text[i] != "+":
-            raise LabelParseError("expected '+' between labels", i)
-        i += 1
+        tokens = []
+        for step in steps:
+            chars, message = step
+            while i < len(text) and text[i].isspace():
+                i += 1
+            if step is _SEPARATOR and i == len(text):
+                return labels
+            start = i
+            if not chars:  # a spin: a run of digits and '/'
+                while i < len(text) and (text[i].isdigit() or text[i] == "/"):
+                    i += 1
+                if i == start:
+                    raise LabelParseError(message, start)
+                tokens.append(_twice_spin(text[start:i], start))
+            elif i < len(text) and text[i] in chars:
+                tokens.append(text[i])
+                i += 1
+            else:
+                raise LabelParseError(message, i)
+        *_, sign, _, two_s, _, two_tau, _ = tokens
+        labels.append(IrrepLabel(1 if sign == "+" else -1, two_s, two_tau))
+        steps = _STEPS

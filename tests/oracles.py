@@ -16,9 +16,11 @@ residual over them, the reference for the classifier's exact residual in
 Z[i]; the float reference for the classifier's exact rank: one SVD of the
 dense system of every monomial equation over all d^2 entries of q, with a
 relative rank threshold; the dense reference for its witness search, which
-forms every product in full; and the quartet-by-quartet reference for the
-label completeness rule.  Last, the exact checks of the canonical
-eight-component set that no command runs: its Casimir spectra, its four
+forms every product in full; the quartet-by-quartet reference for the
+label completeness rule; and the label syntax read with Fraction spins, the
+reference for the package's parser of integer spins 2s.  Last, the
+exact checks of the canonical eight-component set that no command runs: the
+Lagrange-Sylvester spectral projector, its Casimir spectra, its four
 invariant subspaces and the intertwining relations of its witnesses.
 
 Cancellations (for example the second-order pieces of a commutator of two
@@ -32,12 +34,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
+from functools import reduce
 from itertools import islice, product
 from typing import NamedTuple
 
 import numpy as np
 
-import ptclab.clifford as clifford
 from ptclab.classify import SIGN_CLASSES, classify, get_op
 from ptclab.clifford import (
     cached_basis,
@@ -50,12 +53,11 @@ from ptclab.clifford import (
     mat_scale,
     matmul,
     sparse,
-    spectral_projector,
     trace,
 )
 from ptclab.expr import LAURENT_VARS, ONE, Expr
 from ptclab.generators import GENERATOR_CLASS, _commutant_residual, build_generators
-from ptclab.labels import CANONICAL8_CONTENT, HALF
+from ptclab.labels import CANONICAL8_CONTENT
 from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
 from ptclab.vocabulary import DEFAULT_SEED
 
@@ -525,7 +527,7 @@ def quartet_ptc_complete(labels) -> bool:
     group by group: for s != tau a full quadruple {both energy signs} x
     {(s, tau), (tau, s)} with equal counts, for s == tau the pair of energy
     signs with equal counts."""
-    counts = Counter((lab.energy_sign, lab.s, lab.tau) for lab in labels)
+    counts = Counter((lab.energy_sign, lab.two_s, lab.two_tau) for lab in labels)
     done = set()
     for (_, s, tau) in list(counts):
         key = (min(s, tau), max(s, tau))
@@ -547,13 +549,125 @@ def quartet_ptc_complete(labels) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the Fraction reference for the label syntax
+
+
+class ReferenceParseError(ValueError):
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} at position {position}")
+        self.position = position
+
+
+def _reference_half_integer(value) -> Fraction:
+    frac = Fraction(value)
+    if frac < 0 or frac.denominator not in (1, 2):
+        raise ValueError(f"{value!r} is not a non-negative half-integer")
+    return frac
+
+
+def _reference_text(f: Fraction) -> str:
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def reference_parse_labels(text: str) -> list:
+    """The labels of a sum "D+(1/2,0)+D-(0,1/2)" as the strings "D+(1/2,0)",
+    each spin read as a Fraction and checked to be a non-negative
+    half-integer; ReferenceParseError with the message and position the
+    package's parser must give."""
+    labels = []
+    i = 0
+    n = len(text)
+
+    def skip_ws(j):
+        while j < n and text[j].isspace():
+            j += 1
+        return j
+
+    def expect(j, char):
+        j = skip_ws(j)
+        if j >= n or text[j] != char:
+            raise ReferenceParseError(f"expected {char!r}", j)
+        return j + 1
+
+    def read_fraction(j):
+        j = skip_ws(j)
+        start = j
+        while j < n and (text[j].isdigit() or text[j] == "/"):
+            j += 1
+        token = text[start:j]
+        if not token:
+            raise ReferenceParseError("expected a half-integer", start)
+        try:
+            value = _reference_half_integer(Fraction(token))
+        except (ValueError, ZeroDivisionError):
+            raise ReferenceParseError(f"malformed half-integer {token!r}", start) from None
+        return value, j
+
+    while True:
+        i = skip_ws(i)
+        if i >= n or text[i] != "D":
+            raise ReferenceParseError("expected 'D'", i)
+        i += 1
+        i = skip_ws(i)
+        if i >= n or text[i] not in "+-":
+            raise ReferenceParseError("expected '+' or '-' after 'D'", i)
+        sign = text[i]
+        i += 1
+        i = expect(i, "(")
+        s, i = read_fraction(i)
+        i = expect(i, ",")
+        tau, i = read_fraction(i)
+        i = expect(i, ")")
+        labels.append(f"D{sign}({_reference_text(s)},{_reference_text(tau)})")
+        i = skip_ws(i)
+        if i >= n:
+            return labels
+        if text[i] != "+":
+            raise ReferenceParseError("expected '+' between labels", i)
+        i += 1
+
+
+# ---------------------------------------------------------------------------
 # exact checks of the canonical eight-component set that no command runs
+
+
+def _lagrange_sylvester(mat, eigenvalue: float, spectrum) -> tuple:
+    """(N, c) = (prod (M - mu), prod (eigenvalue - mu)) over the values
+    mu != eigenvalue of `spectrum`, N sparse, so that N / c projects onto the
+    eigenvalue's eigenspace (Lagrange-Sylvester; Higham, Functions of
+    Matrices, SIAM 2008, sec. 1.2).  The entries are small dyadic rationals,
+    so every float product is exact.  ValueError unless the product over the
+    whole spectrum, (M - eigenvalue) N, is exactly zero and N N == c N."""
+    m, one = sparse(mat), sparse(eye(len(mat)))
+    others = [mu for mu in spectrum if mu != eigenvalue]
+    numerator = reduce(mat_mul, (mat_add(m, mat_scale(one, -mu)) for mu in others), one)
+    scale = math.prod(eigenvalue - mu for mu in others)
+    if mat_mul(mat_add(m, mat_scale(one, -eigenvalue)), numerator):
+        raise ValueError(f"the matrix has an eigenvalue outside {spectrum}")
+    if mat_mul(numerator, numerator) != mat_scale(numerator, scale):
+        raise ValueError(f"N N != c N for the eigenvalue {eigenvalue}")
+    return numerator, scale
+
+
+def spectral_projector(mat, eigenvalue: float, spectrum) -> tuple:
+    """N / c for a matrix whose eigenvalues lie in `spectrum`: the projector
+    onto the eigenspace of `eigenvalue`, orthogonal if the matrix is
+    hermitian.  ValueError if the eigenspace is empty or N / c is not exact."""
+    numerator, scale = _lagrange_sylvester(mat, eigenvalue, spectrum)
+    if not numerator:
+        raise ValueError(f"{eigenvalue} is not an eigenvalue")
+    proj = {key: n / scale for key, n in numerator.items()}
+    exact = Fraction(scale)
+    for n, q in set(zip(numerator.values(), proj.values())):
+        if (Fraction(q.real) * exact, Fraction(q.imag) * exact) != (n.real, n.imag):
+            raise ValueError(f"N / {scale} is not exact for the eigenvalue {eigenvalue}")
+    return dense(proj, len(mat))
 
 
 def casimir_spectrum(gens) -> dict:
     """How often S^2 and T^2 of the spin generators gens take each value
     s(s+1) with 2s + 1 <= d, as the exact integer trace(N) / c of the
-    package's Lagrange-Sylvester numerator N; AssertionError if an
+    Lagrange-Sylvester numerator N; AssertionError if an
     eigenvalue is not one."""
     values = [k * (k + 2) / 4 for k in range(gens.dim)]  # s = k / 2
     out = {}
@@ -561,7 +675,7 @@ def casimir_spectrum(gens) -> dict:
         out[name] = {}
         for value in values:
             try:
-                numerator, scale = clifford._lagrange_sylvester(mat, value, values)
+                numerator, scale = _lagrange_sylvester(mat, value, values)
             except ValueError as exc:
                 raise AssertionError(f"{name}: {exc}") from None
             diagonal = sum(numerator.get((i, i), 0) for i in range(gens.dim))
@@ -594,7 +708,7 @@ def subspace_decomposition() -> SubspaceReport:
     blocks = []
     for label in CANONICAL8_CONTENT:
         sign_proj = spectral_projector(basis.gamma0, label.energy_sign, (1, -1))
-        casimir = spin.s_squared if label.s == HALF else spin.t_squared
+        casimir = spin.s_squared if label.two_s else spin.t_squared
         proj = matmul(sign_proj, spectral_projector(casimir, 0.75, (0, 0.75)))
         if trace(proj) != label.dimension:
             raise AssertionError(

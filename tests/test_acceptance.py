@@ -8,7 +8,6 @@ every residual is exactly 0.0, and the criteria require that.
 """
 
 import time
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -55,7 +54,6 @@ from oracles import (
     subspace_decomposition,
 )
 
-HALF = Fraction(1, 2)
 
 
 def _passline(n, text):
@@ -141,10 +139,10 @@ def test_criterion_05_casimirs_and_subspaces():
     report = subspace_decomposition()
     labels = [label for _, label in report.blocks]
     assert labels == [
-        IrrepLabel(1, HALF, 0),
-        IrrepLabel(-1, 0, HALF),
-        IrrepLabel(-1, HALF, 0),
-        IrrepLabel(1, 0, HALF),
+        IrrepLabel(1, 1, 0),
+        IrrepLabel(-1, 0, 1),
+        IrrepLabel(-1, 1, 0),
+        IrrepLabel(1, 0, 1),
     ]
     for proj, _ in report.blocks:
         assert np.trace(np.asarray(proj)) == 2
@@ -250,10 +248,10 @@ def test_criterion_11_massless_helicity():
 
 def test_criterion_12_ptc_completeness():
     quadruple = [
-        IrrepLabel(1, HALF, 0), IrrepLabel(-1, HALF, 0),
-        IrrepLabel(1, 0, HALF), IrrepLabel(-1, 0, HALF),
+        IrrepLabel(1, 1, 0), IrrepLabel(-1, 1, 0),
+        IrrepLabel(1, 0, 1), IrrepLabel(-1, 0, 1),
     ]
-    pair = [IrrepLabel(1, HALF, HALF), IrrepLabel(-1, HALF, HALF)]
+    pair = [IrrepLabel(1, 1, 1), IrrepLabel(-1, 1, 1)]
     assert ptc_complete(quadruple) and ptc_complete(pair)
     for k in range(4):
         assert not ptc_complete(quadruple[:k] + quadruple[k + 1 :])

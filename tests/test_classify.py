@@ -40,7 +40,7 @@ from ptclab.classify import (
     get_op,
     momentum_action,
 )
-from ptclab.clifford import cached_basis, cached_spin, spectral_projector
+from ptclab.clifford import cached_basis, cached_spin
 from ptclab.expr import LAURENT_VARS
 from ptclab.generators import GENERATOR_CLASS, REP_KINDS, GeneratorSet, RepId, build_generators
 from ptclab.operators import (
@@ -69,6 +69,7 @@ from oracles import (
     position,
     sample_points,
     scaled,
+    spectral_projector,
     stacked_system,
 )
 
@@ -785,9 +786,10 @@ def test_commands_do_not_import_numpy_ma():
 
 def test_commands_do_not_import_numpy_random_or_labels():
     """The label calculus is imported only where it is used: a table and a
-    classify command load neither ptclab.labels nor the fractions module it
-    needs, and algebra and selftest load no ptclab.labels.  No command uses
-    numpy: none loads a numpy module at all (listed as numpy*)."""
+    classify command load no ptclab.labels, and algebra and selftest load
+    no ptclab.labels either.  Labels hold spins as integers 2s, so massless
+    and ptc load no fractions module.  No command uses numpy: none loads a
+    numpy module at all (listed as numpy*)."""
     code = (
         "import contextlib, io, json, sys\n"
         "from ptclab.cli import main\n"
@@ -806,7 +808,8 @@ def test_commands_do_not_import_numpy_random_or_labels():
         ("classify", "--rep", "rep1", "--op", "C"): classifying,
         ("algebra", "--rep", "dirac8"): {"ptclab.labels", "numpy*"},
         ("selftest",): {"ptclab.labels", "numpy*"},
-        ("massless",): {"numpy*"},
+        ("massless",): {"numpy*", "fractions"},
+        ("ptc", "--labels", "D+(1/2,0)+D-(1/2,0)"): {"numpy*", "fractions"},
     }
     for argv, names in banned.items():
         out = subprocess.run(

@@ -16,13 +16,13 @@ import ptclab
 import ptclab.clifford as clifford
 import ptclab.generators as generators
 from ptclab.cli import main
-from ptclab.clifford import cached_spin, spectral_projector
+from ptclab.clifford import cached_basis, cached_spin
 from ptclab.expr import LAURENT_VARS, MASS
 from ptclab.generators import GENERATOR_NAMES, RepId, build_generators
 from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
 from ptclab.vocabulary import OP_ORDER, REP_KINDS
 
-from oracles import casimir_spectrum, subspace_decomposition
+from oracles import casimir_spectrum, spectral_projector, subspace_decomposition
 
 SRC = str(Path(ptclab.__file__).resolve().parents[1])
 
@@ -356,6 +356,39 @@ def test_massless_rejects_a_doctored_helicity_operator(capsys, monkeypatch, doct
     assert payload["helicity"]["pass"] is False
     assert payload["helicity"]["max_residual"] == 0.0
     assert payload["helicity"]["eigenvalue_residual"] > 0.5
+
+
+def _quarter_added(s_squared):
+    """S^2 + 1/4 at its first diagonal entry: an eigenvalue outside {0, 3/4}."""
+    return np.asarray(s_squared) + np.diag([0.25] + [0.0] * 7)
+
+
+def _positive_energy_only(s_squared):
+    """S^2 (1 + Gamma0) / 2: its spectrum is still {0, 3/4} and it still
+    commutes with S.p/E, but its 3/4-space is 2-dimensional, so each
+    helicity comes once, and only tr S^2 = 3 fails."""
+    gamma0 = np.asarray(cached_basis(8).gamma0)
+    return np.asarray(s_squared) @ (np.eye(8) + gamma0) / 2
+
+
+def _energy_weighted(s_squared):
+    """S^2 (1 + Gamma0 / 2): trace 3, and it commutes with S.p/E, but its
+    spectrum is {0, 3/8, 9/8}, so only S^2 S^2 = 3/4 S^2 fails."""
+    gamma0 = np.asarray(cached_basis(8).gamma0)
+    return np.asarray(s_squared) @ (np.eye(8) + gamma0 / 2)
+
+
+@pytest.mark.parametrize("doctor", [_quarter_added, _positive_energy_only, _energy_weighted])
+def test_massless_rejects_a_doctored_casimir(capsys, monkeypatch, doctor):
+    """A doctored S^2 fails the eigenvalue check with a residual, and the
+    command exits 1 rather than raising."""
+    spin = cached_spin(8)
+    monkeypatch.setattr(spin, "s_squared", tuple(map(tuple, doctor(spin.s_squared))))
+    code, payload = run_json(capsys, "massless")
+    assert code == 1
+    assert payload["helicity"]["pass"] is False
+    assert payload["helicity"]["max_residual"] == 0.0
+    assert payload["helicity"]["eigenvalue_residual"] > 0
 
 
 _COMMUTE = "helicity operators commute with all generators"

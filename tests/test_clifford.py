@@ -11,11 +11,11 @@ from ptclab.clifford import (
     build_basis,
     cached_spin,
     combine,
-    spectral_projector,
     spin_tensor,
 )
 
-from oracles import casimir_spectrum
+import oracles
+from oracles import casimir_spectrum, spectral_projector
 
 
 @pytest.mark.parametrize("dim", [4, 8])
@@ -188,13 +188,13 @@ def test_doctored_casimir_is_rejected():
 def test_casimir_spectrum_rejects_a_fractional_multiplicity(monkeypatch):
     """A multiplicity trace(N) / c that is not an integer raises: here c is
     tripled behind the construction's back, so 4 / 3 remains."""
-    lagrange = clifford._lagrange_sylvester
+    lagrange = oracles._lagrange_sylvester
 
     def tripled(matrix, value, spectrum):
         numerator, scale = lagrange(matrix, value, spectrum)
         return numerator, 3 * scale
 
-    monkeypatch.setattr(clifford, "_lagrange_sylvester", tripled)
+    monkeypatch.setattr(oracles, "_lagrange_sylvester", tripled)
     with pytest.raises(AssertionError, match="multiplicity"):
         casimir_spectrum(spin_tensor(build_basis(8)))
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ptclab.clifford import cached_basis, cached_spin, spectral_projector
+from ptclab.clifford import cached_basis, cached_spin
 from ptclab.expr import LAURENT_VARS, E, MASS, MOMENTA, TIME
 from ptclab.generators import (
     GENERATOR_NAMES,
@@ -22,7 +22,7 @@ from ptclab.generators import (
     scalar_generator_set,
     structure_constants,
 )
-from ptclab.labels import HALF, IrrepLabel
+from ptclab.labels import IrrepLabel
 from ptclab.operators import (
     ZERO_INDEX,
     Coefficient,
@@ -48,6 +48,7 @@ from oracles import (
     position,
     sample_points,
     scaled,
+    spectral_projector,
     subspace_decomposition,
     zero,
 )
@@ -407,10 +408,10 @@ def test_subspace_decomposition():
     assert report.complete
     labels = [label for _, label in report.blocks]
     assert labels == [
-        IrrepLabel(1, HALF, 0),
-        IrrepLabel(-1, 0, HALF),
-        IrrepLabel(-1, HALF, 0),
-        IrrepLabel(1, 0, HALF),
+        IrrepLabel(1, 1, 0),
+        IrrepLabel(-1, 0, 1),
+        IrrepLabel(-1, 1, 0),
+        IrrepLabel(1, 0, 1),
     ]
     for proj, label in report.blocks:
         proj = np.asarray(proj)

@@ -3,30 +3,24 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptclab.labels import (
     CANONICAL8_CONTENT,
     FOUR_COMPONENT_CONTENTS,
-    HALF,
     IrrepLabel,
     LabelParseError,
     MasslessLabel,
-    half_integer,
     massless_decompose,
     massless_pair_count,
     parse_labels,
     ptc_complete,
 )
 
-from oracles import quartet_ptc_complete
+from oracles import ReferenceParseError, quartet_ptc_complete, reference_parse_labels
 
-Q = Fraction
-
-
-def L(sign, s, tau):
-    return IrrepLabel(sign, Q(s), Q(tau))
+L = IrrepLabel  # spins as twice their values: L(1, 1, 0) is D+(1/2,0)
 
 
 # ---------------------------------------------------------------------------
@@ -34,28 +28,28 @@ def L(sign, s, tau):
 
 
 def test_quadruple_is_complete():
-    labels = [L(1, "1/2", 0), L(-1, "1/2", 0), L(1, 0, "1/2"), L(-1, 0, "1/2")]
-    assert ptc_complete(labels)
-
-
-def test_equal_spin_pair_is_complete():
-    assert ptc_complete([L(1, "1/2", "1/2"), L(-1, "1/2", "1/2")])
-
-
-def test_single_label_incomplete():
-    assert not ptc_complete([L(1, "1/2", 0)])
-
-
-def test_spin_one_quadruple():
     labels = [L(1, 1, 0), L(-1, 1, 0), L(1, 0, 1), L(-1, 0, 1)]
     assert ptc_complete(labels)
 
 
+def test_equal_spin_pair_is_complete():
+    assert ptc_complete([L(1, 1, 1), L(-1, 1, 1)])
+
+
+def test_single_label_incomplete():
+    assert not ptc_complete([L(1, 1, 0)])
+
+
+def test_spin_one_quadruple():
+    labels = [L(1, 2, 0), L(-1, 2, 0), L(1, 0, 2), L(-1, 0, 2)]
+    assert ptc_complete(labels)
+
+
 def test_removing_any_summand_breaks_completeness():
-    labels = [L(1, "1/2", 0), L(-1, "1/2", 0), L(1, 0, "1/2"), L(-1, 0, "1/2")]
+    labels = [L(1, 1, 0), L(-1, 1, 0), L(1, 0, 1), L(-1, 0, 1)]
     for k in range(4):
         assert not ptc_complete(labels[:k] + labels[k + 1 :])
-    pair = [L(1, "1/2", "1/2"), L(-1, "1/2", "1/2")]
+    pair = [L(1, 1, 1), L(-1, 1, 1)]
     for k in range(2):
         assert not ptc_complete(pair[:k] + pair[k + 1 :])
 
@@ -67,7 +61,7 @@ def test_four_component_contents_incomplete():
 
 def conjugate_partner(label: IrrepLabel) -> IrrepLabel:
     """Charge-conjugate partner: energy sign flips and (s, tau) swap."""
-    return IrrepLabel(-label.energy_sign, label.tau, label.s)
+    return IrrepLabel(-label.energy_sign, label.two_tau, label.two_s)
 
 
 def test_union_with_conjugate_partners_complete():
@@ -80,19 +74,19 @@ def test_union_with_conjugate_partners_complete():
 @given(seed=st.integers(min_value=0, max_value=2**31))
 def test_ptc_complete_permutation_invariant(seed):
     rng = np.random.default_rng(seed)
-    labels = [L(1, "1/2", 0), L(-1, "1/2", 0), L(1, 0, "1/2"), L(-1, 0, "1/2"),
-              L(1, 1, 1), L(-1, 1, 1)]
+    labels = [L(1, 1, 0), L(-1, 1, 0), L(1, 0, 1), L(-1, 0, 1),
+              L(1, 2, 2), L(-1, 2, 2)]
     shuffled = [labels[i] for i in rng.permutation(len(labels))]
     assert ptc_complete(shuffled) == ptc_complete(labels)
 
 
 def test_multiset_multiplicity_matters():
-    labels = [L(1, "1/2", 0), L(1, "1/2", 0), L(-1, "1/2", 0),
-              L(1, 0, "1/2"), L(-1, 0, "1/2")]
+    labels = [L(1, 1, 0), L(1, 1, 0), L(-1, 1, 0),
+              L(1, 0, 1), L(-1, 0, 1)]
     assert not ptc_complete(labels)
 
 
-_SPINS = (Q(0), HALF, Q(1), Q(3, 2))
+_SPINS = (0, 1, 2, 3)  # twice the spins 0, 1/2, 1, 3/2
 _LABELS = [IrrepLabel(sign, s, tau) for sign in (1, -1) for s in _SPINS for tau in _SPINS]
 
 
@@ -111,7 +105,8 @@ def test_orbit_rule_matches_the_quartet_reference(counts):
     labels = [label for label, n in zip(_LABELS, counts) for _ in range(n)]
     for moves in ((1, False),), _FLIP, _SWAP, _GROUP:
         images = [
-            IrrepLabel(sign * lab.energy_sign, *((lab.tau, lab.s) if swap else (lab.s, lab.tau)))
+            IrrepLabel(sign * lab.energy_sign,
+                       *((lab.two_tau, lab.two_s) if swap else (lab.two_s, lab.two_tau)))
             for lab in labels
             for sign, swap in moves
         ]
@@ -122,7 +117,7 @@ def test_orbit_rule_matches_the_quartet_reference(counts):
 def test_orbit_rule_matches_the_quartet_reference_exhaustively():
     """Every multiset with counts 0 to 2 of the eight labels with
     s, tau in {0, 1/2}: 3^8 multisets, both rules agree on each."""
-    labels = [IrrepLabel(sign, s, tau) for sign in (1, -1) for s in (0, HALF) for tau in (0, HALF)]
+    labels = [IrrepLabel(sign, s, tau) for sign in (1, -1) for s in (0, 1) for tau in (0, 1)]
     complete = 0
     for counts in product(range(3), repeat=len(labels)):
         multiset = [label for label, n in zip(labels, counts) for _ in range(n)]
@@ -135,24 +130,33 @@ def test_orbit_rule_matches_the_quartet_reference_exhaustively():
 # spin content
 
 
-def spin_content(s, tau) -> list:
-    """Spins |s - tau|, |s - tau| + 1, ..., s + tau carried by a (s, tau) block."""
-    s, tau = half_integer(s), half_integer(tau)
-    low, high = abs(s - tau), s + tau
-    return [low + k for k in range(int(high - low) + 1)]
+def spin_content(two_s, two_tau) -> list:
+    """Twice the spins |s - tau|, |s - tau| + 1, ..., s + tau carried by a
+    (s, tau) block."""
+    return list(range(abs(two_s - two_tau), two_s + two_tau + 1, 2))
 
 
 def test_spin_content_examples():
-    assert spin_content("1/2", "1/2") == [Q(0), Q(1)]
-    assert spin_content(Q(3), 0) == [Q(3)]
-    assert spin_content("3/2", 1) == [Q(1, 2), Q(3, 2), Q(5, 2)]
+    assert spin_content(1, 1) == [0, 2]
+    assert spin_content(6, 0) == [6]
+    assert spin_content(3, 2) == [1, 3, 5]
 
 
 def test_label_dimension():
-    assert L(1, "1/2", 0).dimension == 2
-    assert L(1, "1/2", "1/2").dimension == 4
+    assert L(1, 1, 0).dimension == 2
+    assert L(1, 1, 1).dimension == 4
     with pytest.raises(ValueError):
-        L(1, "1/3", 0)
+        L(1, Fraction(2, 3), 0)
+
+
+@pytest.mark.parametrize("value", [True, False, -1, -2, 1.0, Fraction(1, 1), "1", None])
+def test_label_rejects_what_is_not_a_twice_spin(value):
+    """A twice-spin is an int >= 0: a bool, a negative int, a float, a
+    Fraction, a string or None is refused in either slot."""
+    with pytest.raises(ValueError):
+        IrrepLabel(1, value, 0)
+    with pytest.raises(ValueError):
+        IrrepLabel(1, 0, value)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +179,7 @@ def test_massless_total_dimension_matches_parent():
 
 def test_massless_label_validation():
     with pytest.raises(ValueError):
-        MasslessLabel(1, s_helicity=HALF, t_helicity=HALF)
+        MasslessLabel(1, two_s_helicity=1, two_t_helicity=1)
     with pytest.raises(ValueError):
         MasslessLabel(1)
 
@@ -187,7 +191,7 @@ def test_massless_label_validation():
 def test_parse_round_trip():
     text = "D+(1/2,0)+D-(0,1/2)"
     labels = parse_labels(text)
-    assert labels == [L(1, "1/2", 0), L(-1, 0, "1/2")]
+    assert labels == [L(1, 1, 0), L(-1, 0, 1)]
     assert "+".join(str(l) for l in labels) == text
 
 
@@ -199,3 +203,60 @@ def test_parse_errors_carry_position():
         parse_labels("D+(1/3,0)")
     with pytest.raises(LabelParseError):
         parse_labels("D+(1/2;0)")
+
+
+def test_every_small_label_round_trips():
+    """Every label with 2s, 2 tau <= 3 prints as text that parses back to
+    it, alone and in one sum of all 32."""
+    for label in _LABELS:
+        assert parse_labels(str(label)) == [label], label
+    assert parse_labels(" + ".join(map(str, _LABELS))) == _LABELS
+
+
+def _outcome(parse, error, text):
+    """The labels parse reads from text, as strings, or the message and
+    position of the error it raises."""
+    try:
+        return [str(label) for label in parse(text)]
+    except error as exc:
+        return str(exc), exc.position
+
+
+# the syntax's characters, whitespace, ASCII digits, a superscript digit that
+# is not a decimal digit and an Arabic-Indic decimal digit
+_ALPHABET = list("D+-(),/") + [" ", "\t", "\n"] + list("0123456789") + ["\u00b2", "\u0663"]
+_SPACE = st.sampled_from(["", "", "", " ", "\t", " \n "])
+_SPIN = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "3/2", "2/4", "1/0", "3/6", "00/2", "1/2/2", "/2", "1/"]),
+    st.text(alphabet=st.sampled_from(list("0123456789/") + ["\u00b2", "\u0663"]), max_size=6),
+)
+
+
+@st.composite
+def _label_sums(draw):
+    """A sum of one to three labels, each token drawn with whitespace around
+    it and now and then swapped for one character of the alphabet."""
+    parts = []
+    for k in range(draw(st.integers(1, 3))):
+        spins = draw(_SPIN), draw(_SPIN)
+        for token in ("+" if k else "", "D", draw(st.sampled_from("+-")), "(",
+                      spins[0], ",", spins[1], ")"):
+            parts.append(draw(_SPACE))
+            parts.append(token if draw(st.integers(0, 15)) else draw(st.sampled_from(_ALPHABET)))
+    parts.append(draw(_SPACE))
+    return "".join(parts)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=st.one_of(st.text(alphabet=st.sampled_from(_ALPHABET), max_size=30), _label_sums()))
+@example(text="D+(1/0,0)")
+@example(text="D+(3/6,0)")
+@example(text="D+(1/2/2,0)")
+@example(text="D+(00/2,0)")
+@example(text="D+(\u0663,\u00b2)")
+def test_parser_matches_the_fraction_reference(text):
+    """The integer parser reads the same labels as the Fraction reference
+    of `oracles`, or fails with the same message at the same position."""
+    assert _outcome(parse_labels, LabelParseError, text) == _outcome(
+        reference_parse_labels, ReferenceParseError, text
+    )
