@@ -253,7 +253,7 @@ def cmd_massless():
     from .generators import helicity_check
     from .labels import massless_decompose, massless_pair_count
 
-    labels = [str(l) for l in massless_decompose()]
+    labels = massless_decompose()
     report = helicity_check()
     body = {
         "labels": labels,

@@ -1,30 +1,22 @@
-"""Laurent polynomials in momentum, mass, time, the energy and the connector norm.
+"""Laurent polynomials in momentum, mass, time and the energy.
 
 An `Expr` is a finite sum  sum_k c_k x^(e_k)  of monomials
 
-    x^e = p1^e1 p2^e2 p3^e3 m^e4 t^e5 E^e6 W^e7,
+    x^e = p1^e1 p2^e2 p3^e3 m^e4 t^e5 E^e6,
 
-held as `terms`, a dict from each exponent row e (seven ints, ordered as
+held as `terms`, a dict from each exponent row e (six ints, ordered as
 LAURENT_VARS) to its coefficient c: a Python complex for a scalar and a
 constant d x d matrix for an operator coefficient (`operators.Coefficient`,
 a subclass), so sums, products, derivatives, reflection signs and the
 mass-shell normal form have one implementation for both.  Equal rows are
 merged in order of first occurrence and zero coefficients dropped.  Every
-coefficient is a Gaussian dyadic rational, so no arithmetic rounds, with
-one exception: the 2^-1/2 that normalises `generators.canonical_transform`,
-which no check of the package uses: the checks work on its numerator.
+coefficient is a Gaussian dyadic rational, so no arithmetic rounds.
 
-E = sqrt(p1^2 + p2^2 + p3^2 + m^2) and W = sqrt(2E(E + m)) are atoms.  The
-chain rule with
-
-    dE/dp_a = p_a E^-1,                    dE/dm = m E^-1,
-    dW/dp_a = (2 p_a + m p_a E^-1) W^-1,   dW/dm = (2m + E + m^2 E^-1) W^-1
-
-keeps every derivative a Laurent polynomial.  All variables are real, E is
-even under p -> -p and under m -> -m, and W is even under p -> -p, so a
-reflection acts on a monomial as a sign (`flag_signs`) and complex
-conjugation acts on the coefficients alone.  W only normalises the
-canonical-form connector; the generators never contain it.
+E = sqrt(p1^2 + p2^2 + p3^2 + m^2) is an atom.  The chain rule with
+dE/dp_a = p_a E^-1 and dE/dm = m E^-1 keeps every derivative a Laurent
+polynomial.  All variables are real and E is even under p -> -p and under
+m -> -m, so a reflection acts on a monomial as a sign (`flag_signs`) and
+complex conjugation acts on the coefficients alone.
 
 `Expr.on_shell` puts an expression in the normal form in which it vanishes on
 the mass shell E^2 = p1^2 + p2^2 + p3^2 + m^2 iff it has no rows.
@@ -41,9 +33,9 @@ from typing import NamedTuple
 
 VARIABLES = ("p1", "p2", "p3", "m", "t")
 MOMENTUM_VARS = ("p1", "p2", "p3")
-LAURENT_VARS = VARIABLES + ("E", "W")
+LAURENT_VARS = VARIABLES + ("E",)
 _AXIS = {name: k for k, name in enumerate(LAURENT_VARS)}
-_E_AXIS, _W_AXIS = _AXIS["E"], _AXIS["W"]
+_E_AXIS = _AXIS["E"]
 # the terms of E^2 on the mass shell: p1^2 + p2^2 + p3^2 + m^2
 _SHELL_AXES = tuple(_AXIS[name] for name in MOMENTUM_VARS + ("m",))
 
@@ -64,18 +56,12 @@ def _row(**powers) -> tuple:
 
 
 def _chain_rule(var: str) -> tuple:
-    """(axis, factor, delta), one per term of the chain rule
-    d x^e / dvar = sum factor e[axis] x^(e + delta), from the
-    e_u x^(e - u) du/dvar of every atom u that depends on var."""
-    terms = [(_AXIS[var], 1, _row(**{var: -1}))]
+    """(axis, delta), one per term of the chain rule
+    d x^e / dvar = sum e[axis] x^(e + delta): the d/dvar term, and for
+    var != t the e_E x^(e - E) dE/dvar term with dE/dvar = var E^-1."""
+    terms = [(_AXIS[var], _row(**{var: -1}))]
     if var != "t":
-        terms.append((_E_AXIS, 1, _row(**{var: 1}, E=-2)))
-        if var == "m":
-            terms += [(_W_AXIS, 2, _row(m=1, W=-2)), (_W_AXIS, 1, _row(E=1, W=-2)),
-                      (_W_AXIS, 1, _row(m=2, E=-1, W=-2))]
-        else:
-            terms += [(_W_AXIS, 2, _row(**{var: 1}, W=-2)),
-                      (_W_AXIS, 1, _row(**{var: 1}, m=1, E=-1, W=-2))]
+        terms.append((_E_AXIS, _row(**{var: 1}, E=-2)))
     return tuple(terms)
 
 
@@ -189,9 +175,9 @@ class Expr:
         if var not in _CHAIN:
             raise ValueError(f"unknown variable {var!r}, expected one of {VARIABLES}")
         return self._new(self._collect(
-            (tuple(map(add, row, delta)), self._scale(c, row[axis] * factor))
+            (tuple(map(add, row, delta)), self._scale(c, row[axis]))
             for row, c in self.terms.items()
-            for axis, factor, delta in _CHAIN[var]
+            for axis, delta in _CHAIN[var]
             if row[axis]
         ))
 
@@ -204,11 +190,8 @@ class Expr:
 
         1 and E are a basis of the rational functions in (p, m, t) extended
         by E, because p1^2 + p2^2 + p3^2 + m^2 is not a square: the
-        expression vanishes on the mass shell iff form has no rows.  Raises
-        ValueError on a power of W, which is not a Laurent polynomial there.
+        expression vanishes on the mass shell iff form has no rows.
         """
-        if any(row[_W_AXIS] for row in self.terms):
-            raise ValueError("W = sqrt(2E(E + m)) has no Laurent normal form on the mass shell")
         shift = -2 * (min([0] + [row[_E_AXIS] for row in self.terms]) // 2)
         pairs = []
         for row, c in self.terms.items():
@@ -243,10 +226,7 @@ def _shell_power(half: int) -> tuple:
 def flag_signs(exps, flags: FlagTransform) -> list:
     """eta_p^(e1+e2+e3) eta_t^e5 eta_m^e4 per exponent row: the sign the
     substitution `flags` gives each monomial, since E is even under every
-    flip and W under p -> -p.  Raises ValueError on a power of W under
-    m -> -m, which takes W to sqrt(2E(E - m))."""
-    if flags.eta_m == -1 and any(row[_W_AXIS] for row in exps):
-        raise ValueError("W = sqrt(2E(E + m)) is not even under m -> -m")
+    flip."""
     p, m, t = (int(eta == -1) for eta in (flags.eta_p, flags.eta_m, flags.eta_t))
     return [1 - 2 * (((e[0] + e[1] + e[2]) * p + e[3] * m + e[4] * t) % 2) for e in exps]
 
@@ -257,4 +237,3 @@ MOMENTA = (P1, P2, P3)
 MASS = Expr([_row(m=1)], [1])
 TIME = Expr([_row(t=1)], [1])
 E = Expr([_row(E=1)], [1])
-W = Expr([_row(W=1)], [1])

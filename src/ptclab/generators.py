@@ -1,4 +1,4 @@
-"""The five generator sets, the diagonalizing transforms, and algebra checks.
+"""The five generator sets, the transforms' numerators, and algebra checks.
 
 Five realizations of the ten translation/rotation/boost generators are built:
 the 8-component Dirac-type set, its canonical (diagonal-Hamiltonian)
@@ -35,9 +35,11 @@ Two conserved operators are checked against the sets here as well: gamma0
 commutes with every generator of rep3 (`charge_check`), and the helicity
 operators S.p/E and T.p/E commute with every canonical 8-component
 generator at m = 0, where S.p/E has eigenvalues +-1/2 on the S^2 = 3/4
-subspace (`helicity_check`).  `transform_residuals` checks that both
-transforms are unitary and that the canonical one diagonalizes H8, on
-their numerators (Foldy & Wouthuysen, Phys. Rev. 78 (1950) 29).
+subspace (`helicity_check`).  `transform_residuals` checks that the
+canonical transform and the connector are unitary and that the canonical
+one diagonalizes H8 (Foldy & Wouthuysen, Phys. Rev. 78 (1950) 29), on their
+numerators U and N alone: their normalisations 2^-1/2 and 1/sqrt(2E(E + m))
+are not Gaussian-dyadic Laurent polynomials, so neither transform is built.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .clifford import cached_basis, cached_spin, combine, eye, matmul, trace
-from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, W, Expr
+from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, Expr
 from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator
 from .vocabulary import REP_KINDS
 
@@ -78,7 +80,7 @@ class RepId(NamedTuple("RepId", [("kind", str), ("energy_sign", int)])):
     def __new__(cls, kind, energy_sign=1):
         if kind not in REP_KINDS + (SCALAR_KIND,):
             raise ValueError(f"unknown representation {kind!r}")
-        if energy_sign not in (1, -1):
+        if isinstance(energy_sign, bool) or energy_sign not in (1, -1):
             raise ValueError("energy sign must be +1 or -1")
         if kind not in ("rep1", "rep2", "rep3") and energy_sign != 1:
             raise ValueError(f"{kind} does not carry an energy-sign flag")
@@ -151,32 +153,21 @@ def dirac_hamiltonian8() -> MomentumOperator:
 
 
 def _canonical_numerator() -> Coefficient:
-    """1 + Gamma0 H8 / E = 1 + Gamma_k p_k / E, sqrt(2) times the canonical transform."""
+    """U = 1 + Gamma0 H8 / E = 1 + Gamma_k p_k / E, sqrt(2) times the unitary
+    canonical transform that diagonalizes H8."""
     basis = cached_basis(8)
     over_e = Coefficient([basis.gamma(k) for k in range(1, 5)], _MOMENTA4).scale(1 / ENERGY)
     return Coefficient.scalar(1, 8) + over_e
 
 
-@lru_cache(maxsize=None)
-def canonical_transform() -> MomentumOperator:
-    """The unitary (1 + Gamma0 H8 / E) / sqrt(2) that diagonalizes H8."""
-    return MomentumOperator.from_matrix(_canonical_numerator().scale(2 ** -0.5))
-
-
 def _connector_numerator() -> Coefficient:
-    """m + E + gamma4 gamma_a p_a, W times the connector."""
+    """N = m + E + gamma4 gamma_a p_a, sqrt(2E(E + m)) times the unitary
+    connector."""
     basis = cached_basis(4)
     return Coefficient(
         [eye(4)] + [matmul(basis.gamma(4), basis.gamma(a)) for a in range(1, 4)],
         [MASS + ENERGY, *MOMENTA],
     )
-
-
-@lru_cache(maxsize=None)
-def fs_transform() -> MomentumOperator:
-    """The unitary connector (m + E + gamma4 gamma_a p_a) W^-1, with the atom
-    W = sqrt(2E(E+m)) of `expr` as its normalisation."""
-    return MomentumOperator.from_matrix(_connector_numerator().scale(W ** -1))
 
 
 @lru_cache(maxsize=None)
@@ -373,13 +364,6 @@ def check_algebra(g: GeneratorSet) -> AlgebraReport:
 # the charge remark
 
 
-def _commutant_residual(q, op: MomentumOperator) -> float:
-    """The `_shell_residual` of [q, C] over op's coefficients C, for a
-    constant matrix q."""
-    q = Coefficient.constant(q)
-    return _shell_residual(q @ c - c @ q for c in op.terms.values())
-
-
 class ChargeReport(NamedTuple):
     ok: bool
     max_residual: float
@@ -388,8 +372,11 @@ class ChargeReport(NamedTuple):
 def charge_check() -> ChargeReport:
     """Does gamma0 commute exactly with all ten generators of the
     positive-Hamiltonian set rep3?"""
-    q = cached_basis(4).gamma0
-    max_residual = max(_commutant_residual(q, op) for op in build_generators("rep3").ops.values())
+    q = MomentumOperator.from_matrix(Coefficient.constant(cached_basis(4).gamma0))
+    max_residual = max(
+        _shell_residual(commutator(q, op).terms.values())
+        for op in build_generators("rep3").ops.values()
+    )
     return ChargeReport(max_residual == 0.0, max_residual)
 
 
@@ -403,7 +390,7 @@ TRANSFORM_CHECKS = ("canonical_transform_unitary", "hamiltonian_diagonalization"
 def transform_residuals() -> dict:
     """The `_shell_residual`s of the identities that make both transforms
     unitary and the canonical one diagonalize H8, each 0.0 iff it holds for
-    all (p, m), checked on the numerators so that no square root is left:
+    all (p, m), checked on their numerators, which are Laurent polynomials:
 
         U U^H = 2,  U H8 U^H = 2 Gamma0 E   for U = 1 + Gamma0 H8 / E,
         N^H N = 2E(E + m)                   for N = m + E + gamma4 gamma_a p_a.

@@ -1,11 +1,11 @@
 """Label-level algebra of the irreducible pieces D^(sign)(s, tau).
 
-Pure label calculus in integers: every spin and helicity is held as the int
-twice its value, 2s, so a half-integer is exact without a rational type.
-It holds the completeness rule for full P, T, C invariance, the massless
-helicity decomposition with its pair count, and the text syntax of label
-sums.  The check that the helicity operators are good symmetries exactly at
-m = 0 lives in `ptclab.generators`.
+Pure label calculus in integers: every spin is held as the int twice its
+value, 2s, so a half-integer is exact without a rational type.  It holds
+the completeness rule for full P, T, C invariance, the massless helicity
+decomposition (as label texts) with its pair count, and the text syntax of
+label sums.  The check that the helicity operators are good symmetries
+exactly at m = 0 lives in `ptclab.generators`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class IrrepLabel(
     __slots__ = ()
 
     def __new__(cls, energy_sign, two_s, two_tau):
-        if energy_sign not in (1, -1):
+        if isinstance(energy_sign, bool) or energy_sign not in (1, -1):
             raise ValueError("energy sign must be +1 or -1")
         for value in (two_s, two_tau):
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
@@ -43,29 +43,6 @@ class IrrepLabel(
     def __str__(self):
         sign = "+" if self.energy_sign > 0 else "-"
         return f"D{sign}({_spin_text(self.two_s)},{_spin_text(self.two_tau)})"
-
-
-class MasslessLabel(
-    NamedTuple(
-        "MasslessLabel",
-        [("energy_sign", int), ("two_s_helicity", int | None), ("two_t_helicity", int | None)],
-    )
-):
-    """One-dimensional massless piece tagged by a single helicity eigenvalue,
-    held as twice its value."""
-
-    __slots__ = ()
-
-    def __new__(cls, energy_sign, two_s_helicity=None, two_t_helicity=None):
-        if (two_s_helicity is None) == (two_t_helicity is None):
-            raise ValueError("exactly one of two_s_helicity / two_t_helicity must be set")
-        return super().__new__(cls, energy_sign, two_s_helicity, two_t_helicity)
-
-    def __str__(self):
-        sign = "+" if self.energy_sign > 0 else "-"
-        if self.two_s_helicity is not None:
-            return f"D{sign}({_spin_text(self.two_s_helicity)},0)"
-        return f"D{sign}(0,{_spin_text(self.two_t_helicity)})"
 
 
 # Massive content of the canonical eight-component equation, and of each of
@@ -94,16 +71,10 @@ def ptc_complete(labels) -> bool:
 
 
 def massless_decompose() -> list:
-    """The eight one-dimensional helicity pieces of the m = 0 limit: each
-    spin-1/2 label splits into helicities +1/2 and -1/2."""
-    out = []
-    for label in CANONICAL8_CONTENT:
-        for two_h in (1, -1):
-            if label.two_s:
-                out.append(MasslessLabel(label.energy_sign, two_s_helicity=two_h))
-            else:
-                out.append(MasslessLabel(label.energy_sign, two_t_helicity=two_h))
-    return out
+    """The label texts of the eight one-dimensional helicity pieces of the
+    m = 0 limit: each spin-1/2 label splits into helicities +1/2 and -1/2,
+    written in place of its spin."""
+    return [str(label).replace("1/2", h) for label in CANONICAL8_CONTENT for h in ("1/2", "-1/2")]
 
 
 def massless_pair_count() -> int:

@@ -9,16 +9,17 @@ coefficients at them, operator sums and scalings, the position operator, the
 full Leibniz-rule composition (coefficients multiplied sum by sum, for any
 order), symbolic commutators, formal adjoints, the substitution-flag
 conjugation R g R^-1, per-multi-index comparison of operators at sample
-points and the energy at a sample point.  It also holds the monomial
-equations as complex pairs, built here from `Coefficient.on_shell` with
-each flag sign taken variable by variable, and the complex-float witness
-residual over them, the reference for the classifier's exact residual in
-Z[i]; the float reference for the classifier's exact rank: one SVD of the
-dense system of every monomial equation over all d^2 entries of q, with a
-relative rank threshold; the dense reference for its witness search, which
-forms every product in full; the quartet-by-quartet reference for the
-label completeness rule; and the label syntax read with Fraction spins, the
-reference for the package's parser of integer spins 2s.  Last, the
+points, the two unitary transforms at sample points (the package holds only
+their numerators) and the energy at a sample point.  It also holds the
+monomial equations as complex pairs, built here from `Coefficient.on_shell`
+with each flag sign taken variable by variable, and the complex-float
+witness residual over them, the reference for the classifier's exact
+residual in Z[i]; the float reference for the classifier's exact rank: one
+SVD of the dense system of every monomial equation over all d^2 entries of
+q, with a relative rank threshold; the dense reference for its witness
+search, which forms every product in full; the quartet-by-quartet reference
+for the label completeness rule; and the label syntax read with Fraction
+spins, the reference for the package's parser of integer spins 2s.  Last, the
 exact checks of the canonical eight-component set that no command runs: the
 Lagrange-Sylvester spectral projector, its Casimir spectra, its four
 invariant subspaces and the intertwining relations of its witnesses.
@@ -56,9 +57,22 @@ from ptclab.clifford import (
     trace,
 )
 from ptclab.expr import LAURENT_VARS, ONE, Expr
-from ptclab.generators import GENERATOR_CLASS, _commutant_residual, build_generators
+from ptclab.generators import (
+    GENERATOR_CLASS,
+    _canonical_numerator,
+    _connector_numerator,
+    _shell_residual,
+    build_generators,
+)
 from ptclab.labels import CANONICAL8_CONTENT
-from ptclab.operators import Coefficient, FlagTransform, MomentumOperator, index_add, index_order
+from ptclab.operators import (
+    Coefficient,
+    FlagTransform,
+    MomentumOperator,
+    commutator,
+    index_add,
+    index_order,
+)
 from ptclab.vocabulary import DEFAULT_SEED
 
 MAX_ORDER = 2
@@ -110,25 +124,24 @@ def sample_points(
 
 def env_arrays(points) -> dict:
     """Stack points into a vectorized evaluation environment: p1, p2, p3, m,
-    t, the energy E and the connector norm W = sqrt(2E(E+m))."""
+    t and the energy E."""
     arr = {
         name: np.array([getattr(pt, name) for pt in points], dtype=float)
         for name in ("p1", "p2", "p3", "m", "t")
     }
     arr["E"] = np.sqrt(arr["p1"] ** 2 + arr["p2"] ** 2 + arr["p3"] ** 2 + arr["m"] ** 2)
-    arr["W"] = np.sqrt(2 * arr["E"] * (arr["E"] + arr["m"]))
     return arr
 
 
 def monomials(exps, env) -> np.ndarray:
-    """The monomials with exponent rows exps (B, 7), ordered as LAURENT_VARS,
+    """The monomials with exponent rows exps (B, 6), ordered as LAURENT_VARS,
     over a batch of samples: shape env-shape + (B,)."""
     values = np.stack([np.asarray(env[name], dtype=float) for name in LAURENT_VARS], axis=-1)
     return np.prod(values[..., None, :] ** np.asarray(exps), axis=-1)
 
 
 def arrays(x):
-    """(exps, coeffs): the exponent rows (K, 7) and the coefficients, (K,)
+    """(exps, coeffs): the exponent rows (K, 6) and the coefficients, (K,)
     or (K, d, d), of an expression or coefficient as numpy arrays."""
     shape = (x.dim, x.dim) if isinstance(x, Coefficient) else ()
     exps = np.asarray(x.exps, dtype=int).reshape(-1, len(LAURENT_VARS))
@@ -161,6 +174,19 @@ def eval_operator(g: MomentumOperator, env) -> dict:
 _PRUNE_ENV = env_arrays(
     sample_points(count=5, seed=0x0ACE, masses=(1.0, 1.7), times=(0.3, 0.7))
 )
+
+
+def canonical_transform_at(env) -> np.ndarray:
+    """The unitary U / sqrt(2) that diagonalizes H8 over env, (n, 8, 8), for
+    the package's numerator U = 1 + Gamma0 H8 / E."""
+    return evaluate(_canonical_numerator(), env) / np.sqrt(2)
+
+
+def connector_at(env) -> np.ndarray:
+    """The unitary connector N / sqrt(2E(E + m)) over env, (n, 4, 4), for the
+    package's numerator N = m + E + gamma4 gamma_a p_a."""
+    norm = np.sqrt(2 * env["E"] * (env["E"] + env["m"]))
+    return evaluate(_connector_numerator(), env) / norm[:, None, None]
 
 
 def energy(point) -> float:
@@ -238,12 +264,10 @@ def coefficient_product(a: Coefficient, b: Coefficient) -> Coefficient:
 
 def mapped(expr, f: FlagTransform):
     """Substitute p -> eta_p p, t -> eta_t t, m -> eta_m m and, if f.conj,
-    conjugate.  All variables are real, E is even under every flip and W
-    under p -> -p, so monomial x^e gains prod_v sign(v)^e_v: computed here
-    variable by variable, not by the package's `flag_signs`."""
+    conjugate.  All variables are real and E is even under every flip, so
+    monomial x^e gains prod_v sign(v)^e_v: computed here variable by
+    variable, not by the package's `flag_signs`."""
     exps, coeffs = arrays(expr)
-    if f.eta_m == -1 and exps[:, LAURENT_VARS.index("W")].any():
-        raise ValueError("W is not even under m -> -m")
     per_var = {"p1": f.eta_p, "p2": f.eta_p, "p3": f.eta_p, "m": f.eta_m, "t": f.eta_t}
     base = np.array([per_var.get(name, 1) for name in LAURENT_VARS])
     coeffs = coeffs.conj() if f.conj else coeffs
@@ -716,7 +740,12 @@ def subspace_decomposition() -> SubspaceReport:
             )
         blocks.append((proj, label))
 
-    worst = max(_commutant_residual(proj, op) for op in g.ops.values() for proj, _ in blocks)
+    projectors = [MomentumOperator.from_matrix(Coefficient.constant(proj)) for proj, _ in blocks]
+    worst = max(
+        _shell_residual(commutator(proj, op).terms.values())
+        for op in g.ops.values()
+        for proj in projectors
+    )
     if worst != 0.0:
         raise AssertionError(
             f"a subspace projector fails to commute with the generators "

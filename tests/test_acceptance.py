@@ -25,11 +25,9 @@ from ptclab.generators import (
     GeneratorSet,
     RepId,
     build_generators,
-    canonical_transform,
     charge_check,
     check_algebra,
     dirac_hamiltonian8,
-    fs_transform,
     helicity_check,
 )
 from ptclab.labels import (
@@ -43,7 +41,9 @@ from ptclab.vocabulary import DEFAULT_SEED
 
 from oracles import (
     apply_flags,
+    canonical_transform_at,
     casimir_spectrum,
+    connector_at,
     env_arrays,
     equal_at,
     eval_operator,
@@ -87,7 +87,7 @@ def test_criterion_02_diagonalization():
     points = sample_points(count=100, seed=DEFAULT_SEED)
     start = time.perf_counter()
     env = env_arrays(points)
-    u = _matrix_at(canonical_transform(), points)
+    u = canonical_transform_at(env)
     u_dag = u.conj().transpose(0, 2, 1)
     unitary = float(np.max(np.abs(u @ u_dag - np.eye(8))))
     h8 = _matrix_at(dirac_hamiltonian8(), points)
@@ -110,7 +110,7 @@ def test_criterion_02_diagonalization():
 
 def test_criterion_03_connector_unitary():
     points = sample_points(count=100, seed=DEFAULT_SEED)
-    u1 = _matrix_at(fs_transform(), points)
+    u1 = connector_at(env_arrays(points))
     resid = float(np.max(np.abs(u1.conj().transpose(0, 2, 1) @ u1 - np.eye(4))))
     assert resid < 1e-10
     _passline(3, f"connector unitary at 100 samples (residual {resid:.1e})")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +189,7 @@ def test_algebra_generator_export(capsys):
     assert set(gens) == {"P0", "P1", "P2", "P3", "J12", "J13", "J23", "J01", "J02", "J03"}
     # P1 is p1 times the identity: one order-0 term with the single row p1 * 1
     one = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
-    assert gens["P1"] == {"0,0,0": [{"exponents": [1, 0, 0, 0, 0, 0, 0], "matrix": one}]}
+    assert gens["P1"] == {"0,0,0": [{"exponents": [1, 0, 0, 0, 0, 0], "matrix": one}]}
     # boosts carry a first-order derivative term
     assert any(key != "0,0,0" for key in gens["J01"])
     # the flag takes no value: a sample index is a usage error
@@ -199,19 +200,29 @@ def test_algebra_generator_export(capsys):
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_generator_dump_reloads_exactly(capsys, kind):
     """The dumped rows, read back into coefficients, differ from the built
-    generators by no row at all, and the dump does not depend on --seed."""
+    generators by no row at all, every matrix entry is written as an exact
+    dyadic rational, and the dump does not depend on --seed."""
     outputs = _outputs_across_seeds(
         capsys, "algebra", "--rep", kind, "--dump-generators", seeds=("0", "7")
     )
     assert len(outputs) == 1
-    payload = json.loads(outputs.pop())
-    assert payload["variables"] == list(LAURENT_VARS)
+    text = outputs.pop()
+    payload = json.loads(text)
+    assert payload["variables"] == list(LAURENT_VARS) == ["p1", "p2", "p3", "m", "t", "E"]
+    # each float's decimal text, read as an exact fraction, has a power-of-two
+    # denominator: 2^-1/2 would print as 0.7071067811865476, which has not
+    exact = json.loads(text, parse_float=Fraction)["generators"]
+    entries = [z for terms in exact.values() for rows in terms.values() for row in rows
+               for line in row["matrix"] for pair in line for z in pair]
+    assert entries and all(isinstance(z, Fraction) for z in entries)
+    assert all(z.denominator & (z.denominator - 1) == 0 for z in entries)
     built = build_generators(RepId(kind))
     assert set(payload["generators"]) == set(built.ops)
     for name, terms in payload["generators"].items():
         assert set(terms) == {",".join(map(str, alpha)) for alpha in built[name].terms}
         for key, rows in terms.items():
             exps = [row["exponents"] for row in rows]
+            assert all(len(row) == len(LAURENT_VARS) for row in exps), (name, key)
             mats = [[[complex(*z) for z in line] for line in row["matrix"]] for row in rows]
             assert exps == sorted(exps), (name, key)
             reloaded = Coefficient.from_rows(exps, mats)

@@ -12,15 +12,19 @@ from ptclab.expr import (
     MOMENTA,
     MOMENTUM_VARS,
     ONE,
-    P1,
     TIME,
     VARIABLES,
-    W,
     Expr,
     FlagTransform,
     flag_signs,
 )
-from ptclab.generators import REP_KINDS, RepId, build_generators, fs_transform, helicity_operator
+from ptclab.generators import (
+    REP_KINDS,
+    RepId,
+    _connector_numerator,
+    build_generators,
+    helicity_operator,
+)
 from ptclab.operators import (
     ZERO_INDEX,
     Coefficient,
@@ -34,7 +38,6 @@ from oracles import (
     Point,
     arrays,
     conjugated,
-    energy,
     env_arrays,
     evaluate,
     mapped,
@@ -50,26 +53,23 @@ def ev(expr, p1=0.0, p2=0.0, p3=0.0, m=1.0, t=0.0):
 
 
 def central_diff(expr, point, var, h=1e-6):
-    """Finite-difference oracle; E and W are recomputed from the perturbed point."""
+    """Finite-difference oracle; E is recomputed from the perturbed point."""
     fields = point._asdict()
     up = dict(fields, **{var: fields[var] + h})
     down = dict(fields, **{var: fields[var] - h})
     return (ev(expr, **up) - ev(expr, **down)) / (2 * h)
 
 
-# random Laurent polynomials: p, m, t to small powers, E and W to either sign
+# random Laurent polynomials: p, m, t to small powers, E to either sign
 _ROWS = st.tuples(
-    *[st.integers(0, 3)] * 3, st.integers(0, 2), st.integers(0, 2),
-    st.integers(-3, 3), st.integers(-2, 2),
+    *[st.integers(0, 3)] * 3, st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3),
 )
 _COMPLEX = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
 
 
-def _polynomials(max_terms=5, with_w=True):
+def _polynomials(max_terms=5):
     def build(terms):
         exps = np.array([row for row, _ in terms], dtype=int).reshape(-1, len(LAURENT_VARS))
-        if not with_w:
-            exps[:, LAURENT_VARS.index("W")] = 0
         return Expr(exps, [c for _, c in terms])
 
     return st.lists(st.tuples(_ROWS, _COMPLEX), max_size=max_terms).map(build)
@@ -117,23 +117,8 @@ def test_integer_power_and_negative_exponent():
     point = dict(p1=1.0, p2=2.0, p3=2.0, m=0.0)  # E = 3
     assert ev(expr, **point) == pytest.approx(1 / 9, abs=1e-15)
     assert ev(expr.diff("p1"), **point) == pytest.approx(-2 / 81, abs=1e-15)
-    assert np.array_equal((E ** 3).exps, [[0, 0, 0, 0, 0, 3, 0]])
+    assert np.array_equal((E ** 3).exps, [[0, 0, 0, 0, 0, 3]])
     assert (MASS + E) ** 0 is ONE
-
-
-def test_sqrt_derivative():
-    """W = sqrt(2E(E+m)) is an atom: its derivatives by the chain-rule table,
-    (2 p_a + m p_a / E) / W and (2m + E + m^2 / E) / W, match central
-    differences, and so do those of W^-1 and of the connector."""
-    point = Point(0.8, -0.5, 1.2, 1.1, 0.0)
-    assert ev(W, **point._asdict()) == pytest.approx(
-        math.sqrt(2 * energy(point) * (energy(point) + point.m)), rel=1e-15
-    )
-    for expr in (W, W ** -1, (MASS + E + P1) / W):
-        for var in ("p1", "p2", "p3", "m"):
-            exact = ev(expr.diff(var), **point._asdict())
-            assert abs(exact - central_diff(expr, point, var)) < 1e-7, (expr, var)
-    assert len(W.diff("t").exps) == 0
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -152,7 +137,7 @@ def test_derivative_matches_finite_differences_on_100_expressions(expr, var):
 )
 def test_product_rule_property(coeffs, var):
     a = coeffs[0] * MOMENTA[0] + E
-    b = coeffs[1] * MASS + MOMENTA[1] ** 2 + W
+    b = coeffs[1] * MASS + MOMENTA[1] ** 2 + 1 / E
     point = PROBE._asdict()
     lhs = ev((a * b).diff(var), **point)
     rhs = ev(a.diff(var) * b + a * b.diff(var), **point)
@@ -186,7 +171,7 @@ def test_scalar_times_matrix_coefficient(x, k):
     expression, left factors and derivatives act matrix by matrix."""
     env = env_arrays(sample_points(count=3))
     mats = np.arange(2 * 4 * 4).reshape(2, 4, 4) * (1 + 0.5j) - 7
-    scalars = [MOMENTA[k % 3] / E, TIME * W]
+    scalars = [MOMENTA[k % 3] / E, TIME * E]
     c = Coefficient(mats, scalars)
     left = np.eye(4)[::-1] * 2j
     assert isinstance(x * c, Coefficient) and isinstance(c.scale(x), Coefficient)
@@ -202,7 +187,7 @@ def test_scalar_times_matrix_coefficient(x, k):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    x=_polynomials(with_w=False),
+    x=_polynomials(),
     flags=st.builds(
         FlagTransform, st.sampled_from((1, -1)), st.sampled_from((1, -1)),
         st.sampled_from((1, -1)), st.booleans(),
@@ -229,10 +214,6 @@ def test_energy_even_under_flips():
     env = env_arrays([PROBE])
     for flags in (FlagTransform(eta_p=-1), FlagTransform(eta_m=-1), FlagTransform(eta_t=-1)):
         assert evaluate(mapped(E, flags), env) == evaluate(E, env)
-    # W is even in p and in t, and not a monomial of -m
-    assert evaluate(mapped(W, FlagTransform(eta_p=-1, eta_t=-1)), env) == evaluate(W, env)
-    with pytest.raises(ValueError):
-        flag_signs(W.exps, FlagTransform(eta_m=-1))
 
 
 def test_mass_flip_substitutes_but_energy_untouched():
@@ -283,8 +264,7 @@ def _rows_eval(exps, mats, env):
 
 def _formal_diff(exps, mats, var):
     """d/dvar of sum_b M_b x^b as a dict from exponent tuples, with the
-    atoms differentiated by hand: dE/dv = v / E, dW/dp_a = (2 p_a + m p_a / E) / W
-    and dW/dm = (2m + E + m^2 / E) / W."""
+    atom differentiated by hand: dE/dv = v / E."""
     axis = {name: k for k, name in enumerate(LAURENT_VARS)}
 
     def moved(row, **shift):
@@ -305,14 +285,6 @@ def _formal_diff(exps, mats, var):
             continue
         if row[axis["E"]]:
             add(moved(row, **{var: 1}, E=-2), row[axis["E"]] * mat)
-        w = row[axis["W"]]
-        if w and var == "m":
-            add(moved(row, m=1, W=-2), 2 * w * mat)
-            add(moved(row, E=1, W=-2), w * mat)
-            add(moved(row, m=2, E=-1, W=-2), w * mat)
-        elif w:
-            add(moved(row, **{var: 1}, W=-2), 2 * w * mat)
-            add(moved(row, **{var: 1}, m=1, E=-1, W=-2), w * mat)
     return {key: value for key, value in out.items() if np.any(value != 0)}
 
 
@@ -336,7 +308,7 @@ def test_laurent_matches_eval_on_every_generator_scalar():
 
 
 def test_laurent_of_a_derivative_is_the_formal_derivative():
-    for c in _all_coefficients() + [fs_transform().terms[(0, 0, 0)]]:
+    for c in _all_coefficients() + [_connector_numerator()]:
         for var in VARIABLES:
             got = c.diff(var)
             want = _formal_diff(*arrays(c), var)
@@ -348,10 +320,6 @@ def test_laurent_of_a_derivative_is_the_formal_derivative():
 
 def test_laurent_rejects_square_roots_and_non_monomial_divisors():
     with pytest.raises(ValueError):
-        (W * (E + MASS)).on_shell()
-    with pytest.raises(ValueError):
-        fs_transform().terms[(0, 0, 0)].on_shell()
-    with pytest.raises(ValueError):
         MOMENTA[0] / (E + MASS)
     with pytest.raises(ValueError):
         (E + MASS) ** -1
@@ -359,12 +327,12 @@ def test_laurent_rejects_square_roots_and_non_monomial_divisors():
         Coefficient.constant(np.eye(2)) ** -1
     # a monomial divisor is fine: p1 / (2 E^2) = 0.5 p1 E^-2
     half = MOMENTA[0] / (2 * E ** 2)
-    assert np.asarray(half.exps).tolist() == [[1, 0, 0, 0, 0, -2, 0]]
+    assert np.asarray(half.exps).tolist() == [[1, 0, 0, 0, 0, -2]]
     assert np.asarray(half.coeffs).tolist() == [0.5]
 
 
 @settings(max_examples=60, deadline=None)
-@given(x=_polynomials(with_w=False))
+@given(x=_polynomials())
 def test_on_shell_equals_the_input_on_the_mass_shell(x):
     env = env_arrays(sample_points(count=4))
     shift, form = x.on_shell()
@@ -387,13 +355,13 @@ def test_on_shell_block_that_vanishes_through_the_mass_shell_yields_no_equation(
     assert len(vanishing.exps) == 5
     shift, form = vanishing.on_shell()
     exps, mats = arrays(form)
-    assert shift == 0 and exps.shape == (0, 7) and mats.shape == (0, 2, 2)
+    assert shift == 0 and exps.shape == (0, 6) and mats.shape == (0, 2, 2)
     # (E^2 - p1^2) / E^3: shift 4 clears E^-3, leaving E (p2^2 + p3^2 + m^2)
     kept = Coefficient([mat, mat], [1 / E, -MOMENTA[0] ** 2 / E ** 3])
     shift, form = kept.on_shell()
     assert shift == 4
     assert np.asarray(form.exps).tolist() == [
-        [0, 0, 0, 2, 0, 1, 0], [0, 0, 2, 0, 0, 1, 0], [0, 2, 0, 0, 0, 1, 0]
+        [0, 0, 0, 2, 0, 1], [0, 0, 2, 0, 0, 1], [0, 2, 0, 0, 0, 1]
     ]
     assert all(np.array_equal(m, mat) for m in form.mats)
 
@@ -407,7 +375,7 @@ def test_on_shell_expands_even_powers_of_the_energy():
     assert np.allclose(evaluate(reduced, env), env["E"] ** 4, rtol=1e-14, atol=0)
     # E^-3 needs E^4: E^4 / E^3 = E
     shift, reduced = (E ** -3).on_shell()
-    assert shift == 4 and np.asarray(reduced.exps).tolist() == [[0, 0, 0, 0, 0, 1, 0]]
+    assert shift == 4 and np.asarray(reduced.exps).tolist() == [[0, 0, 0, 0, 0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +390,10 @@ _DIM = 3
 
 
 @st.composite
-def _sparse_rows(draw, with_w=True):
-    """(exps (K, 7), mats (K, d, d)): up to four rows, each matrix with up to
+def _sparse_rows(draw):
+    """(exps (K, 6), mats (K, d, d)): up to four rows, each matrix with up to
     d nonzero Gaussian dyadic entries, rows possibly repeated."""
     exps = np.array(draw(st.lists(_ROWS, max_size=4)), dtype=int).reshape(-1, len(LAURENT_VARS))
-    if not with_w:
-        exps[:, LAURENT_VARS.index("W")] = 0
     mats = np.zeros((len(exps), _DIM, _DIM), dtype=complex)
     for mat in mats:
         for _ in range(draw(st.integers(1, _DIM))):
@@ -492,7 +458,7 @@ def _dense_on_shell(exps, mats):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    a=_sparse_rows(), b=_sparse_rows(), shell=_sparse_rows(with_w=False),
+    a=_sparse_rows(), b=_sparse_rows(), shell=_sparse_rows(),
     left=_sparse_rows(), var=st.sampled_from(VARIABLES),
 )
 def test_core_matches_dense_numpy_exactly(a, b, shell, left, var):

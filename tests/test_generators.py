@@ -10,13 +10,13 @@ from ptclab.generators import (
     SCALAR_KIND,
     GeneratorSet,
     RepId,
-    _commutant_residual,
+    _canonical_numerator,
+    _connector_numerator,
+    _shell_residual,
     build_generators,
-    canonical_transform,
     charge_check,
     check_algebra,
     dirac_hamiltonian8,
-    fs_transform,
     helicity_check,
     helicity_operator,
     scalar_generator_set,
@@ -37,7 +37,9 @@ from oracles import (
     adjoint,
     arrays,
     bracket,
+    canonical_transform_at,
     compose,
+    connector_at,
     energy,
     env_arrays,
     equal_at,
@@ -60,26 +62,26 @@ def _matrix_at(op, points):
 
 
 # ---------------------------------------------------------------------------
-# the diagonalizing unitary
+# the diagonalizing unitary U / sqrt(2), from the package's numerator U
 
 
 def test_canonical_transform_at_rest():
     rest = Point(0.0, 0.0, 0.0, 1.0, 0.0)
-    u = _matrix_at(canonical_transform(), [rest])[0]
+    u = canonical_transform_at(env_arrays([rest]))[0]
     basis = cached_basis(8)
     expected = (np.eye(8) + np.asarray(basis.gamma(4))) / np.sqrt(2)
     assert np.allclose(u, expected, atol=1e-15)
 
 
 def test_canonical_transform_unitary_100_samples(points100):
-    u = _matrix_at(canonical_transform(), points100)
+    u = canonical_transform_at(env_arrays(points100))
     resid = np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(8)))
     assert resid < 1e-10
 
 
 def test_canonical_transform_diagonalizes(points100):
     env = env_arrays(points100)
-    u = _matrix_at(canonical_transform(), points100)
+    u = canonical_transform_at(env)
     h8 = _matrix_at(dirac_hamiltonian8(), points100)
     target = np.asarray(cached_basis(8).gamma0)[None, :, :] * env["E"][:, None, None]
     resid = np.max(np.abs(u @ h8 @ u.conj().transpose(0, 2, 1) - target))
@@ -91,7 +93,7 @@ def test_exponential_equals_closed_form(points100):
     collapses to the closed form; checked against an independent expm."""
     env = env_arrays(points100)
     h8 = _matrix_at(dirac_hamiltonian8(), points100)
-    u = _matrix_at(canonical_transform(), points100)
+    u = canonical_transform_at(env)
     gamma0 = np.asarray(cached_basis(8).gamma0)
     worst = 0.0
     for k in range(0, len(points100), 5):
@@ -102,51 +104,47 @@ def test_exponential_equals_closed_form(points100):
 
 
 # ---------------------------------------------------------------------------
-# the canonical-form connector
+# the canonical-form connector N / sqrt(2E(E + m)), from the package's numerator N
 
 
 def test_connector_is_identity_at_rest():
-    u1 = _matrix_at(fs_transform(), [Point(0.0, 0.0, 0.0, 1.3, 0.0)])[0]
+    u1 = connector_at(env_arrays([Point(0.0, 0.0, 0.0, 1.3, 0.0)]))[0]
     assert np.allclose(u1, np.eye(4), atol=1e-15)
 
 
 def test_connector_unitary_100_samples(points100):
-    u1 = _matrix_at(fs_transform(), points100)
+    u1 = connector_at(env_arrays(points100))
     resid = np.max(np.abs(u1.conj().transpose(0, 2, 1) @ u1 - np.eye(4)))
     assert resid < 1e-10
 
 
-def test_connector_preserves_orbital_part(rep1, points):
+def _connector_gap(c: Coefficient) -> Coefficient:
+    """N C N^H - 2E(E + m) C: since N N^H = N^H N = 2E(E + m), the connector
+    u1 = N / sqrt(2E(E + m)) keeps C, u1 C u1^H = C, iff this vanishes on
+    the mass shell."""
+    n = _connector_numerator()
+    return n @ c @ n.dagger() - c.scale(2 * E * (E + MASS))
+
+
+def test_connector_preserves_orbital_part(rep1):
     """Conjugating a boost by the connector can only move its constant-matrix
-    part: the derivative term and the explicit time dependence survive."""
-    u1 = fs_transform()
-    u1_dag = adjoint(u1)
+    part: u1 C_a u1^H = C_a for every derivative coefficient C_a, exactly."""
     for a in (1, 2, 3):
-        conjugated = compose(u1, compose(rep1[f"J0{a}"], u1_dag))
-        delta = minus(conjugated, rep1[f"J0{a}"])
-        env = env_arrays(points)
-        coeffs = eval_operator(delta, env)
-        for alpha, mat in coeffs.items():
-            if alpha != (0, 0, 0):
-                assert np.max(np.abs(mat)) < 1e-9, alpha
-        # order-0 difference carries no time dependence
-        t_vals = np.array([pt.t for pt in points])
-        groups = {}
-        for k, t in enumerate(t_vals):
-            groups.setdefault(round(t, 12), []).append(coeffs[(0, 0, 0)][k])
-        assert len(groups) > 1
+        for alpha, c in rep1[f"J0{a}"].terms.items():
+            if alpha != ZERO_INDEX:
+                assert len(_connector_gap(c).on_shell()[1].exps) == 0, (a, alpha)
 
 
 def test_connector_difference_time_independent(rep1):
-    u1 = fs_transform()
-    u1_dag = adjoint(u1)
-    base = sample_points(count=6, times=(0.0,))
-    late = [type(p)(p.p1, p.p2, p.p3, p.m, 0.9) for p in base]
-    conjugated = compose(u1, compose(rep1["J01"], u1_dag))
-    delta = minus(conjugated, rep1["J01"])
-    v0 = eval_operator(delta, env_arrays(base))[(0, 0, 0)]
-    v1 = eval_operator(delta, env_arrays(late))[(0, 0, 0)]
-    assert np.max(np.abs(v0 - v1)) < 1e-9
+    """The order-0 part of u1 J01 u1^H - J01 has no explicit time dependence:
+    the rows of N C_0 N^H - 2E(E + m) C_0 with a power of t vanish, while
+    C_0 itself carries t p_1.  Its other term, u1 C_1 d_1(u1^H), holds no t,
+    since neither C_1 = -i H nor u1 does."""
+    t_axis = LAURENT_VARS.index("t")
+    c0 = rep1["J01"].terms[ZERO_INDEX]
+    assert any(row[t_axis] for row in c0.exps)
+    form = _connector_gap(c0).on_shell()[1]
+    assert not any(row[t_axis] for row in form.exps)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +314,16 @@ def test_closed_form_matches_composed_generators(kind, points, points_alt):
                 assert ok, (kind, a, resid)
 
 
+@pytest.mark.parametrize(
+    "kind, sign", [("bogus", 1), ("rep1", 0), ("rep1", True), ("rep1", False), ("dirac8", -1)]
+)
+def test_rep_id_rejects_an_unknown_kind_or_energy_sign(kind, sign):
+    """A set is one of the known kinds, with energy sign +1 or -1 (an int:
+    True == 1 is refused), and only rep1-rep3 carry the sign -1."""
+    with pytest.raises(ValueError):
+        RepId(kind, sign)
+
+
 def test_generators_have_order_at_most_one():
     for kind in ("dirac8", "canonical8", "rep1", "rep2", "rep3"):
         g = build_generators(RepId(kind))
@@ -333,12 +341,13 @@ def test_generators_have_order_at_most_one():
 
 
 def test_dirac_p0_matches_conjugated_canonical(dirac8, canonical8, points, points_alt):
-    """dirac8 is built from H8 directly, not by conjugation: U^dagger G U of
-    every canonical generator must reproduce it on two disjoint sample sets."""
-    u = canonical_transform()
+    """dirac8 is built from H8 directly, not by conjugation: U^dagger G U / 2
+    of every canonical generator, for the numerator U of the unitary
+    U / sqrt(2), must reproduce it on two disjoint sample sets."""
+    u = MomentumOperator.from_matrix(_canonical_numerator())
     u_dag = adjoint(u)
     for name in GENERATOR_NAMES:
-        conjugated = compose(u_dag, compose(canonical8[name], u))
+        conjugated = scaled(compose(u_dag, compose(canonical8[name], u)), 0.5)
         for pts in (points, points_alt):
             ok, resid = equal_at(conjugated, dirac8[name], pts)
             assert ok, (name, resid)
@@ -443,10 +452,12 @@ def test_charge_commutes_with_positive_set():
 
 
 def test_commutant_residual_sees_a_matrix_that_does_not_commute(rep3):
-    """gamma_1 commutes with the scalar generators of rep3 but not with the
-    spin parts of J12, J13 and the boosts."""
-    gamma1 = cached_basis(4).gamma(1)
-    residuals = {name: _commutant_residual(gamma1, op) for name, op in rep3.items()}
+    """The charge check's bracket residual: gamma_1 commutes with the scalar
+    generators of rep3 but not with the spin parts of J12, J13 and the boosts."""
+    gamma1 = MomentumOperator.from_matrix(Coefficient.constant(cached_basis(4).gamma(1)))
+    residuals = {
+        name: _shell_residual(commutator(gamma1, op).terms.values()) for name, op in rep3.items()
+    }
     assert residuals["J01"] == 1.0 and residuals["J12"] == 1.0
     assert residuals["P0"] == 0.0 and residuals["J23"] == 0.0
 

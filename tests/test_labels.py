@@ -11,7 +11,6 @@ from ptclab.labels import (
     FOUR_COMPONENT_CONTENTS,
     IrrepLabel,
     LabelParseError,
-    MasslessLabel,
     massless_decompose,
     massless_pair_count,
     parse_labels,
@@ -152,11 +151,15 @@ def test_label_dimension():
 @pytest.mark.parametrize("value", [True, False, -1, -2, 1.0, Fraction(1, 1), "1", None])
 def test_label_rejects_what_is_not_a_twice_spin(value):
     """A twice-spin is an int >= 0: a bool, a negative int, a float, a
-    Fraction, a string or None is refused in either slot."""
+    Fraction, a string or None is refused in either slot.  A bool is no
+    energy sign either, though True == 1."""
     with pytest.raises(ValueError):
         IrrepLabel(1, value, 0)
     with pytest.raises(ValueError):
         IrrepLabel(1, 0, value)
+    if isinstance(value, bool):
+        with pytest.raises(ValueError):
+            IrrepLabel(value, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +168,10 @@ def test_label_rejects_what_is_not_a_twice_spin(value):
 
 def test_massless_decomposition_has_eight_pieces():
     labels = massless_decompose()
-    assert len(labels) == 8
-    rendered = [str(l) for l in labels]
-    assert "D+(1/2,0)" in rendered and "D+(-1/2,0)" in rendered
+    assert labels == [
+        "D+(1/2,0)", "D+(-1/2,0)", "D-(0,1/2)", "D-(0,-1/2)",
+        "D-(1/2,0)", "D-(-1/2,0)", "D+(0,1/2)", "D+(0,-1/2)",
+    ]
     assert massless_pair_count() == 28
 
 
@@ -175,13 +179,6 @@ def test_massless_total_dimension_matches_parent():
     # 8 one-dimensional helicity pieces against the dim-8 massive content
     assert sum(label.dimension for label in CANONICAL8_CONTENT) == 8
     assert len(massless_decompose()) == 8
-
-
-def test_massless_label_validation():
-    with pytest.raises(ValueError):
-        MasslessLabel(1, two_s_helicity=1, two_t_helicity=1)
-    with pytest.raises(ValueError):
-        MasslessLabel(1)
 
 
 # ---------------------------------------------------------------------------
