@@ -123,23 +123,78 @@ def test_selftest_checks_each_basis_once(capsys, monkeypatch):
     assert code == 0 and dims == [4, 8]
 
 
-# sha256 of the stdout of `table --rep all --json` and `table --rep dirac8 --json`
-_TABLE_SHA256 = {
-    "all": "cfcaf4c4f70d890aa55edc6f57f957d4c45ca1409ed78da13b8c45c7caae96bd",
-    "dirac8": "9c0318992fe9fc98b9e0649ad26c0a890fb9aa01896475c709c5a64c5fa4c1b5",
+# (sha256 of stdout, exit code) of each pinned command line, split at spaces
+_STDOUT_SHA256 = {
+    "selftest": ("a1dbc6b7548dd09c334e6a859c65f4022be4208c27679af4b4ed9aa720573d4e", 0),
+    "selftest --json": ("534f1014792913efeb68a9355b7138a22ef6206292622a2e84bed23761cd55f5", 0),
+    "massless": ("d128a185bb2ec90629c37eed0e0dad672b541769a14e61e6370acd60eba5278f", 0),
+    "massless --json": ("38d83ca07c256a2bda41e4d304eed438155201326c296ba03897015541a904f9", 0),
+    "ptc --labels D+(1/2,0)+D-(1/2,0)+D+(0,1/2)+D-(0,1/2)": (
+        "84c8077dbf7cdfbebb1572ebe346a5e4c30c168deb592ea78794d4bb57297322", 0),
+    "ptc --labels D+(1/2,0)+D-(1/2,0)+D+(0,1/2)+D-(0,1/2) --json": (
+        "ef30d34263ac57d630191c03231de219cc656bd5dc7b229ffc34dee5fa511630", 0),
+    "classify --rep rep1 --op C": (
+        "3fa65f360fb927f73fe5adadeb928d88e546745c29b7d2ad97eb9e2f83ecc645", 0),
+    "classify --rep rep1 --op C --json": (
+        "8187a9e2ac10da52ae77b482d687cabdfa403829d58e2ce14187c9434af7f399", 0),
+    "classify --rep rep1 --op P1": (
+        "c31e69810926db5237004bc4782c2eb612c42af2197fbcd038eed3e312e9e6e7", 0),
+    "classify --rep rep1 --op P1 --json": (
+        "41adf8421f5b8ca9c49c2722a2fd4f64448006014343cfe49ef69497eca90e13", 0),
+    "classify --rep dirac8 --op T2": (
+        "0e6bbf9f514b616fa1f36419e1ea1d532ebf37c23b33fbc3f83be4894c11069a", 0),
+    "classify --rep dirac8 --op T2 --json": (
+        "251f6ecc417a207e78a67e730c29920a8dd80bd0a26f353f53272ca51d3fff3c", 0),
+    "algebra --rep dirac8 --json": (
+        "8d8278689acd7d94ba2d8471e95f9ecc92a379232028932867de81724fdc5419", 0),
+    "algebra --rep dirac8 --dump-generators --json": (
+        "2a230eeddd27f52f360384027921aee5f5b19a674070e0cd75c8cac658a1669f", 0),
+    "algebra --rep canonical8 --json": (
+        "b40fc00e7ae54001ac7dd700940d306d2328e072b1f03ac25e65ee888524f715", 0),
+    "algebra --rep canonical8 --dump-generators --json": (
+        "9d81997eb2d9abcc50f3773acf95cf245ef3c9741fb7da5c0cd2b33c705e3d47", 0),
+    "algebra --rep rep1 --json": (
+        "b8c20e66a37de70f29126b9ceefb683d6d3566f6d4b75ecf381a969985900661", 0),
+    "algebra --rep rep1 --dump-generators --json": (
+        "bd6e3069041af33d6f6dcba7bb9be5489d0749972606f0dac2fc8076f41fbe78", 0),
+    "algebra --rep rep2 --json": (
+        "33ad27910d66bd9eb32ff2b12c132e4edd3062e72c9fc8d15b202769320bb95c", 0),
+    "algebra --rep rep2 --dump-generators --json": (
+        "8562062ea3f63f372e46722a646c3aa37045ed7105833621fb3736ad8cd8ad1b", 0),
+    "algebra --rep rep3 --json": (
+        "21d9e04df95d703094ce3125c5d0f2ac3ab5e60a2ef2a22be7d056c1bb8d30f5", 0),
+    "algebra --rep rep3 --dump-generators --json": (
+        "204529838169df5c538529e54d8a925c5cfa1d871ed45ed77dac9fc4f8072610", 0),
+    "table --rep all": ("715238c2ebc26e81dc15059627821915fe23c83ba0d4e3ae34884c0ea93f7354", 0),
+    "table --rep all --json": (
+        "cfcaf4c4f70d890aa55edc6f57f957d4c45ca1409ed78da13b8c45c7caae96bd", 0),
+    "table --rep dirac8 --json": (
+        "9c0318992fe9fc98b9e0649ad26c0a890fb9aa01896475c709c5a64c5fa4c1b5", 0),
 }
 
 
-@pytest.mark.parametrize("rep", sorted(_TABLE_SHA256))
+def _assert_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split(" "))
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == _STDOUT_SHA256[command], (
+        f"the stdout or exit code of `{command}` changed; an intended change must be "
+        "declared in CHANGES.md together with the new digest"
+    )
+
+
+@pytest.mark.parametrize("rep", ["all", "dirac8"])
 def test_table_json_is_pinned(capsys, rep):
     """The table JSON, every verdict, witness, residual and square of it, is
     byte for byte the pinned output."""
-    code, out, _ = run(capsys, "table", "--rep", rep, "--json")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_SHA256[rep], (
-        f"table --rep {rep} --json changed; an intended change must be declared in "
-        "CHANGES.md together with the new digest"
-    )
+    _assert_pinned(capsys, f"table --rep {rep} --json")
+
+
+@pytest.mark.parametrize(
+    "command", [c for c in _STDOUT_SHA256 if not (c.startswith("table") and c.endswith("--json"))]
+)
+def test_command_stdout_is_pinned(capsys, command):
+    """Every other pinned command line writes byte for byte its pinned
+    stdout and exits with its pinned code."""
+    _assert_pinned(capsys, command)
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",), ("--seed", "0"), ("--seed", "7", "--json")])
