@@ -65,7 +65,8 @@ equations, row by row from the pair's row tables: its residual is the
 largest |s (W a - b W)|, which is
 |W F_b - sign(G) N_b W| with F_b the flagged matrix above and bounds
 every coefficient of the condition for all (p, m, t) at once; every product
-is exact, so it reads 0.0.  W becomes a complex matrix only in the result.
+is exact, so it reads 0.0.  W becomes a complex matrix only in the result,
+which holds the nullity, W, its residual and square; the verdict is derived.
 
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
@@ -469,10 +470,6 @@ def _witness_residual(w: dict, equations: dict, d: int) -> float:
 
 
 class ClassificationResult(NamedTuple):
-    rep: str
-    op: str
-    invariant: bool
-    indeterminate: bool
     nullspace_dim: int
     witness: tuple | None  # rows of complex, Gaussian integers
     residual: float | None
@@ -480,9 +477,9 @@ class ClassificationResult(NamedTuple):
 
     @property
     def verdict(self) -> str:
-        if self.indeterminate:
-            return "indeterminate"
-        return "invariant" if self.invariant else "noninvariant"
+        if self.witness is not None:
+            return "invariant"
+        return "indeterminate" if self.nullspace_dim else "noninvariant"
 
 
 def classify(g: GeneratorSet, op) -> ClassificationResult:
@@ -498,10 +495,7 @@ def classify(g: GeneratorSet, op) -> ClassificationResult:
         w, square = found
         witness = dense({key: complex(*v) for key, v in w.items()}, g.dim)
         residual = _witness_residual(w, equations, g.dim)
-    return ClassificationResult(
-        g.rep.kind, op.name, found is not None, bool(nullity) and found is None, nullity,
-        witness, residual, square,
-    )
+    return ClassificationResult(nullity, witness, residual, square)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +534,12 @@ class TableRow(NamedTuple):
 
     @property
     def matches(self):
-        if self.expectation is None or self.result.indeterminate:
+        if self.expectation is None or self.verdict == "indeterminate":
             return None
         return self.verdict == self.expectation
 
 
 class ClassificationTable(NamedTuple):
-    rep: str
     rows: dict  # op name -> TableRow
 
     @property
@@ -555,7 +548,7 @@ class ClassificationTable(NamedTuple):
 
     @property
     def any_indeterminate(self) -> bool:
-        return any(row.result.indeterminate for row in self.rows.values())
+        return any(row.verdict == "indeterminate" for row in self.rows.values())
 
     def verdicts(self) -> dict:
         return {name: row.verdict for name, row in self.rows.items()}
@@ -566,5 +559,5 @@ def full_table(rep) -> ClassificationTable:
     g = rep if isinstance(rep, GeneratorSet) else build_generators(rep)
     rows = {}
     for name in OP_ORDER:
-        rows[name] = TableRow(classify(g, get_op(name)), paper_expectation(g.rep.kind, name))
-    return ClassificationTable(g.rep.kind, rows)
+        rows[name] = TableRow(classify(g, get_op(name)), paper_expectation(g.name, name))
+    return ClassificationTable(rows)

@@ -208,14 +208,15 @@ def cmd_classify(rep: str, op: str):
     from .generators import build_generators
 
     result = classify(build_generators(rep), get_op(op))
-    lines = [f"{rep} under {op}: {result.verdict}", f"  nullspace dimension {result.nullspace_dim}"]
-    if result.invariant:
+    verdict = result.verdict
+    lines = [f"{rep} under {op}: {verdict}", f"  nullspace dimension {result.nullspace_dim}"]
+    if verdict == "invariant":
         lines.append(f"  witness residual {result.residual:.3e}")
         lines.append(f"  operator square {result.operator_square:.6g}")
-    elif result.indeterminate:
+    elif verdict == "indeterminate":
         lines.append(f"  no unitary witness among {WITNESS_CANDIDATES} combinations of the basis")
     body = {"rep": rep, "op": op, **_result_json(result)}
-    return body, lines, EXIT_INDETERMINATE if result.indeterminate else EXIT_OK
+    return body, lines, EXIT_INDETERMINATE if verdict == "indeterminate" else EXIT_OK
 
 
 def cmd_table(rep: str):

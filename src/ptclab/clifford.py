@@ -148,8 +148,7 @@ class SpinGenerators:
     No __slots__: the triples and Casimirs are cached_property values, kept
     in the instance __dict__."""
 
-    def __init__(self, dim: int, table: dict):
-        self.dim = dim
+    def __init__(self, table: dict):
         self.table = table  # (mu, nu) with mu < nu -> dense matrix
 
     def entry(self, mu: int, nu: int) -> tuple:
@@ -191,7 +190,7 @@ def spin_tensor(basis: CliffordBasis) -> SpinGenerators:
             gm, gn = gammas[mu], gammas[nu]
             commutator = mat_add(mat_mul(gm, gn), mat_scale(mat_mul(gn, gm), -1))
             table[(mu, nu)] = dense(mat_scale(commutator, 0.25j), basis.dim)
-    return SpinGenerators(basis.dim, table)
+    return SpinGenerators(table)
 
 
 @lru_cache(maxsize=None)

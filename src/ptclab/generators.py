@@ -14,6 +14,11 @@ written out in closed form, since every term has order <= 1 in d/dp (see
 scalars (H8 = sum_k (Gamma0 Gamma_k) p_k, B_a = sum_b (Gamma0 S_ab) p_b / E
 + ...), built by sums, scalar scalings and constant left factors.
 
+A `GeneratorSet` is a name, the dimension d of its d x d coefficients and
+the ten operators, nothing else.  `build_generators(kind)` names each
+built-in set by its kind, the assembly reads d off H, and a set built any
+other way carries the name and d it is given.
+
 The Dirac-type set takes H8 = Gamma0 Gamma_k p_k and no B_a: its spin part
 sits inside the anticommutator.  The canonical and 4-component sets take
 a diagonal H and B_a = (S_ab p_b + mass part) / E.  That the Dirac-type set is
@@ -53,9 +58,6 @@ from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME,
 from .operators import ZERO_INDEX, Coefficient, MomentumOperator, commutator
 from .vocabulary import REP_KINDS
 
-# the spinless orbital realization that fixes the structure constants; not one
-# of the wave equations classified
-SCALAR_KIND = "scalar"
 _MASS_AXIS = LAURENT_VARS.index("m")
 # p1, p2, p3 and the mass as the fourth momentum component
 _MOMENTA4 = MOMENTA + (MASS,)
@@ -74,38 +76,17 @@ GENERATOR_CLASS = {
 }
 
 
-class RepId(NamedTuple("RepId", [("kind", str), ("energy_sign", int)])):
-    __slots__ = ()
-
-    def __new__(cls, kind, energy_sign=1):
-        if kind not in REP_KINDS + (SCALAR_KIND,):
-            raise ValueError(f"unknown representation {kind!r}")
-        if isinstance(energy_sign, bool) or energy_sign not in (1, -1):
-            raise ValueError("energy sign must be +1 or -1")
-        if kind not in ("rep1", "rep2", "rep3") and energy_sign != 1:
-            raise ValueError(f"{kind} does not carry an energy-sign flag")
-        return super().__new__(cls, kind, energy_sign)
-
-    @property
-    def dim(self) -> int:
-        if self.kind == SCALAR_KIND:
-            return 1
-        return 8 if self.kind in ("dirac8", "canonical8") else 4
-
-
 class GeneratorSet:
-    """The ten generators of one representation; equal and hashed by
-    identity, so a set keys the classifier's cache of equation tables."""
+    """The ten generators of one wave equation: its name, the dimension d of
+    its d x d coefficients and its operators; equal and hashed by identity,
+    so a set keys the classifier's cache of equation tables."""
 
-    __slots__ = ("rep", "ops")
+    __slots__ = ("name", "dim", "ops")
 
-    def __init__(self, rep: RepId, ops: dict):
-        self.rep = rep
+    def __init__(self, name: str, dim: int, ops: dict):
+        self.name = name
+        self.dim = dim
         self.ops = ops  # name -> MomentumOperator, keys in GENERATOR_NAMES order
-
-    @property
-    def dim(self) -> int:
-        return self.rep.dim
 
     def __getitem__(self, name: str) -> MomentumOperator:
         return self.ops[name]
@@ -114,7 +95,7 @@ class GeneratorSet:
         return self.ops.items()
 
 
-def _assemble(rep: RepId, ham: MomentumOperator, spin_entry, boost_spin=None) -> GeneratorSet:
+def _assemble(name: str, ham: MomentumOperator, spin_entry, boost_spin=None) -> GeneratorSet:
     """P0 = ham, P_a = p_a, J_ab = x_a p_b - x_b p_a + S_ab and
     J_0a = t p_a - {x_a, ham}/2 - boost_spin[a-1] (no spin term when None).
 
@@ -125,7 +106,7 @@ def _assemble(rep: RepId, ham: MomentumOperator, spin_entry, boost_spin=None) ->
         J_ab = {d_a: i p_b, d_b: -i p_a, 1: S_ab},
         J_0a = {1: t p_a - (i/2) dH/dp_a - boost_spin[a-1], d_a: -i H}.
     """
-    dim = rep.dim
+    dim = ham.dim
     h = ham.terms[ZERO_INDEX]
     unit = {a: tuple(int(k == a - 1) for k in range(3)) for a in range(1, 4)}
     ops = {"P0": ham}
@@ -142,7 +123,7 @@ def _assemble(rep: RepId, ham: MomentumOperator, spin_entry, boost_spin=None) ->
         if boost_spin is not None:
             constant = constant + boost_spin[a - 1].scale(-1)
         ops[f"J0{a}"] = MomentumOperator(dim, {ZERO_INDEX: constant, unit[a]: h.scale(-1j)})
-    return GeneratorSet(rep, ops)
+    return GeneratorSet(name, dim, ops)
 
 
 def dirac_hamiltonian8() -> MomentumOperator:
@@ -172,14 +153,14 @@ def _connector_numerator() -> Coefficient:
 
 @lru_cache(maxsize=None)
 def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
-    rep = RepId(kind, energy_sign)
-    spin = cached_spin(rep.dim)
+    dim = 8 if kind in ("dirac8", "canonical8") else 4
+    spin = cached_spin(dim)
     if kind == "dirac8":
         # the spin part of the boost sits inside the anticommutator {x_a, H8}
-        return _assemble(rep, dirac_hamiltonian8(), spin.entry)
-    gamma0 = cached_basis(rep.dim).gamma0
+        return _assemble(kind, dirac_hamiltonian8(), spin.entry)
+    gamma0 = cached_basis(dim).gamma0
     if kind == "rep3":  # positive multiple of the identity
-        ham = MomentumOperator.scalar(energy_sign * ENERGY, rep.dim)
+        ham = MomentumOperator.scalar(energy_sign * ENERGY, dim)
     else:
         ham = MomentumOperator.from_matrix(Coefficient([gamma0], [energy_sign * ENERGY]))
     # boost spin (sum_b S_ab p_b + mass part) / E, times Gamma0 except on rep3
@@ -200,13 +181,19 @@ def _build_cached(kind: str, energy_sign: int) -> GeneratorSet:
             # negative-energy sets scale it too (otherwise they do not close)
             mat = mat.scale(-1)
         boost_spin.append(mat)
-    return _assemble(rep, ham, spin.entry, boost_spin)
+    return _assemble(kind, ham, spin.entry, boost_spin)
 
 
-def build_generators(rep) -> GeneratorSet:
-    if isinstance(rep, str):
-        rep = RepId(rep)
-    return _build_cached(rep.kind, rep.energy_sign)
+def build_generators(kind: str, energy_sign: int = 1) -> GeneratorSet:
+    """The set named kind, one of REP_KINDS; rep1-rep3 also at energy sign
+    -1.  Checked before the cache, where True would find the set of sign 1."""
+    if kind not in REP_KINDS:
+        raise ValueError(f"unknown representation {kind!r}")
+    if isinstance(energy_sign, bool) or energy_sign not in (1, -1):
+        raise ValueError("energy sign must be +1 or -1")
+    if kind not in ("rep1", "rep2", "rep3") and energy_sign != 1:
+        raise ValueError(f"{kind} does not carry an energy-sign flag")
+    return _build_cached(kind, energy_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +244,9 @@ def _closure_residuals(ops: list, brackets: dict, constants: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def scalar_generator_set() -> GeneratorSet:
-    """The one-dimensional orbital realization used to fix all sign conventions."""
-    return _assemble(
-        RepId(SCALAR_KIND),
-        MomentumOperator.scalar(ENERGY, 1),
-        lambda a, b: ((0j,),),
-    )
+    """The one-dimensional orbital realization used to fix all sign
+    conventions; not one of the wave equations classified."""
+    return _assemble("scalar", MomentumOperator.scalar(ENERGY, 1), lambda a, b: ((0j,),))
 
 
 def _scalar_rows(op: MomentumOperator) -> dict:
@@ -315,7 +299,6 @@ class AlgebraReport(NamedTuple):
     generator.  It is 0.0 iff the identity holds for all (p, m, t).
     """
 
-    rep: str
     residuals: dict  # (name_i, name_j) -> float
     adjoint_residuals: dict  # name -> distance of G from its formal adjoint
 
@@ -357,7 +340,7 @@ def check_algebra(g: GeneratorSet) -> AlgebraReport:
     ops = [g[name] for name in GENERATOR_NAMES]
     residuals = _closure_residuals(ops, _brackets(ops), structure_constants())
     adjoint = {name: _adjoint_residual(op) for name, op in g.items()}
-    return AlgebraReport(g.rep.kind, residuals, adjoint)
+    return AlgebraReport(residuals, adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -365,19 +348,21 @@ def check_algebra(g: GeneratorSet) -> AlgebraReport:
 
 
 class ChargeReport(NamedTuple):
-    ok: bool
     max_residual: float
+
+    @property
+    def ok(self) -> bool:
+        return self.max_residual == 0.0
 
 
 def charge_check() -> ChargeReport:
     """Does gamma0 commute exactly with all ten generators of the
     positive-Hamiltonian set rep3?"""
     q = MomentumOperator.from_matrix(Coefficient.constant(cached_basis(4).gamma0))
-    max_residual = max(
+    return ChargeReport(max(
         _shell_residual(commutator(q, op).terms.values())
         for op in build_generators("rep3").ops.values()
-    )
-    return ChargeReport(max_residual == 0.0, max_residual)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +398,12 @@ def transform_residuals() -> dict:
 
 
 class HelicityReport(NamedTuple):
-    ok: bool
     max_residual: float
     eigenvalue_residual: float
+
+    @property
+    def ok(self) -> bool:
+        return self.max_residual == 0.0 and self.eigenvalue_residual == 0.0
 
 
 def helicity_operator(which: str = "s") -> MomentumOperator:
@@ -450,5 +438,4 @@ def helicity_check() -> HelicityReport:
     qh = q @ h
     tr_q, tr_qh = (Expr(c.exps, [trace(mat) for mat in c.mats]) for c in (q, qh))
     identities = [q @ q - q.scale(0.75), tr_q - 3, qh @ h - q.scale(0.25), tr_qh]
-    eig_residual = _shell_residual(identities, massless=True)
-    return HelicityReport(worst == 0.0 and eig_residual == 0.0, worst, eig_residual)
+    return HelicityReport(worst, _shell_residual(identities, massless=True))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from ptclab.generators import RepId, build_generators
+from ptclab.generators import build_generators
 from ptclab.vocabulary import DEFAULT_SEED
 
 from oracles import sample_points
@@ -35,24 +35,24 @@ def massless_points():
 
 @pytest.fixture(scope="session")
 def canonical8():
-    return build_generators(RepId("canonical8"))
+    return build_generators("canonical8")
 
 
 @pytest.fixture(scope="session")
 def dirac8():
-    return build_generators(RepId("dirac8"))
+    return build_generators("dirac8")
 
 
 @pytest.fixture(scope="session")
 def rep1():
-    return build_generators(RepId("rep1"))
+    return build_generators("rep1")
 
 
 @pytest.fixture(scope="session")
 def rep2():
-    return build_generators(RepId("rep2"))
+    return build_generators("rep2")
 
 
 @pytest.fixture(scope="session")
 def rep3():
-    return build_generators(RepId("rep3"))
+    return build_generators("rep3")

@@ -693,7 +693,8 @@ def casimir_spectrum(gens) -> dict:
     s(s+1) with 2s + 1 <= d, as the exact integer trace(N) / c of the
     Lagrange-Sylvester numerator N; AssertionError if an
     eigenvalue is not one."""
-    values = [k * (k + 2) / 4 for k in range(gens.dim)]  # s = k / 2
+    dim = len(gens.s_squared)
+    values = [k * (k + 2) / 4 for k in range(dim)]  # s = k / 2
     out = {}
     for name, mat in (("s_squared", gens.s_squared), ("t_squared", gens.t_squared)):
         out[name] = {}
@@ -702,7 +703,7 @@ def casimir_spectrum(gens) -> dict:
                 numerator, scale = _lagrange_sylvester(mat, value, values)
             except ValueError as exc:
                 raise AssertionError(f"{name}: {exc}") from None
-            diagonal = sum(numerator.get((i, i), 0) for i in range(gens.dim))
+            diagonal = sum(numerator.get((i, i), 0) for i in range(dim))
             count = diagonal.real / scale
             # fmod is exact, so it is 0 iff trace(N) / c is an integer
             if diagonal.imag or math.fmod(diagonal.real, scale):

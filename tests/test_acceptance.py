@@ -23,7 +23,6 @@ from ptclab.classify import (
 from ptclab.clifford import METRIC, build_basis, cached_basis, cached_spin
 from ptclab.generators import (
     GeneratorSet,
-    RepId,
     build_generators,
     charge_check,
     check_algebra,
@@ -118,7 +117,7 @@ def test_criterion_03_connector_unitary():
 
 def test_criterion_04_poincare_closure():
     kinds = ("dirac8", "canonical8", "rep1", "rep2", "rep3")
-    sets = {kind: build_generators(RepId(kind)) for kind in kinds}  # cached builds
+    sets = {kind: build_generators(kind) for kind in kinds}  # cached builds
     start = time.perf_counter()
     worst = 0.0
     for kind in kinds:
@@ -152,7 +151,7 @@ def test_criterion_05_casimirs_and_subspaces():
 
 
 def _tables():
-    return {kind: full_table(RepId(kind)) for kind in ("rep1", "rep2", "rep3")}
+    return {kind: full_table(kind) for kind in ("rep1", "rep2", "rep3")}
 
 
 def test_criterion_06_classification_table():
@@ -169,8 +168,8 @@ def test_criterion_06_classification_table():
             if name not in stated:
                 assert table.rows[name].expectation is None
         # a fresh copy of the set, built into no cache, gives the same table
-        g = build_generators(RepId(kind))
-        again = full_table(GeneratorSet(g.rep, dict(g.ops)))
+        g = build_generators(kind)
+        again = full_table(GeneratorSet(g.name, g.dim, dict(g.ops)))
         assert again == table, f"{kind} differs on a fresh copy of its generators"
     _passline(6, "classification table reproduces all three published claims, "
                  "identically on a fresh copy of each generator set")
@@ -180,9 +179,9 @@ def test_criterion_07_witness_contract():
     elicited = []
     for kind, table in _tables().items():
         for name, row in table.rows.items():
-            if row.result.invariant:
+            if row.verdict == "invariant":
                 elicited.append((kind, name, row.result))
-    g8 = build_generators(RepId("canonical8"))
+    g8 = build_generators("canonical8")
     for name in ("P1", "M", "T1"):
         elicited.append(("canonical8", name, classify(g8, name)))
     assert len(elicited) >= 13

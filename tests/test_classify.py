@@ -42,7 +42,7 @@ from ptclab.classify import (
 )
 from ptclab.clifford import cached_basis, cached_spin
 from ptclab.expr import LAURENT_VARS
-from ptclab.generators import GENERATOR_CLASS, REP_KINDS, GeneratorSet, RepId, build_generators
+from ptclab.generators import GENERATOR_CLASS, REP_KINDS, GeneratorSet, build_generators
 from ptclab.operators import (
     ZERO_INDEX,
     Coefficient,
@@ -173,7 +173,7 @@ def test_monomial_equation_counts():
     on dirac8 and 40 on every other set, summed over 19 blocks, in the
     oracle's blocks and in the package's equation table alike."""
     for kind, sign in SETS:
-        g = build_generators(RepId(kind, sign))
+        g = build_generators(kind, sign)
         mats = _mats(g)
         assert len(mats) == (34 if kind == "dirac8" else 40), (kind, sign)
         assert len(monomial_blocks(g)) == 19, (kind, sign)
@@ -238,7 +238,7 @@ def test_reflected_path_matches_flag_oracle(kind, seed):
     """The monomial pairs, with each flag applied as a sign per monomial and
     evaluated at the samples, equal the apply_flags blocks: the flagged side
     within 1e-14 relative, the plain side sign(G) times the coefficient."""
-    g = build_generators(RepId(kind))
+    g = build_generators(kind)
     blocks = monomial_blocks(g)
     points = sample_points(seed=seed)
     for name in OP_ORDER:
@@ -263,7 +263,7 @@ def test_index_classes_of_each_set():
         "dirac8": (2, 4), "canonical8": (4, 2), "rep1": (2, 2), "rep2": (2, 2), "rep3": (2, 2),
     }
     for kind, shape in expected.items():
-        g = build_generators(RepId(kind))
+        g = build_generators(kind)
         coeffs = np.concatenate(
             [arrays(c)[1] for gen in g.ops.values() for c in gen.terms.values()]
         )
@@ -288,7 +288,7 @@ def test_basis_vectors_lie_in_one_submatrix(kind, sign):
     """The elimination runs over all d^2 entries of q, yet in all 72 cells
     every basis vector lies in one (row class, column class) submatrix of q:
     rows that share no entry are never combined."""
-    g = build_generators(RepId(kind, sign))
+    g = build_generators(kind, sign)
     classes = _index_classes(_mats(g), g.dim)
     class_of = {i: k for k, members in enumerate(classes) for i in members}
     for name in OP_ORDER:
@@ -305,7 +305,7 @@ def test_blockwise_factor_matches_the_stacked_system(kind, count):
     fewer conditions, so the sampled nullity at 1 or 2 points can only be
     larger; the reference uses no samples.  The exact nullity of `classify`
     equals the reference's."""
-    g = build_generators(RepId(kind))
+    g = build_generators(kind)
     points = sample_points(count=count)
     for name in OP_ORDER:
         op = get_op(name)
@@ -332,7 +332,7 @@ def test_merged_system_keeps_the_spectrum_and_the_nullspace(kind):
     """The exact basis spans the nullspace of the dense stacked system of
     every monomial equation: in all nine cells its orthogonal projector is
     the system's null projector within 1e-12."""
-    g = build_generators(RepId(kind))
+    g = build_generators(kind)
     for name in OP_ORDER:
         projector = _null_projector(stacked_system(_pairs_of(g, name)))
         basis = _basis(g, get_op(name))
@@ -357,8 +357,8 @@ def test_full_table_builds_each_monomial_system_once(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Coefficient, "on_shell", counting)
-    base = build_generators(RepId("canonical8"))
-    g = GeneratorSet(base.rep, dict(base.ops))  # not yet cached
+    base = build_generators("canonical8")
+    g = GeneratorSet(base.name, base.dim, dict(base.ops))  # not yet cached
     before = _equation_table.cache_info()
     full_table(g)
     full_table(g)
@@ -401,7 +401,7 @@ def test_row_families_are_built_once_per_process(monkeypatch):
     picked keys are one equation: a real N is its own conjugate, and an
     imaginary one (conj N = -N) turns q conj(N) = sigma N q into
     q N = -sigma N q, so neither family is ever built twice."""
-    sets = [build_generators(RepId(kind)) for kind in ("rep1", "rep2", "rep3", "canonical8")]
+    sets = [build_generators(kind) for kind in ("rep1", "rep2", "rep3", "canonical8")]
     keys, matrices = set(), set()
     for g in sets:
         for name in OP_ORDER:
@@ -442,7 +442,7 @@ def test_each_distinct_system_is_decided_once(monkeypatch, kind):
     some operators impose the same equations (P1 and Mt, T1 and Mx on
     dirac8, P1 and M on the other sets).  The basis each cell then reads
     from the cache is `_nullspace` of that cell's own rows."""
-    g = build_generators(RepId(kind))
+    g = build_generators(kind)
     systems = {
         frozenset(_real_class(a, b) for a, b in monomial_pairs(g, get_op(name))) for name in OP_ORDER
     }
@@ -472,7 +472,7 @@ def test_pair_tables_are_built_once_per_process():
     row family and for the witness residuals alike, and a second pass, its
     families and decisions cleared so that it builds and eliminates again,
     builds none."""
-    sets = [build_generators(RepId(kind)) for kind in ("rep1", "rep2", "rep3", "canonical8")]
+    sets = [build_generators(kind) for kind in ("rep1", "rep2", "rep3", "canonical8")]
     picked = {key for g in sets for name in OP_ORDER for key in _cell_equations(g, get_op(name))}
     _pair_tables.cache_clear()
     _matrix_rows.cache_clear()
@@ -506,7 +506,7 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
         terms[ZERO_INDEX] = Coefficient.from_rows(exps, mats)
         ops = dict(rep1.ops)
         ops["J01"] = MomentumOperator(rep1.dim, terms)
-        table = full_table(GeneratorSet(rep1.rep, ops))
+        table = full_table(GeneratorSet(rep1.name, rep1.dim, ops))
         changed = {name for name, verdict in table.verdicts().items() if verdict != base[name]}
         assert changed == {"C", "Mt"}, k
         for name in changed:
@@ -545,15 +545,15 @@ def test_invalid_settings_raise(rep1, kwargs):
 
 
 def test_classify_spot_checks(rep1, rep2, rep3):
-    assert classify(rep1, "C").invariant
-    assert classify(rep2, "P2").invariant
-    assert not classify(rep2, "C").invariant
-    assert not classify(rep3, "T1").invariant
+    assert classify(rep1, "C").verdict == "invariant"
+    assert classify(rep2, "P2").verdict == "invariant"
+    assert classify(rep2, "C").verdict != "invariant"
+    assert classify(rep3, "T1").verdict != "invariant"
 
 
 def test_noninvariant_report_fields(rep1):
     result = classify(rep1, "P1")
-    assert not result.invariant and not result.indeterminate
+    assert result.verdict == "noninvariant"
     assert result.nullspace_dim == 0
     assert result.witness is None and result.residual is None
     assert result.operator_square is None
@@ -561,7 +561,7 @@ def test_noninvariant_report_fields(rep1):
 
 @pytest.mark.parametrize("kind", ["rep1", "rep2", "rep3"])
 def test_full_table_matches_paper(kind):
-    table = full_table(RepId(kind))
+    table = full_table(kind)
     claims = PAPER_CLAIMS[kind]
     for name, row in table.rows.items():
         if name in claims["invariant"]:
@@ -574,10 +574,10 @@ def test_full_table_matches_paper(kind):
 
 
 def test_unstated_entries_are_labelled():
-    table = full_table(RepId("rep1"))
+    table = full_table("rep1")
     assert table.rows["T1"].expectation is None
     assert table.rows["T1"].matches is None
-    table8 = full_table(RepId("canonical8"))
+    table8 = full_table("canonical8")
     assert all(row.expectation is None for row in table8.rows.values())
 
 
@@ -586,7 +586,7 @@ def test_witness_contract(rep1, rep2, rep3):
         table = full_table(g)
         for name, row in table.rows.items():
             result = row.result
-            if not result.invariant:
+            if result.verdict != "invariant":
                 continue
             _assert_exact_witness(result, get_op(name).conj, g.dim)
 
@@ -615,9 +615,9 @@ def test_witnesses_hold_on_held_out_points(kind, points_alt):
     for the witness, and the same nonzero value after one entry of the
     witness is shifted by the Gaussian integer 1, i or 3 - 2i, so taking
     each distinct equation once, with its largest real factor, drops none."""
-    g = build_generators(RepId(kind))
+    g = build_generators(kind)
     table = full_table(g)
-    invariant = [name for name, row in table.rows.items() if row.result.invariant]
+    invariant = [name for name, row in table.rows.items() if row.verdict == "invariant"]
     assert invariant
     for name in invariant:
         op = get_op(name)
@@ -651,7 +651,7 @@ def test_equations_that_share_a_matrix_keep_its_largest_factor():
     complex reference over both pairs."""
     n = np.diag([1, 1j, 0, 0])
     coeff = Coefficient.from_rows([(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)], [n, 2 * n])
-    g = GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(coeff)})
+    g = GeneratorSet("toy", 4, {"P0": MomentumOperator.from_matrix(coeff)})
     op = get_op("T1")
     n = (((0, 0), (1, 0)), ((1, 1), (0, 1)))
     minus = (((0, 0), (-1, 0)), ((1, 1), (0, -1)))
@@ -676,7 +676,7 @@ def test_witness_depends_only_on_the_nullspace(kind):
     """The nullspace basis is a function of the nullspace alone: eliminating
     each cell's rows in reverse order, or after recombining them invertibly,
     gives the same primitive vectors, and so the same witness."""
-    g = build_generators(RepId(kind))
+    g = build_generators(kind)
     checked = 0
     for name in OP_ORDER:
         rows = _cell_rows(_cell_equations(g, get_op(name)))
@@ -701,7 +701,7 @@ def test_singular_nullspace_gives_no_witness():
 def test_witness_search_matches_the_dense_reference(kind):
     """In every cell with a nonzero nullity, the sparse witness search
     returns the same (W, lambda) as the dense reference search."""
-    g = build_generators(RepId(kind))
+    g = build_generators(kind)
     checked = 0
     for name in OP_ORDER:
         op = get_op(name)
@@ -748,10 +748,10 @@ def test_classification_does_not_import_scipy():
         "import contextlib, io, sys\n"
         "from ptclab.classify import full_table\n"
         "from ptclab.cli import main\n"
-        "from ptclab.generators import REP_KINDS, RepId\n"
+        "from ptclab.generators import REP_KINDS\n"
         "from oracles import intertwining_check\n"
         "for kind in REP_KINDS:\n"
-        "    full_table(RepId(kind))\n"
+        "    full_table(kind)\n"
         "intertwining_check()\n"
         "for argv in (['selftest'], ['algebra', '--rep', 'dirac8'], ['massless']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -830,15 +830,13 @@ def singular_nullspace_set():
     antilinear T2 (q conj(H) = H q) is every q with a zero first row and
     column: 9-dimensional, and every element singular."""
     h = Coefficient.constant(np.diag([1j, 0, 0, 0]))
-    return GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(h)})
+    return GeneratorSet("toy", 4, {"P0": MomentumOperator.from_matrix(h)})
 
 
 def test_indeterminate_flagged_not_misclassified():
     """A nullspace with no unitary element is neither evidence of invariance
     nor of noninvariance: the verdict is indeterminate."""
     result = classify(singular_nullspace_set(), "T2")
-    assert result.indeterminate
-    assert not result.invariant
     assert result.verdict == "indeterminate"
     assert result.nullspace_dim == 9
     assert result.witness is None and result.residual is None
@@ -851,12 +849,12 @@ def test_exact_nullity_matches_the_float_reference(kind, sign):
     (one SVD of the dense system at a relative threshold of 1e-8), nullity 0
     is exactly the noninvariant cells, and every invariant cell has an exact
     witness."""
-    g = build_generators(RepId(kind, sign))
+    g = build_generators(kind, sign)
     for name in OP_ORDER:
         result = classify(g, name)
         assert result.nullspace_dim == float_nullity(_pairs_of(g, name)), (kind, name)
         assert result.verdict == ("invariant" if result.nullspace_dim else "noninvariant")
-        if result.invariant:
+        if result.verdict == "invariant":
             _assert_exact_witness(result, get_op(name).conj, g.dim)
 
 
@@ -959,7 +957,7 @@ def test_identity_fails_swap_relation():
 
 def test_parity_witness_swaps_casimir_eigenspaces(canonical8):
     result = classify(canonical8, "P1")
-    assert result.invariant
+    assert result.verdict == "invariant"
     spin = cached_spin(8)
     w = result.witness
     p_s = np.asarray(spectral_projector(spin.s_squared, 0.75, (0, 0.75)))

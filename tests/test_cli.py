@@ -19,7 +19,7 @@ import ptclab.generators as generators
 from ptclab.cli import main
 from ptclab.clifford import cached_basis, cached_spin
 from ptclab.expr import LAURENT_VARS, MASS
-from ptclab.generators import GENERATOR_NAMES, RepId, build_generators
+from ptclab.generators import GENERATOR_NAMES, build_generators
 from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
 from ptclab.vocabulary import OP_ORDER, REP_KINDS
 
@@ -271,7 +271,7 @@ def test_generator_dump_reloads_exactly(capsys, kind):
                for line in row["matrix"] for pair in line for z in pair]
     assert entries and all(isinstance(z, Fraction) for z in entries)
     assert all(z.denominator & (z.denominator - 1) == 0 for z in entries)
-    built = build_generators(RepId(kind))
+    built = build_generators(kind)
     assert set(payload["generators"]) == set(built.ops)
     for name, terms in payload["generators"].items():
         assert set(terms) == {",".join(map(str, alpha)) for alpha in built[name].terms}
@@ -310,7 +310,7 @@ def test_classify_indeterminate_exit(capsys, monkeypatch):
     """A nullspace with no unitary element (H = diag(i, 0, 0, 0) under T2,
     whose every solution q has a zero first row) gives exit 2."""
     h = Coefficient.constant(np.diag([1j, 0, 0, 0]))
-    toy = generators.GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(h)})
+    toy = generators.GeneratorSet("toy", 4, {"P0": MomentumOperator.from_matrix(h)})
     monkeypatch.setattr(generators, "build_generators", lambda rep: toy)
     code, payload = run_json(capsys, "classify", "--rep", "rep1", "--op", "T2")
     assert code == 2
@@ -560,7 +560,7 @@ def _doctored_connector(monkeypatch):
 
 def _indeterminate_set(monkeypatch):
     h = Coefficient.constant(np.diag([1j, 0, 0, 0]))
-    toy = generators.GeneratorSet(RepId("rep1"), {"P0": MomentumOperator.from_matrix(h)})
+    toy = generators.GeneratorSet("toy", 4, {"P0": MomentumOperator.from_matrix(h)})
     monkeypatch.setattr(generators, "build_generators", lambda rep: toy)
 
 

@@ -20,7 +20,6 @@ from ptclab.expr import (
 )
 from ptclab.generators import (
     REP_KINDS,
-    RepId,
     _connector_numerator,
     build_generators,
     helicity_operator,
@@ -245,7 +244,7 @@ def _all_coefficients():
     operators = [
         op
         for kind, sign in GENERATOR_SETS
-        for op in build_generators(RepId(kind, sign)).ops.values()
+        for op in build_generators(kind, sign).ops.values()
     ]
     operators += [helicity_operator("s"), helicity_operator("t")]
     return [c for op in operators for c in op.terms.values()]

@@ -7,9 +7,7 @@ from ptclab.expr import LAURENT_VARS, E, MASS, MOMENTA, TIME
 from ptclab.generators import (
     GENERATOR_NAMES,
     REP_KINDS,
-    SCALAR_KIND,
     GeneratorSet,
-    RepId,
     _canonical_numerator,
     _connector_numerator,
     _shell_residual,
@@ -197,14 +195,14 @@ def test_scalar_set_closes():
 
 @pytest.mark.parametrize("kind", ["dirac8", "canonical8", "rep1", "rep2", "rep3"])
 def test_all_representations_close(kind):
-    report = check_algebra(build_generators(RepId(kind)))
+    report = check_algebra(build_generators(kind))
     assert report.ok, (kind, report.failures(), report.max_residual)
     assert len(report.residuals) == 45
 
 
 @pytest.mark.parametrize("kind", ["rep1", "rep2", "rep3"])
 def test_negative_energy_sets_close(kind):
-    report = check_algebra(build_generators(RepId(kind, -1)))
+    report = check_algebra(build_generators(kind, -1))
     assert report.ok, (kind, report.max_residual)
 
 
@@ -221,7 +219,7 @@ def test_check_algebra_rejects_one_flipped_term_of_a_boost(rep1, term):
     ops["J01"] = MomentumOperator(
         rep1.dim, {**rep1["J01"].terms, ZERO_INDEX: Coefficient.from_rows(exps, mats)}
     )
-    report = check_algebra(GeneratorSet(rep1.rep, ops))
+    report = check_algebra(GeneratorSet(rep1.name, rep1.dim, ops))
     assert not report.ok
     assert report.max_residual >= 1.0
     assert any("J01" in pair for pair in report.failures())
@@ -237,7 +235,7 @@ def test_check_algebra_passes_only_at_exactly_zero(rep1):
     ops["J01"] = MomentumOperator(
         rep1.dim, {**rep1["J01"].terms, ZERO_INDEX: Coefficient.from_rows(exps, mats)}
     )
-    report = check_algebra(GeneratorSet(rep1.rep, ops))
+    report = check_algebra(GeneratorSet(rep1.name, rep1.dim, ops))
     assert 0.0 < report.max_residual < 1e-11
     assert not report.ok
 
@@ -249,7 +247,7 @@ def test_check_algebra_rejects_a_derivative_coefficient_that_is_not_anti_hermiti
     boost = g["J01"]
     first = boost.terms[(1, 0, 0)] + Coefficient.constant([[1.0]])
     ops = {**g.ops, "J01": MomentumOperator(1, {**boost.terms, (1, 0, 0): first})}
-    report = check_algebra(GeneratorSet(g.rep, ops))
+    report = check_algebra(GeneratorSet(g.name, g.dim, ops))
     assert report.adjoint_residuals["J01"] == 2.0
     assert all(r == 0.0 for name, r in report.adjoint_residuals.items() if name != "J01")
 
@@ -264,7 +262,7 @@ def test_check_algebra_rejects_boosts_that_are_not_self_adjoint(canonical8):
         boost = canonical8[f"J0{a}"]
         constant = boost.terms[ZERO_INDEX] + h.diff(f"p{a}").scale(0.5j)
         ops[f"J0{a}"] = MomentumOperator(boost.dim, {**boost.terms, ZERO_INDEX: constant})
-    report = check_algebra(GeneratorSet(canonical8.rep, ops))
+    report = check_algebra(GeneratorSet(canonical8.name, canonical8.dim, ops))
     assert report.max_residual == 0.0
     assert not report.ok
     assert report.failures() == ["J01", "J02", "J03"]
@@ -283,18 +281,18 @@ def _first_order_part(op):
     return MomentumOperator(op.dim, {a: m for a, m in op.terms.items() if index_order(a) == 1})
 
 
-@pytest.mark.parametrize("kind", REP_KINDS + (SCALAR_KIND,))
+@pytest.mark.parametrize("kind", REP_KINDS + ("scalar",))
 def test_closed_form_matches_composed_generators(kind, points, points_alt):
     """The closed-form rotations and boosts against the Leibniz-rule oracle:
     J_ab - S_ab is x_a p_b - x_b p_a, and J_0a has the first-order part of
     t p_a - (x_a P0 + P0 x_a)/2.  The spinless boosts have no spin term, so
     there the two agree in full."""
-    g = scalar_generator_set() if kind == SCALAR_KIND else build_generators(kind)
+    g = scalar_generator_set() if kind == "scalar" else build_generators(kind)
     dim = g.dim
     x = {a: position(a, dim) for a in (1, 2, 3)}
     p = {a: MomentumOperator.momentum(a, dim) for a in (1, 2, 3)}
     for (a, b) in ((1, 2), (1, 3), (2, 3)):
-        spin = np.zeros((1, 1)) if kind == SCALAR_KIND else cached_spin(dim).entry(a, b)
+        spin = np.zeros((1, 1)) if kind == "scalar" else cached_spin(dim).entry(a, b)
         orbital = minus(g[f"J{a}{b}"], MomentumOperator.from_matrix(Coefficient.constant(spin)))
         expected = minus(compose(x[a], p[b]), compose(x[b], p[a]))
         for pts in (points, points_alt):
@@ -309,24 +307,36 @@ def test_closed_form_matches_composed_generators(kind, points, points_alt):
         for pts in (points, points_alt):
             ok, resid = equal_at(_first_order_part(boost), _first_order_part(expected), pts)
             assert ok, (kind, a, resid)
-            if kind == SCALAR_KIND:
+            if kind == "scalar":
                 ok, resid = equal_at(boost, expected, pts)
                 assert ok, (kind, a, resid)
 
 
 @pytest.mark.parametrize(
-    "kind, sign", [("bogus", 1), ("rep1", 0), ("rep1", True), ("rep1", False), ("dirac8", -1)]
+    "kind, sign, message",
+    [
+        pytest.param("bogus", 1, "unknown representation 'bogus'", id="bogus-1"),
+        pytest.param("rep1", 0, "energy sign must be +1 or -1", id="rep1-0"),
+        pytest.param("rep1", True, "energy sign must be +1 or -1", id="rep1-True"),
+        pytest.param("rep1", False, "energy sign must be +1 or -1", id="rep1-False"),
+        pytest.param("dirac8", -1, "dirac8 does not carry an energy-sign flag", id="dirac8--1"),
+        pytest.param("scalar", 1, "unknown representation 'scalar'", id="scalar-1"),
+    ],
 )
-def test_rep_id_rejects_an_unknown_kind_or_energy_sign(kind, sign):
-    """A set is one of the known kinds, with energy sign +1 or -1 (an int:
-    True == 1 is refused), and only rep1-rep3 carry the sign -1."""
-    with pytest.raises(ValueError):
-        RepId(kind, sign)
+def test_rep_id_rejects_an_unknown_kind_or_energy_sign(kind, sign, message):
+    """build_generators builds one of the known kinds, with energy sign +1
+    or -1 (an int: True == 1 is refused, though the cache would take it for
+    1), and only rep1-rep3 carry the sign -1; the spinless orbital set is
+    not one of the kinds."""
+    build_generators("rep1")  # cached, so a sign True that reached the cache would find it
+    with pytest.raises(ValueError) as excinfo:
+        build_generators(kind, sign)
+    assert str(excinfo.value) == message
 
 
 def test_generators_have_order_at_most_one():
     for kind in ("dirac8", "canonical8", "rep1", "rep2", "rep3"):
-        g = build_generators(RepId(kind))
+        g = build_generators(kind)
         for name, op in g.items():
             assert order(op) <= 1, (kind, name)
             if name.startswith("P") and name != "P0":
@@ -396,7 +406,7 @@ def test_hamiltonian_forms(canonical8, rep3, points):
         _matrix_at(rep3["P0"], points),
         np.eye(4)[None, :, :] * env["E"][:, None, None],
     )
-    minus = build_generators(RepId("rep1", -1))
+    minus = build_generators("rep1", -1)
     g0e4 = np.asarray(cached_basis(4).gamma0)[None, :, :] * env["E"][:, None, None]
     assert np.array_equal(_matrix_at(minus["P0"], points), -g0e4)
 
@@ -405,7 +415,7 @@ def test_generators_self_adjoint(canonical8, rep3, points):
     for g in (canonical8, rep3):
         for name in ("P0", "J12", "J01"):
             ok, resid = equal_at(adjoint(g[name]), g[name], points)
-            assert ok, (g.rep.kind, name, resid)
+            assert ok, (g.name, name, resid)
 
 
 # ---------------------------------------------------------------------------
