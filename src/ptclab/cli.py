@@ -10,14 +10,17 @@ classification is decided on the exact Laurent coefficients, and
 `cmd_*` returns one payload, (JSON body, text lines, exit code); `main`
 dispatches through `_COMMANDS`, adds schema, command and config to the body
 and prints the one form asked for, so both modes share the exit code and the
-text is a view of the same result.  The user-facing summary, flags, JSON
-schema and exit codes are in DESCRIPTION, which `--help` prints.
+text is a view of the same result; a write to stdout that fails (a closed
+pipe, a full device) ends in one error line on stderr and exit 1.  The
+user-facing summary, flags, JSON schema and exit codes are in DESCRIPTION,
+which `--help` prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .vocabulary import DEFAULT_SEED, OP_ORDER, REP_KINDS, check_seed
@@ -321,12 +324,22 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"ptclab: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        payload = {"schema": SCHEMA_VERSION, "command": args.command, "config": {}, **body}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line, file=sys.stderr if isinstance(line, _Stderr) else sys.stdout)
+    try:
+        if args.json:
+            payload = {"schema": SCHEMA_VERSION, "command": args.command, "config": {}, **body}
+            # streamed as it is encoded: the whole text is never held at once
+            json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+            print()
+        else:
+            for line in lines:
+                print(line, file=sys.stderr if isinstance(line, _Stderr) else sys.stdout)
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full device: what stdout still buffers goes to
+        # os.devnull, so the flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ptclab: error: cannot write output ({exc.strerror or exc})", file=sys.stderr)
+        return EXIT_FAIL
     return code
 
 

@@ -760,6 +760,78 @@ def test_exact_commands_run_with_numpy_blocked():
 
 
 # ---------------------------------------------------------------------------
+# a failed write to stdout
+
+
+def _cli(*argv) -> list:
+    return [sys.executable, "-m", "ptclab.cli", *argv]
+
+
+def _assert_write_error(code, err, reason):
+    assert code == 1
+    assert "Traceback" not in err
+    assert err == f"ptclab: error: cannot write output ({reason})\n"
+
+
+def test_a_reader_that_stops_early_is_a_write_error():
+    """`algebra --rep dirac8 --dump-generators --json | head -c 1`: the dump
+    (about 177 KB) is more than a pipe holds, so the reader's exit breaks the
+    pipe mid-write; the command writes one error line and exits 1."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        _cli("algebra", "--rep", "dirac8", "--dump-generators", "--json"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    assert proc.stdout.read(1) == "{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    _assert_write_error(proc.wait(), err, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest"],
+        ["algebra", "--rep", "rep1"],
+        ["classify", "--rep", "rep1", "--op", "C", "--json"],
+        ["table", "--rep", "all"],
+        ["massless", "--json"],
+        ["ptc", "--labels", "D+(1/2,0)+D-(0,1/2)"],
+    ],
+    ids=" ".join,
+)
+def test_stdout_on_a_closed_pipe_is_a_write_error(argv):
+    """Every command, its stdout a pipe whose read end is closed before it
+    starts, writes one error line to stderr, no traceback, and exits 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            _cli(*argv), stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+    finally:
+        os.close(write_end)
+    _assert_write_error(proc.returncode, proc.stderr, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv", [["table", "--rep", "all", "--json"], ["massless"]], ids=" ".join
+)
+def test_stdout_on_a_full_device_is_a_write_error(argv):
+    """With stdout on /dev/full, where every write fails with ENOSPC, the
+    command writes one error line to stderr, no traceback, and exits 1."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            _cli(*argv), stdout=full, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+    _assert_write_error(proc.returncode, proc.stderr, "No space left on device")
+
+
+# ---------------------------------------------------------------------------
 # fuzzed command lines
 
 def _values(valid, invalid):
