@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptclab
+import ptclab.classify as classify
 import ptclab.clifford as clifford
 import ptclab.generators as generators
 from ptclab.cli import main
@@ -23,7 +24,7 @@ from ptclab.generators import GENERATOR_NAMES, build_generators
 from ptclab.operators import ZERO_INDEX, Coefficient, MomentumOperator
 from ptclab.vocabulary import OP_ORDER, REP_KINDS
 
-from oracles import casimir_spectrum, spectral_projector, subspace_decomposition
+from oracles import arrays, casimir_spectrum, spectral_projector, subspace_decomposition
 
 SRC = str(Path(ptclab.__file__).resolve().parents[1])
 
@@ -350,6 +351,71 @@ def test_table_all_includes_unstated_eight_dim_row(capsys):
     assert set(payload["reps"]) == {"rep1", "rep2", "rep3", "canonical8"}
     eight = payload["reps"]["canonical8"]["ops"]
     assert all(row["paper_expectation"] is None for row in eight.values())
+
+
+def _patch_table_set(monkeypatch, g):
+    """Make `table` classify g whatever --rep names: the table may reach the
+    set through either module's binding of build_generators."""
+    monkeypatch.setattr(generators, "build_generators", lambda rep: g)
+    monkeypatch.setattr(classify, "build_generators", lambda rep: g)
+
+
+def test_table_claims_skip_indeterminate_cells(capsys, monkeypatch):
+    """A set named rep1 with only P0 = diag(i, 0, 0, 0) leaves every cell
+    indeterminate: each keeps its rep1 expectation, but an indeterminate
+    verdict neither matches nor contradicts it, so every cell's
+    matches_paper is null, the set's is true, and the command exits 2."""
+    h = Coefficient.constant(np.diag([1j, 0, 0, 0]))
+    toy = generators.GeneratorSet("rep1", 4, {"P0": MomentumOperator.from_matrix(h)})
+    _patch_table_set(monkeypatch, toy)
+    code, payload = run_json(capsys, "table", "--rep", "rep1")
+    assert code == 2
+    table = payload["reps"]["rep1"]
+    assert sorted(table["ops"]) == sorted(OP_ORDER)
+    for name, row in table["ops"].items():
+        assert row["verdict"] == "indeterminate", name
+        assert row["paper_expectation"] == classify.paper_expectation("rep1", name), name
+        assert row["matches_paper"] is None, name
+    assert table["matches_paper"] is True and payload["matches_paper"] is True
+    code, out, _ = run(capsys, "table", "--rep", "rep1")
+    assert code == 2 and "MISMATCH" not in out
+    assert "  -> matches published claims: True" in out.splitlines()
+
+
+def test_table_reports_a_contradicted_claim(capsys, monkeypatch):
+    """rep1 with one matrix of J01's zero-index coefficient left-multiplied
+    by gamma0 turns C and Mt noninvariant against their published
+    invariance: both cells and the table report the mismatch, and the
+    command exits 1."""
+    rep1 = build_generators("rep1")
+    coeff = rep1["J01"].terms[ZERO_INDEX]
+    exps, mats = arrays(coeff)
+    mats[0] = np.asarray(cached_basis(4).gamma0) @ mats[0]
+    terms = dict(rep1["J01"].terms)
+    terms[ZERO_INDEX] = Coefficient.from_rows(exps, mats)
+    ops = dict(rep1.ops)
+    ops["J01"] = MomentumOperator(rep1.dim, terms)
+    _patch_table_set(monkeypatch, generators.GeneratorSet(rep1.name, rep1.dim, ops))
+    code, payload = run_json(capsys, "table", "--rep", "rep1")
+    assert code == 1
+    cells = payload["reps"]["rep1"]["ops"]
+    mismatched = {name for name, row in cells.items() if row["matches_paper"] is False}
+    assert mismatched == {"C", "Mt"}
+    for name in mismatched:
+        assert cells[name]["verdict"] == "noninvariant"
+        assert cells[name]["paper_expectation"] == "invariant"
+    for name, row in cells.items():
+        if name not in mismatched:
+            expected = None if row["paper_expectation"] is None else True
+            assert row["matches_paper"] is expected, name
+    assert payload["reps"]["rep1"]["matches_paper"] is False
+    assert payload["matches_paper"] is False
+    code, out, _ = run(capsys, "table", "--rep", "rep1")
+    assert code == 1
+    lines = out.splitlines()
+    assert "  C     noninvariant  MISMATCH, expected invariant" in lines
+    assert "  Mt    noninvariant  MISMATCH, expected invariant" in lines
+    assert "  -> matches published claims: False" in lines
 
 
 def test_table_json_round_trip_and_determinism(capsys):
