@@ -71,6 +71,12 @@ which holds the nullity, W, its residual and square; the verdict is derived.
 The subsidiary position-operator conditions hold identically for constant
 matrices (the flagged position operator is exactly eta_x times itself), which
 is why q may be taken momentum independent in the first place.
+
+`full_table` returns {op name: ClassificationResult} in OP_ORDER and
+compares nothing.  `paper_expectation` gives the published verdict of a cell
+by set name, None where the source states none; the comparison is made
+where it is printed (`cli.cmd_table`).  No verdict takes a tolerance: a
+witness's residual is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -499,7 +505,7 @@ def classify(g: GeneratorSet, op) -> ClassificationResult:
 
 
 # ---------------------------------------------------------------------------
-# the full table against the published claims
+# the full table and the published claims
 
 
 PAPER_CLAIMS = {
@@ -524,40 +530,8 @@ def paper_expectation(rep_kind: str, op_name: str):
     return next((verdict for verdict, ops in claims.items() if op_name in ops), None)
 
 
-class TableRow(NamedTuple):
-    result: ClassificationResult
-    expectation: str | None  # None means unstated in the source claims
-
-    @property
-    def verdict(self) -> str:
-        return self.result.verdict
-
-    @property
-    def matches(self):
-        if self.expectation is None or self.verdict == "indeterminate":
-            return None
-        return self.verdict == self.expectation
-
-
-class ClassificationTable(NamedTuple):
-    rows: dict  # op name -> TableRow
-
-    @property
-    def matches_paper(self) -> bool:
-        return all(row.matches for row in self.rows.values() if row.matches is not None)
-
-    @property
-    def any_indeterminate(self) -> bool:
-        return any(row.verdict == "indeterminate" for row in self.rows.values())
-
-    def verdicts(self) -> dict:
-        return {name: row.verdict for name, row in self.rows.items()}
-
-
-def full_table(rep) -> ClassificationTable:
-    """Classify all nine discrete operators against one representation."""
+def full_table(rep) -> dict:
+    """{op name: ClassificationResult} of one generator set, or of the set
+    named rep, under all nine discrete operators, in OP_ORDER."""
     g = rep if isinstance(rep, GeneratorSet) else build_generators(rep)
-    rows = {}
-    for name in OP_ORDER:
-        rows[name] = TableRow(classify(g, get_op(name)), paper_expectation(g.name, name))
-    return ClassificationTable(rows)
+    return {name: classify(g, get_op(name)) for name in OP_ORDER}

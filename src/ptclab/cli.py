@@ -6,14 +6,17 @@ layers it runs, so `ptc`, `--help` and every usage error load no numeric
 layer, and every other command runs on the plain-Python exact core; no
 command loads numpy.  No command reads a sample point: every check and every
 classification is decided on the exact Laurent coefficients, and
-`algebra --dump-generators` writes those coefficients' rows.  Each
-`cmd_*` returns one payload, (JSON body, text lines, exit code); `main`
-dispatches through `_COMMANDS`, adds schema, command and config to the body
-and prints the one form asked for, so both modes share the exit code and the
-text is a view of the same result; a write to stdout that fails (a closed
-pipe, a full device) ends in one error line on stderr and exit 1.  The
-user-facing summary, flags, JSON schema and exit codes are in DESCRIPTION,
-which `--help` prints.
+`algebra --dump-generators` writes those coefficients' rows.  The checks
+and the table return plain residuals and results; the handler that prints
+one applies its rule: a check passes when every residual is exactly 0.0,
+and `cmd_table` owns the claims rule, comparing each verdict with the
+published one of the set's name.  Each `cmd_*` returns one payload, (JSON
+body, text lines, exit code); `main` dispatches through `_COMMANDS`, adds
+schema, command and config to the body and prints the one form asked for,
+so both modes share the exit code and the text is a view of the same
+result; a write to stdout that fails (a closed pipe, a full device) ends in
+one error line on stderr and exit 1.  The user-facing summary, flags, JSON
+schema and exit codes are in DESCRIPTION, which `--help` prints.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def cmd_selftest():
         (("clifford_invariants_dim4",), lambda: clifford(4)),
         (("clifford_invariants_dim8",), lambda: clifford(8)),
         (TRANSFORM_CHECKS, transform_residuals),
-        (("charge_commutes",), lambda: {"charge_commutes": charge_check().max_residual}),
+        (("charge_commutes",), lambda: {"charge_commutes": charge_check()}),
     ):
         try:
             residuals.update(check())
@@ -179,21 +182,22 @@ def cmd_algebra(rep: str, dump: bool):
     from .generators import build_generators, check_algebra
 
     g = build_generators(rep)
-    report = check_algebra(g)
+    closure, adjoint = check_algebra(g)
+    ok = all(r == 0.0 for r in (*closure.values(), *adjoint.values()))
     body = {
         "rep": rep,
-        "brackets": {f"[{a},{b}]": r for (a, b), r in sorted(report.residuals.items())},
-        "max_residual": report.max_residual,
-        "adjoint_residuals": dict(sorted(report.adjoint_residuals.items())),
-        "pass": report.ok,
+        "brackets": {f"[{a},{b}]": r for (a, b), r in sorted(closure.items())},
+        "max_residual": max(closure.values()),
+        "adjoint_residuals": dict(sorted(adjoint.items())),
+        "pass": ok,
     }
     lines = [f"exact bracket closure for {rep}"]
     lines += [f"  {bracket}  {r:.3e}" for bracket, r in body["brackets"].items()]
-    lines.append(f"max self-adjointness residual {report.max_adjoint_residual:.3e}")
-    lines.append(f"max residual {report.max_residual:.3e}  ->  {'PASS' if report.ok else 'FAIL'}")
+    lines.append(f"max self-adjointness residual {max(adjoint.values()):.3e}")
+    lines.append(f"max residual {body['max_residual']:.3e}  ->  {'PASS' if ok else 'FAIL'}")
     if dump:
         body.update(_generators_json(g))
-    return body, lines, EXIT_OK if report.ok else EXIT_FAIL
+    return body, lines, EXIT_OK if ok else EXIT_FAIL
 
 
 def _result_json(result) -> dict:
@@ -223,31 +227,40 @@ def cmd_classify(rep: str, op: str):
 
 
 def cmd_table(rep: str):
-    from .classify import full_table
+    """Each verdict against the published one of its cell, looked up by the
+    set's name: an indeterminate verdict, or a cell with no published
+    verdict, has matches_paper null; a set matches when no cell is false."""
+    from .classify import full_table, paper_expectation
+    from .generators import build_generators
 
     reps = ["rep1", "rep2", "rep3", "canonical8"] if rep == "all" else [rep]
     body = {"reps": {}, "matches_paper": True}
     lines, indeterminate = [], False
     for kind in reps:
-        table = full_table(kind)
-        ops = body["reps"][kind] = {"ops": {}, "matches_paper": table.matches_paper}
+        g = build_generators(kind)
+        cells = {}
         lines.append(f"{kind}:")
-        for name, row in table.rows.items():
-            ops["ops"][name] = {
-                **_result_json(row.result),
-                "paper_expectation": row.expectation,
-                "matches_paper": row.matches,
+        for name, result in full_table(g).items():
+            verdict, expected = result.verdict, paper_expectation(g.name, name)
+            matches = None
+            if verdict == "indeterminate":
+                indeterminate = True
+            elif expected is not None:
+                matches = verdict == expected
+            cells[name] = {
+                **_result_json(result), "paper_expectation": expected, "matches_paper": matches,
             }
             note = ""
-            if row.expectation is None:
+            if expected is None:
                 note = "  (computed, unstated in source claims)"
-            elif row.matches is False:
-                note = f"  MISMATCH, expected {row.expectation}"
-            lines.append(f"  {name:<5} {row.verdict}{note}")
+            elif matches is False:
+                note = f"  MISMATCH, expected {expected}"
+            lines.append(f"  {name:<5} {verdict}{note}")
+        matches_paper = all(cell["matches_paper"] is not False for cell in cells.values())
+        body["reps"][kind] = {"ops": cells, "matches_paper": matches_paper}
         if kind in ("rep1", "rep2", "rep3"):
-            lines.append(f"  -> matches published claims: {table.matches_paper}")
-        body["matches_paper"] &= table.matches_paper
-        indeterminate |= table.any_indeterminate
+            lines.append(f"  -> matches published claims: {matches_paper}")
+        body["matches_paper"] &= matches_paper
     if indeterminate:
         return body, lines, EXIT_INDETERMINATE
     return body, lines, EXIT_OK if body["matches_paper"] else EXIT_FAIL
@@ -258,15 +271,12 @@ def cmd_massless():
     from .labels import massless_decompose, massless_pair_count
 
     labels = massless_decompose()
-    report = helicity_check()
+    commute, eigenvalue = helicity_check()
+    ok = commute == eigenvalue == 0.0
     body = {
         "labels": labels,
         "pair_count": massless_pair_count(),
-        "helicity": {
-            "max_residual": report.max_residual,
-            "eigenvalue_residual": report.eigenvalue_residual,
-            "pass": report.ok,
-        },
+        "helicity": {"max_residual": commute, "eigenvalue_residual": eigenvalue, "pass": ok},
     }
     lines = [
         "massless decomposition:",
@@ -274,11 +284,11 @@ def cmd_massless():
         f"  {len(labels)} one-dimensional pieces, {body['pair_count']} unordered pairs",
     ]
     for claim, residual in (
-        ("helicity operators commute with all generators", report.max_residual),
-        ("S.p/E has eigenvalues +-1/2, twice each, on S^2 = 3/4", report.eigenvalue_residual),
+        ("helicity operators commute with all generators", commute),
+        ("S.p/E has eigenvalues +-1/2, twice each, on S^2 = 3/4", eigenvalue),
     ):
         lines.append(f"  {claim}: {'PASS' if residual == 0.0 else 'FAIL'} (residual {residual:.3e})")
-    return body, lines, EXIT_OK if report.ok else EXIT_FAIL
+    return body, lines, EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_ptc(expression: str):

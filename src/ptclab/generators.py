@@ -30,28 +30,34 @@ Every check here is exact.  The coefficients are Laurent polynomials in
 for all momenta, masses and times iff the mass-shell normal form
 (`Expr.on_shell`) of its coefficients has no rows; brackets are formed with
 `operators.commutator`, and no sample point is used.  So no check takes a
-tolerance: each passes only when its residuals are exactly 0.0.  Structure
-constants are never copied in by hand: they are read off the 45 brackets of
-the spinless orbital realization (identity matrices, P0 = E) and then imposed
-on every spinor set.  `check_algebra` also checks that every generator is
-formally self-adjoint.
+tolerance, and none decides a pass: each returns its residuals as plain
+floats, the largest |coefficient| of a normal form, and a check passes only
+when every residual is exactly 0.0.  Structure constants are never copied in
+by hand: they are read off the 45 brackets of the spinless orbital
+realization (identity matrices, P0 = E) and then imposed on every spinor set.
 
-Two conserved operators are checked against the sets here as well: gamma0
-commutes with every generator of rep3 (`charge_check`), and the helicity
-operators S.p/E and T.p/E commute with every canonical 8-component
-generator at m = 0, where S.p/E has eigenvalues +-1/2 on the S^2 = 3/4
-subspace (`helicity_check`).  `transform_residuals` checks that the
-canonical transform and the connector are unitary and that the canonical
-one diagonalizes H8 (Foldy & Wouthuysen, Phys. Rev. 78 (1950) 29), on their
-numerators U and N alone: their normalisations 2^-1/2 and 1/sqrt(2E(E + m))
-are not Gaussian-dyadic Laurent polynomials, so neither transform is built.
+The checks and what they return:
+
+- `check_algebra(g)`: (closure, adjoint), the residual of each of the 45
+  brackets {(name_i, name_j): float} and of each generator's formal
+  self-adjointness {name: float};
+- `charge_check()`: one float, for gamma0 commuting with every generator
+  of rep3;
+- `helicity_check()`: (commute, eigenvalue), for the helicity operators
+  S.p/E and T.p/E commuting with every canonical 8-component generator at
+  m = 0, and for S.p/E having eigenvalues +-1/2 on the S^2 = 3/4 subspace;
+- `transform_residuals()`: {check name: float} in TRANSFORM_CHECKS order,
+  for the canonical transform and the connector being unitary and the
+  canonical one diagonalizing H8 (Foldy & Wouthuysen, Phys. Rev. 78 (1950)
+  29), checked on their numerators U and N alone: their normalisations
+  2^-1/2 and 1/sqrt(2E(E + m)) are not Gaussian-dyadic Laurent polynomials,
+  so neither transform is built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import NamedTuple
 
 from .clifford import cached_basis, cached_spin, combine, eye, matmul, trace
 from .expr import E as ENERGY, LAURENT_VARS, MASS, MOMENTA, MOMENTUM_VARS, TIME, Expr
@@ -290,36 +296,6 @@ def structure_constants() -> dict:
     return constants
 
 
-class AlgebraReport(NamedTuple):
-    """Closure and self-adjointness of one generator set.
-
-    A residual is the largest |coefficient| of a mass-shell normal form
-    (`Expr.on_shell`): of [G_i, G_j] - sum_k c_k G_k over its multi-indices
-    for a bracket, and of the two self-adjointness conditions for a
-    generator.  It is 0.0 iff the identity holds for all (p, m, t).
-    """
-
-    residuals: dict  # (name_i, name_j) -> float
-    adjoint_residuals: dict  # name -> distance of G from its formal adjoint
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    @property
-    def max_adjoint_residual(self) -> float:
-        return max(self.adjoint_residuals.values())
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures()
-
-    def failures(self) -> list:
-        return [pair for pair, r in self.residuals.items() if r != 0.0] + [
-            name for name, r in self.adjoint_residuals.items() if r != 0.0
-        ]
-
-
 def _adjoint_residual(op: MomentumOperator) -> float:
     """Distance of G = C_0 + sum_a C_a d_a from its formal adjoint
     C_0^H - sum_a (d_a C_a)^H - sum_a C_a^H d_a: G is self-adjoint iff
@@ -334,35 +310,29 @@ def _adjoint_residual(op: MomentumOperator) -> float:
     return _shell_residual(conditions + [gap])
 
 
-def check_algebra(g: GeneratorSet) -> AlgebraReport:
-    """Check every independent bracket against the structure constants, and
-    that every generator is formally self-adjoint, on the normal form."""
+def check_algebra(g: GeneratorSet) -> tuple:
+    """(closure, adjoint): the residual of every independent bracket against
+    the structure constants, {(name_i, name_j): float}, and the distance of
+    every generator from its formal adjoint, {name: float}.  Each is the
+    largest |coefficient| of a mass-shell normal form, 0.0 iff its identity
+    holds for all (p, m, t)."""
     ops = [g[name] for name in GENERATOR_NAMES]
-    residuals = _closure_residuals(ops, _brackets(ops), structure_constants())
-    adjoint = {name: _adjoint_residual(op) for name, op in g.items()}
-    return AlgebraReport(residuals, adjoint)
+    closure = _closure_residuals(ops, _brackets(ops), structure_constants())
+    return closure, {name: _adjoint_residual(op) for name, op in g.items()}
 
 
 # ---------------------------------------------------------------------------
 # the charge remark
 
 
-class ChargeReport(NamedTuple):
-    max_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residual == 0.0
-
-
-def charge_check() -> ChargeReport:
-    """Does gamma0 commute exactly with all ten generators of the
-    positive-Hamiltonian set rep3?"""
+def charge_check() -> float:
+    """The residual of gamma0 commuting with all ten generators of the
+    positive-Hamiltonian set rep3, 0.0 iff it commutes exactly."""
     q = MomentumOperator.from_matrix(Coefficient.constant(cached_basis(4).gamma0))
-    return ChargeReport(max(
+    return max(
         _shell_residual(commutator(q, op).terms.values())
         for op in build_generators("rep3").ops.values()
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +367,6 @@ def transform_residuals() -> dict:
 # helicity check on the canonical 8-component generators
 
 
-class HelicityReport(NamedTuple):
-    max_residual: float
-    eigenvalue_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_residual == 0.0 and self.eigenvalue_residual == 0.0
-
-
 def helicity_operator(which: str = "s") -> MomentumOperator:
     """S_a p_a / E (or T_a p_a / E) on the 8-dimensional space."""
     spin = cached_spin(8)
@@ -413,10 +374,11 @@ def helicity_operator(which: str = "s") -> MomentumOperator:
     return MomentumOperator.from_matrix(Coefficient(triple, MOMENTA).scale(1 / ENERGY))
 
 
-def helicity_check() -> HelicityReport:
-    """Check that both helicity operators commute with all ten canonical
-    8-component generators at m = 0, and that h = S.p/E has eigenvalues
-    +-1/2, twice each, on the S^2 = 3/4 subspace.
+def helicity_check() -> tuple:
+    """(commute, eigenvalue): the residuals of both helicity operators
+    commuting with all ten canonical 8-component generators at m = 0, and of
+    h = S.p/E having eigenvalues +-1/2, twice each, on the S^2 = 3/4
+    subspace; each 0.0 iff its claim holds.
 
     The generators keep their mass dependence: each commutator counts only
     the rows of its normal form without a power of m, which are the
@@ -428,7 +390,7 @@ def helicity_check() -> HelicityReport:
     +-1/2 iff Q h h = Q/4, and they come twice each iff tr(Q h) = 0.
     """
     hs, ht = helicity_operator("s"), helicity_operator("t")
-    worst = max(
+    commute = max(
         _shell_residual(commutator(h, op).terms.values(), massless=True)
         for op in build_generators("canonical8").ops.values()
         for h in (hs, ht)
@@ -438,4 +400,4 @@ def helicity_check() -> HelicityReport:
     qh = q @ h
     tr_q, tr_qh = (Expr(c.exps, [trace(mat) for mat in c.mats]) for c in (q, qh))
     identities = [q @ q - q.scale(0.75), tr_q - 3, qh @ h - q.scale(0.25), tr_qh]
-    return HelicityReport(worst, _shell_residual(identities, massless=True))
+    return commute, _shell_residual(identities, massless=True)

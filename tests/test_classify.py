@@ -39,6 +39,7 @@ from ptclab.classify import (
     full_table,
     get_op,
     momentum_action,
+    paper_expectation,
 )
 from ptclab.clifford import cached_basis, cached_spin
 from ptclab.expr import LAURENT_VARS
@@ -496,7 +497,7 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
     noninvariant, with an exactly trivial nullspace, and every other
     verdict stays.  (Flipping the sign of one matrix moves
     no verdict: each monomial equation is homogeneous in its matrix.)"""
-    base = full_table(rep1).verdicts()
+    base = {name: result.verdict for name, result in full_table(rep1).items()}
     gamma0 = np.asarray(cached_basis(4).gamma0)
     coeff = rep1["J01"].terms[ZERO_INDEX]
     for k in range(len(coeff.mats)):
@@ -507,10 +508,10 @@ def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
         ops = dict(rep1.ops)
         ops["J01"] = MomentumOperator(rep1.dim, terms)
         table = full_table(GeneratorSet(rep1.name, rep1.dim, ops))
-        changed = {name for name, verdict in table.verdicts().items() if verdict != base[name]}
+        changed = {name for name, result in table.items() if result.verdict != base[name]}
         assert changed == {"C", "Mt"}, k
         for name in changed:
-            result = table.rows[name].result
+            result = table[name]
             assert result.verdict == "noninvariant", (k, name)
             assert result.nullspace_dim == 0 and result.witness is None, (k, name)
 
@@ -562,30 +563,27 @@ def test_noninvariant_report_fields(rep1):
 @pytest.mark.parametrize("kind", ["rep1", "rep2", "rep3"])
 def test_full_table_matches_paper(kind):
     table = full_table(kind)
+    assert list(table) == list(OP_ORDER)
     claims = PAPER_CLAIMS[kind]
-    for name, row in table.rows.items():
+    for name, result in table.items():
         if name in claims["invariant"]:
-            assert row.verdict == "invariant", name
+            assert result.verdict == "invariant", name
         elif name in claims["noninvariant"]:
-            assert row.verdict == "noninvariant", name
+            assert result.verdict == "noninvariant", name
         else:
-            assert row.expectation is None  # computed, unstated in the claims
-    assert table.matches_paper
+            assert paper_expectation(kind, name) is None  # computed, unstated in the claims
+    # the table matches the paper: no cell contradicts its published verdict
+    assert all(paper_expectation(kind, name) in (None, r.verdict) for name, r in table.items())
 
 
 def test_unstated_entries_are_labelled():
-    table = full_table("rep1")
-    assert table.rows["T1"].expectation is None
-    assert table.rows["T1"].matches is None
-    table8 = full_table("canonical8")
-    assert all(row.expectation is None for row in table8.rows.values())
+    assert paper_expectation("rep1", "T1") is None
+    assert all(paper_expectation("canonical8", name) is None for name in full_table("canonical8"))
 
 
 def test_witness_contract(rep1, rep2, rep3):
     for g in (rep1, rep2, rep3):
-        table = full_table(g)
-        for name, row in table.rows.items():
-            result = row.result
+        for name, result in full_table(g).items():
             if result.verdict != "invariant":
                 continue
             _assert_exact_witness(result, get_op(name).conj, g.dim)
@@ -617,11 +615,11 @@ def test_witnesses_hold_on_held_out_points(kind, points_alt):
     each distinct equation once, with its largest real factor, drops none."""
     g = build_generators(kind)
     table = full_table(g)
-    invariant = [name for name, row in table.rows.items() if row.verdict == "invariant"]
+    invariant = [name for name, result in table.items() if result.verdict == "invariant"]
     assert invariant
     for name in invariant:
         op = get_op(name)
-        q = np.asarray(table.rows[name].result.witness)
+        q = np.asarray(table[name].witness)
         residual = max(
             float(np.max(np.abs(q @ a - sign * b @ q)))
             for a, b, sign in _oracle_blocks(g, op, points_alt)
