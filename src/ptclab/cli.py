@@ -14,8 +14,8 @@ published one of the set's name.  Each `cmd_*` returns one payload, (JSON
 body, text lines, exit code); `main` dispatches through `_COMMANDS`, adds
 schema, command and config to the body and prints the one form asked for,
 so both modes share the exit code and the text is a view of the same
-result; a write to stdout that fails (a closed pipe, a full device) ends in
-one error line on stderr and exit 1.  The user-facing summary, flags, JSON
+result; a write to stdout that fails (a closed pipe, a full device), that of
+`--help` included, ends in one error line on stderr and exit 1.  The user-facing summary, flags, JSON
 schema and exit codes are in DESCRIPTION, which `--help` prints.
 """
 
@@ -74,6 +74,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; flushed here, it raises to main
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 def _build_parser() -> _Parser:
@@ -316,6 +323,15 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+def _write_error(exc: OSError) -> int:
+    """A closed pipe or a full device: what stdout still buffers goes to
+    os.devnull, so the flush at interpreter exit stays quiet, and one error
+    line goes to stderr."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(f"ptclab: error: cannot write output ({exc.strerror or exc})", file=sys.stderr)
+    return EXIT_FAIL
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -324,6 +340,8 @@ def main(argv=None) -> int:
             parser.error("--dump-generators writes JSON only; add --json")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except OSError as exc:  # --help that cannot be written
+        return _write_error(exc)
     try:
         check_seed(args.seed)
     except ValueError as exc:
@@ -345,11 +363,7 @@ def main(argv=None) -> int:
                 print(line, file=sys.stderr if isinstance(line, _Stderr) else sys.stdout)
         sys.stdout.flush()
     except OSError as exc:
-        # a closed pipe or a full device: what stdout still buffers goes to
-        # os.devnull, so the flush at interpreter exit stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"ptclab: error: cannot write output ({exc.strerror or exc})", file=sys.stderr)
-        return EXIT_FAIL
+        return _write_error(exc)
     return code
 
 

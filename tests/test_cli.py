@@ -839,6 +839,15 @@ def _assert_write_error(code, err, reason):
     assert err == f"ptclab: error: cannot write output ({reason})\n"
 
 
+def _environments():
+    """The environment of a CLI child with PYTHONUNBUFFERED set, then unset:
+    unbuffered, a write fails where it is made; buffered, a short output
+    fails only when it is flushed."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return [dict(env, PYTHONUNBUFFERED="1"), env]
+
+
 def test_a_reader_that_stops_early_is_a_write_error():
     """`algebra --rep dirac8 --dump-generators --json | head -c 1`: the dump
     (about 177 KB) is more than a pipe holds, so the reader's exit breaks the
@@ -864,37 +873,43 @@ def test_a_reader_that_stops_early_is_a_write_error():
         ["table", "--rep", "all"],
         ["massless", "--json"],
         ["ptc", "--labels", "D+(1/2,0)+D-(0,1/2)"],
+        ["--help"],
+        ["table", "--help"],
     ],
     ids=" ".join,
 )
 def test_stdout_on_a_closed_pipe_is_a_write_error(argv):
-    """Every command, its stdout a pipe whose read end is closed before it
-    starts, writes one error line to stderr, no traceback, and exits 1."""
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            _cli(*argv), stdout=write_end, stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=SRC),
-        )
-    finally:
-        os.close(write_end)
-    _assert_write_error(proc.returncode, proc.stderr, "Broken pipe")
+    """Every command, and --help, its stdout a pipe whose read end is closed
+    before it starts, writes one error line to stderr, no traceback, and
+    exits 1, with stdout buffered or not."""
+    for env in _environments():
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                _cli(*argv), stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        _assert_write_error(proc.returncode, proc.stderr, "Broken pipe")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize(
-    "argv", [["table", "--rep", "all", "--json"], ["massless"]], ids=" ".join
+    "argv",
+    [["table", "--rep", "all", "--json"], ["massless"], ["--help"], ["table", "--help"]],
+    ids=" ".join,
 )
 def test_stdout_on_a_full_device_is_a_write_error(argv):
     """With stdout on /dev/full, where every write fails with ENOSPC, the
-    command writes one error line to stderr, no traceback, and exits 1."""
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            _cli(*argv), stdout=full, stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=SRC),
-        )
-    _assert_write_error(proc.returncode, proc.stderr, "No space left on device")
+    command, or --help, writes one error line to stderr, no traceback, and
+    exits 1, with stdout buffered or not."""
+    for env in _environments():
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                _cli(*argv), stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        _assert_write_error(proc.returncode, proc.stderr, "No space left on device")
 
 
 # ---------------------------------------------------------------------------
