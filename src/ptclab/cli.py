@@ -15,8 +15,9 @@ body, text lines, exit code); `main` dispatches through `_COMMANDS`, adds
 schema, command and config to the body and prints the one form asked for,
 so both modes share the exit code and the text is a view of the same
 result; a write to stdout that fails (a closed pipe, a full device), that of
-`--help` included, ends in one error line on stderr and exit 1.  The user-facing summary, flags, JSON
-schema and exit codes are in DESCRIPTION, which `--help` prints.
+`--help` included, ends in one error line on stderr and exit 1.  The
+user-facing summary, flags, JSON schema and exit codes are in DESCRIPTION,
+which `--help` prints.
 """
 
 from __future__ import annotations
@@ -76,11 +77,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     def _print_message(self, message, file=None):
-        # argparse drops a failed write; flushed here, it raises to main
-        if message:
-            file = file or sys.stderr
-            file.write(message)
-            file.flush()
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        # argparse drops a failed write; that of --help, flushed here, raises to main
+        file.write(message)
+        file.flush()
 
 
 def _build_parser() -> _Parser:

@@ -912,6 +912,16 @@ def test_stdout_on_a_full_device_is_a_write_error(argv):
         _assert_write_error(proc.returncode, proc.stderr, "No space left on device")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_usage_error_keeps_its_exit_code_when_stderr_fails():
+    """Only a failed write to stdout is a failed output: with stderr
+    unbuffered on /dev/full, a usage error still exits 64."""
+    env = _environments()[0]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(_cli("table"), stdout=subprocess.PIPE, stderr=full, env=env)
+    assert proc.returncode == 64 and proc.stdout == b""
+
+
 # ---------------------------------------------------------------------------
 # fuzzed command lines
 
