@@ -38,20 +38,22 @@ or sigma.  No sample point enters the classification.
 
 The subsidiary conditions make q constant and every N_b is Gaussian dyadic,
 so the condition is one linear system over Q(i) in the d^2 entries of q,
-entry (i, j) numbered i d + j, decided exactly.  Per pair key, the row
-tables of a and -b are built once per process, and from them the row
-family of q a - b q: each row primitive and in associate form, and each
-distinct row held once per process, as a dict, under an int id, so a cell's
-rows are the union of its families' ids.  One fraction-free elimination
-over Z[i] of those rows, in Python ints, gives the rank and, from the
-echelon rows, a primitive Gaussian-integer nullspace basis, one vector per
-free entry of q, that depends on the nullspace alone, not on the row order;
-like Bareiss's (Math. Comp. 22 (1968) 565), it never divides, except each
-combined row by a Gaussian gcd of its entries.  Rows that share no entry of
-q are never combined, so q needs no split into blocks.  Each distinct set of
-pair keys is eliminated, and its witness searched, once per process: cells
+entry (i, j) numbered i d + j, decided exactly, through two per-process
+caches.  Per pair key (`_pair`), the row tables of a and -b are built once,
+and from them the row family of q a - b q: each row primitive and in
+associate form, and each distinct row held once per process, as a dict,
+under an int id, so a cell's rows are the union of its families' ids.  Per
+distinct system, its set of pair keys with conj (`_decide`), one
+fraction-free elimination over Z[i] of those rows, in Python ints, gives
+the rank and, from the echelon rows, a primitive Gaussian-integer nullspace
+basis, one vector per free entry of q, that depends on the nullspace alone,
+not on the row order; like Bareiss's (Math. Comp. 22 (1968) 565), it never
+divides, except each combined row by a Gaussian gcd of its entries.  Rows
+that share no entry of q are never combined, so q needs no split into
+blocks.  The witness is searched on that basis in the same step: cells
 whose operators impose the same equations (P1 and M on most sets) share
-the decision.
+the decision, and no built-in set has a system imposed by both a linear
+and an antilinear operator, so none is eliminated twice.
 
 Nullity 0 is a noninvariant verdict.  Otherwise the witness is the first
 combination W = sum c_k B_k of the basis, c_k in {1, -1, i, -i, 0} taken in
@@ -345,14 +347,6 @@ def _cell_equations(g: GeneratorSet, op: DiscreteOpSpec) -> dict:
     return equations
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(key: int) -> tuple:
-    """(a, -b) of the pair key by row (`_by_row`), built once per process per
-    key: the tables of its row family and of the witness residual."""
-    a, b, d = _PAIRS[key]
-    return _by_row(a, d), _by_row((((i, j), (-re, -im)) for (i, j), (re, im) in b), d)
-
-
 # every distinct constraint row of the row families built so far, held once
 # per process, and its id (its index in _ROWS) by its sorted items
 _ROWS = []
@@ -360,14 +354,16 @@ _ROW_IDS = {}
 
 
 @lru_cache(maxsize=None)
-def _matrix_rows(key: int) -> frozenset:
-    """The ids in _ROWS of the rows of q a - b q for the pair (a, b) of key,
-    over the d * d entries of q, entry (i, j) numbered i * d + j; each row
-    primitive and in associate form, so rows that differ by a factor in Q(i)
-    are one row.  Built once per process and pair, so the sets and
+def _pair(key: int) -> tuple:
+    """(a, -b, ids) for the pair (a, b) of key: a and -b by row (`_by_row`),
+    the tables of the witness residual, and the ids in _ROWS of the rows of
+    q a - b q over the d * d entries of q, entry (i, j) numbered i * d + j;
+    each row primitive and in associate form, so rows that differ by a factor
+    in Q(i) are one row.  Built once per process and pair, so the sets and
     operators that share an equation share its rows."""
-    a, minus_b = _pair_tables(key)
-    d = len(a)
+    a, b, d = _PAIRS[key]
+    a = _by_row(a, d)
+    minus_b = _by_row((((i, j), (-re, -im)) for (i, j), (re, im) in b), d)
     ids = set()
     for i in range(d):
         rows = [{} for _ in range(d)]  # row (i, k) for k = 0 .. d - 1
@@ -384,26 +380,7 @@ def _matrix_rows(key: int) -> frozenset:
             ids.add(_ROW_IDS.setdefault(tuple(sorted(row.items())), len(_ROWS)))
             if len(_ROWS) < len(_ROW_IDS):
                 _ROWS.append(row)
-    return frozenset(ids)
-
-
-def _cell_rows(keys) -> list:
-    """The distinct rows of the equations with the given pair keys, as sparse
-    rows over the d * d entries of q, the dicts of _ROWS themselves, so read
-    only; the sparsest first, which spares the elimination about a tenth of
-    its row combinations."""
-    return sorted((_ROWS[i] for i in set().union(*map(_matrix_rows, keys))), key=len)
-
-
-@lru_cache(maxsize=None)
-def _rank_decision(keys: frozenset, d: int) -> list:
-    """The primitive Gaussian-integer nullspace basis of the equations with
-    the given pair keys, each vector {(row, column) of q: (re, im)}, one per
-    free entry of q in row-major order; eliminated once per process per
-    distinct system, so the cells that share one share its basis, read
-    only."""
-    basis = _nullspace(_cell_rows(keys), d * d)
-    return [{divmod(c, d): v for c, v in vector.items()} for vector in basis]
+    return a, minus_b, frozenset(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +425,18 @@ def _select_witness(basis: list, d: int, conj: bool):
 
 
 @lru_cache(maxsize=None)
-def _witness(keys: frozenset, d: int, conj: bool):
-    """`_select_witness` on the basis of the equations with the given pair
-    keys: searched once per process per distinct system and conj, and
-    shared, read only, by the cells that share them."""
-    basis = _rank_decision(keys, d)
-    return _select_witness(basis, d, conj) if basis else None
+def _decide(keys: frozenset, d: int, conj: bool) -> tuple:
+    """(basis, found) for the equations with the given pair keys: basis the
+    primitive Gaussian-integer nullspace basis, each vector {(row, column)
+    of q: (re, im)}, one per free entry of q in row-major order, from one
+    elimination of the distinct rows of their families, the sparsest first,
+    which spares the elimination about a tenth of its row combinations;
+    found `_select_witness` on it, None when it is empty.  Decided once per
+    process per distinct system and conj, and shared, read only, by the
+    cells that share them."""
+    rows = sorted((_ROWS[i] for i in set().union(*(_pair(key)[2] for key in keys))), key=len)
+    basis = [{divmod(c, d): v for c, v in vector.items()} for vector in _nullspace(rows, d * d)]
+    return basis, _select_witness(basis, d, conj) if basis else None
 
 
 def _witness_residual(w: dict, equations: dict, d: int) -> float:
@@ -464,7 +447,7 @@ def _witness_residual(w: dict, equations: dict, d: int) -> float:
     rows = _by_row(w.items(), d)
     worst = 0.0
     for key, s in equations.items():
-        a, minus_b = _pair_tables(key)
+        a, minus_b, _ = _pair(key)
         for row, b_row in zip(rows, minus_b):
             for re, im in _row_times(b_row, rows, _row_times(row, a, {})).values():
                 worst = max(worst, abs(complex(s * re, s * im)))
@@ -493,15 +476,13 @@ def classify(g: GeneratorSet, op) -> ClassificationResult:
     if isinstance(op, str):
         op = get_op(op)
     equations = _cell_equations(g, op)
-    keys = frozenset(equations)
-    nullity = len(_rank_decision(keys, g.dim))
-    found = _witness(keys, g.dim, op.conj)
+    basis, found = _decide(frozenset(equations), g.dim, op.conj)
     witness = residual = square = None
     if found is not None:
         w, square = found
         witness = dense({key: complex(*v) for key, v in w.items()}, g.dim)
         residual = _witness_residual(w, equations, g.dim)
-    return ClassificationResult(nullity, witness, residual, square)
+    return ClassificationResult(len(basis), witness, residual, square)
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,15 @@ from ptclab.classify import (
     UNITS,
     WITNESS_CANDIDATES,
     _PAIRS,
+    _ROWS,
     _cell_equations,
-    _cell_rows,
     _combine,
+    _decide,
     _equation_table,
-    _matrix_rows,
     _nullspace,
-    _pair_tables,
-    _rank_decision,
+    _pair,
     _scalar_product,
     _select_witness,
-    _witness,
     _witness_residual,
     classify,
     compose_ops,
@@ -136,7 +134,13 @@ def _pairs_of(g, name):
 
 def _basis(g, op):
     """The exact nullspace basis of g's monomial equations under op."""
-    return _rank_decision(frozenset(_cell_equations(g, op)), g.dim)
+    return _decide(frozenset(_cell_equations(g, op)), g.dim, op.conj)[0]
+
+
+def _rows(equations) -> list:
+    """The distinct rows of a cell's equations {pair key: s}, the dicts of
+    _ROWS that their families' ids name, the sparsest first."""
+    return sorted((_ROWS[i] for i in set().union(*(_pair(key)[2] for key in equations))), key=len)
 
 
 def _complex(w: dict, d: int) -> tuple:
@@ -386,17 +390,17 @@ def _real_class(*mats) -> tuple:
 
 
 def _clear_decisions():
-    """Empty the per-process caches of the rank decision and the witness,
-    so that the next tables eliminate and search again."""
-    _rank_decision.cache_clear()
-    _witness.cache_clear()
+    """Empty the per-process cache of the decisions, so that the next tables
+    eliminate and search again."""
+    _decide.cache_clear()
 
 
 def test_row_families_are_built_once_per_process(monkeypatch):
     """Over the sets of `table --rep all` (rep1, rep2, rep3, canonical8),
-    `_matrix_rows` builds the family of each pair key that some cell picks
-    exactly once, shared across sets, and a second pass, its decisions
-    cleared so that it eliminates again, builds none: 43 families,
+    `_pair` builds the row-indexed tables and the row family of each pair key
+    that some cell picks exactly once, shared across sets, for the
+    elimination and for the witness residuals alike, and a second pass, its
+    decisions cleared so that it eliminates again, builds none: 43 pairs,
     one per equation of the oracle's monomial pairs up to a real factor,
     fewer than the four per distinct (N, d) an eager build makes.  No two
     picked keys are one equation: a real N is its own conjugate, and an
@@ -413,19 +417,21 @@ def test_row_families_are_built_once_per_process(monkeypatch):
 
     def recording(key):
         picked.append(key)
-        return _matrix_rows(key)
+        return _pair(key)
 
-    monkeypatch.setattr(classify_module, "_matrix_rows", recording)
-    _matrix_rows.cache_clear()
+    monkeypatch.setattr(classify_module, "_pair", recording)
+    _pair.cache_clear()
     _clear_decisions()
     for g in sets:
         full_table(g)
-    first = _matrix_rows.cache_info()
+    first = _pair.cache_info()
     _clear_decisions()
     for g in sets:
         full_table(g)
-    second = _matrix_rows.cache_info()
+    second = _pair.cache_info()
+    chosen = {key for g in sets for name in OP_ORDER for key in _cell_equations(g, get_op(name))}
     assert first.misses == first.currsize == len(set(picked)) == len(keys) == 43 < 4 * len(matrices)
+    assert set(picked) == chosen
     assert second.misses == first.misses
     assert second.hits > first.hits
     classes = {
@@ -457,38 +463,32 @@ def test_each_distinct_system_is_decided_once(monkeypatch, kind):
     _clear_decisions()
     full_table(g)
     assert len(calls) == len(systems) < len(OP_ORDER)
-    decided = _rank_decision.cache_info()
+    decided = _decide.cache_info()
     for name in OP_ORDER:
-        equations = _cell_equations(g, get_op(name))
-        own = _nullspace(_cell_rows(equations), g.dim ** 2)
+        op = get_op(name)
+        equations = _cell_equations(g, op)
+        own = _nullspace(_rows(equations), g.dim ** 2)
         expected = [{divmod(c, g.dim): v for c, v in vector.items()} for vector in own]
-        assert _rank_decision(frozenset(equations), g.dim) == expected, (kind, name)
-    assert _rank_decision.cache_info().misses == decided.misses
+        assert _decide(frozenset(equations), g.dim, op.conj)[0] == expected, (kind, name)
+    assert _decide.cache_info().misses == decided.misses
     assert len(calls) == len(systems)
 
 
-def test_pair_tables_are_built_once_per_process():
-    """Over the sets of `table --rep all`, `_pair_tables` builds the
-    row-indexed tables of each pair key that some cell picks once, for its
-    row family and for the witness residuals alike, and a second pass, its
-    families and decisions cleared so that it builds and eliminates again,
-    builds none."""
-    sets = [build_generators(kind) for kind in ("rep1", "rep2", "rep3", "canonical8")]
-    picked = {key for g in sets for name in OP_ORDER for key in _cell_equations(g, get_op(name))}
-    _pair_tables.cache_clear()
-    _matrix_rows.cache_clear()
-    _clear_decisions()
-    for g in sets:
-        full_table(g)
-    first = _pair_tables.cache_info()
-    _matrix_rows.cache_clear()
-    _clear_decisions()
-    for g in sets:
-        full_table(g)
-    second = _pair_tables.cache_info()
-    assert first.misses == first.currsize == len(picked) == 43
-    assert second.misses == first.misses
-    assert second.hits > first.hits
+def test_no_system_is_both_linear_and_antilinear():
+    """`_decide` is keyed by conj as well as by the system, yet eliminates
+    no system twice: over the five sets and the three negative-energy sets,
+    which one process may classify in turn, no system of pair keys is
+    imposed by both a linear and an antilinear operator.  A set that breaks
+    this is named with the cells that share the system."""
+    cells = {}  # (system, d) -> conj -> [(kind, sign, op name)]
+    for kind, sign in SETS:
+        g = build_generators(kind, sign)
+        for name in OP_ORDER:
+            op = get_op(name)
+            system = (frozenset(_cell_equations(g, op)), g.dim)
+            cells.setdefault(system, {}).setdefault(op.conj, []).append((kind, sign, name))
+    assert len(cells) < len(SETS) * len(OP_ORDER)
+    assert [by_conj for by_conj in cells.values() if len(by_conj) > 1] == []
 
 
 def test_mutated_boost_coefficient_changes_the_verdicts(rep1):
@@ -677,7 +677,7 @@ def test_witness_depends_only_on_the_nullspace(kind):
     g = build_generators(kind)
     checked = 0
     for name in OP_ORDER:
-        rows = _cell_rows(_cell_equations(g, get_op(name)))
+        rows = _rows(_cell_equations(g, get_op(name)))
         basis = _nullspace(rows, g.dim ** 2)
         assert _nullspace(rows[::-1], g.dim ** 2) == basis, (kind, name)
         assert _nullspace(_mixed(rows), g.dim ** 2) == basis, (kind, name)
