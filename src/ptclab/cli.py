@@ -15,9 +15,10 @@ body, text lines, exit code); `main` dispatches through `_COMMANDS`, adds
 schema, command and config to the body and prints the one form asked for,
 so both modes share the exit code and the text is a view of the same
 result; a write to stdout that fails (a closed pipe, a full device), that of
-`--help` included, ends in one error line on stderr and exit 1.  The
-user-facing summary, flags, JSON schema and exit codes are in DESCRIPTION,
-which `--help` prints.
+`--help` included, ends in one error line on stderr and exit 1, and a
+write to stderr that fails changes no exit code.  The user-facing
+summary, flags, JSON schema and exit codes are in DESCRIPTION, which
+`--help` prints.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _print_message(self, message, file=None):
         if file is not sys.stdout:
-            return super()._print_message(message, file)
+            return _print_stderr(message)
         # argparse drops a failed write; that of --help, flushed here, raises to main
         file.write(message)
         file.flush()
@@ -324,12 +325,23 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+def _print_stderr(text: str) -> None:
+    """text written and flushed to stderr; if that fails, what stderr still
+    buffers goes to os.devnull, so neither the failed write nor the flush at
+    interpreter exit changes the exit code."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def _write_error(exc: OSError) -> int:
     """A closed pipe or a full device: what stdout still buffers goes to
     os.devnull, so the flush at interpreter exit stays quiet, and one error
     line goes to stderr."""
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    print(f"ptclab: error: cannot write output ({exc.strerror or exc})", file=sys.stderr)
+    _print_stderr(f"ptclab: error: cannot write output ({exc.strerror or exc})\n")
     return EXIT_FAIL
 
 
@@ -346,12 +358,12 @@ def main(argv=None) -> int:
     try:
         check_seed(args.seed)
     except ValueError as exc:
-        print(f"ptclab: error: {exc}", file=sys.stderr)
+        _print_stderr(f"ptclab: error: {exc}\n")
         return EXIT_USAGE
     try:
         body, lines, code = _COMMANDS[args.command](args)
     except _UsageError as exc:
-        print(f"ptclab: {exc}", file=sys.stderr)
+        _print_stderr(f"ptclab: {exc}\n")
         return EXIT_USAGE
     try:
         if args.json:
@@ -361,7 +373,10 @@ def main(argv=None) -> int:
             print()
         else:
             for line in lines:
-                print(line, file=sys.stderr if isinstance(line, _Stderr) else sys.stdout)
+                if isinstance(line, _Stderr):
+                    _print_stderr(line + "\n")
+                else:
+                    print(line)
         sys.stdout.flush()
     except OSError as exc:
         return _write_error(exc)

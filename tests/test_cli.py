@@ -914,12 +914,15 @@ def test_stdout_on_a_full_device_is_a_write_error(argv):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 def test_a_usage_error_keeps_its_exit_code_when_stderr_fails():
-    """Only a failed write to stdout is a failed output: with stderr
-    unbuffered on /dev/full, a usage error still exits 64."""
-    env = _environments()[0]
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(_cli("table"), stdout=subprocess.PIPE, stderr=full, env=env)
-    assert proc.returncode == 64 and proc.stdout == b""
+    """Only a failed write to stdout is a failed output: with stderr on
+    /dev/full, buffered or not, a usage error still exits 64, whether the
+    parser finds it (a missing --rep), the seed check (a negative --seed) or
+    a command (a label that does not parse)."""
+    for argv in (["table"], ["table", "--rep", "all", "--seed", "-1"], ["ptc", "--labels", "X"]):
+        for env in _environments():
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run(_cli(*argv), stdout=subprocess.PIPE, stderr=full, env=env)
+            assert (proc.returncode, proc.stdout) == (64, b""), (argv, env.get("PYTHONUNBUFFERED"))
 
 
 # ---------------------------------------------------------------------------
