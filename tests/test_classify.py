@@ -487,7 +487,6 @@ def test_no_system_is_both_linear_and_antilinear():
             op = get_op(name)
             system = (frozenset(_cell_equations(g, op)), g.dim)
             cells.setdefault(system, {}).setdefault(op.conj, []).append((kind, sign, name))
-    assert len(cells) < len(SETS) * len(OP_ORDER)
     assert [by_conj for by_conj in cells.values() if len(by_conj) > 1] == []
 
 
