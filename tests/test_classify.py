@@ -441,6 +441,27 @@ def test_row_families_are_built_once_per_process(monkeypatch):
     assert classes == keys
 
 
+def test_pair_tables_are_built_once_per_process():
+    """Over the sets of `table --rep all`, `_pair` builds the row-indexed
+    tables of each pair key that some cell picks once, for its row family
+    and for the witness residuals alike, and a second pass, its decisions
+    cleared so that it eliminates again, builds none."""
+    sets = [build_generators(kind) for kind in ("rep1", "rep2", "rep3", "canonical8")]
+    picked = {key for g in sets for name in OP_ORDER for key in _cell_equations(g, get_op(name))}
+    _pair.cache_clear()
+    _clear_decisions()
+    for g in sets:
+        full_table(g)
+    first = _pair.cache_info()
+    _clear_decisions()
+    for g in sets:
+        full_table(g)
+    second = _pair.cache_info()
+    assert first.misses == first.currsize == len(picked) == 43
+    assert second.misses == first.misses
+    assert second.hits > first.hits
+
+
 @pytest.mark.parametrize("kind", REP_KINDS)
 def test_each_distinct_system_is_decided_once(monkeypatch, kind):
     """With the decisions cleared, a full table calls `_nullspace` once per
